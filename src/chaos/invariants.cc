@@ -330,10 +330,11 @@ checkCkptReplay(const ChaosPoint &p)
 // --- skipahead-identity -------------------------------------------
 
 /**
- * The event-horizon kernel's core contract: skip-ahead scheduling is
- * an execution-speed optimization only. Running the same fuzzed
- * machine with and without it must produce the same SimResult and a
- * byte-identical stats dump.
+ * The cycle kernel's core contract: the fast engine (skip-ahead with
+ * quiescence memoization and idle-tick deferral) is an
+ * execution-speed optimization only. Running the same fuzzed machine
+ * on it and on the plain per-cycle loop must produce the same
+ * SimResult and a byte-identical stats dump.
  */
 std::optional<Violation>
 checkSkipaheadIdentity(const ChaosPoint &p)
@@ -347,11 +348,6 @@ checkSkipaheadIdentity(const ChaosPoint &p)
                        std::uint64_t &elided) {
         SystemParams sp = m.sys;
         sp.skipAhead = skip;
-        // Pin the hot-cycle-engine layers off so this invariant keeps
-        // comparing exactly the two scheduling modes it names; the
-        // full engine is covered by "soa-identity".
-        sp.flatDispatch = false;
-        sp.memoQuiescence = false;
         System sys(sp, m.name);
         for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
             sys.attachTrace(cpu, traces[cpu]);
@@ -393,74 +389,6 @@ checkSkipaheadIdentity(const ChaosPoint &p)
     } catch (const std::exception &e) {
         return panicViolation("skipahead-identity", "either mode",
                               e.what());
-    }
-    return std::nullopt;
-}
-
-// --- soa-identity -------------------------------------------------
-
-/**
- * The hot-cycle engine's contract: the devirtualized tick schedule
- * and memoized quiescence (over the SoA scan structures) are
- * execution-speed optimizations only. The full engine must produce
- * the same SimResult and byte-identical stats as both reference
- * paths — the plain per-cycle loop and the un-memoized virtual
- * skip-ahead kernel — on the same fuzzed machine.
- */
-std::optional<Violation>
-checkSoaIdentity(const ChaosPoint &p)
-{
-    const TraceSet traces = synthTraces(p);
-    MachineParams m = p.machine();
-    m.sys.warmupInstrs = p.instrs / 5;
-
-    ScopedThrow isolate;
-    auto runEngine = [&](bool skip, bool flat, bool memo,
-                         SimResult &res, std::string &stats) {
-        SystemParams sp = m.sys;
-        sp.skipAhead = skip;
-        sp.flatDispatch = flat;
-        sp.memoQuiescence = memo;
-        System sys(sp, m.name);
-        for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
-            sys.attachTrace(cpu, traces[cpu]);
-        res = sys.run();
-        stats = sys.statsDump();
-    };
-
-    try {
-        SimResult plain, ref, full;
-        std::string plainStats, refStats, fullStats;
-        runEngine(false, false, false, plain, plainStats);
-        runEngine(true, false, false, ref, refStats);
-        runEngine(true, true, true, full, fullStats);
-
-        struct RefCase
-        {
-            const char *name;
-            const SimResult &res;
-            const std::string &stats;
-        };
-        for (const RefCase &r :
-             {RefCase{"plain", plain, plainStats},
-              RefCase{"reference skip-ahead", ref, refStats}}) {
-            const std::string diff = diffSim(r.res, full);
-            if (!diff.empty()) {
-                return Violation{
-                    "soa-identity", "soa-identity:result-diverged",
-                    fmt("full engine diverged from the %s path: %s",
-                        r.name, diff.c_str())};
-            }
-            if (r.stats != fullStats) {
-                return Violation{
-                    "soa-identity", "soa-identity:stats-diverged",
-                    fmt("stats dump differs between the full engine "
-                        "and the %s path",
-                        r.name)};
-            }
-        }
-    } catch (const std::exception &e) {
-        return panicViolation("soa-identity", "any engine", e.what());
     }
     return std::nullopt;
 }
@@ -617,9 +545,6 @@ invariantCatalog()
         {"skipahead-identity",
          "skip-ahead and plain per-cycle scheduling are bit-identical",
          checkSkipaheadIdentity},
-        {"soa-identity",
-         "the flat+memoized hot-cycle engine matches both references",
-         checkSoaIdentity},
     };
     return catalog;
 }

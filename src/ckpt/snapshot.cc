@@ -257,6 +257,16 @@ SnapshotReader::parse()
     const std::size_t count = static_cast<std::size_t>(readLe(4));
     modelVersion_ = readString("model version");
 
+    // The count is not checksummed: bound it by what the remaining
+    // bytes can hold before reserving. The smallest section is 20
+    // bytes (4-byte name length, 8-byte size, 8-byte checksum).
+    constexpr std::size_t kMinSectionBytes = 20;
+    const std::size_t remaining = bytes_.size() - cursor_;
+    if (count > remaining / kMinSectionBytes) {
+        corrupt("section count " + std::to_string(count) +
+                " exceeds what the remaining " +
+                std::to_string(remaining) + " bytes can hold");
+    }
     sections_.clear();
     sections_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {

@@ -100,7 +100,7 @@ class Core : public Clocked
 
     /**
      * Monotone activity stamp for the kernel's quiescence
-     * memoization (see CycleKernel::setMemoQuiescence): the sum of
+     * memoization (see CycleKernel::setSkipAhead): the sum of
      * the per-unit activity counters, bumped by every state
      * transition a tick makes. An unchanged stamp across ticks
      * proves the pipeline state is frozen, so a cached

@@ -48,20 +48,6 @@ SelfProfiler::recordTick(const Clocked &component, std::uint64_t ns)
 }
 
 void
-SelfProfiler::recordGroupTicks(const char *cls,
-                               std::uint64_t components,
-                               std::uint64_t ns)
-{
-    // One aggregate record per homogeneous flat-dispatch group: the
-    // sample count still mirrors "component ticks timed" (so
-    // per-tick averages stay comparable to the virtual path) while
-    // the group's wall time lands in the class bucket once.
-    ProfileClassTotals &t = totals_[cls];
-    t.samples += components;
-    t.ns += ns;
-}
-
-void
 SelfProfiler::recordProbes(std::uint64_t ns)
 {
     ProfileClassTotals &t = totals_["probes"];

@@ -57,8 +57,6 @@ class SelfProfiler : public TickProfiler
 
     void recordTick(const Clocked &component,
                     std::uint64_t ns) override;
-    void recordGroupTicks(const char *cls, std::uint64_t components,
-                          std::uint64_t ns) override;
     void recordProbes(std::uint64_t ns) override;
     void recordElided(std::uint64_t cycles) override
     {

@@ -90,10 +90,6 @@ PerfModel::prepare()
         sys.watchdogCycles = opts.watchdogCycles;
     if (opts.skipAhead >= 0)
         sys.skipAhead = opts.skipAhead != 0;
-    if (opts.flatDispatch >= 0)
-        sys.flatDispatch = opts.flatDispatch != 0;
-    if (opts.memoQuiescence >= 0)
-        sys.memoQuiescence = opts.memoQuiescence != 0;
     if (!opts.checkLevel.empty()) {
         sys.checkLevel =
             check::checkLevelFromString(opts.checkLevel.c_str());

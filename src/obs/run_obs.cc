@@ -111,18 +111,6 @@ parseObsArgs(int argc, const char *const *argv)
             opts.skipAhead = 0;
         else if (const char *v = matchFlag(arg, "skip-ahead"))
             opts.skipAhead = std::strtol(v, nullptr, 0) != 0 ? 1 : 0;
-        else if (arg == "--no-flat-dispatch" ||
-                 arg == "no-flat-dispatch")
-            opts.flatDispatch = 0;
-        else if (const char *v = matchFlag(arg, "flat-dispatch"))
-            opts.flatDispatch =
-                std::strtol(v, nullptr, 0) != 0 ? 1 : 0;
-        else if (arg == "--no-memo-quiescence" ||
-                 arg == "no-memo-quiescence")
-            opts.memoQuiescence = 0;
-        else if (const char *v = matchFlag(arg, "memo-quiescence"))
-            opts.memoQuiescence =
-                std::strtol(v, nullptr, 0) != 0 ? 1 : 0;
         else if (arg == "--watchdog-escalate" ||
                  arg == "watchdog-escalate")
             opts.watchdogEscalate = true;

@@ -55,20 +55,6 @@ struct ObsOptions
      * bit-identical stats by contract.
      */
     int skipAhead = -1;
-    /**
-     * Flat-dispatch override: -1 = configured default (on), 0 =
-     * virtual reference fan-out (--no-flat-dispatch), 1 = force the
-     * devirtualized tick schedule (flat-dispatch=1). Never part of a
-     * config fingerprint — both paths are bit-identical by contract.
-     */
-    int flatDispatch = -1;
-    /**
-     * Quiescence-memoization override: -1 = configured default (on),
-     * 0 = re-ask every component's nextWorkCycle() on every visited
-     * cycle (--no-memo-quiescence), 1 = force memoization on
-     * (memo-quiescence=1). Never part of a config fingerprint.
-     */
-    int memoQuiescence = -1;
     /** Time the simulator itself (see exp/self_profile.hh). */
     bool selfProfile = false;
     /** Self-profiler sampling period in cycles (0 = default). */
@@ -141,9 +127,7 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * "max-attempts=<n>", "retry-budget-ms=<ms>", and
  * "--watchdog-escalate"; the randomness flags "seed=<n>" and
  * "--shuffle"; the scheduling flags "--no-skip-ahead" /
- * "skip-ahead=<0|1>", "--no-flat-dispatch" / "flat-dispatch=<0|1>"
- * and "--no-memo-quiescence" / "memo-quiescence=<0|1>"; everything
- * else is left for the caller.
+ * "skip-ahead=<0|1>"; everything else is left for the caller.
  */
 void parseObsArgs(int argc, const char *const *argv);
 

@@ -122,23 +122,6 @@ class TickProfiler
      * no-op so profilers that predate skip-ahead keep compiling.
      */
     virtual void recordElided(std::uint64_t cycles) { (void)cycles; }
-
-    /**
-     * Flat-dispatch path: one homogeneous tick group of class
-     * @p cls ran @p components ticks in @p ns total on a sampled
-     * cycle. The per-group loop is timed as a whole (timing each
-     * devirtualized call would defeat the flattening), so the
-     * profiler receives one aggregate record per group instead of
-     * one per component. Default no-op for older profilers.
-     */
-    virtual void recordGroupTicks(const char *cls,
-                                  std::uint64_t components,
-                                  std::uint64_t ns)
-    {
-        (void)cls;
-        (void)components;
-        (void)ns;
-    }
 };
 
 /**
@@ -157,33 +140,8 @@ using ProbeFn = std::function<bool(Cycle)>;
 class CycleKernel
 {
   public:
-    /**
-     * One homogeneous tick-group step: advance every live component
-     * in [begin, begin + n) one cycle and return how many were live
-     * (not done — a component whose idle tick was deferred still
-     * counts). Typed instantiations call tick()/done() through
-     * qualified names, so the calls devirtualize and inline.
-     */
-    using GroupTickFn = std::size_t (*)(CycleKernel &k,
-                                        std::size_t begin,
-                                        std::size_t n, Cycle cycle);
-
     /** Attach a per-cycle component (not owned). */
     void attach(Clocked *component);
-
-    /**
-     * Attach a component by its concrete type: under flat dispatch
-     * (setFlatDispatch) consecutive components of one type tick in a
-     * single devirtualized loop. @p T must be the object's dynamic
-     * type — the qualified calls bypass the vtable. Behaves exactly
-     * like attach() when flat dispatch is off.
-     */
-    template <typename T>
-    void attachTyped(T *component)
-    {
-        attach(component);
-        groupFns_.back() = &typedGroupTick<T>;
-    }
 
     /**
      * Attach a self-profiler timing component ticks and probe passes
@@ -236,51 +194,36 @@ class CycleKernel
     void attachSkipBound(std::function<Cycle(Cycle)> bound);
 
     /**
-     * Enable skip-ahead scheduling: advance directly to
-     * min(component next work, next probe, horizons, skip bounds,
+     * Enable skip-ahead scheduling, the fast engine: advance directly
+     * to min(component next work, next probe, horizons, skip bounds,
      * cycle cap), replaying the elided cycles' stat effects in bulk
-     * via Clocked::elide(). Off by default — the plain per-cycle
-     * loop is the reference semantics.
+     * via Clocked::elide(). Two refinements ride along:
+     *
+     * - Quiescence memoization: skipTarget() caches each component's
+     *   (activityStamp, nextWorkCycle) pair and reuses the cached
+     *   answer while the stamp is unchanged and the answer still
+     *   lies at or past the queried cycle. Reuse is always
+     *   conservative: an unchanged stamp proves the component's
+     *   state is frozen, under which nextWorkCycle() answers are
+     *   nondecreasing in the query cycle, so a cached answer can
+     *   only shorten a skip, never stretch one.
+     * - Idle-tick deferral: on a visited cycle, a component whose
+     *   cached answer lies strictly in the future skips its tick
+     *   entirely and the owed idle-stat replay is batched into one
+     *   elide() before its next real tick (see PendingElide). This
+     *   is what makes SMP runs cheap when one core pins the clock
+     *   while the others stall.
+     *
+     * Off by default: the plain per-cycle loop is the reference
+     * semantics.
      */
     void setSkipAhead(bool on) { skipAhead_ = on; }
-    bool skipAhead() const { return skipAhead_; }
-
-    /**
-     * Enable the type-partitioned tick schedule: components attached
-     * via attachTyped() are grouped into maximal runs of one type
-     * (attachment order preserved, so the dispatch order is
-     * bit-identical to the virtual fan-out) and each run ticks
-     * through a devirtualized loop. Off by default — the virtual
-     * per-component loop is the reference semantics.
-     */
-    void setFlatDispatch(bool on) { flatDispatch_ = on; }
-    bool flatDispatch() const { return flatDispatch_; }
-
-    /**
-     * Enable quiescence memoization: skipTarget() caches each
-     * component's (activityStamp, nextWorkCycle) pair and reuses the
-     * cached answer while the stamp is unchanged and the answer
-     * still lies at or past the queried cycle. Reuse is always
-     * conservative — an unchanged stamp proves the component's state
-     * is frozen, under which nextWorkCycle() answers are
-     * nondecreasing in the query cycle, so a cached answer can only
-     * shorten a skip, never stretch one. With skip-ahead also on,
-     * the same memo drives per-component idle-tick deferral: on a
-     * visited cycle, a component whose cached answer lies strictly
-     * in the future skips its tick entirely and the owed idle-stat
-     * replay is batched into one elide() before its next real tick
-     * (see PendingElide) — this is what makes SMP runs cheap when
-     * one core pins the clock while the others stall. Off by
-     * default.
-     */
-    void setMemoQuiescence(bool on) { memoQuiescence_ = on; }
-    bool memoQuiescence() const { return memoQuiescence_; }
 
     /** Total cycles elided by skip-ahead in the last/current run(). */
     std::uint64_t elidedCycles() const { return elidedCycles_; }
 
     /**
-     * Replay every deferred idle tick now (see deferIdle()). The
+     * Replay every deferred idle tick now (see canDefer()). The
      * kernel flushes automatically before a component's real tick,
      * before any periodic probe fires, and on every loop exit; call
      * this from a *polled* probe before reading or mutating
@@ -348,36 +291,6 @@ class CycleKernel
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 
-    /** Reference group step: virtual tick()/done() per component. */
-    static std::size_t genericGroupTick(CycleKernel &k,
-                                        std::size_t begin,
-                                        std::size_t n, Cycle cycle);
-
-    template <typename T>
-    static std::size_t
-    typedGroupTick(CycleKernel &k, std::size_t begin, std::size_t n,
-                   Cycle cycle)
-    {
-        std::size_t live = 0;
-        for (std::size_t i = begin; i < begin + n; ++i) {
-            T *t = static_cast<T *>(k.clocked_[i]);
-            if (t->T::done())
-                continue;
-            ++live;
-            if (k.canDefer(i, t->T::activityStamp(), cycle)) {
-                k.deferIdle(i, cycle);
-            } else {
-                if (k.pending_[i].count) {
-                    t->T::elide(k.pending_[i].from,
-                                k.pending_[i].count);
-                    k.pending_[i].count = 0;
-                }
-                t->T::tick(cycle);
-            }
-        }
-        return live;
-    }
-
     /**
      * Deferred idle-tick replay for one component: while a memo
      * entry proves the component idle at the visited cycle (frozen
@@ -400,13 +313,13 @@ class CycleKernel
      * component exposes a stamp, the stamp is unchanged since the
      * memo was taken (state provably frozen, so the cached answer is
      * still a valid bound), and the cached next-work cycle lies
-     * strictly beyond @p cycle. Requires skip-ahead (the memo is
-     * refreshed by skipTarget()) and memoization both on.
+     * strictly beyond @p cycle. Requires skip-ahead: the memo is
+     * refreshed by skipTarget().
      */
     bool canDefer(std::size_t i, std::uint64_t stamp,
                   Cycle cycle) const
     {
-        return deferIdle_ && stamp != Clocked::kNoActivityStamp &&
+        return skipAhead_ && stamp != Clocked::kNoActivityStamp &&
             memo_[i].stamp == stamp && memo_[i].answer > cycle;
     }
 
@@ -427,15 +340,6 @@ class CycleKernel
         }
     }
 
-    /** A maximal run of consecutive same-type components. */
-    struct TickGroup
-    {
-        std::size_t begin;
-        std::size_t count;
-        GroupTickFn fn;
-        const char *cls; ///< profile class (first member's).
-    };
-
     /** Cached (stamp, answer) pair for quiescence memoization. */
     struct MemoEntry
     {
@@ -443,13 +347,7 @@ class CycleKernel
         Cycle answer = 0;
     };
 
-    /** (Re)build the type-partitioned schedule from groupFns_. */
-    void buildSchedule();
-
     std::vector<Clocked *> clocked_;
-    /** Per-component group step, parallel to clocked_. */
-    std::vector<GroupTickFn> groupFns_;
-    std::vector<TickGroup> schedule_;
     std::vector<MemoEntry> memo_;       ///< parallel to clocked_.
     std::vector<PendingElide> pending_; ///< parallel to clocked_.
     std::vector<ProbeEntry> probes_;
@@ -459,10 +357,6 @@ class CycleKernel
     std::uint64_t elidedCycles_ = 0;
     bool stopRequested_ = false;
     bool skipAhead_ = false;
-    bool flatDispatch_ = false;
-    bool memoQuiescence_ = false;
-    /** skipAhead_ && memoQuiescence_, latched at run() start. */
-    bool deferIdle_ = false;
 };
 
 } // namespace s64v

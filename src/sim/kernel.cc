@@ -28,46 +28,6 @@ CycleKernel::attach(Clocked *component)
     if (!component)
         panic("CycleKernel::attach(nullptr)");
     clocked_.push_back(component);
-    groupFns_.push_back(&CycleKernel::genericGroupTick);
-}
-
-std::size_t
-CycleKernel::genericGroupTick(CycleKernel &k, std::size_t begin,
-                              std::size_t n, Cycle cycle)
-{
-    std::size_t live = 0;
-    for (std::size_t i = begin; i < begin + n; ++i) {
-        Clocked *c = k.clocked_[i];
-        if (c->done())
-            continue;
-        ++live;
-        if (k.canDefer(i, c->activityStamp(), cycle)) {
-            k.deferIdle(i, cycle);
-        } else {
-            k.flushOne(i);
-            c->tick(cycle);
-        }
-    }
-    return live;
-}
-
-void
-CycleKernel::buildSchedule()
-{
-    schedule_.clear();
-    for (std::size_t i = 0; i < clocked_.size(); ++i) {
-        // A group must be homogeneous in both the step function and
-        // the profile class, so per-group timing attributes to one
-        // bucket even for generically attached mixed components.
-        const char *cls = clocked_[i]->profileClass();
-        if (!schedule_.empty() &&
-            schedule_.back().fn == groupFns_[i] &&
-            schedule_.back().cls == cls) {
-            ++schedule_.back().count;
-        } else {
-            schedule_.push_back(TickGroup{i, 1, groupFns_[i], cls});
-        }
-    }
 }
 
 void
@@ -109,30 +69,24 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
         if (c->done())
             continue;
         any_alive = true;
+        // Reuse the cached answer while the component's activity
+        // stamp is unchanged (state provably frozen) and the answer
+        // still lies at or past the queried cycle; both gates
+        // together make reuse conservative (see setSkipAhead). No
+        // early-out here even once the skip is pinned: the refreshed
+        // entry doubles as the next cycle's idle-tick deferral proof
+        // (canDefer), so every alive component must be brought up to
+        // date.
+        const std::uint64_t stamp = c->activityStamp();
+        MemoEntry &m = memo_[i];
         Cycle w;
-        if (memoQuiescence_) {
-            // Reuse the cached answer while the component's activity
-            // stamp is unchanged (state provably frozen) and the
-            // answer still lies at or past the queried cycle; both
-            // gates together make reuse conservative (see
-            // setMemoQuiescence). No early-out here even once the
-            // skip is pinned: the refreshed entry doubles as the
-            // next cycle's idle-tick deferral proof (canDefer), so
-            // every alive component must be brought up to date.
-            const std::uint64_t stamp = c->activityStamp();
-            MemoEntry &m = memo_[i];
-            if (stamp != Clocked::kNoActivityStamp &&
-                stamp == m.stamp && m.answer >= next) {
-                w = m.answer;
-            } else {
-                w = c->nextWorkCycle(next);
-                m.stamp = stamp;
-                m.answer = w;
-            }
+        if (stamp != Clocked::kNoActivityStamp && stamp == m.stamp &&
+            m.answer >= next) {
+            w = m.answer;
         } else {
-            if (target <= next)
-                return next;
             w = c->nextWorkCycle(next);
+            m.stamp = stamp;
+            m.answer = w;
         }
         if (w < next)
             w = next;
@@ -177,16 +131,14 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
 {
     stopRequested_ = false;
     elidedCycles_ = 0;
-    buildSchedule();
     memo_.assign(clocked_.size(), MemoEntry{});
     pending_.assign(clocked_.size(), PendingElide{});
-    deferIdle_ = skipAhead_ && memoQuiescence_;
     // Periodic probes read (sampler), reset (warm-up boundary via
     // its own flushElides) or serialize (checkpoint) stats, so every
     // deferred idle-tick replay must land before one fires; polled
     // probes run un-flushed per their documented contract.
     const auto flushForProbes = [this](Cycle c) {
-        if (!deferIdle_)
+        if (!skipAhead_)
             return;
         for (const ProbeEntry &p : probes_) {
             if (!p.polled && p.next == c) {
@@ -200,80 +152,37 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
         currentCycle_ = cycle;
         bool all_done = true;
         const bool timed = profiler_ && profiler_->sampleCycle(cycle);
-        if (timed) {
-            if (flatDispatch_) {
-                // Time each homogeneous group as a whole; splitting
-                // the timer per component would re-introduce the
-                // indirection the flattening removes.
-                for (const TickGroup &g : schedule_) {
-                    const std::uint64_t t0 = nowNs();
-                    const std::size_t live =
-                        g.fn(*this, g.begin, g.count, cycle);
-                    if (live) {
-                        profiler_->recordGroupTicks(g.cls, live,
-                                                    nowNs() - t0);
-                        all_done = false;
-                    }
-                }
+        for (std::size_t i = 0; i < clocked_.size(); ++i) {
+            Clocked *c = clocked_[i];
+            if (c->done())
+                continue;
+            all_done = false;
+            if (canDefer(i, c->activityStamp(), cycle)) {
+                deferIdle(i, cycle);
+                continue;
+            }
+            flushOne(i);
+            if (timed) {
+                const std::uint64_t t0 = nowNs();
+                c->tick(cycle);
+                profiler_->recordTick(*c, nowNs() - t0);
             } else {
-                for (std::size_t i = 0; i < clocked_.size(); ++i) {
-                    Clocked *c = clocked_[i];
-                    if (c->done())
-                        continue;
-                    all_done = false;
-                    if (canDefer(i, c->activityStamp(), cycle)) {
-                        deferIdle(i, cycle);
-                        continue;
-                    }
-                    flushOne(i);
-                    const std::uint64_t t0 = nowNs();
-                    c->tick(cycle);
-                    profiler_->recordTick(*c, nowNs() - t0);
-                }
-            }
-            flushForProbes(cycle);
-            const std::uint64_t p0 = nowNs();
-            for (ProbeEntry &p : probes_) {
-                if (p.polled) {
-                    if (p.fn && !p.fn(cycle))
-                        p.fn = nullptr;
-                } else if (cycle == p.next) {
-                    p.next = p.fn(cycle) ? p.next + p.period
-                                         : kCycleNever;
-                }
-            }
-            profiler_->recordProbes(nowNs() - p0);
-        } else {
-            if (flatDispatch_) {
-                for (const TickGroup &g : schedule_) {
-                    if (g.fn(*this, g.begin, g.count, cycle))
-                        all_done = false;
-                }
-            } else {
-                for (std::size_t i = 0; i < clocked_.size(); ++i) {
-                    Clocked *c = clocked_[i];
-                    if (c->done())
-                        continue;
-                    all_done = false;
-                    if (canDefer(i, c->activityStamp(), cycle)) {
-                        deferIdle(i, cycle);
-                    } else {
-                        flushOne(i);
-                        c->tick(cycle);
-                    }
-                }
-            }
-            flushForProbes(cycle);
-            for (ProbeEntry &p : probes_) {
-                if (p.polled) {
-                    if (p.fn && !p.fn(cycle))
-                        p.fn = nullptr;
-                } else if (cycle == p.next) {
-                    p.next = p.fn(cycle) ? p.next + p.period
-                                         : kCycleNever;
-                }
+                c->tick(cycle);
             }
         }
+        flushForProbes(cycle);
+        const std::uint64_t p0 = timed ? nowNs() : 0;
+        for (ProbeEntry &p : probes_) {
+            if (p.polled) {
+                if (p.fn && !p.fn(cycle))
+                    p.fn = nullptr;
+            } else if (cycle == p.next) {
+                p.next =
+                    p.fn(cycle) ? p.next + p.period : kCycleNever;
+            }
+        }
+        if (timed)
+            profiler_->recordProbes(nowNs() - p0);
         if (all_done)
             return {Stop::Drained, cycle};
         if (stopRequested_) {

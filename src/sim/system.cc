@@ -124,8 +124,6 @@ System::run()
     kernel_ = std::make_unique<CycleKernel>();
     hitCycleCap_ = false;
     kernel_->setSkipAhead(params_.skipAhead);
-    kernel_->setFlatDispatch(params_.flatDispatch);
-    kernel_->setMemoQuiescence(params_.memoQuiescence);
     // The lazily-timed memory system is never ticked, but in-flight
     // fills and busy shared resources still bound how far the kernel
     // may skip (their completion cycles are where stall
@@ -136,7 +134,7 @@ System::run()
     if (profiler_)
         kernel_->attachProfiler(profiler_);
     for (auto &core : cores_)
-        kernel_->attachTyped(core.get());
+        kernel_->attach(core.get());
     if (watchdog) {
         // Polled, not periodic: a period-1 probe would pin the
         // skip-ahead target to the very next cycle. The horizon keeps

@@ -75,28 +75,16 @@ struct SystemParams
      * Skip-ahead scheduling: when every core is quiescent, the cycle
      * kernel jumps straight to the next cycle any component or probe
      * can act, bulk-attributing the elided cycles to the stats the
-     * per-cycle loop would have produced. Bit-identical to plain
-     * ticking by contract (chaos invariant "skipahead-identity");
+     * per-cycle loop would have produced; the quiescence memo and
+     * idle-core tick deferral ride along (see
+     * CycleKernel::setSkipAhead). Bit-identical to plain ticking by
+     * contract (chaos invariant "skipahead-identity");
      * --no-skip-ahead selects the plain loop.
      */
     bool skipAhead = true;
-    /**
-     * Type-partitioned tick dispatch: the kernel ticks the cores
-     * through a devirtualized homogeneous loop instead of the
-     * per-component virtual fan-out. Dispatch order is preserved, so
-     * results are bit-identical by construction (asserted by the
-     * engine-matrix tests and chaos invariant "soa-identity");
-     * --no-flat-dispatch selects the virtual reference loop.
-     */
-    bool flatDispatch = true;
-    /**
-     * Quiescence memoization: the kernel caches each core's
-     * nextWorkCycle() answer keyed on its monotone activity stamp
-     * and re-asks only cores whose stamp moved — the idle cores of
-     * an SMP run stop paying the O(window) scan on every visited
-     * cycle. Conservative by construction (a cached answer can only
-     * shorten a skip); --no-memo-quiescence disables it.
-     */
+    /** Unread by the simulator; simbench/ still sets and prints it. */
+    bool flatDispatch = false;
+    /** Unread by the simulator; simbench/ still sets and prints it. */
     bool memoQuiescence = true;
     /** Self-check depth; see check::InvariantAuditor. */
     check::CheckLevel checkLevel = check::CheckLevel::EndOfRun;

@@ -1,5 +1,7 @@
 #include "common/bitutil.hh"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace s64v
@@ -50,6 +52,68 @@ TEST(BitUtil, Mix64IsDeterministicAndSpreads)
     EXPECT_NE(mix64(42), mix64(43));
     // Low bits should differ even for adjacent inputs.
     EXPECT_NE(mix64(100) & 0xffff, mix64(101) & 0xffff);
+}
+
+// --- DenseBits: the SoA scan mask ---------------------------------
+
+TEST(DenseBitsSoA, SetClearCountAcrossWordBoundaries)
+{
+    DenseBits bits;
+    bits.resize(130); // three words, last one partial.
+    EXPECT_FALSE(bits.any());
+    for (std::size_t i : {0u, 63u, 64u, 127u, 128u, 129u})
+        bits.set(i);
+    EXPECT_TRUE(bits.any());
+    EXPECT_EQ(bits.count(), 6u);
+    EXPECT_TRUE(bits.test(63));
+    EXPECT_FALSE(bits.test(62));
+    bits.clear(63);
+    EXPECT_FALSE(bits.test(63));
+    EXPECT_EQ(bits.count(), 5u);
+    bits.assign(63, true);
+    bits.assign(0, false);
+    EXPECT_TRUE(bits.test(63));
+    EXPECT_FALSE(bits.test(0));
+    bits.reset();
+    EXPECT_FALSE(bits.any());
+    EXPECT_EQ(bits.count(), 0u);
+}
+
+TEST(DenseBitsSoA, FindFirstSkipsWholeEmptyAndFullWords)
+{
+    DenseBits bits;
+    bits.resize(200);
+    EXPECT_EQ(bits.findFirst(), -1);
+    EXPECT_EQ(bits.findFirstZero(), 0);
+    bits.set(131);
+    EXPECT_EQ(bits.findFirst(), 131);
+    for (std::size_t i = 0; i < 130; ++i)
+        bits.set(i);
+    EXPECT_EQ(bits.findFirst(), 0);
+    EXPECT_EQ(bits.findFirstZero(), 130);
+    for (std::size_t i = 0; i < 200; ++i)
+        bits.set(i);
+    EXPECT_EQ(bits.findFirstZero(), -1);
+}
+
+TEST(DenseBitsSoA, ForEachVisitsInOrderAndHonorsEarlyStop)
+{
+    DenseBits bits;
+    bits.resize(150);
+    const std::vector<std::size_t> want{3, 64, 65, 149};
+    for (std::size_t i : want)
+        bits.set(i);
+
+    std::vector<std::size_t> seen;
+    bits.forEach([&](std::size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, want);
+
+    seen.clear();
+    bits.forEach([&](std::size_t i) -> bool {
+        seen.push_back(i);
+        return i < 64; // stop after the first second-word bit.
+    });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{3, 64}));
 }
 
 } // namespace

@@ -54,11 +54,11 @@ byName(const std::string &name)
 TEST(ChaosInvariants, CatalogCoversTheDocumentedSet)
 {
     const std::vector<Invariant> &catalog = invariantCatalog();
-    ASSERT_EQ(catalog.size(), 9u);
+    ASSERT_EQ(catalog.size(), 8u);
     for (const char *name :
          {"cache-mono", "issue-mono", "ckpt-replay",
           "serial-parallel", "warmup-band", "golden-agree", "storm",
-          "skipahead-identity", "soa-identity"})
+          "skipahead-identity"})
         EXPECT_NO_FATAL_FAILURE(byName(name));
 }
 
@@ -85,8 +85,7 @@ TEST(ChaosInvariants, HealthyPointPassesTheInProcessInvariants)
     const ChaosPoint p = ConfigFuzzer(7).point(0);
     for (const char *name :
          {"cache-mono", "issue-mono", "warmup-band", "golden-agree",
-          "ckpt-replay", "serial-parallel", "skipahead-identity",
-          "soa-identity"}) {
+          "ckpt-replay", "serial-parallel", "skipahead-identity"}) {
         SCOPED_TRACE(name);
         const std::optional<Violation> v = byName(name).check(p);
         EXPECT_FALSE(v.has_value())

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the cycle kernel (sim/clocked.hh): component drain,
- * probe scheduling, registration-order dispatch, self-detach, cycle
- * cap and stop-request outcomes.
+ * attachment-order ticking, probe scheduling, registration-order
+ * dispatch, self-detach, cycle cap and stop-request outcomes.
  */
 
 #include <gtest/gtest.h>
@@ -49,6 +49,52 @@ TEST(CycleKernel, DrainsWhenEveryComponentIsDone)
     EXPECT_EQ(fast.ticks.size(), 3u);
     EXPECT_EQ(slow.ticks.size(), 7u);
     EXPECT_EQ(slow.ticks.back(), 6u);
+}
+
+/** Appends its id to a shared log on every tick (order witness). */
+class OrderWitness final : public Clocked
+{
+  public:
+    OrderWitness(int id, Cycle done_at, const char *cls,
+                 std::vector<int> *log)
+        : id_(id), doneAt_(done_at), cls_(cls), log_(log)
+    {
+    }
+
+    void tick(Cycle cycle) override
+    {
+        last_ = cycle;
+        log_->push_back(id_);
+    }
+    bool done() const override { return last_ >= doneAt_; }
+    const char *profileClass() const override { return cls_; }
+
+  private:
+    int id_;
+    Cycle last_ = 0;
+    Cycle doneAt_;
+    const char *cls_;
+    std::vector<int> *log_;
+};
+
+TEST(CycleKernel, MixedAttachmentPreservesTickOrder)
+{
+    // Components of alternating profile classes still tick in exact
+    // attachment order, every cycle.
+    CycleKernel kernel;
+    std::vector<int> log;
+    OrderWitness a(1, 3, "alpha", &log), b(2, 3, "beta", &log);
+    OrderWitness c(3, 3, "alpha", &log), d(4, 3, "alpha", &log);
+    kernel.attach(&a);
+    kernel.attach(&b);
+    kernel.attach(&c);
+    kernel.attach(&d);
+    const CycleKernel::Outcome out = kernel.run(100);
+    EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
+    std::vector<int> want;
+    for (int cycle = 0; cycle < 4; ++cycle)
+        want.insert(want.end(), {1, 2, 3, 4});
+    EXPECT_EQ(log, want);
 }
 
 TEST(CycleKernel, CycleCapStopsARunawayLoop)

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,45 @@ TEST(SelfProfile, PerfModelRunFeedsAggregate)
     ss << f.rdbuf();
     EXPECT_TRUE(JsonChecker(ss.str()).valid());
     std::remove(path.c_str());
+    resetGlobals();
+}
+
+TEST(SelfProfile, Smp4SharesSumToOne)
+{
+    // Under the default skip-ahead engine each of the four cores is
+    // timed on its own, and cores whose idle ticks are deferred are
+    // not timed at all; the per-class shares must still partition
+    // the sampled time, with the core class present.
+    resetGlobals();
+    obs::runObsOptions().selfProfile = true;
+    obs::runObsOptions().selfProfilePeriod = 4;
+    ::setenv("S64V_BENCH_DIR", ::testing::TempDir().c_str(), 1);
+
+    PerfModel model(sparc64vBase(4));
+    model.loadWorkload(tpccProfile(), 6000);
+    model.run();
+    ::unsetenv("S64V_BENCH_DIR");
+    std::remove((::testing::TempDir() + "/BENCH_selfprofile.json")
+                    .c_str());
+
+    const exp::ProfileTotals t = exp::selfProfileTotals();
+    ASSERT_EQ(t.count("core"), 1u);
+    EXPECT_GT(t.at("core").samples, 0u);
+    EXPECT_GT(t.at("core").ns, 0u);
+
+    const std::string json = exp::renderSelfProfileJson();
+    double share_sum = 0.0;
+    std::size_t shares = 0;
+    for (std::size_t pos = json.find("\"share\":");
+         pos != std::string::npos;
+         pos = json.find("\"share\":", pos + 1)) {
+        share_sum += std::stod(json.substr(pos + 8));
+        ++shares;
+    }
+    EXPECT_GE(shares, 2u); // at least core + probes.
+    // The writer rounds each share; the partition property survives
+    // up to that rounding.
+    EXPECT_NEAR(share_sum, 1.0, 1e-4);
     resetGlobals();
 }
 

@@ -1,16 +1,19 @@
 /**
  * @file
  * Skip-ahead kernel tests (sim/clocked.hh, SystemParams::skipAhead):
- * the event-horizon scheduler must be an invisible optimization. At
- * the kernel level: probes fire at exactly their registered cycles,
- * a probe registered at the cycle cap fires in neither mode, polled
- * probes' horizons bound the jump, and a machine that drains inside
- * a skipped window still exits Drained at the reference cycle. At
- * the system level: SimResult, statsDump() and the exported stats
- * JSON must be bit-identical between the plain per-cycle loop and
- * skip-ahead — SPECint and TPC-C, uniprocessor and 4P — and a
- * checkpoint cut at a cycle the uninterrupted run elided must
- * restore into the same bits.
+ * the fast engine — skip-ahead with quiescence memoization and
+ * idle-tick deferral — must be an invisible optimization. At the
+ * kernel level: probes fire at exactly their registered cycles, a
+ * probe registered at the cycle cap fires in neither mode, polled
+ * probes' horizons bound the jump, a machine that drains inside a
+ * skipped window still exits Drained at the reference cycle, and the
+ * memo re-asks a stamped component only when its stamp moves. At the
+ * system level: SimResult, statsDump() and the exported stats JSON
+ * must be bit-identical between the plain per-cycle loop and
+ * skip-ahead — SPECint and TPC-C, uniprocessor and 4P — checkpoints
+ * cut at a cycle the uninterrupted run elided, or by the other
+ * engine, must restore into the same bits, and parallel sweeps must
+ * match serial ones.
  */
 
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/checkpoint.hh"
+#include "exp/sweep.hh"
 #include "model/params.hh"
 #include "obs/stats_export.hh"
 #include "sim/clocked.hh"
@@ -43,7 +47,10 @@ tempPath(const char *name)
 /**
  * Does work only at multiples of @p stride (quiescent in between —
  * ticks on other cycles are no-ops, honoring the nextWorkCycle()
- * contract), drains once it has worked at or past @p done_at.
+ * contract), drains once it has worked at or past @p done_at. With
+ * withStamp set it exposes the monotone activity stamp the quiescence
+ * memo keys on; asks counts nextWorkCycle() calls so the tests can
+ * see the memo engage.
  */
 class StridedComponent : public Clocked
 {
@@ -64,6 +71,7 @@ class StridedComponent : public Clocked
     }
     Cycle nextWorkCycle(Cycle now) const override
     {
+        ++asks;
         return (now + stride_ - 1) / stride_ * stride_;
     }
     void elide(Cycle from, std::uint64_t cycles) override
@@ -71,9 +79,15 @@ class StridedComponent : public Clocked
         (void)from;
         elided += cycles;
     }
+    std::uint64_t activityStamp() const override
+    {
+        return withStamp ? work.size() : kNoActivityStamp;
+    }
 
     std::vector<Cycle> work;
     std::uint64_t elided = 0;
+    mutable std::uint64_t asks = 0;
+    bool withStamp = false;
 
   private:
     Cycle stride_;
@@ -181,6 +195,61 @@ TEST(SkipAheadKernel, DrainInsideASkippedWindowExitsAtTheSameCycle)
         EXPECT_EQ(out.cycle, 201u);
         EXPECT_EQ(kernel.elidedCycles() > 0, skip);
     }
+}
+
+// --- Kernel-level: quiescence memoization -------------------------
+
+/** Run @p busy and @p idle under skip-ahead; @return cycles visited. */
+std::uint64_t
+runCountingVisits(StridedComponent &busy, StridedComponent &idle)
+{
+    CycleKernel kernel;
+    kernel.setSkipAhead(true);
+    kernel.attach(&busy);
+    kernel.attach(&idle);
+    std::uint64_t visits = 0;
+    kernel.attachPolledProbe([&](Cycle) {
+        ++visits;
+        return true;
+    });
+    const CycleKernel::Outcome out = kernel.run(100000);
+    EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
+    return visits;
+}
+
+TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
+{
+    // A busy component (stride 7) and a mostly idle stamped one
+    // (stride 1000): at nearly every visited cycle the idle
+    // component's stamp is unchanged, so the kernel reuses its cached
+    // answer instead of re-asking and defers its idle tick. Both
+    // still work on exactly the plain loop's cycles.
+    StridedComponent plain_busy(7, 7000), plain_idle(1000, 7000);
+    CycleKernel plain;
+    plain.attach(&plain_busy);
+    plain.attach(&plain_idle);
+    EXPECT_EQ(plain.run(100000).stop, CycleKernel::Stop::Drained);
+
+    StridedComponent busy(7, 7000), idle(1000, 7000);
+    idle.withStamp = true;
+    const std::uint64_t visits = runCountingVisits(busy, idle);
+    EXPECT_EQ(busy.work, plain_busy.work);
+    EXPECT_EQ(idle.work, plain_idle.work);
+    EXPECT_GT(idle.elided, 0u);
+    // The memo must actually engage: the idle component is asked far
+    // less often than the kernel visits.
+    EXPECT_LT(idle.asks * 10, visits);
+}
+
+TEST(CycleKernelMemo, ComponentWithoutStampIsAlwaysReasked)
+{
+    // kNoActivityStamp opts a component out of the memo: it is asked
+    // afresh at every visit but the last two (after its final tick at
+    // 7000 it is done and never asked again, and the visit at 7001
+    // reports the drain).
+    StridedComponent busy(7, 7000), idle(1000, 7000);
+    const std::uint64_t visits = runCountingVisits(busy, idle);
+    EXPECT_EQ(idle.asks, visits - 2);
 }
 
 // --- System-level: bit-identity of the full model -----------------
@@ -374,18 +443,16 @@ TEST(SkipAheadCheckpoint, Smp4CutInsideElidedWindowRestores)
                                   "skip_smp.ckpt");
 }
 
-TEST(SkipAheadCheckpoint, CheckpointsInterchangeBetweenModes)
+void
+expectCheckpointsInterchange(const WorkloadProfile &profile,
+                             unsigned num_cpus, std::size_t instrs)
 {
-    // The scheduling mode is a host-side concern: it is excluded
-    // from the configuration fingerprint, so a checkpoint cut by a
-    // skip-ahead run restores into a plain run (and vice versa) and
-    // still finishes in the reference bits.
-    constexpr std::size_t kInstrs = 20000;
-    SystemParams sp = sparc64vBase().sys;
-    sp.warmupInstrs = kInstrs / 5;
+    SystemParams sp = sparc64vBase(num_cpus).sys;
+    sp.warmupInstrs = instrs / 5;
     const std::vector<InstrTrace> traces =
-        makeTraces(specint95Profile(), 1, kInstrs);
+        makeTraces(profile, num_cpus, instrs);
     const RunOutcome base = runMode(sp, traces, false);
+    ASSERT_FALSE(base.res.hitCycleCap);
     const Cycle at = base.res.warmupEndCycle + base.res.cycles / 2;
 
     for (bool writer_skips : {false, true}) {
@@ -411,6 +478,59 @@ TEST(SkipAheadCheckpoint, CheckpointsInterchangeBetweenModes)
         expectSameSim(base.res, res);
         EXPECT_EQ(base.stats, reader.statsDump());
         std::remove(path.c_str());
+    }
+}
+
+TEST(SkipAheadCheckpoint, CheckpointsInterchangeBetweenModes)
+{
+    // The scheduling mode is a host-side concern: it is excluded
+    // from the configuration fingerprint, and the SoA scan masks are
+    // derived state rebuilt on restore, so a checkpoint cut by a
+    // skip-ahead run restores into a plain run (and vice versa) and
+    // still finishes in the reference bits.
+    expectCheckpointsInterchange(specint95Profile(), 1, 20000);
+}
+
+TEST(SkipAheadCheckpoint, Smp4CheckpointsInterchangeBetweenModes)
+{
+    // 4P TPC-C exercises the LSQ masks across all four cores' queues.
+    expectCheckpointsInterchange(tpccProfile(), 4, 6000);
+}
+
+// --- Parallel sweeps over the fast engine (TSan workload) ---------
+
+TEST(SweepRunnerSkipAhead, ParallelSweepMatchesSerial)
+{
+    // Each sweep point runs the fast engine (the shipping default);
+    // 1-worker and 3-worker sweeps must agree bit for bit. This is
+    // also the TSan workload for the memoized kernel paths (see the
+    // "tsan" test preset).
+    constexpr std::size_t kRun = 8000;
+    auto build = [&]() {
+        exp::Sweep sweep;
+        sweep.add("tpcc/up", sparc64vBase(), tpccProfile(), kRun);
+        sweep.add("int/up", sparc64vBase(), specint2000Profile(),
+                  kRun);
+        sweep.add("tpcc/4p", sparc64vBase(4), tpccProfile(), kRun);
+        return sweep;
+    };
+
+    exp::SweepOptions serial_opts;
+    serial_opts.threads = 1;
+    const std::vector<exp::PointResult> serial =
+        exp::SweepRunner(serial_opts).run(build());
+
+    exp::SweepOptions parallel_opts;
+    parallel_opts.threads = 3;
+    const std::vector<exp::PointResult> parallel =
+        exp::SweepRunner(parallel_opts).run(build());
+
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE(serial[i].label);
+        ASSERT_TRUE(serial[i].ok) << serial[i].error;
+        ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
+        expectSameSim(serial[i].sim, parallel[i].sim);
     }
 }
 

@@ -10,6 +10,7 @@
  * a run that was never interrupted, uniprocessor and 4P alike.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -156,6 +157,27 @@ TEST(Snapshot, EveryBitFlipIsDetectedNeverACrash)
     // The checksummed payload bytes are the bulk of the image, so the
     // overwhelming majority of flips must be hard rejections.
     EXPECT_GT(rejected, good.size() * 8 / 2);
+}
+
+TEST(Snapshot, HugeSectionCountIsRejectedBeforeAllocating)
+{
+    // The count field follows the 8-byte magic and 4-byte format
+    // version. A high-bit value must be refused by the size bound,
+    // not attempted as a multi-gigabyte reserve.
+    std::vector<std::uint8_t> bad = sampleImage();
+    constexpr std::size_t kCountOffset = 12;
+    const std::uint8_t huge[4] = {0x00, 0x00, 0x00, 0x80};
+    std::copy(huge, huge + 4, bad.begin() + kCountOffset);
+
+    ScopedThrow guard;
+    try {
+        ckpt::SnapshotReader::fromBytes(std::move(bad), "huge-count");
+        FAIL() << "a 0x80000000 section count parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("section count"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Snapshot, EveryTruncationIsRejectedCleanly)
