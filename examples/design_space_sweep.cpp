@@ -6,6 +6,8 @@
  * station organization, all against the Table-1 baseline.
  *
  * Usage: design_space_sweep [workload=TPC-C] [instrs=60000]
+ *                           [--threads=N] [--journal=<path>]
+ *                           [--resume=<journal>]
  */
 
 #include <cstdio>
@@ -25,9 +27,8 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv); // honour --threads=N etc.
-    ConfigMap cfg;
-    cfg.parseArgs(argc, argv);
+    ConfigMap cfg; // what the obs flags (--threads=N etc.) leave over.
+    cfg.parseArgs(obs::parseObsArgs(argc, argv));
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 60000));

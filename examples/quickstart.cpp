@@ -33,22 +33,12 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    obs::parseObsArgs(argc, argv);
+    ConfigMap cfg; // what the obs flags leave over.
+    cfg.parseArgs(obs::parseObsArgs(argc, argv));
     obs::ObsOptions &opts = obs::runObsOptions();
     if (!opts.statsJsonPath.empty() && opts.sampleOutPath.empty())
         opts.sampleOutPath = opts.statsJsonPath + ".intervals.jsonl";
 
-    ConfigMap cfg;
-    cfg.parseArgs(argc, argv);
-    // The obs flags came through argv too; consume them so the
-    // unused-option check below stays quiet.
-    for (const char *key :
-         {"--stats-json", "stats-json", "--trace-out", "trace-out",
-          "--sample-out", "sample-out", "--sample-period",
-          "sample-period", "--heartbeat", "heartbeat",
-          "--crash-report", "crash-report", "--watchdog", "watchdog",
-          "--check", "check", "--inject-fault", "inject-fault"})
-        cfg.getString(key, "");
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 100000));

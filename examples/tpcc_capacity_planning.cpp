@@ -25,9 +25,8 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv); // honour --threads=N etc.
-    ConfigMap cfg;
-    cfg.parseArgs(argc, argv);
+    ConfigMap cfg; // what the obs flags (--threads=N etc.) leave over.
+    cfg.parseArgs(obs::parseObsArgs(argc, argv));
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 20000));
     const unsigned max_cpus =

@@ -41,30 +41,6 @@ l2RunLength()
     return envSize("S64V_L2_INSTRS", 4000000);
 }
 
-void
-forEachWorkload(
-    const MachineParams &machine,
-    const std::function<void(const std::string &, PerfModel &,
-                             const SimResult &)> &per_workload)
-{
-    for (const std::string &name : workloadNames()) {
-        PerfModel model(machine);
-        model.loadWorkload(workloadByName(name), upRunLength());
-        const SimResult res = model.run();
-        per_workload(name, model, res);
-    }
-}
-
-SimResult
-runStandard(const MachineParams &machine,
-            const std::string &workload_name)
-{
-    const std::size_t n = machine.sys.numCpus > 1 ? smpRunLength()
-                                                  : upRunLength();
-    return PerfModel::simulate(machine, workloadByName(workload_name),
-                               n);
-}
-
 MachineVariant::MachineVariant(std::string label_, MachineParams m)
     : label(std::move(label_)),
       build([m = std::move(m),

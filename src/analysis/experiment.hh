@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared machinery for the per-figure bench harnesses: standard run
- * lengths, per-workload simulation sweeps, and cached trace reuse.
+ * lengths and bench grids (workload rows x machine variants, run as
+ * one sweep).
  */
 
 #ifndef S64V_ANALYSIS_EXPERIMENT_HH
@@ -37,31 +38,6 @@ std::size_t l2RunLength();
 
 /** Number of processors in the paper's "TPC-C (16P)" SMP study. */
 constexpr unsigned kSmpWidth = 16;
-
-/** Result of simulating one (workload, machine) pair. */
-struct RunOutcome
-{
-    std::string workload;
-    std::string machine;
-    SimResult result;
-};
-
-/**
- * Simulate @p machine on every paper workload (UP). @p per_workload
- * is invoked after each run with the outcome and the model (for
- * component statistics).
- */
-void forEachWorkload(
-    const MachineParams &machine,
-    const std::function<void(const std::string &, PerfModel &,
-                             const SimResult &)> &per_workload);
-
-/**
- * IPC of @p machine on @p workload_name with standard run lengths;
- * UP unless the machine itself is SMP.
- */
-SimResult runStandard(const MachineParams &machine,
-                      const std::string &workload_name);
 
 /**
  * A labelled machine configuration of a bench grid — one column of a

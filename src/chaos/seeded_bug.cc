@@ -1,7 +1,6 @@
 #include "chaos/seeded_bug.hh"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace s64v::chaos
 {
@@ -9,18 +8,7 @@ namespace s64v::chaos
 namespace
 {
 
-/** -1 = no override (build flag / environment decide), else 0/1. */
-std::atomic<int> seededBugOverride{-1};
-
-bool
-seededBugDefault()
-{
-#ifdef S64V_CHAOS_SEEDED_BUG
-    return true;
-#else
-    return std::getenv("S64V_CHAOS_SEEDED_BUG") != nullptr;
-#endif
-}
+std::atomic<bool> seededBug{false};
 
 } // namespace
 
@@ -29,23 +17,13 @@ seededBugArmed()
 {
     // Relaxed: the gate sits on the cache-hit path, and arming is a
     // test-setup action, not something raced against live lookups.
-    const int v = seededBugOverride.load(std::memory_order_relaxed);
-    if (v >= 0)
-        return v != 0;
-    static const bool armed = seededBugDefault();
-    return armed;
+    return seededBug.load(std::memory_order_relaxed);
 }
 
 void
 setSeededBug(bool armed)
 {
-    seededBugOverride.store(armed ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-clearSeededBugOverride()
-{
-    seededBugOverride.store(-1, std::memory_order_relaxed);
+    seededBug.store(armed, std::memory_order_relaxed);
 }
 
 } // namespace s64v::chaos

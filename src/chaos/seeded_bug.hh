@@ -9,13 +9,8 @@
  * invariant without perturbing timing, so the campaign must detect it
  * and the shrinker must reduce it to a minimal reproducer.
  *
- * Three ways to arm it, strongest first:
- *   1. setSeededBug(true/false) — explicit programmatic override,
- *      used by the in-process mutation test in the default suite.
- *   2. Building with -DS64V_CHAOS_SEEDED_BUG (CMake option
- *      S64V_CHAOS_SEEDED_BUG=ON) — the "broken build" the seeded
- *      campaign preset runs against.
- *   3. The S64V_CHAOS_SEEDED_BUG environment variable (any value).
+ * The defect is off unless a caller arms it with setSeededBug(true),
+ * as the in-process mutation tests of the default suite do.
  */
 
 #ifndef S64V_CHAOS_SEEDED_BUG_HH
@@ -27,11 +22,8 @@ namespace s64v::chaos
 /** Whether the seeded defect is live (see file comment). */
 bool seededBugArmed();
 
-/** Arm/disarm explicitly, overriding build flag and environment. */
+/** Arm or disarm the seeded defect. */
 void setSeededBug(bool armed);
-
-/** Drop the setSeededBug() override; build flag/environment rule. */
-void clearSeededBugOverride();
 
 } // namespace s64v::chaos
 

@@ -203,7 +203,6 @@ childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.maxAttempts = 1;
     opts.journalPath = paths.scratch;
     const exp::Sweep first = build();
     (void)exp::SweepRunner(opts).run(first); // tears append `at`.

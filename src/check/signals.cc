@@ -1,5 +1,6 @@
 #include "check/signals.hh"
 
+#include <atomic>
 #include <csignal>
 
 namespace s64v::check
@@ -8,8 +9,13 @@ namespace s64v::check
 namespace
 {
 
-volatile std::sig_atomic_t g_stopSignal = 0;
-volatile std::sig_atomic_t g_stopRequested = 0;
+// Lock-free atomics, because the flags are written from the signal
+// handler and also, through requestStop(), by one sweep worker while
+// the others poll them; a volatile sig_atomic_t is only safe for the
+// signal handler.
+static_assert(std::atomic<int>::is_always_lock_free);
+std::atomic<int> g_stopSignal{0};
+std::atomic<int> g_stopRequested{0};
 
 unsigned g_guardDepth = 0;
 struct sigaction g_oldInt;
@@ -46,7 +52,7 @@ clearStopRequest()
 int
 stopSignal()
 {
-    return static_cast<int>(g_stopSignal);
+    return g_stopSignal;
 }
 
 ScopedSignalGuard::ScopedSignalGuard()

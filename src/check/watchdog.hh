@@ -61,10 +61,6 @@ class Watchdog
 
     bool fired() const { return fired_; }
     Cycle firedCycle() const { return firedCycle_; }
-    /** Cycle of the last observed commit (or deferral). */
-    Cycle lastProgressCycle() const { return lastProgress_; }
-    /** Total committed at the last observed commit. */
-    std::uint64_t lastCommitted() const { return lastCommitted_; }
     std::uint64_t threshold() const { return threshold_; }
     /** Times a pending in-flight event deferred the deadline. */
     std::uint64_t graceExtensions() const { return graceExtensions_; }

@@ -18,13 +18,19 @@ ConfigMap::parse(const std::string &token)
 }
 
 void
-ConfigMap::parseArgs(int argc, const char *const *argv)
+ConfigMap::parseArgs(const std::vector<std::string> &args)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string tok = argv[i];
+    for (const std::string &tok : args) {
         if (tok.find('=') != std::string::npos)
             parse(tok);
     }
+}
+
+void
+ConfigMap::parseArgs(int argc, const char *const *argv)
+{
+    if (argc > 1)
+        parseArgs(std::vector<std::string>(argv + 1, argv + argc));
 }
 
 void

@@ -28,6 +28,9 @@ class ConfigMap
     /** Parse a single "key=value" token; fatal() on malformed input. */
     void parse(const std::string &token);
 
+    /** Parse @p args, skipping entries without '='. */
+    void parseArgs(const std::vector<std::string> &args);
+
     /** Parse argv-style tokens, skipping entries without '='. */
     void parseArgs(int argc, const char *const *argv);
 

@@ -32,7 +32,14 @@ bitsDouble(std::uint64_t bits)
     return v;
 }
 
-constexpr std::uint32_t kJournalSchemaVersion = 1;
+constexpr std::uint32_t kJournalSchemaVersion = 2;
+
+/**
+ * Deepest nesting a well-formed entry uses: the entry, "sim", "cores"
+ * and one core. Anything deeper is malformed, and refusing it bounds
+ * the parser's recursion whatever a damaged line holds.
+ */
+constexpr unsigned kMaxJournalDepth = 4;
 
 /**
  * Minimal JSON document model for reading our own journal lines back.
@@ -70,7 +77,7 @@ class JsonParser
     bool
     parse(Jv &out)
     {
-        return value(out) && (skipWs(), pos_ == text_.size());
+        return value(out, 0) && (skipWs(), pos_ == text_.size());
     }
 
   private:
@@ -207,13 +214,16 @@ class JsonParser
         return true;
     }
 
+    /** Parse one value nested inside @p depth containers. */
     bool
-    value(Jv &out)
+    value(Jv &out, unsigned depth)
     {
         skipWs();
         if (pos_ >= text_.size())
             return false;
         const char c = text_[pos_];
+        if ((c == '{' || c == '[') && depth == kMaxJournalDepth)
+            return false;
         if (c == '{') {
             ++pos_;
             out.kind = Jv::Kind::Obj;
@@ -226,7 +236,7 @@ class JsonParser
                 if (!string(key) || !eat(':'))
                     return false;
                 Jv v;
-                if (!value(v))
+                if (!value(v, depth + 1))
                     return false;
                 out.fields.emplace_back(std::move(key),
                                         std::move(v));
@@ -244,7 +254,7 @@ class JsonParser
                 return true;
             for (;;) {
                 Jv v;
-                if (!value(v))
+                if (!value(v, depth + 1))
                     return false;
                 out.items.push_back(std::move(v));
                 if (eat(']'))
@@ -367,7 +377,6 @@ encodeJournalEntry(const JournalEntry &e)
     w.field("workload", e.workloadHash);
     w.field("model", e.modelVersion);
     w.field("status", e.status);
-    w.field("attempts", std::uint64_t{e.attempts});
     w.field("error", e.error);
     w.beginObject("sim");
     w.field("cycles", std::uint64_t{e.sim.cycles});
@@ -406,19 +415,15 @@ decodeJournalEntry(std::string_view line, JournalEntry &out)
     std::uint64_t v = 0;
     if (!getU64(doc, "v", v) || v != kJournalSchemaVersion)
         return false;
-    std::uint64_t attempts = 0;
     if (!getU64(doc, "index", out.index) ||
         !getStr(doc, "label", out.label) ||
         !getU64(doc, "config", out.configHash) ||
         !getU64(doc, "workload", out.workloadHash) ||
         !getStr(doc, "model", out.modelVersion) ||
         !getStr(doc, "status", out.status) ||
-        !getU64(doc, "attempts", attempts) ||
         !getStr(doc, "error", out.error))
         return false;
-    out.attempts = static_cast<std::uint32_t>(attempts);
-    if (out.status != "ok" && out.status != "failed" &&
-        out.status != "quarantined")
+    if (out.status != "ok" && out.status != "failed")
         return false;
     const Jv *sim = doc.find("sim");
     if (!sim || sim->kind != Jv::Kind::Obj)

@@ -1,13 +1,13 @@
 /**
  * @file
- * Write-ahead run journal for sweeps: one JSONL line per finished
- * point attempt, appended and fsynced before the in-memory result is
- * merged, so a killed sweep loses at most the points that were still
- * running. Each entry is keyed on the point's position plus hashes of
- * its machine configuration, its workload, and the producing model
- * version; --resume replays a journal against the *current* sweep and
- * only honours entries whose keys still match, so an edited sweep or
- * a rebuilt model silently re-runs instead of mixing stale results.
+ * Write-ahead run journal for sweeps: one JSONL line per point run,
+ * appended and fsynced before the in-memory result is merged, so a
+ * killed sweep loses at most the points that were still running. Each
+ * entry is keyed on the point's position plus hashes of its machine
+ * configuration, its workload, and the producing model version;
+ * --resume replays a journal against the *current* sweep and only
+ * honours entries whose keys still match, so an edited sweep re-runs
+ * instead of mixing stale results.
  *
  * Doubles (IPC, metrics) are stored as their IEEE-754 bit patterns so
  * a resumed sweep's merged results are bit-identical to an
@@ -29,7 +29,7 @@
 namespace s64v::exp
 {
 
-/** One journal record: the durable outcome of one point attempt. */
+/** One journal record: the durable outcome of one point run. */
 struct JournalEntry
 {
     std::uint64_t index = 0;    ///< point position within the sweep.
@@ -37,10 +37,9 @@ struct JournalEntry
     std::uint64_t configHash = 0;   ///< effective-machine fingerprint.
     std::uint64_t workloadHash = 0; ///< profile + instrs fingerprint.
     std::string modelVersion;       ///< producing model version.
-    std::string status;     ///< "ok", "failed", or "quarantined".
-    std::uint32_t attempts = 1; ///< total attempts including this one.
-    std::string error;          ///< diagnostic when not "ok".
-    SimResult sim;              ///< meaningful when status == "ok".
+    std::string status;             ///< "ok" or "failed".
+    std::string error;              ///< diagnostic when "failed".
+    SimResult sim;                  ///< meaningful when "ok".
     std::map<std::string, double> metrics;
 };
 
@@ -49,8 +48,9 @@ std::string encodeJournalEntry(const JournalEntry &e);
 
 /**
  * Parse one journal line. @return false on any malformation (torn
- * tail, corrupt interior, wrong schema version) — the caller skips
- * the line; a journal is advisory, never trusted blindly.
+ * tail, corrupt interior, wrong schema version, nesting deeper than
+ * any entry needs) — the caller skips the line; a journal is
+ * advisory, never trusted blindly.
  */
 bool decodeJournalEntry(std::string_view line, JournalEntry &out);
 

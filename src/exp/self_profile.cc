@@ -88,14 +88,6 @@ selfProfileSampledCycles()
 }
 
 std::uint64_t
-selfProfileElidedCycles()
-{
-    Aggregate &agg = aggregate();
-    std::lock_guard<std::mutex> lock(agg.mutex);
-    return agg.elidedCycles;
-}
-
-std::uint64_t
 selfProfileRuns()
 {
     Aggregate &agg = aggregate();

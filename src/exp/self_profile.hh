@@ -83,7 +83,6 @@ class SelfProfiler : public TickProfiler
 void mergeSelfProfile(const SelfProfiler &profiler);
 ProfileTotals selfProfileTotals();
 std::uint64_t selfProfileSampledCycles();
-std::uint64_t selfProfileElidedCycles();
 std::uint64_t selfProfileRuns();
 void resetSelfProfile();
 /** @} */

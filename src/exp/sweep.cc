@@ -1,6 +1,5 @@
 #include "exp/sweep.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -13,11 +12,9 @@
 #include "check/signals.hh"
 #include "ckpt/snapshot.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "exp/journal.hh"
 #include "exp/self_profile.hh"
 #include "model/fingerprint.hh"
-#include "obs/heartbeat.hh"
 #include "obs/run_obs.hh"
 
 namespace s64v::exp
@@ -84,10 +81,8 @@ SweepRunner::effectiveMachine(const SweepPoint &point,
                               std::size_t index) const
 {
     MachineParams machine = point.machine;
-    if (opts_.standardWarmup)
-        machine.sys.warmupInstrs = point.instrs / 5;
-    if (opts_.heartbeatPeriod != 0 && machine.sys.heartbeatPeriod == 0)
-        machine.sys.heartbeatPeriod = opts_.heartbeatPeriod;
+    // The standard warmup convention of PerfModel::loadWorkload.
+    machine.sys.warmupInstrs = point.instrs / 5;
     if (opts_.watchdogEscalate) {
         machine.sys.watchdogEscalate = true;
         if (machine.sys.emergencyCheckpointPath.empty()) {
@@ -131,12 +126,6 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index,
              e.what());
     }
     check::clearCrashPoint();
-
-    if (opts_.verbose && out.ok) {
-        inform("sweep point '%s' done: ipc=%.4f cycles=%llu",
-               point.label.c_str(), out.sim.ipc,
-               static_cast<unsigned long long>(out.sim.cycles));
-    }
 }
 
 std::vector<PointResult>
@@ -149,21 +138,15 @@ SweepRunner::run(const Sweep &sweep)
 
     // Flag-level defaults, mirroring the --threads pattern: a harness
     // that sets nothing programmatically inherits --journal/--resume/
-    // --max-attempts/--watchdog-escalate from the command line.
+    // --watchdog-escalate from the command line.
     {
         const obs::ObsOptions &oo = obs::runObsOptions();
         if (opts_.journalPath.empty())
             opts_.journalPath = oo.journalPath;
         if (oo.resume)
             opts_.resume = true;
-        if (oo.maxAttempts != 0)
-            opts_.maxAttempts = oo.maxAttempts;
         if (oo.watchdogEscalate)
             opts_.watchdogEscalate = true;
-        if (oo.retryBudgetMs != obs::ObsOptions::kUnset)
-            opts_.retryBudgetMs = oo.retryBudgetMs;
-        if (oo.shuffle)
-            opts_.shuffle = true;
     }
 
     // All trace synthesis happens here, serially, before any worker
@@ -185,30 +168,10 @@ SweepRunner::run(const Sweep &sweep)
     check::installSweepCrashTriage(
         obs::runObsOptions().crashReportPath);
     check::ScopedSignalGuard guard;
-    obs::beginSweepProgress(points.size());
 
     const unsigned threads = effectiveThreads(points.size());
     std::atomic<std::size_t> next{0};
     const MetricFn &metricFn = sweep.metricFn();
-
-    // Dispatch order. Per-point Rng streams were fixed during the
-    // serial trace synthesis above, so any permutation here yields
-    // bit-identical results; shuffling only varies which point runs
-    // on which worker when.
-    std::vector<std::size_t> order(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        order[i] = i;
-    if (opts_.shuffle && points.size() > 1) {
-        const std::uint64_t base = obs::globalSeedSet()
-            ? obs::runObsOptions().seed
-            : 1;
-        Rng rng(mixSeeds(base, 0x73687566666c65ull)); // "shuffle"
-        for (std::size_t i = points.size() - 1; i > 0; --i) {
-            const std::size_t j =
-                static_cast<std::size_t>(rng.below(i + 1));
-            std::swap(order[i], order[j]);
-        }
-    }
 
     // --- Durability: point keys, journal replay, write-ahead log ---
     const bool journalled = !opts_.journalPath.empty();
@@ -225,10 +188,8 @@ SweepRunner::run(const Sweep &sweep)
         }
     }
 
+    // Only an "ok" entry fills a point in; any other point runs once.
     std::vector<std::uint8_t> prefilled(points.size(), 0);
-    std::vector<std::uint8_t> quarantined(points.size(), 0);
-    std::vector<std::uint32_t> priorAttempts(points.size(), 0);
-    std::vector<std::string> lastError(points.size());
     if (journalled && opts_.resume) {
         std::size_t stale = 0;
         for (const JournalEntry &e :
@@ -241,19 +202,13 @@ SweepRunner::run(const Sweep &sweep)
                 ++stale;
                 continue;
             }
-            priorAttempts[i] = std::max(priorAttempts[i], e.attempts);
-            if (e.status == "ok") {
-                results[i].label = e.label;
-                results[i].sim = e.sim;
-                results[i].metrics = e.metrics;
-                results[i].ok = true;
-                prefilled[i] = 1;
-            } else {
-                lastError[i] = e.error;
-                if (e.status == "quarantined" ||
-                    e.attempts >= opts_.maxAttempts)
-                    quarantined[i] = 1;
-            }
+            if (e.status != "ok")
+                continue;
+            results[i].label = e.label;
+            results[i].sim = e.sim;
+            results[i].metrics = e.metrics;
+            results[i].ok = true;
+            prefilled[i] = 1;
         }
         if (stale != 0) {
             warn("journal '%s': ignored %zu entries whose point/"
@@ -278,130 +233,51 @@ SweepRunner::run(const Sweep &sweep)
         }
     }
 
-    auto makeEntry = [&](std::size_t i, std::uint32_t attempts,
-                         const PointResult &r, const char *status) {
+    auto journalAppend = [&](std::size_t i) {
+        const PointResult &r = results[i];
         JournalEntry e;
         e.index = i;
         e.label = points[i].label;
         e.configHash = configHash[i];
         e.workloadHash = workloadHash[i];
         e.modelVersion = modelVersionString();
-        e.status = status;
-        e.attempts = attempts;
+        e.status = r.ok ? "ok" : "failed";
         e.error = r.error;
         e.sim = r.sim;
         e.metrics = r.metrics;
-        return e;
-    };
-
-    auto journalAppend = [&](const JournalEntry &e) {
-        if (!journal.isOpen())
-            return;
         std::lock_guard<std::mutex> lock(journalMutex);
         journal.append(e);
     };
 
+    // Progress counters for progressFn. The callback runs under the
+    // lock, so calls arrive one at a time with `done` counting up.
+    std::mutex progressMutex;
+    std::size_t done = 0;
+    std::uint64_t instrsRun = 0;
+    const auto start = std::chrono::steady_clock::now();
     auto pointDone = [&](const PointResult &r, bool executed) {
-        obs::noteSweepPointDone(
-            executed && r.ok ? r.sim.instructions : 0);
-        if (opts_.progressFn) {
-            const obs::SweepProgress sp = obs::sweepProgress();
-            opts_.progressFn(sp.done, sp.total, sp.kips());
-        }
-    };
-
-    // A journalled point gets up to maxAttempts tries with capped
-    // exponential backoff; the outcome of every attempt is durable
-    // before the next one starts. A wall-clock retry budget bounds
-    // the whole attempt sequence: a point whose failures are eating
-    // real time is quarantined immediately rather than blocking its
-    // worker for further retries (see SweepOptions::retryBudgetMs).
-    auto runJournalled = [&](std::size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        auto budgetSpent = [&]() -> bool {
-            if (opts_.retryBudgetMs == 0)
-                return false;
-            const auto elapsed =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            return static_cast<std::uint64_t>(elapsed) >=
-                opts_.retryBudgetMs;
-        };
-        std::uint32_t attempt = priorAttempts[i];
-        for (;;) {
-            ++attempt;
-            runPoint(points[i], i, *traceSets[i], metricFn,
-                     results[i]);
-            if (results[i].ok) {
-                // A stop request cuts a running point at the next
-                // cycle boundary: its partial result is reported but
-                // must never become durable — resume re-runs the
-                // point in full instead of merging a truncated run.
-                if (results[i].sim.interrupted)
-                    return;
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "ok"));
-                return;
-            }
-            if (attempt >= opts_.maxAttempts) {
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "quarantined"));
-                results[i].error = "quarantined after " +
-                    std::to_string(attempt) + " attempts: " +
-                    results[i].error;
-                warn("sweep point '%s' quarantined after %u attempts",
-                     points[i].label.c_str(), attempt);
-                return;
-            }
-            if (budgetSpent()) {
-                results[i].error = "quarantined: retry budget (" +
-                    std::to_string(opts_.retryBudgetMs) +
-                    " ms) exhausted after " + std::to_string(attempt) +
-                    " attempts: " + results[i].error;
-                journalAppend(makeEntry(i, attempt, results[i],
-                                        "quarantined"));
-                warn("sweep point '%s' quarantined: retry budget "
-                     "exhausted after %u attempts",
-                     points[i].label.c_str(), attempt);
-                return;
-            }
-            journalAppend(makeEntry(i, attempt, results[i],
-                                    "failed"));
-            if (check::stopRequested())
-                return;
-            const unsigned shift =
-                attempt > 1 ? (attempt - 1 < 20 ? attempt - 1 : 20)
-                            : 0;
-            std::uint64_t delay = opts_.backoffBaseMs << shift;
-            if (delay > opts_.backoffCapMs)
-                delay = opts_.backoffCapMs;
-            warn("sweep point '%s' failed (attempt %u of %u); "
-                 "retrying in %llu ms",
-                 points[i].label.c_str(), attempt, opts_.maxAttempts,
-                 static_cast<unsigned long long>(delay));
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay));
-        }
+        if (!opts_.progressFn)
+            return;
+        std::lock_guard<std::mutex> lock(progressMutex);
+        ++done;
+        if (executed && r.ok)
+            instrsRun += r.sim.instructions;
+        const double seconds = std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start).count();
+        const double kips = seconds > 0.0
+            ? static_cast<double>(instrsRun) / seconds / 1000.0
+            : 0.0;
+        opts_.progressFn(done, points.size(), kips);
     };
 
     auto workerLoop = [&]() {
         for (;;) {
-            const std::size_t slot =
+            const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= points.size())
+            if (i >= points.size())
                 break;
-            const std::size_t i = order[slot];
             if (prefilled[i]) {
                 pointDone(results[i], /*executed=*/false);
-                continue;
-            }
-            if (quarantined[i]) {
-                results[i].label = points[i].label;
-                results[i].error = "quarantined after " +
-                    std::to_string(priorAttempts[i]) + " attempts: " +
-                    lastError[i];
-                pointDone(results[i], false);
                 continue;
             }
             if (check::stopRequested()) {
@@ -410,12 +286,13 @@ SweepRunner::run(const Sweep &sweep)
                 pointDone(results[i], false);
                 continue;
             }
-            if (journalled) {
-                runJournalled(i);
-            } else {
-                runPoint(points[i], i, *traceSets[i], metricFn,
-                         results[i]);
-            }
+            runPoint(points[i], i, *traceSets[i], metricFn, results[i]);
+            // A stop request cuts a running point at the next cycle
+            // boundary: its partial result is reported but must never
+            // become durable — resume re-runs the point in full
+            // instead of merging a truncated run.
+            if (journal.isOpen() && !results[i].sim.interrupted)
+                journalAppend(i);
             pointDone(results[i], true);
         }
     };
@@ -431,7 +308,6 @@ SweepRunner::run(const Sweep &sweep)
             w.join();
     }
 
-    obs::endSweepProgress();
     check::uninstallCrashReporting();
     // The embedded points merged their per-run self-profiles into the
     // process aggregate as they finished; one file covers the sweep.

@@ -3,13 +3,16 @@
  * The experiment engine: declarative parameter sweeps run on a worker
  * pool. A Sweep is an ordered list of (machine, workload) points; a
  * SweepRunner synthesizes every distinct trace once up front (shared
- * immutably across points, see exp::TracePool), then runs the points
- * on N threads with per-point error isolation — one panicking
- * configuration is reported as a failed point instead of killing the
- * whole sweep. Results come back in point order regardless of the
- * worker count, and a single-run sweep executes the exact serial code
- * path, so serial and parallel sweeps produce bit-identical
- * SimResults point for point.
+ * immutably across points, see exp::TracePool), then dispatches the
+ * points in point order to N threads with per-point error isolation —
+ * one panicking configuration is reported as a failed point instead
+ * of killing the whole sweep. Each point runs exactly once: a point
+ * is a deterministic function of its machine and its trace, so a
+ * second run could only repeat the first one's outcome. Results come
+ * back in point order regardless of the worker count, and a
+ * single-run sweep executes the exact serial code path, so serial and
+ * parallel sweeps produce bit-identical SimResults point for point.
+ * Progress is reported only through SweepOptions::progressFn.
  *
  * Thread count: SweepOptions::threads, else the process-wide
  * --threads=N flag (obs::runObsOptions().threads), else one worker
@@ -98,77 +101,32 @@ struct SweepOptions
      */
     unsigned threads = 0;
     /**
-     * Apply the standard warmup convention (warmupInstrs =
-     * instrs / 5, matching PerfModel::loadWorkload) to every point.
-     * Disable to honour each point's own machine.sys.warmupInstrs.
-     */
-    bool standardWarmup = true;
-    /** Announce per-point completion via inform(). */
-    bool verbose = false;
-    /**
-     * Heartbeat period propagated to every point whose machine does
-     * not set one (0 = leave the points alone). Embedded heartbeat
-     * lines carry the live sweep progress suffix (points done/total,
-     * aggregate KIPS; see obs::SweepProgress).
-     */
-    std::uint64_t heartbeatPeriod = 0;
-    /**
      * Called on the finishing worker's thread after each point
-     * completes (ok, failed, or skipped-by-interrupt), with the
-     * points finished so far, the sweep size, and the aggregate host
-     * speed in KIPS. Must be thread-safe under multi-threaded sweeps.
+     * completes (ok, failed, prefilled from the journal, or skipped
+     * by an interrupt), with the points finished so far, the sweep
+     * size, and the aggregate host speed in KIPS of the points run
+     * so far. Calls never overlap: `done` counts up one call at a
+     * time, so the last call reports the whole sweep.
      */
     std::function<void(std::size_t done, std::size_t total,
                        double agg_kips)> progressFn;
     /**
-     * Write-ahead run journal (empty = none): every finished attempt
-     * is appended to this JSONL file and fsynced before its result is
-     * merged, so a killed sweep can resume. Arming a journal also
-     * arms per-point retry (see maxAttempts).
+     * Write-ahead run journal (empty = none): every point that runs
+     * is appended to this JSONL file, "ok" or "failed", and fsynced
+     * before its result is merged, so a killed sweep can resume.
      */
     std::string journalPath;
     /**
      * Replay the journal at journalPath before dispatching: points
      * with a matching "ok" entry are prefilled from it (bit-identical
-     * merge, doubles round-trip exactly) and not re-run; previously
-     * failed points retry with their attempt count carried over;
-     * quarantined points come back as failed without running. Entries
-     * whose config/workload/model-version keys no longer match the
-     * sweep are ignored with a warning.
+     * merge, doubles round-trip exactly) and not re-run; every other
+     * point runs once. Entries whose config/workload/model-version
+     * keys no longer match the sweep are ignored with a warning.
      */
     bool resume = false;
     /**
-     * Total attempts a journalled point gets before it is recorded as
-     * quarantined and never retried again. Ignored without a journal
-     * (an unjournalled sweep runs every point exactly once).
-     */
-    unsigned maxAttempts = 3;
-    /** Retry delay: backoffBaseMs * 2^(attempt-1), capped. @{ */
-    std::uint64_t backoffBaseMs = 100;
-    std::uint64_t backoffCapMs = 2000;
-    /** @} */
-    /**
-     * Wall-clock budget (ms) for one journalled point across all of
-     * its attempts and backoff sleeps. A point that fails with the
-     * budget spent is quarantined immediately — with the reason
-     * recorded in its error and journal entry — instead of burning
-     * further retries on a deterministic failure. 0 = unlimited.
-     * Defers to --retry-budget-ms= when left at the default.
-     */
-    std::uint64_t retryBudgetMs = 300'000;
-    /**
-     * Dispatch points in a seeded-random order instead of point
-     * order (results still come back in point order; per-point Rng
-     * streams are dispatch-order independent, so shuffling never
-     * changes any result — chaos campaigns use it to shake out
-     * ordering assumptions). The permutation is derived from the
-     * process-wide --seed= (or a fixed default), so a given seed
-     * always dispatches in the same order. Defers to --shuffle.
-     */
-    bool shuffle = false;
-    /**
      * Watchdog escalation: a hung point writes an emergency
-     * checkpoint (next to the journal, or "emergency.point<i>.ckpt"
+     * checkpoint (next to the journal, or "point<i>.emergency.ckpt"
      * without one) before the watchdog kill, so the wedged machine
      * state survives for offline dissection.
      */
@@ -203,7 +161,7 @@ class SweepRunner
     static unsigned resolveThreads(unsigned requested);
 
   private:
-    /** The machine a point actually runs (warmup/heartbeat/escalation
+    /** The machine a point actually runs (warmup and escalation
      *  conventions applied); also what the journal's config hash
      *  covers. */
     MachineParams effectiveMachine(const SweepPoint &point,

@@ -88,8 +88,8 @@ PerfModel::prepare()
         sys.heartbeatPeriod = opts.heartbeatPeriod;
     if (opts.watchdogCycles != obs::ObsOptions::kUnset)
         sys.watchdogCycles = opts.watchdogCycles;
-    if (opts.skipAhead >= 0)
-        sys.skipAhead = opts.skipAhead != 0;
+    if (!opts.skipAhead)
+        sys.skipAhead = false;
     if (!opts.checkLevel.empty()) {
         sys.checkLevel =
             check::checkLevelFromString(opts.checkLevel.c_str());

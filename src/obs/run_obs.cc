@@ -49,10 +49,11 @@ matchFlag(const std::string &arg, const char *name)
 
 } // namespace
 
-void
+std::vector<std::string>
 parseObsArgs(int argc, const char *const *argv)
 {
     ObsOptions &opts = runObsOptions();
+    std::vector<std::string> rest;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (const char *v = matchFlag(arg, "stats-json"))
@@ -97,20 +98,10 @@ parseObsArgs(int argc, const char *const *argv)
             opts.resume = true;
             opts.journalPath = v;
         }
-        else if (const char *v = matchFlag(arg, "max-attempts")) {
-            opts.maxAttempts = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 0));
-        }
-        else if (const char *v = matchFlag(arg, "retry-budget-ms"))
-            opts.retryBudgetMs = std::strtoull(v, nullptr, 0);
         else if (const char *v = matchFlag(arg, "seed"))
             opts.seed = std::strtoull(v, nullptr, 0);
-        else if (arg == "--shuffle" || arg == "shuffle")
-            opts.shuffle = true;
         else if (arg == "--no-skip-ahead" || arg == "no-skip-ahead")
-            opts.skipAhead = 0;
-        else if (const char *v = matchFlag(arg, "skip-ahead"))
-            opts.skipAhead = std::strtol(v, nullptr, 0) != 0 ? 1 : 0;
+            opts.skipAhead = false;
         else if (arg == "--watchdog-escalate" ||
                  arg == "watchdog-escalate")
             opts.watchdogEscalate = true;
@@ -119,7 +110,10 @@ parseObsArgs(int argc, const char *const *argv)
             opts.checkLevel = v;
         } else if (const char *v = matchFlag(arg, "inject-fault"))
             check::activeFaultPlan().parse(v);
+        else
+            rest.push_back(arg);
     }
+    return rest;
 }
 
 } // namespace s64v::obs

@@ -5,8 +5,9 @@
  * flags — --stats-json=<path>, --trace-out=<path>,
  * --sample-out=<path>, sample-period=N, heartbeat=N, --threads=N —
  * parsed once into this global; PerfModel::run() consults it and
- * attaches the matching observers to every System it builds, and the
- * sweep runner (exp/sweep.hh) reads `threads` to size its pool.
+ * attaches the matching observers to every single-run System it
+ * builds, and the sweep runner (exp/sweep.hh) reads `threads` to size
+ * its pool.
  */
 
 #ifndef S64V_OBS_RUN_OBS_HH
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace s64v::obs
 {
@@ -48,13 +50,12 @@ struct ObsOptions
      */
     unsigned threads = 0;
     /**
-     * Skip-ahead scheduling override: -1 = leave the configured
-     * default (on), 0 = force the plain per-cycle loop
-     * (--no-skip-ahead), 1 = force skip-ahead on (skip-ahead=1).
-     * Never part of a config fingerprint — both modes produce
-     * bit-identical stats by contract.
+     * False forces the plain per-cycle loop (--no-skip-ahead); true
+     * leaves each machine's configured engine. Never part of a config
+     * fingerprint — both engines produce bit-identical stats by
+     * contract.
      */
-    int skipAhead = -1;
+    bool skipAhead = true;
     /** Time the simulator itself (see exp/self_profile.hh). */
     bool selfProfile = false;
     /** Self-profiler sampling period in cycles (0 = default). */
@@ -70,25 +71,20 @@ struct ObsOptions
     /** Sweep durability defaults (see exp::SweepOptions). @{ */
     std::string journalPath;     ///< write-ahead run journal.
     bool resume = false;         ///< replay the journal first.
-    unsigned maxAttempts = 0;    ///< 0 = SweepOptions default.
     bool watchdogEscalate = false; ///< emergency-checkpoint hung points.
-    /** Per-point retry wall-clock cap, ms (kUnset = default). */
-    std::uint64_t retryBudgetMs = kUnset;
     /** @} */
 
     /**
      * Process-wide randomness seed (--seed=N; kUnset = none given).
      * When set, every source of randomness derives from it — workload
      * trace synthesis mixes it into each profile's own seed (see
-     * effectiveWorkloadSeed), sweep dispatch shuffling keys on it,
-     * and the chaos campaign engine seeds its fuzzer and fault storms
-     * from it — so a run or campaign point is replayable
-     * byte-for-byte from the one number. The effective seed is
-     * printed in stats JSON ("run.seed") and crash reports ("seed").
+     * effectiveWorkloadSeed), and the chaos campaign engine seeds its
+     * fuzzer and fault storms from it — so a run or campaign point is
+     * replayable byte-for-byte from the one number. The effective
+     * seed is printed in stats JSON ("run.seed") and crash reports
+     * ("seed").
      */
     std::uint64_t seed = kUnset;
-    /** Shuffle sweep dispatch order (seeded; results stay ordered). */
-    bool shuffle = false;
 
     bool any() const
     {
@@ -114,22 +110,25 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
 
 /**
  * Parse the observability flags out of @p argv into runObsOptions().
- * Recognizes "--stats-json=", "--trace-out=", "--pipeview-out=",
- * "--sample-out=" (also without the leading dashes, ConfigMap style),
- * "sample-period=", "heartbeat=", "--self-profile" (optionally
- * "self-profile=<period>"), and the self-check flags "crash-report=",
- * "watchdog=" (cycles, 0 = off), "check=" (off/end/cycle),
- * "inject-fault=<kind>:<n>" (see check/fault_inject.hh) and
- * "threads=" (sweep worker threads, 0 = hardware concurrency);
- * the durability flags "checkpoint-at=<cycle>",
- * "checkpoint-out=<path>", "--checkpoint-stop", "restore=<path>",
- * "journal=<path>", "--resume" / "resume=<journal>",
- * "max-attempts=<n>", "retry-budget-ms=<ms>", and
- * "--watchdog-escalate"; the randomness flags "seed=<n>" and
- * "--shuffle"; the scheduling flags "--no-skip-ahead" /
- * "skip-ahead=<0|1>"; everything else is left for the caller.
+ * Every flag is accepted with or without the leading dashes. The
+ * recording flags "stats-json=", "trace-out=", "pipeview-out=",
+ * "sample-out=", "sample-period=" and "heartbeat=" apply to single
+ * runs (the models a sweep embeds write nothing); "self-profile"
+ * (optionally "self-profile=<period>"); the self-check flags
+ * "crash-report=", "watchdog=" (cycles, 0 = off), "check="
+ * (off/end/cycle) and "inject-fault=<kind>:<n>" (see
+ * check/fault_inject.hh); the single-run durability flags
+ * "checkpoint-at=<cycle>", "checkpoint-out=<path>", "checkpoint-stop"
+ * and "restore=<path>"; the sweep flags "threads=" (worker threads,
+ * 0 = hardware concurrency), "journal=<path>", "resume" /
+ * "resume=<journal>" and "watchdog-escalate"; "seed=<n>"; and
+ * "no-skip-ahead".
+ *
+ * @return the arguments after argv[0] that are none of these, in
+ * order — what is left for the caller's own option parsing.
  */
-void parseObsArgs(int argc, const char *const *argv);
+std::vector<std::string> parseObsArgs(int argc,
+                                      const char *const *argv);
 
 } // namespace s64v::obs
 

@@ -45,7 +45,7 @@ class ScopedSeededBug
 {
   public:
     explicit ScopedSeededBug(bool armed) { setSeededBug(armed); }
-    ~ScopedSeededBug() { clearSeededBugOverride(); }
+    ~ScopedSeededBug() { setSeededBug(false); }
 };
 
 /** Fast in-process invariant subset for campaign-mechanics tests. */
@@ -81,7 +81,7 @@ TEST(ChaosCampaign, CleanOnAHealthyBuild)
 
 // The seeded-defect mutation test: proves the whole detect -> shrink
 // -> triage -> report pipeline on a build that is known to be broken
-// (S64V_CHAOS_SEEDED_BUG, forced on here programmatically).
+// (the seeded defect, armed here with setSeededBug).
 TEST(ChaosCampaign, SeededDefectIsCaughtShrunkAndTriaged)
 {
     ScopedSeededBug armed(true);

@@ -36,7 +36,7 @@ class ScopedSeededBug
 {
   public:
     explicit ScopedSeededBug(bool armed) { setSeededBug(armed); }
-    ~ScopedSeededBug() { clearSeededBugOverride(); }
+    ~ScopedSeededBug() { setSeededBug(false); }
 };
 
 const Invariant &

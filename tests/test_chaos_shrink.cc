@@ -145,7 +145,7 @@ TEST(ChaosShrink, ShrinksTheSeededDefectToAMinimalReproducer)
         r = shrinkPoint(p, inv);
         found = true;
     }
-    clearSeededBugOverride();
+    setSeededBug(false);
 
     ASSERT_TRUE(found) << "no fuzzed point tripped the seeded defect";
     EXPECT_TRUE(r.reproduced);

@@ -4,9 +4,10 @@
  * encoding must round-trip every field bit-exactly (doubles travel as
  * IEEE-754 bit patterns), load() must tolerate the crash signatures —
  * a torn final line silently, a corrupt interior line with a warning —
- * without ever crashing, and the truncate-journal fault injection
- * must tear exactly the configured append. The --journal/--resume
- * observability flags are parsed here too.
+ * without ever crashing or allocating without bound (the decode fuzz
+ * runs under a capped address space), and the truncate-journal fault
+ * injection must tear exactly the configured append. The
+ * --journal/--resume observability flags are parsed here too.
  */
 
 #include <cstdio>
@@ -20,6 +21,8 @@
 #include "common/logging.hh"
 #include "exp/journal.hh"
 #include "obs/run_obs.hh"
+
+#include "address_space_cap.hh"
 
 namespace s64v
 {
@@ -42,7 +45,6 @@ sampleEntry()
     e.workloadHash = 0x123456789abcdef0ull;
     e.modelVersion = "s64v-test";
     e.status = "ok";
-    e.attempts = 3;
     e.error = "";
     e.sim.cycles = 123456;
     e.sim.instructions = 240000;
@@ -72,7 +74,6 @@ expectSameEntry(const exp::JournalEntry &a, const exp::JournalEntry &b)
     EXPECT_EQ(a.workloadHash, b.workloadHash);
     EXPECT_EQ(a.modelVersion, b.modelVersion);
     EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.sim.cycles, b.sim.cycles);
     EXPECT_EQ(a.sim.instructions, b.sim.instructions);
@@ -131,6 +132,7 @@ TEST(Journal, MalformedLinesAreRejectedNotCrashes)
     const std::string good =
         exp::encodeJournalEntry(sampleEntry());
     exp::JournalEntry out;
+    testutil::ScopedAddressSpaceCap cap;
 
     // Every strict prefix models a torn append.
     for (std::size_t len = 0; len < good.size(); ++len) {
@@ -142,25 +144,72 @@ TEST(Journal, MalformedLinesAreRejectedNotCrashes)
     EXPECT_FALSE(exp::decodeJournalEntry("not json at all", out));
     EXPECT_FALSE(exp::decodeJournalEntry("{}", out));
     EXPECT_FALSE(exp::decodeJournalEntry("[1,2,3]", out));
-    EXPECT_FALSE(exp::decodeJournalEntry("{\"v\":1}", out));
+    EXPECT_FALSE(exp::decodeJournalEntry("{\"v\":2}", out));
 
-    // A future schema version is skipped, not misread.
-    std::string future = good;
-    const std::size_t at = future.find("\"v\":1");
+    // Any other schema version — the retired 1, a future 9 — is
+    // skipped, not misread.
+    const std::size_t at = good.find("\"v\":2");
     ASSERT_NE(at, std::string::npos);
-    future.replace(at, 5, "\"v\":9");
-    EXPECT_FALSE(exp::decodeJournalEntry(future, out));
+    for (const char *other : {"\"v\":1", "\"v\":9"}) {
+        std::string line = good;
+        line.replace(at, 5, other);
+        EXPECT_FALSE(exp::decodeJournalEntry(line, out)) << other;
+    }
 
-    // Negative counters are nonsense, not huge unsigned values.
-    EXPECT_FALSE(exp::decodeJournalEntry(
-        "{\"v\":1,\"index\":-1,\"label\":\"x\",\"config\":0,"
+    // A minimal well-formed entry decodes; a negative counter (not
+    // a huge unsigned value) or a status other than "ok"/"failed"
+    // makes it nonsense.
+    const std::string minimal =
+        "{\"v\":2,\"index\":0,\"label\":\"x\",\"config\":0,"
         "\"workload\":0,\"model\":\"m\",\"status\":\"ok\","
-        "\"attempts\":1,\"error\":\"\",\"sim\":{\"cycles\":0,"
+        "\"error\":\"\",\"sim\":{\"cycles\":0,"
         "\"instructions\":0,\"measured\":0,\"ipc_bits\":0,"
         "\"hit_cycle_cap\":false,\"interrupted\":false,"
         "\"stopped_at_checkpoint\":false,\"warmup_end\":0,"
-        "\"cores\":[]},\"metrics\":{}}",
-        out));
+        "\"cores\":[]},\"metrics\":{}}";
+    EXPECT_TRUE(exp::decodeJournalEntry(minimal, out));
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string line = minimal;
+        line.replace(line.find(from), from.size(), to);
+        return line;
+    };
+    EXPECT_FALSE(exp::decodeJournalEntry(
+        replaced("\"index\":0", "\"index\":-1"), out));
+    EXPECT_FALSE(exp::decodeJournalEntry(
+        replaced("\"ok\"", "\"skipped\""), out));
+}
+
+TEST(Journal, DeeplyNestedLineIsRejectedNotACrash)
+{
+    // Unbounded recursion on nesting would overflow the stack long
+    // before a million levels; the parser must refuse such a line the
+    // way it refuses any other malformed one.
+    constexpr std::size_t kDepth = 1'000'000;
+    std::string arrays(kDepth, '[');
+    std::string objects;
+    objects.reserve(kDepth * 5);
+    for (std::size_t i = 0; i < kDepth; ++i)
+        objects += "{\"a\":";
+
+    testutil::ScopedAddressSpaceCap cap;
+    exp::JournalEntry out;
+    EXPECT_FALSE(exp::decodeJournalEntry(arrays, out));
+    EXPECT_FALSE(exp::decodeJournalEntry(objects, out));
+
+    // load() skips both lines and keeps the intact entries around them.
+    const std::string path = tempPath("nested.journal");
+    const std::string good = exp::encodeJournalEntry(sampleEntry());
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << good << '\n' << arrays << '\n' << objects << '\n'
+          << good << '\n';
+    }
+    std::string sink;
+    setLogSink(&sink);
+    const auto loaded = exp::RunJournal::load(path);
+    setLogSink(nullptr);
+    EXPECT_EQ(loaded.size(), 2u);
+    std::remove(path.c_str());
 }
 
 TEST(Journal, AppendLoadRoundTripsInOrder)
@@ -191,7 +240,6 @@ TEST(Journal, AppendLoadRoundTripsInOrder)
         exp::JournalEntry c = sampleEntry();
         c.index = 1;
         c.label = "second";
-        c.attempts = 2;
         journal.append(c);
     }
 
@@ -199,7 +247,8 @@ TEST(Journal, AppendLoadRoundTripsInOrder)
     ASSERT_EQ(loaded.size(), 3u);
     expectSameEntry(a, loaded[0]);
     expectSameEntry(b, loaded[1]);
-    EXPECT_EQ(loaded[2].attempts, 2u);
+    EXPECT_EQ(loaded[2].index, 1u);
+    EXPECT_EQ(loaded[2].status, "ok");
     std::remove(path.c_str());
 }
 
@@ -286,17 +335,15 @@ TEST(Journal, DurabilityFlagsParse)
     obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {"sim",
                           "--journal=sweep.journal",
-                          "--max-attempts=5",
                           "--watchdog-escalate",
                           "--checkpoint-at=100000",
                           "--checkpoint-out=run.ckpt",
                           "--checkpoint-stop",
                           "--restore=old.ckpt"};
-    obs::parseObsArgs(8, argv);
+    EXPECT_TRUE(obs::parseObsArgs(7, argv).empty());
     const obs::ObsOptions &o = obs::runObsOptions();
     EXPECT_EQ(o.journalPath, "sweep.journal");
     EXPECT_FALSE(o.resume);
-    EXPECT_EQ(o.maxAttempts, 5u);
     EXPECT_TRUE(o.watchdogEscalate);
     EXPECT_EQ(o.checkpointAt, 100000u);
     EXPECT_EQ(o.checkpointOut, "run.ckpt");

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -306,6 +308,29 @@ TEST(RunObs, ParsesPipeviewAndSelfProfileFlags)
     obs::parseObsArgs(2, argv2);
     EXPECT_TRUE(obs::runObsOptions().selfProfile);
     EXPECT_EQ(obs::runObsOptions().selfProfilePeriod, 16u);
+    obs::runObsOptions() = obs::ObsOptions{};
+}
+
+TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
+{
+    obs::runObsOptions() = obs::ObsOptions{};
+    const char *argv[] = {
+        "prog",          "workload=TPC-C",  "--journal=s.journal",
+        "instrs=20000",  "--threads=2",     "--resume",
+        "--seed=3",      "--no-skip-ahead", "pipeview=8",
+        "skip-ahead=0",  "--typo",
+    };
+    const std::vector<std::string> rest = obs::parseObsArgs(11, argv);
+    // Everything the obs layer does not own comes back, in order.
+    EXPECT_EQ(rest, (std::vector<std::string>{
+                        "workload=TPC-C", "instrs=20000", "pipeview=8",
+                        "skip-ahead=0", "--typo"}));
+    const obs::ObsOptions &o = obs::runObsOptions();
+    EXPECT_EQ(o.journalPath, "s.journal");
+    EXPECT_EQ(o.threads, 2u);
+    EXPECT_TRUE(o.resume);
+    EXPECT_EQ(o.seed, 3u);
+    EXPECT_FALSE(o.skipAhead);
     obs::runObsOptions() = obs::ObsOptions{};
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Crash-recoverable sweep tests: a journalled sweep must record every
- * finished point durably, resume from its journal re-running only the
- * unfinished points with a bit-identical merged result, retry
- * transient failures with backoff and quarantine persistent ones, and
- * survive the injected kill-point fault — an abrupt std::_Exit
+ * Crash-recoverable sweep tests: a journalled sweep must record each
+ * point it runs durably and exactly once, run a failing point once
+ * per sweep, resume from its journal re-running only the points
+ * without a matching "ok" entry with a bit-identical merged result,
+ * and survive the injected kill-point fault — an abrupt std::_Exit
  * mid-run, modelling an OOM-kill — with the distinct exit code 86 and
  * a clean resume afterwards. Also covers per-point watchdog
  * escalation (an emergency checkpoint next to the journal) and the
@@ -90,7 +90,6 @@ TEST(ResumeSweep, JournalRecordsEveryFinishedPoint)
         EXPECT_EQ(entries[i].index, i);
         EXPECT_EQ(entries[i].label, sweep.points()[i].label);
         EXPECT_EQ(entries[i].status, "ok");
-        EXPECT_EQ(entries[i].attempts, 1u);
         EXPECT_EQ(entries[i].modelVersion, modelVersionString());
         EXPECT_NE(entries[i].configHash, 0u);
         EXPECT_NE(entries[i].workloadHash, 0u);
@@ -224,66 +223,80 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     std::remove(jpath.c_str());
 }
 
-TEST(ResumeSweep, TransientFailureRetriesWithBackoffAndRecovers)
+TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
 {
-    const std::string jpath = tempPath("retry.journal");
+    const std::string jpath = tempPath("transient.journal");
     std::remove(jpath.c_str());
 
     // The point itself is healthy; its metric probe dies on the first
-    // attempt only — a stand-in for any transient per-point failure.
-    std::atomic<int> attempts{0};
+    // call only — a stand-in for a failure that is not a function of
+    // the point, such as the host running out of memory.
+    std::atomic<int> calls{0};
     exp::Sweep sweep;
     sweep.add("flaky", sparc64vBase(), tpccProfile(), 6000);
     sweep.setMetricFn([&](PerfModel &, const SimResult &,
                           std::map<std::string, double> &) {
-        if (attempts.fetch_add(1) == 0)
+        if (calls.fetch_add(1) == 0)
             throw std::runtime_error("flaky metric probe");
     });
 
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.maxAttempts = 3;
-    opts.backoffBaseMs = 1;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
 
+    // The sweep runs the point once and reports the failure.
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_EQ(attempts.load(), 2);
-    EXPECT_NE(sink.find("retrying in 1 ms"), std::string::npos)
-        << sink;
-
-    // Both attempts are durable, in order, with the count carried.
-    const auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_NE(results[0].error.find("flaky metric probe"),
+              std::string::npos)
+        << results[0].error;
+    EXPECT_EQ(calls.load(), 1);
+    auto entries = exp::RunJournal::load(jpath);
+    ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].status, "failed");
-    EXPECT_EQ(entries[0].attempts, 1u);
     EXPECT_NE(entries[0].error.find("flaky metric probe"),
               std::string::npos);
+
+    // Resume is the retry: a "failed" entry does not hold the point
+    // back, and this time it succeeds.
+    opts.resume = true;
+    setLogSink(&sink);
+    const auto resumed = exp::SweepRunner(opts).run(sweep);
+    setLogSink(nullptr);
+    ASSERT_EQ(resumed.size(), 1u);
+    EXPECT_TRUE(resumed[0].ok) << resumed[0].error;
+    EXPECT_EQ(calls.load(), 2);
+    entries = exp::RunJournal::load(jpath);
+    ASSERT_EQ(entries.size(), 2u);
     EXPECT_EQ(entries[1].status, "ok");
-    EXPECT_EQ(entries[1].attempts, 2u);
     std::remove(jpath.c_str());
 }
 
-TEST(ResumeSweep, PersistentFailureIsQuarantinedAndStaysQuarantined)
+TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
 {
-    const std::string jpath = tempPath("quarantine.journal");
+    const std::string jpath = tempPath("persistent.journal");
     std::remove(jpath.c_str());
 
+    std::atomic<int> healthyRuns{0};
     exp::Sweep sweep;
     sweep.add("ok", sparc64vBase(), tpccProfile(), 6000);
     MachineParams sick = sparc64vBase();
-    sick.sys.watchdogCycles = 2; // deadlocks on every attempt.
+    sick.sys.watchdogCycles = 2; // deadlocks on every run.
     sweep.add("sick", sick, tpccProfile(), 6000);
+    // Only a point that finishes its run reaches the probe, so this
+    // counts runs of "ok" alone.
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        ++healthyRuns;
+    });
 
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.maxAttempts = 2;
-    opts.backoffBaseMs = 1;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
@@ -292,18 +305,20 @@ TEST(ResumeSweep, PersistentFailureIsQuarantinedAndStaysQuarantined)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].ok) << results[0].error;
     EXPECT_FALSE(results[1].ok);
-    EXPECT_NE(results[1].error.find("quarantined after 2 attempts"),
+    EXPECT_NE(results[1].error.find("no instruction committed"),
               std::string::npos)
         << results[1].error;
+    EXPECT_EQ(healthyRuns.load(), 1);
 
+    // One line per point: the failure is journalled once, not retried.
     auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 3u); // ok + failed + quarantined.
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].status, "ok");
+    EXPECT_EQ(entries[1].index, 1u);
     EXPECT_EQ(entries[1].status, "failed");
-    EXPECT_EQ(entries[2].status, "quarantined");
-    EXPECT_EQ(entries[2].attempts, 2u);
 
-    // Resume must NOT burn more attempts on a quarantined point: it
-    // comes straight back as failed, and the journal does not grow.
+    // Resume runs only the failed point, once more, and journals that
+    // run; the healthy point comes back from the journal.
     setLogSink(&sink);
     opts.resume = true;
     const auto resumed = exp::SweepRunner(opts).run(sweep);
@@ -311,10 +326,11 @@ TEST(ResumeSweep, PersistentFailureIsQuarantinedAndStaysQuarantined)
     ASSERT_EQ(resumed.size(), 2u);
     EXPECT_TRUE(resumed[0].ok);
     EXPECT_FALSE(resumed[1].ok);
-    EXPECT_NE(resumed[1].error.find("quarantined after 2 attempts"),
-              std::string::npos)
-        << resumed[1].error;
-    EXPECT_EQ(exp::RunJournal::load(jpath).size(), 3u);
+    EXPECT_EQ(healthyRuns.load(), 1);
+    entries = exp::RunJournal::load(jpath);
+    ASSERT_EQ(entries.size(), 3u);
+    EXPECT_EQ(entries[2].index, 1u);
+    EXPECT_EQ(entries[2].status, "failed");
     std::remove(jpath.c_str());
 }
 
@@ -360,11 +376,8 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     const std::string jpath = tempPath("kill.journal");
     std::remove(jpath.c_str());
 
-    // standardWarmup off keeps SimResult.cycles in absolute kernel
-    // cycles, so a kill cycle can be aimed into the second point.
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.standardWarmup = false;
     auto makeSweep = []() {
         exp::Sweep sweep;
         sweep.add("short", sparc64vBase(), specint95Profile(), 3000);
@@ -373,9 +386,14 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     };
     const auto baseline = exp::SweepRunner(opts).run(makeSweep());
     ASSERT_TRUE(baseline[0].ok && baseline[1].ok);
+    // SimResult.cycles counts from the end of warmup; the kill-point
+    // probe fires at an absolute kernel cycle of each point's run.
+    auto endCycle = [](const SimResult &r) {
+        return r.warmupEndCycle + r.cycles;
+    };
     const Cycle at =
-        baseline[0].sim.cycles + baseline[1].sim.cycles / 2;
-    ASSERT_LT(at, baseline[1].sim.cycles)
+        endCycle(baseline[0].sim) + endCycle(baseline[1].sim) / 2;
+    ASSERT_LT(at, endCycle(baseline[1].sim))
         << "kill cycle must land inside the long point";
 
     std::fflush(stdout);
@@ -444,7 +462,6 @@ TEST(ResumeSweep, WatchdogEscalationLeavesEmergencyCheckpoint)
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.journalPath = jpath;
-    opts.maxAttempts = 1;
     opts.watchdogEscalate = true;
     std::string sink;
     setLogSink(&sink);

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@
 #include "sim/system.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
+
+#include "address_space_cap.hh"
 
 namespace s64v
 {
@@ -133,6 +136,7 @@ TEST(Snapshot, EveryBitFlipIsDetectedNeverACrash)
         ckpt::SnapshotReader::fromBytes(good, "ref");
 
     ScopedThrow guard;
+    testutil::ScopedAddressSpaceCap cap;
     std::size_t rejected = 0;
     for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
         std::vector<std::uint8_t> bad = good;
@@ -180,10 +184,25 @@ TEST(Snapshot, HugeSectionCountIsRejectedBeforeAllocating)
     }
 }
 
+TEST(Snapshot, AddressSpaceCapRefusesAnOversizedAllocation)
+{
+    // The fuzz loops below rely on the cap turning an oversized
+    // allocation into std::bad_alloc whatever the host's overcommit
+    // policy; 3 GiB is past its 1 GiB of headroom. reserve() only
+    // maps, so an ineffective cap costs no resident memory.
+    testutil::ScopedAddressSpaceCap cap;
+    if (!cap.active())
+        GTEST_SKIP() << "address-space cap not applied in this build";
+    std::vector<char> v;
+    EXPECT_THROW(v.reserve(std::size_t{3} << 30), std::bad_alloc);
+    EXPECT_EQ(v.capacity(), 0u);
+}
+
 TEST(Snapshot, EveryTruncationIsRejectedCleanly)
 {
     const std::vector<std::uint8_t> good = sampleImage();
     ScopedThrow guard;
+    testutil::ScopedAddressSpaceCap cap;
     for (std::size_t len = 0; len < good.size(); ++len) {
         std::vector<std::uint8_t> bad(good.begin(),
                                       good.begin() +

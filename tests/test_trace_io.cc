@@ -11,6 +11,8 @@
 
 #include "common/logging.hh"
 
+#include "address_space_cap.hh"
+
 namespace s64v
 {
 namespace
@@ -274,6 +276,7 @@ TEST(TraceIo, BitFlipFuzzNeverCrashesOrHangs)
     const std::string mutated = tempPath("fuzzmut.s64vtrc");
 
     setThrowOnError(true);
+    testutil::ScopedAddressSpaceCap cap;
     std::size_t rejected = 0;
     for (std::size_t off = 0; off < original.size(); ++off) {
         std::vector<unsigned char> img = original;
