@@ -16,15 +16,17 @@ Watchdog::Watchdog(std::uint64_t threshold)
 }
 
 bool
-Watchdog::tick(Cycle cycle, std::uint64_t committed)
+Watchdog::check(Cycle cycle, std::uint64_t committed, Cycle last_commit)
 {
     if (fired_)
         return false;
     if (committed != lastCommitted_) {
         lastCommitted_ = committed;
-        lastProgress_ = cycle;
+        lastProgress_ = last_commit;
         return false;
     }
+    // While awaitingEvent(), the difference wraps: the check falls
+    // through and re-probes.
     if (cycle - lastProgress_ < threshold_)
         return false;
 

@@ -13,6 +13,11 @@
  * deadline is extended to that event instead of firing. An event that
  * never completes (or completes absurdly far in the future, e.g. a
  * lost grant) does not defer the watchdog.
+ *
+ * The watchdog needs no per-cycle attention: its owner checks it at
+ * deadline(), passing the commit total and the cycle of the latest
+ * commit, and additionally on every visited cycle while
+ * awaitingEvent() holds.
  */
 
 #ifndef S64V_CHECK_WATCHDOG_HH
@@ -53,11 +58,15 @@ class Watchdog
     }
 
     /**
-     * Advance to @p cycle with @p committed total instructions
-     * committed so far (all cores). @return true exactly once, on the
-     * tick the watchdog fires.
+     * Check for progress at @p cycle. @p committed is the total
+     * number of instructions committed so far (all cores) and
+     * @p last_commit the cycle progress was last made at: the latest
+     * commit, or the run's first cycle when that is later (a restored
+     * run has no commit history of its own). A caller that checks
+     * every cycle may pass @p cycle. @return true exactly once, on
+     * the check that fires.
      */
-    bool tick(Cycle cycle, std::uint64_t committed);
+    bool check(Cycle cycle, std::uint64_t committed, Cycle last_commit);
 
     bool fired() const { return fired_; }
     Cycle firedCycle() const { return firedCycle_; }
@@ -67,10 +76,21 @@ class Watchdog
 
     /**
      * Cycle at which the watchdog would fire absent further progress
-     * — the skip-ahead kernel must visit this cycle so tick() runs
-     * there (a pending event can still defer it then).
+     * — check() must run there (a pending event can still defer it
+     * then).
      */
     Cycle deadline() const { return lastProgress_ + threshold_; }
+
+    /**
+     * True while a grace extension still waits for its event, i.e.
+     * the deadline was pushed to an event after @p cycle. Until the
+     * event lands, every check re-probes and counts another
+     * extension, so check() must also run on every visited cycle.
+     */
+    bool awaitingEvent(Cycle cycle) const
+    {
+        return lastProgress_ > cycle;
+    }
 
     /** One-line human-readable account of the firing state. */
     std::string diagnosis() const;

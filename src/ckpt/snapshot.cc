@@ -130,6 +130,10 @@ SnapshotWriter::finish(const std::string &model_version) const
     appendLe(out, kSnapshotFormatVersion, 4);
     appendLe(out, sections_.size(), 4);
     appendString(out, model_version);
+    appendLe(out,
+             fnv1a(out.data() + sizeof(kMagic),
+                   out.size() - sizeof(kMagic)),
+             8);
     for (const Section &s : sections_) {
         appendString(out, s.name);
         appendLe(out, s.data.size(), 8);
@@ -247,19 +251,45 @@ SnapshotReader::parse()
         corrupt("bad magic (not a snapshot file)");
     cursor_ += sizeof(kMagic);
 
-    need(8, "header");
+    // Format version, section count and model version, then their
+    // checksum. A damaged length field must be reported like any
+    // other damaged header byte, so it is bounded before use.
+    const std::size_t header = cursor_;
+    need(12, "header");
     const std::uint32_t format = static_cast<std::uint32_t>(readLe(4));
+    const std::size_t count = static_cast<std::size_t>(readLe(4));
+    const std::size_t len = static_cast<std::size_t>(readLe(4));
+    bool intact = false;
+    if (bytes_.size() - cursor_ >= len &&
+        bytes_.size() - cursor_ - len >= 8) {
+        modelVersion_.assign(
+            reinterpret_cast<const char *>(bytes_.data() + cursor_),
+            len);
+        cursor_ += len;
+        const std::uint64_t computed =
+            fnv1a(bytes_.data() + header, cursor_ - header);
+        intact = readLe(8) == computed;
+    }
+    if (!intact) {
+        std::string what = "header checksum mismatch (format version, "
+                           "section count or model version damaged, "
+                           "or the file is truncated)";
+        if (format != kSnapshotFormatVersion) {
+            what += "; the header claims format version " +
+                std::to_string(format) + ", this build reads version " +
+                std::to_string(kSnapshotFormatVersion);
+        }
+        corrupt(what);
+    }
     if (format != kSnapshotFormatVersion) {
         corrupt("unsupported format version " + std::to_string(format) +
                 " (this build reads version " +
                 std::to_string(kSnapshotFormatVersion) + ")");
     }
-    const std::size_t count = static_cast<std::size_t>(readLe(4));
-    modelVersion_ = readString("model version");
 
-    // The count is not checksummed: bound it by what the remaining
-    // bytes can hold before reserving. The smallest section is 20
-    // bytes (4-byte name length, 8-byte size, 8-byte checksum).
+    // A checksummed count can still be crafted: bound it by what the
+    // remaining bytes can hold before reserving. The smallest section
+    // is 20 bytes (4-byte name length, 8-byte size, 8-byte checksum).
     constexpr std::size_t kMinSectionBytes = 20;
     const std::size_t remaining = bytes_.size() - cursor_;
     if (count > remaining / kMinSectionBytes) {

@@ -3,13 +3,14 @@
  * Versioned binary snapshot container for checkpoint/restore. A
  * snapshot is a sequence of named sections, each carrying an opaque
  * little-endian payload and an FNV-1a 64 checksum; the file header
- * records a magic, the container format version, and the producing
- * model version string. Components write themselves with the typed
- * put* API and read themselves back in the same order; the reader
- * validates the header, every section checksum, and every bounds
- * check up front or on access, and reports any corruption through
- * fatal() with a clean diagnostic — a damaged checkpoint must never
- * crash or silently restore garbage.
+ * records a magic, the container format version, the section count
+ * and the producing model version string, followed by an FNV-1a 64
+ * checksum over those three fields. Components write themselves with
+ * the typed put* API and read themselves back in the same order; the
+ * reader validates the header, every section checksum, and every
+ * bounds check up front or on access, and reports any corruption
+ * through fatal() with a clean diagnostic — a damaged checkpoint must
+ * never crash or silently restore garbage.
  *
  * Compatibility policy: the format version is bumped on any layout
  * change and old versions are rejected (a checkpoint is a cache of a
@@ -33,8 +34,11 @@ namespace s64v::ckpt
 std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
 
-/** Container format version; bumped on any layout change. */
-constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/**
+ * Container format version; bumped on any layout change (2: header
+ * checksum).
+ */
+constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * Builds a snapshot: beginSection()/put*()/.../writeFile(). Sections
@@ -89,10 +93,12 @@ class SnapshotWriter
 
 /**
  * Parses and validates a snapshot image, then hands sections back for
- * typed reads. Every malformed condition — bad magic, unknown format
- * version, short file, checksum mismatch, missing section, read past
- * a section end, trailing unread bytes — goes through fatal() with a
- * diagnostic naming the file and section.
+ * typed reads. Every malformed condition — bad magic, header or
+ * section checksum mismatch, unknown format version, short file,
+ * missing section, read past a section end, trailing unread bytes —
+ * goes through fatal() with a diagnostic naming the file and section.
+ * The header checksum is verified before the section count sizes
+ * anything.
  */
 class SnapshotReader
 {

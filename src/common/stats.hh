@@ -46,6 +46,14 @@ class Scalar
 /**
  * Running moments of a sampled quantity: count, min, max, mean and
  * standard deviation, without storing individual samples.
+ *
+ * Per-cycle occupancy samples are small non-negative integers, so a
+ * distribution can also keep an integer tally over a range set by
+ * setTallyRange(): tally() then costs one increment, and the pending
+ * counts are folded into the moments on every read and before
+ * saveState(). The fold is exact as long as every sample is an
+ * integer and every running sum stays below 2^53, which holds for
+ * every tallied stat in the model.
  */
 class Distribution
 {
@@ -53,9 +61,8 @@ class Distribution
     Distribution() = default;
 
     /**
-     * Record @p n occurrences of the value @p v. Inline: occupancy
-     * distributions sample every ticked cycle, so this is one of
-     * the hottest leaves of the simulator.
+     * Record @p n occurrences of the value @p v. Inline: bulk idle
+     * replays and untallied samples take this path.
      */
     void sample(double v, std::uint64_t n = 1)
     {
@@ -71,14 +78,30 @@ class Distribution
         sumSq_ += v * v * dn;
     }
 
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
+    /**
+     * Record one occurrence of the integer @p v: an increment when it
+     * lies inside the tally range, sample() otherwise.
+     */
+    void tally(std::uint64_t v)
+    {
+        if (v < tally_.size())
+            ++tally_[v];
+        else
+            sample(static_cast<double>(v));
+    }
+
+    /** Tally integer samples in [0, @p range) from now on. */
+    void setTallyRange(std::size_t range);
+
+    std::uint64_t count() const { settle(); return count_; }
+    double sum() const { settle(); return sum_; }
+    double min() const { settle(); return count_ ? min_ : 0.0; }
+    double max() const { settle(); return count_ ? max_ : 0.0; }
     double mean() const;
     /** Population standard deviation. */
     double stddev() const;
 
+    /** Discard every sample, pending tallies included. */
     void reset();
 
     /** Serialize the running moments (checkpoint/restore). */
@@ -86,11 +109,16 @@ class Distribution
     void restoreState(ckpt::SnapshotReader &r);
 
   private:
+    /** Fold pending tallies; reads stay logically const. */
+    void settle() const { const_cast<Distribution *>(this)->fold(); }
+    void fold();
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
+    std::vector<std::uint64_t> tally_; ///< pending count per value.
 };
 
 /**
@@ -109,8 +137,8 @@ class Histogram
 
     /**
      * Record @p n occurrences of the value @p v. Inline for the same
-     * reason as Distribution::sample — latency histograms fire on
-     * every commit.
+     * reason as Distribution::sample — bulk replays and untallied
+     * samples take this path.
      */
     void sample(double v, std::uint64_t n = 1)
     {
@@ -122,15 +150,23 @@ class Histogram
         } else if (v >= hi_) {
             overflow_ += n;
         } else {
-            auto i =
-                static_cast<std::size_t>((v - lo_) / bucketWidth());
-            if (i >= counts_.size()) // numeric edge at hi_.
-                i = counts_.size() - 1;
-            counts_[i] += n;
+            counts_[bucketOf(v)] += n;
         }
     }
 
-    const Distribution &dist() const { return dist_; }
+    /** As Distribution::tally(); folded into dist and buckets. */
+    void tally(std::uint64_t v)
+    {
+        if (v < tally_.size())
+            ++tally_[v];
+        else
+            sample(static_cast<double>(v));
+    }
+
+    /** Tally integer samples in [0, @p range) from now on. */
+    void setTallyRange(std::size_t range);
+
+    const Distribution &dist() const { settle(); return dist_; }
     double lo() const { return lo_; }
     double hi() const { return hi_; }
     unsigned numBuckets() const
@@ -143,9 +179,13 @@ class Histogram
             ? 0.0
             : (hi_ - lo_) / static_cast<double>(counts_.size());
     }
-    std::uint64_t bucketCount(unsigned i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
+    std::uint64_t bucketCount(unsigned i) const
+    {
+        settle();
+        return counts_[i];
+    }
+    std::uint64_t underflow() const { settle(); return underflow_; }
+    std::uint64_t overflow() const { settle(); return overflow_; }
 
     void reset();
 
@@ -156,12 +196,23 @@ class Histogram
   private:
     [[noreturn]] void sampleUnconfigured() const;
 
+    /** Bucket of an in-range value @p v (lo <= v < hi). */
+    std::size_t bucketOf(double v) const
+    {
+        const auto i = static_cast<std::size_t>((v - lo_) / bucketWidth());
+        return i < counts_.size() ? i : counts_.size() - 1; // edge at hi.
+    }
+
+    void settle() const { const_cast<Histogram *>(this)->fold(); }
+    void fold();
+
     Distribution dist_;
     double lo_ = 0.0;
     double hi_ = 0.0;
     std::vector<std::uint64_t> counts_;
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
+    std::vector<std::uint64_t> tally_; ///< pending count per value.
 };
 
 class Group;

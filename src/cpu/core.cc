@@ -49,6 +49,11 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
           "cycles from window entry to retirement",
           0.0, 256.0, 32))
 {
+    // Occupancies and commit latencies are small integers: tally them
+    // (see stats::Distribution) over the range the structure allows.
+    windowOccupancy_.setTallyRange(params.windowEntries + 1);
+    fetchToCommit_.setTallyRange(
+        static_cast<std::size_t>(fetchToCommit_.hi()));
     bpred_ = std::make_unique<BranchPredictor>(params_.bpred,
                                                &statGroup_);
     fetch_ = std::make_unique<FetchUnit>(params_, cpu_, *bpred_, mem_,
@@ -237,8 +242,7 @@ Core::commitStage(Cycle cycle)
             ++committedStores_;
         if (e.rec.isBranch())
             ++committedBranches_;
-        fetchToCommit_.sample(
-            static_cast<double>(cycle - e.issueCycle));
+        fetchToCommit_.tally(cycle - e.issueCycle);
         lastCommitCycle_ = cycle;
         ++rawCommitted_;
         recent_[recentNext_] = {e.seq, e.rec.pc, cycle};
@@ -604,10 +608,10 @@ Core::tick(Cycle cycle)
     // tick as "worked" for the nextWorkCycle() fast path.
     const std::uint64_t a0 =
         activity_ + lsq_->activity() + fetch_->activity();
-    windowOccupancy_.sample(static_cast<double>(window_.size()));
+    windowOccupancy_.tally(window_.size());
     for (const auto &station : rs_) {
         if (station)
-            station->sampleOccupancy();
+            station->tallyOccupancy();
     }
     commitStage(cycle);
     lsq_->tick(cycle);

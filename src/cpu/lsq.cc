@@ -18,6 +18,7 @@ LoadStoreQueue::LoadStoreQueue(const CoreParams &params, CpuId cpu,
       sqValid_(params.storeQueueEntries),
       sqKnown_(params.storeQueueEntries),
       sqPending_(params.storeQueueEntries),
+      sqOrder_(params.storeQueueEntries),
       statGroup_("lsq", parent),
       lqOccupancy_(statGroup_.distribution("lq_occupancy",
                                            "load-queue entries held, "
@@ -45,6 +46,8 @@ LoadStoreQueue::LoadStoreQueue(const CoreParams &params, CpuId cpu,
                                       "load issue attempts waiting "
                                       "on store data"))
 {
+    lqOccupancy_.setTallyRange(loads_.size() + 1);
+    sqOccupancy_.setTallyRange(stores_.size() + 1);
 }
 
 unsigned
@@ -82,6 +85,10 @@ LoadStoreQueue::allocateStore(std::uint64_t seq)
     stores_[i].isStore = true;
     stores_[i].seq = seq;
     sqValid_.set(static_cast<std::size_t>(i));
+    std::size_t tail = sqHead_ + sqCount_;
+    if (tail >= sqOrder_.size())
+        tail -= sqOrder_.size();
+    sqOrder_[tail] = static_cast<std::int32_t>(i);
     ++sqCount_;
     return static_cast<std::int32_t>(i);
 }
@@ -123,22 +130,11 @@ LoadStoreQueue::freeLoad(std::int32_t slot)
     lqReady_.clear(static_cast<std::size_t>(slot));
 }
 
-std::int32_t
-LoadStoreQueue::oldestStore() const
-{
-    std::int32_t best = -1;
-    sqValid_.forEach([&](std::size_t i) {
-        if (best < 0 || stores_[i].seq < stores_[best].seq)
-            best = static_cast<std::int32_t>(i);
-    });
-    return best;
-}
-
 void
 LoadStoreQueue::tick(Cycle cycle)
 {
-    lqOccupancy_.sample(static_cast<double>(lqCount_));
-    sqOccupancy_.sample(static_cast<double>(sqCount_));
+    lqOccupancy_.tally(lqCount_);
+    sqOccupancy_.tally(sqCount_);
 
     // Release completed stores in order (FIFO retirement of the SQ).
     for (;;) {
@@ -152,6 +148,8 @@ LoadStoreQueue::tick(Cycle cycle)
             sqValid_.clear(slot);
             sqKnown_.clear(slot);
             sqPending_.clear(slot);
+            if (++sqHead_ == sqOrder_.size())
+                sqHead_ = 0;
             --sqCount_;
             ++activity_;
         } else {
@@ -370,6 +368,7 @@ LoadStoreQueue::rebuildMasks()
         if (e.addrKnown && !e.issued)
             lqReady_.set(i);
     }
+    std::size_t stores = 0;
     for (std::size_t i = 0; i < stores_.size(); ++i) {
         const LsqEntry &e = stores_[i];
         if (!e.valid)
@@ -379,7 +378,13 @@ LoadStoreQueue::rebuildMasks()
             sqKnown_.set(i);
         if (e.committed && !e.issued)
             sqPending_.set(i);
+        sqOrder_[stores++] = static_cast<std::int32_t>(i);
     }
+    std::sort(sqOrder_.begin(), sqOrder_.begin() + stores,
+              [&](std::int32_t a, std::int32_t b) {
+                  return stores_[a].seq < stores_[b].seq;
+              });
+    sqHead_ = 0;
 }
 
 void

@@ -135,8 +135,11 @@ class LoadStoreQueue
   private:
     unsigned bankOf(Addr addr) const;
 
-    /** Oldest valid store, or -1. */
-    std::int32_t oldestStore() const;
+    /** Oldest valid store, or -1: the head of the store ring. */
+    std::int32_t oldestStore() const
+    {
+        return sqCount_ ? sqOrder_[sqHead_] : -1;
+    }
 
     /** An issue candidate collected by tick()'s arbitration pass. */
     struct Candidate
@@ -181,7 +184,18 @@ class LoadStoreQueue
     DenseBits sqPending_; ///< valid && committed && !issued stores.
     /** @} */
 
-    /** Rebuild every mask from the entry flags (restore path). */
+    /**
+     * Ring of the sqCount_ valid store slots in program order, oldest
+     * at sqHead_. Stores are allocated at issue, in order, and
+     * released FIFO, so the ring only ever pushes at the tail and
+     * pops at the head. Derived state like the masks: rebuilt on
+     * restore, never serialized.
+     */
+    std::vector<std::int32_t> sqOrder_;
+    std::size_t sqHead_ = 0;
+
+    /** Rebuild every mask and the store ring from the entries
+     *  (restore path). */
     void rebuildMasks();
 
     stats::Group statGroup_;

@@ -18,6 +18,7 @@ InstrWindow::InstrWindow(unsigned capacity)
     while (sz < capacity_)
         sz <<= 1;
     buf_.resize(sz);
+    slotMask_ = sz - 1;
     waiting_.resize(sz);
 }
 
@@ -26,7 +27,7 @@ InstrWindow::allocate(const TraceRecord &rec, Cycle cycle)
 {
     if (full())
         panic("instruction window overflow");
-    WindowEntry &e = buf_[tail_ & (buf_.size() - 1)];
+    WindowEntry &e = buf_[slotOf(tail_)];
     e = WindowEntry{};
     e.rec = rec;
     e.seq = tail_;

@@ -172,10 +172,16 @@ class InstrWindow
 
     std::size_t slotOf(std::uint64_t seq) const
     {
-        return static_cast<std::size_t>(seq & (buf_.size() - 1));
+        return static_cast<std::size_t>(seq & slotMask_);
     }
 
     unsigned capacity_;
+    /**
+     * Buffer size - 1 (the size is a power of two), kept as a member
+     * so a lookup does not divide the vector's byte span by the
+     * entry size.
+     */
+    std::uint64_t slotMask_ = 0;
     std::uint64_t head_ = 1; ///< seq 0 is reserved as "no producer".
     std::uint64_t tail_ = 1;
     std::vector<WindowEntry> buf_;

@@ -85,11 +85,12 @@ class ReservationStation
     /**
      * Record the current occupancy into the occupancy distribution;
      * the core calls this once per cycle (the Figure 18 study reads
-     * station pressure off these numbers). @p n > 1 replays the
-     * sample for a run of elided idle cycles in one bulk update.
+     * station pressure off these numbers).
      */
-    void
-    sampleOccupancy(std::uint64_t n = 1)
+    void tallyOccupancy() { occupancy_.tally(seqs_.size()); }
+
+    /** Replay @p n elided idle cycles' samples in one bulk update. */
+    void sampleOccupancy(std::uint64_t n)
     {
         occupancy_.sample(double(seqs_.size()), n);
     }

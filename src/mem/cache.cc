@@ -29,6 +29,7 @@ CacheArray::CacheArray(const CacheParams &params)
               static_cast<unsigned long long>(params.sizeBytes),
               assoc_);
     }
+    tagShift_ = floorLog2(kLineSize) + floorLog2(numSets_);
     lines_.resize(static_cast<std::size_t>(numSets_) * assoc_);
 }
 
@@ -41,7 +42,7 @@ CacheArray::setIndex(Addr addr) const
 Addr
 CacheArray::lineTag(Addr addr) const
 {
-    return addr / kLineSize / numSets_;
+    return addr >> tagShift_;
 }
 
 CacheArray::Line *
@@ -84,12 +85,13 @@ CacheArray::insert(Addr addr, bool dirty, bool prefetched)
 {
     Eviction ev;
     const unsigned set = setIndex(addr);
+    const Addr tag = lineTag(addr);
     Line *base = &lines_[static_cast<std::size_t>(set) * assoc_];
 
     // Reuse an existing copy or an invalid (usable) way first.
     Line *victim = nullptr;
     for (unsigned w = 0; w < usableWays_; ++w) {
-        if (base[w].valid && base[w].tag == lineTag(addr)) {
+        if (base[w].valid && base[w].tag == tag) {
             victim = &base[w];
             ev.valid = false;
             break;
@@ -108,7 +110,7 @@ CacheArray::insert(Addr addr, bool dirty, bool prefetched)
         ev.lineAddr = (victim->tag * numSets_ + set) * kLineSize;
     }
 
-    victim->tag = lineTag(addr);
+    victim->tag = tag;
     victim->valid = true;
     victim->dirty = dirty;
     victim->prefetched = prefetched;

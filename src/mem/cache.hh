@@ -106,6 +106,8 @@ class CacheArray
     unsigned numSets_;
     unsigned assoc_;
     unsigned usableWays_;
+    /** log2(line size * sets): the tag is the address shifted by it. */
+    unsigned tagShift_ = 0;
     std::uint64_t lruTick_ = 0;
     std::vector<Line> lines_; ///< numSets_ * assoc_, set-major.
 };

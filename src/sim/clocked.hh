@@ -36,7 +36,9 @@ class Clocked
 
     /**
      * @return true when this component has no further work. The
-     * kernel stops once every attached component is done.
+     * kernel stops once every attached component is done. Like
+     * activityStamp(), it may change only through this component's
+     * own tick(): the fast engine reuses one answer per visit.
      */
     virtual bool done() const { return false; }
 
@@ -125,11 +127,30 @@ class TickProfiler
 };
 
 /**
- * Periodic probe callback. Invoked at its registered cycles, after
- * every Clocked component has ticked; return false to detach (the
- * probe is never called again).
+ * Periodic or polled probe callback. Invoked at its registered
+ * cycles, after every Clocked component has ticked; return false to
+ * detach (the probe is never called again).
  */
 using ProbeFn = std::function<bool(Cycle)>;
+
+/** When a scheduled probe runs next (see attachScheduledProbe). */
+struct ProbeNext
+{
+    /**
+     * Cycle the probe must run at; the skip never crosses it.
+     * kCycleNever when there is none.
+     */
+    Cycle at = kCycleNever;
+    /** Also run at every cycle the kernel visits before @ref at. */
+    bool everyVisit = false;
+};
+
+/**
+ * Scheduled probe callback: runs at the cycle its previous answer
+ * named and returns the next one. A default ProbeNext (no cycle, no
+ * polling) detaches the probe.
+ */
+using ScheduledProbeFn = std::function<ProbeNext(Cycle)>;
 
 /**
  * The cycle loop. Attach components and probes, then run(). Probes
@@ -164,16 +185,12 @@ class CycleKernel
 
     /**
      * Register a probe invoked at every *visited* cycle (after the
-     * components tick), interleaved with periodic probes in
+     * components tick), interleaved with the other probes in
      * registration order; return false to detach. Unlike a period-1
      * periodic probe, a polled probe does not force the kernel to
-     * visit every cycle: it runs whenever the kernel does work.
-     *
-     * @p horizon optionally bounds the skip — it returns the latest
-     * cycle the kernel may advance to without consulting the probe
-     * (e.g. the watchdog's deadline). Pass nullptr when the probe's
-     * decision can only change at cycles the kernel visits anyway
-     * (e.g. warm-up: commits only happen at visited cycles).
+     * visit every cycle and never bounds the skip: use it only when
+     * the probe's decision can change at visited cycles alone (e.g.
+     * warm-up: commits only happen at visited cycles).
      *
      * Unlike periodic probes, polled probes run while idle-tick stat
      * replays may still be deferred (the kernel flushes before any
@@ -181,8 +198,18 @@ class CycleKernel
      * depend only on tick-mutated state such as commit counters, or
      * call flushElides() before touching anything else.
      */
-    void attachPolledProbe(ProbeFn fn,
-                           std::function<Cycle()> horizon = nullptr);
+    void attachPolledProbe(ProbeFn fn);
+
+    /**
+     * Register a probe that names its own next cycle: first invoked
+     * at @p first, then wherever its last ProbeNext points. The named
+     * cycle bounds the skip exactly as a periodic firing does;
+     * everyVisit adds polled invocations until then. Scheduled probes
+     * run un-flushed, under the same contract as polled probes. The
+     * watchdog is the canonical user: it sleeps until its deadline
+     * instead of being polled on every visit.
+     */
+    void attachScheduledProbe(Cycle first, ScheduledProbeFn fn);
 
     /**
      * Register an external skip bound: a function of the prospective
@@ -195,9 +222,9 @@ class CycleKernel
 
     /**
      * Enable skip-ahead scheduling, the fast engine: advance directly
-     * to min(component next work, next probe, horizons, skip bounds,
+     * to min(component next work, next probe firing, skip bounds,
      * cycle cap), replaying the elided cycles' stat effects in bulk
-     * via Clocked::elide(). Two refinements ride along:
+     * via Clocked::elide(). Three refinements ride along:
      *
      * - Quiescence memoization: skipTarget() caches each component's
      *   (activityStamp, nextWorkCycle) pair and reuses the cached
@@ -213,6 +240,10 @@ class CycleKernel
      *   elide() before its next real tick (see PendingElide). This
      *   is what makes SMP runs cheap when one core pins the clock
      *   while the others stall.
+     * - One query per visit: skipTarget() asks every live component
+     *   for done() and activityStamp() once; nothing ticks between
+     *   it and the next visit, so the elide loop and that visit's
+     *   deferral test reuse the answers it stored in the memo.
      *
      * Off by default: the plain per-cycle loop is the reference
      * semantics.
@@ -273,21 +304,23 @@ class CycleKernel
     Cycle currentCycle() const { return currentCycle_; }
 
   private:
+    /**
+     * Every probe kind in one form: periodic probes name their next
+     * firing, polled probes set everyVisit, scheduled probes do
+     * either. Only periodic firings flush deferred elides first.
+     */
     struct ProbeEntry
     {
-        Cycle next;
-        std::uint64_t period;
-        ProbeFn fn;
-        bool polled = false;
-        /** Skip bound for polled probes (may be null). */
-        std::function<Cycle()> horizon;
+        ProbeNext next;
+        bool flush;
+        ScheduledProbeFn fn;
     };
 
     /**
      * Earliest cycle in [@p next, @p max_cycles] the kernel must
-     * visit: min over component work, probe firings, polled-probe
-     * horizons, and external skip bounds. Non-const: refreshes the
-     * quiescence memo entries as it asks.
+     * visit: min over component work, probe firings and external
+     * skip bounds. Non-const: refreshes every live component's memo
+     * entry (done, stamp, answer) as it asks.
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 
@@ -308,19 +341,16 @@ class CycleKernel
     };
 
     /**
-     * May component @p i skip its tick at @p cycle? Only when the
-     * memoized contract proves the tick would be an idle repeat: the
-     * component exposes a stamp, the stamp is unchanged since the
-     * memo was taken (state provably frozen, so the cached answer is
-     * still a valid bound), and the cached next-work cycle lies
-     * strictly beyond @p cycle. Requires skip-ahead: the memo is
-     * refreshed by skipTarget().
+     * May component @p i skip its tick at @p cycle? Only right after
+     * skipTarget() refreshed its memo entry (so the stored stamp is
+     * the current one and the state provably frozen since), when the
+     * component exposes a stamp and the cached next-work cycle lies
+     * strictly beyond @p cycle: the tick would be an idle repeat.
      */
-    bool canDefer(std::size_t i, std::uint64_t stamp,
-                  Cycle cycle) const
+    bool canDefer(std::size_t i, Cycle cycle) const
     {
-        return skipAhead_ && stamp != Clocked::kNoActivityStamp &&
-            memo_[i].stamp == stamp && memo_[i].answer > cycle;
+        return memo_[i].stamp != Clocked::kNoActivityStamp &&
+            memo_[i].answer > cycle;
     }
 
     void deferIdle(std::size_t i, Cycle cycle)
@@ -340,11 +370,15 @@ class CycleKernel
         }
     }
 
-    /** Cached (stamp, answer) pair for quiescence memoization. */
+    /**
+     * Cached (stamp, answer) pair for quiescence memoization, plus
+     * the done() answer of the same skipTarget() pass.
+     */
     struct MemoEntry
     {
         std::uint64_t stamp = Clocked::kNoActivityStamp;
         Cycle answer = 0;
+        bool live = false; ///< !done(); stamp/answer valid only then.
     };
 
     std::vector<Clocked *> clocked_;

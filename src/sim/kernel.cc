@@ -37,18 +37,32 @@ CycleKernel::attachProbe(Cycle first, std::uint64_t period, ProbeFn fn)
         panic("CycleKernel probe needs a nonzero period");
     if (!fn)
         panic("CycleKernel probe needs a callback");
-    probes_.push_back(
-        ProbeEntry{first, period, std::move(fn), false, nullptr});
+    probes_.push_back(ProbeEntry{
+        {first, false}, true,
+        [fn = std::move(fn), period](Cycle cycle) {
+            return fn(cycle) ? ProbeNext{cycle + period, false}
+                             : ProbeNext{};
+        }});
 }
 
 void
-CycleKernel::attachPolledProbe(ProbeFn fn,
-                               std::function<Cycle()> horizon)
+CycleKernel::attachPolledProbe(ProbeFn fn)
 {
     if (!fn)
         panic("CycleKernel polled probe needs a callback");
-    probes_.push_back(ProbeEntry{0, 1, std::move(fn), true,
-                                 std::move(horizon)});
+    probes_.push_back(ProbeEntry{
+        {kCycleNever, true}, false, [fn = std::move(fn)](Cycle cycle) {
+            return fn(cycle) ? ProbeNext{kCycleNever, true}
+                             : ProbeNext{};
+        }});
+}
+
+void
+CycleKernel::attachScheduledProbe(Cycle first, ScheduledProbeFn fn)
+{
+    if (!fn)
+        panic("CycleKernel scheduled probe needs a callback");
+    probes_.push_back(ProbeEntry{{first, false}, false, std::move(fn)});
 }
 
 void
@@ -66,7 +80,9 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     bool any_alive = false;
     for (std::size_t i = 0; i < clocked_.size(); ++i) {
         const Clocked *c = clocked_[i];
-        if (c->done())
+        MemoEntry &m = memo_[i];
+        m.live = !c->done();
+        if (!m.live)
             continue;
         any_alive = true;
         // Reuse the cached answer while the component's activity
@@ -74,11 +90,10 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
         // still lies at or past the queried cycle; both gates
         // together make reuse conservative (see setSkipAhead). No
         // early-out here even once the skip is pinned: the refreshed
-        // entry doubles as the next cycle's idle-tick deferral proof
-        // (canDefer), so every alive component must be brought up to
-        // date.
+        // entry doubles as the elide loop's and the next visit's
+        // done() answer and idle-tick deferral proof (canDefer), so
+        // every component must be brought up to date.
         const std::uint64_t stamp = c->activityStamp();
-        MemoEntry &m = memo_[i];
         Cycle w;
         if (stamp != Clocked::kNoActivityStamp && stamp == m.stamp &&
             m.answer >= next) {
@@ -102,13 +117,7 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     for (const ProbeEntry &p : probes_) {
         if (target <= next)
             return next;
-        Cycle h = kCycleNever;
-        if (p.polled) {
-            if (p.fn && p.horizon)
-                h = p.horizon();
-        } else if (p.next != kCycleNever) {
-            h = p.next;
-        }
+        Cycle h = p.next.at;
         if (h < next)
             h = next;
         if (h < target)
@@ -136,17 +145,21 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
     // Periodic probes read (sampler), reset (warm-up boundary via
     // its own flushElides) or serialize (checkpoint) stats, so every
     // deferred idle-tick replay must land before one fires; polled
-    // probes run un-flushed per their documented contract.
+    // and scheduled probes run un-flushed per their documented
+    // contract.
     const auto flushForProbes = [this](Cycle c) {
         if (!skipAhead_)
             return;
         for (const ProbeEntry &p : probes_) {
-            if (!p.polled && p.next == c) {
+            if (p.flush && p.next.at == c) {
                 flushElides();
                 return;
             }
         }
     };
+    // Set once skipTarget() has refreshed every memo entry; cleared
+    // by the next tick pass. Never set on the plain loop.
+    bool memo_fresh = false;
     Cycle cycle = start_cycle;
     for (;;) {
         currentCycle_ = cycle;
@@ -154,10 +167,10 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
         const bool timed = profiler_ && profiler_->sampleCycle(cycle);
         for (std::size_t i = 0; i < clocked_.size(); ++i) {
             Clocked *c = clocked_[i];
-            if (c->done())
+            if (memo_fresh ? !memo_[i].live : c->done())
                 continue;
             all_done = false;
-            if (canDefer(i, c->activityStamp(), cycle)) {
+            if (memo_fresh && canDefer(i, cycle)) {
                 deferIdle(i, cycle);
                 continue;
             }
@@ -170,16 +183,12 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
                 c->tick(cycle);
             }
         }
+        memo_fresh = false;
         flushForProbes(cycle);
         const std::uint64_t p0 = timed ? nowNs() : 0;
         for (ProbeEntry &p : probes_) {
-            if (p.polled) {
-                if (p.fn && !p.fn(cycle))
-                    p.fn = nullptr;
-            } else if (cycle == p.next) {
-                p.next =
-                    p.fn(cycle) ? p.next + p.period : kCycleNever;
-            }
+            if (p.next.everyVisit || p.next.at == cycle)
+                p.next = p.fn(cycle);
         }
         if (timed)
             profiler_->recordProbes(nowNs() - p0);
@@ -196,11 +205,11 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
         Cycle next = cycle + 1;
         if (skipAhead_ && next < max_cycles) {
             const Cycle target = skipTarget(next, max_cycles);
+            memo_fresh = true;
             if (target > next) {
                 const std::uint64_t n = target - next;
                 for (std::size_t i = 0; i < clocked_.size(); ++i) {
-                    Clocked *c = clocked_[i];
-                    if (c->done())
+                    if (!memo_[i].live)
                         continue;
                     // Fold the skipped span into an open deferral
                     // span (they are contiguous by construction) or
@@ -210,12 +219,11 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
                     PendingElide &p = pending_[i];
                     if (p.count) {
                         p.count += n;
-                    } else if (canDefer(i, c->activityStamp(),
-                                        next)) {
+                    } else if (canDefer(i, next)) {
                         p.from = next;
                         p.count = n;
                     } else {
-                        c->elide(next, n);
+                        clocked_[i]->elide(next, n);
                     }
                 }
                 elidedCycles_ += n;

@@ -136,12 +136,22 @@ System::run()
     for (auto &core : cores_)
         kernel_->attach(core.get());
     if (watchdog) {
-        // Polled, not periodic: a period-1 probe would pin the
-        // skip-ahead target to the very next cycle. The horizon keeps
-        // the would-be firing cycle visited, so the watchdog fires on
-        // exactly the cycle the per-cycle loop would fire on.
-        kernel_->attachPolledProbe([&](Cycle cycle) {
-            if (watchdog->tick(cycle, totalRawCommitted())) {
+        // Scheduled at its deadline, not polled on every visit:
+        // commits happen only on ticks, so the cores' raw commit
+        // counts and last commit cycles tell the watchdog everything
+        // a per-visit poll would see, and it fires on exactly the
+        // cycle the per-cycle loop would fire on. The first check
+        // runs at the start cycle, where a restored run's progress is
+        // dated. While a grace extension awaits its event, every
+        // visit re-probes (see Watchdog::awaitingEvent).
+        kernel_->attachScheduledProbe(start, [&](Cycle cycle) {
+            Cycle last_commit = start;
+            for (const auto &core : cores_) {
+                last_commit =
+                    std::max(last_commit, core->lastCommitCycle());
+            }
+            if (watchdog->check(cycle, totalRawCommitted(),
+                                last_commit)) {
                 if (params_.watchdogEscalate &&
                     !params_.emergencyCheckpointPath.empty()) {
                     warn("watchdog fired; writing emergency "
@@ -162,8 +172,9 @@ System::run()
                 }
                 panic("%s", watchdog->diagnosis().c_str());
             }
-            return true;
-        }, [&wd = *watchdog]() { return wd.deadline(); });
+            return ProbeNext{watchdog->deadline(),
+                             watchdog->awaitingEvent(cycle)};
+        });
     }
     if (params_.checkLevel == check::CheckLevel::PerCycle) {
         kernel_->attachProbe(start, 1, [&](Cycle cycle) {
@@ -172,9 +183,9 @@ System::run()
         });
     }
     if (!warm_done) {
-        // Polled with no horizon: the warm-up decision depends only
-        // on committed counts, which change exclusively at visited
-        // cycles, so the probe need not bound the skip.
+        // Polled: the warm-up decision depends only on committed
+        // counts, which change exclusively at visited cycles, so the
+        // probe need not bound the skip.
         kernel_->attachPolledProbe([&](Cycle cycle) {
             for (auto &core : cores_) {
                 if (core->committed() < params_.warmupInstrs)

@@ -4,16 +4,16 @@
  * the fast engine — skip-ahead with quiescence memoization and
  * idle-tick deferral — must be an invisible optimization. At the
  * kernel level: probes fire at exactly their registered cycles, a
- * probe registered at the cycle cap fires in neither mode, polled
- * probes' horizons bound the jump, a machine that drains inside a
- * skipped window still exits Drained at the reference cycle, and the
- * memo re-asks a stamped component only when its stamp moves. At the
- * system level: SimResult, statsDump() and the exported stats JSON
- * must be bit-identical between the plain per-cycle loop and
- * skip-ahead — SPECint and TPC-C, uniprocessor and 4P — checkpoints
- * cut at a cycle the uninterrupted run elided, or by the other
- * engine, must restore into the same bits, and parallel sweeps must
- * match serial ones.
+ * probe registered at the cycle cap fires in neither mode, a
+ * scheduled probe's named cycle bounds the jump, a machine that
+ * drains inside a skipped window still exits Drained at the
+ * reference cycle, and the memo re-asks a stamped component only
+ * when its stamp moves. At the system level: SimResult, statsDump()
+ * and the exported stats JSON must be bit-identical between the
+ * plain per-cycle loop and skip-ahead — SPECint and TPC-C,
+ * uniprocessor and 4P — checkpoints cut at a cycle the
+ * uninterrupted run elided, or by the other engine, must restore
+ * into the same bits, and parallel sweeps must match serial ones.
  */
 
 #include <cstdio>
@@ -156,27 +156,32 @@ TEST(SkipAheadKernel, ProbeAtTheCycleCapFiresInNeitherMode)
     }
 }
 
-TEST(SkipAheadKernel, PolledProbeHorizonBoundsTheJump)
+TEST(SkipAheadKernel, ScheduledProbeBoundsTheJump)
 {
-    // A watchdog-shaped polled probe: its horizon is always 100
-    // cycles past the last visit. The kernel may never jump beyond
-    // it, so with a fully quiescent machine the visited cycles are
-    // exactly the 100-cycle grid.
+    // A watchdog-shaped scheduled probe: it names the cycle 100 past
+    // each run, except that at 200 it names 330 and polls until a
+    // run at or after 260. With a fully quiescent machine the kernel
+    // visits exactly the named cycles plus a periodic probe's 250,
+    // 260 and 270: it never jumps past a named cycle, the polled runs
+    // see the visits at 250 and 260, and polling ends before 270.
     CycleKernel kernel;
     kernel.setSkipAhead(true);
     QuiescentComponent comp;
     kernel.attach(&comp);
     std::vector<Cycle> seen;
-    kernel.attachPolledProbe(
-        [&](Cycle c) {
-            seen.push_back(c);
-            return true;
-        },
-        [&]() { return (seen.empty() ? 0 : seen.back()) + 100; });
+    kernel.attachScheduledProbe(0, [&](Cycle c) {
+        seen.push_back(c);
+        if (c >= 200 && c < 330)
+            return ProbeNext{330, c < 260};
+        return ProbeNext{c + 100, false};
+    });
+    kernel.attachProbe(250, 10, [](Cycle c) { return c < 270; });
     const CycleKernel::Outcome out = kernel.run(450);
     EXPECT_EQ(out.stop, CycleKernel::Stop::CycleCap);
-    EXPECT_EQ(seen, (std::vector<Cycle>{0, 100, 200, 300, 400}));
-    EXPECT_EQ(kernel.elidedCycles(), 450u - seen.size());
+    EXPECT_EQ(seen, (std::vector<Cycle>{0, 100, 200, 250, 260, 330,
+                                        430}));
+    // Every visit but 270 ran the scheduled probe.
+    EXPECT_EQ(kernel.elidedCycles(), 450u - seen.size() - 1);
 }
 
 TEST(SkipAheadKernel, DrainInsideASkippedWindowExitsAtTheSameCycle)

@@ -184,6 +184,77 @@ TEST(Snapshot, HugeSectionCountIsRejectedBeforeAllocating)
     }
 }
 
+/**
+ * Offsets into sampleImage()'s header: 8-byte magic, 4-byte format
+ * version, 4-byte section count, the model version "s64v-test" with
+ * its 4-byte length, then the 8-byte header checksum.
+ */
+constexpr std::size_t kHeaderStart = 8;
+constexpr std::size_t kHeaderSumAt = kHeaderStart + 12 + 9;
+
+/** Overwrite @p n little-endian bytes at @p at, then re-seal. */
+void
+forgeHeader(std::vector<std::uint8_t> &image, std::size_t at,
+            std::uint64_t v, unsigned n)
+{
+    for (unsigned i = 0; i < n; ++i)
+        image[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    const std::uint64_t sum = ckpt::fnv1a(image.data() + kHeaderStart,
+                                          kHeaderSumAt - kHeaderStart);
+    for (unsigned i = 0; i < 8; ++i)
+        image[kHeaderSumAt + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+}
+
+std::string
+parseError(std::vector<std::uint8_t> image)
+{
+    try {
+        ckpt::SnapshotReader::fromBytes(std::move(image), "forged");
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "parsed";
+}
+
+TEST(Snapshot, EveryHeaderByteFlipIsAHeaderChecksumError)
+{
+    // Format version, section count, model version length and bytes,
+    // and the checksum itself: any damage is reported as a damaged
+    // header before the count sizes anything. (The magic is checked
+    // on its own.)
+    const std::vector<std::uint8_t> good = sampleImage();
+    ScopedThrow guard;
+    testutil::ScopedAddressSpaceCap cap;
+    for (std::size_t pos = kHeaderStart; pos < kHeaderSumAt + 8; ++pos) {
+        for (std::uint8_t mask : {0x01, 0x80, 0xff}) {
+            std::vector<std::uint8_t> bad = good;
+            bad[pos] ^= mask;
+            EXPECT_NE(parseError(std::move(bad)).find("header checksum"),
+                      std::string::npos)
+                << "byte " << pos << " ^ " << unsigned{mask};
+        }
+    }
+}
+
+TEST(Snapshot, ForgedHeadersWithValidChecksumsAreStillRefused)
+{
+    ScopedThrow guard;
+    testutil::ScopedAddressSpaceCap cap;
+    // A crafted section count still meets the remaining-bytes bound
+    // before anything is reserved.
+    std::vector<std::uint8_t> huge = sampleImage();
+    forgeHeader(huge, kHeaderStart + 4, 0x80000000u, 4);
+    EXPECT_NE(parseError(huge).find("section count 2147483648 exceeds"),
+              std::string::npos)
+        << parseError(huge);
+    // Another format version is named as such.
+    std::vector<std::uint8_t> old = sampleImage();
+    forgeHeader(old, kHeaderStart, 1, 4);
+    EXPECT_NE(parseError(old).find("unsupported format version 1"),
+              std::string::npos)
+        << parseError(old);
+}
+
 TEST(Snapshot, AddressSpaceCapRefusesAnOversizedAllocation)
 {
     // The fuzz loops below rely on the cap turning an oversized

@@ -1,8 +1,15 @@
 #include "common/stats.hh"
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "obs/stats_export.hh"
 
 namespace s64v
 {
@@ -247,6 +254,134 @@ TEST(Stats, VisitorWalksEveryKindInOrder)
         "end sim",
     };
     EXPECT_EQ(rec.log, want);
+}
+
+// --- Integer tallies: the same moments as sample(double) ----------
+
+/**
+ * One distribution and one histogram, fed either through tally() or
+ * through sample(double). The histogram's [2, 18) range puts small
+ * values in the underflow bucket and large ones in the overflow.
+ */
+struct TallyPair
+{
+    explicit TallyPair(bool tallied) : tallied(tallied)
+    {
+        if (tallied) {
+            d.setTallyRange(kRange);
+            h.setTallyRange(kRange);
+        }
+    }
+
+    void add(std::uint64_t v)
+    {
+        if (tallied) {
+            d.tally(v);
+            h.tally(v);
+        } else {
+            d.sample(static_cast<double>(v));
+            h.sample(static_cast<double>(v));
+        }
+    }
+
+    /** Snapshot image of the group's stats. */
+    std::vector<std::uint8_t> save() const
+    {
+        ckpt::SnapshotWriter w;
+        w.beginSection("stats");
+        g.saveState(w);
+        return w.finish("tally-test");
+    }
+
+    void restore(std::vector<std::uint8_t> image)
+    {
+        ckpt::SnapshotReader r =
+            ckpt::SnapshotReader::fromBytes(std::move(image), "tally");
+        r.openSection("stats");
+        g.restoreState(r);
+        r.closeSection();
+    }
+
+    static constexpr std::size_t kRange = 12;
+    bool tallied;
+    stats::Group g{"occupancy"};
+    stats::Distribution &d = g.distribution("d", "distribution");
+    stats::Histogram &h = g.histogram("h", "histogram", 2.0, 18.0, 8);
+};
+
+void
+expectSameMoments(const stats::Distribution &a,
+                  const stats::Distribution &b)
+{
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.sum(), b.sum());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.stddev(), b.stddev());
+}
+
+void
+expectSameStats(const TallyPair &a, const TallyPair &b)
+{
+    expectSameMoments(a.d, b.d);
+    expectSameMoments(a.h.dist(), b.h.dist());
+    for (unsigned i = 0; i < a.h.numBuckets(); ++i)
+        EXPECT_EQ(a.h.bucketCount(i), b.h.bucketCount(i)) << i;
+    EXPECT_EQ(a.h.underflow(), b.h.underflow());
+    EXPECT_EQ(a.h.overflow(), b.h.overflow());
+    EXPECT_EQ(obs::exportStatsJson(a.g), obs::exportStatsJson(b.g));
+}
+
+TEST(Stats, TallyMatchesSampleOnAMixedStream)
+{
+    TallyPair tallied(true), sampled(false);
+    Rng rng(14);
+    std::vector<std::uint8_t> saved_t, saved_s;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t op = rng.below(1000);
+        if (op < 900) {
+            // Mostly inside the tally range, sometimes at or above.
+            const std::uint64_t v = rng.chance(0.9)
+                ? rng.below(TallyPair::kRange)
+                : TallyPair::kRange + rng.below(30);
+            tallied.add(v);
+            sampled.add(v);
+        } else if (op < 980) {
+            // Bulk idle replay: both keep the sample(v, n) path.
+            const double v = static_cast<double>(rng.below(24));
+            const std::uint64_t n = rng.below(40);
+            for (TallyPair *p : {&tallied, &sampled}) {
+                p->d.sample(v, n);
+                p->h.sample(v, n);
+            }
+        } else if (op < 983) {
+            // Reset discards pending tallies with everything else.
+            tallied.g.resetAll();
+            sampled.g.resetAll();
+        } else if (op < 990) {
+            // Reads fold mid-stream and must not perturb anything.
+            EXPECT_EQ(tallied.d.count(), sampled.d.count());
+        } else if (op < 995 || saved_t.empty()) {
+            saved_t = tallied.save();
+            saved_s = sampled.save();
+            EXPECT_EQ(saved_t, saved_s);
+        } else {
+            // Restore drops what was tallied since the save.
+            tallied.restore(saved_t);
+            sampled.restore(saved_s);
+        }
+    }
+    ASSERT_GT(tallied.d.count(), 0u);
+    EXPECT_GT(tallied.h.underflow(), 0u);
+    EXPECT_GT(tallied.h.overflow(), 0u);
+    expectSameStats(tallied, sampled);
+    // A final round trip through a snapshot keeps them identical.
+    tallied.add(3);
+    sampled.add(3);
+    tallied.restore(tallied.save());
+    sampled.restore(sampled.save());
+    expectSameStats(tallied, sampled);
 }
 
 } // namespace
