@@ -21,14 +21,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "chaos/campaign.hh"
 #include "chaos/invariants.hh"
+#include "common/config.hh"
 #include "common/logging.hh"
-#include "obs/bench_record.hh"
 #include "obs/run_obs.hh"
 
 using namespace s64v;
@@ -81,9 +80,9 @@ main(int argc, char **argv)
         const char *v = nullptr;
         if (parseArg(arg, "--points=", &v)) {
             opts.points =
-                static_cast<std::size_t>(std::strtoull(v, nullptr, 0));
+                static_cast<std::size_t>(parseU64(v, "--points"));
         } else if (parseArg(arg, "--minutes=", &v)) {
-            opts.minutes = std::strtod(v, nullptr);
+            opts.minutes = parseDouble(v, "--minutes");
         } else if (parseArg(arg, "--invariants=", &v)) {
             opts.invariants = v;
         } else if (parseArg(arg, "--report=", &v)) {
@@ -91,7 +90,7 @@ main(int argc, char **argv)
         } else if (parseArg(arg, "--replay=", &v)) {
             opts.replay = true;
             opts.replayIndex =
-                static_cast<std::size_t>(std::strtoull(v, nullptr, 0));
+                static_cast<std::size_t>(parseU64(v, "--replay"));
         } else if (std::strcmp(arg, "--no-shrink") == 0) {
             opts.shrink = false;
         } else if (std::strcmp(arg, "--verbose") == 0) {
@@ -130,15 +129,6 @@ main(int argc, char **argv)
 
     const chaos::CampaignSummary summary =
         chaos::runChaosCampaign(opts);
-
-    obs::setBenchMetric("points",
-                        static_cast<double>(summary.pointsRun));
-    obs::setBenchMetric("checks",
-                        static_cast<double>(summary.checksRun));
-    obs::setBenchMetric("violations",
-                        static_cast<double>(summary.violations));
-    obs::setBenchMetric("distinct_failures",
-                        static_cast<double>(summary.failures.size()));
 
     if (summary.failures.empty()) {
         std::printf("campaign clean: %zu point(s), %zu check(s)\n",

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace s64v
@@ -17,8 +18,10 @@ envSize(const char *name, std::size_t def)
     const char *v = std::getenv(name);
     if (!v || !*v)
         return def;
-    const long long n = std::atoll(v);
-    return n > 0 ? static_cast<std::size_t>(n) : def;
+    const std::uint64_t n = parseU64(v, name);
+    if (n == 0)
+        fatal("%s: expected a positive integer, got '%s'", name, v);
+    return static_cast<std::size_t>(n);
 }
 
 } // namespace

@@ -24,7 +24,9 @@ namespace s64v
 /**
  * Standard trace lengths. Override via the environment variables
  * S64V_INSTRS (uniprocessor) and S64V_SMP_INSTRS (per CPU of an SMP
- * run) to trade accuracy against harness runtime.
+ * run) to trade accuracy against harness runtime. An unset or empty
+ * variable keeps the default; any other value must be a positive
+ * integer, or the call is fatal().
  */
 std::size_t upRunLength();
 std::size_t smpRunLength();

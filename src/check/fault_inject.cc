@@ -1,8 +1,6 @@
 #include "check/fault_inject.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
+#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace s64v::check
@@ -68,15 +66,7 @@ FaultPlan::parse(const std::string &spec)
               "kill-point, corrupt-ckpt, or truncate-journal)",
               name.c_str());
 
-    const std::string num = spec.substr(colon + 1);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(num.c_str(), &end, 0);
-    if (errno != 0 || end == num.c_str() || *end != '\0')
-        fatal("--inject-fault: bad count '%s' in '%s'", num.c_str(),
-              spec.c_str());
-    at = v;
+    at = parseU64(spec.substr(colon + 1), "--inject-fault count");
     if (this == &activeFaultPlan())
         armFaultExitCode();
 }

@@ -1,11 +1,44 @@
 #include "common/config.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
 
 namespace s64v
 {
+
+std::uint64_t
+parseU64(const std::string &text, const char *what)
+{
+    // strtoull skips blanks and wraps a '-' around, so the first
+    // character must already be a digit.
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(begin, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(begin[0])) ||
+        end != begin + text.size() || errno == ERANGE)
+        fatal("%s: expected an unsigned integer (decimal or 0x hex), "
+              "got '%s'",
+              what, begin);
+    return v;
+}
+
+double
+parseDouble(const std::string &text, const char *what)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(begin, &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(begin[0])) ||
+        end != begin + text.size() || errno == ERANGE || !std::isfinite(v))
+        fatal("%s: expected a finite number, got '%s'", what, begin);
+    return v;
+}
 
 void
 ConfigMap::parse(const std::string &token)
@@ -55,16 +88,6 @@ ConfigMap::getString(const std::string &key, const std::string &def) const
     return it->second.text;
 }
 
-std::int64_t
-ConfigMap::getInt(const std::string &key, std::int64_t def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    it->second.consumed = true;
-    return std::strtoll(it->second.text.c_str(), nullptr, 0);
-}
-
 std::uint64_t
 ConfigMap::getU64(const std::string &key, std::uint64_t def) const
 {
@@ -72,7 +95,7 @@ ConfigMap::getU64(const std::string &key, std::uint64_t def) const
     if (it == values_.end())
         return def;
     it->second.consumed = true;
-    return std::strtoull(it->second.text.c_str(), nullptr, 0);
+    return parseU64(it->second.text, key.c_str());
 }
 
 double
@@ -82,18 +105,7 @@ ConfigMap::getDouble(const std::string &key, double def) const
     if (it == values_.end())
         return def;
     it->second.consumed = true;
-    return std::strtod(it->second.text.c_str(), nullptr);
-}
-
-bool
-ConfigMap::getBool(const std::string &key, bool def) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    it->second.consumed = true;
-    const std::string &t = it->second.text;
-    return t == "1" || t == "true" || t == "yes" || t == "on";
+    return parseDouble(it->second.text, key.c_str());
 }
 
 std::vector<std::string>

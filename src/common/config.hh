@@ -39,14 +39,16 @@ class ConfigMap
 
     bool has(const std::string &key) const;
 
-    /** Typed lookups returning @p def when the key is absent. */
+    /**
+     * Typed lookups returning @p def when the key is absent. A
+     * numeric value must be a number and nothing else (see parseU64
+     * and parseDouble), or the lookup is fatal().
+     */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
-    bool getBool(const std::string &key, bool def) const;
 
     /** @return keys that were set but never read. */
     std::vector<std::string> unconsumedKeys() const;
@@ -59,6 +61,22 @@ class ConfigMap
     };
     std::map<std::string, Value> values_;
 };
+
+/**
+ * Read all of @p text as an unsigned integer in strtoull's base-0
+ * spellings (decimal, 0x hex, leading-0 octal). An empty string, a
+ * sign, leading blanks, trailing characters or a value above
+ * 2^64 - 1 is fatal(), with a message naming @p what (the flag, key
+ * or variable).
+ */
+std::uint64_t parseU64(const std::string &text, const char *what);
+
+/**
+ * Read all of @p text as a finite double. An empty string, leading
+ * blanks, trailing characters, inf, nan or an out-of-range exponent
+ * is fatal(), with a message naming @p what.
+ */
+double parseDouble(const std::string &text, const char *what);
 
 } // namespace s64v
 

@@ -95,9 +95,6 @@ class Core : public Clocked
      */
     void elide(Cycle from, std::uint64_t cycles) override;
 
-    /** Component class for the simulator self-profiler. */
-    const char *profileClass() const override { return "core"; }
-
     /**
      * Monotone activity stamp for the kernel's quiescence
      * memoization (see CycleKernel::setSkipAhead): the sum of

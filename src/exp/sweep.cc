@@ -13,7 +13,6 @@
 #include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
-#include "exp/self_profile.hh"
 #include "model/fingerprint.hh"
 #include "obs/run_obs.hh"
 
@@ -309,10 +308,6 @@ SweepRunner::run(const Sweep &sweep)
     }
 
     check::uninstallCrashReporting();
-    // The embedded points merged their per-run self-profiles into the
-    // process aggregate as they finished; one file covers the sweep.
-    if (obs::runObsOptions().selfProfile)
-        exp::writeSelfProfileJson();
     return results;
 }
 

@@ -6,8 +6,6 @@
 #include "check/signals.hh"
 #include "ckpt/checkpoint.hh"
 #include "common/logging.hh"
-#include "exp/self_profile.hh"
-#include "obs/bench_record.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/heartbeat.hh"
 #include "obs/run_obs.hh"
@@ -116,16 +114,6 @@ PerfModel::attachObservers()
     const obs::ObsOptions &opts = obs::runObsOptions();
     const SystemParams &sys = system_->params();
 
-    // The self-profiler is per-run state merged into a thread-safe
-    // process aggregate, so unlike the file observers it also runs in
-    // sweep-embedded points (the sweep writes the merged JSON once).
-    selfProfiler_.reset();
-    if (opts.selfProfile) {
-        selfProfiler_ = std::make_unique<exp::SelfProfiler>(
-            opts.selfProfilePeriod);
-        system_->attachProfiler(selfProfiler_.get());
-    }
-
     sampler_.reset();
     if (embedded_) {
         // File-output observers are per-process conveniences; N
@@ -184,11 +172,6 @@ PerfModel::attachObservers()
 void
 PerfModel::finishObservers(const SimResult &res)
 {
-    obs::addBenchInstructions(res.instructions);
-    // Merge before the embedded early-return: sweep points feed the
-    // same process aggregate the sweep runner writes at the end.
-    if (selfProfiler_)
-        exp::mergeSelfProfile(*selfProfiler_);
     if (embedded_)
         return;
     const obs::ObsOptions &opts = obs::runObsOptions();
@@ -212,8 +195,6 @@ PerfModel::finishObservers(const SimResult &res)
         obs::writeStatsJson(system_->root(), opts.statsJsonPath,
                             &res);
     }
-    if (selfProfiler_)
-        exp::writeSelfProfileJson();
 }
 
 SimResult

@@ -25,11 +25,6 @@ class Heartbeat;
 class IntervalSampler;
 } // namespace obs
 
-namespace exp
-{
-class SelfProfiler;
-} // namespace exp
-
 /**
  * One configured performance model. A PerfModel owns its traces; each
  * run() builds a fresh System so the same model can be re-run.
@@ -121,7 +116,6 @@ class PerfModel
     std::unique_ptr<obs::Heartbeat> heartbeat_;
     std::unique_ptr<obs::ChromeTraceWriter> trace_;
     std::vector<std::unique_ptr<PipeviewRecorder>> pipeviews_;
-    std::unique_ptr<exp::SelfProfiler> selfProfiler_;
     /** @} */
 };
 

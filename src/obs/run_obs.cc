@@ -1,9 +1,8 @@
 #include "obs/run_obs.hh"
 
-#include <cstdlib>
-
 #include "check/fault_inject.hh"
 #include "check/invariants.hh"
+#include "common/config.hh"
 #include "common/random.hh"
 
 namespace s64v::obs
@@ -65,25 +64,19 @@ parseObsArgs(int argc, const char *const *argv)
         else if (const char *v = matchFlag(arg, "sample-out"))
             opts.sampleOutPath = v;
         else if (const char *v = matchFlag(arg, "sample-period"))
-            opts.samplePeriod = std::strtoull(v, nullptr, 0);
+            opts.samplePeriod = parseU64(v, "--sample-period");
         else if (const char *v = matchFlag(arg, "heartbeat"))
-            opts.heartbeatPeriod = std::strtoull(v, nullptr, 0);
+            opts.heartbeatPeriod = parseU64(v, "--heartbeat");
         else if (const char *v = matchFlag(arg, "crash-report"))
             opts.crashReportPath = v;
         else if (const char *v = matchFlag(arg, "watchdog"))
-            opts.watchdogCycles = std::strtoull(v, nullptr, 0);
+            opts.watchdogCycles = parseU64(v, "--watchdog");
         else if (const char *v = matchFlag(arg, "threads")) {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 0));
-        }
-        else if (arg == "--self-profile" || arg == "self-profile")
-            opts.selfProfile = true;
-        else if (const char *v = matchFlag(arg, "self-profile")) {
-            opts.selfProfile = true;
-            opts.selfProfilePeriod = std::strtoull(v, nullptr, 0);
+            opts.threads =
+                static_cast<unsigned>(parseU64(v, "--threads"));
         }
         else if (const char *v = matchFlag(arg, "checkpoint-at"))
-            opts.checkpointAt = std::strtoull(v, nullptr, 0);
+            opts.checkpointAt = parseU64(v, "--checkpoint-at");
         else if (const char *v = matchFlag(arg, "checkpoint-out"))
             opts.checkpointOut = v;
         else if (arg == "--checkpoint-stop" || arg == "checkpoint-stop")
@@ -99,7 +92,7 @@ parseObsArgs(int argc, const char *const *argv)
             opts.journalPath = v;
         }
         else if (const char *v = matchFlag(arg, "seed"))
-            opts.seed = std::strtoull(v, nullptr, 0);
+            opts.seed = parseU64(v, "--seed");
         else if (arg == "--no-skip-ahead" || arg == "no-skip-ahead")
             opts.skipAhead = false;
         else if (arg == "--watchdog-escalate" ||

@@ -56,10 +56,6 @@ struct ObsOptions
      * contract.
      */
     bool skipAhead = true;
-    /** Time the simulator itself (see exp/self_profile.hh). */
-    bool selfProfile = false;
-    /** Self-profiler sampling period in cycles (0 = default). */
-    std::uint64_t selfProfilePeriod = 0;
 
     /** Checkpoint controls for non-embedded runs. @{ */
     std::uint64_t checkpointAt = 0; ///< trigger cycle (0 is valid).
@@ -85,13 +81,6 @@ struct ObsOptions
      * ("seed").
      */
     std::uint64_t seed = kUnset;
-
-    bool any() const
-    {
-        return !statsJsonPath.empty() || !traceOutPath.empty() ||
-            !pipeviewOutPath.empty() || !sampleOutPath.empty() ||
-            heartbeatPeriod != 0;
-    }
 };
 
 /** The process-wide options PerfModel::run() consults. */
@@ -113,8 +102,7 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * Every flag is accepted with or without the leading dashes. The
  * recording flags "stats-json=", "trace-out=", "pipeview-out=",
  * "sample-out=", "sample-period=" and "heartbeat=" apply to single
- * runs (the models a sweep embeds write nothing); "self-profile"
- * (optionally "self-profile=<period>"); the self-check flags
+ * runs (the models a sweep embeds write nothing); the self-check flags
  * "crash-report=", "watchdog=" (cycles, 0 = off), "check="
  * (off/end/cycle) and "inject-fault=<kind>:<n>" (see
  * check/fault_inject.hh); the single-run durability flags
@@ -122,7 +110,8 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * and "restore=<path>"; the sweep flags "threads=" (worker threads,
  * 0 = hardware concurrency), "journal=<path>", "resume" /
  * "resume=<journal>" and "watchdog-escalate"; "seed=<n>"; and
- * "no-skip-ahead".
+ * "no-skip-ahead". A numeric value that is not a whole unsigned
+ * integer (see parseU64) is fatal().
  *
  * @return the arguments after argv[0] that are none of these, in
  * order — what is left for the caller's own option parsing.

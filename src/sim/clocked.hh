@@ -69,12 +69,6 @@ class Clocked
     }
 
     /**
-     * Component class the self-profiler aggregates tick time under
-     * ("core", "dma", ...). Instances of one class share a bucket.
-     */
-    virtual const char *profileClass() const { return "clocked"; }
-
-    /**
      * Sentinel activityStamp(): this component does not expose a
      * stamp, so the kernel never caches its nextWorkCycle() answers.
      */
@@ -98,11 +92,12 @@ class Clocked
 };
 
 /**
- * Simulator self-profiling hook (see exp/self_profile.hh for the
- * standard implementation). When attached to a CycleKernel, cycles
- * where sampleCycle() returns true have each component tick and the
- * probe pass wrapped in wall-clock timers — sampled 1-in-N so the
- * instrumented loop stays within a few percent of the plain one.
+ * Host-time profiling hook, implemented by the simulator benchmark's
+ * traced run (simbench/traced.cc). When attached to a CycleKernel,
+ * visited cycles where sampleCycle() returns true have each component
+ * tick and the probe pass wrapped in wall-clock timers — sampled
+ * 1-in-N so the instrumented loop stays within a few percent of the
+ * plain one.
  */
 class TickProfiler
 {
@@ -165,9 +160,10 @@ class CycleKernel
     void attach(Clocked *component);
 
     /**
-     * Attach a self-profiler timing component ticks and probe passes
-     * on its sampled cycles (not owned; nullptr detaches). Off by
-     * default: the unprofiled loop pays one pointer test per cycle.
+     * Attach a profiler timing component ticks and probe passes on
+     * its sampled cycles (not owned; nullptr detaches), as
+     * simbench's traced run does. Off by default: the unprofiled
+     * loop pays one pointer test per cycle.
      */
     void attachProfiler(TickProfiler *profiler)
     {

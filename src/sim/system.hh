@@ -191,8 +191,9 @@ class System
     }
 
     /**
-     * Attach a simulator self-profiler, forwarded to the cycle kernel
-     * run() builds (see TickProfiler). Must outlive the run.
+     * Attach a host-time profiler, forwarded to the cycle kernel
+     * run() builds (see TickProfiler; simbench's traced run is the
+     * user). Must outlive the run.
      */
     void attachProfiler(TickProfiler *profiler)
     {

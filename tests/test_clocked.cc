@@ -55,9 +55,8 @@ TEST(CycleKernel, DrainsWhenEveryComponentIsDone)
 class OrderWitness final : public Clocked
 {
   public:
-    OrderWitness(int id, Cycle done_at, const char *cls,
-                 std::vector<int> *log)
-        : id_(id), doneAt_(done_at), cls_(cls), log_(log)
+    OrderWitness(int id, Cycle done_at, std::vector<int> *log)
+        : id_(id), doneAt_(done_at), log_(log)
     {
     }
 
@@ -67,24 +66,21 @@ class OrderWitness final : public Clocked
         log_->push_back(id_);
     }
     bool done() const override { return last_ >= doneAt_; }
-    const char *profileClass() const override { return cls_; }
 
   private:
     int id_;
     Cycle last_ = 0;
     Cycle doneAt_;
-    const char *cls_;
     std::vector<int> *log_;
 };
 
 TEST(CycleKernel, MixedAttachmentPreservesTickOrder)
 {
-    // Components of alternating profile classes still tick in exact
-    // attachment order, every cycle.
+    // Components tick in exact attachment order, every cycle.
     CycleKernel kernel;
     std::vector<int> log;
-    OrderWitness a(1, 3, "alpha", &log), b(2, 3, "beta", &log);
-    OrderWitness c(3, 3, "alpha", &log), d(4, 3, "alpha", &log);
+    OrderWitness a(1, 3, &log), b(2, 3, &log);
+    OrderWitness c(3, 3, &log), d(4, 3, &log);
     kernel.attach(&a);
     kernel.attach(&b);
     kernel.attach(&c);

@@ -1,14 +1,11 @@
 /**
  * @file
  * Observability layer: JSON writer/escaping, stats export, interval
- * sampling, Chrome trace export, heartbeat, and bench records.
+ * sampling, Chrome trace export, heartbeat, and the run-option parser.
  */
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +14,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "obs/bench_record.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/heartbeat.hh"
 #include "obs/json.hh"
@@ -286,28 +282,40 @@ TEST(RunObs, ParsesObservabilityFlags)
     EXPECT_EQ(o.sampleOutPath, "c.jsonl");
     EXPECT_EQ(o.samplePeriod, 500u);
     EXPECT_EQ(o.heartbeatPeriod, 2000u);
-    EXPECT_TRUE(o.any());
     obs::runObsOptions() = obs::ObsOptions{};
-    EXPECT_FALSE(obs::runObsOptions().any());
 }
 
-TEST(RunObs, ParsesPipeviewAndSelfProfileFlags)
+TEST(RunObs, ParsesPipeviewFlag)
 {
     obs::runObsOptions() = obs::ObsOptions{};
-    const char *argv[] = {"prog", "--pipeview-out=pipe.txt",
-                          "--self-profile"};
-    obs::parseObsArgs(3, argv);
-    const obs::ObsOptions &o = obs::runObsOptions();
-    EXPECT_EQ(o.pipeviewOutPath, "pipe.txt");
-    EXPECT_TRUE(o.selfProfile);
-    EXPECT_EQ(o.selfProfilePeriod, 0u); // 0 = library default.
-    EXPECT_TRUE(o.any());
-
+    const char *argv[] = {"prog", "--pipeview-out=pipe.txt"};
+    EXPECT_TRUE(obs::parseObsArgs(2, argv).empty());
+    EXPECT_EQ(obs::runObsOptions().pipeviewOutPath, "pipe.txt");
     obs::runObsOptions() = obs::ObsOptions{};
-    const char *argv2[] = {"prog", "self-profile=16"};
-    obs::parseObsArgs(2, argv2);
-    EXPECT_TRUE(obs::runObsOptions().selfProfile);
-    EXPECT_EQ(obs::runObsOptions().selfProfilePeriod, 16u);
+}
+
+TEST(RunObs, MalformedNumericFlagsAreFatal)
+{
+    // "--watchdog=1e5" used to arm a 1-cycle watchdog, which then
+    // reported a deadlock at cycle 1.
+    obs::runObsOptions() = obs::ObsOptions{};
+    setThrowOnError(true);
+    for (const char *bad :
+         {"--watchdog=1e5", "--seed=-1", "heartbeat=10k",
+          "--sample-period=", "--threads=2.5", "--checkpoint-at=0x"}) {
+        const char *argv[] = {"prog", bad};
+        EXPECT_THROW(obs::parseObsArgs(2, argv), std::runtime_error)
+            << bad;
+    }
+    setThrowOnError(false);
+    EXPECT_EQ(obs::runObsOptions().watchdogCycles,
+              obs::ObsOptions::kUnset);
+    EXPECT_EQ(obs::runObsOptions().seed, obs::ObsOptions::kUnset);
+
+    const char *argv[] = {"prog", "--watchdog=0x100", "--seed=18"};
+    obs::parseObsArgs(3, argv);
+    EXPECT_EQ(obs::runObsOptions().watchdogCycles, 0x100u);
+    EXPECT_EQ(obs::runObsOptions().seed, 18u);
     obs::runObsOptions() = obs::ObsOptions{};
 }
 
@@ -332,33 +340,6 @@ TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
     EXPECT_EQ(o.seed, 3u);
     EXPECT_FALSE(o.skipAhead);
     obs::runObsOptions() = obs::ObsOptions{};
-}
-
-TEST(BenchRecord, WritesJsonRecord)
-{
-    ::setenv("S64V_BENCH_DIR", "/tmp", 1);
-    obs::addBenchInstructions(5000);
-    EXPECT_GE(obs::benchInstructions(), 5000u);
-    ASSERT_TRUE(obs::writeBenchRecord("obstest", 0.5));
-    ::unsetenv("S64V_BENCH_DIR");
-
-    std::ifstream f("/tmp/BENCH_obstest.json");
-    ASSERT_TRUE(f.good());
-    std::stringstream ss;
-    ss << f.rdbuf();
-    const std::string json = ss.str();
-    EXPECT_TRUE(JsonChecker(json).valid()) << json;
-    EXPECT_NE(json.find("\"bench\":\"obstest\""), std::string::npos);
-    EXPECT_NE(json.find("\"wall_seconds\":0.5"), std::string::npos);
-    EXPECT_NE(json.find("\"kips\""), std::string::npos);
-    std::remove("/tmp/BENCH_obstest.json");
-}
-
-TEST(BenchRecord, DisabledByEnvSwitch)
-{
-    ::setenv("S64V_BENCH_JSON", "0", 1);
-    EXPECT_FALSE(obs::writeBenchRecord("disabled", 1.0));
-    ::unsetenv("S64V_BENCH_JSON");
 }
 
 } // namespace

@@ -5,7 +5,11 @@
  * engines. These tests record the FNV-1a digest of exportStatsJson
  * for short uniprocessor and 4P runs over host-independent hand-built
  * traces (tests/hand_trace.hh). A change that moves one of them has
- * changed the model's output, not just its speed.
+ * changed the model's output, not just its speed. The profiled runs
+ * pin the kernel's timed branch, which simbench's traced run drives
+ * through a TickProfiler: timing every visit leaves the bytes alone,
+ * and the kernel reports each cycle exactly once, as a visit or as
+ * an elided cycle.
  */
 
 #include <cstdint>
@@ -36,9 +40,32 @@ hex(std::uint64_t v)
     return buf;
 }
 
-/** Digest of the stats JSON of one hand-traced run. */
+/** Times every visited cycle and counts the kernel's calls. */
+class VisitCounter final : public TickProfiler
+{
+  public:
+    bool sampleCycle(Cycle) override
+    {
+        ++visits;
+        return true;
+    }
+    void recordTick(const Clocked &, std::uint64_t) override { ++ticks; }
+    void recordProbes(std::uint64_t) override { ++probePasses; }
+    void recordElided(std::uint64_t cycles) override { elided += cycles; }
+
+    std::uint64_t visits = 0;
+    std::uint64_t ticks = 0;
+    std::uint64_t probePasses = 0;
+    std::uint64_t elided = 0;
+};
+
+/**
+ * Digest of the stats JSON of one hand-traced run, optionally timed
+ * by @p profiler.
+ */
 std::string
-statsDigest(unsigned cpus, std::size_t instrs, bool skip_ahead)
+statsDigest(unsigned cpus, std::size_t instrs, bool skip_ahead,
+            VisitCounter *profiler = nullptr)
 {
     SystemParams sp = sparc64vBase(cpus).sys;
     sp.warmupInstrs = instrs / 5;
@@ -46,11 +73,21 @@ statsDigest(unsigned cpus, std::size_t instrs, bool skip_ahead)
     System sys(sp);
     for (CpuId cpu = 0; cpu < cpus; ++cpu)
         sys.attachTrace(cpu, testutil::handTrace(kSeed, instrs, cpu));
+    sys.attachProfiler(profiler);
     const SimResult res = sys.run();
     EXPECT_FALSE(res.hitCycleCap);
     EXPECT_EQ(res.instructions, instrs * cpus);
     // The fast engine must actually skip: the pin covers elision.
     EXPECT_EQ(res.elidedCycles > 0, skip_ahead);
+    if (profiler) {
+        // The run covers cycles 0..currentCycle(), each one visited or
+        // elided, and every visit ends with one probe pass.
+        EXPECT_EQ(profiler->visits + profiler->elided,
+                  sys.currentCycle() + 1);
+        EXPECT_EQ(profiler->elided, res.elidedCycles);
+        EXPECT_EQ(profiler->probePasses, profiler->visits);
+        EXPECT_GT(profiler->ticks, 0u);
+    }
     const std::string json = obs::exportStatsJson(sys.root(), &res);
     return hex(ckpt::fnv1a(json.data(), json.size()));
 }
@@ -78,6 +115,18 @@ TEST(SameBytes, Smp4PlainLoop)
 TEST(SameBytes, Smp4FastEngine)
 {
     EXPECT_EQ(statsDigest(4, kSmpInstrs, true), kSmp4Digest);
+}
+
+TEST(SameBytes, UpFastEngineProfiled)
+{
+    VisitCounter profiler;
+    EXPECT_EQ(statsDigest(1, kUpInstrs, true, &profiler), kUpDigest);
+}
+
+TEST(SameBytes, Smp4FastEngineProfiled)
+{
+    VisitCounter profiler;
+    EXPECT_EQ(statsDigest(4, kSmpInstrs, true, &profiler), kSmp4Digest);
 }
 
 } // namespace
