@@ -20,7 +20,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("RAS study: throughput retained under error "
                 "correction and cache degradation "
                 "(IPC ratio, base = healthy machine = 100%)");
@@ -32,7 +32,8 @@ main(int argc, char **argv)
          {"ecc-lo", withCacheErrorRate(sparc64vBase(), 1000)},
          {"ecc-hi", withCacheErrorRate(sparc64vBase(), 10000)},
          {"deg-1", withDegradedL2Ways(sparc64vBase(), 1)},
-         {"deg-2", withDegradedL2Ways(sparc64vBase(), 2)}});
+         {"deg-2", withDegradedL2Ways(sparc64vBase(), 2)}},
+        run);
 
     Table t({"workload", "base IPC", "ECC @1e3/M", "ECC @1e4/M",
              "L2 3/4 ways", "L2 2/4 ways"});

@@ -36,7 +36,8 @@ perCpuIpc(const SimResult &res)
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    exp::SweepOptions opts;
+    opts.run = obs::parseObsArgs(argc, argv);
     printHeader("Ablation: TPC-C SMP scaling and system balance");
 
     const std::size_t n = smpRunLength();
@@ -72,7 +73,7 @@ main(int argc, char **argv)
     });
 
     const std::vector<exp::PointResult> results =
-        exp::runSweep(sweep);
+        exp::SweepRunner(opts).run(sweep);
     for (const exp::PointResult &p : results) {
         if (!p.ok)
             fatal("sweep point '%s' failed: %s", p.label.c_str(),

@@ -19,7 +19,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Ablation: §3 throughput techniques "
                 "(IPC ratio, base = full SPARC64 V = 100%)");
 
@@ -35,7 +35,7 @@ main(int argc, char **argv)
     };
 
     const std::vector<GridRow> rows = standardRows();
-    const auto grid = runGrid(rows, variants);
+    const auto grid = runGrid(rows, variants, run);
 
     std::vector<std::string> headers = {"workload", "base IPC"};
     for (std::size_t v = 1; v < variants.size(); ++v)

@@ -16,8 +16,10 @@
  * Exit status: 0 when the campaign is clean, 2 when any invariant was
  * violated (so CI can gate on it), 1 on a usage error.
  *
- * --seed= is the process-wide observability seed, so one number keys
- * the fuzzer, every synthesized trace, and the fault storms.
+ * --seed= is the campaign seed: one number keys the fuzzer, every
+ * synthesized trace and the fault storms. It is the only run flag the
+ * campaign takes; the others (--threads=, --journal=, --resume, ...)
+ * are parsed and ignored, so no sweep a campaign runs inherits them.
  */
 
 #include <cstdio>
@@ -69,11 +71,11 @@ parseArg(const char *arg, const char *name, const char **value)
 int
 main(int argc, char **argv)
 {
-    obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
 
     chaos::CampaignOptions opts;
-    if (obs::globalSeedSet())
-        opts.seed = obs::runObsOptions().seed;
+    if (run.seed != obs::ObsOptions::kUnset)
+        opts.seed = run.seed;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];

@@ -29,7 +29,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     bool cpi_stack = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--cpi-stack") ||
@@ -45,7 +45,7 @@ main(int argc, char **argv)
     for (const std::string &wl : workloadNames())
         profiles.push_back(workloadByName(wl));
     const std::vector<Breakdown> breakdowns =
-        computeBreakdowns(sparc64vBase(), profiles, upRunLength());
+        computeBreakdowns(sparc64vBase(), profiles, upRunLength(), run);
 
     Table t({"workload", "core", "branch", "ibs/tlb", "sx"});
     for (std::size_t i = 0; i < profiles.size(); ++i) {
@@ -75,8 +75,10 @@ main(int argc, char **argv)
             m["ibs_tlb"] = b.ibsTlb;
             m["sx"] = b.sx;
         });
+        exp::SweepOptions opts;
+        opts.run = run;
         const std::vector<exp::PointResult> points =
-            exp::SweepRunner().run(sweep);
+            exp::SweepRunner(opts).run(sweep);
 
         printHeader("Single-pass CPI stack (commit-slot accounting, "
                     "1 run/workload)");

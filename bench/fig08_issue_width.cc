@@ -16,7 +16,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 8. Issue width --- 4-way vs 2-way "
                 "(IPC ratio, base = 2-way = 100%)");
 
@@ -25,7 +25,8 @@ main(int argc, char **argv)
     const std::vector<GridRow> rows = standardRows();
     const auto grid = runGrid(
         rows, {{"2-way", withIssueWidth(sparc64vBase(), 2)},
-               {"4-way", sparc64vBase()}});
+               {"4-way", sparc64vBase()}},
+        run);
 
     Table t({"workload", "2-way IPC", "4-way IPC", "4w/2w"});
     for (std::size_t r = 0; r < rows.size(); ++r) {

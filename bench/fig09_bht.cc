@@ -17,14 +17,15 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 9. Branch history table --- latency vs size "
                 "(IPC ratio, base = 16k-4w.2t = 100%)");
 
     const std::vector<GridRow> rows = standardRows();
     const auto grid =
         runGrid(rows, {{"16k-4w.2t", sparc64vBase()},
-                       {"4k-2w.1t", withSmallBht(sparc64vBase())}});
+                       {"4k-2w.1t", withSmallBht(sparc64vBase())}},
+                run);
 
     Table t({"workload", "16k-4w.2t IPC", "4k-2w.1t IPC",
              "4k-2w.1t / 16k-4w.2t"});

@@ -16,7 +16,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 10. Branch prediction failures");
 
     // The misprediction ratio lives in the branch predictor, not in
@@ -27,6 +27,7 @@ main(int argc, char **argv)
         rows,
         {{"16k-4w.2t", sparc64vBase()},
          {"4k-2w.1t", withSmallBht(sparc64vBase())}},
+        run,
         [](PerfModel &model, const SimResult &,
            std::map<std::string, double> &metrics) {
             metrics["mispredict"] =

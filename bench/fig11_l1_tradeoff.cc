@@ -17,14 +17,15 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 11. L1 cache --- latency vs volume "
                 "(IPC ratio, base = 128k-2w.4c = 100%)");
 
     const std::vector<GridRow> rows = standardRows();
     const auto grid =
         runGrid(rows, {{"128k-2w.4c", sparc64vBase()},
-                       {"32k-1w.3c", withSmallL1(sparc64vBase())}});
+                       {"32k-1w.3c", withSmallL1(sparc64vBase())}},
+                run);
 
     Table t({"workload", "128k-2w.4c IPC", "32k-1w.3c IPC",
              "32k / 128k"});

@@ -16,7 +16,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 12. L1 instruction cache miss ratio");
 
     const std::vector<GridRow> rows = standardRows();
@@ -24,6 +24,7 @@ main(int argc, char **argv)
         rows,
         {{"128k-2w", sparc64vBase()},
          {"32k-1w", withSmallL1(sparc64vBase())}},
+        run,
         [](PerfModel &model, const SimResult &,
            std::map<std::string, double> &metrics) {
             metrics["l1i_miss"] =

@@ -18,7 +18,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 14. L2 cache --- latency vs volume "
                 "(IPC ratio, base = on.2m-4w = 100%)");
 
@@ -42,7 +42,8 @@ main(int argc, char **argv)
           }},
          {"off.8m-1w", [](unsigned cpus) {
               return withOffChipL2(sparc64vBase(cpus), 1);
-          }}});
+          }}},
+        run);
 
     Table t({"workload", "on.2m-4w IPC", "off.8m-2w", "off.8m-1w"});
     for (std::size_t r = 0; r < rows.size(); ++r) {

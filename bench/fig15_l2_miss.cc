@@ -15,7 +15,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 15. L2 cache miss ratio (demand)");
 
     std::vector<GridRow> rows;
@@ -36,6 +36,7 @@ main(int argc, char **argv)
           [](unsigned cpus) {
               return withOffChipL2(sparc64vBase(cpus), 1);
           }}},
+        run,
         [](PerfModel &model, const SimResult &,
            std::map<std::string, double> &metrics) {
             metrics["l2_miss"] =

@@ -16,14 +16,15 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 16. Hardware prefetching impact "
                 "(IPC ratio, base = without prefetch = 100%)");
 
     const std::vector<GridRow> rows = standardRows();
     const auto grid = runGrid(
         rows, {{"no-prefetch", withPrefetch(sparc64vBase(), false)},
-               {"prefetch", sparc64vBase()}});
+               {"prefetch", sparc64vBase()}},
+        run);
 
     Table t({"workload", "no-prefetch IPC", "prefetch IPC",
              "with/without"});

@@ -18,7 +18,7 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 17. Hardware prefetching --- L2 cache miss");
 
     const std::vector<GridRow> rows = standardRows();
@@ -26,6 +26,7 @@ main(int argc, char **argv)
         rows,
         {{"with", sparc64vBase()},
          {"without", withPrefetch(sparc64vBase(), false)}},
+        run,
         [](PerfModel &model, const SimResult &,
            std::map<std::string, double> &metrics) {
             metrics["l2_all"] = model.system().mem().l2MissRatio();

@@ -18,14 +18,15 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
     printHeader("Figure 18. Reservation station --- 1RS vs 2RS "
                 "(IPC ratio, base = 1RS = 100%)");
 
     const std::vector<GridRow> rows = standardRows();
     const auto grid = runGrid(
         rows, {{"1RS", withUnifiedRs(sparc64vBase(), true)},
-               {"2RS", sparc64vBase()}}); // 2RS is the default.
+               {"2RS", sparc64vBase()}}, // 2RS is the default.
+        run);
 
     Table t({"workload", "1RS IPC", "2RS IPC", "2RS/1RS"});
     for (std::size_t r = 0; r < rows.size(); ++r) {

@@ -31,7 +31,9 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    s64v::obs::parseObsArgs(argc, argv);
+    exp::SweepOptions opts;
+    opts.run = obs::parseObsArgs(argc, argv);
+    const exp::SweepRunner runner(opts);
     const std::size_t n = upRunLength();
     const WorkloadProfile wl_int = workloadByName("SPECint2000");
     const WorkloadProfile wl_fp = workloadByName("SPECfp2000");
@@ -49,8 +51,7 @@ main(int argc, char **argv)
         versions.add("v" + std::to_string(v) + "/fp",
                      modelVersion(v), wl_fp, n);
     }
-    const std::vector<exp::PointResult> vres =
-        exp::runSweep(versions);
+    const std::vector<exp::PointResult> vres = runner.run(versions);
     for (const exp::PointResult &p : vres) {
         if (!p.ok)
             fatal("sweep point '%s' failed: %s", p.label.c_str(),
@@ -94,8 +95,7 @@ main(int argc, char **argv)
         timeline.add(pt.label + "/int", m, wl_int, n);
         timeline.add(pt.label + "/fp", m, wl_fp, n);
     }
-    const std::vector<exp::PointResult> tres =
-        exp::runSweep(timeline);
+    const std::vector<exp::PointResult> tres = runner.run(timeline);
     for (const exp::PointResult &p : tres) {
         if (!p.ok)
             fatal("sweep point '%s' failed: %s", p.label.c_str(),

@@ -27,8 +27,11 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    ConfigMap cfg; // what the obs flags (--threads=N etc.) leave over.
-    cfg.parseArgs(obs::parseObsArgs(argc, argv));
+    std::vector<std::string> rest; // what the run flags leave over.
+    exp::SweepOptions opts;
+    opts.run = obs::parseObsArgs(argc, argv, &rest);
+    ConfigMap cfg;
+    cfg.parseArgs(rest);
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 60000));
@@ -61,7 +64,7 @@ main(int argc, char **argv)
     for (const Variant &v : variants)
         sweep.add(v.label, v.machine, profile, n);
     const std::vector<exp::PointResult> results =
-        exp::runSweep(sweep);
+        exp::SweepRunner(opts).run(sweep);
     for (const exp::PointResult &p : results) {
         if (!p.ok)
             fatal("sweep point '%s' failed: %s", p.label.c_str(),

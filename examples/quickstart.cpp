@@ -33,11 +33,12 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    ConfigMap cfg; // what the obs flags leave over.
-    cfg.parseArgs(obs::parseObsArgs(argc, argv));
-    obs::ObsOptions &opts = obs::runObsOptions();
-    if (!opts.statsJsonPath.empty() && opts.sampleOutPath.empty())
-        opts.sampleOutPath = opts.statsJsonPath + ".intervals.jsonl";
+    std::vector<std::string> rest; // what the run flags leave over.
+    obs::ObsOptions run = obs::parseObsArgs(argc, argv, &rest);
+    ConfigMap cfg;
+    cfg.parseArgs(rest);
+    if (!run.statsJsonPath.empty() && run.sampleOutPath.empty())
+        run.sampleOutPath = run.statsJsonPath + ".intervals.jsonl";
 
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
@@ -48,7 +49,7 @@ main(int argc, char **argv)
 
     // 2. Pick a workload profile and build the model.
     const WorkloadProfile profile = workloadByName(wl);
-    PerfModel model(machine);
+    PerfModel model(machine, run);
     model.loadWorkload(profile, n);
 
     // 3. Run (optionally recording a pipeline view of the last N
@@ -56,10 +57,6 @@ main(int argc, char **argv)
     const std::size_t pipeview_n =
         static_cast<std::size_t>(cfg.getU64("pipeview", 0));
     const SimResult res = model.run();
-    // The breakdown below runs more models; keep the recorded files
-    // describing THIS run rather than letting them be overwritten.
-    const obs::ObsOptions recorded = opts;
-    opts = obs::ObsOptions{};
 
     std::printf("machine     : %s\n", machine.name.c_str());
     std::printf("workload    : %s (%zu instructions)\n",
@@ -80,24 +77,21 @@ main(int argc, char **argv)
                 model.system().core(0).bpred().mispredictRatio() *
                     100);
 
-    // 5. The Figure-7-style execution-time breakdown.
+    // 5. The Figure-7-style execution-time breakdown: a sweep under
+    //    the same flags, which writes none of the files above.
     const Breakdown b = computeBreakdown(machine, profile,
-                                         n > 40000 ? 40000 : n);
+                                         n > 40000 ? 40000 : n, run);
     std::printf("breakdown   : %s\n", b.toString().c_str());
 
     // 6. Optional pipeline view: run a short trace with a recorder
     //    attached and print the stage-by-stage timeline of the last
     //    N committed instructions.
-    if (!recorded.statsJsonPath.empty()) {
-        std::printf("stats json  : %s\n",
-                    recorded.statsJsonPath.c_str());
-    }
-    if (!recorded.sampleOutPath.empty()) {
-        std::printf("samples     : %s\n",
-                    recorded.sampleOutPath.c_str());
-    }
-    if (!recorded.traceOutPath.empty())
-        std::printf("trace       : %s\n", recorded.traceOutPath.c_str());
+    if (!run.statsJsonPath.empty())
+        std::printf("stats json  : %s\n", run.statsJsonPath.c_str());
+    if (!run.sampleOutPath.empty())
+        std::printf("samples     : %s\n", run.sampleOutPath.c_str());
+    if (!run.traceOutPath.empty())
+        std::printf("trace       : %s\n", run.traceOutPath.c_str());
 
     if (pipeview_n > 0) {
         PipeviewRecorder recorder(pipeview_n);

@@ -25,8 +25,11 @@ using namespace s64v;
 int
 main(int argc, char **argv)
 {
-    ConfigMap cfg; // what the obs flags (--threads=N etc.) leave over.
-    cfg.parseArgs(obs::parseObsArgs(argc, argv));
+    std::vector<std::string> rest; // what the run flags leave over.
+    exp::SweepOptions opts;
+    opts.run = obs::parseObsArgs(argc, argv, &rest);
+    ConfigMap cfg;
+    cfg.parseArgs(rest);
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 20000));
     const unsigned max_cpus =
@@ -54,7 +57,7 @@ main(int argc, char **argv)
             static_cast<double>(mem.coherence().dirtySupplies());
     });
     const std::vector<exp::PointResult> results =
-        exp::runSweep(sweep);
+        exp::SweepRunner(opts).run(sweep);
 
     double base_per_cpu = 0.0;
     std::size_t i = 0;

@@ -77,7 +77,7 @@ standardRows()
 std::vector<std::vector<exp::PointResult>>
 runGrid(const std::vector<GridRow> &rows,
         const std::vector<MachineVariant> &variants,
-        const exp::MetricFn &metric)
+        const obs::ObsOptions &run, const exp::MetricFn &metric)
 {
     exp::Sweep sweep;
     for (const GridRow &row : rows) {
@@ -92,7 +92,9 @@ runGrid(const std::vector<GridRow> &rows,
     if (metric)
         sweep.setMetricFn(metric);
 
-    std::vector<exp::PointResult> flat = exp::SweepRunner().run(sweep);
+    exp::SweepOptions opts;
+    opts.run = run;
+    std::vector<exp::PointResult> flat = exp::SweepRunner(opts).run(sweep);
 
     std::vector<std::vector<exp::PointResult>> grid(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {

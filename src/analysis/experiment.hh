@@ -16,6 +16,7 @@
 #include "exp/sweep.hh"
 #include "model/params.hh"
 #include "model/perf_model.hh"
+#include "obs/run_obs.hh"
 #include "workload/workloads.hh"
 
 namespace s64v
@@ -74,7 +75,8 @@ struct GridRow
 std::vector<GridRow> standardRows();
 
 /**
- * Run rows x variants as ONE parallel sweep (see exp::SweepRunner):
+ * Run rows x variants as ONE parallel sweep (see exp::SweepRunner)
+ * under the harness's parsed @p run options (SweepOptions::run):
  * every distinct trace is synthesized once, the points run on the
  * sweep worker pool, and @p metric (if any) captures component
  * statistics per point. @return results indexed [row][variant]. A
@@ -84,7 +86,7 @@ std::vector<GridRow> standardRows();
 std::vector<std::vector<exp::PointResult>>
 runGrid(const std::vector<GridRow> &rows,
         const std::vector<MachineVariant> &variants,
-        const exp::MetricFn &metric = {});
+        const obs::ObsOptions &run, const exp::MetricFn &metric = {});
 
 } // namespace s64v
 

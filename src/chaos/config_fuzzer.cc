@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/random.hh"
+#include "workload/generator.hh"
 #include "workload/workloads.hh"
 
 namespace s64v::chaos
@@ -175,6 +176,18 @@ ChaosPoint::profile() const
     prof.depNearProb = 0.40 + rng.uniform() * 0.35;
     prof.validate();
     return prof;
+}
+
+std::vector<std::shared_ptr<const InstrTrace>>
+ChaosPoint::traces() const
+{
+    TraceGenerator gen(profile(), numCpus);
+    std::vector<std::shared_ptr<const InstrTrace>> out;
+    for (CpuId cpu = 0; cpu < numCpus; ++cpu) {
+        out.push_back(std::make_shared<const InstrTrace>(
+            gen.generate(instrs, cpu)));
+    }
+    return out;
 }
 
 std::string

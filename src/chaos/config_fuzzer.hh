@@ -9,10 +9,11 @@
  * stay powers of two, degraded ways stay below the associativity —
  * so a campaign failure is always a model bug, never a fuzzer bug.
  *
- * Determinism contract: point(i) depends only on (campaign seed, i).
- * A violation report therefore replays from two numbers, and the
- * shrinker minimizes by deactivating deltas (the `active` mask) and
- * shortening `instrs` without ever re-rolling the dice.
+ * Determinism contract: point(i) depends only on (campaign seed, i),
+ * and so do its traces — no run option re-keys them. A violation
+ * report therefore replays from two numbers, and the shrinker
+ * minimizes by deactivating deltas (the `active` mask) and shortening
+ * `instrs` without ever re-rolling the dice.
  */
 
 #ifndef S64V_CHAOS_CONFIG_FUZZER_HH
@@ -21,10 +22,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "model/params.hh"
+#include "trace/trace.hh"
 #include "workload/profile.hh"
 
 namespace s64v::chaos
@@ -59,6 +62,13 @@ struct ChaosPoint
 
     /** Workload profile with this point's trace mutations applied. */
     WorkloadProfile profile() const;
+
+    /**
+     * One trace per CPU, @c instrs records each, synthesized from
+     * profile() as it stands: every run an invariant compares
+     * replays this instruction stream.
+     */
+    std::vector<std::shared_ptr<const InstrTrace>> traces() const;
 
     /** "chaos#<i> <workload> x<instrs> [<delta>+<delta>]". */
     std::string label() const;

@@ -14,9 +14,7 @@
 #include "exp/sweep.hh"
 #include "golden/checker.hh"
 #include "model/perf_model.hh"
-#include "obs/run_obs.hh"
 #include "sim/system.hh"
-#include "workload/generator.hh"
 
 namespace s64v::chaos
 {
@@ -71,25 +69,6 @@ class ScopedThrow
     bool saved_;
 };
 
-/**
- * Synthesize the point's traces once, the same way PerfModel and the
- * trace pool do (the process-wide --seed= policy applied), so every
- * run an invariant compares replays the identical instruction stream.
- */
-TraceSet
-synthTraces(const ChaosPoint &p)
-{
-    WorkloadProfile prof = p.profile();
-    prof.seed = obs::effectiveWorkloadSeed(prof.seed);
-    TraceGenerator gen(prof, p.numCpus);
-    TraceSet traces;
-    for (CpuId cpu = 0; cpu < p.numCpus; ++cpu) {
-        traces.push_back(std::make_shared<const InstrTrace>(
-            gen.generate(p.instrs, cpu)));
-    }
-    return traces;
-}
-
 /** Run @p machine on @p traces in-process; panics become errors. */
 PointOutcome
 runMachine(MachineParams machine, const ChaosPoint &p,
@@ -100,10 +79,9 @@ runMachine(MachineParams machine, const ChaosPoint &p,
     ScopedThrow isolate;
     try {
         PerfModel model(machine);
-        model.setEmbedded(true);
         for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
             model.loadTrace(cpu, traces[cpu]);
-        out.sim = model.run();
+        out.sim = model.prepare().run();
         MemSystem &mem = model.system().mem();
         for (CpuId cpu = 0; cpu < mem.numCpus(); ++cpu)
             out.l2Misses += mem.l2(cpu).misses();
@@ -146,7 +124,7 @@ fmt(const char *format, ...)
 std::optional<Violation>
 checkCacheMono(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     const MachineParams base = p.machine();
     MachineParams grown = base;
     grown.sys.mem.l2.sizeBytes *= 4;
@@ -182,7 +160,7 @@ checkCacheMono(const ChaosPoint &p)
 std::optional<Violation>
 checkIssueMono(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     const MachineParams base = p.machine();
     const unsigned width = base.sys.core.issueWidth;
 
@@ -256,7 +234,7 @@ diffSim(const SimResult &a, const SimResult &b)
 std::optional<Violation>
 checkCkptReplay(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     MachineParams m = p.machine();
     m.sys.warmupInstrs = p.instrs / 5;
 
@@ -339,7 +317,7 @@ checkCkptReplay(const ChaosPoint &p)
 std::optional<Violation>
 checkSkipaheadIdentity(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     MachineParams m = p.machine();
     m.sys.warmupInstrs = p.instrs / 5;
 
@@ -451,7 +429,7 @@ checkSerialParallel(const ChaosPoint &p)
 std::optional<Violation>
 checkWarmupBand(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     const MachineParams base = p.machine();
 
     const PointOutcome a =
@@ -485,7 +463,7 @@ checkWarmupBand(const ChaosPoint &p)
 std::optional<Violation>
 checkGoldenAgree(const ChaosPoint &p)
 {
-    const TraceSet traces = synthTraces(p);
+    const TraceSet traces = p.traces();
     const MachineParams base = p.machine();
     const PointOutcome a = runMachine(base, p, traces);
     if (!a.ok)

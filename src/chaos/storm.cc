@@ -81,33 +81,33 @@ struct CasePaths
 
 /**
  * Common child setup: silence advisory output, let panic()/fatal()
- * really terminate, keep only the process-wide seed from the parent's
- * observability options (so the child's traces match the campaign's
- * seed policy), and arm the fault plan + its exit code.
+ * really terminate, and arm the fault plan + its exit code.
+ * @return the child's run options: its crash-report path and nothing
+ * else, so its traces are the point's own (see ChaosPoint::traces).
  */
-void
+obs::ObsOptions
 setupChild(const CasePaths &paths, check::FaultKind kind,
            std::uint64_t at)
 {
     setLogLevel(LogLevel::Silent);
     setThrowOnError(false);
-    obs::ObsOptions fresh;
-    fresh.seed = obs::runObsOptions().seed;
-    fresh.crashReportPath = paths.crash;
-    obs::runObsOptions() = fresh;
     check::activeFaultPlan().kind = kind;
     check::activeFaultPlan().at = at;
     check::armFaultExitCode();
+    obs::ObsOptions run;
+    run.crashReportPath = paths.crash;
+    return run;
 }
 
 /** Full-system run of the point's own machine (stall / lost-grant /
  *  kill-point scenarios). */
 [[noreturn]] void
-childRunPoint(const ChaosPoint &p, bool tight_watchdog)
+childRunPoint(const ChaosPoint &p, obs::ObsOptions run,
+              bool tight_watchdog)
 {
     if (tight_watchdog)
-        obs::runObsOptions().watchdogCycles = kStormWatchdogCycles;
-    PerfModel model(p.machine());
+        run.watchdogCycles = kStormWatchdogCycles;
+    PerfModel model(p.machine(), run);
     model.loadWorkload(p.profile(), p.instrs);
     model.run();
     std::_Exit(0);
@@ -121,14 +121,14 @@ childRunPoint(const ChaosPoint &p, bool tight_watchdog)
  *  final audit anyway (unless natural eviction repairs it, in which
  *  case a clean exit is a correct outcome). */
 [[noreturn]] void
-childRunCoherent(const ChaosPoint &p)
+childRunCoherent(const ChaosPoint &p, obs::ObsOptions run)
 {
-    obs::runObsOptions().watchdogCycles = kStormWatchdogCycles;
-    obs::runObsOptions().checkLevel = "end";
+    run.watchdogCycles = kStormWatchdogCycles;
+    run.checkLevel = "end";
     ChaosPoint q = p;
     q.workload = "tpcc";
     q.numCpus = 2;
-    PerfModel model(q.machine());
+    PerfModel model(q.machine(), run);
     model.loadWorkload(q.profile(), q.instrs);
     model.run();
     std::_Exit(0);
@@ -140,9 +140,7 @@ childRunCoherent(const ChaosPoint &p)
 childTraceRoundTrip(const ChaosPoint &p, const CasePaths &paths,
                     std::uint64_t at)
 {
-    WorkloadProfile prof = p.profile();
-    prof.seed = obs::effectiveWorkloadSeed(prof.seed);
-    TraceGenerator gen(prof, 1);
+    TraceGenerator gen(p.profile(), 1);
     const std::size_t n = std::min<std::size_t>(p.instrs, 600);
     const InstrTrace trace = gen.generate(n, 0);
     writeTraceFile(paths.scratch, trace);
@@ -158,14 +156,8 @@ childTraceRoundTrip(const ChaosPoint &p, const CasePaths &paths,
 childCheckpointRoundTrip(const ChaosPoint &p, const CasePaths &paths)
 {
     const MachineParams m = p.machine();
-    WorkloadProfile prof = p.profile();
-    prof.seed = obs::effectiveWorkloadSeed(prof.seed);
-    TraceGenerator gen(prof, p.numCpus);
-    std::vector<std::shared_ptr<const InstrTrace>> traces;
-    for (CpuId cpu = 0; cpu < p.numCpus; ++cpu) {
-        traces.push_back(std::make_shared<const InstrTrace>(
-            gen.generate(p.instrs, cpu)));
-    }
+    const std::vector<std::shared_ptr<const InstrTrace>> traces =
+        p.traces();
     {
         SystemParams cp = m.sys;
         cp.warmupInstrs = p.instrs / 5;
@@ -190,7 +182,8 @@ childCheckpointRoundTrip(const ChaosPoint &p, const CasePaths &paths)
 /** Journalled two-point sweep whose append `at` is torn mid-line,
  *  then a resume that must recover every point. */
 [[noreturn]] void
-childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)
+childJournalTearResume(const ChaosPoint &p, const obs::ObsOptions &run,
+                       const CasePaths &paths)
 {
     const MachineParams m = p.machine();
     const WorkloadProfile prof = p.profile();
@@ -203,7 +196,8 @@ childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = paths.scratch;
+    opts.run = run;
+    opts.run.journalPath = paths.scratch;
     const exp::Sweep first = build();
     (void)exp::SweepRunner(opts).run(first); // tears append `at`.
 
@@ -211,7 +205,7 @@ childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)
     // armed.
     check::activeFaultPlan().clear();
     check::armFaultExitCode();
-    opts.resume = true;
+    opts.run.resume = true;
     const exp::Sweep second = build();
     const std::vector<exp::PointResult> res =
         exp::SweepRunner(opts).run(second);
@@ -226,21 +220,21 @@ childJournalTearResume(const ChaosPoint &p, const CasePaths &paths)
 runStormChild(const ChaosPoint &p, check::FaultKind kind,
               std::uint64_t at, const CasePaths &paths)
 {
-    setupChild(paths, kind, at);
+    const obs::ObsOptions run = setupChild(paths, kind, at);
     switch (kind) {
       case check::FaultKind::CommitStall:
       case check::FaultKind::LostGrant:
-        childRunPoint(p, /*tight_watchdog=*/true);
+        childRunPoint(p, run, /*tight_watchdog=*/true);
       case check::FaultKind::KillPoint:
-        childRunPoint(p, /*tight_watchdog=*/false);
+        childRunPoint(p, run, /*tight_watchdog=*/false);
       case check::FaultKind::LostInvalidate:
-        childRunCoherent(p);
+        childRunCoherent(p, run);
       case check::FaultKind::TraceCorrupt:
         childTraceRoundTrip(p, paths, at);
       case check::FaultKind::CorruptCheckpoint:
         childCheckpointRoundTrip(p, paths);
       case check::FaultKind::TruncateJournal:
-        childJournalTearResume(p, paths);
+        childJournalTearResume(p, run, paths);
       case check::FaultKind::None:
         break;
     }

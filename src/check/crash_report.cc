@@ -144,14 +144,14 @@ writeMemState(obs::JsonWriter &w, System &sys)
 
 std::string
 buildCrashReportJson(System &sys, const char *kind,
-                     const std::string &msg)
+                     const std::string &msg, std::uint64_t seed)
 {
     obs::JsonWriter w;
     w.beginObject();
     w.field("kind", kind);
     w.field("message", msg);
-    if (obs::globalSeedSet())
-        w.field("seed", obs::runObsOptions().seed);
+    if (seed != obs::ObsOptions::kUnset)
+        w.field("seed", seed);
     w.field("cycle", std::uint64_t{sys.currentCycle()});
     w.field("max_cycles", sys.params().maxCycles);
     w.field("hit_cycle_cap", sys.hitCycleCap());
@@ -192,11 +192,14 @@ writeCrashReport(const std::string &path, const std::string &json)
 }
 
 void
-installCrashReporting(const std::string &path)
+installCrashReporting(const std::string &path,
+                      const std::string &stats_json_path,
+                      std::uint64_t seed)
 {
     const std::string dest =
         path.empty() ? "crash_report.json" : path;
-    setErrorHook([dest](const char *kind, const std::string &msg) {
+    setErrorHook([dest, stats_json_path, seed](const char *kind,
+                                               const std::string &msg) {
         System *sys = crashSystem();
         if (!sys)
             return;
@@ -204,11 +207,11 @@ installCrashReporting(const std::string &path)
         // report files so they never interleave.
         static std::mutex reportMutex;
         std::lock_guard<std::mutex> lock(reportMutex);
-        writeCrashReport(dest, buildCrashReportJson(*sys, kind, msg));
+        writeCrashReport(dest,
+                         buildCrashReportJson(*sys, kind, msg, seed));
         // Salvage the partial stats of the crashed run as well.
-        const obs::ObsOptions &opts = obs::runObsOptions();
-        if (!opts.statsJsonPath.empty())
-            obs::writeStatsJson(sys->root(), opts.statsJsonPath);
+        if (!stats_json_path.empty())
+            obs::writeStatsJson(sys->root(), stats_json_path);
     });
 }
 
@@ -221,6 +224,7 @@ struct TriageState
     std::mutex mutex;
     std::vector<std::string> crashes; ///< rendered report objects.
     std::string path;
+    std::uint64_t seed = obs::ObsOptions::kUnset;
 };
 
 TriageState &
@@ -250,13 +254,14 @@ buildTriageDocument(const TriageState &state)
 } // namespace
 
 void
-installSweepCrashTriage(const std::string &path)
+installSweepCrashTriage(const std::string &path, std::uint64_t seed)
 {
     TriageState &state = triageState();
     {
         std::lock_guard<std::mutex> lock(state.mutex);
         state.crashes.clear();
         state.path = path.empty() ? "crash_report.json" : path;
+        state.seed = seed;
     }
     setErrorHook([](const char *kind, const std::string &msg) {
         System *sys = crashSystem();
@@ -268,7 +273,7 @@ installSweepCrashTriage(const std::string &path)
         // lost to a last-writer-wins overwrite.
         std::lock_guard<std::mutex> lock(st.mutex);
         st.crashes.push_back(
-            buildCrashReportJson(*sys, kind, msg));
+            buildCrashReportJson(*sys, kind, msg, st.seed));
         writeCrashReport(st.path, buildTriageDocument(st));
     });
 }

@@ -13,7 +13,10 @@
 #ifndef S64V_CHECK_CRASH_REPORT_HH
 #define S64V_CHECK_CRASH_REPORT_HH
 
+#include <cstdint>
 #include <string>
+
+#include "obs/run_obs.hh"
 
 namespace s64v
 {
@@ -46,9 +49,13 @@ void clearCrashPoint();
 /**
  * Render @p sys's state plus the error that killed it as a JSON
  * document (see DESIGN.md "Robustness & self-checks" for the schema).
+ * A @p seed other than ObsOptions::kUnset (the run's --seed=) is
+ * stamped as "seed".
  */
 std::string buildCrashReportJson(System &sys, const char *kind,
-                                 const std::string &msg);
+                                 const std::string &msg,
+                                 std::uint64_t seed =
+                                     obs::ObsOptions::kUnset);
 
 /** Write @p json to @p path. @return false (with a warning) on I/O
  *  failure. */
@@ -56,11 +63,14 @@ bool writeCrashReport(const std::string &path, const std::string &json);
 
 /**
  * Install the logging error hook: on panic()/fatal(), write a crash
- * report for the registered system to @p path (default
- * "crash_report.json" when empty) and flush a partial stats JSON if
- * --stats-json was given.
+ * report stamped with @p seed for the registered system to @p path
+ * (default "crash_report.json" when empty) and, when
+ * @p stats_json_path is non-empty, salvage the partial stats JSON
+ * there.
  */
-void installCrashReporting(const std::string &path);
+void installCrashReporting(const std::string &path,
+                           const std::string &stats_json_path,
+                           std::uint64_t seed);
 
 /**
  * Install the error hook in sweep-triage mode: under a parallel
@@ -75,10 +85,12 @@ void installCrashReporting(const std::string &path);
  *    "crashes": [ <crash report>, ... ]}
  *
  * after every crash, so the file always names every point that died
- * so far. Installing resets the list. Uninstall with
- * uninstallCrashReporting() as usual.
+ * so far. Each entry is stamped with @p seed. A sweep writes no stats
+ * JSON, so there is nothing to salvage. Installing resets the list.
+ * Uninstall with uninstallCrashReporting() as usual.
  */
-void installSweepCrashTriage(const std::string &path);
+void installSweepCrashTriage(const std::string &path,
+                             std::uint64_t seed);
 
 /** Crashes recorded by the triage sink since its install. */
 std::size_t sweepCrashCount();

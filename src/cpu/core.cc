@@ -96,7 +96,7 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
 }
 
 void
-Core::setTrace(TraceSource *source)
+Core::setTrace(VectorTraceSource *source)
 {
     fetch_->setSource(source);
 }

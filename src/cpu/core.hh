@@ -60,7 +60,7 @@ class Core : public Clocked
          stats::Group *parent);
 
     /** Attach the trace this core replays. */
-    void setTrace(TraceSource *source);
+    void setTrace(VectorTraceSource *source);
 
     /**
      * Attach a pipeline recorder; committed instructions' stage

@@ -31,7 +31,7 @@ FetchUnit::FetchUnit(const CoreParams &params, CpuId cpu,
 }
 
 void
-FetchUnit::setSource(TraceSource *source)
+FetchUnit::setSource(VectorTraceSource *source)
 {
     source_ = source;
 }

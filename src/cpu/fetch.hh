@@ -43,7 +43,7 @@ class FetchUnit
               stats::Group *parent);
 
     /** Attach the instruction trace to replay. */
-    void setSource(TraceSource *source);
+    void setSource(VectorTraceSource *source);
 
     /** Advance one cycle: form a group, land arrived groups. */
     void tick(Cycle cycle);
@@ -118,7 +118,7 @@ class FetchUnit
     CpuId cpu_;
     BranchPredictor &bpred_;
     MemSystem &mem_;
-    TraceSource *source_ = nullptr;
+    VectorTraceSource *source_ = nullptr;
 
     std::deque<Group> inflight_;
     std::deque<FetchedInstr> queue_;

@@ -1,5 +1,6 @@
 #include "exp/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,7 +15,6 @@
 #include "common/logging.hh"
 #include "exp/journal.hh"
 #include "model/fingerprint.hh"
-#include "obs/run_obs.hh"
 
 namespace s64v::exp
 {
@@ -29,22 +29,14 @@ Sweep::add(std::string label, MachineParams machine,
 }
 
 unsigned
-SweepRunner::resolveThreads(unsigned requested)
-{
-    if (requested != 0)
-        return requested;
-    if (obs::runObsOptions().threads != 0)
-        return obs::runObsOptions().threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-}
-
-unsigned
 SweepRunner::effectiveThreads(std::size_t num_points) const
 {
-    const unsigned resolved = resolveThreads(opts_.threads);
     if (num_points == 0)
         return 1;
+    unsigned resolved =
+        opts_.threads != 0 ? opts_.threads : opts_.run.threads;
+    if (resolved == 0)
+        resolved = std::max(1u, std::thread::hardware_concurrency());
     return resolved < num_points
         ? resolved
         : static_cast<unsigned>(num_points);
@@ -82,17 +74,15 @@ SweepRunner::effectiveMachine(const SweepPoint &point,
     MachineParams machine = point.machine;
     // The standard warmup convention of PerfModel::loadWorkload.
     machine.sys.warmupInstrs = point.instrs / 5;
-    if (opts_.watchdogEscalate) {
-        machine.sys.watchdogEscalate = true;
-        if (machine.sys.emergencyCheckpointPath.empty()) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "point%zu.emergency.ckpt",
-                          index);
-            machine.sys.emergencyCheckpointPath =
-                opts_.journalPath.empty()
-                    ? std::string(buf)
-                    : opts_.journalPath + "." + buf;
-        }
+    applyRunOverrides(machine.sys, opts_.run);
+    if (opts_.run.watchdogEscalate &&
+        machine.sys.emergencyCheckpointPath.empty()) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "point%zu.emergency.ckpt", index);
+        machine.sys.emergencyCheckpointPath =
+            opts_.run.journalPath.empty()
+                ? std::string(buf)
+                : opts_.run.journalPath + "." + buf;
     }
     return machine;
 }
@@ -111,10 +101,9 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index,
     ScopedThrowOnError isolate;
     try {
         PerfModel model(machine);
-        model.setEmbedded(true);
         for (CpuId cpu = 0; cpu < machine.sys.numCpus; ++cpu)
             model.loadTrace(cpu, traces[cpu]);
-        out.sim = model.run();
+        out.sim = model.prepare().run();
         if (metricFn)
             metricFn(model, out.sim, out.metrics);
         out.ok = true;
@@ -128,44 +117,38 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index,
 }
 
 std::vector<PointResult>
-SweepRunner::run(const Sweep &sweep)
+SweepRunner::run(const Sweep &sweep) const
 {
     const std::vector<SweepPoint> &points = sweep.points();
     std::vector<PointResult> results(points.size());
     if (points.empty())
         return results;
 
-    // Flag-level defaults, mirroring the --threads pattern: a harness
-    // that sets nothing programmatically inherits --journal/--resume/
-    // --watchdog-escalate from the command line.
-    {
-        const obs::ObsOptions &oo = obs::runObsOptions();
-        if (opts_.journalPath.empty())
-            opts_.journalPath = oo.journalPath;
-        if (oo.resume)
-            opts_.resume = true;
-        if (oo.watchdogEscalate)
-            opts_.watchdogEscalate = true;
-    }
+    const obs::ObsOptions &run = opts_.run;
 
-    // All trace synthesis happens here, serially, before any worker
-    // starts: N points over one workload share a single immutable
-    // trace, and generation order (hence every Rng stream) does not
-    // depend on the worker count.
+    // Each point's workload under the run's --seed= policy, the same
+    // one PerfModel::loadWorkload applies. All trace synthesis
+    // happens here, serially, before any worker starts: N points over
+    // one workload share a single immutable trace, and generation
+    // order (hence every Rng stream) does not depend on the worker
+    // count.
+    std::vector<WorkloadProfile> profiles(points.size());
     TracePool pool;
     std::vector<const TracePool::TraceSet *> traceSets(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        traceSets[i] = &pool.acquire(points[i].profile,
+        profiles[i] = points[i].profile;
+        profiles[i].seed =
+            obs::effectiveWorkloadSeed(run.seed, profiles[i].seed);
+        traceSets[i] = &pool.acquire(profiles[i],
                                      points[i].machine.sys.numCpus,
                                      points[i].instrs);
     }
 
-    // Process-level run machinery, once for the whole sweep. The
-    // embedded models skip their own installs. The triage sink
-    // aggregates every crashed point into one document instead of
-    // letting concurrent failures overwrite each other's report.
-    check::installSweepCrashTriage(
-        obs::runObsOptions().crashReportPath);
+    // Process-level run machinery, once for the whole sweep; a point
+    // installs neither. The triage sink aggregates every crashed
+    // point into one document instead of letting concurrent failures
+    // overwrite each other's report.
+    check::installSweepCrashTriage(run.crashReportPath, run.seed);
     check::ScopedSignalGuard guard;
 
     const unsigned threads = effectiveThreads(points.size());
@@ -173,7 +156,7 @@ SweepRunner::run(const Sweep &sweep)
     const MetricFn &metricFn = sweep.metricFn();
 
     // --- Durability: point keys, journal replay, write-ahead log ---
-    const bool journalled = !opts_.journalPath.empty();
+    const bool journalled = !run.journalPath.empty();
     std::vector<std::uint64_t> configHash(points.size(), 0);
     std::vector<std::uint64_t> workloadHash(points.size(), 0);
     if (journalled) {
@@ -181,18 +164,17 @@ SweepRunner::run(const Sweep &sweep)
             configHash[i] =
                 fingerprintMachine(effectiveMachine(points[i], i));
             const std::uint64_t key[2] = {
-                fingerprintWorkload(points[i].profile),
-                points[i].instrs};
+                fingerprintWorkload(profiles[i]), points[i].instrs};
             workloadHash[i] = ckpt::fnv1a(key, sizeof key);
         }
     }
 
     // Only an "ok" entry fills a point in; any other point runs once.
     std::vector<std::uint8_t> prefilled(points.size(), 0);
-    if (journalled && opts_.resume) {
+    if (journalled && run.resume) {
         std::size_t stale = 0;
         for (const JournalEntry &e :
-             RunJournal::load(opts_.journalPath)) {
+             RunJournal::load(run.journalPath)) {
             const std::size_t i = e.index;
             if (i >= points.size() || e.label != points[i].label ||
                 e.configHash != configHash[i] ||
@@ -212,23 +194,23 @@ SweepRunner::run(const Sweep &sweep)
         if (stale != 0) {
             warn("journal '%s': ignored %zu entries whose point/"
                  "config/workload/model keys no longer match",
-                 opts_.journalPath.c_str(), stale);
+                 run.journalPath.c_str(), stale);
         }
         std::size_t done = 0;
         for (const std::uint8_t p : prefilled)
             done += p;
         inform("resume: %zu of %zu points already complete in '%s'",
-               done, points.size(), opts_.journalPath.c_str());
+               done, points.size(), run.journalPath.c_str());
     }
 
     RunJournal journal;
     std::mutex journalMutex;
     if (journalled) {
         std::string err;
-        if (!journal.open(opts_.journalPath, &err)) {
+        if (!journal.open(run.journalPath, &err)) {
             warn("cannot open run journal '%s': %s; sweep continues "
                  "without durability",
-                 opts_.journalPath.c_str(), err.c_str());
+                 run.journalPath.c_str(), err.c_str());
         }
     }
 
@@ -309,12 +291,6 @@ SweepRunner::run(const Sweep &sweep)
 
     check::uninstallCrashReporting();
     return results;
-}
-
-std::vector<PointResult>
-runSweep(const Sweep &sweep)
-{
-    return SweepRunner().run(sweep);
 }
 
 } // namespace s64v::exp

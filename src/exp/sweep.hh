@@ -14,9 +14,15 @@
  * parallel sweeps produce bit-identical SimResults point for point.
  * Progress is reported only through SweepOptions::progressFn.
  *
- * Thread count: SweepOptions::threads, else the process-wide
- * --threads=N flag (obs::runObsOptions().threads), else one worker
- * per hardware thread.
+ * Run options: SweepOptions::run carries the entry point's parsed
+ * flags. The runner applies the ones that concern a sweep — threads,
+ * seed, watchdog, check level, engine, crash-report path, journal,
+ * resume and watchdog escalation — and ignores the single-run outputs
+ * (stats JSON, traces, samples, pipeview, checkpoints): a sweep
+ * point writes nothing.
+ *
+ * Thread count: SweepOptions::threads, else run.threads (--threads=N),
+ * else one worker per hardware thread.
  */
 
 #ifndef S64V_EXP_SWEEP_HH
@@ -31,6 +37,7 @@
 #include "exp/trace_pool.hh"
 #include "model/params.hh"
 #include "model/perf_model.hh"
+#include "obs/run_obs.hh"
 #include "sim/system.hh"
 #include "workload/profile.hh"
 
@@ -95,8 +102,8 @@ class Sweep
 struct SweepOptions
 {
     /**
-     * Worker threads; 0 defers to --threads=N and then to
-     * std::thread::hardware_concurrency(). Clamped to the point
+     * Worker threads; 0 defers to run.threads (--threads=N) and then
+     * to std::thread::hardware_concurrency(). Clamped to the point
      * count. 1 runs every point inline on the calling thread.
      */
     unsigned threads = 0;
@@ -111,39 +118,25 @@ struct SweepOptions
     std::function<void(std::size_t done, std::size_t total,
                        double agg_kips)> progressFn;
     /**
-     * Write-ahead run journal (empty = none): every point that runs
-     * is appended to this JSONL file, "ok" or "failed", and fsynced
-     * before its result is merged, so a killed sweep can resume.
+     * The run options (see the file comment): journalPath, resume
+     * and watchdogEscalate make the sweep durable; seed, watchdog,
+     * check level and engine apply to every point.
      */
-    std::string journalPath;
-    /**
-     * Replay the journal at journalPath before dispatching: points
-     * with a matching "ok" entry are prefilled from it (bit-identical
-     * merge, doubles round-trip exactly) and not re-run; every other
-     * point runs once. Entries whose config/workload/model-version
-     * keys no longer match the sweep are ignored with a warning.
-     */
-    bool resume = false;
-    /**
-     * Watchdog escalation: a hung point writes an emergency
-     * checkpoint (next to the journal, or "point<i>.emergency.ckpt"
-     * without one) before the watchdog kill, so the wedged machine
-     * state survives for offline dissection.
-     */
-    bool watchdogEscalate = false;
+    obs::ObsOptions run;
 };
 
 /**
  * Executes Sweeps. Owns the process-level run machinery (crash
- * reporting, the SIGINT/SIGTERM guard) once for the whole sweep; the
- * embedded PerfModels it hosts skip their per-run installs. The
- * process-wide observability options and fault-injection plan must
- * not be mutated while run() is executing.
+ * triage, the SIGINT/SIGTERM guard) once for the whole sweep; each
+ * point runs through PerfModel::prepare() and System::run(), which
+ * install neither. The process-wide fault-injection plan must not be
+ * mutated while run() is executing.
  */
 class SweepRunner
 {
   public:
-    explicit SweepRunner(SweepOptions opts = {}) : opts_(opts) {}
+    explicit SweepRunner(SweepOptions opts = {})
+        : opts_(std::move(opts)) {}
 
     /**
      * Run every point; @return results in point order. A failed point
@@ -152,18 +145,18 @@ class SweepRunner
      * finish at the next cycle boundary and undispatched points come
      * back as failed with error "interrupted".
      */
-    std::vector<PointResult> run(const Sweep &sweep);
+    std::vector<PointResult> run(const Sweep &sweep) const;
 
-    /** The worker count run() will use for @p num_points points. */
+    /**
+     * The worker count run() will use for @p num_points points (see
+     * SweepOptions::threads).
+     */
     unsigned effectiveThreads(std::size_t num_points) const;
 
-    /** Resolve a thread request (see SweepOptions::threads). */
-    static unsigned resolveThreads(unsigned requested);
-
   private:
-    /** The machine a point actually runs (warmup and escalation
-     *  conventions applied); also what the journal's config hash
-     *  covers. */
+    /** The machine a point actually runs (warmup convention, run
+     *  overrides and escalation applied); also what the journal's
+     *  config hash covers. */
     MachineParams effectiveMachine(const SweepPoint &point,
                                    std::size_t index) const;
 
@@ -173,9 +166,6 @@ class SweepRunner
 
     SweepOptions opts_;
 };
-
-/** One-shot convenience: run @p sweep with default options. */
-std::vector<PointResult> runSweep(const Sweep &sweep);
 
 } // namespace s64v::exp
 

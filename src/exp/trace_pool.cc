@@ -1,7 +1,6 @@
 #include "exp/trace_pool.hh"
 
 #include "common/logging.hh"
-#include "obs/run_obs.hh"
 #include "workload/generator.hh"
 
 namespace s64v::exp
@@ -16,18 +15,12 @@ TracePool::acquire(const WorkloadProfile &profile, unsigned num_cpus,
     if (instrs == 0)
         fatal("TracePool::acquire: zero-length trace");
 
-    // A process-wide --seed= re-keys every synthesis stream; the pool
-    // key uses the effective seed so sweeps under different global
-    // seeds never share (or miss) cache entries.
-    WorkloadProfile effective = profile;
-    effective.seed = obs::effectiveWorkloadSeed(profile.seed);
-
-    const Key key{effective.name, effective.seed, num_cpus, instrs};
+    const Key key{profile.name, profile.seed, num_cpus, instrs};
     auto it = pool_.find(key);
     if (it != pool_.end())
         return it->second;
 
-    TraceGenerator gen(effective, num_cpus);
+    TraceGenerator gen(profile, num_cpus);
     TraceSet set;
     set.reserve(num_cpus);
     for (CpuId cpu = 0; cpu < num_cpus; ++cpu) {

@@ -42,6 +42,8 @@ class TracePool
      * @p num_cpus-way system, @p instrs records per CPU. Identity is
      * (profile.name, profile.seed, num_cpus, instrs) — the same
      * identity TraceGenerator's determinism contract is keyed on.
+     * The profile is synthesized as given: a run's --seed= is mixed
+     * in by the caller (SweepRunner), not here.
      */
     const TraceSet &acquire(const WorkloadProfile &profile,
                             unsigned num_cpus, std::size_t instrs);

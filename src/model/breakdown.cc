@@ -24,7 +24,7 @@ Breakdown::toString() const
 std::vector<Breakdown>
 computeBreakdowns(const MachineParams &base,
                   const std::vector<WorkloadProfile> &profiles,
-                  std::size_t instrs_per_cpu)
+                  std::size_t instrs_per_cpu, const obs::ObsOptions &run)
 {
     // The §4.2 differential ladder, from the real machine to an
     // ideal core. The four variants of one workload share a single
@@ -48,8 +48,10 @@ computeBreakdowns(const MachineParams &base,
         }
     }
 
+    exp::SweepOptions opts;
+    opts.run = run;
     const std::vector<exp::PointResult> flat =
-        exp::SweepRunner().run(sweep);
+        exp::SweepRunner(opts).run(sweep);
 
     std::vector<Breakdown> out(profiles.size());
     for (std::size_t w = 0; w < profiles.size(); ++w) {
@@ -76,9 +78,9 @@ computeBreakdowns(const MachineParams &base,
 Breakdown
 computeBreakdown(const MachineParams &base,
                  const WorkloadProfile &profile,
-                 std::size_t instrs_per_cpu)
+                 std::size_t instrs_per_cpu, const obs::ObsOptions &run)
 {
-    return computeBreakdowns(base, {profile}, instrs_per_cpu)[0];
+    return computeBreakdowns(base, {profile}, instrs_per_cpu, run)[0];
 }
 
 Breakdown

@@ -15,6 +15,7 @@
 
 #include "model/params.hh"
 #include "obs/cpi_stack.hh"
+#include "obs/run_obs.hh"
 #include "workload/profile.hh"
 
 namespace s64v
@@ -39,10 +40,14 @@ struct Breakdown
  * @param base machine configuration (UP or SMP).
  * @param profile workload to synthesize.
  * @param instrs_per_cpu trace length per CPU.
+ * @param run the entry point's run options, applied as a sweep
+ * applies them (SweepOptions::run): seed, threads, watchdog, check
+ * level, engine. The differential runs write no files.
  */
 Breakdown computeBreakdown(const MachineParams &base,
                            const WorkloadProfile &profile,
-                           std::size_t instrs_per_cpu);
+                           std::size_t instrs_per_cpu,
+                           const obs::ObsOptions &run);
 
 /**
  * Batch form: breakdowns for many workloads at once. All
@@ -54,7 +59,8 @@ Breakdown computeBreakdown(const MachineParams &base,
 std::vector<Breakdown>
 computeBreakdowns(const MachineParams &base,
                   const std::vector<WorkloadProfile> &profiles,
-                  std::size_t instrs_per_cpu);
+                  std::size_t instrs_per_cpu,
+                  const obs::ObsOptions &run);
 
 /**
  * Fold a single-pass commit-slot stack (obs::CpiStack) into the

@@ -27,8 +27,19 @@ constexpr std::size_t kTracePipeviewCapacity = 4096;
 
 } // namespace
 
-PerfModel::PerfModel(MachineParams params)
-    : params_(std::move(params))
+void
+applyRunOverrides(SystemParams &sys, const obs::ObsOptions &run)
+{
+    if (run.watchdogCycles != obs::ObsOptions::kUnset)
+        sys.watchdogCycles = run.watchdogCycles;
+    if (!run.skipAhead)
+        sys.skipAhead = false;
+    if (!run.checkLevel.empty())
+        sys.checkLevel = check::checkLevelFromString(run.checkLevel.c_str());
+}
+
+PerfModel::PerfModel(MachineParams params, obs::ObsOptions run)
+    : params_(std::move(params)), run_(std::move(run))
 {
     traces_.resize(params_.sys.numCpus);
 }
@@ -39,11 +50,11 @@ void
 PerfModel::loadWorkload(const WorkloadProfile &profile,
                         std::size_t instrs_per_cpu)
 {
-    // Honour the process-wide --seed= policy the same way TracePool
-    // does, so direct loads and pooled sweeps synthesize identical
-    // traces for identical (global seed, profile) pairs.
+    // The --seed= policy the sweep runner applies too, so direct
+    // loads and sweep points synthesize identical traces for
+    // identical (run seed, profile) pairs.
     WorkloadProfile effective = profile;
-    effective.seed = obs::effectiveWorkloadSeed(profile.seed);
+    effective.seed = obs::effectiveWorkloadSeed(run_.seed, profile.seed);
     TraceGenerator gen(effective, params_.sys.numCpus);
     for (CpuId cpu = 0; cpu < params_.sys.numCpus; ++cpu) {
         traces_[cpu] = std::make_shared<const InstrTrace>(
@@ -74,36 +85,25 @@ PerfModel::prepare()
                   cpu);
     }
 
-    const obs::ObsOptions &opts = obs::runObsOptions();
     SystemParams sys = params_.sys;
-    if (!embedded_ && !opts.sampleOutPath.empty() &&
-        sys.samplePeriod == 0) {
-        sys.samplePeriod = opts.samplePeriod ? opts.samplePeriod
+    applyRunOverrides(sys, run_);
+    if (!run_.sampleOutPath.empty() && sys.samplePeriod == 0) {
+        sys.samplePeriod = run_.samplePeriod ? run_.samplePeriod
                                              : kDefaultSamplePeriod;
     }
-    if (!embedded_ && opts.heartbeatPeriod != 0 &&
-        sys.heartbeatPeriod == 0)
-        sys.heartbeatPeriod = opts.heartbeatPeriod;
-    if (opts.watchdogCycles != obs::ObsOptions::kUnset)
-        sys.watchdogCycles = opts.watchdogCycles;
-    if (!opts.skipAhead)
-        sys.skipAhead = false;
-    if (!opts.checkLevel.empty()) {
-        sys.checkLevel =
-            check::checkLevelFromString(opts.checkLevel.c_str());
-    }
-    if (!embedded_ && !opts.checkpointOut.empty() &&
-        sys.checkpoint.path.empty()) {
-        sys.checkpoint.atCycle = opts.checkpointAt;
-        sys.checkpoint.path = opts.checkpointOut;
-        sys.checkpoint.stopAfter = opts.checkpointStop;
+    if (run_.heartbeatPeriod != 0 && sys.heartbeatPeriod == 0)
+        sys.heartbeatPeriod = run_.heartbeatPeriod;
+    if (!run_.checkpointOut.empty() && sys.checkpoint.path.empty()) {
+        sys.checkpoint.atCycle = run_.checkpointAt;
+        sys.checkpoint.path = run_.checkpointOut;
+        sys.checkpoint.stopAfter = run_.checkpointStop;
     }
 
     system_ = std::make_unique<System>(sys, params_.name);
     for (CpuId cpu = 0; cpu < traces_.size(); ++cpu)
         system_->attachTrace(cpu, traces_[cpu]);
-    if (!embedded_ && !opts.restorePath.empty())
-        ckpt::restoreSystemCheckpoint(*system_, opts.restorePath);
+    if (!run_.restorePath.empty())
+        ckpt::restoreSystemCheckpoint(*system_, run_.restorePath);
     attachObservers();
     return *system_;
 }
@@ -111,29 +111,13 @@ PerfModel::prepare()
 void
 PerfModel::attachObservers()
 {
-    const obs::ObsOptions &opts = obs::runObsOptions();
     const SystemParams &sys = system_->params();
 
     sampler_.reset();
-    if (embedded_) {
-        // File-output observers are per-process conveniences; N
-        // concurrent sweep points must not race on the same paths.
-        heartbeat_.reset();
-        trace_.reset();
-        pipeviews_.clear();
-        if (sys.heartbeatPeriod != 0) {
-            std::uint64_t expected = 0;
-            for (const auto &t : traces_)
-                expected += t->size();
-            heartbeat_ = std::make_unique<obs::Heartbeat>(expected);
-            system_->attachHeartbeat(heartbeat_.get());
-        }
-        return;
-    }
-    if (sys.samplePeriod != 0 && !opts.sampleOutPath.empty()) {
+    if (sys.samplePeriod != 0 && !run_.sampleOutPath.empty()) {
         sampler_ = std::make_unique<obs::IntervalSampler>(
             system_->root(), sys.samplePeriod);
-        if (sampler_->openFile(opts.sampleOutPath))
+        if (sampler_->openFile(run_.sampleOutPath))
             system_->attachSampler(sampler_.get());
         else
             sampler_.reset();
@@ -150,7 +134,7 @@ PerfModel::attachObservers()
 
     trace_.reset();
     pipeviews_.clear();
-    if (!opts.traceOutPath.empty()) {
+    if (!run_.traceOutPath.empty()) {
         trace_ = std::make_unique<obs::ChromeTraceWriter>();
         MemSystem &mem = system_->mem();
         mem.bus().attachTrace(trace_.get());
@@ -160,7 +144,7 @@ PerfModel::attachObservers()
             mem.l2(cpu).attachTrace(trace_.get());
         }
     }
-    if (!opts.traceOutPath.empty() || !opts.pipeviewOutPath.empty()) {
+    if (!run_.traceOutPath.empty() || !run_.pipeviewOutPath.empty()) {
         for (CpuId cpu = 0; cpu < traces_.size(); ++cpu) {
             pipeviews_.push_back(std::make_unique<PipeviewRecorder>(
                 kTracePipeviewCapacity));
@@ -172,28 +156,25 @@ PerfModel::attachObservers()
 void
 PerfModel::finishObservers(const SimResult &res)
 {
-    if (embedded_)
-        return;
-    const obs::ObsOptions &opts = obs::runObsOptions();
     if (trace_) {
         for (CpuId cpu = 0; cpu < pipeviews_.size(); ++cpu)
             trace_->addPipeview(static_cast<int>(cpu),
                                 *pipeviews_[cpu]);
-        trace_->writeFile(opts.traceOutPath);
+        trace_->writeFile(run_.traceOutPath);
     }
-    if (!opts.pipeviewOutPath.empty() && !pipeviews_.empty()) {
-        std::ofstream f(opts.pipeviewOutPath);
+    if (!run_.pipeviewOutPath.empty() && !pipeviews_.empty()) {
+        std::ofstream f(run_.pipeviewOutPath);
         if (!f) {
             warn("cannot write pipeview trace to '%s'",
-                 opts.pipeviewOutPath.c_str());
+                 run_.pipeviewOutPath.c_str());
         } else {
             for (CpuId cpu = 0; cpu < pipeviews_.size(); ++cpu)
                 pipeviews_[cpu]->writeO3PipeView(f, cpu);
         }
     }
-    if (!opts.statsJsonPath.empty()) {
-        obs::writeStatsJson(system_->root(), opts.statsJsonPath,
-                            &res);
+    if (!run_.statsJsonPath.empty()) {
+        obs::writeStatsJson(system_->root(), run_.statsJsonPath, &res,
+                            run_.seed);
     }
 }
 
@@ -202,16 +183,10 @@ PerfModel::run()
 {
     // Any panic/fatal from here on dumps the dying system's state;
     // SIGINT/SIGTERM stop the run at a cycle boundary instead of
-    // killing the process, so the observers below still flush. A
-    // sweep-embedded run leaves both to the sweep runner, which owns
-    // them once for the whole sweep.
-    if (!embedded_) {
-        check::installCrashReporting(
-            obs::runObsOptions().crashReportPath);
-    }
-    std::unique_ptr<check::ScopedSignalGuard> signal_guard;
-    if (!embedded_)
-        signal_guard = std::make_unique<check::ScopedSignalGuard>();
+    // killing the process, so the observers below still flush.
+    check::installCrashReporting(run_.crashReportPath,
+                                 run_.statsJsonPath, run_.seed);
+    check::ScopedSignalGuard signal_guard;
 
     System &sys = prepare();
     SimResult res = sys.run();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "model/params.hh"
+#include "obs/run_obs.hh"
 #include "sim/system.hh"
 #include "workload/profile.hh"
 
@@ -26,14 +27,26 @@ class IntervalSampler;
 } // namespace obs
 
 /**
+ * Apply @p run's machine overrides (--watchdog=, --check=,
+ * --no-skip-ahead) to @p sys. PerfModel::prepare() and
+ * exp::SweepRunner share it, so a single run and a sweep point
+ * resolve those flags the same way.
+ */
+void applyRunOverrides(SystemParams &sys, const obs::ObsOptions &run);
+
+/**
  * One configured performance model. A PerfModel owns its traces; each
  * run() builds a fresh System so the same model can be re-run.
  *
- * Observability: run() consults the process-wide obs::runObsOptions()
- * (populated by obs::parseObsArgs from any entry point's argv) and
- * attaches the matching observers — interval sampler, heartbeat,
- * Chrome-trace writer — to the System it builds, then writes the
- * stats-JSON / trace files after the run.
+ * Options: the model keeps the obs::ObsOptions it was built with
+ * (parsed by obs::parseObsArgs from an entry point's argv; default:
+ * none). prepare() applies their overrides and attaches the observers
+ * they name — interval sampler, heartbeat, Chrome-trace writer,
+ * pipeview recorders — and run() writes the stats-JSON / trace files
+ * after the run. A model built without options attaches only the
+ * heartbeat its own SystemParams asks for and writes nothing; the
+ * sweep runner and the chaos invariants run their points that way,
+ * through prepare() and System::run().
  *
  * Robustness: run() installs crash reporting (panic/fatal dumps the
  * dying system's state as JSON, see check/crash_report.hh) and a
@@ -45,12 +58,13 @@ class IntervalSampler;
 class PerfModel
 {
   public:
-    explicit PerfModel(MachineParams params);
+    explicit PerfModel(MachineParams params, obs::ObsOptions run = {});
     ~PerfModel();
 
     /**
      * Synthesize traces for every CPU from @p profile
-     * (@p instrs_per_cpu records each).
+     * (@p instrs_per_cpu records each), its seed re-keyed by the
+     * model's --seed= (see obs::effectiveWorkloadSeed).
      */
     void loadWorkload(const WorkloadProfile &profile,
                       std::size_t instrs_per_cpu);
@@ -70,27 +84,20 @@ class PerfModel
     }
 
     /**
-     * Mark this model as embedded in a sweep: run() skips the
-     * process-level conveniences that are not thread-safe or would
-     * collide across concurrent runs — consulting the file-output
-     * observability options, installing crash reporting and signal
-     * handlers — while still honouring the watchdog / check-level
-     * overrides. The sweep runner owns those process-level concerns
-     * once for the whole sweep.
-     */
-    void setEmbedded(bool embedded) { embedded_ = embedded; }
-
-    /**
-     * Build a fresh system with traces and observers attached but do
-     * not run it. run() calls this; tests and tools can use it to
-     * inspect or tweak the system before running.
+     * Build a fresh system with the options' overrides applied and
+     * their observers attached, but do not run it. run() calls this;
+     * sweeps, tests and tools call it and then System::run().
      */
     System &prepare();
 
-    /** Build a fresh system, run it, keep it for inspection. */
+    /**
+     * The single-run entry point: install crash reporting and the
+     * signal guard, prepare() and run the system, write the output
+     * files the options name. Keeps the system for inspection.
+     */
     SimResult run();
 
-    /** The system of the most recent run(); panics if none. */
+    /** The system of the most recent prepare(); panics if none. */
     System &system();
 
     const MachineParams &params() const { return params_; }
@@ -107,11 +114,11 @@ class PerfModel
     void finishObservers(const SimResult &res);
 
     MachineParams params_;
+    obs::ObsOptions run_;
     std::vector<std::shared_ptr<const InstrTrace>> traces_;
     std::unique_ptr<System> system_;
-    bool embedded_ = false;
 
-    /** Observers for the current system (see obs::runObsOptions). @{ */
+    /** Observers for the current system (see run_). @{ */
     std::unique_ptr<obs::IntervalSampler> sampler_;
     std::unique_ptr<obs::Heartbeat> heartbeat_;
     std::unique_ptr<obs::ChromeTraceWriter> trace_;

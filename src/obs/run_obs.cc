@@ -8,25 +8,12 @@
 namespace s64v::obs
 {
 
-ObsOptions &
-runObsOptions()
-{
-    static ObsOptions options;
-    return options;
-}
-
-bool
-globalSeedSet()
-{
-    return runObsOptions().seed != ObsOptions::kUnset;
-}
-
 std::uint64_t
-effectiveWorkloadSeed(std::uint64_t profile_seed)
+effectiveWorkloadSeed(std::uint64_t run_seed, std::uint64_t profile_seed)
 {
-    if (!globalSeedSet())
+    if (run_seed == ObsOptions::kUnset)
         return profile_seed;
-    return mixSeeds(runObsOptions().seed, profile_seed);
+    return mixSeeds(run_seed, profile_seed);
 }
 
 namespace
@@ -48,11 +35,11 @@ matchFlag(const std::string &arg, const char *name)
 
 } // namespace
 
-std::vector<std::string>
-parseObsArgs(int argc, const char *const *argv)
+ObsOptions
+parseObsArgs(int argc, const char *const *argv,
+             std::vector<std::string> *rest)
 {
-    ObsOptions &opts = runObsOptions();
-    std::vector<std::string> rest;
+    ObsOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (const char *v = matchFlag(arg, "stats-json"))
@@ -103,10 +90,10 @@ parseObsArgs(int argc, const char *const *argv)
             opts.checkLevel = v;
         } else if (const char *v = matchFlag(arg, "inject-fault"))
             check::activeFaultPlan().parse(v);
-        else
-            rest.push_back(arg);
+        else if (rest)
+            rest->push_back(arg);
     }
-    return rest;
+    return opts;
 }
 
 } // namespace s64v::obs

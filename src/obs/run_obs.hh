@@ -1,13 +1,14 @@
 /**
  * @file
- * Process-wide observability options. Every entry point (quickstart,
- * the per-figure bench harnesses, the examples) accepts the same
- * flags — --stats-json=<path>, --trace-out=<path>,
- * --sample-out=<path>, sample-period=N, heartbeat=N, --threads=N —
- * parsed once into this global; PerfModel::run() consults it and
- * attaches the matching observers to every single-run System it
- * builds, and the sweep runner (exp/sweep.hh) reads `threads` to size
- * its pool.
+ * Run options. Every entry point (quickstart, the per-figure bench
+ * harnesses, the examples) accepts the same flags —
+ * --stats-json=<path>, --trace-out=<path>, --sample-out=<path>,
+ * sample-period=N, heartbeat=N, --threads=N, --seed=N, ... — parsed
+ * once into an ObsOptions value that the entry point hands to the
+ * two places that apply it: PerfModel for a single run and
+ * exp::SweepRunner (through SweepOptions::run) for a sweep. Nothing
+ * here is process-wide except the fault plan --inject-fault= arms
+ * (check/fault_inject.hh).
  */
 
 #ifndef S64V_OBS_RUN_OBS_HH
@@ -20,7 +21,7 @@
 namespace s64v::obs
 {
 
-/** What to record during model runs, and where to put it. */
+/** What to record during a run, where to put it, and how to run. */
 struct ObsOptions
 {
     /** Sentinel for numeric options the command line did not set. */
@@ -46,7 +47,7 @@ struct ObsOptions
     std::string checkLevel;
     /**
      * Worker threads for experiment sweeps (--threads=N; 0 = one per
-     * hardware thread). Read-only while any sweep is running.
+     * hardware thread; see exp::SweepOptions::threads).
      */
     unsigned threads = 0;
     /**
@@ -57,48 +58,58 @@ struct ObsOptions
      */
     bool skipAhead = true;
 
-    /** Checkpoint controls for non-embedded runs. @{ */
+    /** Checkpoint controls for single runs. @{ */
     std::uint64_t checkpointAt = 0; ///< trigger cycle (0 is valid).
     std::string checkpointOut;      ///< snapshot path ("" = off).
     bool checkpointStop = false;    ///< stop right after writing.
     std::string restorePath;        ///< restore this snapshot first.
     /** @} */
 
-    /** Sweep durability defaults (see exp::SweepOptions). @{ */
-    std::string journalPath;     ///< write-ahead run journal.
-    bool resume = false;         ///< replay the journal first.
-    bool watchdogEscalate = false; ///< emergency-checkpoint hung points.
+    /** Sweep durability (see exp::SweepRunner). @{ */
+    /**
+     * Write-ahead run journal (empty = none): every point that runs
+     * is appended to this JSONL file, "ok" or "failed", and fsynced
+     * before its result is merged, so a killed sweep can resume.
+     */
+    std::string journalPath;
+    /**
+     * Replay the journal at journalPath before dispatching: points
+     * with a matching "ok" entry are prefilled from it (bit-identical
+     * merge, doubles round-trip exactly) and not re-run; every other
+     * point runs once. Entries whose config/workload/model-version
+     * keys no longer match the sweep are ignored with a warning.
+     */
+    bool resume = false;
+    /**
+     * Watchdog escalation: a hung point writes an emergency
+     * checkpoint (next to the journal, or "point<i>.emergency.ckpt"
+     * without one) before the watchdog kill, so the wedged machine
+     * state survives for offline dissection.
+     */
+    bool watchdogEscalate = false;
     /** @} */
 
     /**
-     * Process-wide randomness seed (--seed=N; kUnset = none given).
-     * When set, every source of randomness derives from it — workload
+     * Run seed (--seed=N; kUnset = none given). When set, workload
      * trace synthesis mixes it into each profile's own seed (see
-     * effectiveWorkloadSeed), and the chaos campaign engine seeds its
-     * fuzzer and fault storms from it — so a run or campaign point is
-     * replayable byte-for-byte from the one number. The effective
-     * seed is printed in stats JSON ("run.seed") and crash reports
-     * ("seed").
+     * effectiveWorkloadSeed), so a run is replayable byte-for-byte
+     * from the one number. It is stamped into the stats JSON
+     * ("run.seed") and crash reports ("seed").
      */
     std::uint64_t seed = kUnset;
 };
 
-/** The process-wide options PerfModel::run() consults. */
-ObsOptions &runObsOptions();
-
-/** True when a process-wide --seed= was given. */
-bool globalSeedSet();
-
 /**
- * A workload profile's trace-synthesis seed under the process-wide
- * seed policy: @p profile_seed itself when no --seed= was given, else
- * mixSeeds(global, profile_seed) — distinct workloads keep distinct
- * streams while the whole process re-keys off one number.
+ * A workload profile's trace-synthesis seed under a run's --seed=
+ * policy: @p profile_seed itself when @p run_seed is kUnset, else
+ * mixSeeds(run_seed, profile_seed) — distinct workloads keep distinct
+ * streams while the whole run re-keys off one number.
  */
-std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
+std::uint64_t effectiveWorkloadSeed(std::uint64_t run_seed,
+                                    std::uint64_t profile_seed);
 
 /**
- * Parse the observability flags out of @p argv into runObsOptions().
+ * Parse the run flags out of @p argv.
  * Every flag is accepted with or without the leading dashes. The
  * recording flags "stats-json=", "trace-out=", "pipeview-out=",
  * "sample-out=", "sample-period=" and "heartbeat=" apply to single
@@ -111,13 +122,16 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t profile_seed);
  * 0 = hardware concurrency), "journal=<path>", "resume" /
  * "resume=<journal>" and "watchdog-escalate"; "seed=<n>"; and
  * "no-skip-ahead". A numeric value that is not a whole unsigned
- * integer (see parseU64) is fatal().
+ * integer (see parseU64) is fatal(). "inject-fault=" arms the
+ * process-wide check::activeFaultPlan(); every other flag lands only
+ * in the returned value.
  *
- * @return the arguments after argv[0] that are none of these, in
- * order — what is left for the caller's own option parsing.
+ * @param rest if non-null, receives the arguments after argv[0] that
+ * are none of these, in order — what is left for the caller's own
+ * option parsing.
  */
-std::vector<std::string> parseObsArgs(int argc,
-                                      const char *const *argv);
+ObsOptions parseObsArgs(int argc, const char *const *argv,
+                        std::vector<std::string> *rest = nullptr);
 
 } // namespace s64v::obs
 

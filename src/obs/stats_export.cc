@@ -4,7 +4,6 @@
 
 #include "common/file_util.hh"
 #include "common/logging.hh"
-#include "obs/run_obs.hh"
 #include "sim/system.hh"
 
 namespace s64v::obs
@@ -124,7 +123,8 @@ StatsExporter::visitHistogram(const stats::Group &g,
 }
 
 std::string
-exportStatsJson(const stats::Group &root, const SimResult *result)
+exportStatsJson(const stats::Group &root, const SimResult *result,
+                std::uint64_t seed)
 {
     JsonWriter w;
     StatsExporter exporter(w);
@@ -142,8 +142,8 @@ exportStatsJson(const stats::Group &root, const SimResult *result)
               std::uint64_t{result->warmupEndCycle});
     run.field("hit_cycle_cap", result->hitCycleCap);
     run.field("interrupted", result->interrupted);
-    if (globalSeedSet())
-        run.field("seed", runObsOptions().seed);
+    if (seed != ObsOptions::kUnset)
+        run.field("seed", seed);
     run.end();
 
     // Splice the run outcome in as the first key of the top-level
@@ -155,10 +155,10 @@ exportStatsJson(const stats::Group &root, const SimResult *result)
 
 bool
 writeStatsJson(const stats::Group &root, const std::string &path,
-               const SimResult *result)
+               const SimResult *result, std::uint64_t seed)
 {
     std::string err;
-    if (!atomicWriteFile(path, exportStatsJson(root, result) + '\n',
+    if (!atomicWriteFile(path, exportStatsJson(root, result, seed) + '\n',
                          &err)) {
         warn("cannot write stats JSON to '%s': %s", path.c_str(),
              err.c_str());

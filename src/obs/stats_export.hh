@@ -14,10 +14,12 @@
 #ifndef S64V_OBS_STATS_EXPORT_HH
 #define S64V_OBS_STATS_EXPORT_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/stats.hh"
 #include "obs/json.hh"
+#include "obs/run_obs.hh"
 
 namespace s64v
 {
@@ -67,16 +69,20 @@ class StatsExporter : public stats::Visitor
  * key of the top-level group — cycles, instructions, IPC, and the
  * hit_cycle_cap / interrupted flags — so a maxCycles-capped or
  * signal-stopped run is machine-distinguishable from a clean finish.
+ * A @p seed other than ObsOptions::kUnset (the run's --seed=) is
+ * stamped into that object as "seed".
  */
 std::string exportStatsJson(const stats::Group &root,
-                            const SimResult *result = nullptr);
+                            const SimResult *result = nullptr,
+                            std::uint64_t seed = ObsOptions::kUnset);
 
 /**
- * Write exportStatsJson(@p root, @p result) to @p path.
+ * Write exportStatsJson(@p root, @p result, @p seed) to @p path.
  * @return false (with a warning) if the file cannot be written.
  */
 bool writeStatsJson(const stats::Group &root, const std::string &path,
-                    const SimResult *result = nullptr);
+                    const SimResult *result = nullptr,
+                    std::uint64_t seed = ObsOptions::kUnset);
 
 /** Serialize a distribution as an object under @p key. */
 void writeDistribution(JsonWriter &w, const stats::Distribution &d);

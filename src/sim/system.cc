@@ -152,8 +152,7 @@ System::run()
             }
             if (watchdog->check(cycle, totalRawCommitted(),
                                 last_commit)) {
-                if (params_.watchdogEscalate &&
-                    !params_.emergencyCheckpointPath.empty()) {
+                if (!params_.emergencyCheckpointPath.empty()) {
                     warn("watchdog fired; writing emergency "
                          "checkpoint to '%s'",
                          params_.emergencyCheckpointPath.c_str());

@@ -91,11 +91,10 @@ struct SystemParams
     /** Mid-run snapshot trigger (see CheckpointParams). */
     CheckpointParams checkpoint;
     /**
-     * Watchdog escalation: before the deadlock panic, write an
-     * emergency checkpoint to emergencyCheckpointPath so the hung
-     * machine state survives the kill and can be dissected offline.
+     * Watchdog escalation (empty = off): before the deadlock panic,
+     * write an emergency checkpoint here so the hung machine state
+     * survives the kill and can be dissected offline.
      */
-    bool watchdogEscalate = false;
     std::string emergencyCheckpointPath;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * In-memory instruction traces and the source abstraction the CPU
+ * In-memory instruction traces and the sequential reader the CPU
  * model consumes.
  */
 
@@ -49,37 +49,18 @@ class InstrTrace
 };
 
 /**
- * Sequential reader over an InstrTrace. The fetch unit pulls records
- * through this interface so alternative sources (file streaming,
- * samplers) can be substituted.
+ * Sequential reader over an in-memory trace (non-owning view); the
+ * fetch unit pulls its records through one of these.
  */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-
-    /** @return false when the trace is exhausted. */
-    virtual bool peek(TraceRecord &out) const = 0;
-
-    /** Advance past the current record. */
-    virtual void pop() = 0;
-
-    /** Records consumed so far. */
-    virtual std::size_t consumed() const = 0;
-
-    /** Restart from the beginning. */
-    virtual void rewind() = 0;
-};
-
-/** TraceSource over an in-memory trace (non-owning view). */
-class VectorTraceSource : public TraceSource
+class VectorTraceSource
 {
   public:
     explicit VectorTraceSource(const InstrTrace &trace)
         : trace_(&trace) {}
 
+    /** @return false when the trace is exhausted. */
     bool
-    peek(TraceRecord &out) const override
+    peek(TraceRecord &out) const
     {
         if (pos_ >= trace_->size())
             return false;
@@ -87,9 +68,10 @@ class VectorTraceSource : public TraceSource
         return true;
     }
 
-    void pop() override { ++pos_; }
-    std::size_t consumed() const override { return pos_; }
-    void rewind() override { pos_ = 0; }
+    /** Advance past the current record. */
+    void pop() { ++pos_; }
+    /** Records consumed so far. */
+    std::size_t consumed() const { return pos_; }
 
     /**
      * Reposition to absolute record index @p pos (checkpoint

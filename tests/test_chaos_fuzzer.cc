@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the chaos configuration fuzzer (chaos/config_fuzzer.hh):
- * determinism of point generation, the validity contract (every
- * fuzzed machine constructs, whatever the delta order), and the
- * active-mask mechanics the shrinker relies on.
+ * determinism of point generation and of a point's traces, the
+ * validity contract (every fuzzed machine constructs, whatever the
+ * delta order), and the active-mask mechanics the shrinker relies on.
  */
 
 #include <set>
@@ -13,8 +13,11 @@
 
 #include "chaos/config_fuzzer.hh"
 #include "common/logging.hh"
+#include "model/fingerprint.hh"
 #include "model/params.hh"
+#include "obs/run_obs.hh"
 #include "sim/system.hh"
+#include "workload/generator.hh"
 
 namespace s64v::chaos
 {
@@ -47,6 +50,37 @@ TEST(ChaosFuzzer, PointIsAPureFunctionOfSeedAndIndex)
         // And the mutated workload profiles match.
         EXPECT_EQ(pa.profile().seed, pb.profile().seed);
         EXPECT_EQ(pa.profile().depNearProb, pb.profile().depNearProb);
+    }
+}
+
+TEST(ChaosFuzzer, TracesIgnoreAParsedSeed)
+{
+    // A campaign run without --seed= uses seed 1, and its printed
+    // replay command passes --seed=1: both must replay the same
+    // instruction streams, the point profile's own.
+    std::vector<std::vector<std::uint64_t>> before;
+    for (std::size_t i = 0; i < 4; ++i) {
+        std::vector<std::uint64_t> fps;
+        for (const auto &t : ConfigFuzzer(1).point(i).traces())
+            fps.push_back(fingerprintTrace(*t));
+        before.push_back(fps);
+    }
+
+    const char *argv[] = {"chaos_campaign", "--seed=1"};
+    ASSERT_EQ(obs::parseObsArgs(2, argv).seed, 1u);
+
+    for (std::size_t i = 0; i < 4; ++i) {
+        const ChaosPoint p = ConfigFuzzer(1).point(i);
+        const auto traces = p.traces();
+        ASSERT_EQ(traces.size(), p.numCpus);
+        TraceGenerator gen(p.profile(), p.numCpus);
+        for (CpuId cpu = 0; cpu < p.numCpus; ++cpu) {
+            EXPECT_EQ(fingerprintTrace(*traces[cpu]), before[i][cpu])
+                << p.label();
+            EXPECT_EQ(fingerprintTrace(gen.generate(p.instrs, cpu)),
+                      before[i][cpu])
+                << p.label();
+        }
     }
 }
 

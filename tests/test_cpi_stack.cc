@@ -144,13 +144,12 @@ TEST(CpiStack, SmpCoresAccountIndependently)
 TEST(CpiStack, ExportsThroughStatsJson)
 {
     const std::string path = ::testing::TempDir() + "cpi_stats.json";
-    obs::runObsOptions() = obs::ObsOptions{};
-    obs::runObsOptions().statsJsonPath = path;
+    obs::ObsOptions run;
+    run.statsJsonPath = path;
 
-    PerfModel model(sparc64vBase());
+    PerfModel model(sparc64vBase(), run);
     model.loadWorkload(specint95Profile(), 10000);
     model.run();
-    obs::runObsOptions() = obs::ObsOptions{};
 
     std::ifstream f(path);
     ASSERT_TRUE(f.good());
@@ -236,7 +235,7 @@ TEST(CpiStack, MatchesDifferentialBreakdownWithinTolerance)
         const MachineParams base = sparc64vBase();
 
         const Breakdown diff =
-            computeBreakdown(base, profile, kInstrs);
+            computeBreakdown(base, profile, kInstrs, {});
 
         PerfModel model(base);
         model.loadWorkload(profile, kInstrs);

@@ -78,7 +78,7 @@ TEST(CrashReport, PanicTriggersTheInstalledHook)
     check::setCrashSystem(&sys);
     const std::string path = tempPath("hooked_crash.json");
     std::remove(path.c_str());
-    check::installCrashReporting(path);
+    check::installCrashReporting(path, "", obs::ObsOptions::kUnset);
 
     setThrowOnError(true);
     EXPECT_THROW(panic("synthetic failure %d", 42),
@@ -107,17 +107,14 @@ TEST(CrashReport, WatchdogAbortLeavesAFullReport)
 
     const std::string path = tempPath("watchdog_crash.json");
     std::remove(path.c_str());
-    check::installCrashReporting(path);
-    obs::ObsOptions &opts = obs::runObsOptions();
     const std::string stats = tempPath("watchdog_partial_stats.json");
     std::remove(stats.c_str());
-    opts.statsJsonPath = stats;
+    check::installCrashReporting(path, stats, 9);
 
     setThrowOnError(true);
     EXPECT_THROW(sys.run(), std::runtime_error);
     setThrowOnError(false);
     check::uninstallCrashReporting();
-    opts.statsJsonPath.clear();
 
     const std::string json = slurp(path);
     ASSERT_FALSE(json.empty()) << "crash report was not written";
@@ -129,6 +126,8 @@ TEST(CrashReport, WatchdogAbortLeavesAFullReport)
     // The stalled window is full: occupancy must be non-zero, i.e.
     // the report must not claim an idle machine.
     EXPECT_EQ(json.find("\"window\":0,"), std::string::npos);
+    // Stamped with the seed the hook was installed with.
+    EXPECT_NE(json.find("\"seed\":9"), std::string::npos);
 
     // The partial stats flush happened too.
     const std::string partial = slurp(stats);
@@ -139,7 +138,7 @@ TEST(CrashReport, InstallWithEmptyPathUsesTheDefault)
 {
     // Exercised only for the install/uninstall path; no crash is
     // raised, so no file appears.
-    check::installCrashReporting("");
+    check::installCrashReporting("", "", obs::ObsOptions::kUnset);
     check::uninstallCrashReporting();
 }
 

@@ -163,15 +163,14 @@ TEST(FlushOnce, CycleCapEmitsEachSampleAndTheFinalFlushOnce)
 TEST(FlushOnce, TraceFileWrittenOnceOnCycleCapExit)
 {
     const std::string path = ::testing::TempDir() + "cap_trace.json";
-    obs::runObsOptions() = obs::ObsOptions{};
-    obs::runObsOptions().traceOutPath = path;
+    obs::ObsOptions run;
+    run.traceOutPath = path;
 
     MachineParams m = sparc64vBase();
     m.sys.maxCycles = 200;
-    PerfModel model(m);
+    PerfModel model(m, run);
     model.loadWorkload(specint95Profile(), 50000);
     const SimResult res = model.run();
-    obs::runObsOptions() = obs::ObsOptions{};
     EXPECT_TRUE(res.hitCycleCap);
 
     std::ifstream f(path);
@@ -189,15 +188,14 @@ TEST(FlushOnce, TraceFileWrittenOnceOnEarlyStopExit)
 {
     check::clearStopRequest();
     const std::string path = ::testing::TempDir() + "stop_trace.json";
-    obs::runObsOptions() = obs::ObsOptions{};
-    obs::runObsOptions().traceOutPath = path;
+    obs::ObsOptions run;
+    run.traceOutPath = path;
 
-    PerfModel model(sparc64vBase());
+    PerfModel model(sparc64vBase(), run);
     model.loadWorkload(specint95Profile(), 50000);
     check::requestStop();
     const SimResult res = model.run();
     check::clearStopRequest();
-    obs::runObsOptions() = obs::ObsOptions{};
     EXPECT_TRUE(res.interrupted);
 
     std::ifstream f(path);

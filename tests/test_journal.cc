@@ -332,7 +332,6 @@ TEST(Journal, TruncateJournalFaultTearsTheConfiguredAppend)
 
 TEST(Journal, DurabilityFlagsParse)
 {
-    obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {"sim",
                           "--journal=sweep.journal",
                           "--watchdog-escalate",
@@ -340,8 +339,9 @@ TEST(Journal, DurabilityFlagsParse)
                           "--checkpoint-out=run.ckpt",
                           "--checkpoint-stop",
                           "--restore=old.ckpt"};
-    EXPECT_TRUE(obs::parseObsArgs(7, argv).empty());
-    const obs::ObsOptions &o = obs::runObsOptions();
+    std::vector<std::string> rest;
+    const obs::ObsOptions o = obs::parseObsArgs(7, argv, &rest);
+    EXPECT_TRUE(rest.empty());
     EXPECT_EQ(o.journalPath, "sweep.journal");
     EXPECT_FALSE(o.resume);
     EXPECT_TRUE(o.watchdogEscalate);
@@ -351,12 +351,10 @@ TEST(Journal, DurabilityFlagsParse)
     EXPECT_EQ(o.restorePath, "old.ckpt");
 
     // --resume=<path> names the journal and turns resumption on.
-    obs::runObsOptions() = obs::ObsOptions{};
     const char *argv2[] = {"sim", "--resume=sweep.journal"};
-    obs::parseObsArgs(2, argv2);
-    EXPECT_TRUE(obs::runObsOptions().resume);
-    EXPECT_EQ(obs::runObsOptions().journalPath, "sweep.journal");
-    obs::runObsOptions() = obs::ObsOptions{};
+    const obs::ObsOptions r = obs::parseObsArgs(2, argv2);
+    EXPECT_TRUE(r.resume);
+    EXPECT_EQ(r.journalPath, "sweep.journal");
 }
 
 } // namespace

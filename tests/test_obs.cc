@@ -269,36 +269,32 @@ TEST(Heartbeat, ReportsProgress)
 
 TEST(RunObs, ParsesObservabilityFlags)
 {
-    obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {
         "prog", "--stats-json=a.json", "trace-out=b.json",
         "--sample-out=c.jsonl", "sample-period=500",
         "--heartbeat=2000", "workload=TPC-C",
     };
-    obs::parseObsArgs(7, argv);
-    const obs::ObsOptions &o = obs::runObsOptions();
+    const obs::ObsOptions o = obs::parseObsArgs(7, argv);
     EXPECT_EQ(o.statsJsonPath, "a.json");
     EXPECT_EQ(o.traceOutPath, "b.json");
     EXPECT_EQ(o.sampleOutPath, "c.jsonl");
     EXPECT_EQ(o.samplePeriod, 500u);
     EXPECT_EQ(o.heartbeatPeriod, 2000u);
-    obs::runObsOptions() = obs::ObsOptions{};
 }
 
 TEST(RunObs, ParsesPipeviewFlag)
 {
-    obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {"prog", "--pipeview-out=pipe.txt"};
-    EXPECT_TRUE(obs::parseObsArgs(2, argv).empty());
-    EXPECT_EQ(obs::runObsOptions().pipeviewOutPath, "pipe.txt");
-    obs::runObsOptions() = obs::ObsOptions{};
+    std::vector<std::string> rest;
+    const obs::ObsOptions o = obs::parseObsArgs(2, argv, &rest);
+    EXPECT_TRUE(rest.empty());
+    EXPECT_EQ(o.pipeviewOutPath, "pipe.txt");
 }
 
 TEST(RunObs, MalformedNumericFlagsAreFatal)
 {
     // "--watchdog=1e5" used to arm a 1-cycle watchdog, which then
     // reported a deadlock at cycle 1.
-    obs::runObsOptions() = obs::ObsOptions{};
     setThrowOnError(true);
     for (const char *bad :
          {"--watchdog=1e5", "--seed=-1", "heartbeat=10k",
@@ -308,38 +304,36 @@ TEST(RunObs, MalformedNumericFlagsAreFatal)
             << bad;
     }
     setThrowOnError(false);
-    EXPECT_EQ(obs::runObsOptions().watchdogCycles,
-              obs::ObsOptions::kUnset);
-    EXPECT_EQ(obs::runObsOptions().seed, obs::ObsOptions::kUnset);
 
     const char *argv[] = {"prog", "--watchdog=0x100", "--seed=18"};
-    obs::parseObsArgs(3, argv);
-    EXPECT_EQ(obs::runObsOptions().watchdogCycles, 0x100u);
-    EXPECT_EQ(obs::runObsOptions().seed, 18u);
-    obs::runObsOptions() = obs::ObsOptions{};
+    const obs::ObsOptions o = obs::parseObsArgs(3, argv);
+    EXPECT_EQ(o.watchdogCycles, 0x100u);
+    EXPECT_EQ(o.seed, 18u);
+    // Each parse starts from the defaults: nothing carries over.
+    const obs::ObsOptions fresh = obs::parseObsArgs(1, argv);
+    EXPECT_EQ(fresh.watchdogCycles, obs::ObsOptions::kUnset);
+    EXPECT_EQ(fresh.seed, obs::ObsOptions::kUnset);
 }
 
 TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
 {
-    obs::runObsOptions() = obs::ObsOptions{};
     const char *argv[] = {
         "prog",          "workload=TPC-C",  "--journal=s.journal",
         "instrs=20000",  "--threads=2",     "--resume",
         "--seed=3",      "--no-skip-ahead", "pipeview=8",
         "skip-ahead=0",  "--typo",
     };
-    const std::vector<std::string> rest = obs::parseObsArgs(11, argv);
+    std::vector<std::string> rest;
+    const obs::ObsOptions o = obs::parseObsArgs(11, argv, &rest);
     // Everything the obs layer does not own comes back, in order.
     EXPECT_EQ(rest, (std::vector<std::string>{
                         "workload=TPC-C", "instrs=20000", "pipeview=8",
                         "skip-ahead=0", "--typo"}));
-    const obs::ObsOptions &o = obs::runObsOptions();
     EXPECT_EQ(o.journalPath, "s.journal");
     EXPECT_EQ(o.threads, 2u);
     EXPECT_TRUE(o.resume);
     EXPECT_EQ(o.seed, 3u);
     EXPECT_FALSE(o.skipAhead);
-    obs::runObsOptions() = obs::ObsOptions{};
 }
 
 } // namespace

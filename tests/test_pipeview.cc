@@ -155,13 +155,12 @@ TEST(PipeviewO3, TagsCpuIntoSequenceNumbers)
 TEST(PipeviewO3, PerfModelFlagWritesFile)
 {
     const std::string path = ::testing::TempDir() + "pipeview.txt";
-    obs::runObsOptions() = obs::ObsOptions{};
-    obs::runObsOptions().pipeviewOutPath = path;
+    obs::ObsOptions run;
+    run.pipeviewOutPath = path;
 
-    PerfModel model(sparc64vBase());
+    PerfModel model(sparc64vBase(), run);
     model.loadWorkload(specint95Profile(), 5000);
     model.run();
-    obs::runObsOptions() = obs::ObsOptions{};
 
     std::ifstream f(path);
     ASSERT_TRUE(f.good());

@@ -77,7 +77,7 @@ TEST(ResumeSweep, JournalRecordsEveryFinishedPoint)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     const exp::Sweep sweep = threePointSweep();
     const auto results = exp::SweepRunner(opts).run(sweep);
     ASSERT_EQ(results.size(), 3u);
@@ -119,13 +119,13 @@ TEST(ResumeSweep, ResumeOfACompleteJournalRunsNothing)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     const auto first = exp::SweepRunner(opts).run(countingSweep());
     ASSERT_EQ(executed.load(), 3);
 
     std::string sink;
     setLogSink(&sink);
-    opts.resume = true;
+    opts.run.resume = true;
     const auto resumed = exp::SweepRunner(opts).run(countingSweep());
     setLogSink(nullptr);
     EXPECT_NE(sink.find("3 of 3 points already complete"),
@@ -177,7 +177,7 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     std::string sink;
     setLogSink(&sink);
     exp::SweepOptions opts = base;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     opts.progressFn = [](std::size_t done, std::size_t, double) {
         if (done == 1)
             check::requestStop();
@@ -209,8 +209,8 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
         ++executed;
     });
     exp::SweepOptions ropts = base;
-    ropts.journalPath = jpath;
-    ropts.resume = true;
+    ropts.run.journalPath = jpath;
+    ropts.run.resume = true;
     const auto resumed = exp::SweepRunner(ropts).run(sweep);
     EXPECT_EQ(executed.load(), 2);
     ASSERT_EQ(resumed.size(), 3u);
@@ -242,7 +242,7 @@ TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
@@ -263,7 +263,7 @@ TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
 
     // Resume is the retry: a "failed" entry does not hold the point
     // back, and this time it succeeds.
-    opts.resume = true;
+    opts.run.resume = true;
     setLogSink(&sink);
     const auto resumed = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
@@ -296,7 +296,7 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
@@ -320,7 +320,7 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
     // Resume runs only the failed point, once more, and journals that
     // run; the healthy point comes back from the journal.
     setLogSink(&sink);
-    opts.resume = true;
+    opts.run.resume = true;
     const auto resumed = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
     ASSERT_EQ(resumed.size(), 2u);
@@ -341,7 +341,7 @@ TEST(ResumeSweep, StaleJournalEntriesAreIgnoredWithAWarning)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
+    opts.run.journalPath = jpath;
     {
         exp::Sweep sweep;
         sweep.add("pt", sparc64vBase(), tpccProfile(), 6000);
@@ -361,11 +361,24 @@ TEST(ResumeSweep, StaleJournalEntriesAreIgnoredWithAWarning)
     });
     std::string sink;
     setLogSink(&sink);
-    opts.resume = true;
+    opts.run.resume = true;
     const auto results = exp::SweepRunner(opts).run(changed);
     setLogSink(nullptr);
 
     ASSERT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_EQ(executed.load(), 1);
+    EXPECT_NE(sink.find("no longer match"), std::string::npos) << sink;
+
+    // Same machine and profile, but another --seed=: the point now
+    // replays different traces, so its entry is stale as well.
+    executed = 0;
+    sink.clear();
+    setLogSink(&sink);
+    opts.run.seed = 3;
+    const auto reseeded = exp::SweepRunner(opts).run(changed);
+    setLogSink(nullptr);
+
+    ASSERT_TRUE(reseeded[0].ok) << reseeded[0].error;
     EXPECT_EQ(executed.load(), 1);
     EXPECT_NE(sink.find("no longer match"), std::string::npos) << sink;
     std::remove(jpath.c_str());
@@ -409,7 +422,7 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
         check::activeFaultPlan().parse(
             "kill-point:" + std::to_string(at));
         exp::SweepOptions copts = opts;
-        copts.journalPath = jpath;
+        copts.run.journalPath = jpath;
         exp::SweepRunner(copts).run(makeSweep());
         std::_Exit(0); // unreachable: the fault fires first.
     }
@@ -433,8 +446,8 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
         ++executed;
     });
     exp::SweepOptions ropts = opts;
-    ropts.journalPath = jpath;
-    ropts.resume = true;
+    ropts.run.journalPath = jpath;
+    ropts.run.resume = true;
     const auto resumed = exp::SweepRunner(ropts).run(sweep);
     EXPECT_EQ(executed.load(), 1);
     ASSERT_EQ(resumed.size(), 2u);
@@ -461,8 +474,8 @@ TEST(ResumeSweep, WatchdogEscalationLeavesEmergencyCheckpoint)
 
     exp::SweepOptions opts;
     opts.threads = 1;
-    opts.journalPath = jpath;
-    opts.watchdogEscalate = true;
+    opts.run.journalPath = jpath;
+    opts.run.watchdogEscalate = true;
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);

@@ -539,7 +539,6 @@ TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
 
     SystemParams sp = sparc64vBase().sys;
     sp.watchdogCycles = 2; // absurdly tight: fires immediately.
-    sp.watchdogEscalate = true;
     sp.emergencyCheckpointPath = path;
     System sys(sp);
     attachAll(sys, makeTraces(tpccProfile(), 1, 8000));

@@ -2,9 +2,8 @@
  * @file
  * Robustness tests for the sweep engine's failure-handling paths: the
  * mutex-held triage sink must name every point that died in a
- * parallel sweep, and the process-wide --seed= must be stamped into
- * stats JSON and crash reports so a run is replayable from its own
- * outputs.
+ * parallel sweep, and the run's --seed= must be stamped into stats
+ * JSON and crash reports so a run is replayable from its own outputs.
  */
 
 #include <cstdio>
@@ -47,23 +46,10 @@ slurp(const std::string &path)
     return out.str();
 }
 
-/** Save and restore the process-wide observability options. */
-class ScopedObsOptions
-{
-  public:
-    ScopedObsOptions() : saved_(obs::runObsOptions()) {}
-    ~ScopedObsOptions() { obs::runObsOptions() = saved_; }
-
-  private:
-    obs::ObsOptions saved_;
-};
-
 TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)
 {
-    ScopedObsOptions restore;
     const std::string report = tempPath("sweep_triage.json");
     std::remove(report.c_str());
-    obs::runObsOptions().crashReportPath = report;
 
     MachineParams sick = sparc64vBase();
     sick.sys.watchdogCycles = 2;
@@ -75,6 +61,8 @@ TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)
 
     exp::SweepOptions opts;
     opts.threads = 4;
+    opts.run.crashReportPath = report;
+    opts.run.seed = 42;
     const auto results = exp::SweepRunner(opts).run(sweep);
 
     ASSERT_EQ(results.size(), 4u);
@@ -93,41 +81,44 @@ TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)
     EXPECT_NE(doc.find("sick-alpha"), std::string::npos);
     EXPECT_NE(doc.find("sick-beta"), std::string::npos);
     EXPECT_EQ(doc.find("healthy-one"), std::string::npos);
+    // Every entry carries the sweep's run seed.
+    EXPECT_NE(doc.find("\"seed\":42"), std::string::npos) << doc;
     std::remove(report.c_str());
 }
 
 TEST(SweepRobustness, SeedIsStampedInStatsAndCrashReports)
 {
-    ScopedObsOptions restore;
+    constexpr std::uint64_t kUnset = obs::ObsOptions::kUnset;
 
     // Unset: workload seeds pass through untouched, no stamp.
-    obs::runObsOptions() = obs::ObsOptions{};
-    EXPECT_FALSE(obs::globalSeedSet());
-    EXPECT_EQ(obs::effectiveWorkloadSeed(7), 7u);
+    EXPECT_EQ(obs::effectiveWorkloadSeed(kUnset, 7), 7u);
 
     // Set: every derived stream re-keys, deterministically.
-    obs::runObsOptions().seed = 42;
-    ASSERT_TRUE(obs::globalSeedSet());
-    EXPECT_NE(obs::effectiveWorkloadSeed(7), 7u);
-    EXPECT_EQ(obs::effectiveWorkloadSeed(7),
-              obs::effectiveWorkloadSeed(7));
-    EXPECT_NE(obs::effectiveWorkloadSeed(7),
-              obs::effectiveWorkloadSeed(8));
+    EXPECT_NE(obs::effectiveWorkloadSeed(42, 7), 7u);
+    EXPECT_EQ(obs::effectiveWorkloadSeed(42, 7),
+              obs::effectiveWorkloadSeed(42, 7));
+    EXPECT_NE(obs::effectiveWorkloadSeed(42, 7),
+              obs::effectiveWorkloadSeed(42, 8));
 
     // Stats JSON carries the seed in its "run" object.
     stats::Group root("sim");
     root.scalar("x", "a counter");
     SimResult res;
-    const std::string stats = obs::exportStatsJson(root, &res);
+    const std::string stats = obs::exportStatsJson(root, &res, 42);
     EXPECT_NE(stats.find("\"seed\":42"), std::string::npos) << stats;
+    EXPECT_EQ(obs::exportStatsJson(root, &res).find("\"seed\""),
+              std::string::npos);
 
     // And so does a crash report for a dying system.
     System sys(sparc64vBase().sys);
     const std::string crash =
-        check::buildCrashReportJson(sys, "panic", "boom");
+        check::buildCrashReportJson(sys, "panic", "boom", 42);
     EXPECT_NE(crash.find("\"seed\":42"), std::string::npos) << crash;
     EXPECT_NE(crash.find("\"message\":\"boom\""), std::string::npos)
         << crash;
+    EXPECT_EQ(check::buildCrashReportJson(sys, "panic", "boom")
+                  .find("\"seed\""),
+              std::string::npos);
 }
 
 } // namespace

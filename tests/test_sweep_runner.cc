@@ -5,11 +5,15 @@
  * for point, a panicking point must be reported per point without
  * killing the sweep, traces must be shared rather than re-synthesized,
  * the cycle-cap outcome must be surfaced, progress must reach the
- * caller's callback once per point, and a point's own heartbeat must
- * still print inside a sweep. The parallel cases also serve as the
- * TSan workload for the sweep engine (see the "tsan" test preset).
+ * caller's callback once per point, a point's own heartbeat must
+ * still print inside a sweep, and the single-run outputs a sweep's
+ * run options name must not be written. The parallel cases also serve
+ * as the TSan workload for the sweep engine (see the "tsan" test
+ * preset).
  */
 
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 
 #include <gtest/gtest.h>
@@ -88,7 +92,7 @@ TEST(SweepRunner, MatchesADirectSingleRun)
 
     exp::Sweep sweep;
     sweep.add("tpcc", sparc64vBase(), tpccProfile(), kRun);
-    const auto results = exp::runSweep(sweep);
+    const auto results = exp::SweepRunner().run(sweep);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
     expectSameSim(results[0].sim, direct);
@@ -135,7 +139,7 @@ TEST(SweepRunner, MetricProbeRunsPerPoint)
         metrics["ipc_copy"] = res.ipc;
     });
 
-    const auto results = exp::runSweep(sweep);
+    const auto results = exp::SweepRunner().run(sweep);
     ASSERT_EQ(results.size(), 2u);
     for (const exp::PointResult &p : results) {
         ASSERT_TRUE(p.ok) << p.error;
@@ -155,7 +159,7 @@ TEST(SweepRunner, CycleCapSurfacesInTheResult)
 
     exp::Sweep sweep;
     sweep.add("capped", capped, tpccProfile(), kRun);
-    const auto results = exp::runSweep(sweep);
+    const auto results = exp::SweepRunner().run(sweep);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
     EXPECT_TRUE(results[0].sim.hitCycleCap);
@@ -218,11 +222,57 @@ TEST(SweepRunner, PointHeartbeatPrintsInsideASweep)
     setLogSink(nullptr);
     ASSERT_TRUE(results[0].ok) << results[0].error;
 
-    // The embedded point beats at its machine's own period.
+    // A sweep point beats at its machine's own period.
     EXPECT_NE(sink.find("heartbeat: cycle 500,"), std::string::npos)
         << sink;
     EXPECT_NE(sink.find("heartbeat: cycle 1000,"), std::string::npos)
         << sink;
+}
+
+TEST(SweepRunner, IgnoresSingleRunOutputs)
+{
+    // Single-run outputs would collide across concurrent points: a
+    // sweep applies the run options that concern a sweep and ignores
+    // the recording, checkpoint and restore ones.
+    const std::string dir = ::testing::TempDir();
+    exp::SweepOptions opts;
+    opts.threads = 2;
+    opts.run.statsJsonPath = dir + "sweep_out.json";
+    opts.run.traceOutPath = dir + "sweep_out.trace.json";
+    opts.run.sampleOutPath = dir + "sweep_out.samples.jsonl";
+    opts.run.samplePeriod = 500;
+    opts.run.heartbeatPeriod = 500;
+    opts.run.pipeviewOutPath = dir + "sweep_out.pipeview.txt";
+    opts.run.checkpointAt = 500;
+    opts.run.checkpointOut = dir + "sweep_out.ckpt";
+    opts.run.checkpointStop = true;
+    opts.run.restorePath = dir + "sweep_out.absent.ckpt";
+    const std::string outputs[] = {
+        opts.run.statsJsonPath,   opts.run.traceOutPath,
+        opts.run.sampleOutPath,   opts.run.pipeviewOutPath,
+        opts.run.checkpointOut,
+    };
+    for (const std::string &path : outputs)
+        std::remove(path.c_str());
+
+    std::string sink;
+    setLogSink(&sink);
+    const auto recorded = exp::SweepRunner(opts).run(smallSweep());
+    setLogSink(nullptr);
+    exp::SweepOptions plain;
+    plain.threads = 2;
+    const auto reference = exp::SweepRunner(plain).run(smallSweep());
+
+    ASSERT_EQ(recorded.size(), reference.size());
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+        ASSERT_TRUE(recorded[i].ok) << recorded[i].error;
+        ASSERT_TRUE(reference[i].ok) << reference[i].error;
+        EXPECT_FALSE(recorded[i].sim.stoppedAtCheckpoint);
+        expectSameSim(recorded[i].sim, reference[i].sim);
+    }
+    for (const std::string &path : outputs)
+        EXPECT_FALSE(std::ifstream(path).good()) << path;
+    EXPECT_EQ(sink.find("heartbeat"), std::string::npos) << sink;
 }
 
 TEST(TracePool, SynthesizesEachDistinctWorkloadOnce)

@@ -51,7 +51,7 @@ TEST(Trace, VectorSourceIteration)
     EXPECT_EQ(n, 5);
     EXPECT_EQ(src.consumed(), 5u);
 
-    src.rewind();
+    src.seek(0);
     EXPECT_TRUE(src.peek(r));
     EXPECT_EQ(r.pc, 0x100u);
     EXPECT_EQ(src.consumed(), 0u);
