@@ -119,8 +119,8 @@ writeMemState(obs::JsonWriter &w, System &sys)
 
     w.beginArray("pending_fills");
     for (CpuId c = 0; c < mem.numCpus(); ++c) {
-        TimedCache *caches[3] = {&mem.l1i(c), &mem.l1d(c),
-                                 &mem.l2(c)};
+        const TimedCache *caches[3] = {&mem.l1i(c), &mem.l1d(c),
+                                       &mem.l2(c)};
         const char *names[3] = {"l1i", "l1d", "l2"};
         for (unsigned i = 0; i < 3; ++i) {
             const std::size_t pending =
@@ -132,7 +132,7 @@ writeMemState(obs::JsonWriter &w, System &sys)
             w.field("cache", names[i]);
             w.field("count", std::uint64_t{pending});
             w.field("earliest_ready",
-                    std::uint64_t{caches[i]->earliestPendingFill(now)});
+                    std::uint64_t{caches[i]->nextPendingFill(now)});
             w.end();
         }
     }

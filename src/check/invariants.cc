@@ -215,7 +215,8 @@ InvariantAuditor::checkMshrs(Cycle cycle)
     // never have been consumed by a committed instruction.
     const Cycle horizon = cycle + 1'000'000;
     for (CpuId c = 0; c < ncpu; ++c) {
-        TimedCache *caches[3] = {&mem.l1i(c), &mem.l1d(c), &mem.l2(c)};
+        const TimedCache *caches[3] = {&mem.l1i(c), &mem.l1d(c),
+                                       &mem.l2(c)};
         const char *names[3] = {"L1I", "L1D", "L2"};
         for (unsigned i = 0; i < 3; ++i) {
             ++checksRun_;
@@ -224,8 +225,7 @@ InvariantAuditor::checkMshrs(Cycle cycle)
                       "fill", c, names[i], caches[i]->unpairedMisses());
             }
             ++checksRun_;
-            const Cycle earliest =
-                caches[i]->earliestPendingFill(cycle);
+            const Cycle earliest = caches[i]->nextPendingFill(cycle);
             if (earliest != kCycleNever && earliest > horizon) {
                 panic("cpu%u %s: in-flight fill completes at cycle "
                       "%llu, unreachable from end cycle %llu",

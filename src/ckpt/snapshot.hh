@@ -36,9 +36,9 @@ std::uint64_t fnv1a(const void *data, std::size_t len,
 
 /**
  * Container format version; bumped on any layout change (2: header
- * checksum).
+ * checksum; 3: one MSHR list per cache).
  */
-constexpr std::uint32_t kSnapshotFormatVersion = 2;
+constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /**
  * Builds a snapshot: beginSection()/put*()/.../writeFile(). Sections

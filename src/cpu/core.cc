@@ -498,66 +498,29 @@ void
 Core::issueStage(Cycle cycle)
 {
     for (unsigned n = 0; n < params_.issueWidth; ++n) {
-        if (fetch_->queueEmpty()) {
-            if (n == 0)
-                ++fetchEmptyStalls_;
+        const IssueBlock block = issueBlock();
+        if (block != IssueBlock::None) {
+            // An empty fetch queue stalls the cycle only when nothing
+            // issued in it.
+            if (block != IssueBlock::FetchEmpty || n == 0)
+                chargeIssueStalls(block, 1);
             return;
         }
         const FetchedInstr &fi = fetch_->front();
         const TraceRecord &rec = fi.rec;
-
-        if (window_.full()) {
-            ++windowFullStalls_;
-            return;
-        }
-        if (rec.cls == InstrClass::Special &&
-            params_.specialMode == SpecialInstrMode::Precise &&
-            (!window_.empty() || !lsq_->drained())) {
-            ++serializeStalls_;
-            return;
-        }
-
         const bool need_int =
             rec.dst != kNoReg && !isFpReg(rec.dst);
         const bool need_fp = rec.dst != kNoReg && isFpReg(rec.dst);
-        if (!rename_->canAllocate(need_int, need_fp)) {
-            rename_->noteStall();
-            return;
-        }
-        if (rec.isLoad() && lsq_->lqFull()) {
-            lsq_->noteLqFullStall();
-            return;
-        }
-        if (rec.isStore() && lsq_->sqFull()) {
-            lsq_->noteSqFullStall();
-            return;
-        }
 
         ReservationStation *station = nullptr;
         RsId rsid = kRsA;
         if (rec.cls != InstrClass::Nop) {
             rsid = stationFor(rec);
+            // issueBlock() found room in the station or, for a dealt
+            // pair, in its sibling (E0/E1 and F0/F1 differ in bit 0).
+            if (rs_[rsid]->full())
+                rsid = static_cast<RsId>(rsid ^ 1);
             station = rs_[rsid].get();
-            if (station->full() && !params_.unifiedRs) {
-                // Try the sibling station of a dealt pair.
-                RsId sibling = rsid;
-                if (rsid == kRsE0)
-                    sibling = kRsE1;
-                else if (rsid == kRsE1)
-                    sibling = kRsE0;
-                else if (rsid == kRsF0)
-                    sibling = kRsF1;
-                else if (rsid == kRsF1)
-                    sibling = kRsF0;
-                if (sibling != rsid && !rs_[sibling]->full()) {
-                    rsid = sibling;
-                    station = rs_[rsid].get();
-                }
-            }
-            if (station->full()) {
-                station->noteFullStall();
-                return;
-            }
         }
 
         WindowEntry &e = window_.allocate(rec, cycle);
@@ -631,7 +594,7 @@ Core::done() const
     return fetch_->exhausted() && window_.empty() && lsq_->drained();
 }
 
-Core::IssueBlock
+inline Core::IssueBlock
 Core::issueBlock() const
 {
     if (fetch_->queueEmpty())
@@ -684,7 +647,7 @@ Core::issueBlock() const
 }
 
 void
-Core::elideIssueStalls(std::uint64_t cycles)
+Core::chargeIssueStalls(IssueBlock block, std::uint64_t cycles)
 {
     // Split a full-stall run over a dealt station pair exactly as n
     // consecutive stationFor() calls would: the toggle picks the
@@ -700,7 +663,7 @@ Core::elideIssueStalls(std::uint64_t cycles)
         toggle = static_cast<unsigned>(toggle + cycles);
     };
 
-    switch (issueBlock()) {
+    switch (block) {
       case IssueBlock::None:
         break; // unreachable under nextWorkCycle(); nothing to do.
       case IssueBlock::FetchEmpty:
@@ -908,7 +871,7 @@ Core::elide(Cycle from, std::uint64_t cycles)
     cpiStack_.account(classifyCommitStall(from),
                       params_.commitWidth * cycles);
     lsq_->elide(cycles);
-    elideIssueStalls(cycles);
+    chargeIssueStalls(issueBlock(), cycles);
 }
 
 std::vector<RecentCommit>

@@ -195,7 +195,6 @@ LoadStoreQueue::tick(Cycle cycle)
             // Store-to-load forwarding: youngest older store to the
             // same doubleword.
             LsqEntry *fwd = nullptr;
-            bool must_wait = false;
             sqKnown_.forEach([&](std::size_t si) {
                 LsqEntry &s = stores_[si];
                 if (s.seq >= e.seq)
@@ -223,10 +222,7 @@ LoadStoreQueue::tick(Cycle cycle)
                 } else {
                     ++forwardWaits_;
                     ++activity_;
-                    must_wait = true;
                 }
-                if (must_wait)
-                    continue;
                 continue;
             }
             const AccessResult res = mem_.data(cpu_, e.addr, false,

@@ -240,17 +240,6 @@ TimedCache::attachTrace(obs::ChromeTraceWriter *writer)
     }
 }
 
-void
-TimedCache::expireMshrs(Cycle cycle)
-{
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-        if (it->second <= cycle)
-            it = inflight_.erase(it);
-        else
-            ++it;
-    }
-}
-
 TimedCache::LookupResult
 TimedCache::lookup(Addr addr, bool is_write, Cycle cycle)
 {
@@ -258,18 +247,35 @@ TimedCache::lookup(Addr addr, bool is_write, Cycle cycle)
     LookupResult res;
     const Addr line = alignDown(addr, kLineSize);
 
+    // One pass over the MSHR file: drop the fills landed by now, find
+    // this line's entry, and keep the earliest remaining fill for the
+    // MSHR-full delay.
+    Mshr *own = nullptr;
+    Cycle earliest = kCycleNever;
+    for (std::size_t i = 0; i < mshrs_.size();) {
+        Mshr &m = mshrs_[i];
+        if (m.ready <= cycle) {
+            m = mshrs_.back();
+            mshrs_.pop_back();
+            continue;
+        }
+        if (m.line == line)
+            own = &m;
+        earliest = std::min(earliest, m.ready);
+        ++i;
+    }
+    mshrOccupancy_.sample(static_cast<double>(mshrs_.size()));
+
     // A line whose fill is still in flight sits in the tag array
     // already (fill() installs eagerly); such accesses merge with the
     // outstanding MSHR rather than hitting.
-    expireMshrs(cycle);
-    mshrOccupancy_.sample(static_cast<double>(inflight_.size()));
-    if (auto it = inflight_.find(line); it != inflight_.end()) {
+    if (own && own->ready != kCycleNever) {
         ++misses_;
         ++mshrMerges_;
         if (is_write)
             array_.setDirty(addr);
         res.merged = true;
-        res.ready = it->second;
+        res.ready = own->ready;
         return res;
     }
 
@@ -298,16 +304,14 @@ TimedCache::lookup(Addr addr, bool is_write, Cycle cycle)
     // (tags are on-chip even for the off-chip L2 design), subject to
     // MSHR availability.
     Cycle start = cycle + params_.latency + ecc_penalty;
-    if (inflight_.size() >= params_.mshrs) {
+    if (mshrs_.size() >= params_.mshrs) {
         ++mshrFullStalls_;
-        start = std::max(start, mshrAvailable(cycle));
+        start = std::max(start, earliest);
     }
-    // Every new miss is normally paired with a fill() that erases the
-    // entry; the size guard protects against callers that abandon
-    // requests.
-    if (missStart_.size() > 4096)
-        missStart_.clear();
-    missStart_[line] = cycle;
+    if (own)
+        own->missCycle = cycle; // re-missed before its fill.
+    else
+        mshrs_.push_back({line, cycle, kCycleNever});
     res.ready = start;
     return res;
 }
@@ -316,67 +320,67 @@ Eviction
 TimedCache::fill(Addr addr, Cycle ready, bool dirty, bool prefetched)
 {
     const Addr line = alignDown(addr, kLineSize);
-    inflight_[line] = ready;
-    if (auto it = missStart_.find(line); it != missStart_.end()) {
-        const Cycle start = it->second;
-        if (ready > start)
-            mshrResidency_.sample(static_cast<double>(ready - start));
-        if (trace_) {
-            char name[40];
-            std::snprintf(name, sizeof(name), "miss 0x%llx",
-                          static_cast<unsigned long long>(line));
-            trace_->span(obs::ChromeTraceWriter::kMemPid, traceTid_,
-                         name, "mem", start, ready);
+    const auto it =
+        std::find_if(mshrs_.begin(), mshrs_.end(),
+                     [line](const Mshr &m) { return m.line == line; });
+    if (it == mshrs_.end()) {
+        mshrs_.push_back({line, ready, ready});
+    } else {
+        if (it->ready == kCycleNever) {
+            const Cycle start = it->missCycle;
+            if (ready > start)
+                mshrResidency_.sample(
+                    static_cast<double>(ready - start));
+            if (trace_) {
+                char name[40];
+                std::snprintf(name, sizeof(name), "miss 0x%llx",
+                              static_cast<unsigned long long>(line));
+                trace_->span(obs::ChromeTraceWriter::kMemPid,
+                             traceTid_, name, "mem", start, ready);
+            }
         }
-        missStart_.erase(it);
+        it->ready = ready;
     }
     return array_.insert(addr, dirty, prefetched);
 }
 
 bool
-TimedCache::pending(Addr addr, Cycle cycle)
+TimedCache::pending(Addr addr, Cycle cycle) const
 {
-    expireMshrs(cycle);
-    return inflight_.count(alignDown(addr, kLineSize)) != 0;
+    const Addr line = alignDown(addr, kLineSize);
+    return std::any_of(mshrs_.begin(), mshrs_.end(),
+                       [line, cycle](const Mshr &m) {
+                           return m.line == line && m.landsAfter(cycle);
+                       });
 }
 
 std::size_t
-TimedCache::pendingFillCount(Cycle cycle)
+TimedCache::pendingFillCount(Cycle cycle) const
 {
-    expireMshrs(cycle);
-    return inflight_.size();
-}
-
-Cycle
-TimedCache::earliestPendingFill(Cycle cycle)
-{
-    expireMshrs(cycle);
-    Cycle earliest = kCycleNever;
-    for (const auto &[line, ready] : inflight_)
-        earliest = std::min(earliest, ready);
-    return earliest;
+    return static_cast<std::size_t>(
+        std::count_if(mshrs_.begin(), mshrs_.end(),
+                      [cycle](const Mshr &m) {
+                          return m.landsAfter(cycle);
+                      }));
 }
 
 Cycle
 TimedCache::nextPendingFill(Cycle now) const
 {
     Cycle earliest = kCycleNever;
-    for (const auto &[line, ready] : inflight_)
-        if (ready > now && ready < earliest)
-            earliest = ready;
+    for (const Mshr &m : mshrs_)
+        if (m.ready > now && m.ready < earliest)
+            earliest = m.ready;
     return earliest;
 }
 
-Cycle
-TimedCache::mshrAvailable(Cycle cycle)
+std::size_t
+TimedCache::unpairedMisses() const
 {
-    expireMshrs(cycle);
-    if (inflight_.size() < params_.mshrs)
-        return cycle;
-    Cycle earliest = kCycleNever;
-    for (const auto &[line, ready] : inflight_)
-        earliest = std::min(earliest, ready);
-    return earliest;
+    return static_cast<std::size_t>(
+        std::count_if(mshrs_.begin(), mshrs_.end(), [](const Mshr &m) {
+            return m.ready == kCycleNever;
+        }));
 }
 
 double
@@ -423,39 +427,16 @@ CacheArray::restoreState(ckpt::SnapshotReader &r)
     }
 }
 
-namespace
-{
-
-void
-saveAddrCycleMap(ckpt::SnapshotWriter &w,
-                 const std::map<Addr, Cycle> &m)
-{
-    w.putU64(m.size());
-    for (const auto &[addr, cycle] : m) {
-        w.putU64(addr);
-        w.putU64(cycle);
-    }
-}
-
-void
-restoreAddrCycleMap(ckpt::SnapshotReader &r, std::map<Addr, Cycle> &m)
-{
-    m.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr addr = r.getU64();
-        m[addr] = r.getU64();
-    }
-}
-
-} // namespace
-
 void
 TimedCache::saveState(ckpt::SnapshotWriter &w) const
 {
     array_.saveState(w);
-    saveAddrCycleMap(w, inflight_);
-    saveAddrCycleMap(w, missStart_);
+    w.putU64(mshrs_.size());
+    for (const Mshr &m : mshrs_) {
+        w.putU64(m.line);
+        w.putU64(m.missCycle);
+        w.putU64(m.ready);
+    }
     w.putU64(errors_.ordinal());
 }
 
@@ -463,8 +444,17 @@ void
 TimedCache::restoreState(ckpt::SnapshotReader &r)
 {
     array_.restoreState(r);
-    restoreAddrCycleMap(r, inflight_);
-    restoreAddrCycleMap(r, missStart_);
+    // The count is untrusted: read entry by entry (a short section
+    // fails the read), never reserve from it.
+    mshrs_.clear();
+    const std::uint64_t n = r.getU64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Mshr m;
+        m.line = r.getU64();
+        m.missCycle = r.getU64();
+        m.ready = r.getU64();
+        mshrs_.push_back(m);
+    }
     errors_.setOrdinal(r.getU64());
 }
 

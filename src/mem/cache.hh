@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -113,10 +112,10 @@ class CacheArray
 };
 
 /**
- * Timed non-blocking cache: tag array + MSHR tracking of in-flight
- * line fills + statistics. The surrounding hierarchy decides where
- * misses are serviced; TimedCache handles tags, merging, and
- * structural MSHR limits.
+ * Timed non-blocking cache: tag array + MSHR file of in-flight line
+ * fills + statistics. The surrounding hierarchy decides where misses
+ * are serviced; TimedCache handles tags, merging, and structural
+ * MSHR limits.
  */
 class TimedCache
 {
@@ -134,6 +133,13 @@ class TimedCache
      * New miss: caller must service it and call fill(); the returned
      * ready is the earliest cycle the downstream request can start
      * (after MSHR availability and the tag-probe latency).
+     *
+     * The only call that drops landed fills from the MSHR file: one
+     * pass removes every entry ready at or before @p cycle. Lookup
+     * cycles are not monotonic per cache (a TLB walk dates an L1
+     * lookup, and a full L1D file an L2 lookup, into the future), so
+     * a lookup dated before one that ran earlier cannot merge with a
+     * fill that one already dropped.
      */
     struct LookupResult
     {
@@ -146,13 +152,13 @@ class TimedCache
     /**
      * Record the completion of a miss: install the line and register
      * the fill time in the MSHR so later accesses merge correctly.
+     * Closes the line's open miss (sampling its residency) or, for a
+     * prefetch, adds an entry; capacity is not checked, so the file
+     * may hold more than params().mshrs fills.
      * @return eviction information for writeback handling.
      */
     Eviction fill(Addr addr, Cycle ready, bool dirty,
                   bool prefetched = false);
-
-    /** Earliest cycle an MSHR frees up, given the current set. */
-    Cycle mshrAvailable(Cycle cycle);
 
     /**
      * Record miss-fill spans into @p writer (one track per cache,
@@ -160,24 +166,16 @@ class TimedCache
      */
     void attachTrace(obs::ChromeTraceWriter *writer);
 
-    /** @return true if a fill for this line is still in flight. */
-    bool pending(Addr addr, Cycle cycle);
+    /** @return true if a fill for this line lands after @p cycle. */
+    bool pending(Addr addr, Cycle cycle) const;
 
-    /** Fills still in flight as of @p cycle (auditor/crash report). */
-    std::size_t pendingFillCount(Cycle cycle);
-
-    /**
-     * Earliest completion among fills still in flight at @p cycle, or
-     * kCycleNever when none. The watchdog's event probe uses this to
-     * tell a long-latency stall from a true deadlock.
-     */
-    Cycle earliestPendingFill(Cycle cycle);
+    /** Fills landing after @p cycle (auditor/crash report). */
+    std::size_t pendingFillCount(Cycle cycle) const;
 
     /**
-     * Side-effect-free variant of earliestPendingFill() for the
-     * skip-ahead kernel's memory bound: min fill completion > @p now,
-     * without expiring MSHRs (the skip decision must not mutate
-     * state).
+     * Earliest fill landing after @p now, or kCycleNever when none:
+     * the skip-ahead kernel's memory bound and the watchdog's event
+     * probe (a long-latency stall versus a true deadlock).
      */
     Cycle nextPendingFill(Cycle now) const;
 
@@ -186,7 +184,7 @@ class TimedCache
      * hierarchy services every miss synchronously, so any nonzero
      * value at drain is a leak.
      */
-    std::size_t unpairedMisses() const { return missStart_.size(); }
+    std::size_t unpairedMisses() const;
 
     /** Count a writeback leaving this cache. */
     void noteWriteback() { ++writebacks_; }
@@ -241,13 +239,28 @@ class TimedCache
     void restoreState(ckpt::SnapshotReader &r);
 
   private:
-    void expireMshrs(Cycle cycle);
+    /**
+     * One MSHR entry, one per line. lookup() opens it at a new miss
+     * with ready = kCycleNever; fill() closes it at the fill's ready
+     * cycle (a prefetch fill enters closed); the first lookup() at or
+     * past ready drops it.
+     */
+    struct Mshr
+    {
+        Addr line;
+        Cycle missCycle; ///< when the miss was found; used while open.
+        Cycle ready;     ///< fill-done cycle; kCycleNever while open.
+
+        /** A fill is on its way and lands after @p cycle. */
+        bool landsAfter(Cycle cycle) const
+        {
+            return ready != kCycleNever && ready > cycle;
+        }
+    };
 
     CacheParams params_;
     CacheArray array_;
-    std::map<Addr, Cycle> inflight_; ///< line addr -> fill-done cycle.
-    /** Line addr -> cycle its (new) miss was discovered. */
-    std::map<Addr, Cycle> missStart_;
+    std::vector<Mshr> mshrs_; ///< unordered.
 
     obs::ChromeTraceWriter *trace_ = nullptr;
     unsigned traceTid_ = 0;

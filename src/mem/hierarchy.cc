@@ -1,5 +1,6 @@
 #include "mem/hierarchy.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "ckpt/snapshot.hh"
@@ -281,21 +282,22 @@ MemSystem::data(CpuId cpu, Addr addr, bool is_write, Cycle cycle)
 }
 
 Cycle
-MemSystem::earliestPendingCompletion(Cycle now) const
+MemSystem::nextPendingFill(Cycle now) const
 {
     Cycle earliest = kCycleNever;
-    const auto consider = [&earliest](Cycle c) {
-        if (c < earliest)
-            earliest = c;
-    };
     for (const auto &pc : cpus_) {
-        consider(pc->l1i->nextPendingFill(now));
-        consider(pc->l1d->nextPendingFill(now));
-        consider(pc->l2->nextPendingFill(now));
+        earliest = std::min({earliest, pc->l1i->nextPendingFill(now),
+                             pc->l1d->nextPendingFill(now),
+                             pc->l2->nextPendingFill(now)});
     }
-    consider(bus_->nextRelease(now));
-    consider(memCtrl_->nextRelease(now));
     return earliest;
+}
+
+Cycle
+MemSystem::earliestPendingCompletion(Cycle now) const
+{
+    return std::min({nextPendingFill(now), bus_->nextRelease(now),
+                     memCtrl_->nextRelease(now)});
 }
 
 double

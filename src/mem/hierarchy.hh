@@ -88,6 +88,12 @@ class MemSystem
     /** @} */
 
     /**
+     * Earliest fill landing after @p now in any CPU's L1I, L1D or L2,
+     * or kCycleNever when none: the watchdog's event probe.
+     */
+    Cycle nextPendingFill(Cycle now) const;
+
+    /**
      * Earliest future cycle (> @p now) any in-flight fill lands or a
      * shared resource (bus phase, memory channel) frees up, over all
      * CPUs — or kCycleNever when the whole hierarchy is quiescent.

@@ -114,17 +114,14 @@ class TickProfiler
     /** The whole probe pass on a sampled cycle took @p ns. */
     virtual void recordProbes(std::uint64_t ns) = 0;
 
-    /**
-     * The skip-ahead kernel elided @p cycles idle cycles. Default
-     * no-op so profilers that predate skip-ahead keep compiling.
-     */
-    virtual void recordElided(std::uint64_t cycles) { (void)cycles; }
+    /** The skip-ahead kernel elided @p cycles idle cycles. */
+    virtual void recordElided(std::uint64_t cycles) = 0;
 };
 
 /**
- * Periodic or polled probe callback. Invoked at its registered
- * cycles, after every Clocked component has ticked; return false to
- * detach (the probe is never called again).
+ * Periodic probe callback. Invoked at its registered cycles, after
+ * every Clocked component has ticked; return false to detach (the
+ * probe is never called again).
  */
 using ProbeFn = std::function<bool(Cycle)>;
 
@@ -180,30 +177,22 @@ class CycleKernel
     void attachProbe(Cycle first, std::uint64_t period, ProbeFn fn);
 
     /**
-     * Register a probe invoked at every *visited* cycle (after the
-     * components tick), interleaved with the other probes in
-     * registration order; return false to detach. Unlike a period-1
-     * periodic probe, a polled probe does not force the kernel to
-     * visit every cycle and never bounds the skip: use it only when
-     * the probe's decision can change at visited cycles alone (e.g.
-     * warm-up: commits only happen at visited cycles).
-     *
-     * Unlike periodic probes, polled probes run while idle-tick stat
-     * replays may still be deferred (the kernel flushes before any
-     * periodic probe fires, but not for these): a polled probe must
-     * depend only on tick-mutated state such as commit counters, or
-     * call flushElides() before touching anything else.
-     */
-    void attachPolledProbe(ProbeFn fn);
-
-    /**
      * Register a probe that names its own next cycle: first invoked
      * at @p first, then wherever its last ProbeNext points. The named
-     * cycle bounds the skip exactly as a periodic firing does;
-     * everyVisit adds polled invocations until then. Scheduled probes
-     * run un-flushed, under the same contract as polled probes. The
-     * watchdog is the canonical user: it sleeps until its deadline
-     * instead of being polled on every visit.
+     * cycle bounds the skip exactly as a periodic firing does.
+     * everyVisit adds invocations at every *visited* cycle until then
+     * (after the components tick, interleaved with the other probes
+     * in registration order); these force no visit and never bound
+     * the skip, so answering {kCycleNever, true} polls a decision
+     * that can change at visited cycles alone (e.g. warm-up: commits
+     * only happen at visited cycles). The watchdog sleeps until its
+     * deadline instead.
+     *
+     * Unlike periodic probes, scheduled probes run while idle-tick
+     * stat replays may still be deferred (the kernel flushes before
+     * any periodic probe fires, but not for these): a scheduled probe
+     * must depend only on tick-mutated state such as commit counters,
+     * or call flushElides() before touching anything else.
      */
     void attachScheduledProbe(Cycle first, ScheduledProbeFn fn);
 
@@ -253,11 +242,11 @@ class CycleKernel
      * Replay every deferred idle tick now (see canDefer()). The
      * kernel flushes automatically before a component's real tick,
      * before any periodic probe fires, and on every loop exit; call
-     * this from a *polled* probe before reading or mutating
+     * this from a *scheduled* probe before reading or mutating
      * elide-replayed stats (the warm-up reset, an emergency
-     * checkpoint) — polled probes otherwise run with idle-tick stat
-     * replays still pending, which is safe only while they depend on
-     * nothing but tick-mutated state (commit counters).
+     * checkpoint) — scheduled probes otherwise run with idle-tick
+     * stat replays still pending, which is safe only while they
+     * depend on nothing but tick-mutated state (commit counters).
      */
     void flushElides()
     {
@@ -301,9 +290,9 @@ class CycleKernel
 
   private:
     /**
-     * Every probe kind in one form: periodic probes name their next
-     * firing, polled probes set everyVisit, scheduled probes do
-     * either. Only periodic firings flush deferred elides first.
+     * Both probe kinds in one form: periodic probes name their next
+     * firing, scheduled probes may also set everyVisit. Only periodic
+     * firings flush deferred elides first.
      */
     struct ProbeEntry
     {

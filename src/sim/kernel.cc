@@ -46,18 +46,6 @@ CycleKernel::attachProbe(Cycle first, std::uint64_t period, ProbeFn fn)
 }
 
 void
-CycleKernel::attachPolledProbe(ProbeFn fn)
-{
-    if (!fn)
-        panic("CycleKernel polled probe needs a callback");
-    probes_.push_back(ProbeEntry{
-        {kCycleNever, true}, false, [fn = std::move(fn)](Cycle cycle) {
-            return fn(cycle) ? ProbeNext{kCycleNever, true}
-                             : ProbeNext{};
-        }});
-}
-
-void
 CycleKernel::attachScheduledProbe(Cycle first, ScheduledProbeFn fn)
 {
     if (!fn)
@@ -144,9 +132,8 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
     pending_.assign(clocked_.size(), PendingElide{});
     // Periodic probes read (sampler), reset (warm-up boundary via
     // its own flushElides) or serialize (checkpoint) stats, so every
-    // deferred idle-tick replay must land before one fires; polled
-    // and scheduled probes run un-flushed per their documented
-    // contract.
+    // deferred idle-tick replay must land before one fires; scheduled
+    // probes run un-flushed per their documented contract.
     const auto flushForProbes = [this](Cycle c) {
         if (!skipAhead_)
             return;

@@ -105,16 +105,8 @@ System::run()
     if (params_.watchdogCycles != 0) {
         watchdog =
             std::make_unique<check::Watchdog>(params_.watchdogCycles);
-        watchdog->setEventProbe([this](Cycle now) {
-            Cycle earliest = kCycleNever;
-            for (CpuId c = 0; c < mem_->numCpus(); ++c) {
-                earliest = std::min(
-                    {earliest, mem_->l1i(c).earliestPendingFill(now),
-                     mem_->l1d(c).earliestPendingFill(now),
-                     mem_->l2(c).earliestPendingFill(now)});
-            }
-            return earliest;
-        });
+        watchdog->setEventProbe(
+            [this](Cycle now) { return mem_->nextPendingFill(now); });
     }
 
     // Assemble the cycle kernel: cores tick every cycle; everything
@@ -182,17 +174,17 @@ System::run()
         });
     }
     if (!warm_done) {
-        // Polled: the warm-up decision depends only on committed
-        // counts, which change exclusively at visited cycles, so the
-        // probe need not bound the skip.
-        kernel_->attachPolledProbe([&](Cycle cycle) {
+        // Polled on every visit from the start: the warm-up decision
+        // depends only on committed counts, which change exclusively
+        // at visited cycles, so the probe need not bound the skip.
+        kernel_->attachScheduledProbe(start, [&](Cycle cycle) {
             for (auto &core : cores_) {
                 if (core->committed() < params_.warmupInstrs)
-                    return true; // not warm yet; probe again.
+                    return ProbeNext{kCycleNever, true}; // not warm.
             }
             for (std::size_t i = 0; i < cores_.size(); ++i)
                 cont_.warmupCommitted[i] = cores_[i]->committed();
-            // Polled probes run with idle-tick replays still
+            // Scheduled probes run with idle-tick replays still
             // deferred; settle them on the side of the boundary they
             // belong to before the measurement window opens.
             kernel_->flushElides();
@@ -201,7 +193,7 @@ System::run()
             cont_.warmDone = true;
             cont_.warmupEndCycle = cycle;
             warm_done = true;
-            return false; // measurement window open; detach.
+            return ProbeNext{}; // measurement window open; detach.
         });
     }
     if (sampler_ && params_.samplePeriod != 0) {

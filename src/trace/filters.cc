@@ -18,7 +18,8 @@ sampleTrace(const InstrTrace &trace, std::size_t skip,
     InstrTrace out(trace.workloadName());
     if (skip >= trace.size())
         return out;
-    const std::size_t end = std::min(trace.size(), skip + length);
+    const std::size_t end =
+        skip + std::min(length, trace.size() - skip);
     out.reserve(end - skip);
     for (std::size_t i = skip; i < end; ++i)
         out.append(trace[i]);

@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -154,6 +157,69 @@ TEST(TimedCache, MshrExhaustionDelays)
     EXPECT_FALSE(res.hit);
     EXPECT_FALSE(res.merged);
     EXPECT_GE(res.ready, 500u);
+
+    // fill() does not check capacity: three fills in flight over two
+    // MSHRs, and the next miss still waits for the earliest one.
+    c.fill(0x30000, 700, false);
+    EXPECT_EQ(c.pendingFillCount(2), 3u);
+    res = c.lookup(0x40000, false, 2);
+    EXPECT_FALSE(res.hit);
+    EXPECT_FALSE(res.merged);
+    EXPECT_EQ(res.ready, 500u);
+}
+
+/** Samples taken by a cache's mshr_residency distribution. */
+std::uint64_t
+residencySamples(const stats::Group &g)
+{
+    struct Finder : stats::Visitor
+    {
+        std::uint64_t count = 0;
+        void visitDistribution(const stats::Group &,
+                               const std::string &name,
+                               const std::string &,
+                               const stats::Distribution &d) override
+        {
+            if (name == "mshr_residency")
+                count += d.count();
+        }
+    } finder;
+    g.visit(finder);
+    return finder.count;
+}
+
+TEST(TimedCache, MshrEntryLifecycle)
+{
+    stats::Group g("t");
+    TimedCache c(smallParams(), &g);
+
+    // A miss holds an MSHR waiting for its fill: unpaired, not yet a
+    // pending fill.
+    (void)c.lookup(0x2000, false, 10);
+    EXPECT_EQ(c.unpairedMisses(), 1u);
+    EXPECT_FALSE(c.pending(0x2000, 10));
+    EXPECT_EQ(c.pendingFillCount(10), 0u);
+    EXPECT_EQ(c.nextPendingFill(10), kCycleNever);
+
+    // Its fill pairs it and samples the residency once.
+    c.fill(0x2000, 200, false);
+    EXPECT_EQ(c.unpairedMisses(), 0u);
+    EXPECT_TRUE(c.pending(0x2000, 10));
+    EXPECT_EQ(residencySamples(g), 1u);
+
+    // A fill without a miss (a prefetch) samples nothing.
+    c.fill(0x4000, 300, false, /*prefetched=*/true);
+    EXPECT_EQ(residencySamples(g), 1u);
+    EXPECT_EQ(c.unpairedMisses(), 0u);
+    EXPECT_EQ(c.pendingFillCount(10), 2u);
+
+    // Only fills after now count, and the queries drop nothing.
+    EXPECT_EQ(c.nextPendingFill(10), 200u);
+    EXPECT_EQ(c.nextPendingFill(200), 300u);
+    EXPECT_EQ(c.nextPendingFill(300), kCycleNever);
+    EXPECT_FALSE(c.pending(0x2000, 200));
+    EXPECT_EQ(c.pendingFillCount(250), 1u);
+    EXPECT_EQ(c.pendingFillCount(10), 2u);
 }
 
 TEST(TimedCache, OffChipPenaltyAddsLatency)

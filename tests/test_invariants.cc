@@ -1,5 +1,8 @@
 #include "check/invariants.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -168,6 +171,51 @@ TEST(Invariants, PerfectCachesSkipCoherenceChecks)
     // walk must not fire on idealized configurations.
     InvariantAuditor aud(sys);
     aud.checkCycle(0);
+}
+
+/** The panic message of @p sys's end-of-run audit, or "" if clean. */
+std::string
+endOfRunPanic(System &sys)
+{
+    InvariantAuditor aud(sys);
+    setThrowOnError(true);
+    std::string msg;
+    try {
+        aud.checkEndOfRun(sys.currentCycle());
+    } catch (const std::runtime_error &e) {
+        msg = e.what();
+    }
+    setThrowOnError(false);
+    return msg;
+}
+
+TEST(Invariants, AbandonedMissIsNeverPairedWithAFill)
+{
+    System sys{SystemParams{}};
+    sys.attachTrace(0, generateTrace(specint95Profile(), 8000));
+    ASSERT_FALSE(sys.run().hitCycleCap);
+    ASSERT_EQ(endOfRunPanic(sys), "");
+
+    // A miss lookup whose fill never comes.
+    const auto res =
+        sys.mem().l2(0).lookup(0x7f000000, false, sys.currentCycle());
+    ASSERT_FALSE(res.hit || res.merged);
+    EXPECT_NE(endOfRunPanic(sys).find("never paired with a fill"),
+              std::string::npos)
+        << endOfRunPanic(sys);
+}
+
+TEST(Invariants, FillFarPastTheEndIsUnreachable)
+{
+    System sys{SystemParams{}};
+    sys.attachTrace(0, generateTrace(specint95Profile(), 8000));
+    ASSERT_FALSE(sys.run().hitCycleCap);
+    const Cycle end = sys.currentCycle();
+    ASSERT_EQ(sys.mem().l2(0).nextPendingFill(end), kCycleNever);
+
+    sys.mem().l2(0).fill(0x7f000000, end + 2'000'000, false);
+    EXPECT_NE(endOfRunPanic(sys).find("unreachable"), std::string::npos)
+        << endOfRunPanic(sys);
 }
 
 } // namespace

@@ -213,9 +213,9 @@ runCountingVisits(StridedComponent &busy, StridedComponent &idle)
     kernel.attach(&busy);
     kernel.attach(&idle);
     std::uint64_t visits = 0;
-    kernel.attachPolledProbe([&](Cycle) {
+    kernel.attachScheduledProbe(0, [&](Cycle) {
         ++visits;
-        return true;
+        return ProbeNext{kCycleNever, true};
     });
     const CycleKernel::Outcome out = kernel.run(100000);
     EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);

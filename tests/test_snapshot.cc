@@ -247,12 +247,15 @@ TEST(Snapshot, ForgedHeadersWithValidChecksumsAreStillRefused)
     EXPECT_NE(parseError(huge).find("section count 2147483648 exceeds"),
               std::string::npos)
         << parseError(huge);
-    // Another format version is named as such.
-    std::vector<std::uint8_t> old = sampleImage();
-    forgeHeader(old, kHeaderStart, 1, 4);
-    EXPECT_NE(parseError(old).find("unsupported format version 1"),
-              std::string::npos)
-        << parseError(old);
+    // Another format version is named as such, the previous one too.
+    for (std::uint32_t version : {1u, 2u}) {
+        std::vector<std::uint8_t> old = sampleImage();
+        forgeHeader(old, kHeaderStart, version, 4);
+        EXPECT_NE(parseError(old).find("unsupported format version " +
+                                       std::to_string(version)),
+                  std::string::npos)
+            << parseError(old);
+    }
 }
 
 TEST(Snapshot, AddressSpaceCapRefusesAnOversizedAllocation)

@@ -1,5 +1,7 @@
 #include "trace/trace.hh"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -81,6 +83,11 @@ TEST(Trace, SampleClampsToEnd)
 
     const InstrTrace s3 = sampleTrace(t, 100, 10);
     EXPECT_TRUE(s3.empty());
+
+    // skip + length would wrap: the length is clamped first.
+    const InstrTrace s4 = sampleTrace(t, 4, SIZE_MAX);
+    ASSERT_EQ(s4.size(), 6u);
+    EXPECT_EQ(s4[0].pc, 16u);
 }
 
 TEST(Trace, PeriodicSampleTakesWindows)
