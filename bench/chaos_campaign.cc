@@ -20,11 +20,14 @@
  * synthesized trace and the fault storms. It is the only run flag the
  * campaign takes; the others (--threads=, --journal=, --resume, ...)
  * are parsed and ignored, so no sweep a campaign runs inherits them.
+ * An argument that is neither a run flag nor one of the options below
+ * is fatal.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "chaos/campaign.hh"
 #include "chaos/invariants.hh"
@@ -57,12 +60,12 @@ usage(const char *argv0)
 }
 
 bool
-parseArg(const char *arg, const char *name, const char **value)
+parseArg(const std::string &arg, const char *name, const char **value)
 {
     const std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0)
+    if (arg.compare(0, n, name) != 0)
         return false;
-    *value = arg + n;
+    *value = arg.c_str() + n;
     return true;
 }
 
@@ -71,14 +74,14 @@ parseArg(const char *arg, const char *name, const char **value)
 int
 main(int argc, char **argv)
 {
-    const obs::ObsOptions run = obs::parseObsArgs(argc, argv);
+    std::vector<std::string> rest;
+    const obs::ObsOptions run = obs::parseObsArgs(argc, argv, &rest);
 
     chaos::CampaignOptions opts;
     if (run.seed != obs::ObsOptions::kUnset)
         opts.seed = run.seed;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
+    for (const std::string &arg : rest) {
         const char *v = nullptr;
         if (parseArg(arg, "--points=", &v)) {
             opts.points =
@@ -93,24 +96,22 @@ main(int argc, char **argv)
             opts.replay = true;
             opts.replayIndex =
                 static_cast<std::size_t>(parseU64(v, "--replay"));
-        } else if (std::strcmp(arg, "--no-shrink") == 0) {
+        } else if (arg == "--no-shrink") {
             opts.shrink = false;
-        } else if (std::strcmp(arg, "--verbose") == 0) {
+        } else if (arg == "--verbose") {
             opts.verbose = true;
-        } else if (std::strcmp(arg, "--list-invariants") == 0) {
+        } else if (arg == "--list-invariants") {
             for (const chaos::Invariant &inv :
                  chaos::invariantCatalog())
                 std::printf("%-16s %s\n", inv.name.c_str(),
                             inv.description.c_str());
             return 0;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
+        } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
+        } else {
+            fatal("unknown argument '%s' (see --help)", arg.c_str());
         }
-        // Everything else was either consumed by parseObsArgs
-        // (--seed=, --threads=, ...) or is ignored, matching the
-        // other bench harnesses.
     }
 
     // selectInvariants fatal()s on unknown names before any work.

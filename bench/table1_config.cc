@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "analysis/report.hh"
+#include "cpu/core.hh"
 #include "model/params.hh"
 #include "obs/run_obs.hh"
 
@@ -38,11 +39,11 @@ main(int argc, char **argv)
                   std::to_string(c.bpred.entries / 1024) +
                   "K-entry"});
     t.addRow({"Execution units",
-              "fixed-point: " + std::to_string(c.numIntUnits) +
+              "fixed-point: " + std::to_string(kNumIntUnits) +
                   ", floating-point: " +
-                  std::to_string(c.numFpUnits) +
+                  std::to_string(kNumFpUnits) +
                   " (multiply-add), address generator: " +
-                  std::to_string(c.numAgenUnits)});
+                  std::to_string(kNumAgenUnits)});
     t.addRow({"Reservation station RSE",
               std::to_string(2 * c.rseEntries) + " (" +
                   std::to_string(c.rseEntries) + "/" +

@@ -36,9 +36,10 @@ std::uint64_t fnv1a(const void *data, std::size_t len,
 
 /**
  * Container format version; bumped on any layout change (2: header
- * checksum; 3: one MSHR list per cache).
+ * checksum; 3: one MSHR list per cache; 4: no completed-load list in
+ * the LSQ).
  */
-constexpr std::uint32_t kSnapshotFormatVersion = 3;
+constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * Builds a snapshot: beginSection()/put*()/.../writeFile(). Sections

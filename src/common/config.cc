@@ -53,10 +53,8 @@ ConfigMap::parse(const std::string &token)
 void
 ConfigMap::parseArgs(const std::vector<std::string> &args)
 {
-    for (const std::string &tok : args) {
-        if (tok.find('=') != std::string::npos)
-            parse(tok);
-    }
+    for (const std::string &tok : args)
+        parse(tok);
 }
 
 void

@@ -28,10 +28,10 @@ class ConfigMap
     /** Parse a single "key=value" token; fatal() on malformed input. */
     void parse(const std::string &token);
 
-    /** Parse @p args, skipping entries without '='. */
+    /** parse() every token of @p args. */
     void parseArgs(const std::vector<std::string> &args);
 
-    /** Parse argv-style tokens, skipping entries without '='. */
+    /** parse() every argv-style token after argv[0]. */
     void parseArgs(int argc, const char *const *argv);
 
     /** Set a value programmatically. */

@@ -2,6 +2,7 @@
 
 #include "ckpt/snapshot.hh"
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/logging.hh"
@@ -66,7 +67,7 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
 
     rs_.resize(kNumRs);
     rs_[kRsA] = std::make_unique<ReservationStation>(
-        "rsa", params_.rsaEntries, params_.numAgenUnits, &statGroup_);
+        "rsa", params_.rsaEntries, kNumAgenUnits, &statGroup_);
     rs_[kRsBr] = std::make_unique<ReservationStation>(
         "rsbr", params_.rsbrEntries, 1, &statGroup_);
     if (params_.unifiedRs) {
@@ -85,14 +86,13 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
             "rsf1", params_.rsfEntries, 1, &statGroup_);
     }
 
-    units_.reserve(7);
-    units_.emplace_back("eaga");
-    units_.emplace_back("eagb");
-    units_.emplace_back("exa");
-    units_.emplace_back("exb");
-    units_.emplace_back("fla");
-    units_.emplace_back("flb");
-    units_.emplace_back("br");
+    static const char *const kUnitNames[] = {"eaga", "eagb", "exa", "exb",
+                                             "fla",  "flb",  "br"};
+    static_assert(std::size(kUnitNames) ==
+                  kNumAgenUnits + kNumIntUnits + kNumFpUnits + 1);
+    units_.reserve(std::size(kUnitNames));
+    for (const char *name : kUnitNames)
+        units_.emplace_back(name);
 }
 
 void
@@ -449,7 +449,7 @@ Core::dispatchStage(Cycle cycle)
     selectScratch_.clear();
     rs_[kRsBr]->select(base_ok, selectScratch_);
     for (std::uint64_t seq : selectScratch_)
-        dispatch_to(seq, units_[6]);
+        dispatch_to(seq, units_.back());
 
     // Integer and FP stations -> EX / FL units.
     auto run_pair = [&](RsId first, unsigned unit_base) {
@@ -490,8 +490,8 @@ Core::dispatchStage(Cycle cycle)
             }
         }
     };
-    run_pair(kRsE0, 2);
-    run_pair(kRsF0, 4);
+    run_pair(kRsE0, kNumAgenUnits);
+    run_pair(kRsF0, kNumAgenUnits + kNumIntUnits);
 }
 
 void
@@ -931,6 +931,22 @@ Core::restoreState(ckpt::SnapshotReader &r)
     for (auto &rs : rs_) {
         if (rs)
             rs->restoreState(r);
+    }
+    // The indices a window entry carries into other structures.
+    for (std::uint64_t seq = window_.headSeq(); seq < window_.nextSeq();
+         ++seq) {
+        const WindowEntry &e = window_.entry(seq);
+        r.require(e.rsId < kNumRs && rs_[e.rsId],
+                  "window entry names a reservation station this "
+                  "machine does not have");
+        if (e.rec.isMem()) {
+            const unsigned slots = e.rec.isLoad()
+                ? params_.loadQueueEntries : params_.storeQueueEntries;
+            r.require(e.lsqIndex >= 0 &&
+                          static_cast<unsigned>(e.lsqIndex) < slots,
+                      "window entry's load/store queue index out of "
+                      "range");
+        }
     }
     r.require(r.getU32() == units_.size(),
               "execution-unit count differs");

@@ -44,6 +44,15 @@ enum RsId : std::uint8_t
     kNumRs = 6
 };
 
+/**
+ * Execution units every core builds (Table 1), in this order; the
+ * branch unit comes last. @{
+ */
+constexpr unsigned kNumAgenUnits = 2; ///< EAGA, EAGB.
+constexpr unsigned kNumIntUnits = 2;  ///< EXA, EXB.
+constexpr unsigned kNumFpUnits = 2;   ///< FLA, FLB (multiply-add).
+/** @} */
+
 /** A recently retired instruction (crash-report breadcrumbs). */
 struct RecentCommit
 {

@@ -41,7 +41,6 @@ struct CoreParams
 
     unsigned fetchBytes = 32;     ///< up to eight instructions.
     unsigned fetchQueueEntries = 24;
-    unsigned fetchPipeStages = 5;
     unsigned mispredictRedirect = 3; ///< resolve-to-refetch cycles.
 
     unsigned rsaEntries = 10;     ///< address-generation station.
@@ -53,10 +52,6 @@ struct CoreParams
      * one double-size station dispatching up to two ops per cycle.
      */
     bool unifiedRs = false;
-
-    unsigned numIntUnits = 2;
-    unsigned numFpUnits = 2;
-    unsigned numAgenUnits = 2;
 
     unsigned loadQueueEntries = 16;
     unsigned storeQueueEntries = 10;

@@ -227,6 +227,8 @@ restoreFetched(ckpt::SnapshotReader &r)
 {
     FetchedInstr f;
     r.getBytes(&f.rec, sizeof(f.rec));
+    r.require(recordValid(f.rec),
+              "fetched record has an out-of-range class or register");
     f.predictedTaken = r.getBool();
     f.mispredicted = r.getBool();
     return f;
@@ -257,26 +259,43 @@ FetchUnit::saveState(ckpt::SnapshotWriter &w) const
 void
 FetchUnit::restoreState(ckpt::SnapshotReader &r)
 {
+    // Every count is bounded by the structure's capacity before its
+    // entries are read: a group holds at most one fetch block, and
+    // queued plus in-flight instructions fit the fetch queue (a
+    // group starts only when it fits, and is never empty).
+    const std::uint64_t room = params_.fetchQueueEntries;
+    std::uint64_t held = 0;
     inflight_.clear();
     const std::uint64_t groups = r.getU64();
+    r.require(groups <= room,
+              "in-flight fetch groups exceed the fetch queue");
     for (std::uint64_t i = 0; i < groups; ++i) {
         Group g;
         g.availableAt = r.getU64();
         const std::uint64_t n = r.getU64();
-        g.instrs.reserve(n);
+        r.require(n <= params_.fetchBytes / 4,
+                  "fetch group larger than a fetch block");
+        held += n;
+        r.require(held <= room,
+                  "fetched instructions exceed the fetch queue");
         for (std::uint64_t j = 0; j < n; ++j)
             g.instrs.push_back(restoreFetched(r));
         inflight_.push_back(std::move(g));
     }
     queue_.clear();
     const std::uint64_t qn = r.getU64();
+    r.require(qn <= room - held,
+              "fetched instructions exceed the fetch queue");
     for (std::uint64_t i = 0; i < qn; ++i)
         queue_.push_back(restoreFetched(r));
     nextGroupStart_ = r.getU64();
     stalledOnBranch_ = r.getBool();
     branchRecovery_ = r.getBool();
     missBlockedUntil_ = r.getU64();
-    missBlockReason_ = static_cast<obs::CommitSlot>(r.getU8());
+    const std::uint8_t reason = r.getU8();
+    r.require(reason < obs::kNumCommitSlots,
+              "fetch miss-block reason out of range");
+    missBlockReason_ = static_cast<obs::CommitSlot>(reason);
 }
 
 } // namespace s64v

@@ -386,19 +386,10 @@ LoadStoreQueue::rebuildMasks()
 void
 LoadStoreQueue::saveState(ckpt::SnapshotWriter &w) const
 {
+    // The completed-load list is not state: tick() fills it and the
+    // core drains it within the same cycle, so it is empty here.
     saveLsqEntries(w, loads_);
     saveLsqEntries(w, stores_);
-    w.putU64(completedLoads_.size());
-    for (const LoadCompletion &c : completedLoads_) {
-        w.putU64(c.seq);
-        w.putU64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(c.slot)));
-        w.putU64(c.completion);
-        w.putBool(c.l1Hit);
-        w.putU64(c.missKnownAt);
-        w.putBool(c.l2Hit);
-        w.putBool(c.tlbMiss);
-    }
 }
 
 void
@@ -410,18 +401,6 @@ LoadStoreQueue::restoreState(ckpt::SnapshotReader &r)
     lqCount_ = lqValid_.count();
     sqCount_ = sqValid_.count();
     completedLoads_.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        LoadCompletion c;
-        c.seq = r.getU64();
-        c.slot = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(r.getU64()));
-        c.completion = r.getU64();
-        c.l1Hit = r.getBool();
-        c.missKnownAt = r.getU64();
-        c.l2Hit = r.getBool();
-        c.tlbMiss = r.getBool();
-    }
 }
 
 } // namespace s64v

@@ -90,8 +90,13 @@ void
 restoreWindowEntry(ckpt::SnapshotReader &r, WindowEntry &e)
 {
     r.getBytes(&e.rec, sizeof(e.rec));
+    r.require(recordValid(e.rec),
+              "window record has an out-of-range class or register");
     e.seq = r.getU64();
-    e.state = static_cast<InstrState>(r.getU8());
+    const std::uint8_t state = r.getU8();
+    r.require(state <= static_cast<std::uint8_t>(InstrState::Done),
+              "window entry state out of range");
+    e.state = static_cast<InstrState>(state);
     e.issueCycle = r.getU64();
     e.dispatchCycle = r.getU64();
     e.execCycle = r.getU64();

@@ -121,11 +121,19 @@ MemSystem::runPrefetches(CpuId cpu, const std::vector<Addr> &candidates,
     }
 }
 
-Cycle
-MemSystem::l2Access(CpuId cpu, Addr addr, bool is_write, bool is_fetch,
-                    Cycle cycle, bool &l2_hit)
+void
+MemSystem::upgradeShared(CpuId cpu, Addr addr, Cycle cycle)
 {
-    (void)is_fetch;
+    if (cpus_.size() > 1 && coherence_->othersHold(cpu, addr)) {
+        bus_->command(cycle);
+        coherence_->invalidateOthers(cpu, addr);
+    }
+}
+
+Cycle
+MemSystem::l2Access(CpuId cpu, Addr addr, bool is_write, Cycle cycle,
+                    bool &l2_hit)
+{
     PerCpu &pc = *cpus_[cpu];
 
     if (params_.perfectL2) {
@@ -139,32 +147,17 @@ MemSystem::l2Access(CpuId cpu, Addr addr, bool is_write, bool is_fetch,
 
     const TimedCache::LookupResult res =
         pc.l2->lookup(addr, is_write, cycle);
-    if (res.hit) {
-        l2_hit = true;
-        // Store hit on a line other processors hold: upgrade
-        // transaction invalidating the other copies.
-        if (is_write && cpus_.size() > 1 &&
-            coherence_->othersHold(cpu, addr)) {
-            bus_->command(res.ready);
-            coherence_->invalidateOthers(cpu, addr);
-        }
+    if (res.hit || res.merged) {
+        l2_hit = res.hit;
+        // A store hitting the line, or merging into an in-flight read
+        // miss that did not invalidate the remote copies, dirties it
+        // here.
+        if (is_write)
+            upgradeShared(cpu, addr, res.ready);
         runPrefetches(cpu, prefetchScratch_, cycle);
         return res.ready;
     }
-
     l2_hit = false;
-    if (res.merged) {
-        // A write merging into an in-flight read miss still needs the
-        // upgrade: the original request did not invalidate remote
-        // copies, and the merged store dirties the local line.
-        if (is_write && cpus_.size() > 1 &&
-            coherence_->othersHold(cpu, addr)) {
-            bus_->command(res.ready);
-            coherence_->invalidateOthers(cpu, addr);
-        }
-        runPrefetches(cpu, prefetchScratch_, cycle);
-        return res.ready;
-    }
     pc.l2->noteDemandMiss();
 
     const Cycle line_ready = memoryPath(cpu, addr, is_write,
@@ -178,107 +171,63 @@ MemSystem::l2Access(CpuId cpu, Addr addr, bool is_write, bool is_fetch,
 }
 
 AccessResult
-MemSystem::fetch(CpuId cpu, Addr addr, Cycle cycle)
+MemSystem::l1Access(CpuId cpu, Tlb &tlb, TimedCache &l1, Addr addr,
+                    bool is_write, Cycle cycle)
 {
-    PerCpu &pc = *cpus_[cpu];
     AccessResult out;
 
     const unsigned tlb_pen = params_.perfectTlb
-        ? 0 : pc.itlb->translate(addr, cycle);
+        ? 0 : tlb.translate(addr, cycle);
     out.tlbMiss = tlb_pen != 0;
-    Cycle t = cycle + tlb_pen;
+    const Cycle t = cycle + tlb_pen;
     addr = physAddr(addr);
 
     if (params_.perfectL1) {
-        out.ready = t + params_.l1i.totalLatency();
+        out.ready = t + l1.params().totalLatency();
         return out;
     }
 
-    pc.l1i->noteDemandAccess();
-    const TimedCache::LookupResult res = pc.l1i->lookup(addr, false, t);
-    if (res.hit) {
+    l1.noteDemandAccess();
+    const TimedCache::LookupResult res = l1.lookup(addr, is_write, t);
+    if (res.hit || res.merged) {
+        out.l1Hit = res.hit;
+        // Same upgrade obligation as the L2's hit and merge paths.
+        if (is_write)
+            upgradeShared(cpu, addr, res.ready);
         out.ready = res.ready;
         return out;
     }
-
     out.l1Hit = false;
-    if (res.merged) {
-        out.ready = res.ready;
-        return out;
-    }
-    pc.l1i->noteDemandMiss();
+    l1.noteDemandMiss();
 
     const Cycle t2 = res.ready + params_.l1ToL2Latency;
     bool l2_hit = true;
-    const Cycle line_ready = l2Access(cpu, addr, false, true, t2,
-                                      l2_hit);
+    const Cycle line_ready = l2Access(cpu, addr, is_write, t2, l2_hit);
     out.l2Hit = l2_hit;
-    const Eviction ev = pc.l1i->fill(addr, line_ready, false);
-    (void)ev; // instruction lines are never dirty.
+
+    const Eviction ev = l1.fill(addr, line_ready, is_write);
+    if (ev.valid && ev.dirty) {
+        // Copy-back into the (inclusive) L2. Only stores dirty a
+        // line, so an L1I eviction never takes this branch.
+        l1.noteWriteback();
+        cpus_[cpu]->l2->array().setDirty(ev.lineAddr);
+    }
     out.ready = line_ready;
     return out;
+}
+
+AccessResult
+MemSystem::fetch(CpuId cpu, Addr addr, Cycle cycle)
+{
+    PerCpu &pc = *cpus_[cpu];
+    return l1Access(cpu, *pc.itlb, *pc.l1i, addr, false, cycle);
 }
 
 AccessResult
 MemSystem::data(CpuId cpu, Addr addr, bool is_write, Cycle cycle)
 {
     PerCpu &pc = *cpus_[cpu];
-    AccessResult out;
-
-    const unsigned tlb_pen = params_.perfectTlb
-        ? 0 : pc.dtlb->translate(addr, cycle);
-    out.tlbMiss = tlb_pen != 0;
-    Cycle t = cycle + tlb_pen;
-    addr = physAddr(addr);
-
-    if (params_.perfectL1) {
-        out.ready = t + params_.l1d.totalLatency();
-        return out;
-    }
-
-    pc.l1d->noteDemandAccess();
-    const TimedCache::LookupResult res =
-        pc.l1d->lookup(addr, is_write, t);
-    if (res.hit) {
-        // A store hitting a line other processors share still needs
-        // an upgrade transaction to invalidate the remote copies.
-        if (is_write && cpus_.size() > 1 &&
-            coherence_->othersHold(cpu, addr)) {
-            bus_->command(res.ready);
-            coherence_->invalidateOthers(cpu, addr);
-        }
-        out.ready = res.ready;
-        return out;
-    }
-
-    out.l1Hit = false;
-    if (res.merged) {
-        // Same upgrade obligation as the L2 merge path: a store
-        // merging into a read miss's MSHR dirties the line here.
-        if (is_write && cpus_.size() > 1 &&
-            coherence_->othersHold(cpu, addr)) {
-            bus_->command(res.ready);
-            coherence_->invalidateOthers(cpu, addr);
-        }
-        out.ready = res.ready;
-        return out;
-    }
-    pc.l1d->noteDemandMiss();
-
-    const Cycle t2 = res.ready + params_.l1ToL2Latency;
-    bool l2_hit = true;
-    const Cycle line_ready = l2Access(cpu, addr, is_write, false, t2,
-                                      l2_hit);
-    out.l2Hit = l2_hit;
-
-    const Eviction ev = pc.l1d->fill(addr, line_ready, is_write);
-    if (ev.valid && ev.dirty) {
-        // Copy-back into the (inclusive) L2.
-        pc.l1d->noteWriteback();
-        pc.l2->array().setDirty(ev.lineAddr);
-    }
-    out.ready = line_ready;
-    return out;
+    return l1Access(cpu, *pc.dtlb, *pc.l1d, addr, is_write, cycle);
 }
 
 Cycle

@@ -141,9 +141,21 @@ class MemSystem
      */
     Cycle memoryPath(CpuId cpu, Addr addr, bool is_write, Cycle cycle);
 
+    /**
+     * The one L1 access walk, for fetch (L1I, ITLB, never a write)
+     * and data (L1D, DTLB): translate, look up, and on a miss go to
+     * the L2 and fill.
+     */
+    AccessResult l1Access(CpuId cpu, Tlb &tlb, TimedCache &l1,
+                          Addr addr, bool is_write, Cycle cycle);
     /** Handle an L2 fill including evictions and prefetch kicks. */
-    Cycle l2Access(CpuId cpu, Addr addr, bool is_write, bool is_fetch,
-                   Cycle cycle, bool &l2_hit);
+    Cycle l2Access(CpuId cpu, Addr addr, bool is_write, Cycle cycle,
+                   bool &l2_hit);
+    /**
+     * A store to a line other processors hold sends an upgrade: a bus
+     * command at @p cycle that invalidates the remote copies.
+     */
+    void upgradeShared(CpuId cpu, Addr addr, Cycle cycle);
 
     /** Execute prefetch candidates proposed by a demand request. */
     void runPrefetches(CpuId cpu, const std::vector<Addr> &candidates,

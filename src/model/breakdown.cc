@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "common/logging.hh"
 #include "exp/sweep.hh"
@@ -21,7 +23,7 @@ Breakdown::toString() const
     return buf;
 }
 
-std::vector<Breakdown>
+std::vector<WorkloadBreakdown>
 computeBreakdowns(const MachineParams &base,
                   const std::vector<WorkloadProfile> &profiles,
                   std::size_t instrs_per_cpu, const obs::ObsOptions &run)
@@ -47,13 +49,23 @@ computeBreakdowns(const MachineParams &base,
                       profile, instrs_per_cpu);
         }
     }
+    // Every stage records its stack; only the real machine's is read.
+    sweep.setMetricFn([](PerfModel &model, const SimResult &,
+                         std::map<std::string, double> &m) {
+        const Breakdown b =
+            breakdownFromCpiStack(collectCpiStack(model.system()));
+        m["core"] = b.core;
+        m["branch"] = b.branch;
+        m["ibs_tlb"] = b.ibsTlb;
+        m["sx"] = b.sx;
+    });
 
     exp::SweepOptions opts;
     opts.run = run;
     const std::vector<exp::PointResult> flat =
         exp::SweepRunner(opts).run(sweep);
 
-    std::vector<Breakdown> out(profiles.size());
+    std::vector<WorkloadBreakdown> out(profiles.size());
     for (std::size_t w = 0; w < profiles.size(); ++w) {
         double t[4];
         for (unsigned s = 0; s < 4; ++s) {
@@ -64,7 +76,10 @@ computeBreakdowns(const MachineParams &base,
             }
             t[s] = static_cast<double>(p.sim.cycles);
         }
-        Breakdown &b = out[w];
+        const std::map<std::string, double> &real = flat[w * 4].metrics;
+        out[w].cpiStack = {real.at("core"), real.at("branch"),
+                           real.at("ibs_tlb"), real.at("sx")};
+        Breakdown &b = out[w].differential;
         if (t[0] <= 0.0)
             continue;
         b.sx = std::max(0.0, t[0] - t[1]) / t[0];
@@ -80,7 +95,8 @@ computeBreakdown(const MachineParams &base,
                  const WorkloadProfile &profile,
                  std::size_t instrs_per_cpu, const obs::ObsOptions &run)
 {
-    return computeBreakdowns(base, {profile}, instrs_per_cpu, run)[0];
+    return computeBreakdowns(base, {profile}, instrs_per_cpu, run)[0]
+        .differential;
 }
 
 Breakdown

@@ -49,14 +49,25 @@ Breakdown computeBreakdown(const MachineParams &base,
                            std::size_t instrs_per_cpu,
                            const obs::ObsOptions &run);
 
+/** One workload's Figure 7 stack by both methods. */
+struct WorkloadBreakdown
+{
+    /** The §4.2 differential ladder (four runs). */
+    Breakdown differential;
+    /** The commit-slot stack of the ladder's real-machine run. */
+    Breakdown cpiStack;
+};
+
 /**
  * Batch form: breakdowns for many workloads at once. All
  * 4 * profiles.size() differential simulations run as one parallel
  * sweep (see exp::SweepRunner), with each workload's trace
- * synthesized once and shared across its four model variants.
- * @return one Breakdown per profile, in order.
+ * synthesized once and shared across its four model variants. A
+ * metric probe reads each real-machine run's commit-slot stack, so
+ * the single-pass breakdown costs no extra run.
+ * @return one WorkloadBreakdown per profile, in order.
  */
-std::vector<Breakdown>
+std::vector<WorkloadBreakdown>
 computeBreakdowns(const MachineParams &base,
                   const std::vector<WorkloadProfile> &profiles,
                   std::size_t instrs_per_cpu,

@@ -87,16 +87,12 @@ hashCoreParams(Fp &fp, const CoreParams &c)
     fp.u(c.fpRenameRegs);
     fp.u(c.fetchBytes);
     fp.u(c.fetchQueueEntries);
-    fp.u(c.fetchPipeStages);
     fp.u(c.mispredictRedirect);
     fp.u(c.rsaEntries);
     fp.u(c.rsbrEntries);
     fp.u(c.rseEntries);
     fp.u(c.rsfEntries);
     fp.b(c.unifiedRs);
-    fp.u(c.numIntUnits);
-    fp.u(c.numFpUnits);
-    fp.u(c.numAgenUnits);
     fp.u(c.loadQueueEntries);
     fp.u(c.storeQueueEntries);
     fp.u(c.l1dPorts);

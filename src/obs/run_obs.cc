@@ -3,6 +3,7 @@
 #include "check/fault_inject.hh"
 #include "check/invariants.hh"
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 
 namespace s64v::obs
@@ -92,6 +93,8 @@ parseObsArgs(int argc, const char *const *argv,
             check::activeFaultPlan().parse(v);
         else if (rest)
             rest->push_back(arg);
+        else
+            fatal("unknown argument '%s'", arg.c_str());
     }
     return opts;
 }

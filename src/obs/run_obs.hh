@@ -128,7 +128,8 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t run_seed,
  *
  * @param rest if non-null, receives the arguments after argv[0] that
  * are none of these, in order — what is left for the caller's own
- * option parsing.
+ * option parsing, which then owns rejecting what it does not know.
+ * If null, the first such argument is fatal(), named in the message.
  */
 ObsOptions parseObsArgs(int argc, const char *const *argv,
                         std::vector<std::string> *rest = nullptr);

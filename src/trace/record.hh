@@ -55,6 +55,26 @@ struct TraceRecord
 static_assert(sizeof(TraceRecord) == 24,
               "TraceRecord layout is part of the trace file format");
 
+/**
+ * Whether the replay machinery can represent @p rec: a known class
+ * and registers in range. Records read from untrusted bytes (trace
+ * files, checkpoints) must pass it, because a flipped or forged
+ * register or class byte would index arrays out of bounds deep in
+ * the model.
+ */
+inline bool
+recordValid(const TraceRecord &rec)
+{
+    if (static_cast<std::uint8_t>(rec.cls) >=
+        static_cast<std::uint8_t>(InstrClass::NumClasses)) {
+        return false;
+    }
+    const auto reg_ok = [](RegId r) {
+        return r == kNoReg || r < kNumIntRegs + kNumFpRegs;
+    };
+    return reg_ok(rec.dst) && reg_ok(rec.src1) && reg_ok(rec.src2);
+}
+
 } // namespace s64v
 
 #endif // S64V_TRACE_RECORD_HH

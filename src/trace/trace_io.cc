@@ -21,26 +21,6 @@ struct FileCloser
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/**
- * Validate one record from disk. Trace files travel between machines;
- * a flipped bit can turn a register or class byte into an
- * out-of-range value that would index arrays out of bounds deep in
- * the model, so the loader rejects anything the replay machinery
- * cannot represent.
- */
-bool
-recordValid(const TraceRecord &rec)
-{
-    if (static_cast<std::uint8_t>(rec.cls) >=
-        static_cast<std::uint8_t>(InstrClass::NumClasses)) {
-        return false;
-    }
-    const auto reg_ok = [](RegId r) {
-        return r == kNoReg || r < kNumIntRegs + kNumFpRegs;
-    };
-    return reg_ok(rec.dst) && reg_ok(rec.src1) && reg_ok(rec.src2);
-}
-
 } // namespace
 
 void

@@ -43,13 +43,21 @@ TEST(Config, MalformedTokenIsFatal)
     setThrowOnError(false);
 }
 
-TEST(Config, ParseArgsSkipsNonAssignments)
+TEST(Config, ParseArgsRejectsNonAssignments)
 {
-    const char *argv[] = {"prog", "run", "cpus=4", "--flag"};
+    const char *argv[] = {"prog", "cpus=4"};
     ConfigMap cfg;
-    cfg.parseArgs(4, argv);
+    cfg.parseArgs(2, argv);
     EXPECT_EQ(cfg.getU64("cpus", 0), 4u);
-    EXPECT_FALSE(cfg.has("run"));
+
+    // A token without '=' is a typo, not something to skip.
+    setThrowOnError(true);
+    for (const char *bad : {"run", "--flag"}) {
+        const char *args[] = {"prog", "cpus=4", bad};
+        EXPECT_THROW(ConfigMap().parseArgs(3, args), std::runtime_error)
+            << bad;
+    }
+    setThrowOnError(false);
 }
 
 TEST(Config, UnconsumedTracking)

@@ -274,7 +274,9 @@ TEST(RunObs, ParsesObservabilityFlags)
         "--sample-out=c.jsonl", "sample-period=500",
         "--heartbeat=2000", "workload=TPC-C",
     };
-    const obs::ObsOptions o = obs::parseObsArgs(7, argv);
+    std::vector<std::string> rest;
+    const obs::ObsOptions o = obs::parseObsArgs(7, argv, &rest);
+    EXPECT_EQ(rest, std::vector<std::string>{"workload=TPC-C"});
     EXPECT_EQ(o.statsJsonPath, "a.json");
     EXPECT_EQ(o.traceOutPath, "b.json");
     EXPECT_EQ(o.sampleOutPath, "c.jsonl");
@@ -334,6 +336,23 @@ TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
     EXPECT_TRUE(o.resume);
     EXPECT_EQ(o.seed, 3u);
     EXPECT_FALSE(o.skipAhead);
+}
+
+TEST(RunObs, UnknownArgumentWithoutRestIsFatal)
+{
+    // Without a caller to hand leftovers to, a typo must not be
+    // dropped silently: the run would go ahead on the defaults.
+    setThrowOnError(true);
+    const char *argv[] = {"prog", "--threads=1", "--typo"};
+    try {
+        obs::parseObsArgs(3, argv);
+        ADD_FAILURE() << "--typo was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("'--typo'"),
+                  std::string::npos)
+            << e.what();
+    }
+    setThrowOnError(false);
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <new>
 #include <string>
 #include <vector>
@@ -247,8 +248,8 @@ TEST(Snapshot, ForgedHeadersWithValidChecksumsAreStillRefused)
     EXPECT_NE(parseError(huge).find("section count 2147483648 exceeds"),
               std::string::npos)
         << parseError(huge);
-    // Another format version is named as such, the previous one too.
-    for (std::uint32_t version : {1u, 2u}) {
+    // Another format version is named as such, the previous ones too.
+    for (std::uint32_t version : {1u, 2u, 3u}) {
         std::vector<std::uint8_t> old = sampleImage();
         forgeHeader(old, kHeaderStart, version, 4);
         EXPECT_NE(parseError(old).find("unsupported format version " +
@@ -533,6 +534,221 @@ TEST(Checkpoint, InjectedWriteCorruptionIsCaughtOnRestore)
     EXPECT_THROW(ckpt::restoreSystemCheckpoint(reader, path),
                  std::runtime_error);
     std::remove(path.c_str());
+}
+
+/** The payload @p save writes into a one-section snapshot. */
+std::vector<std::uint8_t>
+payloadOf(const std::function<void(ckpt::SnapshotWriter &)> &save)
+{
+    ckpt::SnapshotWriter w;
+    w.beginSection("s");
+    save(w);
+    const std::vector<std::uint8_t> image = w.finish("");
+    // Magic, format/count/version-length words, header checksum; then
+    // the section's name length, name and size; the checksum trails.
+    constexpr std::size_t kPayloadAt = 8 + 12 + 8 + 4 + 1 + 8;
+    return {image.begin() + kPayloadAt, image.end() - 8};
+}
+
+/**
+ * Core 0's checkpoint section cut mid-run, with the offsets of the
+ * parts a forgery patches (the order Core::saveState writes them).
+ */
+struct CoreSection
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t fetchAt = 0;  ///< FetchUnit state.
+    std::size_t lsqAt = 0;    ///< LoadStoreQueue state.
+    std::size_t windowAt = 0; ///< InstrWindow state.
+};
+
+CoreSection
+cutCoreSection(const SystemParams &sp,
+               const std::vector<InstrTrace> &traces, Cycle at)
+{
+    const std::string path = tempPath("forge_source.ckpt");
+    SystemParams cp = sp;
+    cp.checkpoint.atCycle = at;
+    cp.checkpoint.path = path;
+    cp.checkpoint.stopAfter = true;
+    System sys(cp);
+    attachAll(sys, traces);
+    EXPECT_TRUE(sys.run().stoppedAtCheckpoint);
+    std::remove(path.c_str());
+
+    Core &core = sys.core(0);
+    CoreSection s;
+    s.bytes = payloadOf([&](ckpt::SnapshotWriter &w) { core.saveState(w); });
+    s.fetchAt = payloadOf([&](ckpt::SnapshotWriter &w) {
+                    core.bpred().saveState(w);
+                }).size();
+    s.lsqAt = s.fetchAt + payloadOf([&](ckpt::SnapshotWriter &w) {
+                              core.fetchUnit().saveState(w);
+                          }).size();
+    const std::size_t rename_at =
+        s.lsqAt + payloadOf([&](ckpt::SnapshotWriter &w) {
+                      core.lsq().saveState(w);
+                  }).size();
+    s.windowAt = rename_at + payloadOf([&](ckpt::SnapshotWriter &w) {
+                                 core.renameUnit().saveState(w);
+                             }).size();
+    return s;
+}
+
+/** Restore @p bytes as core 0 of a fresh system; the error or "". */
+std::string
+restoreCoreError(const SystemParams &sp,
+                 const std::vector<InstrTrace> &traces,
+                 const std::vector<std::uint8_t> &bytes)
+{
+    ckpt::SnapshotWriter w;
+    w.beginSection("cpu0");
+    w.putBytes(bytes.data(), bytes.size());
+    ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
+        w.finish(modelVersionString()), "forged");
+    System sys(sp);
+    attachAll(sys, traces);
+    try {
+        r.openSection("cpu0");
+        sys.core(0).restoreState(r);
+        r.closeSection();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+template <typename T>
+void
+poke(std::vector<std::uint8_t> &bytes, std::size_t at, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(
+            static_cast<std::uint64_t>(v) >> (8 * i));
+}
+
+template <typename T>
+T
+peek(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+    return static_cast<T>(v);
+}
+
+TEST(Checkpoint, ForgedCoreStateIsRefused)
+{
+    // A crafted core section carries valid checksums, so only the
+    // restore's own bounds stand between its values and the model's
+    // arrays. Each forgery must be a clean fatal() naming the field:
+    // no allocation sized from it, no silent restore.
+    constexpr std::size_t kInstrs = 6000;
+    const std::vector<InstrTrace> traces =
+        makeTraces(tpccProfile(), 1, kInstrs);
+    const SystemParams sp = sparc64vBase().sys;
+    SystemParams unified = sp;
+    unified.core.unifiedRs = true;
+    const CoreSection good = cutCoreSection(sp, traces, 3000);
+    const CoreSection good1rs = cutCoreSection(unified, traces, 3000);
+
+    // The layouts FetchUnit::saveState and InstrWindow::saveState
+    // write: a fetched instruction is its 24-byte record and two
+    // flags; a window entry is 124 bytes after a 20-byte header.
+    constexpr std::size_t kFetched = sizeof(TraceRecord) + 2;
+    constexpr std::size_t kEntry = 124, kEntriesAt = 20;
+    constexpr std::size_t kDstAt = 17, kStateAt = 32;
+    constexpr std::size_t kLsqIndexAt = 114, kRsIdAt = 122;
+
+    // Where core 0's first fetched record and first window load sit.
+    std::size_t first_fetched = 0;
+    std::size_t at = good.fetchAt;
+    const std::uint64_t groups = peek<std::uint64_t>(good.bytes, at);
+    at += 8;
+    for (std::uint64_t g = 0; g < groups; ++g) {
+        const std::uint64_t n = peek<std::uint64_t>(good.bytes, at + 8);
+        at += 16;
+        if (n != 0 && first_fetched == 0)
+            first_fetched = at;
+        at += n * kFetched;
+    }
+    if (first_fetched == 0 && peek<std::uint64_t>(good.bytes, at) != 0)
+        first_fetched = at + 8;
+    ASSERT_NE(first_fetched, 0u) << "no fetched instruction at the cut";
+
+    const auto entries = [](const CoreSection &s) {
+        return peek<std::uint64_t>(s.bytes, s.windowAt + 12) -
+            peek<std::uint64_t>(s.bytes, s.windowAt + 4);
+    };
+    std::size_t first_load = 0;
+    for (std::uint64_t i = 0; i < entries(good) && !first_load; ++i) {
+        const std::size_t e = good.windowAt + kEntriesAt + i * kEntry;
+        if (isLoadClass(static_cast<InstrClass>(good.bytes[e + 16])))
+            first_load = e;
+    }
+    ASSERT_NE(first_load, 0u) << "no load in the window at the cut";
+    ASSERT_GT(entries(good1rs), 0u);
+    const std::size_t first_entry = good.windowAt + kEntriesAt;
+    const std::size_t first_entry1rs = good1rs.windowAt + kEntriesAt;
+
+    struct Forgery
+    {
+        const char *what;
+        const CoreSection &section;
+        std::function<void(std::vector<std::uint8_t> &)> patch;
+        const char *field;
+    };
+    const Forgery forgeries[] = {
+        {"a group of 2^40 records", good,
+         [&](std::vector<std::uint8_t> &b) {
+             poke<std::uint64_t>(b, good.fetchAt, 1);
+             poke<std::uint64_t>(b, good.fetchAt + 16,
+                                 std::uint64_t{1} << 40);
+         },
+         "fetch group"},
+        {"dst 200", good,
+         [&](std::vector<std::uint8_t> &b) {
+             b[first_fetched + kDstAt] = 200;
+         },
+         "register"},
+        {"missBlockReason 200", good,
+         [&](std::vector<std::uint8_t> &b) { b[good.lsqAt - 1] = 200; },
+         "miss-block reason"},
+        {"window state 9", good,
+         [&](std::vector<std::uint8_t> &b) {
+             b[first_entry + kStateAt] = 9;
+         },
+         "window entry state"},
+        {"rsId 9", good,
+         [&](std::vector<std::uint8_t> &b) {
+             b[first_entry + kRsIdAt] = 9;
+         },
+         "reservation station"},
+        {"rsId of a dealt station on a 1RS machine", good1rs,
+         [&](std::vector<std::uint8_t> &b) {
+             b[first_entry1rs + kRsIdAt] = kRsE1;
+         },
+         "reservation station"},
+        {"load lsqIndex 10000", good,
+         [&](std::vector<std::uint8_t> &b) {
+             poke<std::int64_t>(b, first_load + kLsqIndexAt, 10000);
+         },
+         "load/store queue index"},
+    };
+
+    ScopedThrow guard;
+    testutil::ScopedAddressSpaceCap cap;
+    EXPECT_EQ(restoreCoreError(sp, traces, good.bytes), "");
+    EXPECT_EQ(restoreCoreError(unified, traces, good1rs.bytes), "");
+    for (const Forgery &f : forgeries) {
+        std::vector<std::uint8_t> bytes = f.section.bytes;
+        f.patch(bytes);
+        const SystemParams &machine =
+            &f.section == &good ? sp : unified;
+        const std::string err = restoreCoreError(machine, traces, bytes);
+        EXPECT_NE(err.find(f.field), std::string::npos)
+            << f.what << ": " << (err.empty() ? "restored" : err);
+    }
 }
 
 TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
