@@ -97,7 +97,9 @@ main(int argc, char **argv)
         PipeviewRecorder recorder(pipeview_n);
         System sys(machine.sys, machine.name + "-pipeview");
         sys.core(0).attachPipeview(&recorder);
-        sys.attachTrace(0, generateTrace(profile, 2000));
+        WorkloadProfile seeded = profile;
+        seeded.seed = obs::effectiveWorkloadSeed(run.seed, profile.seed);
+        sys.attachTrace(0, generateTrace(seeded, 2000));
         sys.run();
         std::fputs(recorder.render().c_str(), stdout);
     }

@@ -53,22 +53,6 @@ struct PointOutcome
 
 using TraceSet = std::vector<std::shared_ptr<const InstrTrace>>;
 
-/** Panics/fatals throw for the duration of one scope. */
-class ScopedThrow
-{
-  public:
-    ScopedThrow() : saved_(throwOnErrorEnabled())
-    {
-        setThrowOnError(true);
-    }
-    ~ScopedThrow() { setThrowOnError(saved_); }
-    ScopedThrow(const ScopedThrow &) = delete;
-    ScopedThrow &operator=(const ScopedThrow &) = delete;
-
-  private:
-    bool saved_;
-};
-
 /** Run @p machine on @p traces in-process; panics become errors. */
 PointOutcome
 runMachine(MachineParams machine, const ChaosPoint &p,
@@ -76,7 +60,7 @@ runMachine(MachineParams machine, const ChaosPoint &p,
 {
     PointOutcome out;
     machine.sys.warmupInstrs = warmup_instrs;
-    ScopedThrow isolate;
+    ScopedThrowOnError isolate;
     try {
         PerfModel model(machine);
         for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
@@ -241,7 +225,7 @@ checkCkptReplay(const ChaosPoint &p)
     const std::string path = fmt("chaos_ckpt.%d.%zu.tmp",
                                  static_cast<int>(::getpid()),
                                  p.index);
-    ScopedThrow isolate;
+    ScopedThrowOnError isolate;
     try {
         SimResult full;
         std::string fullStats;
@@ -321,7 +305,7 @@ checkSkipaheadIdentity(const ChaosPoint &p)
     MachineParams m = p.machine();
     m.sys.warmupInstrs = p.instrs / 5;
 
-    ScopedThrow isolate;
+    ScopedThrowOnError isolate;
     auto runMode = [&](bool skip, SimResult &res, std::string &stats,
                        std::uint64_t &elided) {
         SystemParams sp = m.sys;

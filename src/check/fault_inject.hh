@@ -15,17 +15,19 @@
  *                        dropped, leaving stale sharers (the
  *                        invariant auditor must catch the MOESI
  *                        violation).
- *   trace-corrupt:<rec>  writeTraceFile() bit-flips record <rec>
- *                        (readTraceFile() must reject the file via
+ *   trace-corrupt:<rec>  writeTraceFile() bit-flips record <rec>'s
+ *                        class byte before sealing the image
+ *                        (readTraceFile() must reject the record via
  *                        fatal(), never crash).
  *   kill-point:<cycle>   the process dies abruptly (std::_Exit, no
  *                        atexit, no flushes) at that cycle of a run —
  *                        the model of a host OOM-kill or power cut
  *                        (the journal/resume machinery must recover).
  *   corrupt-ckpt:<off>   SnapshotWriter::writeFile() flips one bit of
- *                        the checkpoint image (the reader must reject
- *                        it via fatal(), never crash or restore
- *                        garbage).
+ *                        the image it writes, a checkpoint (or a
+ *                        trace file written while armed); the restore
+ *                        must reject it via fatal(), never crash or
+ *                        restore garbage.
  *   truncate-journal:<n> the n-th journal append (0-based) writes
  *                        only half its line and drops the rest — a
  *                        crash mid-append (resume must skip the torn

@@ -30,6 +30,7 @@ writeSystemCheckpoint(System &system, const std::string &path)
     SnapshotWriter w;
 
     w.beginSection("config");
+    w.putU32(kCheckpointLayout);
     w.putU64(fingerprintSystemParams(system.params()));
     w.putU32(num_cpus);
 
@@ -66,8 +67,12 @@ writeSystemCheckpoint(System &system, const std::string &path)
     w.writeFile(path, modelVersionString());
 }
 
+namespace
+{
+
+/** restoreSystemCheckpoint() minus the verdict on a damaged image. */
 void
-restoreSystemCheckpoint(System &system, const std::string &path)
+restore(System &system, const std::string &path)
 {
     const unsigned num_cpus = system.params().numCpus;
     SnapshotReader r = SnapshotReader::fromFile(path);
@@ -80,6 +85,7 @@ restoreSystemCheckpoint(System &system, const std::string &path)
     }
 
     r.openSection("config");
+    r.checkLayout("checkpoint", kCheckpointLayout);
     const std::uint64_t fp = r.getU64();
     const std::uint64_t want = fingerprintSystemParams(system.params());
     if (fp != want) {
@@ -143,6 +149,18 @@ restoreSystemCheckpoint(System &system, const std::string &path)
     }
 
     system.setContinuation(cont);
+}
+
+} // namespace
+
+void
+restoreSystemCheckpoint(System &system, const std::string &path)
+{
+    try {
+        restore(system, path);
+    } catch (const SnapshotError &e) {
+        fatal("checkpoint '%s': %s", path.c_str(), e.what());
+    }
 }
 
 } // namespace s64v::ckpt

@@ -17,6 +17,7 @@
 #ifndef S64V_CKPT_CHECKPOINT_HH
 #define S64V_CKPT_CHECKPOINT_HH
 
+#include <cstdint>
 #include <string>
 
 namespace s64v
@@ -28,6 +29,12 @@ namespace ckpt
 {
 
 /**
+ * Layout of a checkpoint's sections, the first value of its "config"
+ * section; bumped on any change to the state a checkpoint carries.
+ */
+constexpr std::uint32_t kCheckpointLayout = 1;
+
+/**
  * Write @p system's full state to @p path (atomic temp-file +
  * rename). The System's RunContinuation must already point at the
  * first unsimulated cycle. Fails via fatal() on I/O errors.
@@ -37,10 +44,10 @@ void writeSystemCheckpoint(System &system, const std::string &path);
 /**
  * Restore @p system from the snapshot at @p path. @p system must be
  * freshly constructed with the same SystemParams and have the same
- * traces attached to every CPU; anything else is rejected via
- * fatal(). After this call, System::run() resumes at the cycle after
- * the checkpoint and the run completes bit-identically to one that
- * was never interrupted.
+ * traces attached to every CPU; anything else, and any damage to the
+ * file, is rejected via fatal() naming the file. After this call,
+ * System::run() resumes at the cycle after the checkpoint and the run
+ * completes bit-identically to one that was never interrupted.
  */
 void restoreSystemCheckpoint(System &system, const std::string &path);
 

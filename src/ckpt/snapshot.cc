@@ -16,7 +16,7 @@ namespace
 
 constexpr char kMagic[8] = {'S', '6', '4', 'V', 'C', 'K', 'P', 'T'};
 
-/** Snapshots are machine state, not archives; cap what we load. */
+/** Snapshots are not archives; cap what we load (traces included). */
 constexpr std::size_t kMaxSnapshotBytes = 1ull << 30;
 
 void
@@ -126,7 +126,8 @@ std::vector<std::uint8_t>
 SnapshotWriter::finish(const std::string &model_version) const
 {
     std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+    for (const char c : kMagic)
+        out.push_back(static_cast<std::uint8_t>(c));
     appendLe(out, kSnapshotFormatVersion, 4);
     appendLe(out, sections_.size(), 4);
     appendString(out, model_version);
@@ -158,8 +159,8 @@ SnapshotWriter::writeFile(const std::string &path,
         const std::size_t pos =
             static_cast<std::size_t>(fault.at) % image.size();
         image[pos] ^= 0x10;
-        warn("fault injection: flipped a bit at offset %zu of "
-             "checkpoint '%s'", pos, path.c_str());
+        warn("fault injection: flipped a bit at offset %zu of '%s'",
+             pos, path.c_str());
     }
 
     std::string err;
@@ -169,7 +170,7 @@ SnapshotWriter::writeFile(const std::string &path,
                 reinterpret_cast<const char *>(image.data()),
                 image.size()),
             &err)) {
-        fatal("checkpoint '%s': %s", path.c_str(), err.c_str());
+        fatal("cannot write '%s': %s", path.c_str(), err.c_str());
     }
 }
 
@@ -178,30 +179,28 @@ SnapshotReader::fromFile(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
-        fatal("checkpoint '%s': cannot open", path.c_str());
+        throw SnapshotError("cannot open");
     const std::streamoff size = in.tellg();
     if (size < 0 ||
         static_cast<std::size_t>(size) > kMaxSnapshotBytes) {
-        fatal("checkpoint '%s': implausible size %lld bytes",
-              path.c_str(), static_cast<long long>(size));
+        throw SnapshotError("implausible size " + std::to_string(size) +
+                            " bytes (the load cap is 1 GiB)");
     }
     std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
     in.seekg(0);
     if (!bytes.empty() &&
         !in.read(reinterpret_cast<char *>(bytes.data()),
                  static_cast<std::streamsize>(bytes.size()))) {
-        fatal("checkpoint '%s': short read", path.c_str());
+        throw SnapshotError("short read");
     }
-    return fromBytes(std::move(bytes), path);
+    return fromBytes(std::move(bytes));
 }
 
 SnapshotReader
-SnapshotReader::fromBytes(std::vector<std::uint8_t> bytes,
-                          std::string origin)
+SnapshotReader::fromBytes(std::vector<std::uint8_t> bytes)
 {
     SnapshotReader r;
     r.bytes_ = std::move(bytes);
-    r.origin_ = std::move(origin);
     r.parse();
     return r;
 }
@@ -209,11 +208,9 @@ SnapshotReader::fromBytes(std::vector<std::uint8_t> bytes,
 void
 SnapshotReader::corrupt(const std::string &what) const
 {
-    if (open_) {
-        fatal("checkpoint '%s': %s (section '%s')", origin_.c_str(),
-              what.c_str(), open_->name.c_str());
-    }
-    fatal("checkpoint '%s': %s", origin_.c_str(), what.c_str());
+    if (open_)
+        throw SnapshotError(what + " (section '" + open_->name + "')");
+    throw SnapshotError(what);
 }
 
 void
@@ -248,7 +245,7 @@ SnapshotReader::parse()
 
     need(sizeof(kMagic), "magic");
     if (std::memcmp(bytes_.data(), kMagic, sizeof(kMagic)) != 0)
-        corrupt("bad magic (not a snapshot file)");
+        corrupt("bad magic (not a snapshot container)");
     cursor_ += sizeof(kMagic);
 
     // Format version, section count and model version, then their
@@ -350,6 +347,17 @@ SnapshotReader::openSection(const std::string &name)
         }
     }
     corrupt("missing section '" + name + "'");
+}
+
+void
+SnapshotReader::checkLayout(const char *kind, std::uint32_t expected)
+{
+    const std::uint32_t layout = getU32();
+    if (layout != expected) {
+        corrupt("unsupported " + std::string(kind) + " layout " +
+                std::to_string(layout) + " (this build reads layout " +
+                std::to_string(expected) + ")");
+    }
 }
 
 void

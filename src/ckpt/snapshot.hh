@@ -1,22 +1,24 @@
 /**
  * @file
- * Versioned binary snapshot container for checkpoint/restore. A
- * snapshot is a sequence of named sections, each carrying an opaque
- * little-endian payload and an FNV-1a 64 checksum; the file header
- * records a magic, the container format version, the section count
- * and the producing model version string, followed by an FNV-1a 64
- * checksum over those three fields. Components write themselves with
- * the typed put* API and read themselves back in the same order; the
- * reader validates the header, every section checksum, and every
- * bounds check up front or on access, and reports any corruption
- * through fatal() with a clean diagnostic — a damaged checkpoint must
- * never crash or silently restore garbage.
+ * Versioned binary snapshot container: the one format for every file
+ * the simulator reads back (checkpoints, trace files and journal
+ * lines). A snapshot is a sequence of named sections, each carrying
+ * an opaque little-endian payload and an FNV-1a 64 checksum; the file
+ * header records a magic, the container format version, the section
+ * count and the producing model version string, followed by an
+ * FNV-1a 64 checksum over those three fields. Writers fill sections
+ * with the typed put* API and readers read them back in the same
+ * order; the reader validates the header, every section checksum,
+ * and every bounds check up front or on access, and reports any
+ * damage by throwing SnapshotError. It never decides what damage
+ * means: the checkpoint and trace readers turn it into a fatal()
+ * naming the file, the journal skips the line.
  *
- * Compatibility policy: the format version is bumped on any layout
- * change and old versions are rejected (a checkpoint is a cache of a
- * deterministic run, never an archival format); the model version
- * string must match the restoring build exactly, because a restored
- * machine only makes sense bit-for-bit.
+ * Compatibility policy: the format version covers the container
+ * framing only and is bumped when the framing changes. Each kind of
+ * payload carries its own layout number as the first value of its
+ * first section (checkLayout()), so a change to a checkpoint's state
+ * invalidates checkpoints and nothing else.
  */
 
 #ifndef S64V_CKPT_SNAPSHOT_HH
@@ -24,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,15 +38,22 @@ std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
 
 /**
- * Container format version; bumped on any layout change (2: header
- * checksum; 3: one MSHR list per cache; 4: no completed-load list in
- * the LSQ).
+ * Container format version (2: header checksum; 3: one MSHR list per
+ * cache; 4: no completed-load list in the LSQ; 5: payload layouts
+ * versioned per kind, the version covers the framing only).
  */
-constexpr std::uint32_t kSnapshotFormatVersion = 4;
+constexpr std::uint32_t kSnapshotFormatVersion = 5;
+
+/** Damage found by SnapshotReader; the message names no file. */
+class SnapshotError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Builds a snapshot: beginSection()/put*()/.../writeFile(). Sections
- * are self-contained; the orchestrator opens one per component (e.g.
+ * are self-contained; the checkpoint opens one per component (e.g.
  * "cpu0", "mem", "stats") so a checksum failure names the damaged
  * unit.
  */
@@ -74,8 +84,8 @@ class SnapshotWriter
     /**
      * finish() + atomic write to @p path. Honours the
      * corrupt-checkpoint fault-injection mode (a deliberate bit flip
-     * in one section payload, exercising the reader's checksum path).
-     * Fails via fatal() on I/O errors.
+     * in the image, exercising the reader's checksum path). Fails via
+     * fatal() on I/O errors.
      */
     void writeFile(const std::string &path,
                    const std::string &model_version) const;
@@ -94,29 +104,35 @@ class SnapshotWriter
 
 /**
  * Parses and validates a snapshot image, then hands sections back for
- * typed reads. Every malformed condition — bad magic, header or
- * section checksum mismatch, unknown format version, short file,
- * missing section, read past a section end, trailing unread bytes —
- * goes through fatal() with a diagnostic naming the file and section.
- * The header checksum is verified before the section count sizes
- * anything.
+ * typed reads. Every malformed condition — unreadable or oversized
+ * file, bad magic, header or section checksum mismatch, unknown
+ * format version, short file, missing section, read past a section
+ * end, trailing unread bytes — throws SnapshotError with a diagnostic
+ * naming the section; the caller names the file. The header checksum
+ * is verified before the section count sizes anything.
  */
 class SnapshotReader
 {
   public:
-    /** mmap-free whole-file load + full validation. */
+    /** mmap-free whole-file load (at most 1 GiB) + full validation. */
     static SnapshotReader fromFile(const std::string &path);
 
-    /** Validate an in-memory image; @p origin names it in errors. */
-    static SnapshotReader fromBytes(std::vector<std::uint8_t> bytes,
-                                    std::string origin);
+    /** Validate an in-memory image. */
+    static SnapshotReader fromBytes(std::vector<std::uint8_t> bytes);
 
     const std::string &modelVersion() const { return modelVersion_; }
 
     bool hasSection(const std::string &name) const;
 
-    /** Position the cursor at @p name's payload; fatal if missing. */
+    /** Position the cursor at @p name's payload; throws if missing. */
     void openSection(const std::string &name);
+
+    /**
+     * Read the open section's payload layout number and throw
+     * "unsupported <kind> layout N (this build reads layout M)"
+     * unless it is @p expected.
+     */
+    void checkLayout(const char *kind, std::uint32_t expected);
 
     /** Assert the open section was consumed exactly. */
     void closeSection();
@@ -136,13 +152,13 @@ class SnapshotReader
     std::vector<std::uint64_t> getU64Vec();
 
     /**
-     * Restore-side validation helper: fatal (naming the open section)
+     * Restore-side validation helper: throw (naming the open section)
      * unless @p cond holds. Components use it to reject snapshots
      * whose recorded shapes disagree with the configured machine.
      */
     void require(bool cond, const char *what);
 
-    /** The section-scoped corruption diagnostic (never returns). */
+    /** Throw SnapshotError for @p what, naming the open section. */
     [[noreturn]] void corrupt(const std::string &what) const;
 
   private:
@@ -158,7 +174,6 @@ class SnapshotReader
     void getRaw(void *out, std::size_t len);
 
     std::vector<std::uint8_t> bytes_;
-    std::string origin_;
     std::string modelVersion_;
     std::vector<Section> sections_;
     const Section *open_ = nullptr;

@@ -29,7 +29,7 @@ bool atomicWriteFile(const std::string &path, std::string_view data,
                      std::string *err = nullptr);
 
 /**
- * Append-only file handle for JSONL journals: each append() is one
+ * Append-only file handle for line journals: each append() is one
  * write(2) followed by fsync(2), so a crash can truncate at most the
  * line being appended (and only mid-write). Opens with O_APPEND so
  * concurrent appenders from one process interleave at line, not byte,

@@ -91,6 +91,27 @@ void setThrowOnError(bool throw_on_error);
 bool throwOnErrorEnabled();
 
 /**
+ * Make panic()/fatal() throw on the calling thread for one scope,
+ * then restore the previous mode (a sweep worker may run under a
+ * test that already set it).
+ */
+class ScopedThrowOnError
+{
+  public:
+    ScopedThrowOnError() : saved_(throwOnErrorEnabled())
+    {
+        setThrowOnError(true);
+    }
+    ~ScopedThrowOnError() { setThrowOnError(saved_); }
+
+    ScopedThrowOnError(const ScopedThrowOnError &) = delete;
+    ScopedThrowOnError &operator=(const ScopedThrowOnError &) = delete;
+
+  private:
+    bool saved_;
+};
+
+/**
  * Callback invoked with ("panic"|"fatal", message) from inside
  * panic()/fatal() before the process terminates (or the test-mode
  * exception is thrown). Recursive errors raised while the hook runs

@@ -1,6 +1,6 @@
 /**
  * @file
- * Write-ahead run journal for sweeps: one JSONL line per point run,
+ * Write-ahead run journal for sweeps: one line per point run,
  * appended and fsynced before the in-memory result is merged, so a
  * killed sweep loses at most the points that were still running. Each
  * entry is keyed on the point's position plus hashes of its machine
@@ -9,9 +9,12 @@
  * honours entries whose keys still match, so an edited sweep re-runs
  * instead of mixing stale results.
  *
- * Doubles (IPC, metrics) are stored as their IEEE-754 bit patterns so
- * a resumed sweep's merged results are bit-identical to an
- * uninterrupted run's, not merely close.
+ * A line is the lowercase hex of a snapshot-container image
+ * (ckpt/snapshot.hh) with one "entry" section, so every entry is
+ * checksummed and decoded by the one container reader. Doubles (IPC,
+ * metrics) are stored as their IEEE-754 bit patterns so a resumed
+ * sweep's merged results are bit-identical to an uninterrupted run's,
+ * not merely close.
  */
 
 #ifndef S64V_EXP_JOURNAL_HH
@@ -43,14 +46,14 @@ struct JournalEntry
     std::map<std::string, double> metrics;
 };
 
-/** Render @p e as one JSONL line (no trailing newline). */
+/** Render @p e as one journal line (no trailing newline). */
 std::string encodeJournalEntry(const JournalEntry &e);
 
 /**
- * Parse one journal line. @return false on any malformation (torn
- * tail, corrupt interior, wrong schema version, nesting deeper than
- * any entry needs) — the caller skips the line; a journal is
- * advisory, never trusted blindly.
+ * Decode one journal line. @return false on any damage (torn tail,
+ * corrupt interior, a non-hex character, a failed checksum, another
+ * layout) — the caller skips the line; a journal is advisory, never
+ * trusted blindly. Never calls fatal(), so no error hook runs.
  */
 bool decodeJournalEntry(std::string_view line, JournalEntry &out);
 

@@ -42,31 +42,6 @@ SweepRunner::effectiveThreads(std::size_t num_points) const
         : static_cast<unsigned>(num_points);
 }
 
-/**
- * RAII save/restore of the calling thread's throw-on-error flag. A
- * worker needs panics converted to exceptions for the lifetime of one
- * point only; the sweep may itself be running under a test harness
- * that already set the flag.
- */
-namespace
-{
-class ScopedThrowOnError
-{
-  public:
-    ScopedThrowOnError() : saved_(throwOnErrorEnabled())
-    {
-        setThrowOnError(true);
-    }
-    ~ScopedThrowOnError() { setThrowOnError(saved_); }
-
-    ScopedThrowOnError(const ScopedThrowOnError &) = delete;
-    ScopedThrowOnError &operator=(const ScopedThrowOnError &) = delete;
-
-  private:
-    bool saved_;
-};
-} // namespace
-
 MachineParams
 SweepRunner::effectiveMachine(const SweepPoint &point,
                               std::size_t index) const

@@ -29,7 +29,7 @@ struct CacheParams
     unsigned mshrs = 16;         ///< outstanding line misses.
     bool offChip = false;        ///< adds chip-crossing latency.
     unsigned offChipPenalty = 13;///< ~10 ns at 1.3 GHz (paper, §4.3.4).
-    RasParams ras;               ///< ECC / degraded-way modelling.
+    RasParams ras{};             ///< ECC / degraded-way modelling.
 
     unsigned numSets() const
     {

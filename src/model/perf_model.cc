@@ -1,10 +1,11 @@
 #include "model/perf_model.hh"
 
-#include <fstream>
+#include <sstream>
 
 #include "check/crash_report.hh"
 #include "check/signals.hh"
 #include "ckpt/checkpoint.hh"
+#include "common/file_util.hh"
 #include "common/logging.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/heartbeat.hh"
@@ -163,13 +164,13 @@ PerfModel::finishObservers(const SimResult &res)
         trace_->writeFile(run_.traceOutPath);
     }
     if (!run_.pipeviewOutPath.empty() && !pipeviews_.empty()) {
-        std::ofstream f(run_.pipeviewOutPath);
-        if (!f) {
-            warn("cannot write pipeview trace to '%s'",
-                 run_.pipeviewOutPath.c_str());
-        } else {
-            for (CpuId cpu = 0; cpu < pipeviews_.size(); ++cpu)
-                pipeviews_[cpu]->writeO3PipeView(f, cpu);
+        std::ostringstream out;
+        for (CpuId cpu = 0; cpu < pipeviews_.size(); ++cpu)
+            pipeviews_[cpu]->writeO3PipeView(out, cpu);
+        std::string err;
+        if (!atomicWriteFile(run_.pipeviewOutPath, out.str(), &err)) {
+            warn("cannot write pipeview trace to '%s': %s",
+                 run_.pipeviewOutPath.c_str(), err.c_str());
         }
     }
     if (!run_.statsJsonPath.empty()) {

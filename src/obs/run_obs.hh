@@ -68,8 +68,9 @@ struct ObsOptions
     /** Sweep durability (see exp::SweepRunner). @{ */
     /**
      * Write-ahead run journal (empty = none): every point that runs
-     * is appended to this JSONL file, "ok" or "failed", and fsynced
-     * before its result is merged, so a killed sweep can resume.
+     * is appended to this file as one line, "ok" or "failed", and
+     * fsynced before its result is merged, so a killed sweep can
+     * resume.
      */
     std::string journalPath;
     /**

@@ -24,14 +24,6 @@ namespace s64v::chaos
 namespace
 {
 
-/** Panics/fatals throw for the duration of one scope. */
-class ScopedThrow
-{
-  public:
-    ScopedThrow() { setThrowOnError(true); }
-    ~ScopedThrow() { setThrowOnError(false); }
-};
-
 TEST(ChaosFuzzer, PointIsAPureFunctionOfSeedAndIndex)
 {
     const ConfigFuzzer a(42);
@@ -96,7 +88,7 @@ TEST(ChaosFuzzer, DifferentSeedsExploreDifferentPoints)
 
 TEST(ChaosFuzzer, EveryFuzzedMachineConstructsAndValidates)
 {
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         const ConfigFuzzer fuzzer(seed);
         for (std::size_t i = 0; i < 40; ++i) {
@@ -134,7 +126,7 @@ TEST(ChaosFuzzer, DeltaOrderInteractionsAreRepaired)
                         }});
     p.active.assign(p.deltas.size(), 1);
 
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     MachineParams m;
     EXPECT_NO_THROW(m = p.machine());
     EXPECT_LT(m.sys.mem.l2.ras.degradedWays, m.sys.mem.l2.assoc);

@@ -22,14 +22,6 @@ namespace s64v::chaos
 namespace
 {
 
-/** Panics/fatals throw for the duration of one scope. */
-class ScopedThrow
-{
-  public:
-    ScopedThrow() { setThrowOnError(true); }
-    ~ScopedThrow() { setThrowOnError(false); }
-};
-
 /** Force the seeded defect on/off for one test, whatever the build
  *  flag or environment says. */
 class ScopedSeededBug
@@ -74,7 +66,7 @@ TEST(ChaosInvariants, SelectionParsesSubsetsAndRejectsUnknowns)
     EXPECT_EQ(two[0].name, "cache-mono");
     EXPECT_EQ(two[1].name, "storm");
 
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     EXPECT_THROW(selectInvariants("no-such-invariant"),
                  std::runtime_error);
 }

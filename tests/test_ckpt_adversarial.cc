@@ -36,14 +36,6 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
-/** Panics/fatals throw for the duration of one scope. */
-class ScopedThrow
-{
-  public:
-    ScopedThrow() { setThrowOnError(true); }
-    ~ScopedThrow() { setThrowOnError(false); }
-};
-
 std::vector<InstrTrace>
 makeTraces(const WorkloadProfile &profile, unsigned num_cpus,
            std::size_t instrs)
@@ -234,7 +226,7 @@ TEST(CkptAdversarial, CheckpointInsideAnArmedFaultWindow)
     // Uninterrupted fault run: the stall starves the watchdog, which
     // must panic (thrown here) rather than hang.
     {
-        ScopedThrow guard;
+        ScopedThrowOnError guard;
         System doomed(sp);
         attachAll(doomed, traces);
         EXPECT_THROW(doomed.run(), std::runtime_error);
@@ -256,7 +248,7 @@ TEST(CkptAdversarial, CheckpointInsideAnArmedFaultWindow)
     // the fault window and must die the same watchdog death — the
     // checkpoint didn't swallow the pending fault.
     {
-        ScopedThrow guard;
+        ScopedThrowOnError guard;
         System resumed(sp);
         attachAll(resumed, traces);
         ckpt::restoreSystemCheckpoint(resumed, path);

@@ -55,8 +55,9 @@ TEST(Custom, RegionSizesRoundToPow2)
     cfg.parse("wl.heap_kb=100"); // not a power of two.
     const WorkloadProfile p = customProfile(cfg);
     for (const DataRegion &r : p.userRegions) {
-        if (r.name == "heap")
+        if (r.name == "heap") {
             EXPECT_EQ(r.size, 128u << 10);
+        }
     }
 }
 

@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the write-ahead run journal (exp/journal.hh): the JSONL
- * encoding must round-trip every field bit-exactly (doubles travel as
- * IEEE-754 bit patterns), load() must tolerate the crash signatures —
- * a torn final line silently, a corrupt interior line with a warning —
- * without ever crashing or allocating without bound (the decode fuzz
- * runs under a capped address space), and the truncate-journal fault
- * injection must tear exactly the configured append. The
- * --journal/--resume observability flags are parsed here too.
+ * Tests for the write-ahead run journal (exp/journal.hh): the line
+ * encoding (a hex container image) must round-trip every field
+ * bit-exactly (doubles travel as IEEE-754 bit patterns), every damaged
+ * line must decode to false without running an error hook, load()
+ * must tolerate the crash signatures — a torn final line silently, a
+ * corrupt interior line with a warning — without ever crashing or
+ * allocating without bound (the decode fuzz runs under a capped
+ * address space), and the truncate-journal fault injection must tear
+ * exactly the configured append. The --journal/--resume observability
+ * flags are parsed here too.
  */
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -138,52 +141,60 @@ TEST(Journal, MalformedLinesAreRejectedNotCrashes)
     for (std::size_t len = 0; len < good.size(); ++len) {
         EXPECT_FALSE(exp::decodeJournalEntry(
             std::string_view(good).substr(0, len), out))
-            << "prefix of " << len << " bytes decoded";
+            << "prefix of " << len << " characters decoded";
     }
-    EXPECT_FALSE(exp::decodeJournalEntry("", out));
-    EXPECT_FALSE(exp::decodeJournalEntry("not json at all", out));
-    EXPECT_FALSE(exp::decodeJournalEntry("{}", out));
-    EXPECT_FALSE(exp::decodeJournalEntry("[1,2,3]", out));
-    EXPECT_FALSE(exp::decodeJournalEntry("{\"v\":2}", out));
-
-    // Any other schema version — the retired 1, a future 9 — is
-    // skipped, not misread.
-    const std::size_t at = good.find("\"v\":2");
-    ASSERT_NE(at, std::string::npos);
-    for (const char *other : {"\"v\":1", "\"v\":9"}) {
+    // Every single-bit flip: a hex digit that becomes another digit
+    // fails a checksum, anything else is not a lowercase hex digit.
+    std::size_t decoded = 0;
+    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
         std::string line = good;
-        line.replace(at, 5, other);
-        EXPECT_FALSE(exp::decodeJournalEntry(line, out)) << other;
+        line[bit / 8] = static_cast<char>(line[bit / 8] ^ (1 << (bit % 8)));
+        if (exp::decodeJournalEntry(line, out) && decoded++ == 0)
+            ADD_FAILURE() << "flip of bit " << bit << " decoded";
+    }
+    EXPECT_EQ(decoded, 0u);
+
+    // Lines that are not an even run of lowercase hex digits.
+    std::string upper = good;
+    for (char &c : upper)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    const std::string bad[] = {
+        good + "0",           // odd length.
+        good + "00",          // a trailing byte after the image.
+        upper,                // the same bytes in uppercase digits.
+        " " + good.substr(1), // a space for a digit.
+        "not hex at all",
+        "{}",
+    };
+    for (const std::string &line : bad) {
+        EXPECT_FALSE(exp::decodeJournalEntry(line, out))
+            << line.substr(0, 40);
     }
 
-    // A minimal well-formed entry decodes; a negative counter (not
-    // a huge unsigned value) or a status other than "ok"/"failed"
-    // makes it nonsense.
-    const std::string minimal =
-        "{\"v\":2,\"index\":0,\"label\":\"x\",\"config\":0,"
-        "\"workload\":0,\"model\":\"m\",\"status\":\"ok\","
-        "\"error\":\"\",\"sim\":{\"cycles\":0,"
-        "\"instructions\":0,\"measured\":0,\"ipc_bits\":0,"
-        "\"hit_cycle_cap\":false,\"interrupted\":false,"
-        "\"stopped_at_checkpoint\":false,\"warmup_end\":0,"
-        "\"cores\":[]},\"metrics\":{}}";
-    EXPECT_TRUE(exp::decodeJournalEntry(minimal, out));
-    auto replaced = [&](const std::string &from, const std::string &to) {
-        std::string line = minimal;
-        line.replace(line.find(from), from.size(), to);
-        return line;
-    };
-    EXPECT_FALSE(exp::decodeJournalEntry(
-        replaced("\"index\":0", "\"index\":-1"), out));
-    EXPECT_FALSE(exp::decodeJournalEntry(
-        replaced("\"ok\"", "\"skipped\""), out));
+    // load() skips every one of them and keeps the intact entries
+    // around them.
+    const std::string path = tempPath("malformed.journal");
+    {
+        std::ofstream f(path, std::ios::trunc);
+        f << good << '\n';
+        for (const std::string &line : bad)
+            f << line << '\n';
+        f << good << '\n';
+    }
+    std::string sink;
+    setLogSink(&sink);
+    const auto loaded = exp::RunJournal::load(path);
+    setLogSink(nullptr);
+    EXPECT_EQ(loaded.size(), 2u);
+    std::remove(path.c_str());
 }
 
 TEST(Journal, DeeplyNestedLineIsRejectedNotACrash)
 {
-    // Unbounded recursion on nesting would overflow the stack long
-    // before a million levels; the parser must refuse such a line the
-    // way it refuses any other malformed one.
+    // A journal written by an older build, or damaged into bracket
+    // soup, may hold lines a million levels deep; decoding must
+    // refuse them like any other line that is not a hex image, in
+    // bounded stack and memory.
     constexpr std::size_t kDepth = 1'000'000;
     std::string arrays(kDepth, '[');
     std::string objects;
@@ -210,6 +221,30 @@ TEST(Journal, DeeplyNestedLineIsRejectedNotACrash)
     setLogSink(nullptr);
     EXPECT_EQ(loaded.size(), 2u);
     std::remove(path.c_str());
+}
+
+TEST(Journal, DamagedLineRunsNoErrorHook)
+{
+    // A damaged line is the journal's to skip, not an error: decoding
+    // it must not go through fatal(), whose hook would write a crash
+    // report for a run that is still healthy.
+    const std::string good = exp::encodeJournalEntry(sampleEntry());
+    std::string flipped = good;
+    flipped[good.size() / 2] = flipped[good.size() / 2] == '0' ? '1' : '0';
+
+    int hooks = 0;
+    setErrorHook([&](const char *, const std::string &) { ++hooks; });
+    exp::JournalEntry out;
+    const bool decoded_flipped = exp::decodeJournalEntry(flipped, out);
+    const bool decoded_prefix =
+        exp::decodeJournalEntry(good.substr(0, good.size() - 2), out);
+    const bool decoded_text = exp::decodeJournalEntry("{\"v\":2}", out);
+    setErrorHook({});
+
+    EXPECT_FALSE(decoded_flipped);
+    EXPECT_FALSE(decoded_prefix);
+    EXPECT_FALSE(decoded_text);
+    EXPECT_EQ(hooks, 0);
 }
 
 TEST(Journal, AppendLoadRoundTripsInOrder)

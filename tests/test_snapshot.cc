@@ -4,15 +4,19 @@
  * the whole-system checkpoint orchestrator (ckpt/checkpoint.hh): the
  * typed put/get API must round-trip exactly, every corruption of a
  * snapshot image (bit flips, truncations, injected write faults) must
- * be rejected with a clean fatal() diagnostic rather than a crash,
- * and a run restored from a checkpoint must complete bit-identically
- * — same SimResult, same stats dump, same golden-checker verdict — to
- * a run that was never interrupted, uniprocessor and 4P alike.
+ * be thrown by the reader as a SnapshotError, which the restore turns
+ * into a clean fatal() naming the file rather than a crash, and a run
+ * restored from a checkpoint must complete bit-identically — same
+ * SimResult, same stats dump, same golden-checker verdict — to a run
+ * that was never interrupted, uniprocessor and 4P alike.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -43,14 +47,6 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
-/** Panics/fatals throw for the duration of one scope. */
-class ScopedThrow
-{
-  public:
-    ScopedThrow() { setThrowOnError(true); }
-    ~ScopedThrow() { setThrowOnError(false); }
-};
-
 // --- Snapshot container -------------------------------------------
 
 std::vector<std::uint8_t>
@@ -74,7 +70,7 @@ sampleImage()
 TEST(Snapshot, TypedValuesRoundTripExactly)
 {
     ckpt::SnapshotReader r =
-        ckpt::SnapshotReader::fromBytes(sampleImage(), "mem");
+        ckpt::SnapshotReader::fromBytes(sampleImage());
     EXPECT_EQ(r.modelVersion(), "s64v-test");
     EXPECT_TRUE(r.hasSection("alpha"));
     EXPECT_TRUE(r.hasSection("beta"));
@@ -101,10 +97,9 @@ TEST(Snapshot, TypedValuesRoundTripExactly)
 
 TEST(Snapshot, UnderAndOverConsumptionAreRejected)
 {
-    ScopedThrow guard;
     {
         ckpt::SnapshotReader r =
-            ckpt::SnapshotReader::fromBytes(sampleImage(), "mem");
+            ckpt::SnapshotReader::fromBytes(sampleImage());
         r.openSection("beta");
         EXPECT_THROW(
             {
@@ -117,7 +112,7 @@ TEST(Snapshot, UnderAndOverConsumptionAreRejected)
     }
     {
         ckpt::SnapshotReader r =
-            ckpt::SnapshotReader::fromBytes(sampleImage(), "mem");
+            ckpt::SnapshotReader::fromBytes(sampleImage());
         r.openSection("beta");
         r.getU64Vec();
         // -42 left unread: the layout mismatch must be loud.
@@ -125,7 +120,7 @@ TEST(Snapshot, UnderAndOverConsumptionAreRejected)
     }
     {
         ckpt::SnapshotReader r =
-            ckpt::SnapshotReader::fromBytes(sampleImage(), "mem");
+            ckpt::SnapshotReader::fromBytes(sampleImage());
         EXPECT_THROW(r.openSection("gamma"), std::runtime_error);
     }
 }
@@ -134,9 +129,8 @@ TEST(Snapshot, EveryBitFlipIsDetectedNeverACrash)
 {
     const std::vector<std::uint8_t> good = sampleImage();
     const ckpt::SnapshotReader ref =
-        ckpt::SnapshotReader::fromBytes(good, "ref");
+        ckpt::SnapshotReader::fromBytes(good);
 
-    ScopedThrow guard;
     testutil::ScopedAddressSpaceCap cap;
     std::size_t rejected = 0;
     for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
@@ -150,7 +144,7 @@ TEST(Snapshot, EveryBitFlipIsDetectedNeverACrash)
         // never do is crash or reproduce the pristine snapshot.
         try {
             ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
-                std::move(bad), "fuzz");
+                std::move(bad));
             EXPECT_TRUE(r.modelVersion() != ref.modelVersion() ||
                         !r.hasSection("alpha") ||
                         !r.hasSection("beta"))
@@ -174,9 +168,8 @@ TEST(Snapshot, HugeSectionCountIsRejectedBeforeAllocating)
     const std::uint8_t huge[4] = {0x00, 0x00, 0x00, 0x80};
     std::copy(huge, huge + 4, bad.begin() + kCountOffset);
 
-    ScopedThrow guard;
     try {
-        ckpt::SnapshotReader::fromBytes(std::move(bad), "huge-count");
+        ckpt::SnapshotReader::fromBytes(std::move(bad));
         FAIL() << "a 0x80000000 section count parsed";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("section count"),
@@ -210,7 +203,7 @@ std::string
 parseError(std::vector<std::uint8_t> image)
 {
     try {
-        ckpt::SnapshotReader::fromBytes(std::move(image), "forged");
+        ckpt::SnapshotReader::fromBytes(std::move(image));
     } catch (const std::runtime_error &e) {
         return e.what();
     }
@@ -224,7 +217,6 @@ TEST(Snapshot, EveryHeaderByteFlipIsAHeaderChecksumError)
     // header before the count sizes anything. (The magic is checked
     // on its own.)
     const std::vector<std::uint8_t> good = sampleImage();
-    ScopedThrow guard;
     testutil::ScopedAddressSpaceCap cap;
     for (std::size_t pos = kHeaderStart; pos < kHeaderSumAt + 8; ++pos) {
         for (std::uint8_t mask : {0x01, 0x80, 0xff}) {
@@ -239,7 +231,6 @@ TEST(Snapshot, EveryHeaderByteFlipIsAHeaderChecksumError)
 
 TEST(Snapshot, ForgedHeadersWithValidChecksumsAreStillRefused)
 {
-    ScopedThrow guard;
     testutil::ScopedAddressSpaceCap cap;
     // A crafted section count still meets the remaining-bytes bound
     // before anything is reserved.
@@ -249,7 +240,7 @@ TEST(Snapshot, ForgedHeadersWithValidChecksumsAreStillRefused)
               std::string::npos)
         << parseError(huge);
     // Another format version is named as such, the previous ones too.
-    for (std::uint32_t version : {1u, 2u, 3u}) {
+    for (std::uint32_t version : {1u, 2u, 3u, 4u}) {
         std::vector<std::uint8_t> old = sampleImage();
         forgeHeader(old, kHeaderStart, version, 4);
         EXPECT_NE(parseError(old).find("unsupported format version " +
@@ -276,14 +267,12 @@ TEST(Snapshot, AddressSpaceCapRefusesAnOversizedAllocation)
 TEST(Snapshot, EveryTruncationIsRejectedCleanly)
 {
     const std::vector<std::uint8_t> good = sampleImage();
-    ScopedThrow guard;
     testutil::ScopedAddressSpaceCap cap;
     for (std::size_t len = 0; len < good.size(); ++len) {
         std::vector<std::uint8_t> bad(good.begin(),
                                       good.begin() +
                                           static_cast<long>(len));
-        EXPECT_THROW(ckpt::SnapshotReader::fromBytes(std::move(bad),
-                                                     "truncated"),
+        EXPECT_THROW(ckpt::SnapshotReader::fromBytes(std::move(bad)),
                      std::runtime_error)
             << "prefix of " << len << " bytes parsed";
     }
@@ -291,7 +280,7 @@ TEST(Snapshot, EveryTruncationIsRejectedCleanly)
     std::vector<std::uint8_t> padded = good;
     padded.push_back(0);
     EXPECT_THROW(
-        ckpt::SnapshotReader::fromBytes(std::move(padded), "padded"),
+        ckpt::SnapshotReader::fromBytes(std::move(padded)),
         std::runtime_error);
 }
 
@@ -484,7 +473,7 @@ TEST(Checkpoint, MismatchedConfigurationIsRejected)
     attachAll(writer, traces);
     ASSERT_TRUE(writer.run().stoppedAtCheckpoint);
 
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     {
         // A different machine configuration must be rejected up
         // front: restoring a 4-wide snapshot into a 2-wide machine
@@ -528,7 +517,7 @@ TEST(Checkpoint, InjectedWriteCorruptionIsCaughtOnRestore)
     setLogSink(nullptr);
     EXPECT_NE(sink.find("flipped a bit"), std::string::npos) << sink;
 
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     System reader(sparc64vBase().sys);
     attachAll(reader, traces);
     EXPECT_THROW(ckpt::restoreSystemCheckpoint(reader, path),
@@ -604,8 +593,8 @@ restoreCoreError(const SystemParams &sp,
     ckpt::SnapshotWriter w;
     w.beginSection("cpu0");
     w.putBytes(bytes.data(), bytes.size());
-    ckpt::SnapshotReader r = ckpt::SnapshotReader::fromBytes(
-        w.finish(modelVersionString()), "forged");
+    ckpt::SnapshotReader r =
+        ckpt::SnapshotReader::fromBytes(w.finish(modelVersionString()));
     System sys(sp);
     attachAll(sys, traces);
     try {
@@ -736,7 +725,7 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
          "load/store queue index"},
     };
 
-    ScopedThrow guard;
+    ScopedThrowOnError guard;
     testutil::ScopedAddressSpaceCap cap;
     EXPECT_EQ(restoreCoreError(sp, traces, good.bytes), "");
     EXPECT_EQ(restoreCoreError(unified, traces, good1rs.bytes), "");
@@ -749,6 +738,70 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
         EXPECT_NE(err.find(f.field), std::string::npos)
             << f.what << ": " << (err.empty() ? "restored" : err);
     }
+}
+
+TEST(Checkpoint, ForgedLayoutNumberIsRefusedByName)
+{
+    // The checkpoint's layout number is the first value of its
+    // "config" section. Another number behind valid checksums must be
+    // refused by name, with the file, before any state is read.
+    const std::vector<InstrTrace> traces =
+        makeTraces(tpccProfile(), 1, 6000);
+    const std::string path = tempPath("layout.ckpt");
+    SystemParams cp = sparc64vBase().sys;
+    cp.checkpoint.atCycle = 2000;
+    cp.checkpoint.path = path;
+    cp.checkpoint.stopAfter = true;
+    {
+        System writer(cp);
+        attachAll(writer, traces);
+        ASSERT_TRUE(writer.run().stoppedAtCheckpoint);
+    }
+    std::vector<std::uint8_t> image;
+    {
+        std::ifstream in(path, std::ios::binary);
+        image.assign(std::istreambuf_iterator<char>(in), {});
+    }
+
+    // The header (magic, format, count, model version, checksum),
+    // then "config", the first section: name, payload size, payload.
+    const std::size_t name_at =
+        8 + 12 + std::strlen(modelVersionString()) + 8 + 4;
+    const std::size_t payload_at = name_at + 6 + 8;
+    ASSERT_EQ(std::string(image.begin() + name_at,
+                          image.begin() + name_at + 6),
+              "config");
+    const auto size = peek<std::uint64_t>(image, payload_at - 8);
+    ASSERT_EQ(peek<std::uint32_t>(image, payload_at),
+              ckpt::kCheckpointLayout);
+    const std::uint32_t forged = ckpt::kCheckpointLayout + 1;
+    poke<std::uint32_t>(image, payload_at, forged);
+    poke<std::uint64_t>(image, payload_at + size,
+                        ckpt::fnv1a(image.data() + payload_at, size));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(image.data()),
+                  static_cast<std::streamsize>(image.size()));
+    }
+
+    ScopedThrowOnError guard;
+    System reader(sparc64vBase().sys);
+    attachAll(reader, traces);
+    std::string err = "restored";
+    try {
+        ckpt::restoreSystemCheckpoint(reader, path);
+    } catch (const std::runtime_error &e) {
+        err = e.what();
+    }
+    EXPECT_NE(err.find("checkpoint '" + path + "'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("unsupported checkpoint layout " +
+                       std::to_string(forged) +
+                       " (this build reads layout " +
+                       std::to_string(ckpt::kCheckpointLayout) + ")"),
+              std::string::npos)
+        << err;
+    std::remove(path.c_str());
 }
 
 TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
@@ -765,7 +818,7 @@ TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
     std::string sink;
     setLogSink(&sink);
     {
-        ScopedThrow guard;
+        ScopedThrowOnError guard;
         EXPECT_THROW(sys.run(), std::runtime_error);
     }
     setLogSink(nullptr);

@@ -296,7 +296,7 @@ struct TallyPair
     void restore(std::vector<std::uint8_t> image)
     {
         ckpt::SnapshotReader r =
-            ckpt::SnapshotReader::fromBytes(std::move(image), "tally");
+            ckpt::SnapshotReader::fromBytes(std::move(image));
         r.openSection("stats");
         g.restoreState(r);
         r.closeSection();

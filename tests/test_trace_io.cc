@@ -1,14 +1,26 @@
+/**
+ * @file
+ * Tests for trace files (trace/trace_io.hh): a trace round-trips
+ * through its snapshot-container image, and every damaged or forged
+ * file — a flipped bit, a truncation, another layout, a record count
+ * or record the model cannot represent behind valid checksums, a
+ * file in the raw layout older builds wrote — is refused by a
+ * fatal() naming the file.
+ */
+
 #include "trace/trace_io.hh"
 
 #include <unistd.h>
 
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 
 #include "address_space_cap.hh"
@@ -24,11 +36,10 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
-/** Write a small valid trace file and return its path. */
-std::string
-writeSampleTrace(const char *name, int records = 10)
+std::vector<TraceRecord>
+sampleRecords(int records)
 {
-    InstrTrace t("sample");
+    std::vector<TraceRecord> recs;
     for (int i = 0; i < records; ++i) {
         TraceRecord r;
         r.pc = 0x1000 + 4 * i;
@@ -37,11 +48,54 @@ writeSampleTrace(const char *name, int records = 10)
             r.ea = 0x8000 + 8 * i;
             r.size = 8;
         }
-        t.append(r);
+        recs.push_back(r);
     }
+    return recs;
+}
+
+/** Write a small valid trace file and return its path. */
+std::string
+writeSampleTrace(const char *name, int records = 10)
+{
+    InstrTrace t("sample");
+    for (const TraceRecord &r : sampleRecords(records))
+        t.append(r);
     const std::string path = tempPath(name);
     writeTraceFile(path, t);
     return path;
+}
+
+/**
+ * Seal @p recs into a trace image at @p path in writeTraceFile()'s
+ * layout, but with the layout number and record count given: valid
+ * checksums around whatever values a forger chose.
+ */
+void
+writeSealedTrace(const std::string &path,
+                 const std::vector<TraceRecord> &recs,
+                 std::uint64_t count,
+                 std::uint32_t layout = kTraceFileLayout)
+{
+    ckpt::SnapshotWriter w;
+    w.beginSection("trace");
+    w.putU32(layout);
+    w.putString("forged");
+    w.putU64(count);
+    w.putBytes(recs.data(), recs.size() * sizeof(TraceRecord));
+    w.writeFile(path, "forged");
+}
+
+/** readTraceFile(@p path)'s fatal() message, or "" if it loaded. */
+std::string
+readError(const std::string &path)
+{
+    ScopedThrowOnError guard;
+    try {
+        (void)readTraceFile(path);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
 }
 
 std::vector<unsigned char>
@@ -65,8 +119,10 @@ writeBytes(const std::string &path,
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
+    if (!bytes.empty()) { // fwrite must not see the empty vector's null.
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
     std::fclose(f);
 }
 
@@ -121,16 +177,27 @@ TEST(TraceIo, MissingFileIsFatal)
 
 TEST(TraceIo, BadMagicIsFatal)
 {
-    const std::string path = tempPath("badmagic.s64vtrc");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[100] = "not a trace file at all";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
+    // The raw layout older builds wrote: the "S64VTRC1" magic,
+    // version 1, a reserved word, the record count and a 64-byte
+    // workload name, then the records. It is no container image.
+    const std::string path = tempPath("oldlayout.s64vtrc");
+    const std::vector<TraceRecord> recs = sampleRecords(10);
+    std::vector<unsigned char> img(88);
+    const std::uint64_t magic = 0x5336345654524331ull;
+    const std::uint32_t version = 1;
+    const std::uint64_t count = recs.size();
+    std::memcpy(&img[0], &magic, sizeof magic);
+    std::memcpy(&img[8], &version, sizeof version);
+    std::memcpy(&img[16], &count, sizeof count);
+    std::memcpy(&img[24], "sample", 6);
+    const auto *raw = reinterpret_cast<const unsigned char *>(recs.data());
+    img.insert(img.end(), raw, raw + recs.size() * sizeof(TraceRecord));
+    writeBytes(path, img);
 
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    const std::string err = readError(path);
+    EXPECT_NE(err.find("trace file '" + path + "': bad magic"),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 
@@ -146,104 +213,93 @@ TEST(TraceIo, TruncatedRecordsAreFatal)
     writeTraceFile(path, t);
 
     // Truncate the file in the middle of the record array.
+    const std::size_t size = readBytes(path).size();
     std::FILE *f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(::ftruncate(::fileno(f),
-                          sizeof(TraceFileHeader) +
-                              3 * sizeof(TraceRecord) + 5),
+                          static_cast<off_t>(size -
+                                             3 * sizeof(TraceRecord) - 5)),
               0);
     std::fclose(f);
 
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    const std::string err = readError(path);
+    EXPECT_NE(err.find("trace file '" + path + "'"), std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, RecordCountMismatchIsFatal)
 {
-    const std::string path = writeSampleTrace("badcount.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    // Claim far more records than the file holds; the reader must
-    // reject the header instead of trusting it.
-    const std::size_t off = offsetof(TraceFileHeader, recordCount);
-    img[off] += 100;
-    writeBytes(path, img);
-
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    // A sealed count that disagrees with the records held: more runs
+    // into the section end without sizing anything from the count,
+    // fewer leaves records unread.
+    const std::string path = tempPath("badcount.s64vtrc");
+    const std::vector<TraceRecord> recs = sampleRecords(10);
+    testutil::ScopedAddressSpaceCap cap;
+    const struct
+    {
+        std::uint64_t count;
+        const char *why;
+    } forgeries[] = {
+        {std::uint64_t{1} << 60, "read past end of section"},
+        {11, "read past end of section"},
+        {9, "section not fully consumed"},
+    };
+    for (const auto &f : forgeries) {
+        writeSealedTrace(path, recs, f.count);
+        const std::string err = readError(path);
+        EXPECT_NE(err.find("trace file '" + path + "': " + f.why),
+                  std::string::npos)
+            << f.count << " records claimed: " << err;
+    }
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, UnsupportedVersionIsFatal)
 {
-    const std::string path = writeSampleTrace("badver.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    img[offsetof(TraceFileHeader, version)] = 99;
-    writeBytes(path, img);
+    const std::string path = tempPath("badver.s64vtrc");
+    const std::vector<TraceRecord> recs = sampleRecords(10);
+    writeSealedTrace(path, recs, recs.size());
+    EXPECT_EQ(readError(path), "") << "the forger's layout is stale";
 
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, NonzeroReservedFieldIsFatal)
-{
-    const std::string path = writeSampleTrace("badres.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    img[offsetof(TraceFileHeader, reserved)] = 1;
-    writeBytes(path, img);
-
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, UnprintableWorkloadNameIsFatal)
-{
-    const std::string path = writeSampleTrace("badname.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    img[offsetof(TraceFileHeader, workloadName)] = 0x01;
-    writeBytes(path, img);
-
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    writeSealedTrace(path, recs, recs.size(), kTraceFileLayout + 1);
+    const std::string err = readError(path);
+    EXPECT_NE(err.find("unsupported trace layout " +
+                       std::to_string(kTraceFileLayout + 1) +
+                       " (this build reads layout " +
+                       std::to_string(kTraceFileLayout) + ")"),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, OutOfRangeInstructionClassIsFatal)
 {
-    const std::string path = writeSampleTrace("badcls.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    const std::size_t off = sizeof(TraceFileHeader) +
-                            3 * sizeof(TraceRecord) +
-                            offsetof(TraceRecord, cls);
-    img[off] = 0xff;
-    writeBytes(path, img);
+    // Valid checksums do not make a record valid: the reader checks
+    // every record before the model can index an array with it.
+    const std::string path = tempPath("badcls.s64vtrc");
+    std::vector<TraceRecord> recs = sampleRecords(10);
+    recs[3].cls = static_cast<InstrClass>(0xff);
+    writeSealedTrace(path, recs, recs.size());
 
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    const std::string err = readError(path);
+    EXPECT_NE(err.find("trace file '" + path + "': record 3 "),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, OutOfRangeRegisterIsFatal)
 {
-    const std::string path = writeSampleTrace("badreg.s64vtrc");
-    std::vector<unsigned char> img = readBytes(path);
-    const std::size_t off = sizeof(TraceFileHeader) +
-                            5 * sizeof(TraceRecord) +
-                            offsetof(TraceRecord, dst);
-    img[off] = 200; // not kNoReg, not a real architectural register.
-    writeBytes(path, img);
+    const std::string path = tempPath("badreg.s64vtrc");
+    std::vector<TraceRecord> recs = sampleRecords(10);
+    recs[5].dst = 200; // not kNoReg, not a real architectural register.
+    writeSealedTrace(path, recs, recs.size());
 
-    setThrowOnError(true);
-    EXPECT_THROW(readTraceFile(path), std::runtime_error);
-    setThrowOnError(false);
+    const std::string err = readError(path);
+    EXPECT_NE(err.find("trace file '" + path + "': record 5 "),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 
@@ -252,46 +308,53 @@ TEST(TraceIoDeath, TruncatedFileExitsWithStatusOne)
     // The process-level contract: corrupt input is a user error, so
     // the reader must leave via fatal() -> exit(1), not a crash.
     const std::string path = writeSampleTrace("deathtrunc.s64vtrc");
+    const std::size_t size = readBytes(path).size();
     std::FILE *f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(::ftruncate(::fileno(f),
-                          sizeof(TraceFileHeader) +
-                              2 * sizeof(TraceRecord) + 7),
+                          static_cast<off_t>(size - sizeof(TraceRecord) -
+                                             7)),
               0);
     std::fclose(f);
 
     setThrowOnError(false);
     EXPECT_EXIT((void)readTraceFile(path),
-                ::testing::ExitedWithCode(1), "fatal:");
+                ::testing::ExitedWithCode(1), "fatal: trace file");
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, BitFlipFuzzNeverCrashesOrHangs)
 {
-    // Flip one bit at every byte offset of a valid trace file. Each
-    // mutated file must either parse (the flipped byte was benign,
-    // e.g. a PC bit) or raise a clean fatal() — never crash or hang.
-    const std::string path = writeSampleTrace("fuzzbase.s64vtrc", 8);
+    // Every single-bit flip and every truncation of a 64-record trace
+    // file is refused by a fatal() naming the file: none crashes,
+    // hangs, or loads a different trace.
+    const std::string path = writeSampleTrace("fuzzbase.s64vtrc", 64);
     const std::vector<unsigned char> original = readBytes(path);
     const std::string mutated = tempPath("fuzzmut.s64vtrc");
+    const std::string named = "trace file '" + mutated + "'";
 
-    setThrowOnError(true);
     testutil::ScopedAddressSpaceCap cap;
-    std::size_t rejected = 0;
-    for (std::size_t off = 0; off < original.size(); ++off) {
-        std::vector<unsigned char> img = original;
-        img[off] ^= 0x80;
+    std::size_t accepted = 0;
+    std::string first;
+    const auto refused = [&](const std::vector<unsigned char> &img,
+                             const std::string &what) {
         writeBytes(mutated, img);
-        try {
-            (void)readTraceFile(mutated);
-        } catch (const std::runtime_error &) {
-            ++rejected;
-        }
+        if (readError(mutated).find(named) != std::string::npos)
+            return;
+        if (accepted++ == 0)
+            first = what;
+    };
+    for (std::size_t bit = 0; bit < original.size() * 8; ++bit) {
+        std::vector<unsigned char> img = original;
+        img[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        refused(img, "flip of bit " + std::to_string(bit));
     }
-    setThrowOnError(false);
-    // Flips in the magic alone guarantee some rejections; seeing none
-    // would mean the validation is not running at all.
-    EXPECT_GT(rejected, 0u);
+    for (std::size_t len = 0; len < original.size(); ++len) {
+        refused({original.begin(),
+                 original.begin() + static_cast<long>(len)},
+                "prefix of " + std::to_string(len) + " bytes");
+    }
+    EXPECT_EQ(accepted, 0u) << "first accepted: " << first;
     std::remove(path.c_str());
     std::remove(mutated.c_str());
 }
