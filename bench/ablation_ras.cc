@@ -47,7 +47,6 @@ main(int argc, char **argv)
                   fmtRatioPercent(grid[r][4].sim.ipc, base)});
     }
     std::fputs(t.render().c_str(), stdout);
-    t.maybeWriteCsv("ablation_ras");
     std::puts("\nECC columns: every cache corrects single-bit errors "
               "in line at the given rate (errors per million "
               "accesses).\nDegraded columns: the service processor "

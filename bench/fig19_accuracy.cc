@@ -5,7 +5,10 @@
  * Upper graph: performance estimates of model versions v1..v8 on the
  * SPEC CPU2000 suites, normalized to v8. The trend is downward as
  * rigidity grows, with the v5 exception (precise special-instruction
- * modelling replaces a pessimistic fixed penalty).
+ * modelling replaces a pessimistic fixed penalty). Every version's
+ * runs are cross-checked the way the paper used its logic simulator:
+ * the replay must be architecturally complete and no slower than the
+ * independent in-order golden model allows (the "verified" column).
  *
  * Lower graph: accuracy against the "physical machine" over the
  * validation timeline. The proprietary silicon is substituted by the
@@ -23,6 +26,7 @@
 #include "analysis/report.hh"
 #include "common/logging.hh"
 #include "exp/sweep.hh"
+#include "golden/checker.hh"
 #include "model/versions.hh"
 #include "obs/run_obs.hh"
 
@@ -51,6 +55,23 @@ main(int argc, char **argv)
         versions.add("v" + std::to_string(v) + "/fp",
                      modelVersion(v), wl_fp, n);
     }
+    // Each run is verified against its own trace while its System is
+    // alive: replay completeness, then the golden-model CPI bound.
+    versions.setMetricFn([](PerfModel &model, const SimResult &res,
+                            std::map<std::string, double> &metrics) {
+        const InstrTrace &trace = *model.system().trace(0);
+        const char *check = "replay";
+        std::string err = checkReplay(trace, res);
+        if (err.empty()) {
+            check = "golden";
+            err = checkAgainstGolden(trace, res, 1.8);
+        }
+        if (!err.empty())
+            warn("%s on %s: %s check failed: %s",
+                 model.params().name.c_str(),
+                 trace.workloadName().c_str(), check, err.c_str());
+        metrics["verified"] = err.empty() ? 1.0 : 0.0;
+    });
     const std::vector<exp::PointResult> vres = runner.run(versions);
     for (const exp::PointResult &p : vres) {
         if (!p.ok)
@@ -68,11 +89,16 @@ main(int argc, char **argv)
     v8_int = ipc_int[kNumModelVersions];
     v8_fp = ipc_fp[kNumModelVersions];
 
-    Table up({"version", "SPECint2000", "SPECfp2000", "change"});
+    Table up({"version", "SPECint2000", "SPECfp2000", "verified",
+              "change"});
     for (unsigned v = 1; v <= kNumModelVersions; ++v) {
+        const bool verified =
+            vres[2 * (v - 1)].metrics.at("verified") != 0.0 &&
+            vres[2 * (v - 1) + 1].metrics.at("verified") != 0.0;
         up.addRow({"v" + std::to_string(v),
                    fmtRatioPercent(ipc_int[v], v8_int),
                    fmtRatioPercent(ipc_fp[v], v8_fp),
+                   verified ? "ok" : "FAILED",
                    modelVersionDescription(v)});
     }
     std::fputs(up.render().c_str(), stdout);

@@ -35,6 +35,7 @@ main(int argc, char **argv)
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 60000));
+    cfg.rejectUnreadKeys();
 
     const WorkloadProfile profile = workloadByName(wl);
 
@@ -79,7 +80,5 @@ main(int argc, char **argv)
                   fmtBar(p.sim.ipc / (2 * base_ipc), 30)});
     }
     std::fputs(t.render().c_str(), stdout);
-    for (const std::string &key : cfg.unconsumedKeys())
-        warn("unused option '%s'", key.c_str());
     return 0;
 }

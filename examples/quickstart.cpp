@@ -20,7 +20,6 @@
 #include <cstdio>
 
 #include "common/config.hh"
-#include "common/logging.hh"
 #include "cpu/pipeview.hh"
 #include "model/breakdown.hh"
 #include "model/perf_model.hh"
@@ -43,6 +42,9 @@ main(int argc, char **argv)
     const std::string wl = cfg.getString("workload", "TPC-C");
     const std::size_t n =
         static_cast<std::size_t>(cfg.getU64("instrs", 100000));
+    const std::size_t pipeview_n =
+        static_cast<std::size_t>(cfg.getU64("pipeview", 0));
+    cfg.rejectUnreadKeys();
 
     // 1. Pick a machine: the Table-1 SPARC64 V baseline.
     const MachineParams machine = sparc64vBase();
@@ -52,10 +54,7 @@ main(int argc, char **argv)
     PerfModel model(machine, run);
     model.loadWorkload(profile, n);
 
-    // 3. Run (optionally recording a pipeline view of the last N
-    //    committed instructions).
-    const std::size_t pipeview_n =
-        static_cast<std::size_t>(cfg.getU64("pipeview", 0));
+    // 3. Run.
     const SimResult res = model.run();
 
     std::printf("machine     : %s\n", machine.name.c_str());
@@ -103,7 +102,5 @@ main(int argc, char **argv)
         sys.run();
         std::fputs(recorder.render().c_str(), stdout);
     }
-    for (const std::string &key : cfg.unconsumedKeys())
-        warn("unused option '%s'", key.c_str());
     return 0;
 }

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-
-#include "common/file_util.hh"
-#include "common/logging.hh"
 
 namespace s64v
 {
@@ -54,48 +49,6 @@ Table::render() const
     for (const auto &row : rows_)
         emit_row(row, out);
     return out;
-}
-
-std::string
-Table::renderCsv() const
-{
-    auto quote = [](const std::string &cell) {
-        if (cell.find_first_of(",\"\n") == std::string::npos)
-            return cell;
-        std::string out = "\"";
-        for (char c : cell) {
-            if (c == '"')
-                out += '"';
-            out += c;
-        }
-        out += '"';
-        return out;
-    };
-    std::string out;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            out += quote(row[c]);
-            if (c + 1 < row.size())
-                out += ',';
-        }
-        out += '\n';
-    };
-    emit(headers_);
-    for (const auto &row : rows_)
-        emit(row);
-    return out;
-}
-
-void
-Table::maybeWriteCsv(const std::string &name) const
-{
-    const char *dir = std::getenv("S64V_CSV_DIR");
-    if (!dir || !*dir)
-        return;
-    const std::string path = std::string(dir) + "/" + name + ".csv";
-    std::string err;
-    if (!atomicWriteFile(path, renderCsv(), &err))
-        warn("cannot write CSV to '%s': %s", path.c_str(), err.c_str());
 }
 
 std::string

@@ -25,16 +25,6 @@ class Table
     /** Render with aligned columns. */
     std::string render() const;
 
-    /** Render as RFC-4180-style CSV (quotes cells containing , or "). */
-    std::string renderCsv() const;
-
-    /**
-     * If the environment variable S64V_CSV_DIR is set, also write the
-     * table as <dir>/<name>.csv for downstream plotting. No-op
-     * otherwise.
-     */
-    void maybeWriteCsv(const std::string &name) const;
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -186,35 +186,6 @@ checkIssueMono(const ChaosPoint &p)
 
 // --- ckpt-replay --------------------------------------------------
 
-/** Compare the bit-identity surface of two completed runs. */
-std::string
-diffSim(const SimResult &a, const SimResult &b)
-{
-    if (a.cycles != b.cycles)
-        return fmt("cycles %llu != %llu",
-                   static_cast<unsigned long long>(a.cycles),
-                   static_cast<unsigned long long>(b.cycles));
-    if (a.instructions != b.instructions)
-        return "instruction totals differ";
-    if (a.measured != b.measured)
-        return "measured totals differ";
-    if (a.ipc != b.ipc)
-        return fmt("ipc %.17g != %.17g", a.ipc, b.ipc);
-    if (a.warmupEndCycle != b.warmupEndCycle)
-        return "warmup end cycles differ";
-    if (a.cores.size() != b.cores.size())
-        return "core counts differ";
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        if (a.cores[c].committed != b.cores[c].committed ||
-            a.cores[c].measured != b.cores[c].measured ||
-            a.cores[c].lastCommitCycle !=
-                b.cores[c].lastCommitCycle ||
-            a.cores[c].ipc != b.cores[c].ipc)
-            return fmt("core %zu state differs", c);
-    }
-    return "";
-}
-
 std::optional<Violation>
 checkCkptReplay(const ChaosPoint &p)
 {

@@ -106,15 +106,17 @@ ConfigMap::getDouble(const std::string &key, double def) const
     return parseDouble(it->second.text, key.c_str());
 }
 
-std::vector<std::string>
-ConfigMap::unconsumedKeys() const
+void
+ConfigMap::rejectUnreadKeys() const
 {
-    std::vector<std::string> out;
+    std::string unread;
     for (const auto &[key, value] : values_) {
         if (!value.consumed)
-            out.push_back(key);
+            unread += (unread.empty() ? "'" : ", '") + key + "=" +
+                value.text + "'";
     }
-    return out;
+    if (!unread.empty())
+        fatal("unknown argument %s", unread.c_str());
 }
 
 } // namespace s64v

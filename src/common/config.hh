@@ -50,8 +50,12 @@ class ConfigMap
                          std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
 
-    /** @return keys that were set but never read. */
-    std::vector<std::string> unconsumedKeys() const;
+    /**
+     * fatal() naming every key that was set but never read. An entry
+     * point calls it after its last lookup and before it simulates or
+     * writes anything, so a misspelt key stops the run.
+     */
+    void rejectUnreadKeys() const;
 
   private:
     struct Value

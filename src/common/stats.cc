@@ -199,12 +199,6 @@ Group::lookupHistogram(const std::string &name) const
     return it->second.hist;
 }
 
-bool
-Group::hasScalar(const std::string &name) const
-{
-    return scalars_.count(name) != 0;
-}
-
 void
 Group::resetAll()
 {

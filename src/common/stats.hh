@@ -299,9 +299,6 @@ class Group
     /** Look up a histogram by local name; panics if missing. */
     const Histogram &lookupHistogram(const std::string &name) const;
 
-    /** @return true if a counter with this local name exists. */
-    bool hasScalar(const std::string &name) const;
-
     /** Reset all counters here and in child groups. */
     void resetAll();
 

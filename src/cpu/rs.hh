@@ -42,7 +42,6 @@ class ReservationStation
     bool empty() const { return seqs_.empty(); }
     std::size_t occupancy() const { return seqs_.size(); }
     unsigned capacity() const { return entries_; }
-    unsigned dispatchWidth() const { return dispatchWidth_; }
 
     /** Insert a newly issued instruction. */
     void insert(std::uint64_t seq);
@@ -51,9 +50,10 @@ class ReservationStation
     void remove(std::uint64_t seq);
 
     /**
-     * Select up to dispatchWidth() oldest entries for which
-     * @p dispatchable returns true. Selected entries stay in the
-     * station (they are removed only on confirmation).
+     * Select the oldest entries for which @p dispatchable returns
+     * true, at most the station's dispatch width of them. Selected
+     * entries stay in the station (they are removed only on
+     * confirmation).
      *
      * Templated on the predicate so the per-entry call inlines: the
      * dispatch stage runs this on every station every cycle, and a
@@ -93,12 +93,6 @@ class ReservationStation
     void sampleOccupancy(std::uint64_t n)
     {
         occupancy_.sample(double(seqs_.size()), n);
-    }
-
-    /** Occupancy distribution accessor for tests and reports. */
-    const stats::Distribution &occupancyDist() const
-    {
-        return occupancy_;
     }
 
     /** Serialize mutable state (checkpoint/restore). */

@@ -96,20 +96,6 @@ isFpClass(InstrClass c)
     return c == InstrClass::FpAdd || c == InstrClass::FpMul ||
         c == InstrClass::FpMulAdd || c == InstrClass::FpDiv;
 }
-
-constexpr bool
-isIntExecClass(InstrClass c)
-{
-    return c == InstrClass::IntAlu || c == InstrClass::IntMul ||
-        c == InstrClass::IntDiv || c == InstrClass::Nop ||
-        c == InstrClass::Special;
-}
-
-constexpr bool
-isSpecialClass(InstrClass c)
-{
-    return c == InstrClass::Special;
-}
 /** @} */
 
 /**

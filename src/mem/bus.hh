@@ -39,9 +39,6 @@ class Bus
      */
     Cycle command(Cycle cycle);
 
-    /** Earliest cycle the data bus is free (for tests). */
-    Cycle freeAt() const { return dataBusyUntil_; }
-
     /**
      * Earliest future cycle (> @p now) either bus phase frees up, or
      * kCycleNever when both are already idle — the skip-ahead
@@ -72,12 +69,6 @@ class Bus
     std::uint64_t conflictCycles() const
     {
         return conflictCycles_.value();
-    }
-
-    /** Per-request wait-for-the-bus distribution. */
-    const stats::Distribution &queueDelayDist() const
-    {
-        return queueDelay_;
     }
 
     /**

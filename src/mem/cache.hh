@@ -215,18 +215,6 @@ class TimedCache
     {
         return prefetchesIssued_.value();
     }
-    std::uint64_t prefetchUsefulCount() const
-    {
-        return prefetchesUseful_.value();
-    }
-    std::uint64_t writebackCount() const
-    {
-        return writebacks_.value();
-    }
-    std::uint64_t invalidationCount() const
-    {
-        return invalidations_.value();
-    }
     double missRatio() const;
     double demandMissRatio() const;
     /** @} */

@@ -7,10 +7,11 @@
  * System — or a journal replayed against an edited sweep — is caught
  * up front with a clean diagnostic instead of silently diverging.
  *
- * Observation and durability knobs (sample/heartbeat periods,
- * watchdog, check level, checkpoint triggers) are deliberately
- * excluded: they never change simulated timing, so flipping them must
- * not invalidate a checkpoint or force a sweep re-run.
+ * Durability and self-check knobs (watchdog, check level, engine,
+ * checkpoint triggers) are deliberately excluded: they never change
+ * simulated timing, so flipping them must not invalidate a checkpoint
+ * or force a sweep re-run. Observers (sampler, heartbeat) carry their
+ * own periods and are not part of SystemParams at all.
  */
 
 #ifndef S64V_MODEL_FINGERPRINT_HH

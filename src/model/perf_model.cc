@@ -88,12 +88,6 @@ PerfModel::prepare()
 
     SystemParams sys = params_.sys;
     applyRunOverrides(sys, run_);
-    if (!run_.sampleOutPath.empty() && sys.samplePeriod == 0) {
-        sys.samplePeriod = run_.samplePeriod ? run_.samplePeriod
-                                             : kDefaultSamplePeriod;
-    }
-    if (run_.heartbeatPeriod != 0 && sys.heartbeatPeriod == 0)
-        sys.heartbeatPeriod = run_.heartbeatPeriod;
     if (!run_.checkpointOut.empty() && sys.checkpoint.path.empty()) {
         sys.checkpoint.atCycle = run_.checkpointAt;
         sys.checkpoint.path = run_.checkpointOut;
@@ -112,12 +106,11 @@ PerfModel::prepare()
 void
 PerfModel::attachObservers()
 {
-    const SystemParams &sys = system_->params();
-
     sampler_.reset();
-    if (sys.samplePeriod != 0 && !run_.sampleOutPath.empty()) {
+    if (!run_.sampleOutPath.empty()) {
         sampler_ = std::make_unique<obs::IntervalSampler>(
-            system_->root(), sys.samplePeriod);
+            system_->root(), run_.samplePeriod ? run_.samplePeriod
+                                               : kDefaultSamplePeriod);
         if (sampler_->openFile(run_.sampleOutPath))
             system_->attachSampler(sampler_.get());
         else
@@ -125,11 +118,12 @@ PerfModel::attachObservers()
     }
 
     heartbeat_.reset();
-    if (sys.heartbeatPeriod != 0) {
+    if (run_.heartbeatPeriod != 0) {
         std::uint64_t expected = 0;
         for (const auto &t : traces_)
             expected += t->size();
-        heartbeat_ = std::make_unique<obs::Heartbeat>(expected);
+        heartbeat_ = std::make_unique<obs::Heartbeat>(
+            run_.heartbeatPeriod, expected);
         system_->attachHeartbeat(heartbeat_.get());
     }
 

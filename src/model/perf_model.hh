@@ -43,10 +43,9 @@ void applyRunOverrides(SystemParams &sys, const obs::ObsOptions &run);
  * none). prepare() applies their overrides and attaches the observers
  * they name — interval sampler, heartbeat, Chrome-trace writer,
  * pipeview recorders — and run() writes the stats-JSON / trace files
- * after the run. A model built without options attaches only the
- * heartbeat its own SystemParams asks for and writes nothing; the
- * sweep runner and the chaos invariants run their points that way,
- * through prepare() and System::run().
+ * after the run. A model built without options attaches no observer
+ * and writes nothing; the sweep runner and the chaos invariants run
+ * their points that way, through prepare() and System::run().
  *
  * Robustness: run() installs crash reporting (panic/fatal dumps the
  * dying system's state as JSON, see check/crash_report.hh) and a

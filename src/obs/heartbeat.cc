@@ -7,9 +7,13 @@
 namespace s64v::obs
 {
 
-Heartbeat::Heartbeat(std::uint64_t expected_instrs)
-    : expectedInstrs_(expected_instrs), lastWall_(Clock::now())
+Heartbeat::Heartbeat(std::uint64_t period,
+                     std::uint64_t expected_instrs)
+    : period_(period), expectedInstrs_(expected_instrs),
+      lastWall_(Clock::now())
 {
+    if (period_ == 0)
+        fatal("heartbeat: period must be nonzero");
 }
 
 void

@@ -20,25 +20,30 @@ namespace s64v::obs
 
 /**
  * Emits one inform() line per beat. Attach to a System
- * (System::attachHeartbeat) and set SystemParams::heartbeatPeriod.
+ * (System::attachHeartbeat); the run loop calls beat() every period()
+ * cycles.
  */
 class Heartbeat
 {
   public:
     /**
+     * @param period cycles between beats (must be nonzero).
      * @param expected_instrs total instructions the run will commit
      *        (for the ETA estimate); 0 disables the ETA column.
      */
-    explicit Heartbeat(std::uint64_t expected_instrs = 0);
+    explicit Heartbeat(std::uint64_t period,
+                       std::uint64_t expected_instrs = 0);
 
     /** Report progress at @p cycle with @p instrs committed so far. */
     void beat(Cycle cycle, std::uint64_t instrs);
 
+    std::uint64_t period() const { return period_; }
     std::uint64_t beats() const { return beats_; }
 
   private:
     using Clock = std::chrono::steady_clock;
 
+    std::uint64_t period_;
     std::uint64_t expectedInstrs_;
     Clock::time_point lastWall_;
     std::uint64_t lastInstrs_ = 0;

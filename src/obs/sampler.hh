@@ -24,9 +24,8 @@ namespace s64v::obs
 
 /**
  * Streams per-interval scalar deltas of a stats tree as JSONL.
- * Attach to a System (System::attachSampler) and set
- * SystemParams::samplePeriod; the run loop calls tick() each cycle
- * and finish() at the end of the run.
+ * Attach to a System (System::attachSampler); the run loop calls
+ * tick() every period() cycles and finish() at the end of the run.
  */
 class IntervalSampler
 {

@@ -1,6 +1,7 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 #include "check/crash_report.hh"
@@ -196,18 +197,18 @@ System::run()
             return ProbeNext{}; // measurement window open; detach.
         });
     }
-    if (sampler_ && params_.samplePeriod != 0) {
+    if (sampler_) {
         kernel_->attachProbe(
-            phaseStart(params_.samplePeriod, start),
-            params_.samplePeriod, [this](Cycle cycle) {
+            phaseStart(sampler_->period(), start), sampler_->period(),
+            [this](Cycle cycle) {
                 sampler_->tick(cycle, totalCommitted());
                 return true;
             });
     }
-    if (heartbeat_ && params_.heartbeatPeriod != 0) {
+    if (heartbeat_) {
         kernel_->attachProbe(
-            phaseStart(params_.heartbeatPeriod, start),
-            params_.heartbeatPeriod, [this](Cycle cycle) {
+            phaseStart(heartbeat_->period(), start),
+            heartbeat_->period(), [this](Cycle cycle) {
                 heartbeat_->beat(cycle, totalCommitted());
                 return true;
             });
@@ -317,6 +318,57 @@ System::run()
           static_cast<double>(res.cycles)
         : 0.0;
     return res;
+}
+
+std::string
+diffSim(const SimResult &a, const SimResult &b)
+{
+    char buf[256];
+    const auto differ = [&](const char *what, std::uint64_t x,
+                            std::uint64_t y) {
+        std::snprintf(buf, sizeof buf, "%s %llu != %llu", what,
+                      static_cast<unsigned long long>(x),
+                      static_cast<unsigned long long>(y));
+        return std::string(buf);
+    };
+    if (a.cycles != b.cycles)
+        return differ("cycles", a.cycles, b.cycles);
+    if (a.instructions != b.instructions)
+        return differ("instructions", a.instructions, b.instructions);
+    if (a.measured != b.measured)
+        return differ("measured", a.measured, b.measured);
+    if (a.ipc != b.ipc) {
+        std::snprintf(buf, sizeof buf, "ipc %.17g != %.17g", a.ipc,
+                      b.ipc);
+        return buf;
+    }
+    if (a.warmupEndCycle != b.warmupEndCycle)
+        return differ("warm-up end cycle", a.warmupEndCycle,
+                      b.warmupEndCycle);
+    if (a.hitCycleCap != b.hitCycleCap)
+        return differ("hit cycle cap", a.hitCycleCap, b.hitCycleCap);
+    if (a.cores.size() != b.cores.size())
+        return differ("cores", a.cores.size(), b.cores.size());
+    for (std::size_t c = 0; c < a.cores.size(); ++c) {
+        const CoreResult &x = a.cores[c];
+        const CoreResult &y = b.cores[c];
+        if (x.committed != y.committed || x.measured != y.measured ||
+            x.lastCommitCycle != y.lastCommitCycle || x.ipc != y.ipc) {
+            std::snprintf(
+                buf, sizeof buf,
+                "core %zu: committed %llu/%llu, measured %llu/%llu, "
+                "last commit %llu/%llu, ipc %.17g/%.17g",
+                c, static_cast<unsigned long long>(x.committed),
+                static_cast<unsigned long long>(y.committed),
+                static_cast<unsigned long long>(x.measured),
+                static_cast<unsigned long long>(y.measured),
+                static_cast<unsigned long long>(x.lastCommitCycle),
+                static_cast<unsigned long long>(y.lastCommitCycle),
+                x.ipc, y.ipc);
+            return buf;
+        }
+    }
+    return "";
 }
 
 std::uint64_t

@@ -58,14 +58,6 @@ struct SystemParams
      */
     std::uint64_t warmupInstrs = 0;
     /**
-     * Interval-sampling period in cycles (0 = off). When an
-     * IntervalSampler is attached, run() ticks it every this many
-     * cycles so per-interval stat deltas land in its JSONL stream.
-     */
-    std::uint64_t samplePeriod = 0;
-    /** Heartbeat-report period in cycles (0 = off). */
-    std::uint64_t heartbeatPeriod = 0;
-    /**
      * Watchdog threshold: panic when no core commits for this many
      * cycles and no in-flight fill is about to land (0 = disabled).
      * See check::Watchdog.
@@ -137,6 +129,16 @@ struct SimResult
 };
 
 /**
+ * Whether @p a and @p b are the same run, bit for bit: cycles,
+ * instruction totals, IPC, the warm-up boundary, the cycle-cap
+ * outcome and every core's result. elidedCycles, interrupted and
+ * stoppedAtCheckpoint say how a run was driven, not what it
+ * simulated, and are not compared. @return "" if they match, else
+ * the first difference.
+ */
+std::string diffSim(const SimResult &a, const SimResult &b);
+
+/**
  * Run position carried across a checkpoint: the first cycle the next
  * run() simulates plus the warm-up bookkeeping that would otherwise
  * live in run()-local variables. Serialized as the snapshot's "run"
@@ -174,16 +176,16 @@ class System
     }
 
     /**
-     * Attach an interval sampler ticked every params().samplePeriod
-     * cycles during run(). Pass nullptr to detach. The sampler must
-     * outlive the run.
+     * Attach an interval sampler ticked every sampler->period() cycles
+     * during run(). Pass nullptr to detach. The sampler must outlive
+     * the run.
      */
     void attachSampler(obs::IntervalSampler *sampler)
     {
         sampler_ = sampler;
     }
 
-    /** Attach a heartbeat ticked every params().heartbeatPeriod. */
+    /** Attach a heartbeat ticked every heartbeat->period() cycles. */
     void attachHeartbeat(obs::Heartbeat *heartbeat)
     {
         heartbeat_ = heartbeat;

@@ -121,9 +121,9 @@ validateTrace(const InstrTrace &trace)
     char buf[160];
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const TraceRecord &r = trace[i];
-        if (r.cls >= InstrClass::NumClasses) {
+        if (!recordValid(r)) {
             std::snprintf(buf, sizeof(buf),
-                          "record %zu: bad class", i);
+                          "record %zu: bad class or register id", i);
             return buf;
         }
         if (r.isMem() && (r.size == 0 || r.ea == 0)) {
@@ -135,14 +135,6 @@ validateTrace(const InstrTrace &trace)
             std::snprintf(buf, sizeof(buf),
                           "record %zu: taken branch without target", i);
             return buf;
-        }
-        for (RegId reg : {r.dst, r.src1, r.src2}) {
-            if (reg != kNoReg && reg >= kNumIntRegs + kNumFpRegs) {
-                std::snprintf(buf, sizeof(buf),
-                              "record %zu: register id %u out of "
-                              "range", i, reg);
-                return buf;
-            }
         }
     }
     return "";

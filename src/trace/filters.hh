@@ -58,10 +58,10 @@ struct TraceSummary
 TraceSummary summarizeTrace(const InstrTrace &trace);
 
 /**
- * Verify basic well-formedness of a trace: memory ops have nonzero
- * size and addresses, branch records have targets, register ids are
- * in range. @return empty string if OK, else a description of the
- * first violation.
+ * Verify basic well-formedness of a trace: every record passes
+ * recordValid (known class, register ids in range), memory ops have
+ * nonzero size and addresses, taken branches have targets. @return
+ * empty string if OK, else a description of the first violation.
  */
 std::string validateTrace(const InstrTrace &trace);
 

@@ -40,7 +40,6 @@ class InstrTrace
     const std::vector<TraceRecord> &records() const { return records_; }
 
     const std::string &workloadName() const { return workloadName_; }
-    void setWorkloadName(std::string n) { workloadName_ = std::move(n); }
 
   private:
     std::string workloadName_;

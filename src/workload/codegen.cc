@@ -64,15 +64,6 @@ regionCdf(const std::vector<DataRegion> &regions)
 
 } // namespace
 
-std::uint64_t
-StaticProgram::codeBytes() const
-{
-    if (blocks.empty())
-        return 0;
-    const StaticBlock &last = blocks.back();
-    return last.endPc() - blocks.front().startPc;
-}
-
 StaticProgram
 buildProgram(const CodeLayout &layout, const InstrMix &mix,
              const std::vector<DataRegion> &regions, Rng &rng)

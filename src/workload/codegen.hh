@@ -72,9 +72,6 @@ struct StaticProgram
     std::vector<StaticBlock> blocks;
     std::vector<StaticChain> chains;
     ZipfSampler chainPopularity{1, 0.0};
-
-    /** Total static code bytes (footprint upper bound). */
-    std::uint64_t codeBytes() const;
 };
 
 /**

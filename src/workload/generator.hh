@@ -41,9 +41,6 @@ class TraceGenerator
      */
     InstrTrace generate(std::size_t num_instrs, CpuId cpu = 0);
 
-    /** Static code bytes of the user program (footprint bound). */
-    std::uint64_t userCodeBytes() const { return user_.codeBytes(); }
-
   private:
     /** Per-privilege-level walk state. */
     struct WalkState

@@ -97,25 +97,6 @@ runThroughCheckpoint(const SystemParams &sp,
     return out;
 }
 
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].measured, b.cores[c].measured);
-        EXPECT_EQ(a.cores[c].lastCommitCycle,
-                  b.cores[c].lastCommitCycle);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
 /** The cycle of the run's very last commit, over every core. */
 Cycle
 lastCommitCycle(const SimResult &res)
@@ -142,7 +123,7 @@ TEST(CkptAdversarial, CycleZeroCheckpointRestoresBitIdentically)
     const std::string path = tempPath("adv_cycle0.ckpt");
     const RunOutcome resumed =
         runThroughCheckpoint(sp, traces, 0, path);
-    expectSameSim(base.res, resumed.res);
+    EXPECT_EQ(diffSim(base.res, resumed.res), "");
     EXPECT_EQ(base.stats, resumed.stats);
     std::remove(path.c_str());
 }
@@ -168,7 +149,7 @@ TEST(CkptAdversarial, DrainWindowCheckpointsRestoreBitIdentically)
         const std::string path = tempPath("adv_drain.ckpt");
         const RunOutcome resumed =
             runThroughCheckpoint(sp, traces, at, path);
-        expectSameSim(base.res, resumed.res);
+        EXPECT_EQ(diffSim(base.res, resumed.res), "");
         EXPECT_EQ(base.stats, resumed.stats)
             << "stats diverged for a checkpoint at cycle " << at
             << " (last commit at " << last << ")";
@@ -198,7 +179,7 @@ TEST(CkptAdversarial, SmpDrainedCoreBesideARunningOneRestores)
     const std::string path = tempPath("adv_smp_drain.ckpt");
     const RunOutcome resumed =
         runThroughCheckpoint(sp, traces, first + 1, path);
-    expectSameSim(base.res, resumed.res);
+    EXPECT_EQ(diffSim(base.res, resumed.res), "");
     EXPECT_EQ(base.stats, resumed.stats);
     std::remove(path.c_str());
 }
@@ -267,7 +248,7 @@ TEST(CkptAdversarial, CheckpointInsideAnArmedFaultWindow)
         RunOutcome out;
         out.res = clean.run();
         out.stats = clean.statsDump();
-        expectSameSim(base.res, out.res);
+        EXPECT_EQ(diffSim(base.res, out.res), "");
         EXPECT_EQ(base.stats, out.stats);
     }
     std::remove(path.c_str());

@@ -62,13 +62,26 @@ TEST(Config, ParseArgsRejectsNonAssignments)
 
 TEST(Config, UnconsumedTracking)
 {
+    setThrowOnError(true);
     ConfigMap cfg;
     cfg.parse("used=1");
     cfg.parse("typo=2");
+    cfg.parse("also=3");
     (void)cfg.getU64("used", 0);
-    const auto leftovers = cfg.unconsumedKeys();
-    ASSERT_EQ(leftovers.size(), 1u);
-    EXPECT_EQ(leftovers[0], "typo");
+    try {
+        cfg.rejectUnreadKeys();
+        ADD_FAILURE() << "unread keys were accepted";
+    } catch (const std::runtime_error &e) {
+        // Every unread key is named, the read one is not.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'typo=2'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'also=3'"), std::string::npos) << what;
+        EXPECT_EQ(what.find("used"), std::string::npos) << what;
+    }
+    (void)cfg.getString("typo", "");
+    (void)cfg.getString("also", "");
+    EXPECT_NO_THROW(cfg.rejectUnreadKeys());
+    setThrowOnError(false);
 }
 
 TEST(Config, HexIntegers)

@@ -121,11 +121,9 @@ TEST(FlushOnce, EarlyStopEmitsFinalSampleExactlyOnce)
 TEST(FlushOnce, PendingStopAtCycleZeroEmitsNoSample)
 {
     check::clearStopRequest();
-    SystemParams sp;
-    sp.samplePeriod = 10;
-    System sys(sp);
+    System sys(SystemParams{});
     sys.attachTrace(0, generateTrace(specint95Profile(), 5000));
-    obs::IntervalSampler sampler(sys.root(), sp.samplePeriod);
+    obs::IntervalSampler sampler(sys.root(), 10);
     std::ostringstream out;
     sampler.setOutput(&out);
     sys.attachSampler(&sampler);
@@ -144,10 +142,9 @@ TEST(FlushOnce, CycleCapEmitsEachSampleAndTheFinalFlushOnce)
 {
     SystemParams sp;
     sp.maxCycles = 50;
-    sp.samplePeriod = 10;
     System sys(sp);
     sys.attachTrace(0, generateTrace(specint95Profile(), 50000));
-    obs::IntervalSampler sampler(sys.root(), sp.samplePeriod);
+    obs::IntervalSampler sampler(sys.root(), 10);
     std::ostringstream out;
     sampler.setOutput(&out);
     sys.attachSampler(&sampler);

@@ -2,15 +2,13 @@
  * @file
  * Cross-module integration scenarios: the workflows a downstream user
  * actually strings together — trace capture to file, replay through
- * the model, program-form verification, CSV export, SMP pipelines.
+ * the model, program-form verification, SMP pipelines.
  */
 
 #include <cstdio>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
-#include "analysis/report.hh"
 #include "cpu/pipeview.hh"
 #include "golden/checker.hh"
 #include "golden/reverse_tracer.hh"
@@ -71,26 +69,6 @@ TEST(Integration, TraceProgramFileRoundTrip)
         EXPECT_EQ(loaded[i].pc, t[i].pc);
         EXPECT_EQ(loaded[i].ea, t[i].ea);
     }
-}
-
-// CSV export: opt in via environment, file appears with the rows.
-TEST(Integration, CsvExportViaEnvironment)
-{
-    const std::string dir = ::testing::TempDir();
-    ::setenv("S64V_CSV_DIR", dir.c_str(), 1);
-    Table t({"workload", "ipc"});
-    t.addRow({"TPC-C", "0.25"});
-    t.maybeWriteCsv("integration_test");
-    ::unsetenv("S64V_CSV_DIR");
-
-    std::ifstream f(dir + "/integration_test.csv");
-    ASSERT_TRUE(f.good());
-    std::string line;
-    std::getline(f, line);
-    EXPECT_EQ(line, "workload,ipc");
-    std::getline(f, line);
-    EXPECT_EQ(line, "TPC-C,0.25");
-    std::remove((dir + "/integration_test.csv").c_str());
 }
 
 // Pipeview on an SMP system: each core records independently.

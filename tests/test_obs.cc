@@ -14,12 +14,14 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "model/perf_model.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/heartbeat.hh"
 #include "obs/json.hh"
 #include "obs/run_obs.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_export.hh"
+#include "workload/workloads.hh"
 
 #include "json_checker.hh"
 
@@ -256,7 +258,7 @@ TEST(Heartbeat, ReportsProgress)
 {
     std::string sink;
     setLogSink(&sink);
-    obs::Heartbeat hb(/*expected_instrs=*/1000);
+    obs::Heartbeat hb(/*period=*/100, /*expected_instrs=*/1000);
     hb.beat(100, 50);
     hb.beat(200, 100);
     setLogSink(nullptr);
@@ -265,6 +267,27 @@ TEST(Heartbeat, ReportsProgress)
     EXPECT_NE(sink.find("heartbeat"), std::string::npos);
     EXPECT_NE(sink.find("ipc"), std::string::npos);
     EXPECT_NE(sink.find("KIPS"), std::string::npos);
+}
+
+TEST(Heartbeat, SingleRunBeatsAtItsOwnPeriod)
+{
+    // The run loop schedules the heartbeat at the period it was built
+    // with; heartbeat=N reaches it through the run options.
+    obs::ObsOptions run;
+    run.heartbeatPeriod = 500;
+    PerfModel model(sparc64vBase(), run);
+    model.loadWorkload(specint95Profile(), 8000);
+    std::string sink;
+    setLogSink(&sink);
+    model.run();
+    setLogSink(nullptr);
+
+    EXPECT_NE(sink.find("heartbeat: cycle 500,"), std::string::npos)
+        << sink;
+    EXPECT_NE(sink.find("heartbeat: cycle 1000,"), std::string::npos)
+        << sink;
+    EXPECT_EQ(sink.find("heartbeat: cycle 750,"), std::string::npos)
+        << sink;
 }
 
 TEST(RunObs, ParsesObservabilityFlags)

@@ -93,7 +93,7 @@ TEST_P(PerWorkload, DeterministicSimulation)
     const WorkloadProfile p = workloadByName(GetParam());
     const SimResult a = PerfModel::simulate(sparc64vBase(), p, 8000);
     const SimResult b = PerfModel::simulate(sparc64vBase(), p, 8000);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(diffSim(a, b), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,5 @@
 #include "analysis/report.hh"
 
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 namespace s64v
@@ -27,26 +25,6 @@ TEST(Report, ShortRowsPadded)
     Table t({"a", "b", "c"});
     t.addRow({"x"});
     EXPECT_NO_THROW(t.render());
-}
-
-TEST(Report, CsvRendering)
-{
-    Table t({"a", "b"});
-    t.addRow({"plain", "with,comma"});
-    t.addRow({"quote\"y", "x"});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("a,b\n"), std::string::npos);
-    EXPECT_NE(csv.find("plain,\"with,comma\""), std::string::npos);
-    EXPECT_NE(csv.find("\"quote\"\"y\",x"), std::string::npos);
-}
-
-TEST(Report, CsvEnvWriteIsOptIn)
-{
-    // Without S64V_CSV_DIR the call is a no-op (must not crash).
-    ::unsetenv("S64V_CSV_DIR");
-    Table t({"a"});
-    t.addRow({"1"});
-    EXPECT_NO_THROW(t.maybeWriteCsv("nope"));
 }
 
 TEST(Report, FmtHelpers)

@@ -43,22 +43,6 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
 exp::Sweep
 threePointSweep()
 {
@@ -93,7 +77,7 @@ TEST(ResumeSweep, JournalRecordsEveryFinishedPoint)
         EXPECT_EQ(entries[i].modelVersion, modelVersionString());
         EXPECT_NE(entries[i].configHash, 0u);
         EXPECT_NE(entries[i].workloadHash, 0u);
-        expectSameSim(entries[i].sim, results[i].sim);
+        EXPECT_EQ(diffSim(entries[i].sim, results[i].sim), "");
     }
     // Distinct machines / workloads get distinct keys.
     EXPECT_NE(entries[0].configHash, entries[2].configHash);
@@ -139,7 +123,7 @@ TEST(ResumeSweep, ResumeOfACompleteJournalRunsNothing)
     for (std::size_t i = 0; i < first.size(); ++i) {
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
         EXPECT_EQ(resumed[i].label, first[i].label);
-        expectSameSim(first[i].sim, resumed[i].sim);
+        EXPECT_EQ(diffSim(first[i].sim, resumed[i].sim), "");
         EXPECT_EQ(first[i].metrics.at("ipc_copy"),
                   resumed[i].metrics.at("ipc_copy"));
     }
@@ -216,7 +200,7 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     ASSERT_EQ(resumed.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
-        expectSameSim(reference[i].sim, resumed[i].sim);
+        EXPECT_EQ(diffSim(reference[i].sim, resumed[i].sim), "");
     }
     entries = exp::RunJournal::load(jpath);
     EXPECT_EQ(entries.size(), 3u);
@@ -453,7 +437,7 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     ASSERT_EQ(resumed.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
-        expectSameSim(baseline[i].sim, resumed[i].sim);
+        EXPECT_EQ(diffSim(baseline[i].sim, resumed[i].sim), "");
     }
     EXPECT_EQ(exp::RunJournal::load(jpath).size(), 2u);
     std::remove(jpath.c_str());

@@ -299,25 +299,6 @@ runMode(SystemParams sp, const std::vector<InstrTrace> &traces,
 }
 
 void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].measured, b.cores[c].measured);
-        EXPECT_EQ(a.cores[c].lastCommitCycle,
-                  b.cores[c].lastCommitCycle);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
-void
 expectBitIdenticalModes(const WorkloadProfile &profile,
                         unsigned num_cpus, std::size_t instrs)
 {
@@ -330,7 +311,7 @@ expectBitIdenticalModes(const WorkloadProfile &profile,
     const RunOutcome skip = runMode(sp, traces, true);
     ASSERT_FALSE(plain.res.hitCycleCap);
 
-    expectSameSim(plain.res, skip.res);
+    EXPECT_EQ(diffSim(plain.res, skip.res), "");
     EXPECT_EQ(plain.stats, skip.stats);
     EXPECT_EQ(plain.json, skip.json);
     // The optimization must actually engage — and never report
@@ -424,7 +405,7 @@ expectElidedWindowCutRestores(const WorkloadProfile &profile,
         std::uint64_t legs_elided = 0;
         const RunOutcome resumed = runThroughCheckpoint(
             sp, traces, at, path, &legs_elided);
-        expectSameSim(base.res, resumed.res);
+        EXPECT_EQ(diffSim(base.res, resumed.res), "");
         EXPECT_EQ(base.stats, resumed.stats);
         if (legs_elided < base.res.elidedCycles)
             cut_inside_window = true;
@@ -480,7 +461,7 @@ expectCheckpointsInterchange(const WorkloadProfile &profile,
         attachAll(reader, traces);
         ckpt::restoreSystemCheckpoint(reader, path);
         const SimResult res = reader.run();
-        expectSameSim(base.res, res);
+        EXPECT_EQ(diffSim(base.res, res), "");
         EXPECT_EQ(base.stats, reader.statsDump());
         std::remove(path.c_str());
     }
@@ -535,7 +516,7 @@ TEST(SweepRunnerSkipAhead, ParallelSweepMatchesSerial)
         SCOPED_TRACE(serial[i].label);
         ASSERT_TRUE(serial[i].ok) << serial[i].error;
         ASSERT_TRUE(parallel[i].ok) << parallel[i].error;
-        expectSameSim(serial[i].sim, parallel[i].sim);
+        EXPECT_EQ(diffSim(serial[i].sim, parallel[i].sim), "");
     }
 }
 

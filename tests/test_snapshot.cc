@@ -351,25 +351,6 @@ runThroughCheckpoint(const SystemParams &sp,
     return out;
 }
 
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].measured, b.cores[c].measured);
-        EXPECT_EQ(a.cores[c].lastCommitCycle,
-                  b.cores[c].lastCommitCycle);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
 TEST(Checkpoint, UpSpecRestoreIsBitIdentical)
 {
     constexpr std::size_t kInstrs = 20000;
@@ -393,7 +374,7 @@ TEST(Checkpoint, UpSpecRestoreIsBitIdentical)
         const std::string path = tempPath("up_spec.ckpt");
         const RunOutcome resumed =
             runThroughCheckpoint(sp, traces, at, path);
-        expectSameSim(base.res, resumed.res);
+        EXPECT_EQ(diffSim(base.res, resumed.res), "");
         EXPECT_EQ(base.stats, resumed.stats)
             << "stats dump diverged for a checkpoint at cycle " << at;
         EXPECT_EQ(checkReplay(traces[0], resumed.res), "");
@@ -421,7 +402,7 @@ TEST(Checkpoint, SmpTpccRestoreIsBitIdentical)
     const Cycle at = base.res.warmupEndCycle + base.res.cycles / 2;
     const RunOutcome resumed =
         runThroughCheckpoint(sp, traces, at, path);
-    expectSameSim(base.res, resumed.res);
+    EXPECT_EQ(diffSim(base.res, resumed.res), "");
     EXPECT_EQ(base.stats, resumed.stats);
     for (CpuId cpu = 0; cpu < 4; ++cpu)
         EXPECT_EQ(checkReplay(traces[cpu], resumed.res, cpu), "");
@@ -447,14 +428,14 @@ TEST(Checkpoint, MidRunCheckpointDoesNotPerturbTheRun)
     attachAll(sys, traces);
     const SimResult through = sys.run();
     EXPECT_FALSE(through.stoppedAtCheckpoint);
-    expectSameSim(base.res, through);
+    EXPECT_EQ(diffSim(base.res, through), "");
     EXPECT_EQ(base.stats, sys.statsDump());
 
     // And the file it left behind is itself a valid resume point.
     System resumed(sp);
     attachAll(resumed, traces);
     ckpt::restoreSystemCheckpoint(resumed, path);
-    expectSameSim(base.res, resumed.run());
+    EXPECT_EQ(diffSim(base.res, resumed.run()), "");
     std::remove(path.c_str());
 }
 

@@ -5,11 +5,10 @@
  * for point, a panicking point must be reported per point without
  * killing the sweep, traces must be shared rather than re-synthesized,
  * the cycle-cap outcome must be surfaced, progress must reach the
- * caller's callback once per point, a point's own heartbeat must
- * still print inside a sweep, and the single-run outputs a sweep's
- * run options name must not be written. The parallel cases also serve
- * as the TSan workload for the sweep engine (see the "tsan" test
- * preset).
+ * caller's callback once per point, and the single-run outputs a
+ * sweep's run options name (heartbeat included) must not be written.
+ * The parallel cases also serve as the TSan workload for the sweep
+ * engine (see the "tsan" test preset).
  */
 
 #include <cstdio>
@@ -45,22 +44,6 @@ smallSweep()
     return sweep;
 }
 
-void
-expectSameSim(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.measured, b.measured);
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not approximately.
-    EXPECT_EQ(a.warmupEndCycle, b.warmupEndCycle);
-    EXPECT_EQ(a.hitCycleCap, b.hitCycleCap);
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (std::size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].committed, b.cores[c].committed);
-        EXPECT_EQ(a.cores[c].ipc, b.cores[c].ipc);
-    }
-}
-
 TEST(SweepRunner, SerialAndParallelResultsAreIdentical)
 {
     const exp::Sweep sweep = smallSweep();
@@ -79,7 +62,7 @@ TEST(SweepRunner, SerialAndParallelResultsAreIdentical)
         EXPECT_TRUE(serial[i].ok) << serial[i].error;
         EXPECT_TRUE(parallel[i].ok) << parallel[i].error;
         EXPECT_EQ(serial[i].label, parallel[i].label);
-        expectSameSim(serial[i].sim, parallel[i].sim);
+        EXPECT_EQ(diffSim(serial[i].sim, parallel[i].sim), "");
     }
 }
 
@@ -95,7 +78,7 @@ TEST(SweepRunner, MatchesADirectSingleRun)
     const auto results = exp::SweepRunner().run(sweep);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok) << results[0].error;
-    expectSameSim(results[0].sim, direct);
+    EXPECT_EQ(diffSim(results[0].sim, direct), "");
 }
 
 TEST(SweepRunner, PanickingPointIsIsolated)
@@ -122,7 +105,7 @@ TEST(SweepRunner, PanickingPointIsIsolated)
                   std::string::npos)
             << results[1].error;
         EXPECT_TRUE(results[2].ok) << results[2].error;
-        expectSameSim(results[0].sim, results[2].sim);
+        EXPECT_EQ(diffSim(results[0].sim, results[2].sim), "");
     }
 }
 
@@ -208,27 +191,6 @@ TEST(SweepRunner, ProgressCallbackSeesEveryPoint)
     EXPECT_GT(calls.back().kips, 0.0);
 }
 
-TEST(SweepRunner, PointHeartbeatPrintsInsideASweep)
-{
-    std::string sink;
-    setLogSink(&sink);
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    MachineParams beating = sparc64vBase();
-    beating.sys.heartbeatPeriod = 500; // cycles: several beats.
-    exp::Sweep sweep;
-    sweep.add("hb", beating, specint95Profile(), 8000);
-    const auto results = exp::SweepRunner(opts).run(sweep);
-    setLogSink(nullptr);
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-
-    // A sweep point beats at its machine's own period.
-    EXPECT_NE(sink.find("heartbeat: cycle 500,"), std::string::npos)
-        << sink;
-    EXPECT_NE(sink.find("heartbeat: cycle 1000,"), std::string::npos)
-        << sink;
-}
-
 TEST(SweepRunner, IgnoresSingleRunOutputs)
 {
     // Single-run outputs would collide across concurrent points: a
@@ -268,7 +230,7 @@ TEST(SweepRunner, IgnoresSingleRunOutputs)
         ASSERT_TRUE(recorded[i].ok) << recorded[i].error;
         ASSERT_TRUE(reference[i].ok) << reference[i].error;
         EXPECT_FALSE(recorded[i].sim.stoppedAtCheckpoint);
-        expectSameSim(recorded[i].sim, reference[i].sim);
+        EXPECT_EQ(diffSim(recorded[i].sim, reference[i].sim), "");
     }
     for (const std::string &path : outputs)
         EXPECT_FALSE(std::ifstream(path).good()) << path;

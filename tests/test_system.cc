@@ -41,8 +41,32 @@ TEST(System, DeterministicAcrossRuns)
         sys.attachTrace(0, trace);
         b = sys.run();
     }
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(diffSim(a, b), "");
+}
+
+TEST(System, DiffSimComparesWhatWasSimulated)
+{
+    SimResult a;
+    a.cycles = 100;
+    a.ipc = 0.5;
+    a.cores.resize(2);
+    SimResult b = a;
+    EXPECT_EQ(diffSim(a, b), "");
+
+    // How a run was driven is not part of what it simulated.
+    b.elidedCycles = 40;
+    b.interrupted = true;
+    b.stoppedAtCheckpoint = true;
+    EXPECT_EQ(diffSim(a, b), "");
+
+    b.hitCycleCap = true;
+    EXPECT_EQ(diffSim(a, b), "hit cycle cap 0 != 1");
+    b = a;
+    b.cores[1].lastCommitCycle = 7;
+    EXPECT_EQ(diffSim(a, b).rfind("core 1:", 0), 0u) << diffSim(a, b);
+    b = a;
+    b.ipc = 0.25;
+    EXPECT_EQ(diffSim(a, b), "ipc 0.5 != 0.25");
 }
 
 TEST(System, MissingTraceIsFatal)
