@@ -21,12 +21,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 
 #include "analysis/experiment.hh"
 #include "analysis/report.hh"
 #include "common/logging.hh"
 #include "exp/sweep.hh"
 #include "golden/checker.hh"
+#include "golden/golden.hh"
 #include "model/versions.hh"
 #include "obs/run_obs.hh"
 
@@ -56,15 +58,29 @@ main(int argc, char **argv)
                      modelVersion(v), wl_fp, n);
     }
     // Each run is verified against its own trace while its System is
-    // alive: replay completeness, then the golden-model CPI bound.
-    versions.setMetricFn([](PerfModel &model, const SimResult &res,
-                            std::map<std::string, double> &metrics) {
+    // alive: replay completeness, then the golden-model CPI bound. The
+    // golden CPI depends on the trace alone, and every version of a
+    // workload shares that workload's trace, so the golden model runs
+    // once per workload, on the trace of the first point to get there.
+    struct GoldenCpi
+    {
+        std::once_flag once;
+        double cpi = 0.0;
+    };
+    GoldenCpi golden_int, golden_fp;
+    versions.setMetricFn([&](PerfModel &model, const SimResult &res,
+                             std::map<std::string, double> &metrics) {
         const InstrTrace &trace = *model.system().trace(0);
         const char *check = "replay";
         std::string err = checkReplay(trace, res);
         if (err.empty()) {
             check = "golden";
-            err = checkAgainstGolden(trace, res, 1.8);
+            GoldenCpi &golden = trace.workloadName() == wl_int.name
+                ? golden_int : golden_fp;
+            std::call_once(golden.once, [&] {
+                golden.cpi = GoldenModel().run(trace).cpi;
+            });
+            err = checkAgainstGolden(golden.cpi, res, 1.8);
         }
         if (!err.empty())
             warn("%s on %s: %s check failed: %s",

@@ -14,6 +14,7 @@
 #include "exp/sweep.hh"
 #include "golden/checker.hh"
 #include "model/perf_model.hh"
+#include "obs/stats_export.hh"
 #include "sim/system.hh"
 
 namespace s64v::chaos
@@ -80,7 +81,7 @@ PointOutcome
 runMachine(const MachineParams &machine, const ChaosPoint &p,
            const TraceSet &traces)
 {
-    return runMachine(machine, p, traces, p.instrs / 5);
+    return runMachine(machine, p, traces, standardWarmup(p.instrs));
 }
 
 /** A run that dies is always a finding, whatever the invariant. */
@@ -191,7 +192,7 @@ checkCkptReplay(const ChaosPoint &p)
 {
     const TraceSet traces = p.traces();
     MachineParams m = p.machine();
-    m.sys.warmupInstrs = p.instrs / 5;
+    m.sys.warmupInstrs = standardWarmup(p.instrs);
 
     const std::string path = fmt("chaos_ckpt.%d.%zu.tmp",
                                  static_cast<int>(::getpid()),
@@ -205,7 +206,7 @@ checkCkptReplay(const ChaosPoint &p)
             for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
                 sys.attachTrace(cpu, traces[cpu]);
             full = sys.run();
-            fullStats = sys.statsDump();
+            fullStats = obs::exportStatsJson(sys.root());
         }
         if (full.cycles < 3)
             return std::nullopt; // too short to cut.
@@ -235,7 +236,8 @@ checkCkptReplay(const ChaosPoint &p)
             resumed.attachTrace(cpu, traces[cpu]);
         ckpt::restoreSystemCheckpoint(resumed, path);
         const SimResult rest = resumed.run();
-        const std::string restStats = resumed.statsDump();
+        const std::string restStats =
+            obs::exportStatsJson(resumed.root());
         std::remove(path.c_str());
 
         const std::string diff = diffSim(full, rest);
@@ -249,7 +251,7 @@ checkCkptReplay(const ChaosPoint &p)
         if (fullStats != restStats) {
             return Violation{
                 "ckpt-replay", "ckpt-replay:stats-diverged",
-                fmt("restore from cycle %llu: stats dump differs "
+                fmt("restore from cycle %llu: stats JSON differs "
                     "from the uninterrupted run",
                     static_cast<unsigned long long>(cut))};
         }
@@ -267,14 +269,14 @@ checkCkptReplay(const ChaosPoint &p)
  * quiescence memoization and idle-tick deferral) is an
  * execution-speed optimization only. Running the same fuzzed machine
  * on it and on the plain per-cycle loop must produce the same
- * SimResult and a byte-identical stats dump.
+ * SimResult and a byte-identical stats JSON document.
  */
 std::optional<Violation>
 checkSkipaheadIdentity(const ChaosPoint &p)
 {
     const TraceSet traces = p.traces();
     MachineParams m = p.machine();
-    m.sys.warmupInstrs = p.instrs / 5;
+    m.sys.warmupInstrs = standardWarmup(p.instrs);
 
     ScopedThrowOnError isolate;
     auto runMode = [&](bool skip, SimResult &res, std::string &stats,
@@ -285,7 +287,7 @@ checkSkipaheadIdentity(const ChaosPoint &p)
         for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
             sys.attachTrace(cpu, traces[cpu]);
         res = sys.run();
-        stats = sys.statsDump();
+        stats = obs::exportStatsJson(sys.root());
         elided = res.elidedCycles;
     };
 
@@ -315,7 +317,7 @@ checkSkipaheadIdentity(const ChaosPoint &p)
             return Violation{
                 "skipahead-identity",
                 "skipahead-identity:stats-diverged",
-                fmt("stats dump differs between plain and skip-ahead "
+                fmt("stats JSON differs between plain and skip-ahead "
                     "runs (%llu cycles elided)",
                     static_cast<unsigned long long>(skipElided))};
         }
@@ -388,7 +390,7 @@ checkWarmupBand(const ChaosPoint &p)
     const MachineParams base = p.machine();
 
     const PointOutcome a =
-        runMachine(base, p, traces, p.instrs / 5);
+        runMachine(base, p, traces, standardWarmup(p.instrs));
     if (!a.ok)
         return panicViolation("warmup-band", "1/5-warmup", a.error);
     const PointOutcome b =

@@ -11,8 +11,8 @@
  *                   beyond noise (narrowing must not raise it).
  *   ckpt-replay     checkpoint at a seeded-random mid-run cycle, then
  *                   restore: the resumed run must be bit-identical
- *                   (SimResult and full stats dump) to one that was
- *                   never interrupted.
+ *                   (SimResult and stats JSON document) to one that
+ *                   was never interrupted.
  *   serial-parallel the same three-point sweep run with 1 worker and
  *                   with 3 workers must produce bit-identical results
  *                   point for point.

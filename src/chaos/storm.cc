@@ -1,10 +1,10 @@
 #include "chaos/storm.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include <signal.h>
 #include <sys/types.h>
@@ -12,15 +12,10 @@
 #include <unistd.h>
 
 #include "check/fault_inject.hh"
-#include "ckpt/checkpoint.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "exp/sweep.hh"
 #include "model/perf_model.hh"
 #include "obs/run_obs.hh"
-#include "sim/system.hh"
-#include "trace/trace_io.hh"
-#include "workload/generator.hh"
 
 namespace s64v::chaos
 {
@@ -30,14 +25,6 @@ namespace
 
 /** Seed-stream discriminator for storm case selection. */
 constexpr std::uint64_t kStormStream = 0x73746f726dull; // "storm"
-
-/**
- * Child protocol: a detection path that should have fired but did not
- * (corrupt data accepted, resumed sweep broken) exits with this.
- * Outside the contract's {0, 86, SIGABRT}, so the parent can never
- * mistake it for a legitimate outcome.
- */
-constexpr int kUndetectedExit = 99;
 
 /** Per-case deadline before the child is declared hung and killed. */
 constexpr int kCaseTimeoutMs = 30'000;
@@ -56,11 +43,13 @@ fmt(const char *format, ...)
     return buf;
 }
 
+/** Crash-report path for one storm case (written by the child,
+ *  removed by the parent). */
 std::string
-tmpName(const ChaosPoint &p, const char *what)
+crashReportName(const ChaosPoint &p)
 {
-    return fmt("chaos_storm.%d.%zu.%s.tmp",
-               static_cast<int>(::getpid()), p.index, what);
+    return fmt("chaos_storm.%d.%zu.crash.tmp",
+               static_cast<int>(::getpid()), p.index);
 }
 
 bool
@@ -69,33 +58,24 @@ fileExists(const std::string &path)
     return ::access(path.c_str(), F_OK) == 0;
 }
 
-/** Scenario file names for one storm case (created by the child,
- *  removed by the parent). */
-struct CasePaths
-{
-    std::string crash;   ///< crash-report JSON.
-    std::string scratch; ///< trace / checkpoint / journal file.
-};
-
 // --- child side ---------------------------------------------------
 
 /**
  * Common child setup: silence advisory output, let panic()/fatal()
- * really terminate, and arm the fault plan + its exit code.
+ * really terminate, and arm the fault plan.
  * @return the child's run options: its crash-report path and nothing
  * else, so its traces are the point's own (see ChaosPoint::traces).
  */
 obs::ObsOptions
-setupChild(const CasePaths &paths, check::FaultKind kind,
+setupChild(const std::string &crash_path, check::FaultKind kind,
            std::uint64_t at)
 {
     setLogLevel(LogLevel::Silent);
     setThrowOnError(false);
     check::activeFaultPlan().kind = kind;
     check::activeFaultPlan().at = at;
-    check::armFaultExitCode();
     obs::ObsOptions run;
-    run.crashReportPath = paths.crash;
+    run.crashReportPath = crash_path;
     return run;
 }
 
@@ -134,93 +114,11 @@ childRunCoherent(const ChaosPoint &p, obs::ObsOptions run)
     std::_Exit(0);
 }
 
-/** Write a trace (record `at` bit-flipped by the armed fault) and
- *  read it back: the loader must reject it via fatal(). */
-[[noreturn]] void
-childTraceRoundTrip(const ChaosPoint &p, const CasePaths &paths,
-                    std::uint64_t at)
-{
-    TraceGenerator gen(p.profile(), 1);
-    const std::size_t n = std::min<std::size_t>(p.instrs, 600);
-    const InstrTrace trace = gen.generate(n, 0);
-    writeTraceFile(paths.scratch, trace);
-    (void)readTraceFile(paths.scratch); // must fatal() if corrupted.
-    // Still alive: fine when the fault missed the file, silent
-    // corruption when it did not.
-    std::_Exit(at < trace.size() ? kUndetectedExit : 0);
-}
-
-/** Write a checkpoint (bit-flipped by the armed fault) and restore
- *  it: the reader must reject it via fatal(). */
-[[noreturn]] void
-childCheckpointRoundTrip(const ChaosPoint &p, const CasePaths &paths)
-{
-    const MachineParams m = p.machine();
-    const std::vector<std::shared_ptr<const InstrTrace>> traces =
-        p.traces();
-    {
-        SystemParams cp = m.sys;
-        cp.warmupInstrs = p.instrs / 5;
-        cp.checkpoint.atCycle = 200;
-        cp.checkpoint.path = paths.scratch;
-        cp.checkpoint.stopAfter = true;
-        System sys(cp, m.name);
-        for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
-            sys.attachTrace(cpu, traces[cpu]);
-        sys.run();
-    }
-    System fresh(m.sys, m.name);
-    for (CpuId cpu = 0; cpu < p.numCpus; ++cpu)
-        fresh.attachTrace(cpu, traces[cpu]);
-    // Rejects via fatal() (exit 86) on the flipped bit; if the run
-    // above ended before cycle 200 the file is missing, which is also
-    // a clean fatal().
-    ckpt::restoreSystemCheckpoint(fresh, paths.scratch);
-    std::_Exit(kUndetectedExit); // corrupt snapshot accepted.
-}
-
-/** Journalled two-point sweep whose append `at` is torn mid-line,
- *  then a resume that must recover every point. */
-[[noreturn]] void
-childJournalTearResume(const ChaosPoint &p, const obs::ObsOptions &run,
-                       const CasePaths &paths)
-{
-    const MachineParams m = p.machine();
-    const WorkloadProfile prof = p.profile();
-    auto build = [&]() {
-        exp::Sweep sweep;
-        sweep.add("storm/a", m, prof, 800);
-        sweep.add("storm/b", withSmallL1(m), prof, 800);
-        return sweep;
-    };
-
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.run = run;
-    opts.run.journalPath = paths.scratch;
-    const exp::Sweep first = build();
-    (void)exp::SweepRunner(opts).run(first); // tears append `at`.
-
-    // The "crash" happened above; the recovering process has no fault
-    // armed.
-    check::activeFaultPlan().clear();
-    check::armFaultExitCode();
-    opts.run.resume = true;
-    const exp::Sweep second = build();
-    const std::vector<exp::PointResult> res =
-        exp::SweepRunner(opts).run(second);
-    for (const exp::PointResult &r : res) {
-        if (!r.ok)
-            std::_Exit(kUndetectedExit); // resume lost a point.
-    }
-    std::_Exit(0);
-}
-
 [[noreturn]] void
 runStormChild(const ChaosPoint &p, check::FaultKind kind,
-              std::uint64_t at, const CasePaths &paths)
+              std::uint64_t at, const std::string &crash_path)
 {
-    const obs::ObsOptions run = setupChild(paths, kind, at);
+    const obs::ObsOptions run = setupChild(crash_path, kind, at);
     switch (kind) {
       case check::FaultKind::CommitStall:
       case check::FaultKind::LostGrant:
@@ -229,12 +127,6 @@ runStormChild(const ChaosPoint &p, check::FaultKind kind,
         childRunPoint(p, run, /*tight_watchdog=*/false);
       case check::FaultKind::LostInvalidate:
         childRunCoherent(p, run);
-      case check::FaultKind::TraceCorrupt:
-        childTraceRoundTrip(p, paths, at);
-      case check::FaultKind::CorruptCheckpoint:
-        childCheckpointRoundTrip(p, paths);
-      case check::FaultKind::TruncateJournal:
-        childJournalTearResume(p, run, paths);
       case check::FaultKind::None:
         break;
     }
@@ -305,7 +197,7 @@ bool abortedBySignal(const ChildOutcome &o)
  */
 std::optional<Violation>
 classifyCase(check::FaultKind kind, std::uint64_t at,
-             const ChildOutcome &o, const CasePaths &paths)
+             const ChildOutcome &o, const std::string &crash_path)
 {
     const std::string name = check::faultKindName(kind);
     auto violation = [&](const char *mode, const std::string &why) {
@@ -318,9 +210,6 @@ classifyCase(check::FaultKind kind, std::uint64_t at,
 
     if (o.hung)
         return violation("hang", "the contract forbids hangs");
-    if (exitedWith(o, kUndetectedExit))
-        return violation("undetected",
-                         "corruption accepted / recovery lost data");
 
     switch (kind) {
       case check::FaultKind::CommitStall:
@@ -329,7 +218,7 @@ classifyCase(check::FaultKind kind, std::uint64_t at,
         // Watchdog / coherence audit panic, or a clean run when the
         // fault position lies beyond the run.
         if (abortedBySignal(o)) {
-            if (!fileExists(paths.crash)) {
+            if (!fileExists(crash_path)) {
                 return violation("no-crash-report",
                                  "abort left no crash report");
             }
@@ -339,7 +228,6 @@ classifyCase(check::FaultKind kind, std::uint64_t at,
             return std::nullopt;
         return violation("bad-exit", "expected SIGABRT or exit 0");
 
-      case check::FaultKind::TraceCorrupt:
       case check::FaultKind::KillPoint:
         if (exitedWith(o, check::kInjectedFaultExitCode) ||
             exitedWith(o, 0))
@@ -348,20 +236,6 @@ classifyCase(check::FaultKind kind, std::uint64_t at,
             "bad-exit",
             fmt("expected exit %d or 0",
                 check::kInjectedFaultExitCode));
-
-      case check::FaultKind::CorruptCheckpoint:
-        if (exitedWith(o, check::kInjectedFaultExitCode))
-            return std::nullopt;
-        return violation(
-            "bad-exit",
-            fmt("expected exit %d (restore must reject)",
-                check::kInjectedFaultExitCode));
-
-      case check::FaultKind::TruncateJournal:
-        if (exitedWith(o, 0))
-            return std::nullopt;
-        return violation("bad-exit",
-                         "expected a clean resumed sweep (exit 0)");
 
       case check::FaultKind::None:
         break;
@@ -380,12 +254,6 @@ rollFaultPosition(check::FaultKind kind, Rng &rng)
         return rng.below(6000); // cycle; sometimes beyond the run.
       case check::FaultKind::LostInvalidate:
         return rng.below(64); // broadcast index.
-      case check::FaultKind::TraceCorrupt:
-        return rng.below(700); // record index (trace has <= 600).
-      case check::FaultKind::CorruptCheckpoint:
-        return rng.next(); // byte offset, reduced mod image size.
-      case check::FaultKind::TruncateJournal:
-        return rng.below(2); // append ordinal of a 2-point sweep.
       case check::FaultKind::None:
         break;
     }
@@ -401,10 +269,7 @@ runFaultStorm(const ChaosPoint &p)
         check::FaultKind::CommitStall,
         check::FaultKind::LostGrant,
         check::FaultKind::LostInvalidate,
-        check::FaultKind::TraceCorrupt,
         check::FaultKind::KillPoint,
-        check::FaultKind::CorruptCheckpoint,
-        check::FaultKind::TruncateJournal,
     };
 
     Rng rng(mixSeeds(p.pointSeed, kStormStream));
@@ -423,11 +288,8 @@ runFaultStorm(const ChaosPoint &p)
          c < kStormCasesPerPoint && c < kinds.size(); ++c) {
         const check::FaultKind kind = kinds[c];
         const std::uint64_t at = rollFaultPosition(kind, rng);
-        CasePaths paths;
-        paths.crash = tmpName(p, "crash");
-        paths.scratch = tmpName(p, "scratch");
-        std::remove(paths.crash.c_str());
-        std::remove(paths.scratch.c_str());
+        const std::string crash = crashReportName(p);
+        std::remove(crash.c_str());
 
         std::fflush(nullptr); // no duplicated stdio after fork.
         const pid_t pid = ::fork();
@@ -437,13 +299,12 @@ runFaultStorm(const ChaosPoint &p)
             continue;
         }
         if (pid == 0)
-            runStormChild(p, kind, at, paths); // never returns.
+            runStormChild(p, kind, at, crash); // never returns.
 
         const ChildOutcome outcome = awaitChild(pid);
         std::optional<Violation> v =
-            classifyCase(kind, at, outcome, paths);
-        std::remove(paths.crash.c_str());
-        std::remove(paths.scratch.c_str());
+            classifyCase(kind, at, outcome, crash);
+        std::remove(crash.c_str());
         if (v)
             return v;
     }

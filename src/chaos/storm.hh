@@ -10,25 +10,20 @@
  *   stall / lost-grant  watchdog abort (SIGABRT, crash report on
  *                       disk) — or a clean exit when the fault cycle
  *                       lies beyond the run.
- *   lost-inval          per-cycle coherence audit abort (SIGABRT) —
- *                       or clean when fewer broadcasts occur.
- *   trace-corrupt       readTraceFile() rejects the corrupted file
- *                       via fatal() (exit 86 while a plan is armed).
- *                       A load that *succeeds* on a corrupted record
- *                       is silent corruption: a violation.
+ *   lost-inval          end-of-run coherence audit abort (SIGABRT) on
+ *                       a 2-CPU TPC-C run — or clean when fewer
+ *                       broadcasts occur or eviction repairs the
+ *                       stale sharer.
  *   kill-point          abrupt death with exit 86 — or clean when the
  *                       cycle lies beyond the run.
- *   corrupt-ckpt        restore rejects the bit-flipped snapshot via
- *                       fatal() (86). A successful restore is silent
- *                       corruption: a violation.
- *   truncate-journal    the torn journal line is skipped on resume
- *                       and the sweep still completes cleanly.
  *
  * Any other outcome — a hang (the child is SIGKILLed after a
  * deadline), an unexpected exit status, a missing crash report after
  * an abort — is a Violation. Fork-based on purpose: the contract
  * under test is about *process death*, so it can only be observed
- * from outside the process.
+ * from outside the process. Damaged files are not a storm case: the
+ * byte-level fuzz tests of the snapshot container refuse every
+ * single-bit flip and truncation directly.
  */
 
 #ifndef S64V_CHAOS_STORM_HH

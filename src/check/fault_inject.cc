@@ -21,20 +21,9 @@ faultKindName(FaultKind kind)
       case FaultKind::CommitStall: return "stall";
       case FaultKind::LostGrant: return "lost-grant";
       case FaultKind::LostInvalidate: return "lost-inval";
-      case FaultKind::TraceCorrupt: return "trace-corrupt";
       case FaultKind::KillPoint: return "kill-point";
-      case FaultKind::CorruptCheckpoint: return "corrupt-ckpt";
-      case FaultKind::TruncateJournal: return "truncate-journal";
     }
     return "unknown";
-}
-
-void
-armFaultExitCode()
-{
-    setFatalExitCode(activeFaultPlan().kind != FaultKind::None
-                         ? kInjectedFaultExitCode
-                         : 0);
 }
 
 void
@@ -52,23 +41,14 @@ FaultPlan::parse(const std::string &spec)
         kind = FaultKind::LostGrant;
     else if (name == "lost-inval")
         kind = FaultKind::LostInvalidate;
-    else if (name == "trace-corrupt")
-        kind = FaultKind::TraceCorrupt;
     else if (name == "kill-point")
         kind = FaultKind::KillPoint;
-    else if (name == "corrupt-ckpt")
-        kind = FaultKind::CorruptCheckpoint;
-    else if (name == "truncate-journal")
-        kind = FaultKind::TruncateJournal;
     else
         fatal("--inject-fault: unknown fault kind '%s' (expected "
-              "stall, lost-grant, lost-inval, trace-corrupt, "
-              "kill-point, corrupt-ckpt, or truncate-journal)",
+              "stall, lost-grant, lost-inval, or kill-point)",
               name.c_str());
 
     at = parseU64(spec.substr(colon + 1), "--inject-fault count");
-    if (this == &activeFaultPlan())
-        armFaultExitCode();
 }
 
 } // namespace s64v::check

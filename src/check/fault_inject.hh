@@ -1,9 +1,12 @@
 /**
  * @file
  * Deliberate fault injection, used to prove the robustness machinery
- * actually detects the failures it claims to. One fault per process,
- * selected by the --inject-fault=<kind>:<n> flag (see
- * obs::parseObsArgs) or programmatically by tests:
+ * actually detects the failures it claims to. Every fault acts on the
+ * simulated machine, or on the process at a simulated cycle; damaged
+ * files are the byte-level fuzz tests' job, since every file the
+ * simulator reads back is one checksummed container (ckpt/snapshot.hh).
+ * One fault per process, selected by the --inject-fault=<kind>:<n>
+ * flag (see obs::parseObsArgs) or programmatically by tests:
  *
  *   stall:<cycle>        every core stops committing at that cycle
  *                        (the watchdog must fire and abort).
@@ -15,27 +18,13 @@
  *                        dropped, leaving stale sharers (the
  *                        invariant auditor must catch the MOESI
  *                        violation).
- *   trace-corrupt:<rec>  writeTraceFile() bit-flips record <rec>'s
- *                        class byte before sealing the image
- *                        (readTraceFile() must reject the record via
- *                        fatal(), never crash).
- *   kill-point:<cycle>   the process dies abruptly (std::_Exit, no
- *                        atexit, no flushes) at that cycle of a run —
- *                        the model of a host OOM-kill or power cut
- *                        (the journal/resume machinery must recover).
- *   corrupt-ckpt:<off>   SnapshotWriter::writeFile() flips one bit of
- *                        the image it writes, a checkpoint (or a
- *                        trace file written while armed); the restore
- *                        must reject it via fatal(), never crash or
- *                        restore garbage.
- *   truncate-journal:<n> the n-th journal append (0-based) writes
- *                        only half its line and drops the rest — a
- *                        crash mid-append (resume must skip the torn
- *                        line and re-run that point).
+ *   kill-point:<cycle>   the process dies abruptly (std::_Exit with
+ *                        kInjectedFaultExitCode, no atexit, no
+ *                        flushes) at that cycle of a run — the model
+ *                        of a host OOM-kill or power cut (the
+ *                        journal/resume machinery must recover).
  *
- * While any fault plan is armed, fatal() exits with
- * kInjectedFaultExitCode instead of 1, so harnesses watching a child
- * can tell an injected death from a genuine user error.
+ * An armed plan does not change how fatal() exits: always status 1.
  */
 
 #ifndef S64V_CHECK_FAULT_INJECT_HH
@@ -54,17 +43,10 @@ enum class FaultKind : std::uint8_t
     CommitStall,   ///< cores stop committing at cycle `at`.
     LostGrant,     ///< bus grants stop at cycle `at`.
     LostInvalidate,///< invalidation broadcast number `at` is dropped.
-    TraceCorrupt,  ///< trace record `at` is bit-flipped on write.
     KillPoint,     ///< abrupt process death at cycle `at` of a run.
-    CorruptCheckpoint, ///< one bit of a written checkpoint flipped.
-    TruncateJournal,   ///< journal append `at` torn mid-line.
 };
 
-/**
- * Exit status used for process deaths caused by an injected fault:
- * the kill-point fault exits with it directly, and fatal() adopts it
- * while a plan is armed (see FaultPlan::parse / armFaultExitCode).
- */
+/** Exit status of a process killed by the kill-point fault. */
 constexpr int kInjectedFaultExitCode = 86;
 
 /** Human-readable fault name ("stall", "kill-point", ...). */
@@ -74,7 +56,7 @@ const char *faultKindName(FaultKind kind);
 struct FaultPlan
 {
     FaultKind kind = FaultKind::None;
-    std::uint64_t at = 0; ///< cycle, broadcast index, or record index.
+    std::uint64_t at = 0; ///< cycle, or broadcast index.
 
     bool active(FaultKind k) const { return kind == k; }
 
@@ -86,14 +68,6 @@ struct FaultPlan
 
     void clear() { kind = FaultKind::None; at = 0; }
 };
-
-/**
- * Install kInjectedFaultExitCode as fatal()'s exit status iff the
- * active plan is armed (restore the default otherwise). parse() calls
- * this; tests that poke activeFaultPlan() directly may call it
- * themselves.
- */
-void armFaultExitCode();
 
 /** The process-wide plan consulted by the instrumented components. */
 FaultPlan &activeFaultPlan();

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <utility>
 
-#include "check/fault_inject.hh"
 #include "common/file_util.hh"
 #include "common/logging.hh"
 
@@ -148,21 +147,7 @@ void
 SnapshotWriter::writeFile(const std::string &path,
                           const std::string &model_version) const
 {
-    std::vector<std::uint8_t> image = finish(model_version);
-
-    // Injected corruption: flip one bit in the middle of the image
-    // (header + payload territory) so the reader's validation path is
-    // exercised end to end in tests.
-    const check::FaultPlan &fault = check::activeFaultPlan();
-    if (fault.active(check::FaultKind::CorruptCheckpoint) &&
-        !image.empty()) {
-        const std::size_t pos =
-            static_cast<std::size_t>(fault.at) % image.size();
-        image[pos] ^= 0x10;
-        warn("fault injection: flipped a bit at offset %zu of '%s'",
-             pos, path.c_str());
-    }
-
+    const std::vector<std::uint8_t> image = finish(model_version);
     std::string err;
     if (!atomicWriteFile(
             path,

@@ -82,10 +82,8 @@ class SnapshotWriter
         const std::string &model_version) const;
 
     /**
-     * finish() + atomic write to @p path. Honours the
-     * corrupt-checkpoint fault-injection mode (a deliberate bit flip
-     * in the image, exercising the reader's checksum path). Fails via
-     * fatal() on I/O errors.
+     * finish() + atomic write to @p path. Fails via fatal() on I/O
+     * errors.
      */
     void writeFile(const std::string &path,
                    const std::string &model_version) const;

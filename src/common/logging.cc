@@ -126,23 +126,6 @@ setErrorHook(ErrorHook hook)
     errorHook = std::move(hook);
 }
 
-namespace
-{
-int fatalExitCodeOverride = 0;
-} // namespace
-
-void
-setFatalExitCode(int code)
-{
-    fatalExitCodeOverride = code;
-}
-
-int
-fatalExitCode()
-{
-    return fatalExitCodeOverride != 0 ? fatalExitCodeOverride : 1;
-}
-
 void
 panic(const char *fmt, ...)
 {
@@ -168,7 +151,7 @@ fatal(const char *fmt, ...)
     if (throwOnError)
         throw std::runtime_error("fatal: " + msg);
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(fatalExitCode());
+    std::exit(1);
 }
 
 void

@@ -121,18 +121,6 @@ using ErrorHook =
     std::function<void(const char *kind, const std::string &msg)>;
 void setErrorHook(ErrorHook hook);
 
-/**
- * Override the status fatal() exits with (0 restores the default of
- * 1). Process-wide. The fault-injection machinery sets this so runs
- * that die because of a deliberately injected fault are
- * distinguishable from genuine user errors by exit code alone; see
- * check::kInjectedFaultExitCode.
- */
-void setFatalExitCode(int code);
-
-/** The status fatal() currently exits with. */
-int fatalExitCode();
-
 } // namespace s64v
 
 #endif // S64V_COMMON_LOGGING_HH

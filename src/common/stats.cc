@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "ckpt/snapshot.hh"
@@ -210,62 +209,6 @@ Group::resetAll()
         entry.hist.reset();
     for (Group *child : children_)
         child->resetAll();
-}
-
-void
-Group::dump(std::string &out) const
-{
-    char line[320];
-    for (const auto &[name, entry] : scalars_) {
-        std::snprintf(line, sizeof(line), "%-48s %16llu  # %s\n",
-                      (path_ + "." + name).c_str(),
-                      static_cast<unsigned long long>(
-                          entry.counter.value()),
-                      entry.desc.c_str());
-        out += line;
-    }
-    for (const auto &[name, f] : formulas_) {
-        std::snprintf(line, sizeof(line), "%-48s %16.6f  # %s\n",
-                      (path_ + "." + name).c_str(), f.fn(),
-                      f.desc.c_str());
-        out += line;
-    }
-    for (const auto &[name, d] : distributions_) {
-        std::snprintf(line, sizeof(line),
-                      "%-48s count=%llu mean=%.3f stddev=%.3f "
-                      "min=%.0f max=%.0f  # %s\n",
-                      (path_ + "." + name).c_str(),
-                      static_cast<unsigned long long>(d.dist.count()),
-                      d.dist.mean(), d.dist.stddev(), d.dist.min(),
-                      d.dist.max(), d.desc.c_str());
-        out += line;
-    }
-    for (const auto &[name, h] : histograms_) {
-        const Distribution &d = h.hist.dist();
-        std::snprintf(line, sizeof(line),
-                      "%-48s count=%llu mean=%.3f stddev=%.3f "
-                      "min=%.0f max=%.0f  # %s\n",
-                      (path_ + "." + name).c_str(),
-                      static_cast<unsigned long long>(d.count()),
-                      d.mean(), d.stddev(), d.min(), d.max(),
-                      h.desc.c_str());
-        out += line;
-        for (unsigned i = 0; i < h.hist.numBuckets(); ++i) {
-            if (h.hist.bucketCount(i) == 0)
-                continue;
-            const double b_lo = h.hist.lo() + i * h.hist.bucketWidth();
-            std::snprintf(line, sizeof(line),
-                          "%-48s %16llu  # bucket [%g, %g)\n",
-                          (path_ + "." + name + "::" +
-                           std::to_string(i)).c_str(),
-                          static_cast<unsigned long long>(
-                              h.hist.bucketCount(i)),
-                          b_lo, b_lo + h.hist.bucketWidth());
-            out += line;
-        }
-    }
-    for (const Group *child : children_)
-        child->dump(out);
 }
 
 void

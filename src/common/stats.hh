@@ -2,9 +2,10 @@
  * @file
  * Lightweight statistics package, loosely modelled on gem5's: named
  * scalar counters registered in groups, derived formula values,
- * sampled distributions and bucketed histograms, and a text dump.
- * Every model component owns a StatGroup. Machine-readable output
- * (JSON, interval deltas) is built on the Visitor API by src/obs/.
+ * sampled distributions and bucketed histograms. Every model
+ * component owns a StatGroup. The one rendering of the tree, the
+ * stats JSON document, and the interval deltas are built on the
+ * Visitor API by src/obs/ (obs/stats_export.hh, obs/sampler.hh).
  */
 
 #ifndef S64V_COMMON_STATS_HH
@@ -272,7 +273,7 @@ class Group
     Scalar &scalar(const std::string &name, const std::string &desc);
 
     /**
-     * Register a derived value computed on demand at dump time
+     * Register a derived value computed on demand when read
      * (e.g. miss ratio = misses / accesses).
      */
     void formula(const std::string &name, const std::string &desc,
@@ -307,12 +308,6 @@ class Group
 
     /** Local (last path component) name of this group. */
     std::string localName() const;
-
-    /**
-     * Append a human-readable dump of this group and all children to
-     * @p out, one "path value # desc" line per stat.
-     */
-    void dump(std::string &out) const;
 
     /** Walk this group and all children with @p v. */
     void visit(Visitor &v) const;

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <utility>
 
-#include "check/fault_inject.hh"
 #include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 
@@ -131,41 +130,13 @@ decodeJournalEntry(std::string_view line, JournalEntry &out)
     }
 }
 
-bool
-RunJournal::open(const std::string &path, std::string *err)
-{
-    appends_ = 0;
-    dead_ = false;
-    return file_.open(path, err);
-}
-
 void
 RunJournal::append(const JournalEntry &e)
 {
     if (!file_.isOpen())
         return;
-    const std::uint64_t ordinal = appends_++;
     std::string line = encodeJournalEntry(e);
     line.push_back('\n');
-
-    if (dead_)
-        return; // torn by the injected fault; the "crash" happened.
-    const check::FaultPlan &fault = check::activeFaultPlan();
-    if (fault.active(check::FaultKind::TruncateJournal) &&
-        ordinal == fault.at) {
-        warn("fault injection: tearing journal append %llu of '%s' "
-             "mid-line",
-             static_cast<unsigned long long>(ordinal),
-             file_.path().c_str());
-        std::string err;
-        if (!file_.append(
-                std::string_view(line).substr(0, line.size() / 2),
-                &err))
-            warn("journal append failed: %s", err.c_str());
-        dead_ = true;
-        return;
-    }
-
     std::string err;
     if (!file_.append(line, &err)) {
         warn("journal append to '%s' failed: %s",

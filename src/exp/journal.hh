@@ -65,16 +65,17 @@ class RunJournal
      * Open @p path for appending (created if absent; an existing
      * journal grows, which is what --resume wants). @return success.
      */
-    bool open(const std::string &path, std::string *err = nullptr);
+    bool open(const std::string &path, std::string *err = nullptr)
+    {
+        return file_.open(path, err);
+    }
 
     bool isOpen() const { return file_.isOpen(); }
     const std::string &path() const { return file_.path(); }
 
     /**
-     * Append one entry. Honours the truncate-journal fault plan: the
-     * configured append writes only half its line and the journal
-     * goes dead, modelling a crash mid-append. I/O failures warn and
-     * continue — losing durability must not kill the sweep itself.
+     * Append one entry. I/O failures warn and continue — losing
+     * durability must not kill the sweep itself.
      */
     void append(const JournalEntry &e);
 
@@ -88,8 +89,6 @@ class RunJournal
 
   private:
     AppendFile file_;
-    std::uint64_t appends_ = 0; ///< truncate-journal fault ordinal.
-    bool dead_ = false;         ///< torn by the injected fault.
 };
 
 } // namespace s64v::exp

@@ -47,8 +47,7 @@ SweepRunner::effectiveMachine(const SweepPoint &point,
                               std::size_t index) const
 {
     MachineParams machine = point.machine;
-    // The standard warmup convention of PerfModel::loadWorkload.
-    machine.sys.warmupInstrs = point.instrs / 5;
+    machine.sys.warmupInstrs = standardWarmup(point.instrs);
     applyRunOverrides(machine.sys, opts_.run);
     if (opts_.run.watchdogEscalate &&
         machine.sys.emergencyCheckpointPath.empty()) {

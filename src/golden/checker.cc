@@ -44,6 +44,14 @@ std::string
 checkAgainstGolden(const InstrTrace &trace, const SimResult &result,
                    double slack, CpuId cpu)
 {
+    return checkAgainstGolden(GoldenModel().run(trace).cpi, result,
+                              slack, cpu);
+}
+
+std::string
+checkAgainstGolden(double golden_cpi, const SimResult &result,
+                   double slack, CpuId cpu)
+{
     char buf[200];
     if (cpu >= result.cores.size())
         return "result has no such cpu";
@@ -51,18 +59,16 @@ checkAgainstGolden(const InstrTrace &trace, const SimResult &result,
     if (cr.committed == 0)
         return "no instructions committed";
 
-    GoldenModel golden;
-    const GoldenResult gr = golden.run(trace);
     const double model_cpi = cr.ipc > 0.0
         ? 1.0 / cr.ipc
         : static_cast<double>(cr.lastCommitCycle) / cr.committed;
-    if (gr.cpi <= 0.0)
+    if (golden_cpi <= 0.0)
         return "golden model produced no cycles";
-    if (model_cpi > gr.cpi * slack) {
+    if (model_cpi > golden_cpi * slack) {
         std::snprintf(buf, sizeof(buf),
                       "detailed model CPI %.3f exceeds golden "
                       "in-order CPI %.3f x slack %.2f",
-                      model_cpi, gr.cpi, slack);
+                      model_cpi, golden_cpi, slack);
         return buf;
     }
     return "";

@@ -37,6 +37,16 @@ std::string checkAgainstGolden(const InstrTrace &trace,
                                const SimResult &result,
                                double slack = 1.25, CpuId cpu = 0);
 
+/**
+ * The same check against @p golden_cpi, the golden model's CPI on the
+ * run's trace (GoldenModel().run(trace).cpi). It depends on the trace
+ * alone, so a harness that checks many runs of one trace computes it
+ * once.
+ */
+std::string checkAgainstGolden(double golden_cpi,
+                               const SimResult &result,
+                               double slack = 1.25, CpuId cpu = 0);
+
 } // namespace s64v
 
 #endif // S64V_GOLDEN_CHECKER_HH

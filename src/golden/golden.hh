@@ -31,7 +31,6 @@ struct GoldenParams
     unsigned l2Latency = 14;
     unsigned memLatency = 160;
     unsigned branchMissPenalty = 12;
-    double staticPredictTakenBias = 0.0; ///< reserved.
 };
 
 /** Result of a reference run. */

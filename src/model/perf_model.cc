@@ -61,9 +61,7 @@ PerfModel::loadWorkload(const WorkloadProfile &profile,
         traces_[cpu] = std::make_shared<const InstrTrace>(
             gen.generate(instrs_per_cpu, cpu));
     }
-    // Standard warm-up: the first fifth of the trace primes caches
-    // and predictors; measurement covers the remainder.
-    params_.sys.warmupInstrs = instrs_per_cpu / 5;
+    params_.sys.warmupInstrs = standardWarmup(instrs_per_cpu);
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Machine-readable statistics export: renders a stats::Group tree as
- * a JSON document so bench harnesses and the accuracy workflow can
- * post-process model output instead of scraping the text dump. The
- * shape mirrors the group nesting:
+ * Statistics export: renders a stats::Group tree as a JSON document,
+ * the one rendering of the tree. --stats-json writes it, and every
+ * identity check (engines, checkpoint restore, the SameBytes pins)
+ * compares it. The shape mirrors the group nesting:
  *
  *   {"name": "sim",
  *    "stats": {"committed": {"type": "scalar", "value": 1, ...},

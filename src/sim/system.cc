@@ -50,7 +50,7 @@ System::System(const SystemParams &params, const std::string &name)
     }
 
     // Arm whatever fault the process-wide plan asks for (see
-    // check/fault_inject.hh; TraceCorrupt acts in trace_io instead).
+    // check/fault_inject.hh; KillPoint is a probe armed by run()).
     const check::FaultPlan &fault = check::activeFaultPlan();
     if (fault.active(check::FaultKind::CommitStall)) {
         for (auto &core : cores_)
@@ -201,7 +201,7 @@ System::run()
         kernel_->attachProbe(
             phaseStart(sampler_->period(), start), sampler_->period(),
             [this](Cycle cycle) {
-                sampler_->tick(cycle, totalCommitted());
+                sampler_->tick(cycle, totalRawCommitted());
                 return true;
             });
     }
@@ -209,7 +209,7 @@ System::run()
         kernel_->attachProbe(
             phaseStart(heartbeat_->period(), start),
             heartbeat_->period(), [this](Cycle cycle) {
-                heartbeat_->beat(cycle, totalCommitted());
+                heartbeat_->beat(cycle, totalRawCommitted());
                 return true;
             });
     }
@@ -289,7 +289,7 @@ System::run()
     }
 
     if (sampler_)
-        sampler_->finish(cycle, totalCommitted());
+        sampler_->finish(cycle, totalRawCommitted());
 
     for (std::size_t i = 0; i < cores_.size(); ++i) {
         Core &core = *cores_[i];
@@ -372,32 +372,16 @@ diffSim(const SimResult &a, const SimResult &b)
 }
 
 std::uint64_t
-System::totalCommitted() const
-{
-    std::uint64_t total = 0;
-    for (const auto &core : cores_)
-        total += core->committed();
-    return total;
-}
-
-std::uint64_t
 System::totalRawCommitted() const
 {
-    // The watchdog must not mistake the warm-up stats reset for a
-    // hundred-thousand-cycle commit drought, so it watches the raw
-    // counters, which are never cleared.
+    // The warm-up stats reset must not read as a commit drought to
+    // the watchdog, nor rewind the heartbeat's and the sampler's
+    // counts, so they watch the raw counters, which are never
+    // cleared.
     std::uint64_t total = 0;
     for (const auto &core : cores_)
         total += core->rawCommitted();
     return total;
-}
-
-std::string
-System::statsDump() const
-{
-    std::string out;
-    root_.dump(out);
-    return out;
 }
 
 } // namespace s64v

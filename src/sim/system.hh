@@ -54,7 +54,8 @@ struct SystemParams
      * Cache/predictor warm-up: once every core has committed this
      * many instructions, all statistics are reset and the measurement
      * window begins (standard practice for short traces; the paper's
-     * traces are sampled from steady state for the same reason).
+     * traces are sampled from steady state for the same reason). The
+     * standard value is standardWarmup() of the trace length.
      */
     std::uint64_t warmupInstrs = 0;
     /**
@@ -89,6 +90,17 @@ struct SystemParams
      */
     std::string emergencyCheckpointPath;
 };
+
+/**
+ * The standard SystemParams::warmupInstrs for traces of @p instrs
+ * records per CPU: the first fifth primes caches and predictors, and
+ * the remainder is measured.
+ */
+constexpr std::uint64_t
+standardWarmup(std::uint64_t instrs)
+{
+    return instrs / 5;
+}
 
 /** Per-core outcome of a simulation. */
 struct CoreResult
@@ -234,12 +246,9 @@ class System
     /** True once the run has stopped at the maxCycles cap (live). */
     bool hitCycleCap() const { return hitCycleCap_; }
 
-    /** Full stats dump as text. */
-    std::string statsDump() const;
-
   private:
-    std::uint64_t totalCommitted() const;
-    /** Warm-up-reset-immune commit total (watchdog food). */
+    /** Warm-up-reset-immune commit total (watchdog, heartbeat and
+     *  sampler food). */
     std::uint64_t totalRawCommitted() const;
 
     SystemParams params_;

@@ -3,7 +3,8 @@
  * Minimal recursive-descent JSON validity checker shared by the test
  * binaries — the repo has no JSON parser dependency, so the tests
  * bring their own. Validates syntax only; schema assertions are plain
- * substring checks in the tests.
+ * substring checks in the tests, such as hasStat() on a stats JSON
+ * document.
  */
 
 #ifndef S64V_TESTS_JSON_CHECKER_HH
@@ -143,6 +144,22 @@ class JsonChecker
     const std::string &s_;
     std::size_t pos_ = 0;
 };
+
+/**
+ * Whether the stats JSON document @p json (obs::exportStatsJson) has
+ * a stat named @p name in the group whose dotted path is @p group. A
+ * group's own stats precede its first child group's "path" key.
+ */
+inline bool
+hasStat(const std::string &json, const std::string &group,
+        const std::string &name)
+{
+    const std::size_t at = json.find("\"path\":\"" + group + "\"");
+    if (at == std::string::npos)
+        return false;
+    const std::size_t stat = json.find("\"" + name + "\":{", at);
+    return stat < json.find("\"path\":", at + 1);
+}
 
 } // namespace s64v::testutil
 

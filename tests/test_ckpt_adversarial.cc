@@ -21,6 +21,7 @@
 #include "ckpt/checkpoint.hh"
 #include "common/logging.hh"
 #include "model/params.hh"
+#include "obs/stats_export.hh"
 #include "sim/system.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
@@ -57,7 +58,7 @@ attachAll(System &sys, const std::vector<InstrTrace> &traces)
 struct RunOutcome
 {
     SimResult res;
-    std::string stats;
+    std::string stats; ///< the stats JSON document.
 };
 
 RunOutcome
@@ -67,7 +68,7 @@ runFull(const SystemParams &sp, const std::vector<InstrTrace> &traces)
     attachAll(sys, traces);
     RunOutcome out;
     out.res = sys.run();
-    out.stats = sys.statsDump();
+    out.stats = obs::exportStatsJson(sys.root());
     return out;
 }
 
@@ -93,7 +94,7 @@ runThroughCheckpoint(const SystemParams &sp,
     ckpt::restoreSystemCheckpoint(sys, path);
     RunOutcome out;
     out.res = sys.run();
-    out.stats = sys.statsDump();
+    out.stats = obs::exportStatsJson(sys.root());
     return out;
 }
 
@@ -240,14 +241,13 @@ TEST(CkptAdversarial, CheckpointInsideAnArmedFaultWindow)
     // window is itself untainted — the run completes bit-identically
     // to one that never saw a fault plan at all.
     check::activeFaultPlan().clear();
-    check::armFaultExitCode();
     {
         System clean(sp);
         attachAll(clean, traces);
         ckpt::restoreSystemCheckpoint(clean, path);
         RunOutcome out;
         out.res = clean.run();
-        out.stats = clean.statsDump();
+        out.stats = obs::exportStatsJson(clean.root());
         EXPECT_EQ(diffSim(base.res, out.res), "");
         EXPECT_EQ(base.stats, out.stats);
     }

@@ -21,6 +21,7 @@
 #include "model/perf_model.hh"
 #include "obs/cpi_stack.hh"
 #include "obs/run_obs.hh"
+#include "obs/stats_export.hh"
 #include "sim/system.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
@@ -89,11 +90,10 @@ TEST(CpiStack, RegistersScalarsAndAccumulates)
               3u);
     EXPECT_EQ(c.slots[static_cast<unsigned>(CommitSlot::RawDep)], 1u);
 
-    // The scalars live in the stats tree, so they flow through every
-    // exporter and reset with the warm-up boundary.
-    std::string dump;
-    root.dump(dump);
-    EXPECT_NE(dump.find("cpi.slots_committed"), std::string::npos);
+    // The scalars live in the stats tree, so they flow through the
+    // stats JSON and reset with the warm-up boundary.
+    EXPECT_TRUE(testutil::hasStat(obs::exportStatsJson(root), "sim.cpi",
+                                  "slots_committed"));
     root.resetAll();
     EXPECT_EQ(stack.counts().total(), 0u);
 }

@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,14 @@
 #include "golden/checker.hh"
 #include "golden/reverse_tracer.hh"
 #include "model/perf_model.hh"
+#include "obs/stats_export.hh"
 #include "trace/filters.hh"
 #include "trace/trace_io.hh"
 #include "workload/custom.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
+
+#include "json_checker.hh"
 
 namespace s64v
 {
@@ -114,7 +118,7 @@ TEST(Integration, CustomWorkloadFullStack)
     EXPECT_EQ(checkAgainstGolden(t, res, 1.8), "");
 }
 
-// Stats dump contains every major component after an SMP run, and
+// The stats JSON names every major component after an SMP run, and
 // resetting clears the counters.
 TEST(Integration, StatsDumpAndReset)
 {
@@ -126,13 +130,16 @@ TEST(Integration, StatsDumpAndReset)
     sys.attachTrace(1, gen.generate(3000, 1));
     sys.run();
 
-    const std::string dump = sys.statsDump();
-    for (const char *key :
-         {"cpu0.committed", "cpu1.committed", "mem0.l1d.accesses",
-          "mem1.l2.accesses", "coherence.snoops", "bus.transactions",
-          "memctrl.reads", "cpu0.lsq.load_issues",
-          "cpu0.bpred.lookups"}) {
-        EXPECT_NE(dump.find(key), std::string::npos) << key;
+    const std::string json = obs::exportStatsJson(sys.root());
+    const std::pair<const char *, const char *> stats[] = {
+        {"sim.cpu0", "committed"},      {"sim.cpu1", "committed"},
+        {"sim.mem0.l1d", "accesses"},   {"sim.mem1.l2", "accesses"},
+        {"sim.coherence", "snoops"},    {"sim.bus", "transactions"},
+        {"sim.memctrl", "reads"},       {"sim.cpu0.lsq", "load_issues"},
+        {"sim.cpu0.bpred", "lookups"}};
+    for (const auto &[group, name] : stats) {
+        EXPECT_TRUE(testutil::hasStat(json, group, name))
+            << group << "." << name;
     }
 
     sys.root().resetAll();
@@ -140,15 +147,15 @@ TEST(Integration, StatsDumpAndReset)
     EXPECT_EQ(sys.mem().l1d(0).accesses(), 0u);
 }
 
-// Determinism across the whole stack: identical dumps for identical
-// seeds.
+// Determinism across the whole stack: identical stats JSON for
+// identical seeds.
 TEST(Integration, WholeStackDeterminism)
 {
     auto run_once = []() {
         System sys{SystemParams{}};
         sys.attachTrace(0, generateTrace(specfp95Profile(), 8000));
         sys.run();
-        return sys.statsDump();
+        return obs::exportStatsJson(sys.root());
     };
     EXPECT_EQ(run_once(), run_once());
 }

@@ -7,9 +7,8 @@
  * must tolerate the crash signatures — a torn final line silently, a
  * corrupt interior line with a warning — without ever crashing or
  * allocating without bound (the decode fuzz runs under a capped
- * address space), and the truncate-journal fault injection must tear
- * exactly the configured append. The --journal/--resume observability
- * flags are parsed here too.
+ * address space). The --journal/--resume observability flags are
+ * parsed here too.
  */
 
 #include <cctype>
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "check/fault_inject.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
 #include "obs/run_obs.hh"
@@ -330,38 +328,6 @@ TEST(Journal, CorruptInteriorLineWarnsAndIsSkipped)
     setLogSink(nullptr);
     EXPECT_EQ(loaded.size(), 2u);
     EXPECT_NE(sink.find("line 2"), std::string::npos) << sink;
-    std::remove(path.c_str());
-}
-
-TEST(Journal, TruncateJournalFaultTearsTheConfiguredAppend)
-{
-    const std::string path = tempPath("fault.journal");
-    std::remove(path.c_str());
-
-    std::string sink;
-    setLogSink(&sink);
-    check::activeFaultPlan().parse("truncate-journal:1");
-    {
-        exp::RunJournal journal;
-        ASSERT_TRUE(journal.open(path));
-        exp::JournalEntry e = sampleEntry();
-        e.index = 0;
-        journal.append(e); // append 0: intact.
-        e.index = 1;
-        journal.append(e); // append 1: torn mid-line, journal dies.
-        e.index = 2;
-        journal.append(e); // dropped: the process is "dead".
-    }
-    check::activeFaultPlan().clear();
-    check::armFaultExitCode();
-    setLogSink(nullptr);
-    EXPECT_NE(sink.find("fault injection"), std::string::npos) << sink;
-
-    // Resume semantics: only the intact first append survives; the
-    // torn line is skipped like any crash tail.
-    const auto loaded = exp::RunJournal::load(path);
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].index, 0u);
     std::remove(path.c_str());
 }
 

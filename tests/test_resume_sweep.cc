@@ -3,10 +3,11 @@
  * Crash-recoverable sweep tests: a journalled sweep must record each
  * point it runs durably and exactly once, run a failing point once
  * per sweep, resume from its journal re-running only the points
- * without a matching "ok" entry with a bit-identical merged result,
- * and survive the injected kill-point fault — an abrupt std::_Exit
- * mid-run, modelling an OOM-kill — with the distinct exit code 86 and
- * a clean resume afterwards. Also covers per-point watchdog
+ * without a matching "ok" entry (a final append torn mid-line
+ * included) with a bit-identical merged result, and survive the
+ * injected kill-point fault — an abrupt std::_Exit mid-run, modelling
+ * an OOM-kill — with the distinct exit code 86 and a clean resume
+ * afterwards. Also covers per-point watchdog
  * escalation (an emergency checkpoint next to the journal) and the
  * fault/sweep-point context satellites of the crash report.
  */
@@ -17,6 +18,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -126,6 +129,50 @@ TEST(ResumeSweep, ResumeOfACompleteJournalRunsNothing)
         EXPECT_EQ(diffSim(first[i].sim, resumed[i].sim), "");
         EXPECT_EQ(first[i].metrics.at("ipc_copy"),
                   resumed[i].metrics.at("ipc_copy"));
+    }
+    std::remove(jpath.c_str());
+}
+
+TEST(ResumeSweep, TornFinalAppendIsReRunOnResume)
+{
+    const std::string jpath = tempPath("torn.journal");
+    std::remove(jpath.c_str());
+
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.run.journalPath = jpath;
+    const auto first = exp::SweepRunner(opts).run(threePointSweep());
+    for (const exp::PointResult &r : first)
+        ASSERT_TRUE(r.ok) << r.error;
+
+    // A crash mid-append: cut the file partway through its last line.
+    std::string bytes;
+    {
+        std::ifstream in(jpath, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_FALSE(bytes.empty());
+    ASSERT_EQ(bytes.back(), '\n');
+    const std::size_t lastLine = bytes.rfind('\n', bytes.size() - 2) + 1;
+    ASSERT_GT(lastLine, 0u);
+    bytes.resize(lastLine + (bytes.size() - lastLine) / 2);
+    {
+        std::ofstream out(jpath, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+
+    std::string sink;
+    setLogSink(&sink);
+    opts.run.resume = true;
+    const auto resumed = exp::SweepRunner(opts).run(threePointSweep());
+    setLogSink(nullptr);
+    EXPECT_NE(sink.find("resume: 2 of 3 points already complete"),
+              std::string::npos)
+        << sink;
+    ASSERT_EQ(resumed.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
+        EXPECT_EQ(diffSim(first[i].sim, resumed[i].sim), "");
     }
     std::remove(jpath.c_str());
 }
@@ -486,7 +533,6 @@ TEST(ResumeSweep, CrashReportNamesInjectedFaultAndSweepPoint)
         check::buildCrashReportJson(sys, "panic", "boom");
     check::clearCrashPoint();
     check::activeFaultPlan().clear();
-    check::armFaultExitCode();
 
     EXPECT_NE(json.find("\"injected_fault\""), std::string::npos)
         << json;

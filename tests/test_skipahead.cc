@@ -8,9 +8,9 @@
  * scheduled probe's named cycle bounds the jump, a machine that
  * drains inside a skipped window still exits Drained at the
  * reference cycle, and the memo re-asks a stamped component only
- * when its stamp moves. At the system level: SimResult, statsDump()
- * and the exported stats JSON must be bit-identical between the
- * plain per-cycle loop and skip-ahead — SPECint and TPC-C,
+ * when its stamp moves. At the system level: SimResult and the
+ * exported stats JSON must be bit-identical between the plain
+ * per-cycle loop and skip-ahead — SPECint and TPC-C,
  * uniprocessor and 4P — checkpoints cut at a cycle the
  * uninterrupted run elided, or by the other engine, must restore
  * into the same bits, and parallel sweeps must match serial ones.
@@ -280,8 +280,7 @@ attachAll(System &sys, const std::vector<InstrTrace> &traces)
 struct RunOutcome
 {
     SimResult res;
-    std::string stats;
-    std::string json;
+    std::string json; ///< the stats JSON document, run block included.
 };
 
 RunOutcome
@@ -293,7 +292,6 @@ runMode(SystemParams sp, const std::vector<InstrTrace> &traces,
     attachAll(sys, traces);
     RunOutcome out;
     out.res = sys.run();
-    out.stats = sys.statsDump();
     out.json = obs::exportStatsJson(sys.root(), &out.res);
     return out;
 }
@@ -312,7 +310,6 @@ expectBitIdenticalModes(const WorkloadProfile &profile,
     ASSERT_FALSE(plain.res.hitCycleCap);
 
     EXPECT_EQ(diffSim(plain.res, skip.res), "");
-    EXPECT_EQ(plain.stats, skip.stats);
     EXPECT_EQ(plain.json, skip.json);
     // The optimization must actually engage — and never report
     // phantom elisions on the reference path.
@@ -370,7 +367,7 @@ runThroughCheckpoint(const SystemParams &sp,
     ckpt::restoreSystemCheckpoint(sys, path);
     RunOutcome out;
     out.res = sys.run();
-    out.stats = sys.statsDump();
+    out.json = obs::exportStatsJson(sys.root(), &out.res);
     *legs_elided += out.res.elidedCycles;
     return out;
 }
@@ -406,7 +403,7 @@ expectElidedWindowCutRestores(const WorkloadProfile &profile,
         const RunOutcome resumed = runThroughCheckpoint(
             sp, traces, at, path, &legs_elided);
         EXPECT_EQ(diffSim(base.res, resumed.res), "");
-        EXPECT_EQ(base.stats, resumed.stats);
+        EXPECT_EQ(base.json, resumed.json);
         if (legs_elided < base.res.elidedCycles)
             cut_inside_window = true;
         std::remove(path.c_str());
@@ -462,7 +459,7 @@ expectCheckpointsInterchange(const WorkloadProfile &profile,
         ckpt::restoreSystemCheckpoint(reader, path);
         const SimResult res = reader.run();
         EXPECT_EQ(diffSim(base.res, res), "");
-        EXPECT_EQ(base.stats, reader.statsDump());
+        EXPECT_EQ(base.json, obs::exportStatsJson(reader.root(), &res));
         std::remove(path.c_str());
     }
 }
