@@ -18,7 +18,7 @@
  *
  * --seed= is the campaign seed: one number keys the fuzzer, every
  * synthesized trace and the fault storms. It is the only run flag the
- * campaign takes; the others (--threads=, --journal=, --resume, ...)
+ * campaign takes; the others (--threads=, --journal=, --resume=, ...)
  * are parsed and ignored, so no sweep a campaign runs inherits them.
  * An argument that is neither a run flag nor one of the options below
  * is fatal.

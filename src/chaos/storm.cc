@@ -104,7 +104,7 @@ childRunPoint(const ChaosPoint &p, obs::ObsOptions run,
 childRunCoherent(const ChaosPoint &p, obs::ObsOptions run)
 {
     run.watchdogCycles = kStormWatchdogCycles;
-    run.checkLevel = "end";
+    run.checkLevel = check::CheckLevel::EndOfRun;
     ChaosPoint q = p;
     q.workload = "tpcc";
     q.numCpus = 2;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Versioned binary snapshot container: the one format for every file
- * the simulator reads back (checkpoints, trace files and journal
- * lines). A snapshot is a sequence of named sections, each carrying
+ * the simulator reads back (checkpoints, trace files and sweep
+ * journals). A snapshot is a sequence of named sections, each carrying
  * an opaque little-endian payload and an FNV-1a 64 checksum; the file
  * header records a magic, the container format version, the section
  * count and the producing model version string, followed by an
@@ -12,7 +12,8 @@
  * and every bounds check up front or on access, and reports any
  * damage by throwing SnapshotError. It never decides what damage
  * means: the checkpoint and trace readers turn it into a fatal()
- * naming the file, the journal skips the line.
+ * naming the file, the journal reader into one warning and no
+ * journal.
  *
  * Compatibility policy: the format version covers the container
  * framing only and is bumped when the framing changes. Each kind of

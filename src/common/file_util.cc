@@ -70,51 +70,4 @@ atomicWriteFile(const std::string &path, std::string_view data,
     return ok;
 }
 
-AppendFile::~AppendFile()
-{
-    close();
-}
-
-bool
-AppendFile::open(const std::string &path, std::string *err)
-{
-    close();
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
-        setErr(err, "open " + path);
-        return false;
-    }
-    path_ = path;
-    return true;
-}
-
-bool
-AppendFile::append(std::string_view data, std::string *err)
-{
-    if (fd_ < 0) {
-        if (err)
-            *err = "append on closed file";
-        return false;
-    }
-    if (!writeAll(fd_, data.data(), data.size())) {
-        setErr(err, "write " + path_);
-        return false;
-    }
-    if (::fsync(fd_) != 0) {
-        setErr(err, "fsync " + path_);
-        return false;
-    }
-    return true;
-}
-
-void
-AppendFile::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    path_.clear();
-}
-
 } // namespace s64v

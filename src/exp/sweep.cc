@@ -129,7 +129,7 @@ SweepRunner::run(const Sweep &sweep) const
     std::atomic<std::size_t> next{0};
     const MetricFn &metricFn = sweep.metricFn();
 
-    // --- Durability: point keys, journal replay, write-ahead log ---
+    // --- Durability: point keys, journal replay, journal rewrites ---
     const bool journalled = !run.journalPath.empty();
     std::vector<std::uint64_t> configHash(points.size(), 0);
     std::vector<std::uint64_t> workloadHash(points.size(), 0);
@@ -143,22 +143,34 @@ SweepRunner::run(const Sweep &sweep) const
         }
     }
 
-    // Only an "ok" entry fills a point in; any other point runs once.
+    // The journal holds every entry already durable, this sweep's and
+    // any other sweep's over the same file, in key order. A file that
+    // is not a journal leaves the sweep without one.
+    std::vector<JournalEntry> journal;
+    std::mutex journalMutex;
+    bool journalOk = false;
+    if (journalled) {
+        if (auto read = readJournal(run.journalPath)) {
+            journal = std::move(*read);
+            journalOk = true;
+        }
+    }
+
+    // A point is filled in from the entry keyed (i, label) whose
+    // hashes still match; an entry with that key and other hashes is
+    // stale. Entries keyed to no point here belong to another sweep.
     std::vector<std::uint8_t> prefilled(points.size(), 0);
-    if (journalled && run.resume) {
+    if (journalOk && run.resume) {
         std::size_t stale = 0;
-        for (const JournalEntry &e :
-             RunJournal::load(run.journalPath)) {
+        for (const JournalEntry &e : journal) {
             const std::size_t i = e.index;
-            if (i >= points.size() || e.label != points[i].label ||
-                e.configHash != configHash[i] ||
-                e.workloadHash != workloadHash[i] ||
-                e.modelVersion != modelVersionString()) {
+            if (i >= points.size() || e.label != points[i].label)
+                continue;
+            if (e.configHash != configHash[i] ||
+                e.workloadHash != workloadHash[i]) {
                 ++stale;
                 continue;
             }
-            if (e.status != "ok")
-                continue;
             results[i].label = e.label;
             results[i].sim = e.sim;
             results[i].metrics = e.metrics;
@@ -166,8 +178,8 @@ SweepRunner::run(const Sweep &sweep) const
             prefilled[i] = 1;
         }
         if (stale != 0) {
-            warn("journal '%s': ignored %zu entries whose point/"
-                 "config/workload/model keys no longer match",
+            warn("journal '%s': ignored %zu entries whose config/"
+                 "workload keys no longer match",
                  run.journalPath.c_str(), stale);
         }
         std::size_t done = 0;
@@ -177,31 +189,27 @@ SweepRunner::run(const Sweep &sweep) const
                done, points.size(), run.journalPath.c_str());
     }
 
-    RunJournal journal;
-    std::mutex journalMutex;
-    if (journalled) {
+    // Replace or add point i's entry, then rewrite the whole file.
+    auto journalPoint = [&](std::size_t i) {
+        JournalEntry e{i, points[i].label, configHash[i],
+                       workloadHash[i], results[i].sim,
+                       results[i].metrics};
+        std::lock_guard<std::mutex> lock(journalMutex);
+        if (!journalOk)
+            return;
+        const auto at = std::lower_bound(journal.begin(), journal.end(),
+                                         e, journalKeyLess);
+        if (at != journal.end() && !journalKeyLess(e, *at))
+            *at = std::move(e);
+        else
+            journal.insert(at, std::move(e));
         std::string err;
-        if (!journal.open(run.journalPath, &err)) {
-            warn("cannot open run journal '%s': %s; sweep continues "
+        if (!writeJournal(run.journalPath, journal, &err)) {
+            warn("cannot write run journal '%s': %s; sweep continues "
                  "without durability",
                  run.journalPath.c_str(), err.c_str());
+            journalOk = false;
         }
-    }
-
-    auto journalAppend = [&](std::size_t i) {
-        const PointResult &r = results[i];
-        JournalEntry e;
-        e.index = i;
-        e.label = points[i].label;
-        e.configHash = configHash[i];
-        e.workloadHash = workloadHash[i];
-        e.modelVersion = modelVersionString();
-        e.status = r.ok ? "ok" : "failed";
-        e.error = r.error;
-        e.sim = r.sim;
-        e.metrics = r.metrics;
-        std::lock_guard<std::mutex> lock(journalMutex);
-        journal.append(e);
     };
 
     // Progress counters for progressFn. The callback runs under the
@@ -245,9 +253,11 @@ SweepRunner::run(const Sweep &sweep) const
             // A stop request cuts a running point at the next cycle
             // boundary: its partial result is reported but must never
             // become durable — resume re-runs the point in full
-            // instead of merging a truncated run.
-            if (journal.isOpen() && !results[i].sim.interrupted)
-                journalAppend(i);
+            // instead of merging a truncated run. A failed point is
+            // not journalled either, so resume runs it again.
+            if (journalled && results[i].ok &&
+                !results[i].sim.interrupted)
+                journalPoint(i);
             pointDone(results[i], true);
         }
     };

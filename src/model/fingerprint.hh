@@ -30,7 +30,7 @@ class InstrTrace;
 
 /**
  * Version string of the performance model implementation, recorded
- * in checkpoints and journal entries. Bump the trailing revision
+ * in checkpoints and journals. Bump the trailing revision
  * whenever a change alters simulated timing, so stale artifacts are
  * rejected rather than mixed with new results.
  */

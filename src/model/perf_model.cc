@@ -35,8 +35,8 @@ applyRunOverrides(SystemParams &sys, const obs::ObsOptions &run)
         sys.watchdogCycles = run.watchdogCycles;
     if (!run.skipAhead)
         sys.skipAhead = false;
-    if (!run.checkLevel.empty())
-        sys.checkLevel = check::checkLevelFromString(run.checkLevel.c_str());
+    if (run.checkLevel)
+        sys.checkLevel = *run.checkLevel;
 }
 
 PerfModel::PerfModel(MachineParams params, obs::ObsOptions run)

@@ -41,7 +41,6 @@ ChromeTraceWriter::track(int pid, const std::string &name)
     e.tid = tid;
     e.ts = 0;
     e.dur = 0;
-    e.value = 0.0;
     e.name = "thread_name";
     JsonWriter w;
     w.beginObject();
@@ -64,26 +63,8 @@ ChromeTraceWriter::span(int pid, unsigned tid, const std::string &name,
     e.tid = tid;
     e.ts = start;
     e.dur = end > start ? end - start : 1;
-    e.value = 0.0;
     e.name = name;
     e.cat = cat;
-    events_.push_back(std::move(e));
-}
-
-void
-ChromeTraceWriter::counter(int pid, const std::string &name, Cycle ts,
-                           double value)
-{
-    if (!admit())
-        return;
-    Event e;
-    e.ph = 'C';
-    e.pid = pid;
-    e.tid = 0;
-    e.ts = ts;
-    e.dur = 0;
-    e.value = value;
-    e.name = name;
     events_.push_back(std::move(e));
 }
 
@@ -109,7 +90,6 @@ ChromeTraceWriter::addPipeRecord(int cpu, const PipeRecord &rec)
     e.tid = tid;
     e.ts = rec.issue;
     e.dur = rec.commit > rec.issue ? rec.commit - rec.issue + 1 : 1;
-    e.value = 0.0;
     e.name = name;
     e.cat = "pipe";
     JsonWriter w;
@@ -156,19 +136,9 @@ ChromeTraceWriter::render() const
         w.field("name", e.name);
         if (!e.cat.empty())
             w.field("cat", e.cat);
-        switch (e.ph) {
-          case 'X':
+        if (e.ph == 'X')
             w.field("dur", static_cast<std::uint64_t>(e.dur));
-            break;
-          case 'C':
-            w.beginObject("args");
-            w.field("value", e.value);
-            w.end();
-            break;
-          default:
-            break;
-        }
-        if (!e.args.empty() && e.ph != 'C')
+        if (!e.args.empty())
             w.raw("args", e.args);
         w.end();
     }
@@ -186,6 +156,10 @@ ChromeTraceWriter::writeFile(const std::string &path) const
         warn("cannot write Chrome trace to '%s': %s", path.c_str(),
              err.c_str());
         return false;
+    }
+    if (dropped_ != 0) {
+        warn("Chrome trace '%s' dropped %zu events past its cap of %zu",
+             path.c_str(), dropped_, maxEvents_);
     }
     return true;
 }

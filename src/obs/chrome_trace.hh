@@ -31,7 +31,8 @@ class ChromeTraceWriter
 
     /**
      * @param max_events drop events beyond this bound (keeps long
-     *        runs from exhausting memory; dropped count is reported).
+     *        runs from exhausting memory; writeFile() warns with the
+     *        dropped count).
      */
     explicit ChromeTraceWriter(std::size_t max_events = 2'000'000);
 
@@ -44,10 +45,6 @@ class ChromeTraceWriter
     /** A complete ("X") event spanning [start, end) cycles. */
     void span(int pid, unsigned tid, const std::string &name,
               const std::string &cat, Cycle start, Cycle end);
-
-    /** A counter ("C") event: @p value at cycle @p ts. */
-    void counter(int pid, const std::string &name, Cycle ts,
-                 double value);
 
     /**
      * Convert one committed instruction's stage timestamps into
@@ -64,18 +61,20 @@ class ChromeTraceWriter
     /** The complete {"traceEvents": [...]} document. */
     std::string render() const;
 
-    /** Write render() to @p path. @return false on failure. */
+    /**
+     * Write render() to @p path, warning with the path and the count
+     * when events were dropped. @return false on failure.
+     */
     bool writeFile(const std::string &path) const;
 
   private:
     struct Event
     {
-        char ph;            ///< 'X', 'C', or 'M'.
+        char ph;            ///< 'X' or 'M'.
         int pid;
         unsigned tid;
         Cycle ts;
         Cycle dur;          ///< X only.
-        double value;       ///< C only.
         std::string name;
         std::string cat;
         std::string args;   ///< pre-rendered JSON object, or empty.

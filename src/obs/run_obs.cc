@@ -1,7 +1,6 @@
 #include "obs/run_obs.hh"
 
 #include "check/fault_inject.hh"
-#include "check/invariants.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -73,8 +72,6 @@ parseObsArgs(int argc, const char *const *argv,
             opts.restorePath = v;
         else if (const char *v = matchFlag(arg, "journal"))
             opts.journalPath = v;
-        else if (arg == "--resume" || arg == "resume")
-            opts.resume = true;
         else if (const char *v = matchFlag(arg, "resume")) {
             opts.resume = true;
             opts.journalPath = v;
@@ -86,10 +83,9 @@ parseObsArgs(int argc, const char *const *argv,
         else if (arg == "--watchdog-escalate" ||
                  arg == "watchdog-escalate")
             opts.watchdogEscalate = true;
-        else if (const char *v = matchFlag(arg, "check")) {
-            check::checkLevelFromString(v); // validate eagerly.
-            opts.checkLevel = v;
-        } else if (const char *v = matchFlag(arg, "inject-fault"))
+        else if (const char *v = matchFlag(arg, "check"))
+            opts.checkLevel = check::checkLevelFromString(v);
+        else if (const char *v = matchFlag(arg, "inject-fault"))
             check::activeFaultPlan().parse(v);
         else if (rest)
             rest->push_back(arg);

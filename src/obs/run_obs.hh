@@ -15,8 +15,11 @@
 #define S64V_OBS_RUN_OBS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "check/invariants.hh"
 
 namespace s64v::obs
 {
@@ -43,8 +46,8 @@ struct ObsOptions
     std::string crashReportPath;
     /** Watchdog threshold override, cycles (kUnset = configured). */
     std::uint64_t watchdogCycles = kUnset;
-    /** Check-level override: "off"/"end"/"cycle" ("" = configured). */
-    std::string checkLevel;
+    /** Check-level override (--check=off|end|cycle; none = configured). */
+    std::optional<check::CheckLevel> checkLevel;
     /**
      * Worker threads for experiment sweeps (--threads=N; 0 = one per
      * hardware thread; see exp::SweepOptions::threads).
@@ -67,18 +70,20 @@ struct ObsOptions
 
     /** Sweep durability (see exp::SweepRunner). @{ */
     /**
-     * Write-ahead run journal (empty = none): every point that runs
-     * is appended to this file as one line, "ok" or "failed", and
-     * fsynced before its result is merged, so a killed sweep can
-     * resume.
+     * Run journal (empty = none, see exp/journal.hh): each point that
+     * finishes ok is added to this file, which is rewritten whole and
+     * fsynced before the result is merged, so a killed sweep can
+     * resume. A file there that is not a journal is left alone and
+     * the sweep runs without one.
      */
     std::string journalPath;
     /**
-     * Replay the journal at journalPath before dispatching: points
-     * with a matching "ok" entry are prefilled from it (bit-identical
-     * merge, doubles round-trip exactly) and not re-run; every other
-     * point runs once. Entries whose config/workload/model-version
-     * keys no longer match the sweep are ignored with a warning.
+     * Replay the journal at journalPath before dispatching
+     * (--resume=<path> sets both): a point whose entry still matches
+     * is prefilled from it (bit-identical merge, doubles round-trip
+     * exactly) and not re-run; every other point runs once. An entry
+     * whose config/workload hashes no longer match is ignored with a
+     * warning.
      */
     bool resume = false;
     /**
@@ -120,8 +125,8 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t run_seed,
  * check/fault_inject.hh); the single-run durability flags
  * "checkpoint-at=<cycle>", "checkpoint-out=<path>", "checkpoint-stop"
  * and "restore=<path>"; the sweep flags "threads=" (worker threads,
- * 0 = hardware concurrency), "journal=<path>", "resume" /
- * "resume=<journal>" and "watchdog-escalate"; "seed=<n>"; and
+ * 0 = hardware concurrency), "journal=<path>", "resume=<journal>"
+ * and "watchdog-escalate"; "seed=<n>"; and
  * "no-skip-ahead". A numeric value that is not a whole unsigned
  * integer (see parseU64) is fatal(). "inject-fault=" arms the
  * process-wide check::activeFaultPlan(); every other flag lands only

@@ -1,8 +1,6 @@
 #include "trace/filters.hh"
 
 #include <algorithm>
-
-#include "common/logging.hh"
 #include <cstdio>
 #include <unordered_set>
 
@@ -23,24 +21,6 @@ sampleTrace(const InstrTrace &trace, std::size_t skip,
     out.reserve(end - skip);
     for (std::size_t i = skip; i < end; ++i)
         out.append(trace[i]);
-    return out;
-}
-
-InstrTrace
-periodicSample(const InstrTrace &trace, std::size_t period,
-               std::size_t window)
-{
-    if (window == 0 || period < window)
-        fatal("periodicSample: period %zu must be >= window %zu > 0",
-              period, window);
-    InstrTrace out(trace.workloadName());
-    for (std::size_t start = 0; start < trace.size();
-         start += period) {
-        const std::size_t end =
-            std::min(trace.size(), start + window);
-        for (std::size_t i = start; i < end; ++i)
-            out.append(trace[i]);
-    }
     return out;
 }
 

@@ -24,14 +24,6 @@ namespace s64v
 InstrTrace sampleTrace(const InstrTrace &trace, std::size_t skip,
                        std::size_t length);
 
-/**
- * Periodic (systematic) sampling as the paper applies to its TPC-C
- * traces: take a window of @p window records every @p period records,
- * concatenated. @p period must be >= @p window.
- */
-InstrTrace periodicSample(const InstrTrace &trace, std::size_t period,
-                          std::size_t window);
-
 /** Aggregate characteristics of a trace. */
 struct TraceSummary
 {

@@ -45,7 +45,7 @@ TEST(Integration, CaptureSampleReplayVerify)
     const InstrTrace loaded = readTraceFile(path);
     ASSERT_EQ(loaded.size(), full.size());
 
-    const InstrTrace sample = periodicSample(loaded, 20000, 10000);
+    const InstrTrace sample = sampleTrace(loaded, 10000, 30000);
     EXPECT_EQ(validateTrace(sample), "");
 
     PerfModel model(sparc64vBase());

@@ -1,26 +1,30 @@
 /**
  * @file
- * Tests for the write-ahead run journal (exp/journal.hh): the line
- * encoding (a hex container image) must round-trip every field
- * bit-exactly (doubles travel as IEEE-754 bit patterns), every damaged
- * line must decode to false without running an error hook, load()
- * must tolerate the crash signatures — a torn final line silently, a
- * corrupt interior line with a warning — without ever crashing or
- * allocating without bound (the decode fuzz runs under a capped
- * address space). The --journal/--resume observability flags are
+ * Tests for the sweep run journal (exp/journal.hh): one container
+ * file that must round-trip every field bit-exactly (doubles travel
+ * as IEEE-754 bit patterns). Every damaged file, and every file that
+ * is not a journal, must be refused whole with one warning naming it,
+ * without running an error hook, crashing or allocating without bound
+ * (the fuzz runs under a capped address space); a journal of another
+ * model version is read as empty. The --journal/--resume= flags are
  * parsed here too.
  */
 
-#include <cctype>
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
+#include "model/fingerprint.hh"
 #include "obs/run_obs.hh"
 
 #include "address_space_cap.hh"
@@ -36,6 +40,20 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
 exp::JournalEntry
 sampleEntry()
 {
@@ -44,9 +62,6 @@ sampleEntry()
     e.label = "tpcc/4w \"quoted\"\n\ttab";
     e.configHash = 0xfeedfacecafebeefull;
     e.workloadHash = 0x123456789abcdef0ull;
-    e.modelVersion = "s64v-test";
-    e.status = "ok";
-    e.error = "";
     e.sim.cycles = 123456;
     e.sim.instructions = 240000;
     e.sim.measured = 200000;
@@ -66,6 +81,18 @@ sampleEntry()
     return e;
 }
 
+/** Three entries in key order, the shape of a short sweep. */
+std::vector<exp::JournalEntry>
+threeEntries()
+{
+    std::vector<exp::JournalEntry> entries(3, sampleEntry());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        entries[i].index = i;
+        entries[i].label = "point" + std::to_string(i);
+    }
+    return entries;
+}
+
 void
 expectSameEntry(const exp::JournalEntry &a, const exp::JournalEntry &b)
 {
@@ -73,9 +100,6 @@ expectSameEntry(const exp::JournalEntry &a, const exp::JournalEntry &b)
     EXPECT_EQ(a.label, b.label);
     EXPECT_EQ(a.configHash, b.configHash);
     EXPECT_EQ(a.workloadHash, b.workloadHash);
-    EXPECT_EQ(a.modelVersion, b.modelVersion);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.sim.cycles, b.sim.cycles);
     EXPECT_EQ(a.sim.instructions, b.sim.instructions);
     EXPECT_EQ(a.sim.measured, b.sim.measured);
@@ -104,230 +128,264 @@ expectSameEntry(const exp::JournalEntry &a, const exp::JournalEntry &b)
     }
 }
 
+/**
+ * readJournal(@p path) under a log sink: @return whether it refused
+ * the file, and expect exactly one warning, naming the file, if so.
+ */
+bool
+refused(const std::string &path, std::string *log = nullptr)
+{
+    std::string sink;
+    setLogSink(&sink);
+    const auto read = exp::readJournal(path);
+    setLogSink(nullptr);
+    if (read)
+        return false;
+    std::size_t warnings = 0;
+    for (std::size_t at = sink.find("warn: "); at != std::string::npos;
+         at = sink.find("warn: ", at + 1))
+        ++warnings;
+    EXPECT_EQ(warnings, 1u) << sink;
+    EXPECT_NE(sink.find("'" + path + "'"), std::string::npos) << sink;
+    if (log)
+        *log = sink;
+    return true;
+}
+
 TEST(Journal, EncodeDecodeRoundTripsEveryFieldBitExactly)
 {
+    const std::string path = tempPath("fields.journal");
     const exp::JournalEntry e = sampleEntry();
-    const std::string line = exp::encodeJournalEntry(e);
-    EXPECT_EQ(line.find('\n'), std::string::npos)
-        << "a journal line must be exactly one line";
+    ASSERT_TRUE(exp::writeJournal(path, {e}));
 
-    exp::JournalEntry back;
-    ASSERT_TRUE(exp::decodeJournalEntry(line, back)) << line;
-    expectSameEntry(e, back);
-}
-
-TEST(Journal, FailedEntryCarriesTheError)
-{
-    exp::JournalEntry e = sampleEntry();
-    e.status = "failed";
-    e.error = "panic: no instruction committed in 2 cycles";
-    exp::JournalEntry back;
-    ASSERT_TRUE(
-        exp::decodeJournalEntry(exp::encodeJournalEntry(e), back));
-    EXPECT_EQ(back.status, "failed");
-    EXPECT_EQ(back.error, e.error);
-}
-
-TEST(Journal, MalformedLinesAreRejectedNotCrashes)
-{
-    const std::string good =
-        exp::encodeJournalEntry(sampleEntry());
-    exp::JournalEntry out;
-    testutil::ScopedAddressSpaceCap cap;
-
-    // Every strict prefix models a torn append.
-    for (std::size_t len = 0; len < good.size(); ++len) {
-        EXPECT_FALSE(exp::decodeJournalEntry(
-            std::string_view(good).substr(0, len), out))
-            << "prefix of " << len << " characters decoded";
-    }
-    // Every single-bit flip: a hex digit that becomes another digit
-    // fails a checksum, anything else is not a lowercase hex digit.
-    std::size_t decoded = 0;
-    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
-        std::string line = good;
-        line[bit / 8] = static_cast<char>(line[bit / 8] ^ (1 << (bit % 8)));
-        if (exp::decodeJournalEntry(line, out) && decoded++ == 0)
-            ADD_FAILURE() << "flip of bit " << bit << " decoded";
-    }
-    EXPECT_EQ(decoded, 0u);
-
-    // Lines that are not an even run of lowercase hex digits.
-    std::string upper = good;
-    for (char &c : upper)
-        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    const std::string bad[] = {
-        good + "0",           // odd length.
-        good + "00",          // a trailing byte after the image.
-        upper,                // the same bytes in uppercase digits.
-        " " + good.substr(1), // a space for a digit.
-        "not hex at all",
-        "{}",
-    };
-    for (const std::string &line : bad) {
-        EXPECT_FALSE(exp::decodeJournalEntry(line, out))
-            << line.substr(0, 40);
-    }
-
-    // load() skips every one of them and keeps the intact entries
-    // around them.
-    const std::string path = tempPath("malformed.journal");
-    {
-        std::ofstream f(path, std::ios::trunc);
-        f << good << '\n';
-        for (const std::string &line : bad)
-            f << line << '\n';
-        f << good << '\n';
-    }
-    std::string sink;
-    setLogSink(&sink);
-    const auto loaded = exp::RunJournal::load(path);
-    setLogSink(nullptr);
-    EXPECT_EQ(loaded.size(), 2u);
+    const auto back = exp::readJournal(path);
+    ASSERT_TRUE(back);
+    ASSERT_EQ(back->size(), 1u);
+    expectSameEntry(e, back->front());
     std::remove(path.c_str());
-}
-
-TEST(Journal, DeeplyNestedLineIsRejectedNotACrash)
-{
-    // A journal written by an older build, or damaged into bracket
-    // soup, may hold lines a million levels deep; decoding must
-    // refuse them like any other line that is not a hex image, in
-    // bounded stack and memory.
-    constexpr std::size_t kDepth = 1'000'000;
-    std::string arrays(kDepth, '[');
-    std::string objects;
-    objects.reserve(kDepth * 5);
-    for (std::size_t i = 0; i < kDepth; ++i)
-        objects += "{\"a\":";
-
-    testutil::ScopedAddressSpaceCap cap;
-    exp::JournalEntry out;
-    EXPECT_FALSE(exp::decodeJournalEntry(arrays, out));
-    EXPECT_FALSE(exp::decodeJournalEntry(objects, out));
-
-    // load() skips both lines and keeps the intact entries around them.
-    const std::string path = tempPath("nested.journal");
-    const std::string good = exp::encodeJournalEntry(sampleEntry());
-    {
-        std::ofstream f(path, std::ios::trunc);
-        f << good << '\n' << arrays << '\n' << objects << '\n'
-          << good << '\n';
-    }
-    std::string sink;
-    setLogSink(&sink);
-    const auto loaded = exp::RunJournal::load(path);
-    setLogSink(nullptr);
-    EXPECT_EQ(loaded.size(), 2u);
-    std::remove(path.c_str());
-}
-
-TEST(Journal, DamagedLineRunsNoErrorHook)
-{
-    // A damaged line is the journal's to skip, not an error: decoding
-    // it must not go through fatal(), whose hook would write a crash
-    // report for a run that is still healthy.
-    const std::string good = exp::encodeJournalEntry(sampleEntry());
-    std::string flipped = good;
-    flipped[good.size() / 2] = flipped[good.size() / 2] == '0' ? '1' : '0';
-
-    int hooks = 0;
-    setErrorHook([&](const char *, const std::string &) { ++hooks; });
-    exp::JournalEntry out;
-    const bool decoded_flipped = exp::decodeJournalEntry(flipped, out);
-    const bool decoded_prefix =
-        exp::decodeJournalEntry(good.substr(0, good.size() - 2), out);
-    const bool decoded_text = exp::decodeJournalEntry("{\"v\":2}", out);
-    setErrorHook({});
-
-    EXPECT_FALSE(decoded_flipped);
-    EXPECT_FALSE(decoded_prefix);
-    EXPECT_FALSE(decoded_text);
-    EXPECT_EQ(hooks, 0);
 }
 
 TEST(Journal, AppendLoadRoundTripsInOrder)
 {
-    const std::string path = tempPath("roundtrip.journal");
+    // Two sweeps of one program over one file (fig19_accuracy's
+    // shape): each adds its entries by rewriting the whole list, and
+    // the file keeps both in key order.
+    const std::string path = tempPath("union.journal");
     std::remove(path.c_str());
 
     exp::JournalEntry a = sampleEntry();
     a.index = 0;
-    a.label = "first";
+    a.label = "ladder/v1";
     exp::JournalEntry b = sampleEntry();
     b.index = 1;
-    b.label = "second";
-    b.status = "failed";
-    b.error = "transient";
+    b.label = "ladder/v2";
+    exp::JournalEntry c = sampleEntry();
+    c.index = 0;
+    c.label = "verify/v1";
+    c.sim.ipc = 2.5;
+    ASSERT_TRUE(exp::writeJournal(path, {a, b}));
+    ASSERT_TRUE(exp::writeJournal(path, {a, c, b}));
 
-    {
-        exp::RunJournal journal;
-        ASSERT_TRUE(journal.open(path));
-        EXPECT_TRUE(journal.isOpen());
-        journal.append(a);
-        journal.append(b);
-    }
-    // Reopening appends — resume grows the same file.
-    {
-        exp::RunJournal journal;
-        ASSERT_TRUE(journal.open(path));
-        exp::JournalEntry c = sampleEntry();
-        c.index = 1;
-        c.label = "second";
-        journal.append(c);
-    }
+    const auto loaded = exp::readJournal(path);
+    ASSERT_TRUE(loaded);
+    ASSERT_EQ(loaded->size(), 3u);
+    expectSameEntry(a, (*loaded)[0]);
+    expectSameEntry(c, (*loaded)[1]);
+    expectSameEntry(b, (*loaded)[2]);
 
-    const auto loaded = exp::RunJournal::load(path);
-    ASSERT_EQ(loaded.size(), 3u);
-    expectSameEntry(a, loaded[0]);
-    expectSameEntry(b, loaded[1]);
-    EXPECT_EQ(loaded[2].index, 1u);
-    EXPECT_EQ(loaded[2].status, "ok");
+    // Rewriting the same list writes the same bytes.
+    const std::string bytes = readBytes(path);
+    ASSERT_TRUE(exp::writeJournal(path, *loaded));
+    EXPECT_EQ(readBytes(path), bytes);
     std::remove(path.c_str());
 }
 
 TEST(Journal, MissingFileLoadsEmpty)
 {
-    EXPECT_TRUE(
-        exp::RunJournal::load(tempPath("never_written.journal"))
-            .empty());
-}
-
-TEST(Journal, TornFinalLineIsSkippedSilently)
-{
-    const std::string path = tempPath("torn.journal");
-    const std::string line = exp::encodeJournalEntry(sampleEntry());
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << line << '\n'
-            << line << '\n'
-            << line.substr(0, line.size() / 2); // crash mid-append.
-    }
     std::string sink;
     setLogSink(&sink);
-    const auto loaded = exp::RunJournal::load(path);
+    const auto read = exp::readJournal(tempPath("never_written.journal"));
     setLogSink(nullptr);
-    EXPECT_EQ(loaded.size(), 2u);
-    // The torn tail is the normal crash signature — no warning.
-    EXPECT_EQ(sink.find("journal"), std::string::npos) << sink;
+    ASSERT_TRUE(read);
+    EXPECT_TRUE(read->empty());
+    EXPECT_EQ(sink, "");
+}
+
+TEST(Journal, EveryBitFlipAndTruncationIsRefused)
+{
+    const std::string good = tempPath("fuzz_good.journal");
+    ASSERT_TRUE(exp::writeJournal(good, threeEntries()));
+    const std::string image = readBytes(good);
+    ASSERT_GT(image.size(), 100u);
+
+    const std::string path = tempPath("fuzz.journal");
+    int hooks = 0;
+    setErrorHook([&](const char *, const std::string &) { ++hooks; });
+    testutil::ScopedAddressSpaceCap cap;
+
+    // Every strict prefix models a file cut short.
+    std::size_t accepted = 0;
+    for (std::size_t len = 0; len < image.size(); ++len) {
+        writeBytes(path, image.substr(0, len));
+        if (!refused(path) && accepted++ == 0)
+            ADD_FAILURE() << "prefix of " << len << " bytes was read";
+    }
+    // Every single-bit flip fails a checksum or the magic.
+    for (std::size_t bit = 0; bit < image.size() * 8; ++bit) {
+        std::string bytes = image;
+        bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+        writeBytes(path, bytes);
+        if (!refused(path) && accepted++ == 0)
+            ADD_FAILURE() << "flip of bit " << bit << " was read";
+    }
+    setErrorHook({});
+    EXPECT_EQ(accepted, 0u);
+    EXPECT_EQ(hooks, 0);
+    std::remove(path.c_str());
+    std::remove(good.c_str());
+}
+
+TEST(Journal, HugeEntryCountIsRefusedWithoutReserving)
+{
+    // Valid checksums around a forged count of 2^60: the reader meets
+    // the section end at the first entry instead of sizing anything.
+    ckpt::SnapshotWriter w;
+    w.beginSection("journal");
+    w.putU32(exp::kJournalLayout);
+    w.putU64(1ull << 60);
+    const std::vector<std::uint8_t> image = w.finish(modelVersionString());
+    const std::string path = tempPath("huge_count.journal");
+    writeBytes(path, std::string(image.begin(), image.end()));
+
+    testutil::ScopedAddressSpaceCap cap;
+    std::string log;
+    EXPECT_TRUE(refused(path, &log));
+    EXPECT_NE(log.find("section 'journal'"), std::string::npos) << log;
     std::remove(path.c_str());
 }
 
-TEST(Journal, CorruptInteriorLineWarnsAndIsSkipped)
+TEST(Journal, OversizedFileIsRefusedBeforeItIsRead)
 {
-    const std::string path = tempPath("interior.journal");
-    const std::string line = exp::encodeJournalEntry(sampleEntry());
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << line << '\n'
-            << "{\"v\":1,\"garbage\"" << '\n' // damaged mid-file.
-            << line << '\n';
+    // A sparse file one byte past the container's 1 GiB load cap
+    // occupies no disk, and is refused by its size alone.
+    const std::string path = tempPath("oversized.journal");
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::ftruncate(fd, (1ll << 30) + 1), 0);
+    ::close(fd);
+
+    testutil::ScopedAddressSpaceCap cap(64ull << 20);
+    std::string log;
+    EXPECT_TRUE(refused(path, &log));
+    EXPECT_NE(log.find("1 GiB"), std::string::npos) << log;
+    std::remove(path.c_str());
+}
+
+TEST(Journal, MalformedLinesAreRejectedNotCrashes)
+{
+    // Files of text lines are no journal: the hex-line journal of
+    // earlier builds (one hex container image per line), a note, and
+    // JSON. Each is refused whole, and reading never writes it.
+    const std::string good = tempPath("lines_good.journal");
+    ASSERT_TRUE(exp::writeJournal(good, threeEntries()));
+    std::string hex;
+    for (const unsigned char b : readBytes(good)) {
+        static constexpr char kDigits[] = "0123456789abcdef";
+        hex.push_back(kDigits[b >> 4]);
+        hex.push_back(kDigits[b & 0xf]);
     }
+    std::remove(good.c_str());
+
+    const std::string bad[] = {
+        hex + "\n" + hex + "\n",
+        "notes for the next sweep\n",
+        "{\"v\":2,\"index\":0}\n",
+        "",
+    };
+    const std::string path = tempPath("lines.journal");
+    testutil::ScopedAddressSpaceCap cap;
+    for (const std::string &bytes : bad) {
+        writeBytes(path, bytes);
+        EXPECT_TRUE(refused(path)) << bytes.substr(0, 40);
+        EXPECT_EQ(readBytes(path), bytes);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Journal, DeeplyNestedLineIsRejectedNotACrash)
+{
+    // A file damaged into bracket soup, a million levels deep, is
+    // refused like any other file that is not a container image, in
+    // bounded stack and memory.
+    constexpr std::size_t kDepth = 1'000'000;
+    std::string objects;
+    objects.reserve(kDepth * 5);
+    for (std::size_t i = 0; i < kDepth; ++i)
+        objects += "{\"a\":";
+
+    const std::string path = tempPath("nested.journal");
+    testutil::ScopedAddressSpaceCap cap;
+    for (const std::string &bytes : {std::string(kDepth, '['), objects}) {
+        writeBytes(path, bytes);
+        EXPECT_TRUE(refused(path));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Journal, DamagedFileRunsNoErrorHook)
+{
+    // A damaged journal is the sweep's to refuse, not an error:
+    // reading it must not go through fatal(), whose hook would write
+    // a crash report for a run that is still healthy.
+    const std::string path = tempPath("hook.journal");
+    ASSERT_TRUE(exp::writeJournal(path, threeEntries()));
+    std::string bytes = readBytes(path);
+    bytes[bytes.size() / 2] ^= 0x10;
+    writeBytes(path, bytes);
+
+    int hooks = 0;
+    setErrorHook([&](const char *, const std::string &) { ++hooks; });
+    const bool flipped = refused(path);
+    writeBytes(path, bytes.substr(0, bytes.size() - 2));
+    const bool cut = refused(path);
+    writeBytes(path, "{\"v\":2}\n");
+    const bool text = refused(path);
+    setErrorHook({});
+
+    EXPECT_TRUE(flipped);
+    EXPECT_TRUE(cut);
+    EXPECT_TRUE(text);
+    EXPECT_EQ(hooks, 0);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, OtherModelVersionIsReadAsEmptyWithOneWarning)
+{
+    // Re-seal a real journal's header under another model version:
+    // the file is a journal, but its entries describe another model.
+    const std::string path = tempPath("version.journal");
+    ASSERT_TRUE(exp::writeJournal(path, threeEntries()));
+    const std::string bytes = readBytes(path);
+    const std::string ours = modelVersionString();
+    const std::string other = "s64v-0.0";
+    const std::size_t headerEnd = 8 + 12 + ours.size() + 8;
+    std::string header = bytes.substr(8, 8); // format version, count.
+    for (unsigned i = 0; i < 4; ++i)
+        header.push_back(static_cast<char>(other.size() >> (8 * i)));
+    header += other;
+    const std::uint64_t sum = ckpt::fnv1a(header.data(), header.size());
+    for (unsigned i = 0; i < 8; ++i)
+        header.push_back(static_cast<char>(sum >> (8 * i)));
+    writeBytes(path, bytes.substr(0, 8) + header + bytes.substr(headerEnd));
+
     std::string sink;
     setLogSink(&sink);
-    const auto loaded = exp::RunJournal::load(path);
+    const auto read = exp::readJournal(path);
     setLogSink(nullptr);
-    EXPECT_EQ(loaded.size(), 2u);
-    EXPECT_NE(sink.find("line 2"), std::string::npos) << sink;
+    ASSERT_TRUE(read);
+    EXPECT_TRUE(read->empty());
+    EXPECT_NE(sink.find("'s64v-0.0'"), std::string::npos) << sink;
+    EXPECT_EQ(sink.find("warn: "), sink.rfind("warn: ")) << sink;
     std::remove(path.c_str());
 }
 
@@ -351,11 +409,13 @@ TEST(Journal, DurabilityFlagsParse)
     EXPECT_TRUE(o.checkpointStop);
     EXPECT_EQ(o.restorePath, "old.ckpt");
 
-    // --resume=<path> names the journal and turns resumption on.
-    const char *argv2[] = {"sim", "--resume=sweep.journal"};
-    const obs::ObsOptions r = obs::parseObsArgs(2, argv2);
+    // --resume=<path> names the journal and turns resumption on; a
+    // bare --resume names no journal and is not a run flag.
+    const char *argv2[] = {"sim", "--resume=sweep.journal", "--resume"};
+    const obs::ObsOptions r = obs::parseObsArgs(3, argv2, &rest);
     EXPECT_TRUE(r.resume);
     EXPECT_EQ(r.journalPath, "sweep.journal");
+    EXPECT_EQ(rest, std::vector<std::string>{"--resume"});
 }
 
 } // namespace

@@ -5,6 +5,7 @@
  */
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -216,7 +217,6 @@ TEST(ChromeTrace, RendersValidDocument)
         tw.track(obs::ChromeTraceWriter::kMemPid, "bus.data");
     tw.span(obs::ChromeTraceWriter::kMemPid, tid, "xfer", "bus",
             100, 108);
-    tw.counter(0, "rob_occupancy", 50, 12.0);
 
     PipeRecord rec;
     rec.seq = 3;
@@ -235,7 +235,6 @@ TEST(ChromeTrace, RendersValidDocument)
     EXPECT_NE(doc.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(doc.find("\"bus.data\""), std::string::npos);
     EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(doc.find("\"seq\":3"), std::string::npos);
     EXPECT_NE(doc.find("0x4000"), std::string::npos);
     EXPECT_NE(doc.find("\"exec\""), std::string::npos);
@@ -252,6 +251,16 @@ TEST(ChromeTrace, TrackIsStableAndCapIsEnforced)
     EXPECT_EQ(tw.events(), 3u);
     EXPECT_EQ(tw.dropped(), 1u);
     EXPECT_TRUE(JsonChecker(tw.render()).valid());
+
+    // Writing the trace says what it dropped, and where.
+    const std::string path = ::testing::TempDir() + "capped_trace.json";
+    std::string sink;
+    setLogSink(&sink);
+    EXPECT_TRUE(tw.writeFile(path));
+    setLogSink(nullptr);
+    EXPECT_NE(sink.find("'" + path + "'"), std::string::npos) << sink;
+    EXPECT_NE(sink.find("dropped 1 events"), std::string::npos) << sink;
+    std::remove(path.c_str());
 }
 
 TEST(Heartbeat, ReportsProgress)
@@ -343,22 +352,25 @@ TEST(RunObs, MalformedNumericFlagsAreFatal)
 TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
 {
     const char *argv[] = {
-        "prog",          "workload=TPC-C",  "--journal=s.journal",
+        "prog",          "workload=TPC-C",  "--resume=s.journal",
         "instrs=20000",  "--threads=2",     "--resume",
         "--seed=3",      "--no-skip-ahead", "pipeview=8",
-        "skip-ahead=0",  "--typo",
+        "skip-ahead=0",  "--check=cycle",   "--typo",
     };
     std::vector<std::string> rest;
-    const obs::ObsOptions o = obs::parseObsArgs(11, argv, &rest);
-    // Everything the obs layer does not own comes back, in order.
+    const obs::ObsOptions o = obs::parseObsArgs(12, argv, &rest);
+    // Everything the obs layer does not own comes back, in order; a
+    // bare --resume, which names no journal, is not a run flag.
     EXPECT_EQ(rest, (std::vector<std::string>{
-                        "workload=TPC-C", "instrs=20000", "pipeview=8",
-                        "skip-ahead=0", "--typo"}));
+                        "workload=TPC-C", "instrs=20000", "--resume",
+                        "pipeview=8", "skip-ahead=0", "--typo"}));
     EXPECT_EQ(o.journalPath, "s.journal");
     EXPECT_EQ(o.threads, 2u);
     EXPECT_TRUE(o.resume);
     EXPECT_EQ(o.seed, 3u);
     EXPECT_FALSE(o.skipAhead);
+    EXPECT_EQ(o.checkLevel, check::CheckLevel::PerCycle);
+    EXPECT_FALSE(obs::parseObsArgs(1, argv).checkLevel);
 }
 
 TEST(RunObs, UnknownArgumentWithoutRestIsFatal)

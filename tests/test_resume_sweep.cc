@@ -1,15 +1,16 @@
 /**
  * @file
  * Crash-recoverable sweep tests: a journalled sweep must record each
- * point it runs durably and exactly once, run a failing point once
- * per sweep, resume from its journal re-running only the points
- * without a matching "ok" entry (a final append torn mid-line
- * included) with a bit-identical merged result, and survive the
- * injected kill-point fault — an abrupt std::_Exit mid-run, modelling
- * an OOM-kill — with the distinct exit code 86 and a clean resume
- * afterwards. Also covers per-point watchdog
- * escalation (an emergency checkpoint next to the journal) and the
- * fault/sweep-point context satellites of the crash report.
+ * point that finishes ok durably and exactly once, run a failing
+ * point once per sweep, resume from its journal re-running only the
+ * points without a matching entry with a bit-identical merged result,
+ * refuse and leave alone a file that is not a journal, share one
+ * journal between two sweeps, write the same bytes at any worker
+ * count, and survive the injected kill-point fault — an abrupt
+ * std::_Exit mid-run, modelling an OOM-kill — with the distinct exit
+ * code 86 and a clean resume afterwards. Also covers per-point
+ * watchdog escalation (an emergency checkpoint next to the journal)
+ * and the fault/sweep-point context satellites of the crash report.
  */
 
 #include <sys/wait.h>
@@ -46,6 +47,22 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/** The entries of the journal at @p path, which must be readable. */
+std::vector<exp::JournalEntry>
+journalEntries(const std::string &path)
+{
+    auto entries = exp::readJournal(path);
+    EXPECT_TRUE(entries) << path;
+    return entries ? *entries : std::vector<exp::JournalEntry>{};
+}
+
 exp::Sweep
 threePointSweep()
 {
@@ -71,13 +88,11 @@ TEST(ResumeSweep, JournalRecordsEveryFinishedPoint)
     for (const exp::PointResult &r : results)
         ASSERT_TRUE(r.ok) << r.error;
 
-    const auto entries = exp::RunJournal::load(jpath);
+    const auto entries = journalEntries(jpath);
     ASSERT_EQ(entries.size(), 3u);
     for (std::size_t i = 0; i < entries.size(); ++i) {
         EXPECT_EQ(entries[i].index, i);
         EXPECT_EQ(entries[i].label, sweep.points()[i].label);
-        EXPECT_EQ(entries[i].status, "ok");
-        EXPECT_EQ(entries[i].modelVersion, modelVersionString());
         EXPECT_NE(entries[i].configHash, 0u);
         EXPECT_NE(entries[i].workloadHash, 0u);
         EXPECT_EQ(diffSim(entries[i].sim, results[i].sim), "");
@@ -133,9 +148,9 @@ TEST(ResumeSweep, ResumeOfACompleteJournalRunsNothing)
     std::remove(jpath.c_str());
 }
 
-TEST(ResumeSweep, TornFinalAppendIsReRunOnResume)
+TEST(ResumeSweep, NonJournalFileIsRefusedAndLeftAlone)
 {
-    const std::string jpath = tempPath("torn.journal");
+    const std::string jpath = tempPath("cut.journal");
     std::remove(jpath.c_str());
 
     exp::SweepOptions opts;
@@ -145,36 +160,105 @@ TEST(ResumeSweep, TornFinalAppendIsReRunOnResume)
     for (const exp::PointResult &r : first)
         ASSERT_TRUE(r.ok) << r.error;
 
-    // A crash mid-append: cut the file partway through its last line.
-    std::string bytes;
-    {
-        std::ifstream in(jpath, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    // Cut the journal in half: what is left is no journal, and the
+    // sweep must neither trust it nor write over it.
+    std::string bytes = readBytes(jpath);
     ASSERT_FALSE(bytes.empty());
-    ASSERT_EQ(bytes.back(), '\n');
-    const std::size_t lastLine = bytes.rfind('\n', bytes.size() - 2) + 1;
-    ASSERT_GT(lastLine, 0u);
-    bytes.resize(lastLine + (bytes.size() - lastLine) / 2);
+    bytes.resize(bytes.size() / 2);
     {
         std::ofstream out(jpath, std::ios::binary | std::ios::trunc);
         out << bytes;
     }
 
+    std::atomic<int> executed{0};
+    exp::Sweep sweep = threePointSweep();
+    sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                          std::map<std::string, double> &) {
+        ++executed;
+    });
     std::string sink;
     setLogSink(&sink);
     opts.run.resume = true;
-    const auto resumed = exp::SweepRunner(opts).run(threePointSweep());
+    const auto resumed = exp::SweepRunner(opts).run(sweep);
     setLogSink(nullptr);
-    EXPECT_NE(sink.find("resume: 2 of 3 points already complete"),
-              std::string::npos)
-        << sink;
+    EXPECT_NE(sink.find("'" + jpath + "'"), std::string::npos) << sink;
+    EXPECT_EQ(executed.load(), 3);
     ASSERT_EQ(resumed.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
         EXPECT_EQ(diffSim(first[i].sim, resumed[i].sim), "");
     }
+    EXPECT_EQ(readBytes(jpath), bytes);
     std::remove(jpath.c_str());
+}
+
+TEST(ResumeSweep, TwoSweepsShareOneJournal)
+{
+    const std::string jpath = tempPath("shared.journal");
+    std::remove(jpath.c_str());
+
+    // Two sweeps of one program journal into one file, as
+    // fig19_accuracy's model ladder and verification sweeps do.
+    std::atomic<int> executed{0};
+    auto makeSweep = [&](const char *prefix) {
+        exp::Sweep sweep;
+        sweep.add(std::string(prefix) + "/int", sparc64vBase(),
+                  specint95Profile(), 4000);
+        sweep.add(std::string(prefix) + "/tpcc", sparc64vBase(),
+                  tpccProfile(), 4000);
+        sweep.setMetricFn([&](PerfModel &, const SimResult &,
+                              std::map<std::string, double> &) {
+            ++executed;
+        });
+        return sweep;
+    };
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.run.journalPath = jpath;
+    const auto ladder = exp::SweepRunner(opts).run(makeSweep("ladder"));
+    const auto verify = exp::SweepRunner(opts).run(makeSweep("verify"));
+    ASSERT_EQ(executed.load(), 4);
+    EXPECT_EQ(journalEntries(jpath).size(), 4u);
+
+    // Resuming each fills every point of its own from the journal,
+    // and the other sweep's entries are no cause for a warning.
+    std::string sink;
+    setLogSink(&sink);
+    opts.run.resume = true;
+    const auto ladder2 = exp::SweepRunner(opts).run(makeSweep("ladder"));
+    const auto verify2 = exp::SweepRunner(opts).run(makeSweep("verify"));
+    setLogSink(nullptr);
+    EXPECT_EQ(executed.load(), 4);
+    EXPECT_EQ(sink.find("no longer match"), std::string::npos) << sink;
+    EXPECT_EQ(sink.find("warn: "), std::string::npos) << sink;
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(diffSim(ladder[i].sim, ladder2[i].sim), "");
+        EXPECT_EQ(diffSim(verify[i].sim, verify2[i].sim), "");
+    }
+    EXPECT_EQ(journalEntries(jpath).size(), 4u);
+    std::remove(jpath.c_str());
+}
+
+TEST(ResumeSweep, JournalBytesDoNotDependOnWorkers)
+{
+    const std::string serial = tempPath("serial.journal");
+    const std::string parallel = tempPath("parallel.journal");
+    std::remove(serial.c_str());
+    std::remove(parallel.c_str());
+
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.run.journalPath = serial;
+    exp::SweepRunner(opts).run(threePointSweep());
+    opts.threads = 3;
+    opts.run.journalPath = parallel;
+    exp::SweepRunner(opts).run(threePointSweep());
+
+    const std::string bytes = readBytes(serial);
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_TRUE(bytes == readBytes(parallel));
+    std::remove(serial.c_str());
+    std::remove(parallel.c_str());
 }
 
 TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
@@ -226,10 +310,9 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
     EXPECT_FALSE(killed[2].ok);
     EXPECT_EQ(killed[2].error, "interrupted");
 
-    auto entries = exp::RunJournal::load(jpath);
+    auto entries = journalEntries(jpath);
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].index, 0u);
-    EXPECT_EQ(entries[0].status, "ok");
 
     // Resume: only the cut-short and undispatched points run; the
     // merged sweep is bit-identical to one never interrupted.
@@ -249,12 +332,11 @@ TEST(ResumeSweep, InterruptedParallelSweepJournalsOnceAndResumes)
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
         EXPECT_EQ(diffSim(reference[i].sim, resumed[i].sim), "");
     }
-    entries = exp::RunJournal::load(jpath);
-    EXPECT_EQ(entries.size(), 3u);
+    EXPECT_EQ(journalEntries(jpath).size(), 3u);
     std::remove(jpath.c_str());
 }
 
-TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
+TEST(ResumeSweep, TransientFailureRecoversOnResume)
 {
     const std::string jpath = tempPath("transient.journal");
     std::remove(jpath.c_str());
@@ -286,13 +368,9 @@ TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
               std::string::npos)
         << results[0].error;
     EXPECT_EQ(calls.load(), 1);
-    auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].status, "failed");
-    EXPECT_NE(entries[0].error.find("flaky metric probe"),
-              std::string::npos);
+    EXPECT_EQ(journalEntries(jpath).size(), 0u);
 
-    // Resume is the retry: a "failed" entry does not hold the point
+    // Resume is the retry: a failed point has no entry to hold it
     // back, and this time it succeeds.
     opts.run.resume = true;
     setLogSink(&sink);
@@ -301,9 +379,7 @@ TEST(ResumeSweep, TransientFailureIsJournalledOnceAndRecoversOnResume)
     ASSERT_EQ(resumed.size(), 1u);
     EXPECT_TRUE(resumed[0].ok) << resumed[0].error;
     EXPECT_EQ(calls.load(), 2);
-    entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[1].status, "ok");
+    EXPECT_EQ(journalEntries(jpath).size(), 1u);
     std::remove(jpath.c_str());
 }
 
@@ -328,6 +404,7 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
     exp::SweepOptions opts;
     opts.threads = 1;
     opts.run.journalPath = jpath;
+    opts.run.crashReportPath = tempPath("persistent_triage.json");
     std::string sink;
     setLogSink(&sink);
     const auto results = exp::SweepRunner(opts).run(sweep);
@@ -340,16 +417,15 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
               std::string::npos)
         << results[1].error;
     EXPECT_EQ(healthyRuns.load(), 1);
+    // The sick point ran, and died, once; only the healthy one is
+    // journalled.
+    EXPECT_EQ(check::sweepCrashCount(), 1u);
+    auto entries = journalEntries(jpath);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].index, 0u);
 
-    // One line per point: the failure is journalled once, not retried.
-    auto entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].status, "ok");
-    EXPECT_EQ(entries[1].index, 1u);
-    EXPECT_EQ(entries[1].status, "failed");
-
-    // Resume runs only the failed point, once more, and journals that
-    // run; the healthy point comes back from the journal.
+    // Resume runs only the failed point, once more; the healthy point
+    // comes back from the journal.
     setLogSink(&sink);
     opts.run.resume = true;
     const auto resumed = exp::SweepRunner(opts).run(sweep);
@@ -358,11 +434,10 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
     EXPECT_TRUE(resumed[0].ok);
     EXPECT_FALSE(resumed[1].ok);
     EXPECT_EQ(healthyRuns.load(), 1);
-    entries = exp::RunJournal::load(jpath);
-    ASSERT_EQ(entries.size(), 3u);
-    EXPECT_EQ(entries[2].index, 1u);
-    EXPECT_EQ(entries[2].status, "failed");
+    EXPECT_EQ(check::sweepCrashCount(), 1u);
+    EXPECT_EQ(journalEntries(jpath).size(), 1u);
     std::remove(jpath.c_str());
+    std::remove(opts.run.crashReportPath.c_str());
 }
 
 TEST(ResumeSweep, StaleJournalEntriesAreIgnoredWithAWarning)
@@ -463,10 +538,9 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
     EXPECT_EQ(WEXITSTATUS(status), check::kInjectedFaultExitCode);
 
     // The short point survived the crash; the long one did not.
-    auto entries = exp::RunJournal::load(jpath);
+    auto entries = journalEntries(jpath);
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].index, 0u);
-    EXPECT_EQ(entries[0].status, "ok");
 
     // Resume re-runs only the long point; the merged sweep is
     // bit-identical to the never-killed baseline.
@@ -486,7 +560,17 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
         ASSERT_TRUE(resumed[i].ok) << resumed[i].error;
         EXPECT_EQ(diffSim(baseline[i].sim, resumed[i].sim), "");
     }
-    EXPECT_EQ(exp::RunJournal::load(jpath).size(), 2u);
+    EXPECT_EQ(journalEntries(jpath).size(), 2u);
+
+    // The first resume completed the sweep: a second one runs nothing.
+    std::string sink;
+    setLogSink(&sink);
+    exp::SweepRunner(ropts).run(sweep);
+    setLogSink(nullptr);
+    EXPECT_EQ(executed.load(), 1);
+    EXPECT_NE(sink.find("resume: 2 of 2 points already complete"),
+              std::string::npos)
+        << sink;
     std::remove(jpath.c_str());
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "trace/filters.hh"
 
 namespace s64v
@@ -88,38 +87,6 @@ TEST(Trace, SampleClampsToEnd)
     const InstrTrace s4 = sampleTrace(t, 4, SIZE_MAX);
     ASSERT_EQ(s4.size(), 6u);
     EXPECT_EQ(s4[0].pc, 16u);
-}
-
-TEST(Trace, PeriodicSampleTakesWindows)
-{
-    InstrTrace t;
-    for (int i = 0; i < 100; ++i)
-        t.append(makeRec(4 * i, InstrClass::IntAlu));
-    const InstrTrace s = periodicSample(t, 25, 5);
-    // Windows at 0, 25, 50, 75: 20 records.
-    ASSERT_EQ(s.size(), 20u);
-    EXPECT_EQ(s[0].pc, 0u);
-    EXPECT_EQ(s[5].pc, 4u * 25);
-    EXPECT_EQ(s[10].pc, 4u * 50);
-}
-
-TEST(Trace, PeriodicSampleClampsLastWindow)
-{
-    InstrTrace t;
-    for (int i = 0; i < 28; ++i)
-        t.append(makeRec(4 * i, InstrClass::IntAlu));
-    const InstrTrace s = periodicSample(t, 25, 5);
-    EXPECT_EQ(s.size(), 8u); // 5 + 3 (clamped).
-}
-
-TEST(Trace, PeriodicSampleRejectsBadGeometry)
-{
-    setThrowOnError(true);
-    InstrTrace t;
-    t.append(makeRec(0, InstrClass::IntAlu));
-    EXPECT_THROW(periodicSample(t, 4, 5), std::runtime_error);
-    EXPECT_THROW(periodicSample(t, 4, 0), std::runtime_error);
-    setThrowOnError(false);
 }
 
 TEST(Trace, ValidateCatchesBadRecords)
