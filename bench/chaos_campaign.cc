@@ -53,8 +53,6 @@ usage(const char *argv0)
         "  --report=PATH     report file (default chaos_report.json)\n"
         "  --replay=I        re-run point I only (from a report's\n"
         "                    replay command)\n"
-        "  --no-shrink       report raw points without minimizing\n"
-        "  --verbose         per-point progress\n"
         "  --list-invariants print the invariant catalogue and exit\n",
         argv0);
 }
@@ -96,10 +94,6 @@ main(int argc, char **argv)
             opts.replay = true;
             opts.replayIndex =
                 static_cast<std::size_t>(parseU64(v, "--replay"));
-        } else if (arg == "--no-shrink") {
-            opts.shrink = false;
-        } else if (arg == "--verbose") {
-            opts.verbose = true;
         } else if (arg == "--list-invariants") {
             for (const chaos::Invariant &inv :
                  chaos::invariantCatalog())

@@ -3,10 +3,12 @@
 #   - a file-damage kind is refused by name before anything runs
 #     (nonzero exit, the kind on stderr, nothing on stdout);
 #   - kill-point dies with exit 86 and leaves no stats file;
-#   - stall trips the watchdog, which aborts and leaves a crash report
-#     naming the fault.
-# Run as `cmake -DCMD=<quickstart> -P inject_fault_cli.cmake`; the
-# files land in the working directory.
+#   - stall trips the watchdog, which aborts and leaves a crash
+#     document of one crash naming the fault.
+# A sweep has no emergency checkpoints: --watchdog-escalate is refused
+# by name like any other unknown argument.
+# Run as `cmake -DCMD=<quickstart> -DSWEEP=<design_space_sweep> -P
+# inject_fault_cli.cmake`; the files land in the working directory.
 foreach(kind trace-corrupt corrupt-ckpt truncate-journal)
     execute_process(COMMAND ${CMD} instrs=20000 --inject-fault=${kind}:1
                     RESULT_VARIABLE rc OUTPUT_VARIABLE out
@@ -50,4 +52,23 @@ string(FIND "${report}" "\"injected_fault\":{\"kind\":\"stall\",\"at\":3000}"
 if(at EQUAL -1)
     message(FATAL_ERROR "the crash report does not name the fault:\n"
                         "${report}")
+endif()
+string(FIND "${report}" "\"schema\": \"s64v-crash-triage-1\"" schema)
+string(FIND "${report}" "\"count\": 1," count)
+if(schema EQUAL -1 OR count EQUAL -1)
+    message(FATAL_ERROR "the crash report is not a crash document of "
+                        "one crash:\n${report}")
+endif()
+
+execute_process(COMMAND ${SWEEP} instrs=2000 --watchdog-escalate
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+string(FIND "${err}" "'--watchdog-escalate'" at)
+if(rc EQUAL 0 OR at EQUAL -1)
+    message(FATAL_ERROR "--watchdog-escalate: exit ${rc}, the argument "
+                        "is not named:\n${err}")
+endif()
+if(NOT out STREQUAL "")
+    message(FATAL_ERROR "--watchdog-escalate printed before refusing "
+                        "the argument:\n${out}")
 endif()

@@ -15,7 +15,8 @@ namespace
 
 /**
  * Evaluate every selected invariant on @p p, feeding findings through
- * shrinking and triage. Returns the number of invariant checks spent.
+ * shrinking (at shrinkPoint's default budget) and triage. Returns the
+ * number of invariant checks spent.
  */
 std::size_t
 evaluatePoint(const ChaosPoint &p,
@@ -34,8 +35,8 @@ evaluatePoint(const ChaosPoint &p,
         if (triage.known(*v)) {
             // Duplicate bucket: count it, skip the shrinking cost.
             shrink.point = p;
-        } else if (opts.shrink) {
-            shrink = shrinkPoint(p, inv, opts.shrinkBudget);
+        } else {
+            shrink = shrinkPoint(p, inv);
             checks += shrink.checksRun;
             if (shrink.reproduced) {
                 inform("chaos: shrunk to %zu delta(s), %zu instrs "
@@ -46,10 +47,6 @@ evaluatePoint(const ChaosPoint &p,
                 warn("chaos: violation did not reproduce under "
                      "re-check; reporting the raw point");
             }
-        } else {
-            shrink.point = p;
-            shrink.reproduced = true;
-            shrink.violation = *v;
         }
         if (triage.record(*v, shrink) && !opts.reportPath.empty()) {
             // New bucket: flush the report so a killed campaign still
@@ -97,8 +94,6 @@ runChaosCampaign(const CampaignOptions &opts)
                 break;
             }
             const ChaosPoint p = fuzzer.point(i);
-            if (opts.verbose)
-                inform("chaos: point %zu: %s", i, p.label().c_str());
             summary.checksRun +=
                 evaluatePoint(p, invariants, opts, triage);
             ++summary.pointsRun;

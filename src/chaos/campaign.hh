@@ -49,12 +49,6 @@ struct CampaignOptions
     bool replay = false;
     std::size_t replayIndex = 0;
     /** @} */
-    /** Auto-shrink new findings (off = report the raw point). */
-    bool shrink = true;
-    /** Invariant-check budget per shrink (see shrinkPoint). */
-    std::size_t shrinkBudget = 48;
-    /** Per-point progress via inform(). */
-    bool verbose = false;
 };
 
 /** What a campaign did and found. */

@@ -1,6 +1,7 @@
 #include "check/crash_report.hh"
 
 #include <mutex>
+#include <vector>
 
 #include "check/fault_inject.hh"
 #include "common/file_util.hh"
@@ -191,53 +192,30 @@ writeCrashReport(const std::string &path, const std::string &json)
     return true;
 }
 
-void
-installCrashReporting(const std::string &path,
-                      const std::string &stats_json_path,
-                      std::uint64_t seed)
-{
-    const std::string dest =
-        path.empty() ? "crash_report.json" : path;
-    setErrorHook([dest, stats_json_path, seed](const char *kind,
-                                               const std::string &msg) {
-        System *sys = crashSystem();
-        if (!sys)
-            return;
-        // Concurrent sweep points can crash together; serialize the
-        // report files so they never interleave.
-        static std::mutex reportMutex;
-        std::lock_guard<std::mutex> lock(reportMutex);
-        writeCrashReport(dest,
-                         buildCrashReportJson(*sys, kind, msg, seed));
-        // Salvage the partial stats of the crashed run as well.
-        if (!stats_json_path.empty())
-            obs::writeStatsJson(sys->root(), stats_json_path);
-    });
-}
-
 namespace
 {
 
-/** Sweep-triage sink state (see installSweepCrashTriage). */
-struct TriageState
+/** The sink's state (see ScopedCrashReporting). */
+struct SinkState
 {
     std::mutex mutex;
     std::vector<std::string> crashes; ///< rendered report objects.
     std::string path;
+    std::string statsSalvagePath;
     std::uint64_t seed = obs::ObsOptions::kUnset;
 };
 
-TriageState &
-triageState()
+SinkState &
+sinkState()
 {
-    static TriageState state;
+    static SinkState state;
     return state;
 }
 
-/** Render the aggregated triage document from the recorded entries.
- *  Caller holds the triage mutex. */
+/** Render the crash document from the recorded entries. Caller holds
+ *  the sink mutex. */
 std::string
-buildTriageDocument(const TriageState &state)
+buildCrashDocument(const SinkState &state)
 {
     std::string doc = "{\"schema\": \"s64v-crash-triage-1\", "
                       "\"count\": " +
@@ -253,43 +231,47 @@ buildTriageDocument(const TriageState &state)
 
 } // namespace
 
-void
-installSweepCrashTriage(const std::string &path, std::uint64_t seed)
+ScopedCrashReporting::ScopedCrashReporting(
+    const std::string &path, const std::string &stats_salvage_path,
+    std::uint64_t seed)
 {
-    TriageState &state = triageState();
+    SinkState &state = sinkState();
     {
         std::lock_guard<std::mutex> lock(state.mutex);
         state.crashes.clear();
         state.path = path.empty() ? "crash_report.json" : path;
+        state.statsSalvagePath = stats_salvage_path;
         state.seed = seed;
     }
     setErrorHook([](const char *kind, const std::string &msg) {
         System *sys = crashSystem();
         if (!sys)
             return;
-        TriageState &st = triageState();
+        SinkState &st = sinkState();
         // One mutex serializes concurrent dying points: each appends
-        // its entry and rewrites the aggregate, so no report is ever
+        // its entry and rewrites the document, so no report is ever
         // lost to a last-writer-wins overwrite.
         std::lock_guard<std::mutex> lock(st.mutex);
         st.crashes.push_back(
             buildCrashReportJson(*sys, kind, msg, st.seed));
-        writeCrashReport(st.path, buildTriageDocument(st));
+        writeCrashReport(st.path, buildCrashDocument(st));
+        // Salvage the partial stats of the crashed run as well.
+        if (!st.statsSalvagePath.empty())
+            obs::writeStatsJson(sys->root(), st.statsSalvagePath);
     });
 }
 
-std::size_t
-sweepCrashCount()
-{
-    TriageState &state = triageState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    return state.crashes.size();
-}
-
-void
-uninstallCrashReporting()
+ScopedCrashReporting::~ScopedCrashReporting()
 {
     setErrorHook({});
+}
+
+std::size_t
+crashCount()
+{
+    SinkState &state = sinkState();
+    std::lock_guard<std::mutex> lock(state.mutex);
+    return state.crashes.size();
 }
 
 } // namespace check

@@ -4,15 +4,17 @@
  * one-line panic message is nearly undebuggable after the fact; this
  * module captures the dying machine's state — current cycle, per-core
  * pipeline occupancy, the last committed instructions, in-flight
- * memory transactions — as a JSON document the moment panic() or
- * fatal() is raised (via the logging error hook), and also flushes a
- * partial --stats-json file so the observability outputs of a crashed
- * run are not lost.
+ * memory transactions — the moment panic() or fatal() is raised (via
+ * the logging error hook), and also flushes a partial --stats-json
+ * file so the observability outputs of a crashed run are not lost.
+ * Single runs and sweeps share one sink and one document layout, and
+ * the hook exists only while one of them is running.
  */
 
 #ifndef S64V_CHECK_CRASH_REPORT_HH
 #define S64V_CHECK_CRASH_REPORT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -62,42 +64,38 @@ std::string buildCrashReportJson(System &sys, const char *kind,
 bool writeCrashReport(const std::string &path, const std::string &json);
 
 /**
- * Install the logging error hook: on panic()/fatal(), write a crash
- * report stamped with @p seed for the registered system to @p path
- * (default "crash_report.json" when empty) and, when
- * @p stats_json_path is non-empty, salvage the partial stats JSON
- * there.
- */
-void installCrashReporting(const std::string &path,
-                           const std::string &stats_json_path,
-                           std::uint64_t seed);
-
-/**
- * Install the error hook in sweep-triage mode: under a parallel
- * sweep, several points can fail in one process, and each writing a
- * whole-file report would leave only the last writer's point on disk.
- * This sink instead holds one mutex, appends a per-point entry
- * (sweep-point label/index plus the full per-crash report) to an
- * in-memory list, and atomically rewrites @p path (default
- * "crash_report.json") as one aggregated document
+ * The crash sink of one run or one sweep (PerfModel::run() and
+ * exp::SweepRunner::run() each hold one), installed as the error hook
+ * for the guard's lifetime. Each panic()/fatal() on a thread with a
+ * registered system appends that system's report, stamped with
+ * @p seed, to the list and atomically rewrites @p path (default
+ * "crash_report.json") under one mutex as
  *
  *   {"schema": "s64v-crash-triage-1", "count": N,
  *    "crashes": [ <crash report>, ... ]}
  *
- * after every crash, so the file always names every point that died
- * so far. Each entry is stamped with @p seed. A sweep writes no stats
- * JSON, so there is nothing to salvage. Installing resets the list.
- * Uninstall with uninstallCrashReporting() as usual.
+ * so concurrent dying sweep points never lose each other's entries.
+ * A non-empty @p stats_salvage_path also receives the dying system's
+ * partial stats JSON (single runs; a sweep writes no stats). Building
+ * the guard empties the list; destroying it clears the hook and
+ * restores no earlier one, since no run or sweep nests inside another.
  */
-void installSweepCrashTriage(const std::string &path,
-                             std::uint64_t seed);
+class ScopedCrashReporting
+{
+  public:
+    ScopedCrashReporting(const std::string &path,
+                         const std::string &stats_salvage_path,
+                         std::uint64_t seed);
+    ~ScopedCrashReporting();
 
-/** Crashes recorded by the triage sink since its install. */
-std::size_t sweepCrashCount();
+    ScopedCrashReporting(const ScopedCrashReporting &) = delete;
+    ScopedCrashReporting &
+    operator=(const ScopedCrashReporting &) = delete;
+};
 
-/** Remove the error hook installed by installCrashReporting() /
- *  installSweepCrashTriage(). */
-void uninstallCrashReporting();
+/** Crashes recorded by the most recently built ScopedCrashReporting
+ *  (still readable after it is destroyed). */
+std::size_t crashCount();
 
 } // namespace check
 } // namespace s64v

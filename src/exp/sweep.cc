@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -43,21 +42,11 @@ SweepRunner::effectiveThreads(std::size_t num_points) const
 }
 
 MachineParams
-SweepRunner::effectiveMachine(const SweepPoint &point,
-                              std::size_t index) const
+SweepRunner::effectiveMachine(const SweepPoint &point) const
 {
     MachineParams machine = point.machine;
     machine.sys.warmupInstrs = standardWarmup(point.instrs);
     applyRunOverrides(machine.sys, opts_.run);
-    if (opts_.run.watchdogEscalate &&
-        machine.sys.emergencyCheckpointPath.empty()) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "point%zu.emergency.ckpt", index);
-        machine.sys.emergencyCheckpointPath =
-            opts_.run.journalPath.empty()
-                ? std::string(buf)
-                : opts_.run.journalPath + "." + buf;
-    }
     return machine;
 }
 
@@ -69,7 +58,7 @@ SweepRunner::runPoint(const SweepPoint &point, std::size_t index,
     out = PointResult{};
     out.label = point.label;
 
-    const MachineParams machine = effectiveMachine(point, index);
+    const MachineParams machine = effectiveMachine(point);
 
     check::setCrashPoint(point.label, index);
     ScopedThrowOnError isolate;
@@ -119,10 +108,12 @@ SweepRunner::run(const Sweep &sweep) const
     }
 
     // Process-level run machinery, once for the whole sweep; a point
-    // installs neither. The triage sink aggregates every crashed
-    // point into one document instead of letting concurrent failures
-    // overwrite each other's report.
-    check::installSweepCrashTriage(run.crashReportPath, run.seed);
+    // installs neither. The crash sink collects every crashed point
+    // into one document instead of letting concurrent failures
+    // overwrite each other's report; a sweep writes no stats, so
+    // there is nothing to salvage.
+    check::ScopedCrashReporting crashGuard(run.crashReportPath, "",
+                                           run.seed);
     check::ScopedSignalGuard guard;
 
     const unsigned threads = effectiveThreads(points.size());
@@ -136,7 +127,7 @@ SweepRunner::run(const Sweep &sweep) const
     if (journalled) {
         for (std::size_t i = 0; i < points.size(); ++i) {
             configHash[i] =
-                fingerprintMachine(effectiveMachine(points[i], i));
+                fingerprintMachine(effectiveMachine(points[i]));
             const std::uint64_t key[2] = {
                 fingerprintWorkload(profiles[i]), points[i].instrs};
             workloadHash[i] = ckpt::fnv1a(key, sizeof key);
@@ -273,7 +264,6 @@ SweepRunner::run(const Sweep &sweep) const
             w.join();
     }
 
-    check::uninstallCrashReporting();
     return results;
 }
 

@@ -16,10 +16,11 @@
  *
  * Run options: SweepOptions::run carries the entry point's parsed
  * flags. The runner applies the ones that concern a sweep — threads,
- * seed, watchdog, check level, engine, crash-report path, journal,
- * resume and watchdog escalation — and ignores the single-run outputs
- * (stats JSON, traces, samples, pipeview, checkpoints): a sweep
- * point writes nothing.
+ * seed, watchdog, check level, engine, crash-report path, journal and
+ * resume — and ignores the single-run outputs (stats JSON, traces,
+ * samples, pipeview, checkpoints): a sweep point writes nothing. Every
+ * point that dies is one entry, named by its label and index, in the
+ * sweep's one crash document.
  *
  * Thread count: SweepOptions::threads, else run.threads (--threads=N),
  * else one worker per hardware thread.
@@ -118,16 +119,16 @@ struct SweepOptions
     std::function<void(std::size_t done, std::size_t total,
                        double agg_kips)> progressFn;
     /**
-     * The run options (see the file comment): journalPath, resume
-     * and watchdogEscalate make the sweep durable; seed, watchdog,
-     * check level and engine apply to every point.
+     * The run options (see the file comment): journalPath and
+     * resume make the sweep durable; seed, watchdog, check level and
+     * engine apply to every point.
      */
     obs::ObsOptions run;
 };
 
 /**
- * Executes Sweeps. Owns the process-level run machinery (crash
- * triage, the SIGINT/SIGTERM guard) once for the whole sweep; each
+ * Executes Sweeps. Owns the process-level run machinery (the crash
+ * sink, the SIGINT/SIGTERM guard) for exactly the span of run(); each
  * point runs through PerfModel::prepare() and System::run(), which
  * install neither. The process-wide fault-injection plan must not be
  * mutated while run() is executing.
@@ -154,11 +155,10 @@ class SweepRunner
     unsigned effectiveThreads(std::size_t num_points) const;
 
   private:
-    /** The machine a point actually runs (warmup convention, run
-     *  overrides and escalation applied); also what the journal's
-     *  config hash covers. */
-    MachineParams effectiveMachine(const SweepPoint &point,
-                                   std::size_t index) const;
+    /** The machine a point actually runs (warmup convention and run
+     *  overrides applied); also what the journal's config hash
+     *  covers. */
+    MachineParams effectiveMachine(const SweepPoint &point) const;
 
     void runPoint(const SweepPoint &point, std::size_t index,
                   const TracePool::TraceSet &traces,

@@ -8,10 +8,10 @@
  * up front with a clean diagnostic instead of silently diverging.
  *
  * Durability and self-check knobs (watchdog, check level, engine,
- * checkpoint triggers) are deliberately excluded: they never change
- * simulated timing, so flipping them must not invalidate a checkpoint
- * or force a sweep re-run. Observers (sampler, heartbeat) carry their
- * own periods and are not part of SystemParams at all.
+ * the --checkpoint-at trigger) are deliberately excluded: they never
+ * change simulated timing, so flipping them must not invalidate a
+ * checkpoint or force a sweep re-run. Observers (sampler, heartbeat)
+ * carry their own periods and are not part of SystemParams at all.
  */
 
 #ifndef S64V_MODEL_FINGERPRINT_HH

@@ -128,7 +128,8 @@ PerfModel::attachObservers()
     trace_.reset();
     pipeviews_.clear();
     if (!run_.traceOutPath.empty()) {
-        trace_ = std::make_unique<obs::ChromeTraceWriter>();
+        trace_ = std::make_unique<obs::ChromeTraceWriter>(
+            kTracePipeviewCapacity * traces_.size());
         MemSystem &mem = system_->mem();
         mem.bus().attachTrace(trace_.get());
         for (CpuId cpu = 0; cpu < mem.numCpus(); ++cpu) {
@@ -174,11 +175,12 @@ PerfModel::finishObservers(const SimResult &res)
 SimResult
 PerfModel::run()
 {
-    // Any panic/fatal from here on dumps the dying system's state;
-    // SIGINT/SIGTERM stop the run at a cycle boundary instead of
-    // killing the process, so the observers below still flush.
-    check::installCrashReporting(run_.crashReportPath,
-                                 run_.statsJsonPath, run_.seed);
+    // Until this returns, any panic/fatal dumps the dying system's
+    // state; SIGINT/SIGTERM stop the run at a cycle boundary instead
+    // of killing the process, so the observers below still flush.
+    check::ScopedCrashReporting crash_guard(run_.crashReportPath,
+                                            run_.statsJsonPath,
+                                            run_.seed);
     check::ScopedSignalGuard signal_guard;
 
     System &sys = prepare();

@@ -47,12 +47,12 @@ void applyRunOverrides(SystemParams &sys, const obs::ObsOptions &run);
  * and writes nothing; the sweep runner and the chaos invariants run
  * their points that way, through prepare() and System::run().
  *
- * Robustness: run() installs crash reporting (panic/fatal dumps the
- * dying system's state as JSON, see check/crash_report.hh) and a
- * SIGINT/SIGTERM guard that stops the run at the next cycle boundary
- * with all observer outputs flushed. The watchdog and invariant
- * auditor are configured through SystemParams or the --watchdog= /
- * --check= flags.
+ * Robustness: while it runs, run() holds the crash sink (panic/fatal
+ * dumps the dying system's state as JSON, see check/crash_report.hh)
+ * and a SIGINT/SIGTERM guard that stops the run at the next cycle
+ * boundary with all observer outputs flushed. The watchdog and
+ * invariant auditor are configured through SystemParams or the
+ * --watchdog= / --check= flags.
  */
 class PerfModel
 {
@@ -90,7 +90,7 @@ class PerfModel
     System &prepare();
 
     /**
-     * The single-run entry point: install crash reporting and the
+     * The single-run entry point: under the crash sink and the
      * signal guard, prepare() and run the system, write the output
      * files the options name. Keeps the system for inspection.
      */

@@ -1,7 +1,7 @@
 #include "obs/chrome_trace.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "common/file_util.hh"
 #include "common/logging.hh"
@@ -11,19 +11,10 @@
 namespace s64v::obs
 {
 
-ChromeTraceWriter::ChromeTraceWriter(std::size_t max_events)
-    : maxEvents_(max_events)
+ChromeTraceWriter::ChromeTraceWriter(std::size_t lane_slots)
+    : spansCapacity_(kSpansPerLaneSlot *
+                     std::max<std::size_t>(lane_slots, 1))
 {
-}
-
-bool
-ChromeTraceWriter::admit()
-{
-    if (events_.size() >= maxEvents_) {
-        ++dropped_;
-        return false;
-    }
-    return true;
 }
 
 unsigned
@@ -47,7 +38,7 @@ ChromeTraceWriter::track(int pid, const std::string &name)
     w.field("name", name);
     w.end();
     e.args = w.str();
-    events_.push_back(std::move(e));
+    meta_.push_back(std::move(e));
     return tid;
 }
 
@@ -55,17 +46,14 @@ void
 ChromeTraceWriter::span(int pid, unsigned tid, const std::string &name,
                         const std::string &cat, Cycle start, Cycle end)
 {
-    if (!admit())
-        return;
-    Event e;
-    e.ph = 'X';
-    e.pid = pid;
-    e.tid = tid;
-    e.ts = start;
-    e.dur = end > start ? end - start : 1;
-    e.name = name;
-    e.cat = cat;
-    events_.push_back(std::move(e));
+    if (spans_.size() == spansCapacity_) {
+        const Event &oldest = spans_.front();
+        droppedLast_ = std::max(droppedLast_.value_or(0),
+                                oldest.ts + oldest.dur - 1);
+        spans_.pop_front();
+    }
+    spans_.push_back({'X', pid, tid, start,
+                      end > start ? end - start : 1, name, cat, {}});
 }
 
 void
@@ -82,8 +70,7 @@ ChromeTraceWriter::addPipeRecord(int cpu, const PipeRecord &rec)
     std::snprintf(name, sizeof(name), "%s 0x%llx", className(rec.cls),
                   static_cast<unsigned long long>(rec.pc));
 
-    if (!admit())
-        return;
+    firstLane_ = std::min(firstLane_.value_or(rec.issue), rec.issue);
     Event e;
     e.ph = 'X';
     e.pid = cpu;
@@ -102,14 +89,16 @@ ChromeTraceWriter::addPipeRecord(int cpu, const PipeRecord &rec)
             static_cast<std::uint64_t>(rec.replays));
     w.end();
     e.args = w.str();
-    events_.push_back(std::move(e));
+    lanes_.push_back(std::move(e));
 
     // Nested slice for the execute..complete phase; the containment
     // inside the issue..commit slice makes Perfetto draw it one
     // level deeper on the same lane.
     if (rec.execute >= rec.issue && rec.complete >= rec.execute &&
         rec.complete <= rec.commit)
-        span(cpu, tid, "exec", "pipe", rec.execute, rec.complete + 1);
+        lanes_.push_back({'X', cpu, tid, rec.execute,
+                          rec.complete + 1 - rec.execute, "exec", "pipe",
+                          {}});
 }
 
 void
@@ -127,7 +116,7 @@ ChromeTraceWriter::render() const
     w.beginObject();
     w.field("displayTimeUnit", "ms");
     w.beginArray("traceEvents");
-    for (const Event &e : events_) {
+    auto put = [&w](const Event &e) {
         w.beginObject();
         w.field("ph", std::string(1, e.ph));
         w.field("pid", static_cast<std::int64_t>(e.pid));
@@ -141,7 +130,16 @@ ChromeTraceWriter::render() const
         if (!e.args.empty())
             w.raw("args", e.args);
         w.end();
+    };
+    for (const Event &e : meta_)
+        put(e);
+    const Cycle from = firstLane_.value_or(0);
+    for (const Event &e : spans_) {
+        if (e.ts + e.dur - 1 >= from)
+            put(e);
     }
+    for (const Event &e : lanes_)
+        put(e);
     w.end();
     w.end();
     std::string out = w.str();
@@ -157,9 +155,11 @@ ChromeTraceWriter::writeFile(const std::string &path) const
              err.c_str());
         return false;
     }
-    if (dropped_ != 0) {
-        warn("Chrome trace '%s' dropped %zu events past its cap of %zu",
-             path.c_str(), dropped_, maxEvents_);
+    if (droppedLast_ && *droppedLast_ >= firstLane_.value_or(0)) {
+        warn("Chrome trace '%s': the memory-span ring wrapped inside "
+             "the lanes' window; the memory tracks begin at cycle %llu",
+             path.c_str(),
+             static_cast<unsigned long long>(*droppedLast_ + 1));
     }
     return true;
 }

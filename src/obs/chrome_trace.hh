@@ -12,7 +12,9 @@
 #define S64V_OBS_CHROME_TRACE_HH
 
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,19 +24,27 @@
 namespace s64v::obs
 {
 
-/** Accumulates trace events; render() produces the JSON document. */
+/**
+ * Accumulates trace events; render() produces the JSON document. The
+ * lanes come from the pipeview rings at the end of the run, so they
+ * cover only its last cycles, while memory spans arrive from the
+ * start: the writer keeps the latest spans in a ring sized from the
+ * lanes and renders those that reach the lanes' window.
+ */
 class ChromeTraceWriter
 {
   public:
     /** pid hosting the shared memory-system tracks. */
     static constexpr int kMemPid = 1000;
+    /** Memory spans the ring holds per lane slot. */
+    static constexpr std::size_t kSpansPerLaneSlot = 4;
 
     /**
-     * @param max_events drop events beyond this bound (keeps long
-     *        runs from exhausting memory; writeFile() warns with the
-     *        dropped count).
+     * @param lane_slots pipeline records the lanes can hold, all CPUs
+     *        together; the ring holds kSpansPerLaneSlot times as many
+     *        memory spans.
      */
-    explicit ChromeTraceWriter(std::size_t max_events = 2'000'000);
+    explicit ChromeTraceWriter(std::size_t lane_slots);
 
     /**
      * Get-or-create a named track (thread) under @p pid. Emits the
@@ -42,7 +52,10 @@ class ChromeTraceWriter
      */
     unsigned track(int pid, const std::string &name);
 
-    /** A complete ("X") event spanning [start, end) cycles. */
+    /**
+     * A memory-system complete ("X") event spanning [start, end)
+     * cycles; when the ring is full it drops its oldest span.
+     */
     void span(int pid, unsigned tid, const std::string &name,
               const std::string &cat, Cycle start, Cycle end);
 
@@ -55,15 +68,17 @@ class ChromeTraceWriter
     /** Convert every record currently buffered in @p recorder. */
     void addPipeview(int cpu, const PipeviewRecorder &recorder);
 
-    std::size_t events() const { return events_.size(); }
-    std::size_t dropped() const { return dropped_; }
-
-    /** The complete {"traceEvents": [...]} document. */
+    /**
+     * The complete {"traceEvents": [...]} document: track metadata,
+     * then the memory spans whose last cycle is at or after the first
+     * lane's start (all of them without lanes), then the lanes.
+     */
     std::string render() const;
 
     /**
-     * Write render() to @p path, warning with the path and the count
-     * when events were dropped. @return false on failure.
+     * Write render() to @p path, warning with the path and the cycle
+     * the memory tracks begin at when the ring dropped a span that
+     * reaches the lanes' window. @return false on failure.
      */
     bool writeFile(const std::string &path) const;
 
@@ -80,13 +95,16 @@ class ChromeTraceWriter
         std::string args;   ///< pre-rendered JSON object, or empty.
     };
 
-    bool admit();
-
-    std::size_t maxEvents_;
-    std::size_t dropped_ = 0;
+    std::size_t spansCapacity_;
     unsigned nextTid_ = 0;
     std::map<std::pair<int, std::string>, unsigned> tracks_;
-    std::vector<Event> events_;
+    std::vector<Event> meta_;
+    std::deque<Event> spans_;
+    std::vector<Event> lanes_;
+    /** The first lane's start cycle, once there is a lane. */
+    std::optional<Cycle> firstLane_;
+    /** The latest last cycle of a span the ring dropped, if any. */
+    std::optional<Cycle> droppedLast_;
 };
 
 } // namespace s64v::obs

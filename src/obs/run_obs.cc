@@ -80,9 +80,6 @@ parseObsArgs(int argc, const char *const *argv,
             opts.seed = parseU64(v, "--seed");
         else if (arg == "--no-skip-ahead" || arg == "no-skip-ahead")
             opts.skipAhead = false;
-        else if (arg == "--watchdog-escalate" ||
-                 arg == "watchdog-escalate")
-            opts.watchdogEscalate = true;
         else if (const char *v = matchFlag(arg, "check"))
             opts.checkLevel = check::checkLevelFromString(v);
         else if (const char *v = matchFlag(arg, "inject-fault"))

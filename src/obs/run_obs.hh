@@ -8,7 +8,9 @@
  * two places that apply it: PerfModel for a single run and
  * exp::SweepRunner (through SweepOptions::run) for a sweep. Nothing
  * here is process-wide except the fault plan --inject-fault= arms
- * (check/fault_inject.hh).
+ * (check/fault_inject.hh); the crash sink that --crash-report= names
+ * exists only while one of the two is running
+ * (check::ScopedCrashReporting).
  */
 
 #ifndef S64V_OBS_RUN_OBS_HH
@@ -42,7 +44,10 @@ struct ObsOptions
     std::uint64_t samplePeriod = 0;
     /** Cycles between heartbeat lines (0 = off). */
     std::uint64_t heartbeatPeriod = 0;
-    /** Crash-report JSON path ("" = crash_report.json on crash). */
+    /**
+     * Crash document path ("" = crash_report.json on crash): one
+     * document per run or sweep, listing every crash in it.
+     */
     std::string crashReportPath;
     /** Watchdog threshold override, cycles (kUnset = configured). */
     std::uint64_t watchdogCycles = kUnset;
@@ -86,13 +91,6 @@ struct ObsOptions
      * warning.
      */
     bool resume = false;
-    /**
-     * Watchdog escalation: a hung point writes an emergency
-     * checkpoint (next to the journal, or "point<i>.emergency.ckpt"
-     * without one) before the watchdog kill, so the wedged machine
-     * state survives for offline dissection.
-     */
-    bool watchdogEscalate = false;
     /** @} */
 
     /**
@@ -125,10 +123,10 @@ std::uint64_t effectiveWorkloadSeed(std::uint64_t run_seed,
  * check/fault_inject.hh); the single-run durability flags
  * "checkpoint-at=<cycle>", "checkpoint-out=<path>", "checkpoint-stop"
  * and "restore=<path>"; the sweep flags "threads=" (worker threads,
- * 0 = hardware concurrency), "journal=<path>", "resume=<journal>"
- * and "watchdog-escalate"; "seed=<n>"; and
- * "no-skip-ahead". A numeric value that is not a whole unsigned
- * integer (see parseU64) is fatal(). "inject-fault=" arms the
+ * 0 = hardware concurrency), "journal=<path>" and
+ * "resume=<journal>"; "seed=<n>"; and "no-skip-ahead". A numeric
+ * value that is not a whole unsigned integer (see parseU64) is
+ * fatal(). "inject-fault=" arms the
  * process-wide check::activeFaultPlan(); every other flag lands only
  * in the returned value.
  *

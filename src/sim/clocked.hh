@@ -243,10 +243,10 @@ class CycleKernel
      * kernel flushes automatically before a component's real tick,
      * before any periodic probe fires, and on every loop exit; call
      * this from a *scheduled* probe before reading or mutating
-     * elide-replayed stats (the warm-up reset, an emergency
-     * checkpoint) — scheduled probes otherwise run with idle-tick
-     * stat replays still pending, which is safe only while they
-     * depend on nothing but tick-mutated state (commit counters).
+     * elide-replayed stats (the warm-up reset is the one that does)
+     * — scheduled probes otherwise run with idle-tick stat replays
+     * still pending, which is safe only while they depend on nothing
+     * but tick-mutated state (commit counters).
      */
     void flushElides()
     {

@@ -144,26 +144,8 @@ System::run()
                     std::max(last_commit, core->lastCommitCycle());
             }
             if (watchdog->check(cycle, totalRawCommitted(),
-                                last_commit)) {
-                if (!params_.emergencyCheckpointPath.empty()) {
-                    warn("watchdog fired; writing emergency "
-                         "checkpoint to '%s'",
-                         params_.emergencyCheckpointPath.c_str());
-                    const bool prev = throwOnErrorEnabled();
-                    setThrowOnError(true);
-                    try {
-                        kernel_->flushElides();
-                        cont_.nextCycle = cycle + 1;
-                        ckpt::writeSystemCheckpoint(
-                            *this, params_.emergencyCheckpointPath);
-                    } catch (const std::exception &e) {
-                        warn("emergency checkpoint failed: %s",
-                             e.what());
-                    }
-                    setThrowOnError(prev);
-                }
+                                last_commit))
                 panic("%s", watchdog->diagnosis().c_str());
-            }
             return ProbeNext{watchdog->deadline(),
                              watchdog->awaitingEvent(cycle)};
         });

@@ -83,12 +83,6 @@ struct SystemParams
     check::CheckLevel checkLevel = check::CheckLevel::EndOfRun;
     /** Mid-run snapshot trigger (see CheckpointParams). */
     CheckpointParams checkpoint;
-    /**
-     * Watchdog escalation (empty = off): before the deadlock panic,
-     * write an emergency checkpoint here so the hung machine state
-     * survives the kill and can be dissected offline.
-     */
-    std::string emergencyCheckpointPath;
 };
 
 /**

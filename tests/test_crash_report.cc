@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "check/fault_inject.hh"
 #include "common/logging.hh"
+#include "model/params.hh"
+#include "model/perf_model.hh"
 #include "obs/run_obs.hh"
 #include "sim/system.hh"
 #include "workload/generator.hh"
@@ -78,26 +83,41 @@ TEST(CrashReport, PanicTriggersTheInstalledHook)
     check::setCrashSystem(&sys);
     const std::string path = tempPath("hooked_crash.json");
     std::remove(path.c_str());
-    check::installCrashReporting(path, "", obs::ObsOptions::kUnset);
-
-    setThrowOnError(true);
-    EXPECT_THROW(panic("synthetic failure %d", 42),
-                 std::runtime_error);
-    setThrowOnError(false);
-    check::uninstallCrashReporting();
-    check::setCrashSystem(nullptr);
+    {
+        check::ScopedCrashReporting sink(path, "",
+                                         obs::ObsOptions::kUnset);
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(panic("synthetic failure %d", 42),
+                     std::runtime_error);
+    }
 
     const std::string json = slurp(path);
     ASSERT_FALSE(json.empty()) << "crash report was not written";
+    EXPECT_EQ(json.rfind("{\"schema\": \"s64v-crash-triage-1\", "
+                         "\"count\": 1, \"crashes\": [{",
+                         0),
+              0u)
+        << json;
     EXPECT_NE(json.find("synthetic failure 42"), std::string::npos);
     expectKey(json, "cores");
+    EXPECT_EQ(check::crashCount(), 1u);
+
+    // The sink ended with its guard: a later error writes nothing.
+    {
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(panic("after the guard"), std::runtime_error);
+    }
+    check::setCrashSystem(nullptr);
+    EXPECT_EQ(slurp(path), json);
+    EXPECT_EQ(check::crashCount(), 1u);
+    std::remove(path.c_str());
 }
 
 TEST(CrashReport, WatchdogAbortLeavesAFullReport)
 {
-    // The ISSUE acceptance path: an injected commit stall makes the
-    // watchdog fire, and the resulting crash report must name the
-    // stall cycle and carry per-core stage occupancy.
+    // The watchdog path end to end: an injected commit stall makes
+    // the watchdog fire, and the resulting crash report must name the
+    // stall and carry per-core stage occupancy.
     check::activeFaultPlan().parse("stall:200");
     SystemParams sp;
     sp.watchdogCycles = 500;
@@ -109,15 +129,15 @@ TEST(CrashReport, WatchdogAbortLeavesAFullReport)
     std::remove(path.c_str());
     const std::string stats = tempPath("watchdog_partial_stats.json");
     std::remove(stats.c_str());
-    check::installCrashReporting(path, stats, 9);
-
-    setThrowOnError(true);
-    EXPECT_THROW(sys.run(), std::runtime_error);
-    setThrowOnError(false);
-    check::uninstallCrashReporting();
+    {
+        check::ScopedCrashReporting sink(path, stats, 9);
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(sys.run(), std::runtime_error);
+    }
 
     const std::string json = slurp(path);
     ASSERT_FALSE(json.empty()) << "crash report was not written";
+    EXPECT_NE(json.find("\"count\": 1,"), std::string::npos) << json;
     EXPECT_NE(json.find("no instruction committed"),
               std::string::npos);
     expectKey(json, "occupancy");
@@ -126,20 +146,78 @@ TEST(CrashReport, WatchdogAbortLeavesAFullReport)
     // The stalled window is full: occupancy must be non-zero, i.e.
     // the report must not claim an idle machine.
     EXPECT_EQ(json.find("\"window\":0,"), std::string::npos);
-    // Stamped with the seed the hook was installed with.
+    // Stamped with the seed the sink was built with.
     EXPECT_NE(json.find("\"seed\":9"), std::string::npos);
 
     // The partial stats flush happened too.
     const std::string partial = slurp(stats);
     EXPECT_FALSE(partial.empty());
+    std::remove(path.c_str());
+    std::remove(stats.c_str());
 }
 
 TEST(CrashReport, InstallWithEmptyPathUsesTheDefault)
 {
-    // Exercised only for the install/uninstall path; no crash is
-    // raised, so no file appears.
-    check::installCrashReporting("", "", obs::ObsOptions::kUnset);
-    check::uninstallCrashReporting();
+    // An empty path means crash_report.json in the working directory;
+    // run the crash in a directory of its own so none is left behind.
+    std::string dir = tempPath("crash_default_XXXXXX");
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    char cwd[4096];
+    ASSERT_NE(getcwd(cwd, sizeof cwd), nullptr);
+    ASSERT_EQ(chdir(dir.c_str()), 0);
+
+    System sys{SystemParams{}};
+    check::setCrashSystem(&sys);
+    {
+        check::ScopedCrashReporting sink("", "",
+                                         obs::ObsOptions::kUnset);
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(panic("default path"), std::runtime_error);
+    }
+    check::setCrashSystem(nullptr);
+    const std::string json = slurp("crash_report.json");
+    std::remove("crash_report.json");
+    EXPECT_EQ(chdir(cwd), 0);
+    EXPECT_EQ(rmdir(dir.c_str()), 0);
+
+    EXPECT_NE(json.find("\"count\": 1,"), std::string::npos) << json;
+    EXPECT_NE(json.find("default path"), std::string::npos) << json;
+}
+
+TEST(CrashReport, HookEndsWithTheRun)
+{
+    // A run's crash sink and stats salvage belong to that run: a
+    // machine that dies after PerfModel::run() returned must touch
+    // neither of its files.
+    const std::string crash = tempPath("hook_ends_crash.json");
+    const std::string stats = tempPath("hook_ends_stats.json");
+    std::remove(crash.c_str());
+    std::remove(stats.c_str());
+    obs::ObsOptions run;
+    run.crashReportPath = crash;
+    run.statsJsonPath = stats;
+    PerfModel model(sparc64vBase(), run);
+    model.loadWorkload(specint95Profile(), 20'000);
+    model.run();
+    const std::string before = slurp(stats);
+    ASSERT_FALSE(before.empty());
+
+    SystemParams sp = sparc64vBase().sys;
+    sp.watchdogCycles = 2; // absurdly tight: fires immediately.
+    System sick(sp);
+    sick.attachTrace(0, generateTrace(tpccProfile(), 8000));
+    std::string sink;
+    setLogSink(&sink);
+    {
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(sick.run(), std::runtime_error);
+    }
+    setLogSink(nullptr);
+
+    EXPECT_FALSE(std::ifstream(crash).good()) << slurp(crash);
+    EXPECT_EQ(slurp(stats), before);
+    std::remove(crash.c_str());
+    std::remove(stats.c_str());
 }
 
 } // namespace

@@ -393,17 +393,15 @@ TEST(Journal, DurabilityFlagsParse)
 {
     const char *argv[] = {"sim",
                           "--journal=sweep.journal",
-                          "--watchdog-escalate",
                           "--checkpoint-at=100000",
                           "--checkpoint-out=run.ckpt",
                           "--checkpoint-stop",
                           "--restore=old.ckpt"};
     std::vector<std::string> rest;
-    const obs::ObsOptions o = obs::parseObsArgs(7, argv, &rest);
+    const obs::ObsOptions o = obs::parseObsArgs(6, argv, &rest);
     EXPECT_TRUE(rest.empty());
     EXPECT_EQ(o.journalPath, "sweep.journal");
     EXPECT_FALSE(o.resume);
-    EXPECT_TRUE(o.watchdogEscalate);
     EXPECT_EQ(o.checkpointAt, 100000u);
     EXPECT_EQ(o.checkpointOut, "run.ckpt");
     EXPECT_TRUE(o.checkpointStop);

@@ -4,9 +4,12 @@
  * sampling, Chrome trace export, heartbeat, and the run-option parser.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,7 +215,7 @@ TEST(Sampler, ToleratesWarmupReset)
 
 TEST(ChromeTrace, RendersValidDocument)
 {
-    obs::ChromeTraceWriter tw;
+    obs::ChromeTraceWriter tw(/*lane_slots=*/1);
     const unsigned tid =
         tw.track(obs::ChromeTraceWriter::kMemPid, "bus.data");
     tw.span(obs::ChromeTraceWriter::kMemPid, tid, "xfer", "bus",
@@ -240,27 +243,131 @@ TEST(ChromeTrace, RendersValidDocument)
     EXPECT_NE(doc.find("\"exec\""), std::string::npos);
 }
 
-TEST(ChromeTrace, TrackIsStableAndCapIsEnforced)
+/** The ts, dur and cat of every complete event in a Chrome trace. */
+struct XEvent
 {
-    obs::ChromeTraceWriter tw(/*max_events=*/3);
-    const unsigned a = tw.track(1, "t"); // 1 metadata event
-    EXPECT_EQ(tw.track(1, "t"), a);      // no duplicate metadata
-    tw.span(1, a, "s1", "c", 0, 1);
-    tw.span(1, a, "s2", "c", 1, 2);
-    tw.span(1, a, "s3", "c", 2, 3); // over the cap: dropped
-    EXPECT_EQ(tw.events(), 3u);
-    EXPECT_EQ(tw.dropped(), 1u);
-    EXPECT_TRUE(JsonChecker(tw.render()).valid());
+    std::uint64_t ts;
+    std::uint64_t dur;
+    std::string cat;
+};
 
-    // Writing the trace says what it dropped, and where.
-    const std::string path = ::testing::TempDir() + "capped_trace.json";
+std::vector<XEvent>
+completeEvents(const std::string &doc)
+{
+    const std::string key = "{\"ph\":\"X\"";
+    std::vector<XEvent> out;
+    for (std::size_t at = doc.find(key); at != std::string::npos;) {
+        const std::size_t next = doc.find(key, at + 1);
+        const std::string ev = doc.substr(at, next - at);
+        const std::size_t cat = ev.find("\"cat\":\"") + 7;
+        out.push_back({std::stoull(ev.substr(ev.find("\"ts\":") + 5)),
+                       std::stoull(ev.substr(ev.find("\"dur\":") + 6)),
+                       ev.substr(cat, ev.find('"', cat) - cat)});
+        at = next;
+    }
+    return out;
+}
+
+TEST(ChromeTrace, MemorySpansKeepTheLanesWindow)
+{
+    // One lane slot: a ring of kSpansPerLaneSlot memory spans.
+    obs::ChromeTraceWriter tw(/*lane_slots=*/1);
+    ASSERT_EQ(obs::ChromeTraceWriter::kSpansPerLaneSlot, 4u);
+    const unsigned a = tw.track(obs::ChromeTraceWriter::kMemPid, "t");
+    EXPECT_EQ(tw.track(obs::ChromeTraceWriter::kMemPid, "t"), a);
+    tw.span(obs::ChromeTraceWriter::kMemPid, a, "s1", "mem", 0, 1);
+    tw.span(obs::ChromeTraceWriter::kMemPid, a, "s2", "mem", 1, 2);
+    tw.span(obs::ChromeTraceWriter::kMemPid, a, "s3", "mem", 90, 100);
+    tw.span(obs::ChromeTraceWriter::kMemPid, a, "s4", "mem", 95, 101);
+    tw.span(obs::ChromeTraceWriter::kMemPid, a, "s5", "mem", 102, 110);
+
+    // Without lanes every span in the ring renders; the oldest is
+    // gone.
+    std::string doc = tw.render();
+    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
+    EXPECT_EQ(doc.find("\"s1\""), std::string::npos) << doc;
+    for (const char *kept : {"\"s2\"", "\"s3\"", "\"s4\"", "\"s5\""})
+        EXPECT_NE(doc.find(kept), std::string::npos) << kept;
+
+    // A lane from cycle 100: a span whose last cycle is before it is
+    // not rendered, one that reaches it is.
+    PipeRecord rec;
+    rec.seq = 1;
+    rec.issue = 100;
+    rec.dispatch = 101;
+    rec.execute = 102;
+    rec.complete = 103;
+    rec.commit = 104;
+    tw.addPipeRecord(0, rec);
+    doc = tw.render();
+    EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
+    EXPECT_EQ(doc.find("\"s2\""), std::string::npos) << doc;
+    EXPECT_EQ(doc.find("\"s3\""), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"s4\""), std::string::npos) << doc;
+    EXPECT_NE(doc.find("\"s5\""), std::string::npos) << doc;
+    // Metadata first, then memory spans, then the lanes.
+    EXPECT_LT(doc.find("\"thread_name\""), doc.find("\"s4\""));
+    EXPECT_LT(doc.find("\"s5\""), doc.find("\"pipe\""));
+
+    // The ring dropped only s1, which ends before the window: writing
+    // the file says nothing.
+    const std::string path = ::testing::TempDir() + "window_trace.json";
     std::string sink;
     setLogSink(&sink);
     EXPECT_TRUE(tw.writeFile(path));
     setLogSink(nullptr);
+    EXPECT_EQ(sink, "");
+
+    // Four more spans push s2..s5 out; s4 and s5 reached the lanes,
+    // so the memory tracks are complete only from cycle 110 on.
+    for (Cycle c = 120; c < 124; ++c)
+        tw.span(obs::ChromeTraceWriter::kMemPid, a, "late", "mem", c,
+                c + 1);
+    setLogSink(&sink);
+    EXPECT_TRUE(tw.writeFile(path));
+    setLogSink(nullptr);
     EXPECT_NE(sink.find("'" + path + "'"), std::string::npos) << sink;
-    EXPECT_NE(sink.find("dropped 1 events"), std::string::npos) << sink;
+    EXPECT_NE(sink.find("begin at cycle 110"), std::string::npos)
+        << sink;
     std::remove(path.c_str());
+}
+
+TEST(ChromeTrace, TracedRunRendersOnlyTheLanesWindow)
+{
+    obs::ObsOptions run;
+    run.traceOutPath = ::testing::TempDir() + "run_window_trace.json";
+    PerfModel model(sparc64vBase(), run);
+    model.loadWorkload(tpccProfile(), 30'000);
+    model.run();
+    std::ifstream in(run.traceOutPath);
+    const std::string doc((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    std::remove(run.traceOutPath.c_str());
+    ASSERT_TRUE(JsonChecker(doc).valid());
+
+    std::uint64_t first = ~std::uint64_t{0}, last = 0;
+    std::size_t lanes = 0;
+    const std::vector<XEvent> events = completeEvents(doc);
+    for (const XEvent &e : events) {
+        if (e.cat != "pipe")
+            continue;
+        ++lanes;
+        first = std::min(first, e.ts);
+        last = std::max(last, e.ts + e.dur);
+    }
+    ASSERT_GT(lanes, 0u);
+    std::size_t spans = 0, outside = 0;
+    for (const XEvent &e : events) {
+        if (e.cat == "pipe")
+            continue;
+        ++spans;
+        if (e.ts + e.dur <= first || e.ts >= last)
+            ++outside;
+    }
+    EXPECT_EQ(outside, 0u) << "of " << spans << " memory spans, lanes "
+                           << first << "-" << last;
+    // The run misses in the lanes' window, so the check is not empty.
+    EXPECT_GT(spans, 0u);
 }
 
 TEST(Heartbeat, ReportsProgress)
@@ -355,15 +462,18 @@ TEST(RunObs, ReturnsTheArgumentsItDoesNotRecognise)
         "prog",          "workload=TPC-C",  "--resume=s.journal",
         "instrs=20000",  "--threads=2",     "--resume",
         "--seed=3",      "--no-skip-ahead", "pipeview=8",
-        "skip-ahead=0",  "--check=cycle",   "--typo",
+        "skip-ahead=0",  "--check=cycle",   "--watchdog-escalate",
+        "--typo",
     };
     std::vector<std::string> rest;
-    const obs::ObsOptions o = obs::parseObsArgs(12, argv, &rest);
+    const obs::ObsOptions o = obs::parseObsArgs(13, argv, &rest);
     // Everything the obs layer does not own comes back, in order; a
-    // bare --resume, which names no journal, is not a run flag.
+    // bare --resume, which names no journal, is not a run flag, and
+    // neither is --watchdog-escalate, whose checkpoints are gone.
     EXPECT_EQ(rest, (std::vector<std::string>{
                         "workload=TPC-C", "instrs=20000", "--resume",
-                        "pipeview=8", "skip-ahead=0", "--typo"}));
+                        "pipeview=8", "skip-ahead=0",
+                        "--watchdog-escalate", "--typo"}));
     EXPECT_EQ(o.journalPath, "s.journal");
     EXPECT_EQ(o.threads, 2u);
     EXPECT_TRUE(o.resume);

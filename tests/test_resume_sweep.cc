@@ -8,9 +8,8 @@
  * journal between two sweeps, write the same bytes at any worker
  * count, and survive the injected kill-point fault — an abrupt
  * std::_Exit mid-run, modelling an OOM-kill — with the distinct exit
- * code 86 and a clean resume afterwards. Also covers per-point
- * watchdog escalation (an emergency checkpoint next to the journal)
- * and the fault/sweep-point context satellites of the crash report.
+ * code 86 and a clean resume afterwards. Also covers the fault and
+ * sweep-point blocks of the crash report.
  */
 
 #include <sys/wait.h>
@@ -28,11 +27,9 @@
 #include "check/crash_report.hh"
 #include "check/fault_inject.hh"
 #include "check/signals.hh"
-#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 #include "exp/journal.hh"
 #include "exp/sweep.hh"
-#include "model/fingerprint.hh"
 #include "model/perf_model.hh"
 #include "workload/workloads.hh"
 
@@ -419,7 +416,7 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
     EXPECT_EQ(healthyRuns.load(), 1);
     // The sick point ran, and died, once; only the healthy one is
     // journalled.
-    EXPECT_EQ(check::sweepCrashCount(), 1u);
+    EXPECT_EQ(check::crashCount(), 1u);
     auto entries = journalEntries(jpath);
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].index, 0u);
@@ -434,7 +431,7 @@ TEST(ResumeSweep, PersistentFailureRunsOncePerSweep)
     EXPECT_TRUE(resumed[0].ok);
     EXPECT_FALSE(resumed[1].ok);
     EXPECT_EQ(healthyRuns.load(), 1);
-    EXPECT_EQ(check::sweepCrashCount(), 1u);
+    EXPECT_EQ(check::crashCount(), 1u);
     EXPECT_EQ(journalEntries(jpath).size(), 1u);
     std::remove(jpath.c_str());
     std::remove(opts.run.crashReportPath.c_str());
@@ -572,40 +569,6 @@ TEST(ResumeSweep, KillPointDiesWithCode86AndResumeCompletesTheRest)
               std::string::npos)
         << sink;
     std::remove(jpath.c_str());
-}
-
-TEST(ResumeSweep, WatchdogEscalationLeavesEmergencyCheckpoint)
-{
-    const std::string jpath = tempPath("escalate.journal");
-    const std::string ckpt = jpath + ".point1.emergency.ckpt";
-    std::remove(jpath.c_str());
-    std::remove(ckpt.c_str());
-
-    exp::Sweep sweep;
-    sweep.add("ok", sparc64vBase(), tpccProfile(), 6000);
-    MachineParams sick = sparc64vBase();
-    sick.sys.watchdogCycles = 2;
-    sweep.add("sick", sick, tpccProfile(), 6000);
-
-    exp::SweepOptions opts;
-    opts.threads = 1;
-    opts.run.journalPath = jpath;
-    opts.run.watchdogEscalate = true;
-    std::string sink;
-    setLogSink(&sink);
-    const auto results = exp::SweepRunner(opts).run(sweep);
-    setLogSink(nullptr);
-
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_FALSE(results[1].ok);
-    // The wedged machine's state survived its kill, as a readable
-    // snapshot named after the sweep point.
-    ckpt::SnapshotReader r = ckpt::SnapshotReader::fromFile(ckpt);
-    EXPECT_EQ(r.modelVersion(), modelVersionString());
-    EXPECT_TRUE(r.hasSection("run"));
-    EXPECT_TRUE(r.hasSection("cpu0"));
-    std::remove(jpath.c_str());
-    std::remove(ckpt.c_str());
 }
 
 TEST(ResumeSweep, CrashReportNamesInjectedFaultAndSweepPoint)

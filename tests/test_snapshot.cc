@@ -792,36 +792,5 @@ TEST(Checkpoint, ForgedLayoutNumberIsRefusedByName)
     std::remove(path.c_str());
 }
 
-TEST(Checkpoint, WatchdogEscalationWritesEmergencyCheckpoint)
-{
-    const std::string path = tempPath("emergency.ckpt");
-    std::remove(path.c_str());
-
-    SystemParams sp = sparc64vBase().sys;
-    sp.watchdogCycles = 2; // absurdly tight: fires immediately.
-    sp.emergencyCheckpointPath = path;
-    System sys(sp);
-    attachAll(sys, makeTraces(tpccProfile(), 1, 8000));
-
-    std::string sink;
-    setLogSink(&sink);
-    {
-        ScopedThrowOnError guard;
-        EXPECT_THROW(sys.run(), std::runtime_error);
-    }
-    setLogSink(nullptr);
-
-    // The deadlock still kills the run, but the dying machine's state
-    // made it to disk first — and is a readable snapshot.
-    EXPECT_NE(sink.find("emergency checkpoint"), std::string::npos)
-        << sink;
-    ckpt::SnapshotReader r = ckpt::SnapshotReader::fromFile(path);
-    EXPECT_EQ(r.modelVersion(), modelVersionString());
-    EXPECT_TRUE(r.hasSection("config"));
-    EXPECT_TRUE(r.hasSection("run"));
-    EXPECT_TRUE(r.hasSection("cpu0"));
-    std::remove(path.c_str());
-}
-
 } // namespace
 } // namespace s64v

@@ -1,7 +1,7 @@
 /**
  * @file
  * Robustness tests for the sweep engine's failure-handling paths: the
- * mutex-held triage sink must name every point that died in a
+ * mutex-held crash sink must name every point that died in a
  * parallel sweep, and the run's --seed= must be stamped into stats
  * JSON and crash reports so a run is replayable from its own outputs.
  */
@@ -73,7 +73,7 @@ TEST(SweepRobustness, ParallelCrashTriageNamesEveryDeadPoint)
 
     // Both crashes survive in one aggregated document — neither
     // writer clobbered the other.
-    EXPECT_EQ(check::sweepCrashCount(), 2u);
+    EXPECT_EQ(check::crashCount(), 2u);
     const std::string doc = slurp(report);
     EXPECT_NE(doc.find("s64v-crash-triage-1"), std::string::npos)
         << doc;

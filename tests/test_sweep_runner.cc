@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 
 #include <gtest/gtest.h>
@@ -85,7 +86,10 @@ TEST(SweepRunner, PanickingPointIsIsolated)
 {
     // An absurdly tight watchdog makes one configuration panic
     // mid-run; the sweep must report that point as failed and still
-    // finish every other point, serially and in parallel.
+    // finish every other point, serially and in parallel, and its
+    // crash document must name the point.
+    const std::string report =
+        ::testing::TempDir() + "isolated_crash.json";
     for (const unsigned threads : {1u, 4u}) {
         exp::Sweep sweep;
         sweep.add("ok-before", sparc64vBase(), tpccProfile(), kRun);
@@ -94,8 +98,10 @@ TEST(SweepRunner, PanickingPointIsIsolated)
         sweep.add("sick", sick, tpccProfile(), kRun);
         sweep.add("ok-after", sparc64vBase(), tpccProfile(), kRun);
 
+        std::remove(report.c_str());
         exp::SweepOptions opts;
         opts.threads = threads;
+        opts.run.crashReportPath = report;
         const auto results = exp::SweepRunner(opts).run(sweep);
 
         ASSERT_EQ(results.size(), 3u);
@@ -106,7 +112,15 @@ TEST(SweepRunner, PanickingPointIsIsolated)
             << results[1].error;
         EXPECT_TRUE(results[2].ok) << results[2].error;
         EXPECT_EQ(diffSim(results[0].sim, results[2].sim), "");
+
+        std::ifstream in(report);
+        const std::string doc((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        EXPECT_NE(doc.find("\"count\": 1,"), std::string::npos) << doc;
+        EXPECT_NE(doc.find("\"label\":\"sick\""), std::string::npos)
+            << doc;
     }
+    std::remove(report.c_str());
 }
 
 TEST(SweepRunner, MetricProbeRunsPerPoint)
