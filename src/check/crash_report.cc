@@ -235,6 +235,11 @@ ScopedCrashReporting::ScopedCrashReporting(
     const std::string &path, const std::string &stats_salvage_path,
     std::uint64_t seed)
 {
+    // A machine registered by an earlier run on this thread is not
+    // this run's: until this run's System::run() registers its own, a
+    // failure finds no machine and records nothing, as it would on a
+    // fresh sweep worker.
+    setCrashSystem(nullptr);
     SinkState &state = sinkState();
     {
         std::lock_guard<std::mutex> lock(state.mutex);
@@ -256,8 +261,10 @@ ScopedCrashReporting::ScopedCrashReporting(
             buildCrashReportJson(*sys, kind, msg, st.seed));
         writeCrashReport(st.path, buildCrashDocument(st));
         // Salvage the partial stats of the crashed run as well.
-        if (!st.statsSalvagePath.empty())
+        if (!st.statsSalvagePath.empty()) {
+            sys->settleStats();
             obs::writeStatsJson(sys->root(), st.statsSalvagePath);
+        }
     });
 }
 

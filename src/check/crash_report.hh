@@ -77,8 +77,10 @@ bool writeCrashReport(const std::string &path, const std::string &json);
  * so concurrent dying sweep points never lose each other's entries.
  * A non-empty @p stats_salvage_path also receives the dying system's
  * partial stats JSON (single runs; a sweep writes no stats). Building
- * the guard empties the list; destroying it clears the hook and
- * restores no earlier one, since no run or sweep nests inside another.
+ * the guard empties the list and clears the calling thread's
+ * registered system (an earlier run's machine is never this run's);
+ * destroying it clears the hook and restores no earlier one, since no
+ * run or sweep nests inside another.
  */
 class ScopedCrashReporting
 {

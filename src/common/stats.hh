@@ -80,15 +80,15 @@ class Distribution
     }
 
     /**
-     * Record one occurrence of the integer @p v: an increment when it
-     * lies inside the tally range, sample() otherwise.
+     * Record @p n occurrences of the integer @p v: an add when it lies
+     * inside the tally range, sample() otherwise.
      */
-    void tally(std::uint64_t v)
+    void tally(std::uint64_t v, std::uint64_t n = 1)
     {
         if (v < tally_.size())
-            ++tally_[v];
+            tally_[v] += n;
         else
-            sample(static_cast<double>(v));
+            sample(static_cast<double>(v), n);
     }
 
     /** Tally integer samples in [0, @p range) from now on. */
@@ -156,12 +156,12 @@ class Histogram
     }
 
     /** As Distribution::tally(); folded into dist and buckets. */
-    void tally(std::uint64_t v)
+    void tally(std::uint64_t v, std::uint64_t n = 1)
     {
         if (v < tally_.size())
-            ++tally_[v];
+            tally_[v] += n;
         else
-            sample(static_cast<double>(v));
+            sample(static_cast<double>(v), n);
     }
 
     /** Tally integer samples in [0, @p range) from now on. */

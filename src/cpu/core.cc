@@ -86,6 +86,22 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
             "rsf1", params_.rsfEntries, 1, &statGroup_);
     }
 
+    // One occupancy-sample slot per value each structure can hold
+    // (an absent station keeps one unused slot).
+    unsigned slots = 0;
+    for (unsigned i = 0; i < kNumOcc; ++i) {
+        occBase_[i] = slots;
+        if (i < kNumRs)
+            slots += rs_[i] ? rs_[i]->capacity() + 1 : 1;
+        else if (i == kOccWindow)
+            slots += params_.windowEntries + 1;
+        else if (i == kOccLq)
+            slots += params_.loadQueueEntries + 1;
+        else
+            slots += params_.storeQueueEntries + 1;
+    }
+    occCycles_.assign(slots, 0);
+
     static const char *const kUnitNames[] = {"eaga", "eagb", "exa", "exb",
                                              "fla",  "flb",  "br"};
     static_assert(std::size(kUnitNames) ==
@@ -102,17 +118,6 @@ Core::setTrace(VectorTraceSource *source)
 }
 
 Cycle
-Core::predReadyOf(std::uint64_t prod_seq, Cycle now) const
-{
-    if (prod_seq == 0 || !window_.contains(prod_seq))
-        return 0; // committed or no producer: ready.
-    const WindowEntry &e = window_.entry(prod_seq);
-    if (e.missKnownAt <= now)
-        return e.actualReady; // cancel broadcast arrived.
-    return e.predReady;
-}
-
-Cycle
 Core::actualReadyOf(std::uint64_t prod_seq) const
 {
     if (prod_seq == 0 || !window_.contains(prod_seq))
@@ -120,31 +125,39 @@ Core::actualReadyOf(std::uint64_t prod_seq) const
     return window_.entry(prod_seq).actualReady;
 }
 
-bool
-Core::sourcesDispatchable(const WindowEntry &e, Cycle now,
-                          Cycle exec_start) const
+inline Cycle
+Core::sourceReadyAt(std::uint64_t prod, Cycle now, Cycle exec_start) const
+{
+    if (!window_.contains(prod))
+        return now; // committed or no producer (seq 0): ready.
+    const WindowEntry &p = window_.entry(prod);
+    // Confirmed readiness is the only schedule without speculative
+    // dispatch (deep-pipeline bubbles are fully exposed), and the one
+    // after a miss-cancel broadcast; before it the optimistic
+    // schedule holds, until at most the broadcast.
+    Cycle r = p.actualReady;
+    Cycle cap = kCycleNever;
+    if (params_.speculativeDispatch && p.missKnownAt > now) {
+        r = p.predReady;
+        cap = p.missKnownAt;
+    }
+    if (r <= exec_start)
+        return now;
+    // r - d2e > now, and a producer with no schedule yet (r ==
+    // kCycleNever) yields a bound just as far out.
+    return std::min(r - params_.dispatchToExec, cap);
+}
+
+Cycle
+Core::sourcesReadyAt(const WindowEntry &e, Cycle now,
+                     Cycle exec_start) const
 {
     // Stores gate address generation on the address source only; the
     // data register is checked before commit (pendingStoreStage).
-    const bool store = e.rec.isStore();
-    if (params_.speculativeDispatch) {
-        if (predReadyOf(e.src1Prod, now) > exec_start)
-            return false;
-        if (!store && predReadyOf(e.src2Prod, now) > exec_start)
-            return false;
-        return true;
-    }
-    // Without speculative dispatch only confirmed-ready sources allow
-    // dispatch (deep-pipeline bubbles are fully exposed).
-    const Cycle a1 = actualReadyOf(e.src1Prod);
-    if (a1 == kCycleNever || a1 > exec_start)
-        return false;
-    if (!store) {
-        const Cycle a2 = actualReadyOf(e.src2Prod);
-        if (a2 == kCycleNever || a2 > exec_start)
-            return false;
-    }
-    return true;
+    const Cycle t = sourceReadyAt(e.src1Prod, now, exec_start);
+    if (t > now || e.rec.isStore())
+        return t;
+    return sourceReadyAt(e.src2Prod, now, exec_start);
 }
 
 bool
@@ -172,6 +185,7 @@ Core::replay(WindowEntry &e, Cycle now)
     // Cancelled operations re-enter selection after the pipeline
     // recovers, not on the very next cycle.
     e.notBefore = now + params_.dispatchToExec;
+    memoCycle_ = std::min(memoCycle_, e.notBefore);
     ++e.replays;
     ++replays_;
     ++activity_;
@@ -216,24 +230,23 @@ Core::classifyCommitStall(Cycle cycle) const
 void
 Core::commitStage(Cycle cycle)
 {
-    if (cycle >= commitStallAt_) {
-        // Injected retirement freeze: leave everything in the window
-        // so the deadlock propagates upstream naturally.
-        if (!window_.empty())
-            ++commitIdleCycles_;
-        cpiStack_.account(obs::CommitSlot::Serialize,
-                          params_.commitWidth);
-        return;
-    }
     unsigned n = 0;
-    while (n < params_.commitWidth && !window_.empty()) {
+    unsigned loads = 0;
+    bool stores = false;
+    // An injected retirement freeze leaves everything in the window
+    // so the deadlock propagates upstream naturally.
+    while (cycle < commitStallAt_ && n < params_.commitWidth &&
+           !window_.empty()) {
         WindowEntry &e = window_.head();
         if (e.state != InstrState::Done || e.doneCycle > cycle)
             break;
-        if (e.rec.isStore())
+        if (e.rec.isStore()) {
             lsq_->commitStore(e.lsqIndex);
-        else if (e.rec.isLoad())
+            stores = true;
+        } else if (e.rec.isLoad()) {
             lsq_->freeLoad(e.lsqIndex);
+            ++loads;
+        }
         rename_->release(e.usesIntRename, e.usesFpRename);
         ++committed_;
         if (e.rec.isLoad())
@@ -260,31 +273,144 @@ Core::commitStage(Cycle cycle)
             pr.replays = e.replays;
             pipeview_->record(pr);
         }
+        // A retired producer stops gating its consumers: sooner than
+        // its schedule said when forwarding is slower than the
+        // dispatch-to-execute distance, or when a miss merged into a
+        // fill that landed retires before its cancel broadcast.
+        if (e.rec.dst != kNoReg &&
+            (forwardDelay() > params_.dispatchToExec ||
+             (e.missKnownAt != kCycleNever && e.missKnownAt > cycle)))
+            ++readyStamp_;
         window_.retireHead();
         ++n;
         ++activity_;
     }
-    if (n == 0 && !window_.empty())
-        ++commitIdleCycles_;
 
     // Commit-slot accounting: every slot of every ticked cycle goes
     // to exactly one bucket, so totals always sum to commitWidth *
-    // ticked cycles and the committed bucket mirrors committed_.
-    cpiStack_.account(obs::CommitSlot::Committed, n);
-    if (n < params_.commitWidth) {
-        cpiStack_.account(classifyCommitStall(cycle),
-                          params_.commitWidth - n);
+    // ticked cycles and the committed bucket mirrors committed_. A
+    // cycle that retires nothing joins the open span of such cycles.
+    if (n == 0) {
+        const obs::CommitSlot slot = cycle >= commitStallAt_
+            ? obs::CommitSlot::Serialize
+            : classifyCommitStall(cycle);
+        const bool idle = !window_.empty();
+        if (slot != commitSpan_.slot || idle != commitSpan_.idle) {
+            closeCommitSpan(cycle);
+            commitSpan_.slot = slot;
+            commitSpan_.idle = idle;
+        }
+    } else {
+        closeCommitSpan(cycle);
+        cpiStack_.account(obs::CommitSlot::Committed, n);
+        // The span from the next cycle on needs the stall class only
+        // if the stage may sleep through that cycle; otherwise the
+        // next run takes it (Committed stands for "not taken").
+        obs::CommitSlot slot = obs::CommitSlot::Committed;
+        if (n < params_.commitWidth) {
+            slot = classifyCommitStall(cycle);
+            cpiStack_.account(slot, params_.commitWidth - n);
+        }
+        if (gateStages_) {
+            commitWake_ = commitWakeAfter(cycle);
+            if (slot == obs::CommitSlot::Committed &&
+                commitWake_ > cycle + 1)
+                slot = classifyCommitStall(cycle);
+        }
+        commitSpan_ = {slot, !window_.empty(), cycle + 1};
+        if (loads) {
+            // The LQ is sampled after commit: this cycle's sample
+            // moves to the freed occupancy.
+            std::uint32_t &lq = occHeld_[kOccLq];
+            --occCycles_[occBase_[kOccLq] + lq];
+            lq -= loads;
+            ++occCycles_[occBase_[kOccLq] + lq];
+        }
+        if (stores)
+            lsqWake_ = std::min(lsqWake_, cycle);
+        // Freed window, rename and LQ entries, or the drain a
+        // serializing instruction waits for.
+        switch (issueSpan_.block) {
+          case IssueBlock::WindowFull:
+          case IssueBlock::Serialize:
+          case IssueBlock::Rename:
+          case IssueBlock::LqFull:
+            issueWake_ = std::min(issueWake_, cycle);
+            break;
+          default:
+            break;
+        }
+        return;
     }
+    if (gateStages_)
+        commitWake_ = commitWakeAfter(cycle);
+}
+
+Cycle
+Core::commitWakeAfter(Cycle cycle) const
+{
+    // An injected commit stall keeps the stage on the reference
+    // per-cycle path.
+    if (commitStallAt_ != kCycleNever)
+        return cycle + 1;
+    if (window_.empty())
+        return fetch_->blockReasonChangesAt(cycle);
+    const WindowEntry &h = window_.head();
+    if (h.state != InstrState::Done)
+        return kCycleNever; // until noteHeadChange().
+    return std::max(h.doneCycle, cycle + 1);
+}
+
+void
+Core::noteHeadChange(const WindowEntry &e, Cycle cycle)
+{
+    if (e.seq != window_.headSeq())
+        return;
+    const Cycle at = classifyCommitStall(cycle + 1) != commitSpan_.slot
+        ? cycle
+        : e.doneCycle;
+    commitWake_ = std::min(commitWake_, at);
+}
+
+void
+Core::closeCommitSpan(Cycle end)
+{
+    if (end <= commitSpan_.since)
+        return;
+    const std::uint64_t n = end - commitSpan_.since;
+    cpiStack_.account(commitSpan_.slot, params_.commitWidth * n);
+    if (commitSpan_.idle)
+        commitIdleCycles_ += n;
+    commitSpan_.since = end;
+}
+
+void
+Core::lsqStage(Cycle cycle)
+{
+    const std::size_t sq = lsq_->sqSize();
+    const std::uint64_t before = lsq_->activity();
+    const Cycle wake = lsq_->tick(cycle);
+    activity_ += lsq_->activity() - before;
+    if (lsq_->sqSize() != sq) {
+        occHeld_[kOccSq] = static_cast<std::uint32_t>(lsq_->sqSize());
+        if (issueSpan_.block == IssueBlock::SqFull ||
+            issueSpan_.block == IssueBlock::Serialize)
+            issueWake_ = std::min(issueWake_, cycle);
+    }
+    if (!lsq_->completedLoads().empty())
+        loadCompletionStage(cycle);
+    if (gateStages_)
+        lsqWake_ = wake;
 }
 
 void
 Core::loadCompletionStage(Cycle cycle)
 {
-    (void)cycle;
     for (const LoadCompletion &lc : lsq_->completedLoads()) {
         if (!window_.contains(lc.seq))
             panic("load completion for retired instruction");
         WindowEntry &e = window_.entry(lc.seq);
+        const Cycle was = e.predReady;
         e.doneCycle = lc.completion;
         e.actualReady = lc.completion + forwardDelay();
         e.missedL1 = !lc.l1Hit;
@@ -299,6 +425,17 @@ Core::loadCompletionStage(Cycle cycle)
         }
         window_.setState(e, InstrState::Done);
         ++activity_;
+        // Dependents may select sooner than the hit schedule they saw
+        // (a hit or forward that beat it, a confirmed schedule that
+        // undercuts it after the broadcast), or at all once confirmed
+        // readiness is what they wait for.
+        const unsigned d2e = params_.dispatchToExec;
+        if (e.rec.dst != kNoReg &&
+            (!params_.speculativeDispatch || e.predReady < was ||
+             (e.actualReady < was && was != kCycleNever &&
+              e.missKnownAt < was - d2e)))
+            ++readyStamp_;
+        noteHeadChange(e, cycle);
     }
     lsq_->completedLoads().clear();
 }
@@ -306,7 +443,6 @@ Core::loadCompletionStage(Cycle cycle)
 void
 Core::pendingStoreStage(Cycle cycle)
 {
-    (void)cycle;
     auto it = pendingStores_.begin();
     while (it != pendingStores_.end()) {
         WindowEntry &e = window_.entry(*it);
@@ -320,24 +456,32 @@ Core::pendingStoreStage(Cycle cycle)
         e.doneCycle = std::max(e.predReady, a);
         window_.setState(e, InstrState::Done);
         ++activity_;
+        noteHeadChange(e, cycle);
         it = pendingStores_.erase(it);
     }
 }
 
 void
-Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit)
+Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
+                  Cycle cycle)
 {
     ++activity_;
     e.execCycle = exec_start;
-    rs_[e.rsId]->remove(e.seq);
-    rs_[e.rsId]->noteDispatch();
+    ReservationStation &station = *rs_[e.rsId];
+    station.remove(e.seq);
+    station.noteDispatch();
+    --occHeld_[e.rsId];
+    if (issueSpan_.block == IssueBlock::StationFull)
+        issueWake_ = std::min(issueWake_, cycle);
+    const Cycle was = e.predReady;
 
     const InstrClass cls = e.rec.cls;
     switch (cls) {
       case InstrClass::Load:
         lsq_->setAddress(e.lsqIndex, false, e.rec.ea, exec_start);
+        lsqWake_ = std::min(lsqWake_, exec_start);
         window_.setState(e, InstrState::Executing);
-        break;
+        return; // completes through the LSQ.
       case InstrClass::Store:
         lsq_->setAddress(e.lsqIndex, true, e.rec.ea, exec_start);
         e.predReady = exec_start; // agen time (see pendingStoreStage).
@@ -352,8 +496,10 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit)
             bpred_->update(e.rec.pc, e.rec.taken());
             bpred_->noteOutcome(e.mispredicted);
         }
-        if (e.mispredicted)
+        if (e.mispredicted) {
             fetch_->redirect(exec_start);
+            fetchWake_ = std::min(fetchWake_, cycle);
+        }
         e.doneCycle = exec_start;
         e.actualReady = exec_start + forwardDelay();
         e.predReady = e.actualReady;
@@ -387,14 +533,25 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit)
         break;
       }
     }
+    // A result known sooner than the dispatch-time prediction (a
+    // Special with a zero FixedPenalty), or a confirmed readiness
+    // without speculative dispatch, can let a waiting consumer
+    // select sooner.
+    if (e.rec.dst != kNoReg &&
+        (e.predReady < was || !params_.speculativeDispatch))
+        ++readyStamp_;
+    if (e.state == InstrState::Done)
+        noteHeadChange(e, cycle);
 }
 
 void
 Core::executeStage(Cycle cycle)
 {
+    Cycle wake = kCycleNever;
     for (ExecUnit &unit : units_) {
         dueScratch_.clear();
         unit.collectDue(cycle, dueScratch_);
+        wake = std::min(wake, unit.nextExecStart());
         for (const PendingExec &pe : dueScratch_) {
             if (!window_.contains(pe.seq))
                 panic("in-flight instruction left the window");
@@ -405,29 +562,50 @@ Core::executeStage(Cycle cycle)
                 replay(e, cycle);
                 continue;
             }
-            performExec(e, pe.execStart, unit);
+            performExec(e, pe.execStart, unit, cycle);
         }
     }
+    if (gateStages_)
+        execWake_ = wake;
 }
 
 void
 Core::dispatchStage(Cycle cycle)
 {
     const Cycle exec_start = cycle + params_.dispatchToExec;
+    // Lower bound on the next cycle an entry left waiting here could
+    // be selected: the memo, if nothing dispatches.
+    Cycle bound = kCycleNever;
+    const std::uint64_t stamp = readyStamp_;
 
     auto base_ok = [&](std::uint64_t seq) {
         const WindowEntry &e = window_.entry(seq);
-        return e.state == InstrState::Waiting &&
-            cycle >= e.notBefore &&
-            sourcesDispatchable(e, cycle, exec_start);
+        if (e.state != InstrState::Waiting)
+            return false;
+        const Cycle at = cycle < e.notBefore
+            ? e.notBefore
+            : sourcesReadyAt(e, cycle, exec_start);
+        if (at <= cycle)
+            return true;
+        bound = std::min(bound, at);
+        return false;
+    };
+    // A ready entry that finds no free unit can go next cycle: unit
+    // availability is not part of dispatchCandidate().
+    auto unit_ok = [&](bool free) {
+        if (!free)
+            bound = std::min(bound, cycle + 1);
+        return free;
     };
 
     auto dispatch_to = [&](std::uint64_t seq, ExecUnit &unit) {
         ++activity_;
+        ++readyStamp_;
         WindowEntry &e = window_.entry(seq);
         window_.setState(e, InstrState::InFlight);
         e.dispatchCycle = cycle;
         unit.push(seq, exec_start);
+        execWake_ = std::min(execWake_, exec_start);
         if (e.rec.isLoad()) {
             // Speculative dispatch (§3.1): publish the L1-hit-based
             // availability so dependents can dispatch to meet the
@@ -459,8 +637,10 @@ Core::dispatchStage(Cycle cycle)
             bool used[2] = {false, false};
             auto ok = [&](std::uint64_t seq) {
                 return base_ok(seq) &&
-                    ((!used[0] && pair[0]->available(exec_start)) ||
-                     (!used[1] && pair[1]->available(exec_start)));
+                    unit_ok((!used[0] &&
+                             pair[0]->available(exec_start)) ||
+                            (!used[1] &&
+                             pair[1]->available(exec_start)));
             };
             selectScratch_.clear();
             rs_[first]->select(ok, selectScratch_);
@@ -481,7 +661,8 @@ Core::dispatchStage(Cycle cycle)
             for (unsigned i = 0; i < 2; ++i) {
                 ExecUnit &u = units_[unit_base + i];
                 auto ok = [&](std::uint64_t seq) {
-                    return base_ok(seq) && u.available(exec_start);
+                    return base_ok(seq) &&
+                        unit_ok(u.available(exec_start));
                 };
                 selectScratch_.clear();
                 rs_[first + i]->select(ok, selectScratch_);
@@ -492,20 +673,29 @@ Core::dispatchStage(Cycle cycle)
     };
     run_pair(kRsE0, kNumAgenUnits);
     run_pair(kRsF0, kNumAgenUnits + kNumIntUnits);
+
+    // A select that picked nothing examined every waiting entry: its
+    // bound is the memo until the readiness stamp moves.
+    if (readyStamp_ == stamp) {
+        memoCycle_ = bound;
+        memoStamp_ = stamp;
+    }
 }
 
 void
 Core::issueStage(Cycle cycle)
 {
-    for (unsigned n = 0; n < params_.issueWidth; ++n) {
-        const IssueBlock block = issueBlock();
-        if (block != IssueBlock::None) {
-            // An empty fetch queue stalls the cycle only when nothing
-            // issued in it.
-            if (block != IssueBlock::FetchEmpty || n == 0)
-                chargeIssueStalls(block, 1);
-            return;
-        }
+    const bool was_empty = window_.empty();
+    unsigned n = 0;
+    IssueBlock block = IssueBlock::None;
+    for (; n < params_.issueWidth; ++n) {
+        block = issueBlock();
+        if (block != IssueBlock::None)
+            break;
+        // The open stall span ends before the first issue (its
+        // charge reads the blocked front and the deal toggles).
+        if (n == 0)
+            closeIssueSpan(cycle);
         const FetchedInstr &fi = fetch_->front();
         const TraceRecord &rec = fi.rec;
         const bool need_int =
@@ -529,10 +719,13 @@ Core::issueStage(Cycle cycle)
         e.usesIntRename = need_int;
         e.usesFpRename = need_fp;
         rename_->allocate(need_int, need_fp);
-        if (rec.isLoad())
+        if (rec.isLoad()) {
             e.lsqIndex = lsq_->allocateLoad(e.seq);
-        else if (rec.isStore())
+            ++occHeld_[kOccLq];
+        } else if (rec.isStore()) {
             e.lsqIndex = lsq_->allocateStore(e.seq);
+            ++occHeld_[kOccSq];
+        }
         if (rec.isMem() && e.lsqIndex < 0)
             panic("LSQ allocation failed after capacity check");
 
@@ -557,41 +750,180 @@ Core::issueStage(Cycle cycle)
         } else {
             e.rsId = static_cast<std::uint8_t>(rsid);
             station->insert(e.seq);
+            ++occHeld_[rsid];
             window_.setState(e, InstrState::Waiting);
+            if (memoStamp_ == readyStamp_) {
+                memoCycle_ = std::min(
+                    memoCycle_,
+                    sourcesReadyAt(e, cycle + 1,
+                                   cycle + 1 + params_.dispatchToExec));
+            }
         }
         fetch_->popFront();
     }
+
+    if (n == 0) {
+        // Nothing issued: this cycle joins the open stall span.
+        if (block != issueSpan_.block) {
+            closeIssueSpan(cycle);
+            issueSpan_.block = block;
+        }
+    } else {
+        // An empty fetch queue stalls the cycle only when nothing
+        // issued in it.
+        if (block != IssueBlock::None && block != IssueBlock::FetchEmpty)
+            chargeIssueStalls(block, 1);
+        issueSpan_ = {block, cycle + 1};
+        // A new head, or a window that fills, can change the commit
+        // stage's stall attribution.
+        if (was_empty ||
+            (window_.full() &&
+             classifyCommitStall(cycle + 1) != commitSpan_.slot))
+            commitWake_ = std::min(commitWake_, cycle);
+        // Queue room for the next fetch group.
+        fetchWake_ = std::min(fetchWake_, cycle);
+    }
+    // Blocked: asleep until an event lifts the block (see the wakes
+    // in commitStage, lsqStage, performExec and fetchStage).
+    if (gateStages_)
+        issueWake_ = block == IssueBlock::None ? cycle + 1 : kCycleNever;
+}
+
+void
+Core::closeIssueSpan(Cycle end)
+{
+    if (end <= issueSpan_.since)
+        return;
+    if (issueSpan_.block != IssueBlock::None)
+        chargeIssueStalls(issueSpan_.block, end - issueSpan_.since);
+    issueSpan_.since = end;
+}
+
+void
+Core::fetchStage(Cycle cycle)
+{
+    const bool was_empty = fetch_->queueEmpty();
+    const std::uint64_t before = fetch_->activity();
+    fetch_->tick(cycle);
+    const std::uint64_t moved = fetch_->activity() - before;
+    activity_ += moved;
+    if (was_empty && !fetch_->queueEmpty())
+        issueWake_ = std::min(issueWake_, cycle);
+    // With the window empty, commit's stall attribution is fetch's:
+    // a formed or landed group can change it, or move its boundary.
+    if (window_.empty() && moved) {
+        commitWake_ = std::min(
+            commitWake_,
+            fetch_->fetchBlockReason(cycle + 1) != commitSpan_.slot
+                ? cycle
+                : fetch_->blockReasonChangesAt(cycle));
+    }
+    if (gateStages_)
+        fetchWake_ = fetch_->nextWorkCycle(cycle + 1);
 }
 
 void
 Core::tick(Cycle cycle)
 {
-    // Sum of the monotone activity counters (pipeline transitions,
-    // LSQ arbitration, fetch-group traffic): any movement marks this
-    // tick as "worked" for the nextWorkCycle() fast path.
-    const std::uint64_t a0 =
-        activity_ + lsq_->activity() + fetch_->activity();
-    windowOccupancy_.tally(window_.size());
-    for (const auto &station : rs_) {
-        if (station)
-            station->tallyOccupancy();
+    if (!spansOpen_)
+        openSpans(cycle);
+    accountedEnd_ = cycle + 1;
+    ++ticks_;
+    sampleOccupancy(cycle + 1);
+    const auto due = [this](Stage stage, bool awake) {
+        stageRuns_[static_cast<unsigned>(stage)] += awake;
+        return awake;
+    };
+    if (due(Stage::Commit, cycle >= commitWake_))
+        commitStage(cycle);
+    if (due(Stage::Lsq, cycle >= lsqWake_))
+        lsqStage(cycle);
+    if (!pendingStores_.empty())
+        pendingStoreStage(cycle);
+    if (due(Stage::Execute, cycle >= execWake_))
+        executeStage(cycle);
+    if (due(Stage::Dispatch, dispatchDue(cycle)))
+        dispatchStage(cycle);
+    if (due(Stage::Issue, cycle >= issueWake_))
+        issueStage(cycle);
+    if (due(Stage::Fetch, cycle >= fetchWake_))
+        fetchStage(cycle);
+}
+
+void
+Core::setStageGating(bool on)
+{
+    gateStages_ = on;
+    wakeAll();
+}
+
+void
+Core::wakeAll()
+{
+    commitWake_ = lsqWake_ = execWake_ = issueWake_ = fetchWake_ = 0;
+    memoStamp_ = readyStamp_ - 1;
+}
+
+void
+Core::openSpans(Cycle cycle)
+{
+    spansOpen_ = true;
+    accountedEnd_ = occEnd_ = cycle;
+    commitSpan_.since = cycle;
+    issueSpan_.since = cycle;
+    std::fill(occCycles_.begin(), occCycles_.end(), 0);
+    for (unsigned i = 0; i < kNumRs; ++i) {
+        occHeld_[i] = rs_[i] ? static_cast<std::uint32_t>(
+                                   rs_[i]->occupancy())
+                             : 0;
     }
-    commitStage(cycle);
-    lsq_->tick(cycle);
-    loadCompletionStage(cycle);
-    pendingStoreStage(cycle);
-    executeStage(cycle);
-    dispatchStage(cycle);
-    issueStage(cycle);
-    fetch_->tick(cycle);
-    workedLastTick_ =
-        activity_ + lsq_->activity() + fetch_->activity() != a0;
+    occHeld_[kOccLq] = static_cast<std::uint32_t>(lsq_->lqSize());
+    occHeld_[kOccSq] = static_cast<std::uint32_t>(lsq_->sqSize());
+}
+
+void
+Core::settle()
+{
+    if (!spansOpen_)
+        return;
+    closeCommitSpan(accountedEnd_);
+    closeIssueSpan(accountedEnd_);
+    sampleOccupancy(accountedEnd_);
+    for (unsigned i = 0; i < kNumOcc; ++i) {
+        if (i < kNumRs && !rs_[i])
+            continue; // absent in this station layout.
+        const unsigned end = i + 1 < kNumOcc
+            ? occBase_[i + 1]
+            : static_cast<unsigned>(occCycles_.size());
+        for (unsigned v = 0; occBase_[i] + v < end; ++v) {
+            std::uint64_t &n = occCycles_[occBase_[i] + v];
+            if (!n)
+                continue;
+            if (i < kNumRs)
+                rs_[i]->tallyOccupancy(v, n);
+            else if (i == kOccWindow)
+                windowOccupancy_.tally(v, n);
+            else if (i == kOccLq)
+                lsq_->tallyLqOccupancy(v, n);
+            else
+                lsq_->tallySqOccupancy(v, n);
+            n = 0;
+        }
+    }
+}
+
+void
+Core::elide(Cycle from, std::uint64_t cycles)
+{
+    accountedEnd_ = from + cycles;
 }
 
 bool
 Core::done() const
 {
-    return fetch_->exhausted() && window_.empty() && lsq_->drained();
+    // Cheapest first: the kernel asks every visit, and mid-run the
+    // window is almost never empty.
+    return window_.empty() && fetch_->exhausted() && lsq_->drained();
 }
 
 inline Core::IssueBlock
@@ -768,51 +1100,11 @@ Core::nextWorkCycle(Cycle now) const
     if (commitStallAt_ != kCycleNever)
         return now;
 
-    // Fast path: a pipeline that just moved an instruction almost
-    // always moves another next cycle. Claiming work at `now` is
-    // always safe (it can only shrink the skip), and it spares the
-    // window scan below on the busy cycles that dominate a run.
-    if (workedLastTick_)
+    Cycle cand = std::min(std::min(commitWake_, lsqWake_),
+                          std::min(std::min(execWake_, issueWake_),
+                                   fetchWake_));
+    if (cand <= now)
         return now;
-
-    Cycle cand = kCycleNever;
-    const auto consider = [&](Cycle c) {
-        if (c < cand)
-            cand = c;
-    };
-
-    // Cheap sources first: every branch below answers "work at now"
-    // identically wherever it is evaluated, so ordering is free to
-    // put the O(window) dispatch scan last, where the common pinned
-    // cases (due execs, landable groups, issuable front) bail out
-    // before it runs.
-
-    // Commit of the window head.
-    if (!window_.empty() &&
-        window_.head().state == InstrState::Done) {
-        const Cycle c = window_.head().doneCycle;
-        if (c <= now)
-            return now;
-        consider(c);
-    }
-
-    // Execute pipelines reach their due stage.
-    for (const ExecUnit &u : units_) {
-        const Cycle c = u.nextExecStart();
-        if (c == kCycleNever)
-            continue;
-        if (c <= now)
-            return now;
-        consider(c);
-    }
-
-    // LSQ arbitration, FIFO store release, load completions.
-    {
-        const Cycle c = lsq_->nextWorkCycle(now);
-        if (c <= now)
-            return now;
-        consider(c);
-    }
 
     // Pending stores transition as soon as their data producer's
     // actual readiness is known (pendingStoreStage has no time gate).
@@ -821,57 +1113,22 @@ Core::nextWorkCycle(Cycle now) const
             return now;
     }
 
-    // Issue of the fetch-queue front.
-    if (!fetch_->queueEmpty() && issueBlock() == IssueBlock::None)
-        return now;
-
-    // Fetch pipeline, incl. the fetchBlockReason() boundary.
-    {
-        const Cycle c = fetch_->nextWorkCycle(now);
-        if (c <= now)
-            return now;
-        consider(c);
-    }
-
     // Dispatch of waiting entries (incl. speculative re-dispatch on
-    // the optimistic schedule before a miss-cancel broadcast). The
-    // waiting mask iterates set bits only; candidates combine via
-    // min, so the slot-order walk is equivalent to the seq walk.
-    bool pinned = false;
-    window_.forEachWaiting([&](const WindowEntry &e) -> bool {
-        const Cycle c = dispatchCandidate(e, now);
-        if (c <= now) {
-            pinned = true;
-            return false;
-        }
-        consider(c);
-        return true;
-    });
-    if (pinned)
-        return now;
-
-    return cand;
-}
-
-void
-Core::elide(Cycle from, std::uint64_t cycles)
-{
-    // Per-cycle occupancy samples.
-    windowOccupancy_.sample(static_cast<double>(window_.size()),
-                            cycles);
-    for (const auto &station : rs_) {
-        if (station)
-            station->sampleOccupancy(cycles);
+    // the optimistic schedule before a miss-cancel broadcast). A
+    // stale memo is refreshed by one scan; the waiting mask iterates
+    // set bits only, and candidates combine via min, so the
+    // slot-order walk is equivalent to the seq walk.
+    if (memoStamp_ != readyStamp_) {
+        Cycle memo = kCycleNever;
+        window_.forEachWaiting([&](const WindowEntry &e) -> bool {
+            memo = std::min(memo, dispatchCandidate(e, now));
+            return memo > now;
+        });
+        memoCycle_ = memo;
+        memoStamp_ = readyStamp_;
     }
-    // Commit-slot accounting: zero retirements in the window, one
-    // dominant stall reason — constant across the span because
-    // nextWorkCycle() bounds every classification boundary.
-    if (!window_.empty())
-        commitIdleCycles_ += cycles;
-    cpiStack_.account(classifyCommitStall(from),
-                      params_.commitWidth * cycles);
-    lsq_->elide(cycles);
-    chargeIssueStalls(issueBlock(), cycles);
+    cand = std::min(cand, memoCycle_);
+    return cand < now ? now : cand;
 }
 
 std::vector<RecentCommit>
@@ -968,6 +1225,9 @@ Core::restoreState(ckpt::SnapshotReader &r)
         rc.pc = r.getU64();
         rc.cycle = r.getU64();
     }
+    // Derived scheduling and accounting state starts afresh.
+    spansOpen_ = false;
+    wakeAll();
 }
 
 } // namespace s64v

@@ -80,8 +80,22 @@ class Core : public Clocked
         pipeview_ = recorder;
     }
 
-    /** Advance the core by one cycle. */
+    /**
+     * Advance the core by one cycle. With stage gating on (the fast
+     * engine, see setStageGating()) a stage is called only at or
+     * after its wake cycle: the cycle at which it next has work,
+     * lowered by every event that can make it busier. With gating
+     * off every stage runs every cycle.
+     */
     void tick(Cycle cycle) override;
+
+    /**
+     * Gate each pipeline stage on its wake cycle (the fast engine;
+     * System::run sets this from SystemParams::skipAhead) or run
+     * every stage every cycle (the plain reference loop). Either way
+     * every stage starts awake.
+     */
+    void setStageGating(bool on);
 
     /** @return true when the trace is fully executed and drained. */
     bool done() const override;
@@ -90,46 +104,66 @@ class Core : public Clocked
      * Earliest cycle >= @p now at which this core could commit,
      * complete, dispatch, issue, fetch, or change a stall
      * classification — the skip-ahead kernel's quiescence contract
-     * (see Clocked::nextWorkCycle). Conservative: returns @p now
-     * whenever any stage could act, including speculative-dispatch
-     * churn before a miss-cancel broadcast.
+     * (see Clocked::nextWorkCycle): the minimum of the stages' wake
+     * cycles. The dispatch stage's is its memo (see dispatchDue());
+     * the window is scanned only when that memo is stale, and the
+     * scan refreshes it.
      */
     Cycle nextWorkCycle(Cycle now) const override;
 
     /**
-     * Bulk-replay the per-cycle stat mutations of @p cycles elided
-     * idle ticks starting at @p from: occupancy samples, commit-idle
-     * and CPI-stack stall slots, and the issue-stage stall counter
-     * the frozen front-of-queue instruction would have hit.
+     * Account for @p cycles idle cycles from @p from: every stage is
+     * asleep through them, so this only extends the open stat spans
+     * (see settle()).
      */
     void elide(Cycle from, std::uint64_t cycles) override;
 
     /**
+     * Bring every stat up to date through the last cycle this core
+     * accounted (ticked or elided). The per-cycle stats an idle stage
+     * still changes accrue as run-length spans: commit-idle cycles
+     * with their CPI-stack slots and the issue stage's stall counter
+     * (one open run each, closed when its value changes), and the
+     * occupancy samples (taken once per tick for every cycle since
+     * the last, into a core-local table). settle() closes the runs,
+     * takes the owed samples and folds the table into the stats; the
+     * kernel settles every component before any stat read (see
+     * CycleKernel::settle).
+     */
+    void settle() override;
+
+    /**
      * Monotone activity stamp for the kernel's quiescence
-     * memoization (see CycleKernel::setSkipAhead): the sum of
-     * the per-unit activity counters, bumped by every state
-     * transition a tick makes. An unchanged stamp across ticks
-     * proves the pipeline state is frozen, so a cached
+     * memoization (see CycleKernel::setSkipAhead), bumped by every
+     * state transition a tick makes (the LSQ's and fetch's own
+     * counters fold in as their stages run). An unchanged stamp
+     * across ticks proves the pipeline state is frozen, so a cached
      * nextWorkCycle() answer is still a valid lower bound.
      */
-    std::uint64_t activityStamp() const override
-    {
-        return activity_ + lsq_->activity() + fetch_->activity();
-    }
+    std::uint64_t activityStamp() const override { return activity_; }
 
     std::uint64_t committed() const { return committed_.value(); }
     Cycle lastCommitCycle() const { return lastCommitCycle_; }
 
-    /** Component access for experiments and tests. @{ */
+    /**
+     * Component access for experiments and tests. The span-backed
+     * readers (cpiStack(), windowFullStalls()) settle the open spans
+     * first, so a core ticked by hand reads its stats up to date. @{
+     */
     BranchPredictor &bpred() { return *bpred_; }
     FetchUnit &fetchUnit() { return *fetch_; }
     LoadStoreQueue &lsq() { return *lsq_; }
     /** Commit-slot cycle accounting (see obs/cpi_stack.hh). */
-    const obs::CpiStack &cpiStack() const { return cpiStack_; }
+    const obs::CpiStack &cpiStack() const
+    {
+        const_cast<Core *>(this)->settle();
+        return cpiStack_;
+    }
     const CoreParams &params() const { return params_; }
     std::uint64_t replays() const { return replays_.value(); }
     std::uint64_t windowFullStalls() const
     {
+        const_cast<Core *>(this)->settle();
         return windowFullStalls_.value();
     }
     /** @} */
@@ -162,6 +196,30 @@ class Core : public Clocked
     std::vector<RecentCommit> recentCommits() const;
     /** @} */
 
+    /** The pipeline stages tick() gates on a wake cycle. */
+    enum class Stage : std::uint8_t
+    {
+        Commit,
+        Lsq, ///< LSQ arbitration and FIFO release.
+        Execute,
+        Dispatch,
+        Issue,
+        Fetch,
+    };
+    static constexpr unsigned kNumStages = 6;
+
+    /**
+     * Host-side diagnostics (never stats, never serialized): ticks
+     * taken, and how many of them called @p stage — all of them
+     * without stage gating. @{
+     */
+    std::uint64_t ticks() const { return ticks_; }
+    std::uint64_t stageRuns(Stage stage) const
+    {
+        return stageRuns_[static_cast<unsigned>(stage)];
+    }
+    /** @} */
+
     /**
      * Fault injection (--inject-fault=stall:<cycle>): from @p cycle
      * on, the commit stage retires nothing, so the whole window backs
@@ -173,24 +231,31 @@ class Core : public Clocked
      * Serialize the complete microarchitectural state of this core:
      * window, stations, execute pipelines, LSQ, fetch pipeline, BHT,
      * rename pools, scoreboard and commit bookkeeping. Stats travel
-     * with the stats tree; the injected-fault configuration is
-     * re-armed by construction, not restored.
+     * with the stats tree (settle() first); the injected-fault
+     * configuration is re-armed by construction, not restored. Wake
+     * cycles, the dispatch memo and the open spans are derived and
+     * never written: a restore starts every stage awake, the memo
+     * stale and the spans at the next tick.
      */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);
 
   private:
-    /**
-     * Predicted consumer-usable cycle of @p prod_seq's result as the
-     * reservation stations see it at cycle @p now (before a load's
-     * miss-cancel broadcast they still believe the hit schedule).
-     */
-    Cycle predReadyOf(std::uint64_t prod_seq, Cycle now) const;
     /** Confirmed consumer-usable cycle (kCycleNever if unknown). */
     Cycle actualReadyOf(std::uint64_t prod_seq) const;
 
-    bool sourcesDispatchable(const WindowEntry &e, Cycle now,
-                             Cycle exec_start) const;
+    /**
+     * Can @p e's gating sources feed an execute stage at
+     * @p exec_start = @p now + dispatchToExec? @return a cycle
+     * <= @p now if so, else a lower bound (> @p now) on the first
+     * cycle they could, read off the first source that fails (the
+     * failing select's contribution to the dispatch memo).
+     */
+    Cycle sourcesReadyAt(const WindowEntry &e, Cycle now,
+                         Cycle exec_start) const;
+    /** One source of sourcesReadyAt(): producer @p prod. */
+    Cycle sourceReadyAt(std::uint64_t prod, Cycle now,
+                        Cycle exec_start) const;
     bool sourcesValid(const WindowEntry &e, Cycle exec_start) const;
 
     /**
@@ -202,17 +267,68 @@ class Core : public Clocked
     obs::CommitSlot classifyCommitStall(Cycle cycle) const;
 
     void commitStage(Cycle cycle);
+    void lsqStage(Cycle cycle);
     void loadCompletionStage(Cycle cycle);
     void pendingStoreStage(Cycle cycle);
     void executeStage(Cycle cycle);
     void dispatchStage(Cycle cycle);
     void issueStage(Cycle cycle);
+    void fetchStage(Cycle cycle);
+
+    /** Wake cycle the commit stage sleeps until after a run at
+     *  @p cycle. */
+    Cycle commitWakeAfter(Cycle cycle) const;
+
+    /**
+     * @p e just became Done or learned its miss flags at @p cycle: if
+     * it heads the window, wake the commit stage at its doneCycle,
+     * or next cycle when the stall attribution changes now.
+     */
+    void noteHeadChange(const WindowEntry &e, Cycle cycle);
+
+    /** Open every stat span at @p cycle (first tick after a
+     *  construction or restore). */
+    void openSpans(Cycle cycle);
+
+    /**
+     * Take the occupancy samples of the cycles before @p end not yet
+     * taken (see occCycles_), at the current occupancies.
+     */
+    void sampleOccupancy(Cycle end)
+    {
+        const std::uint64_t n = end - occEnd_;
+        occEnd_ = end;
+        occHeld_[kOccWindow] = static_cast<std::uint32_t>(window_.size());
+        for (unsigned i = 0; i < kNumOcc; ++i)
+            occCycles_[occBase_[i] + occHeld_[i]] += n;
+    }
+
+    /** Close the commit / issue stall spans through @p end. @{ */
+    void closeCommitSpan(Cycle end);
+    void closeIssueSpan(Cycle end);
+    /** @} */
+
+    /** Every stage awake, the dispatch memo stale. */
+    void wakeAll();
+
+    /**
+     * Must the dispatch stage select at @p cycle? Always without
+     * gating; with it, only while the memo is stale (the readiness
+     * stamp moved since it was taken) or @p cycle has reached the
+     * memo's cycle, a lower bound on every waiting entry's
+     * dispatchCandidate().
+     */
+    bool dispatchDue(Cycle cycle) const
+    {
+        return !gateStages_ || memoStamp_ != readyStamp_ ||
+            cycle >= memoCycle_;
+    }
 
     /**
      * What blocks the front of the fetch queue from issuing: the
      * issue stage's gate sequence, asked once per slot by
-     * issueStage() and by the skip-ahead path to classify and
-     * bulk-replay issue stalls. Side-effect free: it does not
+     * issueStage() (a blocked stage charges a span of stalls to the
+     * answer, see issueSpan_). Side-effect free: it does not
      * advance the station-deal toggles. Always inlined: GCC 12 at
      * -O2 kept it out of line, and that call once per issue slot
      * cost 2-3 % of a SPECint2000 run on x86-64.
@@ -248,8 +364,10 @@ class Core : public Clocked
     Cycle sourceFlipCycle(const WindowEntry &p, Cycle from,
                           unsigned d2e) const;
 
-    /** Execute-stage action once operands are validated. */
-    void performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit);
+    /** Execute-stage action, at @p cycle, once operands are
+     *  validated. */
+    void performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
+                     Cycle cycle);
     void replay(WindowEntry &e, Cycle now);
 
     RsId stationFor(const TraceRecord &rec);
@@ -282,16 +400,92 @@ class Core : public Clocked
     std::uint64_t rawIssued_ = 0;    ///< see rawIssued().
     std::uint64_t rawCommitted_ = 0; ///< see rawCommitted().
     /**
-     * Instruction state transitions made by the current tick; bumped
-     * by every stage that moves an instruction. Host-side scheduling
-     * hint only (never serialized, never a stat): when the last tick
-     * transitioned anything, nextWorkCycle() reports "busy now"
-     * without the full window scan — a conservative answer that can
-     * only shrink a skip, never stretch one.
+     * State transitions: bumped by every stage that moves an
+     * instruction, plus the LSQ's and fetch's activity as their
+     * stages run. The activityStamp(), never serialized.
      */
     std::uint64_t activity_ = 0;
-    bool workedLastTick_ = true; ///< conservative until first tick.
     Cycle commitStallAt_ = kCycleNever; ///< see injectCommitStall().
+
+    /**
+     * Stage gating (see tick()). Each wake cycle is the cycle at
+     * which its stage next has work: a stage recomputes its own
+     * after it runs (only when gating), and every event that can
+     * make it busier lowers it to the event's cycle or earlier.
+     * Derived host-side state: never serialized, reset on restore.
+     * Without gating no stage raises its wake cycle, so all stay 0.
+     * @{
+     */
+    bool gateStages_ = false;
+    std::uint64_t ticks_ = 0;                          ///< see ticks().
+    std::array<std::uint64_t, kNumStages> stageRuns_{}; ///< see ticks().
+    Cycle commitWake_ = 0;
+    Cycle lsqWake_ = 0; ///< LSQ arbitration + load completions.
+    Cycle execWake_ = 0;
+    Cycle issueWake_ = 0;
+    Cycle fetchWake_ = 0;
+    /**
+     * The dispatch memo. readyStamp_ is bumped by every event that
+     * can make a waiting entry selectable sooner than its
+     * dispatchCandidate() said (see dispatchStage()); memoCycle_,
+     * taken at memoStamp_, is a lower bound on every waiting entry's
+     * candidate while the stamps agree. An insert or a replay lowers
+     * it without a bump.
+     */
+    std::uint64_t readyStamp_ = 1;
+    mutable std::uint64_t memoStamp_ = 0;
+    mutable Cycle memoCycle_ = 0;
+    /** @} */
+
+    /**
+     * Stat spans (see settle()). accountedEnd_ is one past the last
+     * cycle ticked or elided: the spans run up to it. @{
+     */
+    bool spansOpen_ = false;
+    Cycle accountedEnd_ = 0;
+    /**
+     * Per-cycle occupancy samples of each station (by RsId), the
+     * window and the LQ/SQ, taken once per tick for the cycle ticked
+     * and every cycle the core sat out since its previous tick (whose
+     * occupancies were frozen): one add per structure into a compact
+     * core-local table, occCycles_[occBase_[i] + v] counting the
+     * cycles structure i held v entries. settle() folds it into the
+     * stats. The window and stations are sampled at the start of a
+     * tick, the LQ/SQ after commit: a load freed at commit moves
+     * that cycle's LQ sample. occHeld_ mirrors the occupancies so a
+     * sample touches no station or queue. occEnd_ is one past the
+     * last cycle sampled.
+     */
+    enum : unsigned
+    {
+        kOccWindow = kNumRs,
+        kOccLq,
+        kOccSq,
+        kNumOcc
+    };
+    std::array<std::uint32_t, kNumOcc> occHeld_{};
+    std::array<std::uint32_t, kNumOcc> occBase_{};
+    std::vector<std::uint64_t> occCycles_;
+    Cycle occEnd_ = 0;
+    /** The commit stage's per-cycle charge on a cycle that retires
+     *  nothing: every slot to one CPI-stack category, and one
+     *  commit-idle cycle while the window holds anything. */
+    struct CommitSpan
+    {
+        obs::CommitSlot slot = obs::CommitSlot::FetchEmpty;
+        bool idle = false;
+        Cycle since = 0;
+    };
+    CommitSpan commitSpan_;
+    /** The issue stage's per-cycle charge on a cycle that issues
+     *  nothing: one stall of @ref block (see chargeIssueStalls). */
+    struct IssueSpan
+    {
+        IssueBlock block = IssueBlock::None;
+        Cycle since = 0;
+    };
+    IssueSpan issueSpan_;
+    /** @} */
     static constexpr unsigned kRecentCommits = 16;
     std::array<RecentCommit, kRecentCommits> recent_{};
     unsigned recentNext_ = 0; ///< next write slot in recent_.

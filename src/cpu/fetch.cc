@@ -58,44 +58,6 @@ FetchUnit::fetchBlockReason(Cycle cycle) const
     return obs::CommitSlot::FetchEmpty;
 }
 
-Cycle
-FetchUnit::nextWorkCycle(Cycle now) const
-{
-    Cycle cand = kCycleNever;
-
-    // Landing an in-flight group.
-    for (const Group &g : inflight_) {
-        const Cycle c = g.availableAt < now ? now : g.availableAt;
-        if (c < cand)
-            cand = c;
-    }
-
-    // Starting a new group. Queue room only changes when the core
-    // pops (a visited cycle), so a full buffer stays full for the
-    // whole window; a branch stall only lifts via redirect() from a
-    // core tick.
-    if (!stalledOnBranch_ && source_) {
-        TraceRecord dummy;
-        std::size_t buffered = queue_.size();
-        for (const Group &g : inflight_)
-            buffered += g.instrs.size();
-        if (buffered + params_.fetchBytes / 4 <=
-                params_.fetchQueueEntries &&
-            source_->peek(dummy)) {
-            const Cycle c = nextGroupStart_ < now ? now
-                                                  : nextGroupStart_;
-            if (c < cand)
-                cand = c;
-        }
-    }
-
-    // Stall-attribution boundary: fetchBlockReason() changes here.
-    if (missBlockedUntil_ > now && missBlockedUntil_ < cand)
-        cand = missBlockedUntil_;
-
-    return cand;
-}
-
 void
 FetchUnit::formGroup(Cycle cycle)
 {
@@ -149,6 +111,7 @@ FetchUnit::formGroup(Cycle cycle)
         return;
     ++groups_;
     ++activity_;
+    inflightInstrs_ += group.instrs.size();
 
     // L1I access for the block; the two non-access pipe stages
     // (priority + validate) are added on top of the cache time.
@@ -192,6 +155,7 @@ FetchUnit::tick(Cycle cycle)
            inflight_.front().availableAt <= cycle) {
         for (FetchedInstr &fi : inflight_.front().instrs)
             queue_.push_back(fi);
+        inflightInstrs_ -= inflight_.front().instrs.size();
         inflight_.pop_front();
         ++activity_;
     }
@@ -202,10 +166,8 @@ FetchUnit::tick(Cycle cycle)
     // Start at most one new group per cycle.
     if (stalledOnBranch_ || cycle < nextGroupStart_)
         return;
-    std::size_t buffered = queue_.size();
-    for (const Group &g : inflight_)
-        buffered += g.instrs.size();
-    if (buffered + params_.fetchBytes / 4 > params_.fetchQueueEntries)
+    if (queue_.size() + inflightInstrs_ + params_.fetchBytes / 4 >
+        params_.fetchQueueEntries)
         return;
     formGroup(cycle);
 }
@@ -282,6 +244,7 @@ FetchUnit::restoreState(ckpt::SnapshotReader &r)
             g.instrs.push_back(restoreFetched(r));
         inflight_.push_back(std::move(g));
     }
+    inflightInstrs_ = held;
     queue_.clear();
     const std::uint64_t qn = r.getU64();
     r.require(qn <= room - held,

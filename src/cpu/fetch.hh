@@ -85,18 +85,50 @@ class FetchUnit
     obs::CommitSlot fetchBlockReason(Cycle cycle) const;
 
     /**
-     * Earliest cycle >= @p now at which tick() could land a group,
-     * start a new one, or change fetchBlockReason() — the last
-     * matters because a flip of the stall attribution at
-     * missBlockedUntil_ must not be skipped across even though no
-     * machine state changes there (see Clocked::nextWorkCycle).
+     * Earliest cycle >= @p now at which tick() could land the front
+     * group or start a new one, with the core's side frozen: only
+     * popFront() (queue room) and redirect() change the answer, and
+     * the owning core calls tick() no earlier (see Core::tick).
      */
-    Cycle nextWorkCycle(Cycle now) const;
+    Cycle nextWorkCycle(Cycle now) const
+    {
+        Cycle cand = kCycleNever;
+        // Landing the front group (groups land in order).
+        if (!inflight_.empty()) {
+            const Cycle c = inflight_.front().availableAt;
+            cand = c < now ? now : c;
+        }
+        // Starting a new group. Queue room only changes when the core
+        // pops, and a branch stall only lifts via redirect().
+        if (!stalledOnBranch_ && source_ &&
+            queue_.size() + inflightInstrs_ + params_.fetchBytes / 4 <=
+                params_.fetchQueueEntries &&
+            source_->consumed() < source_->size()) {
+            const Cycle c = nextGroupStart_ < now ? now : nextGroupStart_;
+            if (c < cand)
+                cand = c;
+        }
+        return cand;
+    }
+
+    /**
+     * First cycle after @p after at which fetchBlockReason() changes
+     * with the fetch state frozen (the end of a frontend miss
+     * window), or kCycleNever: the commit stage's stall attribution
+     * must be re-taken there although nothing moves.
+     */
+    Cycle blockReasonChangesAt(Cycle after) const
+    {
+        return !stalledOnBranch_ && !branchRecovery_ &&
+                missBlockedUntil_ > after
+            ? missBlockedUntil_
+            : kCycleNever;
+    }
 
     /**
      * Monotone count of tick()-side state changes (groups formed or
-     * landed). Host-side scheduling hint for the core's
-     * worked-last-tick fast path, never serialized.
+     * landed): part of the owning core's activityStamp(), never
+     * serialized.
      */
     std::uint64_t activity() const { return activity_; }
 
@@ -121,6 +153,8 @@ class FetchUnit
     VectorTraceSource *source_ = nullptr;
 
     std::deque<Group> inflight_;
+    /** Instructions in inflight_'s groups (derived, not saved). */
+    std::size_t inflightInstrs_ = 0;
     std::deque<FetchedInstr> queue_;
     Cycle nextGroupStart_ = 0;
     bool stalledOnBranch_ = false;

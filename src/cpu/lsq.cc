@@ -130,12 +130,9 @@ LoadStoreQueue::freeLoad(std::int32_t slot)
     lqReady_.clear(static_cast<std::size_t>(slot));
 }
 
-void
+Cycle
 LoadStoreQueue::tick(Cycle cycle)
 {
-    lqOccupancy_.tally(lqCount_);
-    sqOccupancy_.tally(sqCount_);
-
     // Release completed stores in order (FIFO retirement of the SQ).
     for (;;) {
         const std::int32_t head = oldestStore();
@@ -166,10 +163,14 @@ LoadStoreQueue::tick(Cycle cycle)
         cands.push_back(
             {&stores_[i], static_cast<std::int32_t>(i), true});
     });
+    Cycle wake = kCycleNever; // the next load address to arrive.
     lqReady_.forEach([&](std::size_t i) {
-        if (loads_[i].addrReady <= cycle) {
+        const Cycle at = loads_[i].addrReady;
+        if (at <= cycle) {
             cands.push_back(
                 {&loads_[i], static_cast<std::int32_t>(i), false});
+        } else if (at < wake) {
+            wake = at;
         }
     });
     std::sort(cands.begin(), cands.end(),
@@ -179,6 +180,7 @@ LoadStoreQueue::tick(Cycle cycle)
 
     unsigned ports_used = 0;
     unsigned banks_used = 0; // bitmask over <= 32 banks.
+    std::size_t served = 0;  // candidates issued or forwarded.
     for (const Candidate &c : cands) {
         if (ports_used >= params_.l1dPorts)
             break;
@@ -219,6 +221,7 @@ LoadStoreQueue::tick(Cycle cycle)
                          kCycleNever});
                     banks_used |= 1u << bank;
                     ++ports_used;
+                    ++served;
                 } else {
                     ++forwardWaits_;
                     ++activity_;
@@ -242,6 +245,7 @@ LoadStoreQueue::tick(Cycle cycle)
                  res.l2Hit, res.tlbMiss});
             banks_used |= 1u << bank;
             ++ports_used;
+            ++served;
         } else {
             const AccessResult res = mem_.data(cpu_, e.addr, true,
                                                cycle);
@@ -252,60 +256,20 @@ LoadStoreQueue::tick(Cycle cycle)
             ++activity_;
             banks_used |= 1u << bank;
             ++ports_used;
+            ++served;
         }
     }
-}
 
-Cycle
-LoadStoreQueue::nextWorkCycle(Cycle now) const
-{
-    // Pending completions must be drained by the core this tick.
-    if (!completedLoads_.empty())
-        return now;
-
-    Cycle cand = kCycleNever;
-
-    // Committed stores awaiting issue contend for ports every cycle.
-    if (sqPending_.any())
-        return now;
-
-    // FIFO release is gated by the oldest store's completion.
+    // Candidates left waiting retry next cycle; otherwise the next
+    // address to arrive or the head store's write completing.
+    if (served < cands.size())
+        return cycle + 1;
     const std::int32_t head = oldestStore();
-    if (head >= 0 && stores_[head].issued) {
-        const Cycle c = stores_[head].completion;
-        if (c <= now)
-            return now;
-        if (c < cand)
-            cand = c;
-    }
-
-    // Loads with generated addresses become issue candidates at
-    // addrReady; once candidates they may burn forward-wait or
-    // bank-conflict stats every cycle, so they pin the clock.
-    bool pinned = false;
-    lqReady_.forEach([&](std::size_t i) -> bool {
-        const Cycle c = loads_[i].addrReady;
-        if (c <= now) {
-            pinned = true;
-            return false;
-        }
-        if (c < cand)
-            cand = c;
-        return true;
-    });
-    if (pinned)
-        return now;
-
-    return cand;
+    if (head >= 0 && stores_[head].issued &&
+        stores_[head].completion < wake)
+        wake = std::max(stores_[head].completion, cycle + 1);
+    return wake;
 }
-
-void
-LoadStoreQueue::elide(std::uint64_t cycles)
-{
-    lqOccupancy_.sample(static_cast<double>(lqCount_), cycles);
-    sqOccupancy_.sample(static_cast<double>(sqCount_), cycles);
-}
-
 
 namespace
 {

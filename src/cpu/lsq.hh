@@ -75,9 +75,15 @@ class LoadStoreQueue
     /**
      * Per-cycle port/bank arbitration and cache access issue.
      * Newly determined load completions are appended to
-     * completedLoads() for the core to consume.
+     * completedLoads() for the core to consume. @return the first
+     * cycle after @p cycle at which tick() could change state or
+     * mutate a stat with the core's side frozen (kCycleNever if
+     * none): the owning core calls tick() no earlier, until
+     * setAddress() of a load or commitStore() wakes it (see
+     * Core::tick). A committed store or a load left waiting (bank
+     * conflict, port limit, store data) retries the next cycle.
      */
-    void tick(Cycle cycle);
+    Cycle tick(Cycle cycle);
 
     /** Completions discovered by the latest tick()s; caller clears. */
     std::vector<LoadCompletion> &completedLoads()
@@ -103,21 +109,25 @@ class LoadStoreQueue
     /** @} */
 
     /**
-     * Earliest cycle >= @p now at which tick() could change state or
-     * mutate a stat beyond the per-cycle occupancy samples (see
-     * Clocked::nextWorkCycle; the owning core aggregates this).
-     */
-    Cycle nextWorkCycle(Cycle now) const;
-
-    /**
      * Monotone count of tick()-side state/stat mutations (releases,
-     * issues, conflicts, waits). Host-side scheduling hint for the
-     * core's worked-last-tick fast path, never serialized.
+     * issues, conflicts, waits): part of the owning core's
+     * activityStamp(), never serialized.
      */
     std::uint64_t activity() const { return activity_; }
 
-    /** Replay the occupancy samples of @p cycles elided idle ticks. */
-    void elide(std::uint64_t cycles);
+    /**
+     * Record @p n cycles at LQ / SQ occupancy @p v (see
+     * ReservationStation::tallyOccupancy). @{
+     */
+    void tallyLqOccupancy(std::uint64_t v, std::uint64_t n)
+    {
+        lqOccupancy_.tally(v, n);
+    }
+    void tallySqOccupancy(std::uint64_t v, std::uint64_t n)
+    {
+        sqOccupancy_.tally(v, n);
+    }
+    /** @} */
 
     std::uint64_t bankConflicts() const
     {

@@ -83,16 +83,14 @@ class ReservationStation
     void noteDispatch() { ++dispatches_; }
 
     /**
-     * Record the current occupancy into the occupancy distribution;
-     * the core calls this once per cycle (the Figure 18 study reads
-     * station pressure off these numbers).
+     * Record @p n cycles at occupancy @p v in the per-cycle occupancy
+     * distribution (the Figure 18 study reads station pressure off
+     * it). The core samples occupancies into its own table and folds
+     * them in here when it settles (see Core::settle).
      */
-    void tallyOccupancy() { occupancy_.tally(seqs_.size()); }
-
-    /** Replay @p n elided idle cycles' samples in one bulk update. */
-    void sampleOccupancy(std::uint64_t n)
+    void tallyOccupancy(std::uint64_t v, std::uint64_t n)
     {
-        occupancy_.sample(double(seqs_.size()), n);
+        occupancy_.tally(v, n);
     }
 
     /** Serialize mutable state (checkpoint/restore). */

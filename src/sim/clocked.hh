@@ -47,7 +47,7 @@ class Clocked
      * change machine state or produce a stat mutation that differs
      * from an idle repeat of cycle @p now. The skip-ahead kernel
      * advances directly to the minimum over all components (bounded
-     * by probes); every cycle in between is elided and replayed in
+     * by probes); every cycle in between is elided and accounted in
      * bulk through elide(). kCycleNever means fully quiescent until
      * an external event. The default — always busy — keeps any
      * component that has not opted in bit-exact under skip-ahead.
@@ -58,15 +58,24 @@ class Clocked
      * Account for @p cycles idle cycles [@p from, @p from + cycles)
      * the kernel skipped. The component must reproduce exactly the
      * stat mutations that @p cycles consecutive idle ticks starting
-     * at @p from would have made — machine state itself must not
-     * change (nextWorkCycle() guaranteed no state transition could
-     * occur in the window).
+     * at @p from would have made, by settle() at the latest — machine
+     * state itself must not change (nextWorkCycle() guaranteed no
+     * state transition could occur in the window).
      */
     virtual void elide(Cycle from, std::uint64_t cycles)
     {
         (void)from;
         (void)cycles;
     }
+
+    /**
+     * Bring every stat up to date through the last cycle this
+     * component ticked or elided: a component that accrues per-cycle
+     * stats as run-length spans (Core) closes them here. The kernel
+     * calls it, on both engines, before anything reads stats (see
+     * CycleKernel::settle).
+     */
+    virtual void settle() {}
 
     /**
      * Sentinel activityStamp(): this component does not expose a
@@ -188,11 +197,11 @@ class CycleKernel
      * only happen at visited cycles). The watchdog sleeps until its
      * deadline instead.
      *
-     * Unlike periodic probes, scheduled probes run while idle-tick
-     * stat replays may still be deferred (the kernel flushes before
-     * any periodic probe fires, but not for these): a scheduled probe
-     * must depend only on tick-mutated state such as commit counters,
-     * or call flushElides() before touching anything else.
+     * Unlike periodic probes, scheduled probes run with stats not
+     * yet settled (the kernel settles before any periodic probe
+     * fires, but not for these): a scheduled probe must depend only
+     * on tick-mutated state such as commit counters, or call
+     * settle() before touching anything else.
      */
     void attachScheduledProbe(Cycle first, ScheduledProbeFn fn);
 
@@ -208,7 +217,7 @@ class CycleKernel
     /**
      * Enable skip-ahead scheduling, the fast engine: advance directly
      * to min(component next work, next probe firing, skip bounds,
-     * cycle cap), replaying the elided cycles' stat effects in bulk
+     * cycle cap), accounting the elided cycles' stat effects in bulk
      * via Clocked::elide(). Three refinements ride along:
      *
      * - Quiescence memoization: skipTarget() caches each component's
@@ -221,8 +230,8 @@ class CycleKernel
      *   only shorten a skip, never stretch one.
      * - Idle-tick deferral: on a visited cycle, a component whose
      *   cached answer lies strictly in the future skips its tick
-     *   entirely and the owed idle-stat replay is batched into one
-     *   elide() before its next real tick (see PendingElide). This
+     *   entirely and the owed idle-stat accounting is batched into
+     *   one elide() before its next real tick (see PendingElide). This
      *   is what makes SMP runs cheap when one core pins the clock
      *   while the others stall.
      * - One query per visit: skipTarget() asks every live component
@@ -239,19 +248,22 @@ class CycleKernel
     std::uint64_t elidedCycles() const { return elidedCycles_; }
 
     /**
-     * Replay every deferred idle tick now (see canDefer()). The
-     * kernel flushes automatically before a component's real tick,
-     * before any periodic probe fires, and on every loop exit; call
-     * this from a *scheduled* probe before reading or mutating
-     * elide-replayed stats (the warm-up reset is the one that does)
-     * — scheduled probes otherwise run with idle-tick stat replays
-     * still pending, which is safe only while they depend on nothing
-     * but tick-mutated state (commit counters).
+     * Settle every component's stats through the cycles it has been
+     * accounted for: account every deferred idle tick (see canDefer())
+     * and then call each component's Clocked::settle(). The kernel
+     * settles, on both engines, before any periodic probe fires and
+     * on every loop exit; call this from a *scheduled* probe before
+     * reading or mutating stats (the warm-up reset is the one that
+     * does), and before reading a live machine's stats from outside
+     * the loop (the crash hook's salvage).
      */
-    void flushElides()
+    void settle()
     {
-        for (std::size_t i = 0; i < pending_.size(); ++i)
-            flushOne(i);
+        for (std::size_t i = 0; i < clocked_.size(); ++i) {
+            if (i < pending_.size())
+                flushOne(i);
+            clocked_[i]->settle();
+        }
     }
 
     /** Why run() returned. */
@@ -292,29 +304,31 @@ class CycleKernel
     /**
      * Both probe kinds in one form: periodic probes name their next
      * firing, scheduled probes may also set everyVisit. Only periodic
-     * firings flush deferred elides first.
+     * firings settle the components first.
      */
     struct ProbeEntry
     {
         ProbeNext next;
-        bool flush;
+        bool settles;
         ScheduledProbeFn fn;
     };
 
     /**
      * Earliest cycle in [@p next, @p max_cycles] the kernel must
      * visit: min over component work, probe firings and external
-     * skip bounds. Non-const: refreshes every live component's memo
-     * entry (done, stamp, answer) as it asks.
+     * skip bounds. Non-const: refreshes the memo entry (done, stamp,
+     * answer) of every component ticked since the last pass; an
+     * untouched one keeps its entry unasked, since only its own
+     * tick() changes those answers.
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 
     /**
-     * Deferred idle-tick replay for one component: while a memo
-     * entry proves the component idle at the visited cycle (frozen
-     * stamp, cached next work still in the future), its tick is
-     * skipped and the owed idle-stat replay accumulates here; one
-     * bulk elide() settles the whole span before the component's
+     * Deferred idle ticks of one component: while a memo entry
+     * proves the component idle at the visited cycle (frozen stamp,
+     * cached next work still in the future), its tick is skipped and
+     * the owed idle cycles accumulate here; one bulk elide() accounts
+     * for the whole span before the component's
      * next real tick. Spans stay contiguous because every simulated
      * cycle lands in exactly one of: a real tick (flushes), a
      * deferred visit (extends), or a whole-system skip (extends).
@@ -364,6 +378,9 @@ class CycleKernel
         std::uint64_t stamp = Clocked::kNoActivityStamp;
         Cycle answer = 0;
         bool live = false; ///< !done(); stamp/answer valid only then.
+        /** Ticked since the last skipTarget() pass (or never asked):
+         *  only then can done(), the stamp or the answer differ. */
+        bool ticked = true;
     };
 
     std::vector<Clocked *> clocked_;

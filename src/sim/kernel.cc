@@ -69,6 +69,20 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     for (std::size_t i = 0; i < clocked_.size(); ++i) {
         const Clocked *c = clocked_[i];
         MemoEntry &m = memo_[i];
+        // A component not ticked since the last pass (deferred or
+        // done) has the same done() answer, stamp and next work: its
+        // entry stands without asking.
+        if (!m.ticked &&
+            (!m.live || (m.stamp != Clocked::kNoActivityStamp &&
+                         m.answer >= next))) {
+            if (m.live) {
+                any_alive = true;
+                if (m.answer < target)
+                    target = m.answer;
+            }
+            continue;
+        }
+        m.ticked = false;
         m.live = !c->done();
         if (!m.live)
             continue;
@@ -130,16 +144,15 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
     elidedCycles_ = 0;
     memo_.assign(clocked_.size(), MemoEntry{});
     pending_.assign(clocked_.size(), PendingElide{});
-    // Periodic probes read (sampler), reset (warm-up boundary via
-    // its own flushElides) or serialize (checkpoint) stats, so every
-    // deferred idle-tick replay must land before one fires; scheduled
-    // probes run un-flushed per their documented contract.
-    const auto flushForProbes = [this](Cycle c) {
-        if (!skipAhead_)
-            return;
+    // Periodic probes read (sampler), audit or serialize
+    // (checkpoint) stats, so every component settles before one
+    // fires: deferred idle ticks are accounted and open stat spans
+    // close, on both engines. Scheduled probes run unsettled per
+    // their documented contract (the warm-up reset settles itself).
+    const auto settleForProbes = [this](Cycle c) {
         for (const ProbeEntry &p : probes_) {
-            if (p.flush && p.next.at == c) {
-                flushElides();
+            if (p.settles && p.next.at == c) {
+                settle();
                 return;
             }
         }
@@ -162,6 +175,7 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
                 continue;
             }
             flushOne(i);
+            memo_[i].ticked = true;
             if (timed) {
                 const std::uint64_t t0 = nowNs();
                 c->tick(cycle);
@@ -171,7 +185,7 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
             }
         }
         memo_fresh = false;
-        flushForProbes(cycle);
+        settleForProbes(cycle);
         const std::uint64_t p0 = timed ? nowNs() : 0;
         for (ProbeEntry &p : probes_) {
             if (p.next.everyVisit || p.next.at == cycle)
@@ -179,14 +193,16 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
         }
         if (timed)
             profiler_->recordProbes(nowNs() - p0);
-        if (all_done)
+        if (all_done) {
+            settle();
             return {Stop::Drained, cycle};
+        }
         if (stopRequested_) {
-            flushElides();
+            settle();
             return {Stop::Requested, cycle};
         }
         if (check::stopRequested()) {
-            flushElides();
+            settle();
             return {Stop::Interrupted, cycle};
         }
         Cycle next = cycle + 1;
@@ -201,7 +217,7 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
                     // Fold the skipped span into an open deferral
                     // span (they are contiguous by construction) or
                     // open one when the memo proves this component
-                    // idle; otherwise replay immediately, as the
+                    // idle; otherwise account for it now, as the
                     // reference elision does.
                     PendingElide &p = pending_[i];
                     if (p.count) {
@@ -220,7 +236,7 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
             }
         }
         if (next >= max_cycles) {
-            flushElides();
+            settle();
             currentCycle_ = next;
             return {Stop::CycleCap, next};
         }

@@ -126,8 +126,12 @@ System::run()
     });
     if (profiler_)
         kernel_->attachProfiler(profiler_);
-    for (auto &core : cores_)
+    for (auto &core : cores_) {
+        // Stage gating rides with the fast engine; the plain loop
+        // calls every stage every cycle and stays the reference.
+        core->setStageGating(params_.skipAhead);
         kernel_->attach(core.get());
+    }
     if (watchdog) {
         // Scheduled at its deadline, not polled on every visit:
         // commits happen only on ticks, so the cores' raw commit
@@ -167,10 +171,10 @@ System::run()
             }
             for (std::size_t i = 0; i < cores_.size(); ++i)
                 cont_.warmupCommitted[i] = cores_[i]->committed();
-            // Scheduled probes run with idle-tick replays still
-            // deferred; settle them on the side of the boundary they
-            // belong to before the measurement window opens.
-            kernel_->flushElides();
+            // Scheduled probes run with stats unsettled; settle them
+            // on the side of the boundary they belong to before the
+            // measurement window opens.
+            kernel_->settle();
             root_.resetAll();
             res.warmupEndCycle = cycle;
             cont_.warmDone = true;
@@ -351,6 +355,17 @@ diffSim(const SimResult &a, const SimResult &b)
         }
     }
     return "";
+}
+
+void
+System::settleStats()
+{
+    if (kernel_) {
+        kernel_->settle();
+        return;
+    }
+    for (auto &core : cores_)
+        core->settle();
 }
 
 std::uint64_t

@@ -68,9 +68,10 @@ struct SystemParams
      * Skip-ahead scheduling: when every core is quiescent, the cycle
      * kernel jumps straight to the next cycle any component or probe
      * can act, bulk-attributing the elided cycles to the stats the
-     * per-cycle loop would have produced; the quiescence memo and
-     * idle-core tick deferral ride along (see
-     * CycleKernel::setSkipAhead). Bit-identical to plain ticking by
+     * per-cycle loop would have produced; the quiescence memo,
+     * idle-core tick deferral (see CycleKernel::setSkipAhead) and
+     * each core's stage gating (see Core::tick) ride along.
+     * Bit-identical to plain ticking by
      * contract (chaos invariant "skipahead-identity");
      * --no-skip-ahead selects the plain loop.
      */
@@ -239,6 +240,14 @@ class System
 
     /** True once the run has stopped at the maxCycles cap (live). */
     bool hitCycleCap() const { return hitCycleCap_; }
+
+    /**
+     * Bring every stat up to date (CycleKernel::settle while a run is
+     * live, else each core's settle()). run() settles on every exit;
+     * call this before reading a live machine's stats from outside
+     * the loop, as the crash hook's salvage does.
+     */
+    void settleStats();
 
   private:
     /** Warm-up-reset-immune commit total (watchdog, heartbeat and

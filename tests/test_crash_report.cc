@@ -12,6 +12,7 @@
 
 #include "check/fault_inject.hh"
 #include "common/logging.hh"
+#include "exp/sweep.hh"
 #include "model/params.hh"
 #include "model/perf_model.hh"
 #include "obs/run_obs.hh"
@@ -80,12 +81,14 @@ TEST(CrashReport, WriteFailureWarnsInsteadOfCrashing)
 TEST(CrashReport, PanicTriggersTheInstalledHook)
 {
     System sys{SystemParams{}};
-    check::setCrashSystem(&sys);
     const std::string path = tempPath("hooked_crash.json");
     std::remove(path.c_str());
     {
         check::ScopedCrashReporting sink(path, "",
                                          obs::ObsOptions::kUnset);
+        // Registered after the guard, as System::run() registers
+        // (building the guard clears an earlier registration).
+        check::setCrashSystem(&sys);
         ScopedThrowOnError isolate;
         EXPECT_THROW(panic("synthetic failure %d", 42),
                      std::runtime_error);
@@ -167,10 +170,10 @@ TEST(CrashReport, InstallWithEmptyPathUsesTheDefault)
     ASSERT_EQ(chdir(dir.c_str()), 0);
 
     System sys{SystemParams{}};
-    check::setCrashSystem(&sys);
     {
         check::ScopedCrashReporting sink("", "",
                                          obs::ObsOptions::kUnset);
+        check::setCrashSystem(&sys);
         ScopedThrowOnError isolate;
         EXPECT_THROW(panic("default path"), std::runtime_error);
     }
@@ -217,6 +220,64 @@ TEST(CrashReport, HookEndsWithTheRun)
     EXPECT_FALSE(std::ifstream(crash).good()) << slurp(crash);
     EXPECT_EQ(slurp(stats), before);
     std::remove(crash.c_str());
+    std::remove(stats.c_str());
+}
+
+TEST(CrashReport, NoStaleMachineAfterAnEarlierRun)
+{
+    // A finished run's machine stays alive with its PerfModel, but a
+    // later run or sweep on the same thread that fails before its own
+    // System::run() must not report that machine (it would carry the
+    // earlier run's cycle and commits) nor salvage its stats.
+    const std::string crash = tempPath("stale_machine_crash.json");
+    const std::string first_crash = tempPath("stale_first_crash.json");
+    const std::string stats = tempPath("stale_machine_stats.json");
+    std::remove(crash.c_str());
+    std::remove(first_crash.c_str());
+    std::remove(stats.c_str());
+    obs::ObsOptions first_run;
+    first_run.crashReportPath = first_crash;
+    PerfModel first(sparc64vBase(), first_run);
+    first.loadWorkload(specint95Profile(), 5000);
+    ASSERT_EQ(first.run().instructions, 5000u);
+
+    MachineParams no_bus = sparc64vBase();
+    no_bus.sys.mem.bus.bytesPerCycle = 0;
+    exp::Sweep sweep;
+    sweep.add("no-bus", no_bus, specint95Profile(), 5000);
+    exp::SweepOptions opts;
+    opts.threads = 1;
+    opts.run.crashReportPath = crash;
+    std::string sink;
+    setLogSink(&sink);
+    const std::vector<exp::PointResult> res =
+        exp::SweepRunner(opts).run(sweep);
+    setLogSink(nullptr);
+    ASSERT_EQ(res.size(), 1u);
+    EXPECT_FALSE(res[0].ok);
+    EXPECT_NE(res[0].error.find("zero bandwidth"), std::string::npos)
+        << res[0].error;
+    EXPECT_EQ(check::crashCount(), 0u);
+    EXPECT_FALSE(std::ifstream(crash).good()) << slurp(crash);
+
+    // A second single run whose prepare() fails salvages nothing into
+    // its --stats-json path while the first machine is still alive.
+    obs::ObsOptions second_run;
+    second_run.crashReportPath = crash;
+    second_run.statsJsonPath = stats;
+    PerfModel second(no_bus, second_run);
+    second.loadWorkload(specint95Profile(), 5000);
+    setLogSink(&sink);
+    {
+        ScopedThrowOnError isolate;
+        EXPECT_THROW(second.run(), std::runtime_error);
+    }
+    setLogSink(nullptr);
+    EXPECT_EQ(check::crashCount(), 0u);
+    EXPECT_FALSE(std::ifstream(stats).good()) << slurp(stats);
+    EXPECT_FALSE(std::ifstream(crash).good()) << slurp(crash);
+    std::remove(crash.c_str());
+    std::remove(first_crash.c_str());
     std::remove(stats.c_str());
 }
 

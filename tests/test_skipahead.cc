@@ -17,12 +17,15 @@
  */
 
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ckpt/checkpoint.hh"
+#include "common/logging.hh"
 #include "exp/sweep.hh"
 #include "model/params.hh"
 #include "obs/stats_export.hh"
@@ -30,6 +33,8 @@
 #include "sim/system.hh"
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
+
+#include "hand_trace.hh"
 
 namespace s64v
 {
@@ -297,13 +302,14 @@ runMode(SystemParams sp, const std::vector<InstrTrace> &traces,
 }
 
 void
-expectBitIdenticalModes(const WorkloadProfile &profile,
-                        unsigned num_cpus, std::size_t instrs)
+expectBitIdenticalModes(const MachineParams &machine,
+                        const WorkloadProfile &profile,
+                        std::size_t instrs)
 {
-    SystemParams sp = sparc64vBase(num_cpus).sys;
+    SystemParams sp = machine.sys;
     sp.warmupInstrs = instrs / 5;
     const std::vector<InstrTrace> traces =
-        makeTraces(profile, num_cpus, instrs);
+        makeTraces(profile, sp.numCpus, instrs);
 
     const RunOutcome plain = runMode(sp, traces, false);
     const RunOutcome skip = runMode(sp, traces, true);
@@ -319,22 +325,291 @@ expectBitIdenticalModes(const WorkloadProfile &profile,
 
 TEST(SkipAheadIdentity, UpSpecint)
 {
-    expectBitIdenticalModes(specint95Profile(), 1, 20000);
+    expectBitIdenticalModes(sparc64vBase(1), specint95Profile(), 20000);
 }
 
 TEST(SkipAheadIdentity, UpTpcc)
 {
-    expectBitIdenticalModes(tpccProfile(), 1, 20000);
+    expectBitIdenticalModes(sparc64vBase(1), tpccProfile(), 20000);
 }
 
 TEST(SkipAheadIdentity, Smp4Specint)
 {
-    expectBitIdenticalModes(specint95Profile(), 4, 6000);
+    expectBitIdenticalModes(sparc64vBase(4), specint95Profile(), 6000);
 }
 
 TEST(SkipAheadIdentity, Smp4Tpcc)
 {
-    expectBitIdenticalModes(tpccProfile(), 4, 6000);
+    expectBitIdenticalModes(sparc64vBase(4), tpccProfile(), 6000);
+}
+
+// The fast engine's stage gates branch on these machine knobs (issue
+// width, station layout, forwarding, speculative dispatch, special-
+// instruction mode, MSHR pressure): the fast == plain proof covers
+// each of them, on the workloads above, beside the base machine.
+
+struct IdentityMachine
+{
+    const char *name;
+    MachineParams (*build)(unsigned num_cpus);
+};
+
+const IdentityMachine kIdentityMachines[] = {
+    {"Issue2",
+     [](unsigned n) { return withIssueWidth(sparc64vBase(n), 2); }},
+    {"UnifiedRs",
+     [](unsigned n) { return withUnifiedRs(sparc64vBase(n), true); }},
+    {"NoForwarding",
+     [](unsigned n) {
+         return withDataForwarding(sparc64vBase(n), false);
+     }},
+    {"NoSpeculativeDispatch",
+     [](unsigned n) {
+         return withSpeculativeDispatch(sparc64vBase(n), false);
+     }},
+    {"FixedPenalty",
+     [](unsigned n) {
+         MachineParams m = sparc64vBase(n);
+         m.sys.core.specialMode = SpecialInstrMode::FixedPenalty;
+         return m;
+     }},
+    {"OneCycle",
+     [](unsigned n) {
+         MachineParams m = sparc64vBase(n);
+         m.sys.core.specialMode = SpecialInstrMode::OneCycle;
+         return m;
+     }},
+    {"FewMshrs",
+     [](unsigned n) {
+         MachineParams m = sparc64vBase(n);
+         m.sys.mem.l1d.mshrs = 4;
+         m.sys.mem.l2.mshrs = 4;
+         return m;
+     }},
+};
+
+struct IdentityWorkload
+{
+    const char *name;
+    WorkloadProfile (*profile)();
+    unsigned cpus;
+    std::size_t instrs;
+};
+
+const IdentityWorkload kIdentityWorkloads[] = {
+    {"UpSpecint", specint95Profile, 1, 20000},
+    {"UpTpcc", tpccProfile, 1, 20000},
+    {"Smp4Tpcc", tpccProfile, 4, 6000},
+};
+
+class SkipAheadIdentityMachines
+    : public ::testing::TestWithParam<std::tuple<int, int>>
+{
+};
+
+TEST_P(SkipAheadIdentityMachines, FastEqualsPlain)
+{
+    const IdentityMachine &m = kIdentityMachines[std::get<0>(GetParam())];
+    const IdentityWorkload &w =
+        kIdentityWorkloads[std::get<1>(GetParam())];
+    expectBitIdenticalModes(m.build(w.cpus), w.profile(), w.instrs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, SkipAheadIdentityMachines,
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(std::size(kIdentityMachines))),
+        ::testing::Range(0,
+                         static_cast<int>(std::size(kIdentityWorkloads)))),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>> &info) {
+        return std::string(
+                   kIdentityMachines[std::get<0>(info.param)].name) +
+            "_" + kIdentityWorkloads[std::get<1>(info.param)].name;
+    });
+
+// --- Stage wake rules ----------------------------------------------
+//
+// With stage gating (the fast engine) a stage sleeps until its wake
+// cycle, and the events that can make it busier wake it early (see
+// Core::tick). Each test below runs a trace that exercises one such
+// event under both engines: the stats must agree, and the fast engine
+// must actually have left the stage uncalled on some tick. Without
+// its rule each of them fails (the engines disagree, or the fast
+// engine deadlocks), except the two Special tests: no instruction
+// class completes before the dispatch-time prediction in a way a
+// waiting consumer could use, so they pin the engines together on
+// those machines.
+
+/** @p cpus hand traces (see tests/hand_trace.hh) of @p instrs. */
+std::vector<InstrTrace>
+handTraces(std::uint64_t seed, std::size_t instrs, unsigned cpus)
+{
+    std::vector<InstrTrace> traces;
+    for (unsigned cpu = 0; cpu < cpus; ++cpu)
+        traces.push_back(testutil::handTrace(seed, instrs, cpu));
+    return traces;
+}
+
+/**
+ * Run @p machine on @p traces under both engines: the run outcome
+ * and the stats JSON must match, and the fast engine must have left
+ * @p stage uncalled on at least one tick (the plain loop calls every
+ * stage on every tick).
+ */
+void
+expectWakeRuleHolds(MachineParams machine,
+                    const std::vector<InstrTrace> &traces,
+                    Core::Stage stage)
+{
+    machine.sys.numCpus = static_cast<unsigned>(traces.size());
+    machine.sys.warmupInstrs = traces[0].size() / 5;
+    RunOutcome out[2];
+    for (bool skip : {false, true}) {
+        SCOPED_TRACE(skip ? "fast engine" : "plain loop");
+        SystemParams sp = machine.sys;
+        sp.skipAhead = skip;
+        System sys(sp);
+        attachAll(sys, traces);
+        {
+            // A wake that never comes stalls the machine: the
+            // watchdog's panic becomes this test's failure.
+            ScopedThrowOnError isolate;
+            ASSERT_NO_THROW(out[skip].res = sys.run());
+        }
+        out[skip].json = obs::exportStatsJson(sys.root(), &out[skip].res);
+        std::uint64_t runs = 0;
+        std::uint64_t ticks = 0;
+        for (CpuId cpu = 0; cpu < traces.size(); ++cpu) {
+            runs += sys.core(cpu).stageRuns(stage);
+            ticks += sys.core(cpu).ticks();
+        }
+        if (skip)
+            EXPECT_LT(runs, ticks) << "the fast engine never skipped it";
+        else
+            EXPECT_EQ(runs, ticks);
+    }
+    ASSERT_FALSE(out[0].res.hitCycleCap);
+    EXPECT_EQ(diffSim(out[0].res, out[1].res), "");
+    EXPECT_EQ(out[0].json, out[1].json);
+}
+
+TEST(StageWake, MergedMissRetiredBeforeItsCancelWakesDispatch)
+{
+    // A load merges into a fill that lands right after it issues, so
+    // it completes, and retires, before its miss-cancel broadcast; its
+    // consumer, waiting on the optimistic hit schedule, may select as
+    // soon as it retires. A chain of five divides and a multiply
+    // delays the second load's address until just before the first
+    // load's memory fill lands.
+    InstrTrace t("merged");
+    Addr pc = 0x100000;
+    auto add = [&](InstrClass cls, RegId dst, RegId src1, Addr ea) {
+        TraceRecord r;
+        r.pc = pc;
+        pc += 4;
+        r.cls = cls;
+        r.dst = dst;
+        r.src1 = src1;
+        r.src2 = cls == InstrClass::IntAlu || r.isMem() ? kNoReg : src1;
+        r.ea = ea;
+        r.size = r.isMem() ? 8 : 0;
+        t.append(r);
+    };
+    constexpr Addr kLine = 0x40000000;
+    for (int i = 0; i < 5; ++i)
+        add(InstrClass::IntDiv, 2, 2, 0);
+    add(InstrClass::IntMul, 2, 2, 0);
+    add(InstrClass::Load, 1, kNoReg, kLine);   // misses to memory.
+    add(InstrClass::Load, 3, 2, kLine + 8);    // merges into its fill.
+    add(InstrClass::IntAlu, 4, 3, 0);          // the waiting consumer.
+    expectWakeRuleHolds(sparc64vBase(), {t}, Core::Stage::Dispatch);
+}
+
+TEST(StageWake, RetirementWithoutForwardingWakesDispatch)
+{
+    // Without forwarding a result reaches its consumers later than the
+    // dispatch-to-execute distance: the producer's retirement, which
+    // makes the operand architectural, is what releases them.
+    expectWakeRuleHolds(withDataForwarding(sparc64vBase(), false),
+                        handTraces(1, 2000, 1), Core::Stage::Dispatch);
+}
+
+TEST(StageWake, ConfirmedReadinessWakesDispatchWithoutSpeculation)
+{
+    // Without speculative dispatch a consumer waits for its
+    // producer's confirmed readiness; every event that sets it wakes
+    // the select.
+    expectWakeRuleHolds(withSpeculativeDispatch(sparc64vBase(), false),
+                        handTraces(1, 2000, 1), Core::Stage::Dispatch);
+}
+
+/** Hand traces whose serializing Specials produce a register. */
+std::vector<InstrTrace>
+specialProducerTraces(std::uint64_t seed, std::size_t instrs)
+{
+    const InstrTrace in = testutil::handTrace(seed, instrs, 0);
+    InstrTrace out("hand");
+    unsigned k = 0;
+    for (TraceRecord r : in.records()) {
+        if (r.cls == InstrClass::Special)
+            r.dst = static_cast<RegId>(1 + k++ % 31);
+        out.append(r);
+    }
+    return {out};
+}
+
+TEST(StageWake, SpecialResultInFixedPenaltyModeWakesDispatch)
+{
+    // A zero penalty completes a Special one cycle before the
+    // dispatch-time prediction of its result.
+    MachineParams m = sparc64vBase();
+    m.sys.core.specialMode = SpecialInstrMode::FixedPenalty;
+    m.sys.core.specialPenalty = 0;
+    expectWakeRuleHolds(m, specialProducerTraces(2, 3000),
+                        Core::Stage::Dispatch);
+}
+
+TEST(StageWake, SpecialResultInOneCycleModeWakesDispatch)
+{
+    // A one-cycle Special completes exactly on its prediction.
+    MachineParams m = sparc64vBase();
+    m.sys.core.specialMode = SpecialInstrMode::OneCycle;
+    expectWakeRuleHolds(m, specialProducerTraces(2, 3000),
+                        Core::Stage::Dispatch);
+}
+
+TEST(StageWake, MispredictRedirectWakesFetch)
+{
+    // Fetch sleeps while it waits on a mispredicted branch; only the
+    // branch's execute (the redirect) restarts it.
+    expectWakeRuleHolds(sparc64vBase(), handTraces(1, 2000, 1),
+                        Core::Stage::Fetch);
+}
+
+TEST(StageWake, IssueDrainingAFullFetchQueueWakesFetch)
+{
+    // A fetch queue without room for a group sleeps until issue pops
+    // from it; the narrow machine keeps the queue full more often.
+    expectWakeRuleHolds(withIssueWidth(sparc64vBase(), 2),
+                        handTraces(1, 2000, 1), Core::Stage::Fetch);
+}
+
+TEST(StageWake, CommittedStoreWakesTheLsq)
+{
+    // A store's write may issue only once it commits: the LSQ sleeps
+    // past its address until the commit stage wakes it.
+    expectWakeRuleHolds(sparc64vBase(), handTraces(1, 2000, 1),
+                        Core::Stage::Lsq);
+}
+
+TEST(StageWake, ForwardedLoadWakesDispatch)
+{
+    // A load served from the store queue (or a hit that beats its
+    // schedule) completes before the hit schedule its consumers were
+    // told at dispatch; shared data on two CPUs makes these common.
+    const std::vector<InstrTrace> traces = handTraces(3, 6000, 2);
+    expectWakeRuleHolds(sparc64vBase(2), traces, Core::Stage::Dispatch);
+    expectWakeRuleHolds(sparc64vBase(2), traces, Core::Stage::Lsq);
 }
 
 // --- Checkpoint cut inside an elided stall window -----------------

@@ -296,7 +296,8 @@ TEST(WatchdogRun, GraceExtensionsAndLaterCommitsMatch)
     // to a pending fill again and again, and commits arrive before
     // the extended deadlines, until one gap has no fill to wait for.
     // While a fill is awaited every visited cycle re-probes, so the
-    // grace count depends on how many cycles the engine visits.
+    // grace count depends on how many cycles the engine visits (the
+    // fast engine's count drops when it visits fewer of them).
     struct Case
     {
         std::uint64_t period;
@@ -305,7 +306,7 @@ TEST(WatchdogRun, GraceExtensionsAndLaterCommitsMatch)
     };
     const Case cases[] = {
         {130, false, drought(130, 6049, 190, 913)},
-        {130, true, drought(130, 6049, 190, 39)},
+        {130, true, drought(130, 6049, 190, 38)},
         {170, false, drought(170, 1011, 26, 96)},
         {170, true, drought(170, 1011, 26, 5)},
     };
