@@ -266,10 +266,10 @@ checkCkptReplay(const ChaosPoint &p)
 
 /**
  * The cycle kernel's core contract: the fast engine (skip-ahead with
- * quiescence memoization and idle-tick deferral) is an
- * execution-speed optimization only. Running the same fuzzed machine
- * on it and on the plain per-cycle loop must produce the same
- * SimResult and a byte-identical stats JSON document.
+ * quiescence memoization, proven-idle components left unticked and
+ * stage gating) is an execution-speed optimization only. Running the
+ * same fuzzed machine on it and on the plain per-cycle loop must
+ * produce the same SimResult and a byte-identical stats JSON document.
  */
 std::optional<Violation>
 checkSkipaheadIdentity(const ChaosPoint &p)

@@ -913,9 +913,11 @@ Core::settle()
 }
 
 void
-Core::elide(Cycle from, std::uint64_t cycles)
+Core::settle(Cycle through)
 {
-    accountedEnd_ = from + cycles;
+    if (!done())
+        accountedEnd_ = through;
+    settle();
 }
 
 bool

@@ -112,25 +112,27 @@ class Core : public Clocked
     Cycle nextWorkCycle(Cycle now) const override;
 
     /**
-     * Account for @p cycles idle cycles from @p from: every stage is
-     * asleep through them, so this only extends the open stat spans
-     * (see settle()).
+     * Bring every stat up to date through the cycle the kernel names
+     * (see Clocked::settle): every stage was asleep through the
+     * cycles since the last tick, so the open stat spans run on to
+     * @p through. A done() core keeps its last tick: the kernel's
+     * drain visit ticks nothing.
      */
-    void elide(Cycle from, std::uint64_t cycles) override;
+    void settle(Cycle through) override;
 
     /**
      * Bring every stat up to date through the last cycle this core
-     * accounted (ticked or elided). The per-cycle stats an idle stage
+     * accounted (ticked or settled). The per-cycle stats an idle stage
      * still changes accrue as run-length spans: commit-idle cycles
      * with their CPI-stack slots and the issue stage's stall counter
      * (one open run each, closed when its value changes), and the
      * occupancy samples (taken once per tick for every cycle since
      * the last, into a core-local table). settle() closes the runs,
-     * takes the owed samples and folds the table into the stats; the
-     * kernel settles every component before any stat read (see
-     * CycleKernel::settle).
+     * takes the owed samples and folds the table into the stats. The
+     * span readers below use it, and so does System::settleStats()
+     * when no kernel is live.
      */
-    void settle() override;
+    void settle();
 
     /**
      * Monotone activity stamp for the kernel's quiescence
@@ -439,7 +441,7 @@ class Core : public Clocked
 
     /**
      * Stat spans (see settle()). accountedEnd_ is one past the last
-     * cycle ticked or elided: the spans run up to it. @{
+     * cycle ticked or settled: the spans run up to it. @{
      */
     bool spansOpen_ = false;
     Cycle accountedEnd_ = 0;

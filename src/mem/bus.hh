@@ -40,21 +40,6 @@ class Bus
     Cycle command(Cycle cycle);
 
     /**
-     * Earliest future cycle (> @p now) either bus phase frees up, or
-     * kCycleNever when both are already idle — the skip-ahead
-     * kernel's bus bound.
-     */
-    Cycle nextRelease(Cycle now) const
-    {
-        Cycle earliest = kCycleNever;
-        if (addrBusyUntil_ > now)
-            earliest = addrBusyUntil_;
-        if (dataBusyUntil_ > now && dataBusyUntil_ < earliest)
-            earliest = dataBusyUntil_;
-        return earliest;
-    }
-
-    /**
      * Fault injection (--inject-fault=lost-grant:<cycle>): from
      * @p cycle on, the arbiter never grants again — transactions get
      * an unreachable completion cycle, which must trip the watchdog

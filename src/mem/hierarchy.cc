@@ -242,13 +242,6 @@ MemSystem::nextPendingFill(Cycle now) const
     return earliest;
 }
 
-Cycle
-MemSystem::earliestPendingCompletion(Cycle now) const
-{
-    return std::min({nextPendingFill(now), bus_->nextRelease(now),
-                     memCtrl_->nextRelease(now)});
-}
-
 double
 MemSystem::l2DemandMissRatio() const
 {

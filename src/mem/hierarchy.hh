@@ -89,18 +89,14 @@ class MemSystem
 
     /**
      * Earliest fill landing after @p now in any CPU's L1I, L1D or L2,
-     * or kCycleNever when none: the watchdog's event probe.
+     * or kCycleNever when none: the watchdog's event probe, asked at
+     * its deadlines. The kernel asks nothing of the memory system:
+     * it is lazily timed (an access computes its completion when a
+     * core issues it), so a completion moves a stat only when a
+     * core's stage reads it, at a cycle that core's nextWorkCycle()
+     * already names.
      */
     Cycle nextPendingFill(Cycle now) const;
-
-    /**
-     * Earliest future cycle (> @p now) any in-flight fill lands or a
-     * shared resource (bus phase, memory channel) frees up, over all
-     * CPUs — or kCycleNever when the whole hierarchy is quiescent.
-     * The memory system is lazily timed (never ticked), so this is
-     * purely a skip bound for the kernel: it must not mutate state.
-     */
-    Cycle earliestPendingCompletion(Cycle now) const;
 
     /** Aggregate L2 demand-miss ratio over all CPUs (Figure 15/17). */
     double l2DemandMissRatio() const;

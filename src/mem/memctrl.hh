@@ -38,20 +38,6 @@ class MemCtrl
     std::uint64_t writes() const { return writes_.value(); }
     std::uint64_t queueCycles() const { return queueCycles_.value(); }
 
-    /**
-     * Earliest future cycle (> @p now) a busy channel frees up, or
-     * kCycleNever when all are idle — the skip-ahead kernel's
-     * memory-controller bound.
-     */
-    Cycle nextRelease(Cycle now) const
-    {
-        Cycle earliest = kCycleNever;
-        for (Cycle busy : channelBusy_)
-            if (busy > now && busy < earliest)
-                earliest = busy;
-        return earliest;
-    }
-
     /** Serialize channel occupancy (checkpoint/restore). */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);

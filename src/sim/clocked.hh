@@ -47,35 +47,27 @@ class Clocked
      * change machine state or produce a stat mutation that differs
      * from an idle repeat of cycle @p now. The skip-ahead kernel
      * advances directly to the minimum over all components (bounded
-     * by probes); every cycle in between is elided and accounted in
-     * bulk through elide(). kCycleNever means fully quiescent until
-     * an external event. The default — always busy — keeps any
-     * component that has not opted in bit-exact under skip-ahead.
+     * by probes) and does not tick the component in between; the
+     * next settle() accounts those idle cycles. kCycleNever means
+     * fully quiescent until an external event. The default — always
+     * busy — keeps any component that has not opted in bit-exact
+     * under skip-ahead.
      */
     virtual Cycle nextWorkCycle(Cycle now) const { return now; }
 
     /**
-     * Account for @p cycles idle cycles [@p from, @p from + cycles)
-     * the kernel skipped. The component must reproduce exactly the
-     * stat mutations that @p cycles consecutive idle ticks starting
-     * at @p from would have made, by settle() at the latest — machine
-     * state itself must not change (nextWorkCycle() guaranteed no
-     * state transition could occur in the window).
+     * Bring every stat up to date through @p through, one past the
+     * last cycle this component is accounted for. The kernel names
+     * it, on both engines, before anything reads stats (see
+     * CycleKernel::settle): every cycle before it was either ticked
+     * or proven idle by nextWorkCycle(), and the component must
+     * account each untouched cycle exactly as an idle repeat of its
+     * last tick. A component that accrues per-cycle stats as
+     * run-length spans (Core) closes them here. A done() component
+     * keeps its last tick: its stats end there, whatever @p through
+     * says.
      */
-    virtual void elide(Cycle from, std::uint64_t cycles)
-    {
-        (void)from;
-        (void)cycles;
-    }
-
-    /**
-     * Bring every stat up to date through the last cycle this
-     * component ticked or elided: a component that accrues per-cycle
-     * stats as run-length spans (Core) closes them here. The kernel
-     * calls it, on both engines, before anything reads stats (see
-     * CycleKernel::settle).
-     */
-    virtual void settle() {}
+    virtual void settle(Cycle through) { (void)through; }
 
     /**
      * Sentinel activityStamp(): this component does not expose a
@@ -206,19 +198,14 @@ class CycleKernel
     void attachScheduledProbe(Cycle first, ScheduledProbeFn fn);
 
     /**
-     * Register an external skip bound: a function of the prospective
-     * skip start returning the earliest cycle an event outside the
-     * Clocked components completes (kCycleNever for none). Used for
-     * lazily-timed shared state (memory hierarchy) whose completions
-     * classify stalls even though nothing ticks it.
-     */
-    void attachSkipBound(std::function<Cycle(Cycle)> bound);
-
-    /**
      * Enable skip-ahead scheduling, the fast engine: advance directly
-     * to min(component next work, next probe firing, skip bounds,
-     * cycle cap), accounting the elided cycles' stat effects in bulk
-     * via Clocked::elide(). Three refinements ride along:
+     * to min(component next work, next probe firing, cycle cap); the
+     * cycles skipped are accounted by each component's next settle().
+     * Nothing else bounds the skip: the memory system is lazily
+     * timed, so its state changes only inside a core's tick, and a
+     * completion can move a stat only when a core's stage reads it,
+     * which that core's nextWorkCycle() already names. Three
+     * refinements ride along:
      *
      * - Quiescence memoization: skipTarget() caches each component's
      *   (activityStamp, nextWorkCycle) pair and reuses the cached
@@ -228,16 +215,16 @@ class CycleKernel
      *   state is frozen, under which nextWorkCycle() answers are
      *   nondecreasing in the query cycle, so a cached answer can
      *   only shorten a skip, never stretch one.
-     * - Idle-tick deferral: on a visited cycle, a component whose
-     *   cached answer lies strictly in the future skips its tick
-     *   entirely and the owed idle-stat accounting is batched into
-     *   one elide() before its next real tick (see PendingElide). This
-     *   is what makes SMP runs cheap when one core pins the clock
-     *   while the others stall.
+     * - Idle components are not ticked: on a visited cycle, a
+     *   component whose cached answer lies strictly in the future
+     *   would only repeat an idle tick, so the kernel skips it (see
+     *   provenIdle()); nothing is owed, since settle() accounts the
+     *   cycle. This is what makes SMP runs cheap when one core pins
+     *   the clock while the others stall.
      * - One query per visit: skipTarget() asks every live component
-     *   for done() and activityStamp() once; nothing ticks between
-     *   it and the next visit, so the elide loop and that visit's
-     *   deferral test reuse the answers it stored in the memo.
+     *   for done() and activityStamp() once; nothing runs between it
+     *   and the next visit, so that visit's tick pass reuses the
+     *   answers it stored in the memo.
      *
      * Off by default: the plain per-cycle loop is the reference
      * semantics.
@@ -248,22 +235,23 @@ class CycleKernel
     std::uint64_t elidedCycles() const { return elidedCycles_; }
 
     /**
-     * Settle every component's stats through the cycles it has been
-     * accounted for: account every deferred idle tick (see canDefer())
-     * and then call each component's Clocked::settle(). The kernel
-     * settles, on both engines, before any periodic probe fires and
-     * on every loop exit; call this from a *scheduled* probe before
-     * reading or mutating stats (the warm-up reset is the one that
-     * does), and before reading a live machine's stats from outside
-     * the loop (the crash hook's salvage).
+     * Settle every component's stats (Clocked::settle) through the
+     * cycle it is accounted through: one past the visited cycle for
+     * the components the current tick pass has reached (every one
+     * once the pass is over, so probes and loop exits see the whole
+     * visit), the visited cycle itself for the rest (a panic inside
+     * a tick leaves the pass half done), and the cap at a cycle-cap
+     * exit. The kernel settles, on both engines, before any periodic
+     * probe fires and on every loop exit; call this from a
+     * *scheduled* probe before reading or mutating stats (the warm-up
+     * reset is the one that does), and before reading a live
+     * machine's stats from outside the loop (the crash hook's
+     * salvage).
      */
     void settle()
     {
-        for (std::size_t i = 0; i < clocked_.size(); ++i) {
-            if (i < pending_.size())
-                flushOne(i);
-            clocked_[i]->settle();
-        }
+        for (std::size_t i = 0; i < clocked_.size(); ++i)
+            clocked_[i]->settle(currentCycle_ + (i < visited_ ? 1 : 0));
     }
 
     /** Why run() returned. */
@@ -315,58 +303,25 @@ class CycleKernel
 
     /**
      * Earliest cycle in [@p next, @p max_cycles] the kernel must
-     * visit: min over component work, probe firings and external
-     * skip bounds. Non-const: refreshes the memo entry (done, stamp,
-     * answer) of every component ticked since the last pass; an
-     * untouched one keeps its entry unasked, since only its own
-     * tick() changes those answers.
+     * visit: min over component work and probe firings. Non-const:
+     * refreshes the memo entry (done, stamp, answer) of every
+     * component ticked since the last pass; an untouched one keeps
+     * its entry unasked, since only its own tick() changes those
+     * answers.
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 
     /**
-     * Deferred idle ticks of one component: while a memo entry
-     * proves the component idle at the visited cycle (frozen stamp,
-     * cached next work still in the future), its tick is skipped and
-     * the owed idle cycles accumulate here; one bulk elide() accounts
-     * for the whole span before the component's
-     * next real tick. Spans stay contiguous because every simulated
-     * cycle lands in exactly one of: a real tick (flushes), a
-     * deferred visit (extends), or a whole-system skip (extends).
+     * Is component @p i's tick at @p cycle an idle repeat? Only right
+     * after skipTarget() refreshed its memo entry (so the stored
+     * stamp is the current one and the state provably frozen since),
+     * when the component exposes a stamp and the cached next-work
+     * cycle lies strictly beyond @p cycle.
      */
-    struct PendingElide
-    {
-        Cycle from = 0;
-        std::uint64_t count = 0;
-    };
-
-    /**
-     * May component @p i skip its tick at @p cycle? Only right after
-     * skipTarget() refreshed its memo entry (so the stored stamp is
-     * the current one and the state provably frozen since), when the
-     * component exposes a stamp and the cached next-work cycle lies
-     * strictly beyond @p cycle: the tick would be an idle repeat.
-     */
-    bool canDefer(std::size_t i, Cycle cycle) const
+    bool provenIdle(std::size_t i, Cycle cycle) const
     {
         return memo_[i].stamp != Clocked::kNoActivityStamp &&
             memo_[i].answer > cycle;
-    }
-
-    void deferIdle(std::size_t i, Cycle cycle)
-    {
-        PendingElide &p = pending_[i];
-        if (!p.count)
-            p.from = cycle;
-        ++p.count;
-    }
-
-    void flushOne(std::size_t i)
-    {
-        PendingElide &p = pending_[i];
-        if (p.count) {
-            clocked_[i]->elide(p.from, p.count);
-            p.count = 0;
-        }
     }
 
     /**
@@ -384,12 +339,12 @@ class CycleKernel
     };
 
     std::vector<Clocked *> clocked_;
-    std::vector<MemoEntry> memo_;       ///< parallel to clocked_.
-    std::vector<PendingElide> pending_; ///< parallel to clocked_.
+    std::vector<MemoEntry> memo_; ///< parallel to clocked_.
     std::vector<ProbeEntry> probes_;
-    std::vector<std::function<Cycle(Cycle)>> bounds_;
     TickProfiler *profiler_ = nullptr;
     Cycle currentCycle_ = 0;
+    /** Components the current tick pass has reached (see settle()). */
+    std::size_t visited_ = 0;
     std::uint64_t elidedCycles_ = 0;
     bool stopRequested_ = false;
     bool skipAhead_ = false;

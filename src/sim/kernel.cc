@@ -53,14 +53,6 @@ CycleKernel::attachScheduledProbe(Cycle first, ScheduledProbeFn fn)
     probes_.push_back(ProbeEntry{{first, false}, false, std::move(fn)});
 }
 
-void
-CycleKernel::attachSkipBound(std::function<Cycle(Cycle)> bound)
-{
-    if (!bound)
-        panic("CycleKernel skip bound needs a callback");
-    bounds_.push_back(std::move(bound));
-}
-
 Cycle
 CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
 {
@@ -69,7 +61,7 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     for (std::size_t i = 0; i < clocked_.size(); ++i) {
         const Clocked *c = clocked_[i];
         MemoEntry &m = memo_[i];
-        // A component not ticked since the last pass (deferred or
+        // A component not ticked since the last pass (proven idle or
         // done) has the same done() answer, stamp and next work: its
         // entry stands without asking.
         if (!m.ticked &&
@@ -92,9 +84,9 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
         // still lies at or past the queried cycle; both gates
         // together make reuse conservative (see setSkipAhead). No
         // early-out here even once the skip is pinned: the refreshed
-        // entry doubles as the elide loop's and the next visit's
-        // done() answer and idle-tick deferral proof (canDefer), so
-        // every component must be brought up to date.
+        // entry doubles as the next visit's done() answer and idle
+        // proof (provenIdle), so every component must be brought up
+        // to date.
         const std::uint64_t stamp = c->activityStamp();
         Cycle w;
         if (stamp != Clocked::kNoActivityStamp && stamp == m.stamp &&
@@ -125,15 +117,6 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
         if (h < target)
             target = h;
     }
-    for (const auto &bound : bounds_) {
-        if (target <= next)
-            return next;
-        Cycle h = bound(next);
-        if (h < next)
-            h = next;
-        if (h < target)
-            target = h;
-    }
     return target;
 }
 
@@ -143,12 +126,11 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
     stopRequested_ = false;
     elidedCycles_ = 0;
     memo_.assign(clocked_.size(), MemoEntry{});
-    pending_.assign(clocked_.size(), PendingElide{});
     // Periodic probes read (sampler), audit or serialize
     // (checkpoint) stats, so every component settles before one
-    // fires: deferred idle ticks are accounted and open stat spans
-    // close, on both engines. Scheduled probes run unsettled per
-    // their documented contract (the warm-up reset settles itself).
+    // fires: open stat spans close, on both engines. Scheduled
+    // probes run unsettled per their documented contract (the
+    // warm-up reset settles itself).
     const auto settleForProbes = [this](Cycle c) {
         for (const ProbeEntry &p : probes_) {
             if (p.settles && p.next.at == c) {
@@ -166,15 +148,13 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
         bool all_done = true;
         const bool timed = profiler_ && profiler_->sampleCycle(cycle);
         for (std::size_t i = 0; i < clocked_.size(); ++i) {
+            visited_ = i + 1;
             Clocked *c = clocked_[i];
             if (memo_fresh ? !memo_[i].live : c->done())
                 continue;
             all_done = false;
-            if (memo_fresh && canDefer(i, cycle)) {
-                deferIdle(i, cycle);
+            if (memo_fresh && provenIdle(i, cycle))
                 continue;
-            }
-            flushOne(i);
             memo_[i].ticked = true;
             if (timed) {
                 const std::uint64_t t0 = nowNs();
@@ -211,24 +191,6 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
             memo_fresh = true;
             if (target > next) {
                 const std::uint64_t n = target - next;
-                for (std::size_t i = 0; i < clocked_.size(); ++i) {
-                    if (!memo_[i].live)
-                        continue;
-                    // Fold the skipped span into an open deferral
-                    // span (they are contiguous by construction) or
-                    // open one when the memo proves this component
-                    // idle; otherwise account for it now, as the
-                    // reference elision does.
-                    PendingElide &p = pending_[i];
-                    if (p.count) {
-                        p.count += n;
-                    } else if (canDefer(i, next)) {
-                        p.from = next;
-                        p.count = n;
-                    } else {
-                        clocked_[i]->elide(next, n);
-                    }
-                }
                 elidedCycles_ += n;
                 if (profiler_)
                     profiler_->recordElided(n);
@@ -236,8 +198,10 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
             }
         }
         if (next >= max_cycles) {
-            settle();
+            // Every live component is accounted through the cap.
             currentCycle_ = next;
+            visited_ = 0;
+            settle();
             return {Stop::CycleCap, next};
         }
         cycle = next;

@@ -117,13 +117,6 @@ System::run()
     kernel_ = std::make_unique<CycleKernel>();
     hitCycleCap_ = false;
     kernel_->setSkipAhead(params_.skipAhead);
-    // The lazily-timed memory system is never ticked, but in-flight
-    // fills and busy shared resources still bound how far the kernel
-    // may skip (their completion cycles are where stall
-    // classifications and watchdog deferrals can change).
-    kernel_->attachSkipBound([this](Cycle now) {
-        return mem_->earliestPendingCompletion(now);
-    });
     if (profiler_)
         kernel_->attachProfiler(profiler_);
     for (auto &core : cores_) {

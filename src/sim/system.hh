@@ -66,10 +66,10 @@ struct SystemParams
     std::uint64_t watchdogCycles = check::kDefaultWatchdogCycles;
     /**
      * Skip-ahead scheduling: when every core is quiescent, the cycle
-     * kernel jumps straight to the next cycle any component or probe
-     * can act, bulk-attributing the elided cycles to the stats the
-     * per-cycle loop would have produced; the quiescence memo,
-     * idle-core tick deferral (see CycleKernel::setSkipAhead) and
+     * kernel jumps straight to the next cycle any core or probe can
+     * act, and each core's next settle accounts the skipped cycles
+     * as the per-cycle loop would have; the quiescence memo, leaving
+     * proven-idle cores unticked (see CycleKernel::setSkipAhead) and
      * each core's stage gating (see Core::tick) ride along.
      * Bit-identical to plain ticking by
      * contract (chaos invariant "skipahead-identity");

@@ -1,23 +1,25 @@
 /**
  * @file
  * Skip-ahead kernel tests (sim/clocked.hh, SystemParams::skipAhead):
- * the fast engine — skip-ahead with quiescence memoization and
- * idle-tick deferral — must be an invisible optimization. At the
- * kernel level: probes fire at exactly their registered cycles, a
- * probe registered at the cycle cap fires in neither mode, a
- * scheduled probe's named cycle bounds the jump, a machine that
- * drains inside a skipped window still exits Drained at the
- * reference cycle, and the memo re-asks a stamped component only
- * when its stamp moves. At the system level: SimResult and the
- * exported stats JSON must be bit-identical between the plain
+ * the fast engine — skip-ahead with quiescence memoization, idle
+ * components left unticked and stage gating — must be an invisible
+ * optimization. At the kernel level: probes fire at exactly their
+ * registered cycles, a probe registered at the cycle cap fires in
+ * neither mode, a scheduled probe's named cycle bounds the jump, a
+ * machine that drains inside a skipped window still exits Drained at
+ * the reference cycle, the memo re-asks a stamped component only
+ * when its stamp moves, and every settle names the same cycle for
+ * each component on both engines. At the system level: SimResult and
+ * the exported stats JSON must be bit-identical between the plain
  * per-cycle loop and skip-ahead — SPECint and TPC-C,
- * uniprocessor and 4P — checkpoints cut at a cycle the
+ * uniprocessor, 4P and 16P — checkpoints cut at a cycle the
  * uninterrupted run elided, or by the other engine, must restore
  * into the same bits, and parallel sweeps must match serial ones.
  */
 
 #include <cstdio>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -55,7 +57,8 @@ tempPath(const char *name)
  * contract), drains once it has worked at or past @p done_at. With
  * withStamp set it exposes the monotone activity stamp the quiescence
  * memo keys on; asks counts nextWorkCycle() calls so the tests can
- * see the memo engage.
+ * see the memo engage, ticks counts tick() calls, and settled records
+ * every cycle the kernel settles it through.
  */
 class StridedComponent : public Clocked
 {
@@ -67,6 +70,7 @@ class StridedComponent : public Clocked
 
     void tick(Cycle cycle) override
     {
+        ++ticks;
         if (cycle % stride_ == 0)
             work.push_back(cycle);
     }
@@ -79,18 +83,15 @@ class StridedComponent : public Clocked
         ++asks;
         return (now + stride_ - 1) / stride_ * stride_;
     }
-    void elide(Cycle from, std::uint64_t cycles) override
-    {
-        (void)from;
-        elided += cycles;
-    }
+    void settle(Cycle through) override { settled.push_back(through); }
     std::uint64_t activityStamp() const override
     {
         return withStamp ? work.size() : kNoActivityStamp;
     }
 
     std::vector<Cycle> work;
-    std::uint64_t elided = 0;
+    std::vector<Cycle> settled;
+    std::uint64_t ticks = 0;
     mutable std::uint64_t asks = 0;
     bool withStamp = false;
 
@@ -232,8 +233,9 @@ TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
     // A busy component (stride 7) and a mostly idle stamped one
     // (stride 1000): at nearly every visited cycle the idle
     // component's stamp is unchanged, so the kernel reuses its cached
-    // answer instead of re-asking and defers its idle tick. Both
-    // still work on exactly the plain loop's cycles.
+    // answer instead of re-asking and does not tick it. Both still
+    // work on exactly the plain loop's cycles and are settled through
+    // the same cycles.
     StridedComponent plain_busy(7, 7000), plain_idle(1000, 7000);
     CycleKernel plain;
     plain.attach(&plain_busy);
@@ -245,7 +247,8 @@ TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
     const std::uint64_t visits = runCountingVisits(busy, idle);
     EXPECT_EQ(busy.work, plain_busy.work);
     EXPECT_EQ(idle.work, plain_idle.work);
-    EXPECT_GT(idle.elided, 0u);
+    EXPECT_LT(idle.ticks, visits);
+    EXPECT_EQ(idle.settled, plain_idle.settled);
     // The memo must actually engage: the idle component is asked far
     // less often than the kernel visits.
     EXPECT_LT(idle.asks * 10, visits);
@@ -260,6 +263,94 @@ TEST(CycleKernelMemo, ComponentWithoutStampIsAlwaysReasked)
     StridedComponent busy(7, 7000), idle(1000, 7000);
     const std::uint64_t visits = runCountingVisits(busy, idle);
     EXPECT_EQ(idle.asks, visits - 2);
+}
+
+// --- Kernel-level: the cycle each component is settled through ----
+
+/** A StridedComponent whose tick panics at cycle @p at. */
+class PanickingComponent : public StridedComponent
+{
+  public:
+    PanickingComponent(Cycle stride, Cycle at)
+        : StridedComponent(stride, kCycleNever), at_(at)
+    {
+    }
+
+    void tick(Cycle cycle) override
+    {
+        if (cycle == at_)
+            panic("component panics at cycle %llu",
+                  static_cast<unsigned long long>(cycle));
+        StridedComponent::tick(cycle);
+    }
+
+  private:
+    Cycle at_;
+};
+
+TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
+{
+    // Every settle names, for each component, one past the last cycle
+    // it is accounted for, whether or not the fast engine ticked it
+    // there: both engines give the same sequence.
+    for (bool skip : {false, true}) {
+        SCOPED_TRACE(skip ? "fast engine" : "plain loop");
+
+        // (a) A periodic probe at 50, 150, 250 and 350 settles both
+        // components through the next cycle, the idle stamped one
+        // too, which the fast engine ticks only at cycle 0. (b) The
+        // busy one last works at 388 before the cap: the fast engine
+        // skips from 389 to the cap and settles both through it.
+        CycleKernel kernel;
+        kernel.setSkipAhead(skip);
+        StridedComponent busy(97, kCycleNever), idle(1000, kCycleNever);
+        idle.withStamp = true;
+        kernel.attach(&busy);
+        kernel.attach(&idle);
+        kernel.attachProbe(50, 100, [](Cycle) { return true; });
+        std::vector<Cycle> visits;
+        kernel.attachScheduledProbe(0, [&](Cycle c) {
+            visits.push_back(c);
+            return ProbeNext{kCycleNever, true};
+        });
+        const CycleKernel::Outcome out = kernel.run(430);
+        EXPECT_EQ(out.stop, CycleKernel::Stop::CycleCap);
+        EXPECT_EQ(out.cycle, 430u);
+        const std::vector<Cycle> through{51, 151, 251, 351, 430};
+        EXPECT_EQ(busy.settled, through);
+        EXPECT_EQ(idle.settled, through);
+        EXPECT_EQ(idle.ticks, skip ? 1u : 430u);
+        ASSERT_FALSE(visits.empty());
+        EXPECT_EQ(visits.back(), skip ? 388u : 429u);
+
+        // (c) The second of three components panics in its tick at
+        // 60. A settle from the catch, as the crash hook's salvage
+        // makes, names 61 for the two the pass reached and 60 for the
+        // third.
+        CycleKernel crashing;
+        crashing.setSkipAhead(skip);
+        StridedComponent first(7, kCycleNever), third(1000, kCycleNever);
+        PanickingComponent second(20, 60);
+        third.withStamp = true;
+        crashing.attach(&first);
+        crashing.attach(&second);
+        crashing.attach(&third);
+        bool panicked = false;
+        {
+            ScopedThrowOnError isolate;
+            try {
+                crashing.run(1000);
+            } catch (const std::runtime_error &) {
+                panicked = true;
+                crashing.settle();
+            }
+        }
+        EXPECT_TRUE(panicked);
+        EXPECT_EQ(crashing.currentCycle(), 60u);
+        EXPECT_EQ(first.settled, (std::vector<Cycle>{61}));
+        EXPECT_EQ(second.settled, (std::vector<Cycle>{61}));
+        EXPECT_EQ(third.settled, (std::vector<Cycle>{60}));
+    }
 }
 
 // --- System-level: bit-identity of the full model -----------------
@@ -343,6 +434,12 @@ TEST(SkipAheadIdentity, Smp4Tpcc)
     expectBitIdenticalModes(sparc64vBase(4), tpccProfile(), 6000);
 }
 
+TEST(SkipAheadIdentity, Smp16Tpcc)
+{
+    // Sixteen cores share one bus and one memory controller.
+    expectBitIdenticalModes(sparc64vBase(16), tpccProfile(), 4000);
+}
+
 // The fast engine's stage gates branch on these machine knobs (issue
 // width, station layout, forwarding, speculative dispatch, special-
 // instruction mode, MSHR pressure): the fast == plain proof covers
@@ -400,6 +497,7 @@ const IdentityWorkload kIdentityWorkloads[] = {
     {"UpSpecint", specint95Profile, 1, 20000},
     {"UpTpcc", tpccProfile, 1, 20000},
     {"Smp4Tpcc", tpccProfile, 4, 6000},
+    {"Smp16Tpcc", tpccProfile, 16, 4000},
 };
 
 class SkipAheadIdentityMachines

@@ -306,7 +306,7 @@ TEST(WatchdogRun, GraceExtensionsAndLaterCommitsMatch)
     };
     const Case cases[] = {
         {130, false, drought(130, 6049, 190, 913)},
-        {130, true, drought(130, 6049, 190, 38)},
+        {130, true, drought(130, 6049, 190, 37)},
         {170, false, drought(170, 1011, 26, 96)},
         {170, true, drought(170, 1011, 26, 5)},
     };
