@@ -33,12 +33,17 @@ Watchdog::check(Cycle cycle, std::uint64_t committed, Cycle last_commit)
     // No commit for a full period. A pending event due within one
     // more period means the machine is legitimately waiting (e.g. a
     // long queue of memory fills); push the deadline to the event.
+    // Only a move counts as an extension: a re-probe that finds the
+    // awaited event again changes nothing, so the count does not
+    // depend on how many cycles the engine visits.
     if (probe_) {
         const Cycle ev = probe_(cycle);
         if (ev != kCycleNever && ev > cycle &&
             ev - cycle <= threshold_) {
-            lastProgress_ = ev;
-            ++graceExtensions_;
+            if (ev != lastProgress_) {
+                lastProgress_ = ev;
+                ++graceExtensions_;
+            }
             return false;
         }
     }

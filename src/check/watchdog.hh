@@ -71,7 +71,11 @@ class Watchdog
     bool fired() const { return fired_; }
     Cycle firedCycle() const { return firedCycle_; }
     std::uint64_t threshold() const { return threshold_; }
-    /** Times a pending in-flight event deferred the deadline. */
+    /**
+     * Times a pending in-flight event moved the deadline: the same
+     * on every engine, since re-probing an event already awaited
+     * moves nothing.
+     */
     std::uint64_t graceExtensions() const { return graceExtensions_; }
 
     /**
@@ -84,8 +88,8 @@ class Watchdog
     /**
      * True while a grace extension still waits for its event, i.e.
      * the deadline was pushed to an event after @p cycle. Until the
-     * event lands, every check re-probes and counts another
-     * extension, so check() must also run on every visited cycle.
+     * event lands every check re-probes, which can move the deadline
+     * again, so check() must also run on every visited cycle.
      */
     bool awaitingEvent(Cycle cycle) const
     {

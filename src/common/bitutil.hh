@@ -65,7 +65,7 @@ mix64(std::uint64_t x)
 
 /**
  * A dense fixed-size bit set over 64-bit words, built for the
- * struct-of-arrays hot loops: per-cycle scans over ROB/LSQ slots
+ * struct-of-arrays hot loops: per-cycle scans over LSQ slots
  * iterate only the set bits via countr_zero instead of branching on
  * every entry. Derived state only — never serialized; owners rebuild
  * their masks from the authoritative per-entry fields on checkpoint
@@ -88,13 +88,6 @@ class DenseBits
 
     void set(std::size_t i) { words_[i >> 6] |= bit(i); }
     void clear(std::size_t i) { words_[i >> 6] &= ~bit(i); }
-    void assign(std::size_t i, bool v)
-    {
-        if (v)
-            set(i);
-        else
-            clear(i);
-    }
     bool test(std::size_t i) const
     {
         return (words_[i >> 6] & bit(i)) != 0;

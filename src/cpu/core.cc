@@ -178,14 +178,14 @@ Core::sourcesValid(const WindowEntry &e, Cycle exec_start) const
 void
 Core::replay(WindowEntry &e, Cycle now)
 {
-    window_.setState(e, InstrState::Waiting);
+    e.state = InstrState::Waiting;
     e.predReady = kCycleNever;
     e.actualReady = kCycleNever;
     e.missKnownAt = kCycleNever;
     // Cancelled operations re-enter selection after the pipeline
     // recovers, not on the very next cycle.
     e.notBefore = now + params_.dispatchToExec;
-    memoCycle_ = std::min(memoCycle_, e.notBefore);
+    dispatchWake_ = std::min(dispatchWake_, e.notBefore);
     ++e.replays;
     ++replays_;
     ++activity_;
@@ -280,7 +280,7 @@ Core::commitStage(Cycle cycle)
         if (e.rec.dst != kNoReg &&
             (forwardDelay() > params_.dispatchToExec ||
              (e.missKnownAt != kCycleNever && e.missKnownAt > cycle)))
-            ++readyStamp_;
+            dispatchWake_ = std::min(dispatchWake_, cycle);
         window_.retireHead();
         ++n;
         ++activity_;
@@ -423,7 +423,7 @@ Core::loadCompletionStage(Cycle cycle)
             // until the cancel broadcast; then they see actualReady.
             e.missKnownAt = lc.missKnownAt;
         }
-        window_.setState(e, InstrState::Done);
+        e.state = InstrState::Done;
         ++activity_;
         // Dependents may select sooner than the hit schedule they saw
         // (a hit or forward that beat it, a confirmed schedule that
@@ -434,7 +434,7 @@ Core::loadCompletionStage(Cycle cycle)
             (!params_.speculativeDispatch || e.predReady < was ||
              (e.actualReady < was && was != kCycleNever &&
               e.missKnownAt < was - d2e)))
-            ++readyStamp_;
+            dispatchWake_ = std::min(dispatchWake_, cycle);
         noteHeadChange(e, cycle);
     }
     lsq_->completedLoads().clear();
@@ -454,7 +454,7 @@ Core::pendingStoreStage(Cycle cycle)
         // predReady holds the agen execute cycle for stores (they
         // produce no register result).
         e.doneCycle = std::max(e.predReady, a);
-        window_.setState(e, InstrState::Done);
+        e.state = InstrState::Done;
         ++activity_;
         noteHeadChange(e, cycle);
         it = pendingStores_.erase(it);
@@ -480,12 +480,12 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
       case InstrClass::Load:
         lsq_->setAddress(e.lsqIndex, false, e.rec.ea, exec_start);
         lsqWake_ = std::min(lsqWake_, exec_start);
-        window_.setState(e, InstrState::Executing);
+        e.state = InstrState::Executing;
         return; // completes through the LSQ.
       case InstrClass::Store:
         lsq_->setAddress(e.lsqIndex, true, e.rec.ea, exec_start);
         e.predReady = exec_start; // agen time (see pendingStoreStage).
-        window_.setState(e, InstrState::Executing);
+        e.state = InstrState::Executing;
         pendingStores_.push_back(e.seq);
         break;
       case InstrClass::BranchCond:
@@ -503,7 +503,7 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
         e.doneCycle = exec_start;
         e.actualReady = exec_start + forwardDelay();
         e.predReady = e.actualReady;
-        window_.setState(e, InstrState::Done);
+        e.state = InstrState::Done;
         break;
       default: {
         unsigned lat = execLatency(cls);
@@ -524,7 +524,7 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
         e.doneCycle = done;
         e.actualReady = done + forwardDelay();
         e.predReady = e.actualReady;
-        window_.setState(e, InstrState::Done);
+        e.state = InstrState::Done;
         if (isUnpipelined(cls) ||
             (cls == InstrClass::Special &&
              params_.specialMode == SpecialInstrMode::FixedPenalty)) {
@@ -539,7 +539,7 @@ Core::performExec(WindowEntry &e, Cycle exec_start, ExecUnit &unit,
     // select sooner.
     if (e.rec.dst != kNoReg &&
         (e.predReady < was || !params_.speculativeDispatch))
-        ++readyStamp_;
+        dispatchWake_ = std::min(dispatchWake_, cycle);
     if (e.state == InstrState::Done)
         noteHeadChange(e, cycle);
 }
@@ -574,9 +574,9 @@ Core::dispatchStage(Cycle cycle)
 {
     const Cycle exec_start = cycle + params_.dispatchToExec;
     // Lower bound on the next cycle an entry left waiting here could
-    // be selected: the memo, if nothing dispatches.
+    // be selected: the wake, if nothing dispatches.
     Cycle bound = kCycleNever;
-    const std::uint64_t stamp = readyStamp_;
+    bool dispatched = false;
 
     auto base_ok = [&](std::uint64_t seq) {
         const WindowEntry &e = window_.entry(seq);
@@ -591,7 +591,7 @@ Core::dispatchStage(Cycle cycle)
         return false;
     };
     // A ready entry that finds no free unit can go next cycle: unit
-    // availability is not part of dispatchCandidate().
+    // availability is not part of sourcesReadyAt().
     auto unit_ok = [&](bool free) {
         if (!free)
             bound = std::min(bound, cycle + 1);
@@ -600,9 +600,9 @@ Core::dispatchStage(Cycle cycle)
 
     auto dispatch_to = [&](std::uint64_t seq, ExecUnit &unit) {
         ++activity_;
-        ++readyStamp_;
+        dispatched = true;
         WindowEntry &e = window_.entry(seq);
-        window_.setState(e, InstrState::InFlight);
+        e.state = InstrState::InFlight;
         e.dispatchCycle = cycle;
         unit.push(seq, exec_start);
         execWake_ = std::min(execWake_, exec_start);
@@ -674,12 +674,14 @@ Core::dispatchStage(Cycle cycle)
     run_pair(kRsE0, kNumAgenUnits);
     run_pair(kRsF0, kNumAgenUnits + kNumIntUnits);
 
-    // A select that picked nothing examined every waiting entry: its
-    // bound is the memo until the readiness stamp moves.
-    if (readyStamp_ == stamp) {
-        memoCycle_ = bound;
-        memoStamp_ = stamp;
-    }
+    // A select that picked nothing examined every waiting entry, so
+    // its bound holds until an event lowers it: a retirement, a load
+    // completion or an execute result that lets a consumer go sooner,
+    // a replay, an insert. One that dispatched bounds neither the
+    // entries past its width limit nor the consumers of the schedules
+    // it just published: it selects again next cycle.
+    if (gateStages_)
+        dispatchWake_ = dispatched ? cycle + 1 : bound;
 }
 
 void
@@ -744,20 +746,19 @@ Core::issueStage(Cycle cycle)
             lastProducer_[rec.dst] = e.seq;
 
         if (rec.cls == InstrClass::Nop) {
-            window_.setState(e, InstrState::Done);
+            e.state = InstrState::Done;
             e.doneCycle = cycle;
             e.predReady = e.actualReady = cycle + 1;
         } else {
+            // A fresh entry is Waiting: the select may take it from
+            // the next cycle on, once its sources allow.
             e.rsId = static_cast<std::uint8_t>(rsid);
             station->insert(e.seq);
             ++occHeld_[rsid];
-            window_.setState(e, InstrState::Waiting);
-            if (memoStamp_ == readyStamp_) {
-                memoCycle_ = std::min(
-                    memoCycle_,
-                    sourcesReadyAt(e, cycle + 1,
-                                   cycle + 1 + params_.dispatchToExec));
-            }
+            dispatchWake_ = std::min(
+                dispatchWake_,
+                sourcesReadyAt(e, cycle + 1,
+                               cycle + 1 + params_.dispatchToExec));
         }
         fetch_->popFront();
     }
@@ -842,7 +843,7 @@ Core::tick(Cycle cycle)
         pendingStoreStage(cycle);
     if (due(Stage::Execute, cycle >= execWake_))
         executeStage(cycle);
-    if (due(Stage::Dispatch, dispatchDue(cycle)))
+    if (due(Stage::Dispatch, cycle >= dispatchWake_))
         dispatchStage(cycle);
     if (due(Stage::Issue, cycle >= issueWake_))
         issueStage(cycle);
@@ -860,8 +861,8 @@ Core::setStageGating(bool on)
 void
 Core::wakeAll()
 {
-    commitWake_ = lsqWake_ = execWake_ = issueWake_ = fetchWake_ = 0;
-    memoStamp_ = readyStamp_ - 1;
+    commitWake_ = lsqWake_ = execWake_ = dispatchWake_ = issueWake_ =
+        fetchWake_ = 0;
 }
 
 void
@@ -1041,59 +1042,6 @@ Core::chargeIssueStalls(IssueBlock block, std::uint64_t cycles)
 }
 
 Cycle
-Core::sourceFlipCycle(const WindowEntry &p, Cycle from,
-                      unsigned d2e) const
-{
-    Cycle best = kCycleNever;
-    // Optimistic schedule, in effect for cycles < missKnownAt.
-    if (p.predReady != kCycleNever) {
-        Cycle t = p.predReady > d2e ? p.predReady - d2e : 0;
-        if (t < from)
-            t = from;
-        if (t < p.missKnownAt && t < best)
-            best = t;
-    }
-    // Confirmed schedule, in effect from missKnownAt on.
-    if (p.missKnownAt != kCycleNever &&
-        p.actualReady != kCycleNever) {
-        Cycle t = p.actualReady > d2e ? p.actualReady - d2e : 0;
-        if (t < p.missKnownAt)
-            t = p.missKnownAt;
-        if (t < from)
-            t = from;
-        if (t < best)
-            best = t;
-    }
-    return best;
-}
-
-Cycle
-Core::dispatchCandidate(const WindowEntry &e, Cycle now) const
-{
-    Cycle t = e.notBefore > now ? e.notBefore : now;
-    const unsigned d2e = params_.dispatchToExec;
-    const bool store = e.rec.isStore();
-    const std::uint64_t prods[2] = {e.src1Prod,
-                                    store ? 0 : e.src2Prod};
-    for (std::uint64_t prod : prods) {
-        if (prod == 0 || !window_.contains(prod))
-            continue;
-        const WindowEntry &p = window_.entry(prod);
-        Cycle flip;
-        if (params_.speculativeDispatch) {
-            flip = sourceFlipCycle(p, now, d2e);
-        } else if (p.actualReady == kCycleNever) {
-            flip = kCycleNever;
-        } else {
-            flip = p.actualReady > d2e ? p.actualReady - d2e : 0;
-        }
-        if (flip > t)
-            t = flip;
-    }
-    return t;
-}
-
-Cycle
 Core::nextWorkCycle(Cycle now) const
 {
     // An injected commit stall keeps the whole run on the reference
@@ -1102,9 +1050,8 @@ Core::nextWorkCycle(Cycle now) const
     if (commitStallAt_ != kCycleNever)
         return now;
 
-    Cycle cand = std::min(std::min(commitWake_, lsqWake_),
-                          std::min(std::min(execWake_, issueWake_),
-                                   fetchWake_));
+    const Cycle cand = std::min({commitWake_, lsqWake_, execWake_,
+                                 dispatchWake_, issueWake_, fetchWake_});
     if (cand <= now)
         return now;
 
@@ -1114,23 +1061,7 @@ Core::nextWorkCycle(Cycle now) const
         if (actualReadyOf(window_.entry(seq).src2Prod) != kCycleNever)
             return now;
     }
-
-    // Dispatch of waiting entries (incl. speculative re-dispatch on
-    // the optimistic schedule before a miss-cancel broadcast). A
-    // stale memo is refreshed by one scan; the waiting mask iterates
-    // set bits only, and candidates combine via min, so the
-    // slot-order walk is equivalent to the seq walk.
-    if (memoStamp_ != readyStamp_) {
-        Cycle memo = kCycleNever;
-        window_.forEachWaiting([&](const WindowEntry &e) -> bool {
-            memo = std::min(memo, dispatchCandidate(e, now));
-            return memo > now;
-        });
-        memoCycle_ = memo;
-        memoStamp_ = readyStamp_;
-    }
-    cand = std::min(cand, memoCycle_);
-    return cand < now ? now : cand;
+    return cand;
 }
 
 std::vector<RecentCommit>

@@ -104,10 +104,8 @@ class Core : public Clocked
      * Earliest cycle >= @p now at which this core could commit,
      * complete, dispatch, issue, fetch, or change a stall
      * classification — the skip-ahead kernel's quiescence contract
-     * (see Clocked::nextWorkCycle): the minimum of the stages' wake
-     * cycles. The dispatch stage's is its memo (see dispatchDue());
-     * the window is scanned only when that memo is stale, and the
-     * scan refreshes it.
+     * (see Clocked::nextWorkCycle): the minimum of the six stages'
+     * wake cycles, or @p now while a pending store's data is ready.
      */
     Cycle nextWorkCycle(Cycle now) const override;
 
@@ -135,14 +133,13 @@ class Core : public Clocked
     void settle();
 
     /**
-     * Monotone activity stamp for the kernel's quiescence
-     * memoization (see CycleKernel::setSkipAhead), bumped by every
-     * state transition a tick makes (the LSQ's and fetch's own
-     * counters fold in as their stages run). An unchanged stamp
-     * across ticks proves the pipeline state is frozen, so a cached
-     * nextWorkCycle() answer is still a valid lower bound.
+     * Host-side diagnostic (never a stat, never serialized): a
+     * monotone count of the state transitions this core's ticks made
+     * (the LSQ's and fetch's own counters fold in as their stages
+     * run). simbench's traced run reads it to tell a useful visit
+     * from an idle one.
      */
-    std::uint64_t activityStamp() const override { return activity_; }
+    std::uint64_t activityStamp() const { return activity_; }
 
     std::uint64_t committed() const { return committed_.value(); }
     Cycle lastCommitCycle() const { return lastCommitCycle_; }
@@ -235,9 +232,9 @@ class Core : public Clocked
      * rename pools, scoreboard and commit bookkeeping. Stats travel
      * with the stats tree (settle() first); the injected-fault
      * configuration is re-armed by construction, not restored. Wake
-     * cycles, the dispatch memo and the open spans are derived and
-     * never written: a restore starts every stage awake, the memo
-     * stale and the spans at the next tick.
+     * cycles and the open spans are derived and never written: a
+     * restore starts every stage awake and the spans at the next
+     * tick.
      */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);
@@ -251,7 +248,7 @@ class Core : public Clocked
      * @p exec_start = @p now + dispatchToExec? @return a cycle
      * <= @p now if so, else a lower bound (> @p now) on the first
      * cycle they could, read off the first source that fails (the
-     * failing select's contribution to the dispatch memo).
+     * failing select's contribution to the dispatch wake).
      */
     Cycle sourcesReadyAt(const WindowEntry &e, Cycle now,
                          Cycle exec_start) const;
@@ -310,21 +307,8 @@ class Core : public Clocked
     void closeIssueSpan(Cycle end);
     /** @} */
 
-    /** Every stage awake, the dispatch memo stale. */
+    /** Every stage awake. */
     void wakeAll();
-
-    /**
-     * Must the dispatch stage select at @p cycle? Always without
-     * gating; with it, only while the memo is stale (the readiness
-     * stamp moved since it was taken) or @p cycle has reached the
-     * memo's cycle, a lower bound on every waiting entry's
-     * dispatchCandidate().
-     */
-    bool dispatchDue(Cycle cycle) const
-    {
-        return !gateStages_ || memoStamp_ != readyStamp_ ||
-            cycle >= memoCycle_;
-    }
 
     /**
      * What blocks the front of the fetch queue from issuing: the
@@ -350,21 +334,6 @@ class Core : public Clocked
 
     /** Charge @p cycles cycles of @p block to its stall counter. */
     void chargeIssueStalls(IssueBlock block, std::uint64_t cycles);
-
-    /**
-     * Lower bound (exact while no cycle in between is visited) on the
-     * first cycle >= @p now a Waiting entry could be selected for
-     * dispatch, from notBefore and its gating sources' schedules.
-     */
-    Cycle dispatchCandidate(const WindowEntry &e, Cycle now) const;
-
-    /**
-     * Earliest cycle >= @p from at which producer @p p stops gating a
-     * consumer's dispatch, given the speculative pred/actual schedule
-     * switch at missKnownAt (state frozen between visited cycles).
-     */
-    Cycle sourceFlipCycle(const WindowEntry &p, Cycle from,
-                          unsigned d2e) const;
 
     /** Execute-stage action, at @p cycle, once operands are
      *  validated. */
@@ -404,7 +373,7 @@ class Core : public Clocked
     /**
      * State transitions: bumped by every stage that moves an
      * instruction, plus the LSQ's and fetch's activity as their
-     * stages run. The activityStamp(), never serialized.
+     * stages run. See activityStamp().
      */
     std::uint64_t activity_ = 0;
     Cycle commitStallAt_ = kCycleNever; ///< see injectCommitStall().
@@ -424,19 +393,10 @@ class Core : public Clocked
     Cycle commitWake_ = 0;
     Cycle lsqWake_ = 0; ///< LSQ arbitration + load completions.
     Cycle execWake_ = 0;
+    /** The select's; see dispatchStage() for what lowers it. */
+    Cycle dispatchWake_ = 0;
     Cycle issueWake_ = 0;
     Cycle fetchWake_ = 0;
-    /**
-     * The dispatch memo. readyStamp_ is bumped by every event that
-     * can make a waiting entry selectable sooner than its
-     * dispatchCandidate() said (see dispatchStage()); memoCycle_,
-     * taken at memoStamp_, is a lower bound on every waiting entry's
-     * candidate while the stamps agree. An insert or a replay lowers
-     * it without a bump.
-     */
-    std::uint64_t readyStamp_ = 1;
-    mutable std::uint64_t memoStamp_ = 0;
-    mutable Cycle memoCycle_ = 0;
     /** @} */
 
     /**

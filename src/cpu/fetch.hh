@@ -127,8 +127,9 @@ class FetchUnit
 
     /**
      * Monotone count of tick()-side state changes (groups formed or
-     * landed): part of the owning core's activityStamp(), never
-     * serialized.
+     * landed), never serialized. The owning core folds it into its
+     * host-side activityStamp() and, with the window empty, wakes its
+     * commit stage when it moves.
      */
     std::uint64_t activity() const { return activity_; }
 

@@ -110,8 +110,8 @@ class LoadStoreQueue
 
     /**
      * Monotone count of tick()-side state/stat mutations (releases,
-     * issues, conflicts, waits): part of the owning core's
-     * activityStamp(), never serialized.
+     * issues, conflicts, waits), never serialized: folded into the
+     * owning core's host-side activityStamp().
      */
     std::uint64_t activity() const { return activity_; }
 

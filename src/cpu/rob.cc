@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "ckpt/snapshot.hh"
-#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace s64v
@@ -19,7 +18,6 @@ InstrWindow::InstrWindow(unsigned capacity)
         sz <<= 1;
     buf_.resize(sz);
     slotMask_ = sz - 1;
-    waiting_.resize(sz);
 }
 
 WindowEntry &
@@ -32,7 +30,6 @@ InstrWindow::allocate(const TraceRecord &rec, Cycle cycle)
     e.rec = rec;
     e.seq = tail_;
     e.issueCycle = cycle;
-    waiting_.set(slotOf(tail_)); // fresh entries start Waiting.
     ++tail_;
     return e;
 }
@@ -42,7 +39,6 @@ InstrWindow::retireHead()
 {
     if (empty())
         panic("retire from empty window");
-    waiting_.clear(slotOf(head_));
     ++head_;
 }
 
@@ -141,14 +137,11 @@ InstrWindow::restoreState(ckpt::SnapshotReader &r)
     tail_ = r.getU64();
     r.require(tail_ >= head_ && tail_ - head_ <= capacity_,
               "instruction-window occupancy out of range");
-    waiting_.reset();
     for (std::uint64_t seq = head_; seq < tail_; ++seq) {
         WindowEntry &e = entry(seq);
         restoreWindowEntry(r, e);
         r.require(e.seq == seq,
                   "window entry sequence number out of place");
-        if (e.state == InstrState::Waiting)
-            waiting_.set(slotOf(seq));
     }
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitutil.hh"
 #include "common/types.hh"
 #include "trace/record.hh"
 
@@ -135,33 +134,6 @@ class InstrWindow
     WindowEntry &head() { return entry(head_); }
     const WindowEntry &head() const { return entry(head_); }
 
-    /**
-     * Transition @p e to state @p s. All state changes go through
-     * here so the struct-of-arrays waiting mask (the hot dispatch
-     * scan's index) stays coherent with the per-entry field.
-     */
-    void setState(WindowEntry &e, InstrState s)
-    {
-        waiting_.assign(slotOf(e.seq), s == InstrState::Waiting);
-        e.state = s;
-    }
-
-    /**
-     * Invoke @p fn(entry) for every Waiting entry, in slot (not
-     * sequence) order — callers that need a minimum over entries are
-     * order-independent. @p fn returns false to stop early. Iterates
-     * only the set bits of the waiting mask, so a window full of
-     * in-flight/done instructions costs a few word tests instead of
-     * an O(capacity) branchy walk.
-     */
-    template <typename Fn>
-    void forEachWaiting(Fn &&fn) const
-    {
-        waiting_.forEach([&](std::size_t slot) -> bool {
-            return fn(buf_[slot]);
-        });
-    }
-
     /** Serialize mutable state (checkpoint/restore). */
     void saveState(ckpt::SnapshotWriter &w) const;
     void restoreState(ckpt::SnapshotReader &r);
@@ -185,12 +157,6 @@ class InstrWindow
     std::uint64_t head_ = 1; ///< seq 0 is reserved as "no producer".
     std::uint64_t tail_ = 1;
     std::vector<WindowEntry> buf_;
-    /**
-     * Derived struct-of-arrays index: bit per buffer slot, set iff
-     * that slot holds a live entry in InstrState::Waiting. Rebuilt
-     * from the entries on restore, never serialized.
-     */
-    DenseBits waiting_;
 };
 
 } // namespace s64v

@@ -1,5 +1,7 @@
 #include "obs/run_obs.hh"
 
+#include <limits>
+
 #include "check/fault_inject.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -59,8 +61,11 @@ parseObsArgs(int argc, const char *const *argv,
         else if (const char *v = matchFlag(arg, "watchdog"))
             opts.watchdogCycles = parseU64(v, "--watchdog");
         else if (const char *v = matchFlag(arg, "threads")) {
-            opts.threads =
-                static_cast<unsigned>(parseU64(v, "--threads"));
+            const std::uint64_t n = parseU64(v, "--threads");
+            if (n > std::numeric_limits<unsigned>::max())
+                fatal("--threads: expected at most %u, got '%s'",
+                      std::numeric_limits<unsigned>::max(), v);
+            opts.threads = static_cast<unsigned>(n);
         }
         else if (const char *v = matchFlag(arg, "checkpoint-at"))
             opts.checkpointAt = parseU64(v, "--checkpoint-at");

@@ -37,8 +37,8 @@ class Clocked
     /**
      * @return true when this component has no further work. The
      * kernel stops once every attached component is done. Like
-     * activityStamp(), it may change only through this component's
-     * own tick(): the fast engine reuses one answer per visit.
+     * nextWorkCycle(), nothing outside this component's own tick()
+     * may change the answer.
      */
     virtual bool done() const { return false; }
 
@@ -50,8 +50,13 @@ class Clocked
      * by probes) and does not tick the component in between; the
      * next settle() accounts those idle cycles. kCycleNever means
      * fully quiescent until an external event. The default — always
-     * busy — keeps any component that has not opted in bit-exact
+     * busy — keeps a component that does not override it bit-exact
      * under skip-ahead.
+     *
+     * The contract the fast engine rests on: nothing outside this
+     * component's own tick() may move this answer or done()'s, so
+     * the kernel asks once after each tick and holds the answer until
+     * the next one (see CycleKernel::setSkipAhead).
      */
     virtual Cycle nextWorkCycle(Cycle now) const { return now; }
 
@@ -68,28 +73,6 @@ class Clocked
      * says.
      */
     virtual void settle(Cycle through) { (void)through; }
-
-    /**
-     * Sentinel activityStamp(): this component does not expose a
-     * stamp, so the kernel never caches its nextWorkCycle() answers.
-     */
-    static constexpr std::uint64_t kNoActivityStamp =
-        ~std::uint64_t{0};
-
-    /**
-     * Monotone counter of state transitions made by this component's
-     * ticks, for the kernel's quiescence memoization: while the
-     * stamp is unchanged the component's machine state is provably
-     * frozen, so a previously computed nextWorkCycle() answer that
-     * still lies in the future remains a valid lower bound and the
-     * kernel may reuse it without re-asking. Components that cannot
-     * guarantee "every state transition bumps the stamp" keep the
-     * default — they are simply never memoized.
-     */
-    virtual std::uint64_t activityStamp() const
-    {
-        return kNoActivityStamp;
-    }
 };
 
 /**
@@ -207,24 +190,20 @@ class CycleKernel
      * which that core's nextWorkCycle() already names. Three
      * refinements ride along:
      *
-     * - Quiescence memoization: skipTarget() caches each component's
-     *   (activityStamp, nextWorkCycle) pair and reuses the cached
-     *   answer while the stamp is unchanged and the answer still
-     *   lies at or past the queried cycle. Reuse is always
-     *   conservative: an unchanged stamp proves the component's
-     *   state is frozen, under which nextWorkCycle() answers are
-     *   nondecreasing in the query cycle, so a cached answer can
-     *   only shorten a skip, never stretch one.
+     * - Quiescence memoization: an answer holds until the
+     *   component's next tick (the Clocked::nextWorkCycle contract),
+     *   so skipTarget() asks done() and nextWorkCycle() only of the
+     *   components ticked since its last pass and reuses every other
+     *   component's cached answers.
      * - Idle components are not ticked: on a visited cycle, a
      *   component whose cached answer lies strictly in the future
      *   would only repeat an idle tick, so the kernel skips it (see
      *   provenIdle()); nothing is owed, since settle() accounts the
      *   cycle. This is what makes SMP runs cheap when one core pins
      *   the clock while the others stall.
-     * - One query per visit: skipTarget() asks every live component
-     *   for done() and activityStamp() once; nothing runs between it
-     *   and the next visit, so that visit's tick pass reuses the
-     *   answers it stored in the memo.
+     * - One query per visit: nothing runs between skipTarget() and
+     *   the next visit, so that visit's tick pass reuses the done()
+     *   answers skipTarget() stored in the memo.
      *
      * Off by default: the plain per-cycle loop is the reference
      * semantics.
@@ -304,37 +283,33 @@ class CycleKernel
     /**
      * Earliest cycle in [@p next, @p max_cycles] the kernel must
      * visit: min over component work and probe firings. Non-const:
-     * refreshes the memo entry (done, stamp, answer) of every
-     * component ticked since the last pass; an untouched one keeps
-     * its entry unasked, since only its own tick() changes those
-     * answers.
+     * refreshes the memo entry (done, answer) of every component
+     * ticked since the last pass; an untouched one keeps its entry
+     * unasked, since only its own tick() changes those answers.
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 
     /**
      * Is component @p i's tick at @p cycle an idle repeat? Only right
-     * after skipTarget() refreshed its memo entry (so the stored
-     * stamp is the current one and the state provably frozen since),
-     * when the component exposes a stamp and the cached next-work
-     * cycle lies strictly beyond @p cycle.
+     * after skipTarget() brought the memo up to date, when the cached
+     * next-work cycle lies strictly beyond @p cycle. A component that
+     * keeps the default nextWorkCycle() never is.
      */
     bool provenIdle(std::size_t i, Cycle cycle) const
     {
-        return memo_[i].stamp != Clocked::kNoActivityStamp &&
-            memo_[i].answer > cycle;
+        return memo_[i].answer > cycle;
     }
 
     /**
-     * Cached (stamp, answer) pair for quiescence memoization, plus
-     * the done() answer of the same skipTarget() pass.
+     * One component's done() and nextWorkCycle() answers, cached
+     * from its last tick until its next (quiescence memoization).
      */
     struct MemoEntry
     {
-        std::uint64_t stamp = Clocked::kNoActivityStamp;
         Cycle answer = 0;
-        bool live = false; ///< !done(); stamp/answer valid only then.
+        bool live = false; ///< !done(); answer valid only then.
         /** Ticked since the last skipTarget() pass (or never asked):
-         *  only then can done(), the stamp or the answer differ. */
+         *  only then can done() or the answer differ. */
         bool ticked = true;
     };
 

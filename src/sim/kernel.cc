@@ -59,46 +59,23 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     Cycle target = max_cycles;
     bool any_alive = false;
     for (std::size_t i = 0; i < clocked_.size(); ++i) {
-        const Clocked *c = clocked_[i];
         MemoEntry &m = memo_[i];
-        // A component not ticked since the last pass (proven idle or
-        // done) has the same done() answer, stamp and next work: its
-        // entry stands without asking.
-        if (!m.ticked &&
-            (!m.live || (m.stamp != Clocked::kNoActivityStamp &&
-                         m.answer >= next))) {
-            if (m.live) {
-                any_alive = true;
-                if (m.answer < target)
-                    target = m.answer;
-            }
-            continue;
+        // Only a tick moves the answers (see Clocked::nextWorkCycle):
+        // a component not ticked since the last pass (proven idle or
+        // done) keeps its entry unasked. No early-out even once the
+        // skip is pinned: the entry doubles as the next visit's done()
+        // answer and idle proof (provenIdle), so every ticked
+        // component must be asked.
+        if (m.ticked) {
+            m.ticked = false;
+            m.live = !clocked_[i]->done();
+            if (m.live)
+                m.answer = clocked_[i]->nextWorkCycle(next);
         }
-        m.ticked = false;
-        m.live = !c->done();
         if (!m.live)
             continue;
         any_alive = true;
-        // Reuse the cached answer while the component's activity
-        // stamp is unchanged (state provably frozen) and the answer
-        // still lies at or past the queried cycle; both gates
-        // together make reuse conservative (see setSkipAhead). No
-        // early-out here even once the skip is pinned: the refreshed
-        // entry doubles as the next visit's done() answer and idle
-        // proof (provenIdle), so every component must be brought up
-        // to date.
-        const std::uint64_t stamp = c->activityStamp();
-        Cycle w;
-        if (stamp != Clocked::kNoActivityStamp && stamp == m.stamp &&
-            m.answer >= next) {
-            w = m.answer;
-        } else {
-            w = c->nextWorkCycle(next);
-            m.stamp = stamp;
-            m.answer = w;
-        }
-        if (w < next)
-            w = next;
+        const Cycle w = m.answer < next ? next : m.answer;
         if (w < target)
             target = w;
     }

@@ -70,8 +70,8 @@ TEST(DenseBitsSoA, SetClearCountAcrossWordBoundaries)
     bits.clear(63);
     EXPECT_FALSE(bits.test(63));
     EXPECT_EQ(bits.count(), 5u);
-    bits.assign(63, true);
-    bits.assign(0, false);
+    bits.set(63);
+    bits.clear(0);
     EXPECT_TRUE(bits.test(63));
     EXPECT_FALSE(bits.test(0));
     bits.reset();

@@ -439,7 +439,8 @@ TEST(RunObs, MalformedNumericFlagsAreFatal)
     setThrowOnError(true);
     for (const char *bad :
          {"--watchdog=1e5", "--seed=-1", "heartbeat=10k",
-          "--sample-period=", "--threads=2.5", "--checkpoint-at=0x"}) {
+          "--sample-period=", "--threads=2.5", "--checkpoint-at=0x",
+          "--threads=4294967296"}) {
         const char *argv[] = {"prog", bad};
         EXPECT_THROW(obs::parseObsArgs(2, argv), std::runtime_error)
             << bad;

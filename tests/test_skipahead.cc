@@ -7,9 +7,9 @@
  * registered cycles, a probe registered at the cycle cap fires in
  * neither mode, a scheduled probe's named cycle bounds the jump, a
  * machine that drains inside a skipped window still exits Drained at
- * the reference cycle, the memo re-asks a stamped component only
- * when its stamp moves, and every settle names the same cycle for
- * each component on both engines. At the system level: SimResult and
+ * the reference cycle, the memo asks a component only after it
+ * ticked, and every settle names the same cycle for each component
+ * on both engines. At the system level: SimResult and
  * the exported stats JSON must be bit-identical between the plain
  * per-cycle loop and skip-ahead — SPECint and TPC-C,
  * uniprocessor, 4P and 16P — checkpoints cut at a cycle the
@@ -54,11 +54,10 @@ tempPath(const char *name)
 /**
  * Does work only at multiples of @p stride (quiescent in between —
  * ticks on other cycles are no-ops, honoring the nextWorkCycle()
- * contract), drains once it has worked at or past @p done_at. With
- * withStamp set it exposes the monotone activity stamp the quiescence
- * memo keys on; asks counts nextWorkCycle() calls so the tests can
- * see the memo engage, ticks counts tick() calls, and settled records
- * every cycle the kernel settles it through.
+ * contract), drains once it has worked at or past @p done_at. asks
+ * counts nextWorkCycle() calls so the tests can see the memo engage,
+ * ticks counts tick() calls, and settled records every cycle the
+ * kernel settles it through.
  */
 class StridedComponent : public Clocked
 {
@@ -84,16 +83,11 @@ class StridedComponent : public Clocked
         return (now + stride_ - 1) / stride_ * stride_;
     }
     void settle(Cycle through) override { settled.push_back(through); }
-    std::uint64_t activityStamp() const override
-    {
-        return withStamp ? work.size() : kNoActivityStamp;
-    }
 
     std::vector<Cycle> work;
     std::vector<Cycle> settled;
     std::uint64_t ticks = 0;
     mutable std::uint64_t asks = 0;
-    bool withStamp = false;
 
   private:
     Cycle stride_;
@@ -230,12 +224,11 @@ runCountingVisits(StridedComponent &busy, StridedComponent &idle)
 
 TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
 {
-    // A busy component (stride 7) and a mostly idle stamped one
-    // (stride 1000): at nearly every visited cycle the idle
-    // component's stamp is unchanged, so the kernel reuses its cached
-    // answer instead of re-asking and does not tick it. Both still
-    // work on exactly the plain loop's cycles and are settled through
-    // the same cycles.
+    // A busy component (stride 7) and a mostly idle one (stride
+    // 1000): at nearly every visited cycle the idle component's
+    // cached answer lies in the future, so the kernel neither re-asks
+    // nor ticks it. Both still work on exactly the plain loop's cycles
+    // and are settled through the same cycles.
     StridedComponent plain_busy(7, 7000), plain_idle(1000, 7000);
     CycleKernel plain;
     plain.attach(&plain_busy);
@@ -243,7 +236,6 @@ TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
     EXPECT_EQ(plain.run(100000).stop, CycleKernel::Stop::Drained);
 
     StridedComponent busy(7, 7000), idle(1000, 7000);
-    idle.withStamp = true;
     const std::uint64_t visits = runCountingVisits(busy, idle);
     EXPECT_EQ(busy.work, plain_busy.work);
     EXPECT_EQ(idle.work, plain_idle.work);
@@ -254,15 +246,21 @@ TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
     EXPECT_LT(idle.asks * 10, visits);
 }
 
-TEST(CycleKernelMemo, ComponentWithoutStampIsAlwaysReasked)
+TEST(CycleKernelMemo, AsksOnlyAfterATick)
 {
-    // kNoActivityStamp opts a component out of the memo: it is asked
-    // afresh at every visit but the last two (after its final tick at
-    // 7000 it is done and never asked again, and the visit at 7001
-    // reports the drain).
+    // An answer holds until the component's next tick: each component
+    // is ticked only on its work cycles and asked once after every
+    // tick that leaves it live (its last tick, at 7000, leaves it
+    // done, so it is not asked again).
     StridedComponent busy(7, 7000), idle(1000, 7000);
     const std::uint64_t visits = runCountingVisits(busy, idle);
-    EXPECT_EQ(idle.asks, visits - 2);
+    for (const StridedComponent *c : {&busy, &idle}) {
+        EXPECT_EQ(c->ticks, c->work.size());
+        EXPECT_EQ(c->asks, c->ticks - 1);
+    }
+    EXPECT_EQ(busy.ticks, 1001u);
+    EXPECT_EQ(idle.ticks, 8u);
+    EXPECT_EQ(visits, 1008u);
 }
 
 // --- Kernel-level: the cycle each component is settled through ----
@@ -297,14 +295,13 @@ TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
         SCOPED_TRACE(skip ? "fast engine" : "plain loop");
 
         // (a) A periodic probe at 50, 150, 250 and 350 settles both
-        // components through the next cycle, the idle stamped one
-        // too, which the fast engine ticks only at cycle 0. (b) The
+        // components through the next cycle, the idle one too, which
+        // the fast engine ticks only at cycle 0. (b) The
         // busy one last works at 388 before the cap: the fast engine
         // skips from 389 to the cap and settles both through it.
         CycleKernel kernel;
         kernel.setSkipAhead(skip);
         StridedComponent busy(97, kCycleNever), idle(1000, kCycleNever);
-        idle.withStamp = true;
         kernel.attach(&busy);
         kernel.attach(&idle);
         kernel.attachProbe(50, 100, [](Cycle) { return true; });
@@ -331,7 +328,6 @@ TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
         crashing.setSkipAhead(skip);
         StridedComponent first(7, kCycleNever), third(1000, kCycleNever);
         PanickingComponent second(20, 60);
-        third.withStamp = true;
         crashing.attach(&first);
         crashing.attach(&second);
         crashing.attach(&third);
