@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -100,33 +99,12 @@ class DenseBits
             w = 0;
     }
 
-    bool any() const
-    {
-        for (std::uint64_t w : words_)
-            if (w)
-                return true;
-        return false;
-    }
-
     std::size_t count() const
     {
         std::size_t n = 0;
         for (std::uint64_t w : words_)
             n += static_cast<std::size_t>(std::popcount(w));
         return n;
-    }
-
-    /** Index of the lowest set bit, or -1 when none. */
-    std::int64_t findFirst() const
-    {
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-            if (words_[wi]) {
-                return static_cast<std::int64_t>(
-                    wi * 64 +
-                    static_cast<unsigned>(std::countr_zero(words_[wi])));
-            }
-        }
-        return -1;
     }
 
     /** Index of the lowest clear bit below size(), or -1 when full. */
@@ -144,10 +122,7 @@ class DenseBits
         return -1;
     }
 
-    /**
-     * Invoke @p fn(index) for every set bit, ascending. @p fn may
-     * return void, or bool where false stops the iteration early.
-     */
+    /** Invoke @p fn(index) for every set bit, ascending. */
     template <typename Fn>
     void forEach(Fn &&fn) const
     {
@@ -158,13 +133,7 @@ class DenseBits
                     wi * 64 +
                     static_cast<unsigned>(std::countr_zero(bits));
                 bits &= bits - 1;
-                if constexpr (std::is_same_v<
-                                  decltype(fn(std::size_t{0})), bool>) {
-                    if (!fn(i))
-                        return;
-                } else {
-                    fn(i);
-                }
+                fn(i);
             }
         }
     }

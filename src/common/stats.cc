@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "ckpt/snapshot.hh"
 #include "common/logging.hh"
@@ -9,52 +8,15 @@
 namespace s64v::stats
 {
 
-namespace
-{
-
-/**
- * Replay every pending tally of @p tally into @p sink as one bulk
- * sample per value, then clear it. Values ascend, but the order does
- * not matter: integer samples keep every sum exact.
- */
-template <typename Sink>
-void
-foldTally(std::vector<std::uint64_t> &tally, Sink &sink)
-{
-    for (std::size_t v = 0; v < tally.size(); ++v) {
-        if (tally[v]) {
-            sink.sample(static_cast<double>(v), tally[v]);
-            tally[v] = 0;
-        }
-    }
-}
-
-} // namespace
-
-void
-Distribution::fold()
-{
-    foldTally(tally_, *this);
-}
-
-void
-Distribution::setTallyRange(std::size_t range)
-{
-    fold();
-    tally_.assign(range, 0);
-}
-
 double
 Distribution::mean() const
 {
-    settle();
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
 double
 Distribution::stddev() const
 {
-    settle();
     if (count_ == 0)
         return 0.0;
     const double n = static_cast<double>(count_);
@@ -68,40 +30,13 @@ Distribution::reset()
     count_ = 0;
     sum_ = sumSq_ = 0.0;
     min_ = max_ = 0.0;
-    tally_.assign(tally_.size(), 0);
 }
 
-void
-Histogram::configure(double lo, double hi, unsigned buckets)
+Histogram::Histogram(double lo, double hi, unsigned buckets)
+    : lo_(lo), hi_(hi), counts_(buckets, 0)
 {
     if (buckets == 0 || hi <= lo)
         panic("histogram: bad layout [%g, %g) x %u", lo, hi, buckets);
-    lo_ = lo;
-    hi_ = hi;
-    counts_.assign(buckets, 0);
-    dist_.reset();
-    underflow_ = overflow_ = 0;
-    tally_.assign(tally_.size(), 0);
-}
-
-void
-Histogram::fold()
-{
-    foldTally(tally_, *this);
-}
-
-void
-Histogram::setTallyRange(std::size_t range)
-{
-    fold();
-    tally_.assign(range, 0);
-}
-
-void
-Histogram::sampleUnconfigured() const
-{
-    panic("histogram: sample() before configure()");
-    std::abort(); // panic may return when throw-on-error is armed.
 }
 
 void
@@ -110,7 +45,6 @@ Histogram::reset()
     dist_.reset();
     counts_.assign(counts_.size(), 0);
     underflow_ = overflow_ = 0;
-    tally_.assign(tally_.size(), 0);
 }
 
 Group::Group(std::string name, Group *parent)
@@ -160,12 +94,9 @@ Histogram &
 Group::histogram(const std::string &name, const std::string &desc,
                  double lo, double hi, unsigned buckets)
 {
-    auto [it, inserted] = histograms_.try_emplace(name);
-    if (inserted) {
-        it->second.desc = desc;
-        it->second.hist.configure(lo, hi, buckets);
-    }
-    return it->second.hist;
+    return histograms_
+        .try_emplace(name, HistEntry{desc, Histogram(lo, hi, buckets)})
+        .first->second.hist;
 }
 
 const Scalar &
@@ -231,7 +162,6 @@ Group::visit(Visitor &v) const
 void
 Distribution::saveState(ckpt::SnapshotWriter &w) const
 {
-    settle();
     w.putU64(count_);
     w.putDouble(sum_);
     w.putDouble(sumSq_);
@@ -247,13 +177,11 @@ Distribution::restoreState(ckpt::SnapshotReader &r)
     sumSq_ = r.getDouble();
     min_ = r.getDouble();
     max_ = r.getDouble();
-    tally_.assign(tally_.size(), 0);
 }
 
 void
 Histogram::saveState(ckpt::SnapshotWriter &w) const
 {
-    settle();
     dist_.saveState(w);
     w.putU64(counts_.size());
     for (std::uint64_t c : counts_)
@@ -273,7 +201,6 @@ Histogram::restoreState(ckpt::SnapshotReader &r)
         c = r.getU64();
     underflow_ = r.getU64();
     overflow_ = r.getU64();
-    tally_.assign(tally_.size(), 0);
 }
 
 void

@@ -47,14 +47,6 @@ class Scalar
 /**
  * Running moments of a sampled quantity: count, min, max, mean and
  * standard deviation, without storing individual samples.
- *
- * Per-cycle occupancy samples are small non-negative integers, so a
- * distribution can also keep an integer tally over a range set by
- * setTallyRange(): tally() then costs one increment, and the pending
- * counts are folded into the moments on every read and before
- * saveState(). The fold is exact as long as every sample is an
- * integer and every running sum stays below 2^53, which holds for
- * every tallied stat in the model.
  */
 class Distribution
 {
@@ -62,8 +54,9 @@ class Distribution
     Distribution() = default;
 
     /**
-     * Record @p n occurrences of the value @p v. Inline: bulk idle
-     * replays and untallied samples take this path.
+     * Record @p n occurrences of the value @p v. Inline: per-event
+     * samples (a cache's per-lookup MSHR occupancy) and the core's
+     * fold of its per-value counts take this path.
      */
     void sample(double v, std::uint64_t n = 1)
     {
@@ -79,30 +72,15 @@ class Distribution
         sumSq_ += v * v * dn;
     }
 
-    /**
-     * Record @p n occurrences of the integer @p v: an add when it lies
-     * inside the tally range, sample() otherwise.
-     */
-    void tally(std::uint64_t v, std::uint64_t n = 1)
-    {
-        if (v < tally_.size())
-            tally_[v] += n;
-        else
-            sample(static_cast<double>(v), n);
-    }
-
-    /** Tally integer samples in [0, @p range) from now on. */
-    void setTallyRange(std::size_t range);
-
-    std::uint64_t count() const { settle(); return count_; }
-    double sum() const { settle(); return sum_; }
-    double min() const { settle(); return count_ ? min_ : 0.0; }
-    double max() const { settle(); return count_ ? max_ : 0.0; }
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+    double min() const { return count_ ? min_ : 0.0; }
+    double max() const { return count_ ? max_ : 0.0; }
     double mean() const;
     /** Population standard deviation. */
     double stddev() const;
 
-    /** Discard every sample, pending tallies included. */
+    /** Discard every sample. */
     void reset();
 
     /** Serialize the running moments (checkpoint/restore). */
@@ -110,16 +88,11 @@ class Distribution
     void restoreState(ckpt::SnapshotReader &r);
 
   private:
-    /** Fold pending tallies; reads stay logically const. */
-    void settle() const { const_cast<Distribution *>(this)->fold(); }
-    void fold();
-
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    std::vector<std::uint64_t> tally_; ///< pending count per value.
 };
 
 /**
@@ -130,21 +103,15 @@ class Distribution
 class Histogram
 {
   public:
-    Histogram() = default;
-
-    /** Set the bucket layout; resets any accumulated samples. */
-    void configure(double lo, double hi, unsigned buckets);
-    bool configured() const { return !counts_.empty(); }
+    /** A histogram of @p buckets equal-width buckets over [lo, hi). */
+    Histogram(double lo, double hi, unsigned buckets);
 
     /**
      * Record @p n occurrences of the value @p v. Inline for the same
-     * reason as Distribution::sample — bulk replays and untallied
-     * samples take this path.
+     * reason as Distribution::sample.
      */
     void sample(double v, std::uint64_t n = 1)
     {
-        if (counts_.empty())
-            sampleUnconfigured();
         dist_.sample(v, n);
         if (v < lo_) {
             underflow_ += n;
@@ -155,19 +122,7 @@ class Histogram
         }
     }
 
-    /** As Distribution::tally(); folded into dist and buckets. */
-    void tally(std::uint64_t v, std::uint64_t n = 1)
-    {
-        if (v < tally_.size())
-            tally_[v] += n;
-        else
-            sample(static_cast<double>(v), n);
-    }
-
-    /** Tally integer samples in [0, @p range) from now on. */
-    void setTallyRange(std::size_t range);
-
-    const Distribution &dist() const { settle(); return dist_; }
+    const Distribution &dist() const { return dist_; }
     double lo() const { return lo_; }
     double hi() const { return hi_; }
     unsigned numBuckets() const
@@ -176,17 +131,11 @@ class Histogram
     }
     double bucketWidth() const
     {
-        return counts_.empty()
-            ? 0.0
-            : (hi_ - lo_) / static_cast<double>(counts_.size());
+        return (hi_ - lo_) / static_cast<double>(counts_.size());
     }
-    std::uint64_t bucketCount(unsigned i) const
-    {
-        settle();
-        return counts_[i];
-    }
-    std::uint64_t underflow() const { settle(); return underflow_; }
-    std::uint64_t overflow() const { settle(); return overflow_; }
+    std::uint64_t bucketCount(unsigned i) const { return counts_[i]; }
+    std::uint64_t underflow() const { return underflow_; }
+    std::uint64_t overflow() const { return overflow_; }
 
     void reset();
 
@@ -195,8 +144,6 @@ class Histogram
     void restoreState(ckpt::SnapshotReader &r);
 
   private:
-    [[noreturn]] void sampleUnconfigured() const;
-
     /** Bucket of an in-range value @p v (lo <= v < hi). */
     std::size_t bucketOf(double v) const
     {
@@ -204,16 +151,12 @@ class Histogram
         return i < counts_.size() ? i : counts_.size() - 1; // edge at hi.
     }
 
-    void settle() const { const_cast<Histogram *>(this)->fold(); }
-    void fold();
-
     Distribution dist_;
-    double lo_ = 0.0;
-    double hi_ = 0.0;
+    double lo_;
+    double hi_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
-    std::vector<std::uint64_t> tally_; ///< pending count per value.
 };
 
 class Group;
@@ -285,7 +228,8 @@ class Group
 
     /**
      * Register a bucketed histogram over [lo, hi) with @p buckets
-     * equal-width buckets (plus underflow/overflow).
+     * equal-width buckets (plus underflow/overflow). A name already
+     * registered returns its histogram, first layout and all.
      */
     Histogram &histogram(const std::string &name,
                          const std::string &desc, double lo, double hi,

@@ -48,13 +48,8 @@ Core::Core(const CoreParams &params, CpuId cpu, MemSystem &mem,
       fetchToCommit_(statGroup_.histogram(
           "fetch_to_commit",
           "cycles from window entry to retirement",
-          0.0, 256.0, 32))
+          0.0, kCommitLatencySpan, 32))
 {
-    // Occupancies and commit latencies are small integers: tally them
-    // (see stats::Distribution) over the range the structure allows.
-    windowOccupancy_.setTallyRange(params.windowEntries + 1);
-    fetchToCommit_.setTallyRange(
-        static_cast<std::size_t>(fetchToCommit_.hi()));
     bpred_ = std::make_unique<BranchPredictor>(params_.bpred,
                                                &statGroup_);
     fetch_ = std::make_unique<FetchUnit>(params_, cpu_, *bpred_, mem_,
@@ -255,7 +250,11 @@ Core::commitStage(Cycle cycle)
             ++committedStores_;
         if (e.rec.isBranch())
             ++committedBranches_;
-        fetchToCommit_.tally(cycle - e.issueCycle);
+        const Cycle latency = cycle - e.issueCycle;
+        if (latency < kCommitLatencySpan)
+            ++commitLatency_[latency];
+        else
+            fetchToCommit_.sample(static_cast<double>(latency));
         lastCommitCycle_ = cycle;
         ++rawCommitted_;
         recent_[recentNext_] = {e.seq, e.rec.pc, cycle};
@@ -873,6 +872,7 @@ Core::openSpans(Cycle cycle)
     commitSpan_.since = cycle;
     issueSpan_.since = cycle;
     std::fill(occCycles_.begin(), occCycles_.end(), 0);
+    commitLatency_.fill(0);
     for (unsigned i = 0; i < kNumRs; ++i) {
         occHeld_[i] = rs_[i] ? static_cast<std::uint32_t>(
                                    rs_[i]->occupancy())
@@ -901,14 +901,20 @@ Core::settle()
             if (!n)
                 continue;
             if (i < kNumRs)
-                rs_[i]->tallyOccupancy(v, n);
+                rs_[i]->sampleOccupancy(v, n);
             else if (i == kOccWindow)
-                windowOccupancy_.tally(v, n);
+                windowOccupancy_.sample(v, n);
             else if (i == kOccLq)
-                lsq_->tallyLqOccupancy(v, n);
+                lsq_->sampleLqOccupancy(v, n);
             else
-                lsq_->tallySqOccupancy(v, n);
+                lsq_->sampleSqOccupancy(v, n);
             n = 0;
+        }
+    }
+    for (unsigned v = 0; v < kCommitLatencySpan; ++v) {
+        if (commitLatency_[v]) {
+            fetchToCommit_.sample(v, commitLatency_[v]);
+            commitLatency_[v] = 0;
         }
     }
 }

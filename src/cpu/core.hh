@@ -125,10 +125,11 @@ class Core : public Clocked
      * with their CPI-stack slots and the issue stage's stall counter
      * (one open run each, closed when its value changes), and the
      * occupancy samples (taken once per tick for every cycle since
-     * the last, into a core-local table). settle() closes the runs,
-     * takes the owed samples and folds the table into the stats. The
-     * span readers below use it, and so does System::settleStats()
-     * when no kernel is live.
+     * the last, into a core-local table). Commits count their
+     * fetch-to-commit latencies in a second table. settle() closes
+     * the runs, takes the owed samples and folds both tables into the
+     * stats. The span readers below use it, and so does
+     * System::settleStats() when no kernel is live.
      */
     void settle();
 
@@ -412,7 +413,10 @@ class Core : public Clocked
      * occupancies were frozen): one add per structure into a compact
      * core-local table, occCycles_[occBase_[i] + v] counting the
      * cycles structure i held v entries. settle() folds it into the
-     * stats. The window and stations are sampled at the start of a
+     * stats with one sample(v, n) per value held: every sample is an
+     * integer and every running sum stays below 2^53, so the moments
+     * do not depend on how the samples are grouped. The window and
+     * stations are sampled at the start of a
      * tick, the LQ/SQ after commit: a load freed at commit moves
      * that cycle's LQ sample. occHeld_ mirrors the occupancies so a
      * sample touches no station or queue. occEnd_ is one past the
@@ -429,6 +433,14 @@ class Core : public Clocked
     std::array<std::uint32_t, kNumOcc> occBase_{};
     std::vector<std::uint64_t> occCycles_;
     Cycle occEnd_ = 0;
+    /**
+     * Commits per fetch-to-commit latency below the histogram's bound,
+     * folded by settle() like occCycles_; a longer latency is sampled
+     * at its commit. @{
+     */
+    static constexpr unsigned kCommitLatencySpan = 256;
+    std::array<std::uint64_t, kCommitLatencySpan> commitLatency_{};
+    /** @} */
     /** The commit stage's per-cycle charge on a cycle that retires
      *  nothing: every slot to one CPI-stack category, and one
      *  commit-idle cycle while the window holds anything. */

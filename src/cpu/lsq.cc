@@ -46,8 +46,6 @@ LoadStoreQueue::LoadStoreQueue(const CoreParams &params, CpuId cpu,
                                       "load issue attempts waiting "
                                       "on store data"))
 {
-    lqOccupancy_.setTallyRange(loads_.size() + 1);
-    sqOccupancy_.setTallyRange(stores_.size() + 1);
 }
 
 unsigned

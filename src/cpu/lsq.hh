@@ -117,15 +117,15 @@ class LoadStoreQueue
 
     /**
      * Record @p n cycles at LQ / SQ occupancy @p v (see
-     * ReservationStation::tallyOccupancy). @{
+     * ReservationStation::sampleOccupancy). @{
      */
-    void tallyLqOccupancy(std::uint64_t v, std::uint64_t n)
+    void sampleLqOccupancy(std::uint64_t v, std::uint64_t n)
     {
-        lqOccupancy_.tally(v, n);
+        lqOccupancy_.sample(static_cast<double>(v), n);
     }
-    void tallySqOccupancy(std::uint64_t v, std::uint64_t n)
+    void sampleSqOccupancy(std::uint64_t v, std::uint64_t n)
     {
-        sqOccupancy_.tally(v, n);
+        sqOccupancy_.sample(static_cast<double>(v), n);
     }
     /** @} */
 

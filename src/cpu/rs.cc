@@ -28,7 +28,6 @@ ReservationStation::ReservationStation(const std::string &name,
         fatal("reservation station '%s': bad parameters",
               name.c_str());
     seqs_.reserve(entries_);
-    occupancy_.setTallyRange(entries_ + 1);
 }
 
 void

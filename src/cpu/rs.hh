@@ -88,9 +88,9 @@ class ReservationStation
      * it). The core samples occupancies into its own table and folds
      * them in here when it settles (see Core::settle).
      */
-    void tallyOccupancy(std::uint64_t v, std::uint64_t n)
+    void sampleOccupancy(std::uint64_t v, std::uint64_t n)
     {
-        occupancy_.tally(v, n);
+        occupancy_.sample(static_cast<double>(v), n);
     }
 
     /** Serialize mutable state (checkpoint/restore). */

@@ -34,6 +34,16 @@ class Heartbeat
     explicit Heartbeat(std::uint64_t period,
                        std::uint64_t expected_instrs = 0);
 
+    /**
+     * Measure the next beat's progress from now, with @p instrs
+     * committed when the run starts (a restored run's count).
+     */
+    void setBaseline(std::uint64_t instrs)
+    {
+        lastWall_ = Clock::now();
+        lastInstrs_ = instrs;
+    }
+
     /** Report progress at @p cycle with @p instrs committed so far. */
     void beat(Cycle cycle, std::uint64_t instrs);
 

@@ -44,6 +44,18 @@ class IntervalSampler
     bool openFile(const std::string &path);
 
     /**
+     * Measure the first interval from @p cycle, with @p instrs
+     * committed by then: the cycle before the run's first and the
+     * count at that point (a restored run resumes where its
+     * checkpoint was cut). Both are 0 until set.
+     */
+    void setBaseline(Cycle cycle, std::uint64_t instrs)
+    {
+        lastCycle_ = cycle;
+        lastInstrs_ = instrs;
+    }
+
+    /**
      * Called once per simulated cycle with the cycle number and the
      * total instructions committed so far (all cores); emits a record
      * whenever a period boundary is crossed.

@@ -176,7 +176,11 @@ System::run()
             return ProbeNext{}; // measurement window open; detach.
         });
     }
+    // The observers measure from where this run starts: a restored
+    // run's first cycle follows the one its checkpoint was cut at,
+    // with that cut's commits already counted.
     if (sampler_) {
+        sampler_->setBaseline(start ? start - 1 : 0, totalRawCommitted());
         kernel_->attachProbe(
             phaseStart(sampler_->period(), start), sampler_->period(),
             [this](Cycle cycle) {
@@ -185,6 +189,7 @@ System::run()
             });
     }
     if (heartbeat_) {
+        heartbeat_->setBaseline(totalRawCommitted());
         kernel_->attachProbe(
             phaseStart(heartbeat_->period(), start),
             heartbeat_->period(), [this](Cycle cycle) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -98,47 +99,124 @@ TEST(CpiStack, RegistersScalarsAndAccumulates)
     EXPECT_EQ(stack.counts().total(), 0u);
 }
 
+/**
+ * Sample counts of the per-cycle occupancy stats (stations, window,
+ * LQ, SQ) and of fetch_to_commit in one core's stat groups.
+ */
+class CoreSampleCounts : public stats::Visitor
+{
+  public:
+    explicit CoreSampleCounts(std::string core) : core_(std::move(core))
+    {
+    }
+
+    void visitDistribution(const stats::Group &g, const std::string &name,
+                           const std::string &,
+                           const stats::Distribution &d) override
+    {
+        if (inCore(g) && name.ends_with("occupancy"))
+            occupancy[g.path() + "." + name] = d.count();
+    }
+
+    void visitHistogram(const stats::Group &g, const std::string &name,
+                        const std::string &,
+                        const stats::Histogram &h) override
+    {
+        if (!inCore(g))
+            return;
+        if (name == "fetch_to_commit")
+            fetchToCommit = h.dist().count();
+        else if (name.ends_with("occupancy"))
+            occupancy[g.path() + "." + name] = h.dist().count();
+    }
+
+    std::map<std::string, std::uint64_t> occupancy;
+    std::uint64_t fetchToCommit = 0;
+
+  private:
+    bool inCore(const stats::Group &g) const
+    {
+        return g.path() == core_ || g.path().starts_with(core_ + ".");
+    }
+
+    std::string core_;
+};
+
+/**
+ * The core's per-cycle stats agree with its CPI stack: every
+ * occupancy stat holds one sample per accounted cycle (commitWidth
+ * slots each), and fetch_to_commit one per committed slot.
+ */
+void
+expectOneSamplePerCycleAndCommit(System &sys, CpuId cpu)
+{
+    const CpiStackCounts c = sys.core(cpu).cpiStack().counts();
+    const std::uint64_t cycles =
+        c.total() / sys.core(cpu).params().commitWidth;
+    CoreSampleCounts counts(sys.root().path() + ".cpu" +
+                            std::to_string(cpu));
+    sys.root().visit(counts);
+    // Six stations, the window, the LQ and the SQ.
+    EXPECT_EQ(counts.occupancy.size(), 9u) << "cpu " << cpu;
+    for (const auto &[path, count] : counts.occupancy)
+        EXPECT_EQ(count, cycles) << path;
+    EXPECT_EQ(counts.fetchToCommit,
+              c.slots[static_cast<unsigned>(CommitSlot::Committed)])
+        << "cpu " << cpu;
+}
+
 TEST(CpiStack, EveryCommitSlotAccountedOnRealRun)
 {
-    SystemParams sp;
-    System sys(sp);
-    sys.attachTrace(0, generateTrace(specint95Profile(), 20000));
-    const SimResult res = sys.run();
-    ASSERT_FALSE(res.hitCycleCap);
+    for (const bool skip_ahead : {true, false}) {
+        SCOPED_TRACE(skip_ahead ? "fast engine" : "plain loop");
+        SystemParams sp;
+        sp.skipAhead = skip_ahead;
+        System sys(sp);
+        sys.attachTrace(0, generateTrace(specint95Profile(), 20000));
+        const SimResult res = sys.run();
+        ASSERT_FALSE(res.hitCycleCap);
 
-    const CpiStackCounts c = sys.core(0).cpiStack().counts();
-    const unsigned width = sp.core.commitWidth;
-    // The tentpole invariant: each cycle the core ticked contributed
-    // exactly commitWidth slots, each attributed to one category.
-    EXPECT_GT(c.total(), 0u);
-    EXPECT_EQ(c.total() % width, 0u);
-    // The committed bucket is the committed-instruction count.
-    EXPECT_EQ(c.slots[static_cast<unsigned>(CommitSlot::Committed)],
-              res.instructions);
-    EXPECT_GE(c.total(), res.instructions);
+        const CpiStackCounts c = sys.core(0).cpiStack().counts();
+        const unsigned width = sp.core.commitWidth;
+        // The tentpole invariant: each cycle the core ticked
+        // contributed exactly commitWidth slots, each attributed to
+        // one category.
+        EXPECT_GT(c.total(), 0u);
+        EXPECT_EQ(c.total() % width, 0u);
+        // The committed bucket is the committed-instruction count.
+        EXPECT_EQ(c.slots[static_cast<unsigned>(CommitSlot::Committed)],
+                  res.instructions);
+        EXPECT_GE(c.total(), res.instructions);
+        expectOneSamplePerCycleAndCommit(sys, 0);
+    }
 }
 
 TEST(CpiStack, SmpCoresAccountIndependently)
 {
-    MachineParams m = sparc64vBase(2);
-    PerfModel model(m);
-    model.loadWorkload(tpccProfile(), 8000);
-    const SimResult res = model.run();
-    ASSERT_FALSE(res.hitCycleCap);
+    for (const bool skip_ahead : {true, false}) {
+        SCOPED_TRACE(skip_ahead ? "fast engine" : "plain loop");
+        MachineParams m = sparc64vBase(2);
+        m.sys.skipAhead = skip_ahead;
+        PerfModel model(m);
+        model.loadWorkload(tpccProfile(), 8000);
+        const SimResult res = model.run();
+        ASSERT_FALSE(res.hitCycleCap);
 
-    const unsigned width = m.sys.core.commitWidth;
-    std::uint64_t committed_slots = 0;
-    for (CpuId cpu = 0; cpu < 2; ++cpu) {
-        const CpiStackCounts c =
-            model.system().core(cpu).cpiStack().counts();
-        EXPECT_GT(c.total(), 0u);
-        EXPECT_EQ(c.total() % width, 0u) << "cpu " << cpu;
-        committed_slots += c.slots[static_cast<unsigned>(
-            CommitSlot::Committed)];
+        const unsigned width = m.sys.core.commitWidth;
+        std::uint64_t committed_slots = 0;
+        for (CpuId cpu = 0; cpu < 2; ++cpu) {
+            const CpiStackCounts c =
+                model.system().core(cpu).cpiStack().counts();
+            EXPECT_GT(c.total(), 0u);
+            EXPECT_EQ(c.total() % width, 0u) << "cpu " << cpu;
+            committed_slots += c.slots[static_cast<unsigned>(
+                CommitSlot::Committed)];
+            expectOneSamplePerCycleAndCommit(model.system(), cpu);
+        }
+        EXPECT_EQ(committed_slots, res.measured);
+        const CpiStackCounts sum = collectCpiStack(model.system());
+        EXPECT_EQ(sum.total() % width, 0u);
     }
-    EXPECT_EQ(committed_slots, res.measured);
-    const CpiStackCounts sum = collectCpiStack(model.system());
-    EXPECT_EQ(sum.total() % width, 0u);
 }
 
 TEST(CpiStack, ExportsThroughStatsJson)

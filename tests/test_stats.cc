@@ -1,5 +1,6 @@
 #include "common/stats.hh"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -138,13 +139,14 @@ TEST(Stats, HistogramBuckets)
     EXPECT_EQ(h.dist().count(), 9u); // every sample is counted.
 
     EXPECT_EQ(&g.lookupHistogram("occ"), &h);
-}
+    // The first registration of a name wins, layout included.
+    EXPECT_EQ(&g.histogram("occ", "other", 0.0, 64.0, 8), &h);
+    EXPECT_EQ(h.numBuckets(), 5u);
+    EXPECT_DOUBLE_EQ(h.hi(), 10.0);
 
-TEST(Stats, HistogramSampleBeforeConfigurePanics)
-{
     setThrowOnError(true);
-    stats::Histogram h;
-    EXPECT_THROW(h.sample(1.0), std::runtime_error);
+    EXPECT_THROW(stats::Histogram(0.0, 10.0, 0), std::runtime_error);
+    EXPECT_THROW(stats::Histogram(4.0, 4.0, 2), std::runtime_error);
     setThrowOnError(false);
 }
 
@@ -245,32 +247,19 @@ TEST(Stats, VisitorWalksEveryKindInOrder)
     EXPECT_EQ(rec.log, want);
 }
 
-// --- Integer tallies: the same moments as sample(double) ----------
+// --- Per-value counts folded in bulk: the moments of single samples
 
 /**
- * One distribution and one histogram, fed either through tally() or
- * through sample(double). The histogram's [2, 18) range puts small
- * values in the underflow bucket and large ones in the overflow.
+ * One distribution and one histogram in a group of their own. The
+ * histogram's [2, 18) range puts small values in the underflow bucket
+ * and large ones in the overflow.
  */
-struct TallyPair
+struct StatSet
 {
-    explicit TallyPair(bool tallied) : tallied(tallied)
+    void sample(double v, std::uint64_t n = 1)
     {
-        if (tallied) {
-            d.setTallyRange(kRange);
-            h.setTallyRange(kRange);
-        }
-    }
-
-    void add(std::uint64_t v)
-    {
-        if (tallied) {
-            d.tally(v);
-            h.tally(v);
-        } else {
-            d.sample(static_cast<double>(v));
-            h.sample(static_cast<double>(v));
-        }
+        d.sample(v, n);
+        h.sample(v, n);
     }
 
     /** Snapshot image of the group's stats. */
@@ -279,7 +268,7 @@ struct TallyPair
         ckpt::SnapshotWriter w;
         w.beginSection("stats");
         g.saveState(w);
-        return w.finish("tally-test");
+        return w.finish("fold-test");
     }
 
     void restore(std::vector<std::uint8_t> image)
@@ -291,11 +280,39 @@ struct TallyPair
         r.closeSection();
     }
 
-    static constexpr std::size_t kRange = 12;
-    bool tallied;
     stats::Group g{"occupancy"};
     stats::Distribution &d = g.distribution("d", "distribution");
     stats::Histogram &h = g.histogram("h", "histogram", 2.0, 18.0, 8);
+};
+
+/**
+ * The same integer stream fed two ways: @c direct samples each value
+ * as it comes; @c folded counts the values below kRange per value,
+ * as the core's occupancy and commit-latency tables do, samples the
+ * rest at once, and folds each count with sample(v, n) in fold().
+ */
+struct FoldPair
+{
+    void add(std::uint64_t v)
+    {
+        direct.sample(static_cast<double>(v));
+        if (v < kRange)
+            ++pending[v];
+        else
+            folded.sample(static_cast<double>(v));
+    }
+
+    void fold()
+    {
+        for (std::size_t v = 0; v < kRange; ++v) {
+            folded.sample(static_cast<double>(v), pending[v]);
+            pending[v] = 0;
+        }
+    }
+
+    static constexpr std::size_t kRange = 12;
+    StatSet direct, folded;
+    std::array<std::uint64_t, kRange> pending{};
 };
 
 void
@@ -311,7 +328,7 @@ expectSameMoments(const stats::Distribution &a,
 }
 
 void
-expectSameStats(const TallyPair &a, const TallyPair &b)
+expectSameStats(const StatSet &a, const StatSet &b)
 {
     expectSameMoments(a.d, b.d);
     expectSameMoments(a.h.dist(), b.h.dist());
@@ -320,57 +337,52 @@ expectSameStats(const TallyPair &a, const TallyPair &b)
     EXPECT_EQ(a.h.underflow(), b.h.underflow());
     EXPECT_EQ(a.h.overflow(), b.h.overflow());
     EXPECT_EQ(obs::exportStatsJson(a.g), obs::exportStatsJson(b.g));
+    EXPECT_EQ(a.save(), b.save());
 }
 
-TEST(Stats, TallyMatchesSampleOnAMixedStream)
+TEST(Stats, FoldedCountsMatchSingleSamplesOnAMixedStream)
 {
-    TallyPair tallied(true), sampled(false);
+    FoldPair p;
     Rng rng(14);
-    std::vector<std::uint8_t> saved_t, saved_s;
+    std::vector<std::uint8_t> saved_direct, saved_folded;
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t op = rng.below(1000);
-        if (op < 900) {
-            // Mostly inside the tally range, sometimes at or above.
-            const std::uint64_t v = rng.chance(0.9)
-                ? rng.below(TallyPair::kRange)
-                : TallyPair::kRange + rng.below(30);
-            tallied.add(v);
-            sampled.add(v);
-        } else if (op < 980) {
-            // Bulk idle replay: both keep the sample(v, n) path.
-            const double v = static_cast<double>(rng.below(24));
-            const std::uint64_t n = rng.below(40);
-            for (TallyPair *p : {&tallied, &sampled}) {
-                p->d.sample(v, n);
-                p->h.sample(v, n);
-            }
-        } else if (op < 983) {
-            // Reset discards pending tallies with everything else.
-            tallied.g.resetAll();
-            sampled.g.resetAll();
-        } else if (op < 990) {
-            // Reads fold mid-stream and must not perturb anything.
-            EXPECT_EQ(tallied.d.count(), sampled.d.count());
-        } else if (op < 995 || saved_t.empty()) {
-            saved_t = tallied.save();
-            saved_s = sampled.save();
-            EXPECT_EQ(saved_t, saved_s);
+        if (op < 950) {
+            // Mostly inside the counted range, sometimes at or above.
+            p.add(rng.chance(0.9)
+                      ? rng.below(FoldPair::kRange)
+                      : FoldPair::kRange + rng.below(30));
+        } else if (op < 985) {
+            // A fold at any point leaves the same stats.
+            p.fold();
+            expectSameStats(p.direct, p.folded);
+        } else if (op < 988) {
+            // The warm-up reset: the core folds before it resets.
+            p.fold();
+            p.direct.g.resetAll();
+            p.folded.g.resetAll();
+        } else if (op < 995 || saved_direct.empty()) {
+            // A checkpoint: the core folds before it saves.
+            p.fold();
+            saved_direct = p.direct.save();
+            saved_folded = p.folded.save();
+            EXPECT_EQ(saved_direct, saved_folded);
         } else {
-            // Restore drops what was tallied since the save.
-            tallied.restore(saved_t);
-            sampled.restore(saved_s);
+            // A restore drops what was counted since the save.
+            p.pending.fill(0);
+            p.direct.restore(saved_direct);
+            p.folded.restore(saved_folded);
         }
     }
-    ASSERT_GT(tallied.d.count(), 0u);
-    EXPECT_GT(tallied.h.underflow(), 0u);
-    EXPECT_GT(tallied.h.overflow(), 0u);
-    expectSameStats(tallied, sampled);
+    p.fold();
+    ASSERT_GT(p.direct.d.count(), 0u);
+    EXPECT_GT(p.direct.h.underflow(), 0u);
+    EXPECT_GT(p.direct.h.overflow(), 0u);
+    expectSameStats(p.direct, p.folded);
     // A final round trip through a snapshot keeps them identical.
-    tallied.add(3);
-    sampled.add(3);
-    tallied.restore(tallied.save());
-    sampled.restore(sampled.save());
-    expectSameStats(tallied, sampled);
+    p.direct.restore(p.direct.save());
+    p.folded.restore(p.folded.save());
+    expectSameStats(p.direct, p.folded);
 }
 
 } // namespace
