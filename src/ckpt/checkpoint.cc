@@ -21,73 +21,22 @@ cpuSectionName(unsigned cpu)
     return buf;
 }
 
-} // namespace
-
+/**
+ * The checkpoint's one walk, writing @p system's state or reading it
+ * back (@p path names the file in a restore's diagnostics). A read
+ * validates the layout, the configuration fingerprint and each CPU's
+ * trace identity before any component reads a value.
+ */
 void
-writeSystemCheckpoint(System &system, const std::string &path)
+walk(System &system, Archive &ar, const std::string &path)
 {
     const unsigned num_cpus = system.params().numCpus;
-    SnapshotWriter w;
 
-    w.beginSection("config");
-    w.putU32(kCheckpointLayout);
-    w.putU64(fingerprintSystemParams(system.params()));
-    w.putU32(num_cpus);
-
-    w.beginSection("run");
-    const RunContinuation &cont = system.continuation();
-    w.putU64(cont.nextCycle);
-    w.putBool(cont.warmDone);
-    w.putU64(cont.warmupEndCycle);
-    w.putU64Vec(cont.warmupCommitted);
-
-    w.beginSection("trace");
-    for (unsigned i = 0; i < num_cpus; ++i) {
-        const InstrTrace *trace = system.trace(i);
-        const VectorTraceSource *src = system.traceSource(i);
-        if (!trace || !src)
-            fatal("checkpoint: cpu %u has no trace attached", i);
-        w.putString(trace->workloadName());
-        w.putU64(trace->size());
-        w.putU64(fingerprintTrace(*trace));
-        w.putU64(src->consumed());
-    }
-
-    w.beginSection("stats");
-    system.root().saveState(w);
-
-    w.beginSection("mem");
-    system.mem().saveState(w);
-
-    for (unsigned i = 0; i < num_cpus; ++i) {
-        w.beginSection(cpuSectionName(i));
-        system.core(i).saveState(w);
-    }
-
-    w.writeFile(path, modelVersionString());
-}
-
-namespace
-{
-
-/** restoreSystemCheckpoint() minus the verdict on a damaged image. */
-void
-restore(System &system, const std::string &path)
-{
-    const unsigned num_cpus = system.params().numCpus;
-    SnapshotReader r = SnapshotReader::fromFile(path);
-
-    if (r.modelVersion() != modelVersionString()) {
-        fatal("checkpoint '%s': written by model version '%s'; this "
-              "build is '%s'",
-              path.c_str(), r.modelVersion().c_str(),
-              modelVersionString());
-    }
-
-    r.openSection("config");
-    r.checkLayout("checkpoint", kCheckpointLayout);
-    const std::uint64_t fp = r.getU64();
+    ar.section("config");
+    ar.layout("checkpoint", kCheckpointLayout);
     const std::uint64_t want = fingerprintSystemParams(system.params());
+    std::uint64_t fp = want;
+    ar.u64(fp);
     if (fp != want) {
         fatal("checkpoint '%s': configuration fingerprint %016llx "
               "does not match this system's %016llx (different "
@@ -95,32 +44,36 @@ restore(System &system, const std::string &path)
               path.c_str(), static_cast<unsigned long long>(fp),
               static_cast<unsigned long long>(want));
     }
-    const std::uint32_t cpus = r.getU32();
-    r.require(cpus == num_cpus, "CPU count differs");
-    r.closeSection();
+    ar.fixed32(num_cpus, "CPU count differs");
 
-    r.openSection("run");
-    RunContinuation cont;
-    cont.nextCycle = r.getU64();
-    cont.warmDone = r.getBool();
-    cont.warmupEndCycle = r.getU64();
-    cont.warmupCommitted = r.getU64Vec();
-    r.require(cont.warmupCommitted.size() == num_cpus,
-              "warm-up record count differs from CPU count");
-    r.closeSection();
+    ar.section("run");
+    RunContinuation cont = system.continuation();
+    ar.u64(cont.nextCycle);
+    ar.boolean(cont.warmDone);
+    ar.u64(cont.warmupEndCycle);
+    ar.u64Vec(cont.warmupCommitted);
+    ar.require(cont.warmupCommitted.size() == num_cpus,
+               "warm-up record count differs from CPU count");
 
-    r.openSection("trace");
+    ar.section("trace");
     for (unsigned i = 0; i < num_cpus; ++i) {
         const InstrTrace *trace = system.trace(i);
         VectorTraceSource *src = system.traceSource(i);
-        if (!trace || !src)
-            fatal("restore: cpu %u has no trace attached", i);
-        const std::string name = r.getString();
-        const std::uint64_t size = r.getU64();
-        const std::uint64_t hash = r.getU64();
-        const std::uint64_t pos = r.getU64();
+        if (!trace || !src) {
+            fatal("%s: cpu %u has no trace attached",
+                  ar.loading() ? "restore" : "checkpoint", i);
+        }
+        const std::uint64_t hash_want = fingerprintTrace(*trace);
+        std::string name = trace->workloadName();
+        std::uint64_t size = trace->size();
+        std::uint64_t hash = hash_want;
+        std::uint64_t pos = src->consumed();
+        ar.str(name);
+        ar.u64(size);
+        ar.u64(hash);
+        ar.u64(pos);
         if (name != trace->workloadName() || size != trace->size() ||
-            hash != fingerprintTrace(*trace)) {
+            hash != hash_want) {
             fatal("checkpoint '%s': cpu %u was tracing '%s' (%llu "
                   "records); the attached trace is '%s' (%llu "
                   "records)",
@@ -129,35 +82,51 @@ restore(System &system, const std::string &path)
                   trace->workloadName().c_str(),
                   static_cast<unsigned long long>(trace->size()));
         }
-        r.require(pos <= size, "trace cursor past the end");
-        src->seek(pos);
+        ar.require(pos <= size, "trace cursor past the end");
+        if (ar.loading())
+            src->seek(pos);
     }
-    r.closeSection();
 
-    r.openSection("stats");
-    system.root().restoreState(r);
-    r.closeSection();
+    ar.section("stats");
+    system.root().checkpoint(ar);
 
-    r.openSection("mem");
-    system.mem().restoreState(r);
-    r.closeSection();
+    ar.section("mem");
+    system.mem().checkpoint(ar);
 
     for (unsigned i = 0; i < num_cpus; ++i) {
-        r.openSection(cpuSectionName(i));
-        system.core(i).restoreState(r);
-        r.closeSection();
+        ar.section(cpuSectionName(i));
+        system.core(i).checkpoint(ar);
     }
+    ar.endSections();
 
-    system.setContinuation(cont);
+    if (ar.loading())
+        system.setContinuation(cont);
 }
 
 } // namespace
 
 void
+writeSystemCheckpoint(System &system, const std::string &path)
+{
+    SnapshotWriter w;
+    Archive ar(w);
+    walk(system, ar, path);
+    w.writeFile(path, modelVersionString());
+}
+
+void
 restoreSystemCheckpoint(System &system, const std::string &path)
 {
     try {
-        restore(system, path);
+        SnapshotReader r = SnapshotReader::fromFile(path);
+        if (r.modelVersion() != modelVersionString()) {
+            fatal("checkpoint '%s': written by model version '%s'; "
+                  "this build is '%s'",
+                  path.c_str(), r.modelVersion().c_str(),
+                  modelVersionString());
+        }
+        Archive ar(r);
+        walk(system, ar, path);
     } catch (const SnapshotError &e) {
         fatal("checkpoint '%s': %s", path.c_str(), e.what());
     }

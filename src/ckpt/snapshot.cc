@@ -58,67 +58,13 @@ SnapshotWriter::beginSection(const std::string &name)
 }
 
 void
-SnapshotWriter::putRaw(const void *data, std::size_t len)
+SnapshotWriter::putBytes(const void *data, std::size_t len)
 {
     if (sections_.empty())
         panic("snapshot: put outside any section");
     const auto *p = static_cast<const std::uint8_t *>(data);
     auto &buf = sections_.back().data;
     buf.insert(buf.end(), p, p + len);
-}
-
-void
-SnapshotWriter::putU16(std::uint16_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 2);
-}
-
-void
-SnapshotWriter::putU32(std::uint32_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 4);
-}
-
-void
-SnapshotWriter::putU64(std::uint64_t v)
-{
-    if (sections_.empty())
-        panic("snapshot: put outside any section");
-    appendLe(sections_.back().data, v, 8);
-}
-
-void
-SnapshotWriter::putDouble(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
-SnapshotWriter::putString(const std::string &s)
-{
-    putU32(static_cast<std::uint32_t>(s.size()));
-    putRaw(s.data(), s.size());
-}
-
-void
-SnapshotWriter::putBytes(const void *data, std::size_t len)
-{
-    putRaw(data, len);
-}
-
-void
-SnapshotWriter::putU64Vec(const std::vector<std::uint64_t> &v)
-{
-    putU64(v.size());
-    for (std::uint64_t x : v)
-        putU64(x);
 }
 
 std::vector<std::uint8_t>
@@ -335,17 +281,6 @@ SnapshotReader::openSection(const std::string &name)
 }
 
 void
-SnapshotReader::checkLayout(const char *kind, std::uint32_t expected)
-{
-    const std::uint32_t layout = getU32();
-    if (layout != expected) {
-        corrupt("unsupported " + std::string(kind) + " layout " +
-                std::to_string(layout) + " (this build reads layout " +
-                std::to_string(expected) + ")");
-    }
-}
-
-void
 SnapshotReader::closeSection()
 {
     if (!open_)
@@ -356,91 +291,20 @@ SnapshotReader::closeSection()
 }
 
 void
-SnapshotReader::getRaw(void *out, std::size_t len)
+SnapshotReader::getBytes(void *out, std::size_t len)
 {
     if (!open_)
         corrupt("read with no section open");
-    if (open_->offset + open_->size - cursor_ < len)
+    if (remaining() < len)
         corrupt("read past end of section");
     std::memcpy(out, bytes_.data() + cursor_, len);
     cursor_ += len;
 }
 
-std::uint8_t
-SnapshotReader::getU8()
+std::size_t
+SnapshotReader::remaining() const
 {
-    std::uint8_t v;
-    getRaw(&v, 1);
-    return v;
-}
-
-std::uint16_t
-SnapshotReader::getU16()
-{
-    std::uint8_t b[2];
-    getRaw(b, 2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-}
-
-std::uint32_t
-SnapshotReader::getU32()
-{
-    std::uint8_t b[4];
-    getRaw(b, 4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-SnapshotReader::getU64()
-{
-    std::uint8_t b[8];
-    getRaw(b, 8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
-double
-SnapshotReader::getDouble()
-{
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string
-SnapshotReader::getString()
-{
-    const std::uint32_t len = getU32();
-    if (!open_ || open_->offset + open_->size - cursor_ < len)
-        corrupt("string runs past end of section");
-    std::string s(
-        reinterpret_cast<const char *>(bytes_.data() + cursor_), len);
-    cursor_ += len;
-    return s;
-}
-
-void
-SnapshotReader::getBytes(void *out, std::size_t len)
-{
-    getRaw(out, len);
-}
-
-std::vector<std::uint64_t>
-SnapshotReader::getU64Vec()
-{
-    const std::uint64_t n = getU64();
-    if (!open_ || (open_->offset + open_->size - cursor_) / 8 < n)
-        corrupt("vector runs past end of section");
-    std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
-    for (auto &x : v)
-        x = getU64();
-    return v;
+    return open_ ? open_->offset + open_->size - cursor_ : 0;
 }
 
 void
@@ -448,6 +312,156 @@ SnapshotReader::require(bool cond, const char *what)
 {
     if (!cond)
         corrupt(std::string("incompatible state: ") + what);
+}
+
+void
+Archive::section(const std::string &name)
+{
+    if (w_) {
+        w_->beginSection(name);
+        return;
+    }
+    if (inSection_)
+        r_->closeSection();
+    r_->openSection(name);
+    inSection_ = true;
+}
+
+void
+Archive::endSections()
+{
+    if (r_ && inSection_)
+        r_->closeSection();
+    inSection_ = false;
+}
+
+void
+Archive::layout(const char *kind, std::uint32_t expected)
+{
+    std::uint32_t stored = expected;
+    u32(stored);
+    if (stored != expected) {
+        r_->corrupt("unsupported " + std::string(kind) + " layout " +
+                    std::to_string(stored) +
+                    " (this build reads layout " +
+                    std::to_string(expected) + ")");
+    }
+}
+
+void
+Archive::number(std::uint64_t &v, unsigned n)
+{
+    std::uint8_t b[8] = {};
+    if (w_) {
+        for (unsigned i = 0; i < n; ++i)
+            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        w_->putBytes(b, n);
+        return;
+    }
+    r_->getBytes(b, n);
+    v = 0;
+    for (unsigned i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+}
+
+void
+Archive::u8(std::uint8_t &v)
+{
+    std::uint64_t x = v;
+    number(x, 1);
+    v = static_cast<std::uint8_t>(x);
+}
+
+void
+Archive::u32(std::uint32_t &v)
+{
+    std::uint64_t x = v;
+    number(x, 4);
+    v = static_cast<std::uint32_t>(x);
+}
+
+void
+Archive::u64(std::uint64_t &v)
+{
+    number(v, 8);
+}
+
+void
+Archive::boolean(bool &v)
+{
+    std::uint8_t x = v ? 1 : 0;
+    u8(x);
+    v = x != 0;
+}
+
+void
+Archive::f64(double &v)
+{
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+    std::memcpy(&v, &bits, sizeof(v));
+}
+
+void
+Archive::str(std::string &s)
+{
+    auto len = static_cast<std::uint32_t>(s.size());
+    u32(len);
+    if (r_) {
+        if (r_->remaining() < len)
+            r_->corrupt("string runs past end of section");
+        s.resize(len);
+    }
+    bytes(s.data(), len);
+}
+
+void
+Archive::bytes(void *data, std::size_t len)
+{
+    if (w_)
+        w_->putBytes(data, len);
+    else
+        r_->getBytes(data, len);
+}
+
+void
+Archive::u64Vec(std::vector<std::uint64_t> &v)
+{
+    std::uint64_t n = v.size();
+    u64(n);
+    if (r_) {
+        if (r_->remaining() / 8 < n)
+            r_->corrupt("vector runs past end of section");
+        v.resize(static_cast<std::size_t>(n));
+    }
+    for (std::uint64_t &x : v)
+        u64(x);
+}
+
+void
+Archive::fixed32(std::uint32_t n, const char *what)
+{
+    std::uint32_t stored = n;
+    u32(stored);
+    require(stored == n, what);
+}
+
+void
+Archive::fixed64(std::uint64_t n, const char *what)
+{
+    std::uint64_t stored = n;
+    u64(stored);
+    require(stored == n, what);
+}
+
+void
+Archive::tag(const std::string &name, const char *what)
+{
+    std::string stored = name;
+    str(stored);
+    require(stored == name, what);
 }
 
 } // namespace s64v::ckpt

@@ -63,15 +63,6 @@ Rng::below(std::uint64_t bound)
         (static_cast<unsigned __int128>(next()) * bound) >> 64);
 }
 
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    if (lo > hi)
-        panic("Rng::range with lo > hi");
-    return lo + static_cast<std::int64_t>(
-        below(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double
 Rng::uniform()
 {
@@ -115,12 +106,6 @@ Rng::pickCumulative(const std::vector<double> &cumulative)
     if (it == cumulative.end())
         --it;
     return static_cast<std::size_t>(it - cumulative.begin());
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xa5a5a5a5deadbeefull);
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double skew)

@@ -41,9 +41,6 @@ class Rng
     /** @return uniform integer in [0, bound). @p bound must be > 0. */
     std::uint64_t below(std::uint64_t bound);
 
-    /** @return uniform integer in [lo, hi]. */
-    std::int64_t range(std::int64_t lo, std::int64_t hi);
-
     /** @return uniform double in [0, 1). */
     double uniform();
 
@@ -61,9 +58,6 @@ class Rng
      * weights (last element is the total weight).
      */
     std::size_t pickCumulative(const std::vector<double> &cumulative);
-
-    /** Split off an independent child generator. */
-    Rng fork();
 
     /**
      * Raw generator state, for checkpoint/restore. All model

@@ -160,104 +160,60 @@ Group::visit(Visitor &v) const
 }
 
 void
-Distribution::saveState(ckpt::SnapshotWriter &w) const
+Scalar::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(count_);
-    w.putDouble(sum_);
-    w.putDouble(sumSq_);
-    w.putDouble(min_);
-    w.putDouble(max_);
+    ar.u64(value_);
 }
 
 void
-Distribution::restoreState(ckpt::SnapshotReader &r)
+Distribution::checkpoint(ckpt::Archive &ar)
 {
-    count_ = r.getU64();
-    sum_ = r.getDouble();
-    sumSq_ = r.getDouble();
-    min_ = r.getDouble();
-    max_ = r.getDouble();
+    ar.u64(count_);
+    ar.f64(sum_);
+    ar.f64(sumSq_);
+    ar.f64(min_);
+    ar.f64(max_);
 }
 
 void
-Histogram::saveState(ckpt::SnapshotWriter &w) const
+Histogram::checkpoint(ckpt::Archive &ar)
 {
-    dist_.saveState(w);
-    w.putU64(counts_.size());
-    for (std::uint64_t c : counts_)
-        w.putU64(c);
-    w.putU64(underflow_);
-    w.putU64(overflow_);
+    dist_.checkpoint(ar);
+    ar.fixed64(counts_.size(), "histogram bucket count differs");
+    for (std::uint64_t &c : counts_)
+        ar.u64(c);
+    ar.u64(underflow_);
+    ar.u64(overflow_);
 }
 
 void
-Histogram::restoreState(ckpt::SnapshotReader &r)
-{
-    dist_.restoreState(r);
-    const std::uint64_t buckets = r.getU64();
-    r.require(buckets == counts_.size(),
-              "histogram bucket count differs");
-    for (auto &c : counts_)
-        c = r.getU64();
-    underflow_ = r.getU64();
-    overflow_ = r.getU64();
-}
-
-void
-Group::saveState(ckpt::SnapshotWriter &w) const
+Group::checkpoint(ckpt::Archive &ar)
 {
     // Local names tag every stat so a restore into a differently
     // configured machine fails loudly instead of shifting counters.
-    w.putU32(static_cast<std::uint32_t>(scalars_.size()));
-    for (const auto &[name, entry] : scalars_) {
-        w.putString(name);
-        w.putU64(entry.counter.value());
-    }
-    w.putU32(static_cast<std::uint32_t>(distributions_.size()));
-    for (const auto &[name, d] : distributions_) {
-        w.putString(name);
-        d.dist.saveState(w);
-    }
-    w.putU32(static_cast<std::uint32_t>(histograms_.size()));
-    for (const auto &[name, h] : histograms_) {
-        w.putString(name);
-        h.hist.saveState(w);
-    }
-    w.putU32(static_cast<std::uint32_t>(children_.size()));
-    for (const Group *child : children_) {
-        w.putString(child->localName());
-        child->saveState(w);
-    }
-}
-
-void
-Group::restoreState(ckpt::SnapshotReader &r)
-{
-    r.require(r.getU32() == scalars_.size(),
-              "stat group scalar count differs");
+    ar.fixed32(static_cast<std::uint32_t>(scalars_.size()),
+               "stat group scalar count differs");
     for (auto &[name, entry] : scalars_) {
-        r.require(r.getString() == name, "stat scalar name differs");
-        entry.counter.set(r.getU64());
+        ar.tag(name, "stat scalar name differs");
+        entry.counter.checkpoint(ar);
     }
-    r.require(r.getU32() == distributions_.size(),
-              "stat group distribution count differs");
+    ar.fixed32(static_cast<std::uint32_t>(distributions_.size()),
+               "stat group distribution count differs");
     for (auto &[name, d] : distributions_) {
-        r.require(r.getString() == name,
-                  "stat distribution name differs");
-        d.dist.restoreState(r);
+        ar.tag(name, "stat distribution name differs");
+        d.dist.checkpoint(ar);
     }
-    r.require(r.getU32() == histograms_.size(),
-              "stat group histogram count differs");
+    ar.fixed32(static_cast<std::uint32_t>(histograms_.size()),
+               "stat group histogram count differs");
     for (auto &[name, h] : histograms_) {
-        r.require(r.getString() == name, "stat histogram name differs");
-        h.hist.restoreState(r);
+        ar.tag(name, "stat histogram name differs");
+        h.hist.checkpoint(ar);
     }
-    r.require(r.getU32() == children_.size(),
-              "stat group child count differs");
+    ar.fixed32(static_cast<std::uint32_t>(children_.size()),
+               "stat group child count differs");
     for (Group *child : children_) {
-        r.require(r.getString() == child->localName(),
-                  "stat group child name differs");
-        child->restoreState(r);
+        ar.tag(child->localName(), "stat group child name differs");
+        child->checkpoint(ar);
     }
 }
 

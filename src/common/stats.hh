@@ -19,8 +19,7 @@
 
 namespace s64v::ckpt
 {
-class SnapshotWriter;
-class SnapshotReader;
+class Archive;
 } // namespace s64v::ckpt
 
 namespace s64v::stats
@@ -36,9 +35,10 @@ class Scalar
     Scalar &operator+=(std::uint64_t n) { value_ += n; return *this; }
 
     std::uint64_t value() const { return value_; }
-    /** Overwrite the count (checkpoint restore only). */
-    void set(std::uint64_t v) { value_ = v; }
     void reset() { value_ = 0; }
+
+    /** Write or read the count (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     std::uint64_t value_ = 0;
@@ -83,9 +83,8 @@ class Distribution
     /** Discard every sample. */
     void reset();
 
-    /** Serialize the running moments (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read the running moments (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     std::uint64_t count_ = 0;
@@ -139,9 +138,8 @@ class Histogram
 
     void reset();
 
-    /** Serialize samples; the bucket layout must already match. */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read samples; a read requires the bucket layout. */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     /** Bucket of an in-range value @p v (lo <= v < hi). */
@@ -257,14 +255,13 @@ class Group
     void visit(Visitor &v) const;
 
     /**
-     * Serialize every scalar/distribution/histogram in this group and
-     * all children, tagged with local names for validation. Formulas
-     * are derived and carry no state. Restore requires the identical
-     * registration tree (same machine configuration) and rejects a
-     * mismatched snapshot through the reader's diagnostics.
+     * Write or read every scalar/distribution/histogram in this group
+     * and all children, tagged with local names for validation.
+     * Formulas are derived and carry no state. A read requires the
+     * identical registration tree (same machine configuration) and
+     * rejects a mismatched snapshot through the reader's diagnostics.
      */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Entry

@@ -117,29 +117,15 @@ BranchPredictor::mispredictRatio() const
 
 
 void
-BranchPredictor::saveState(ckpt::SnapshotWriter &w) const
+BranchPredictor::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(lruTick_);
-    w.putU64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.putU64(e.tag);
-        w.putU8(e.counter);
-        w.putBool(e.valid);
-        w.putU64(e.lru);
-    }
-}
-
-void
-BranchPredictor::restoreState(ckpt::SnapshotReader &r)
-{
-    lruTick_ = r.getU64();
-    r.require(r.getU64() == entries_.size(),
-              "BHT geometry differs (sets*ways)");
+    ar.u64(lruTick_);
+    ar.fixed64(entries_.size(), "BHT geometry differs (sets*ways)");
     for (Entry &e : entries_) {
-        e.tag = r.getU64();
-        e.counter = r.getU8();
-        e.valid = r.getBool();
-        e.lru = r.getU64();
+        ar.u64(e.tag);
+        ar.u8(e.counter);
+        ar.boolean(e.valid);
+        ar.u64(e.lru);
     }
 }
 

@@ -18,7 +18,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Tagged BHT with per-entry 2-bit counters and LRU replacement. */
 class BranchPredictor
@@ -49,9 +49,8 @@ class BranchPredictor
 
     const BranchPredParams &params() const { return params_; }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Entry

@@ -1086,87 +1086,58 @@ Core::recentCommits() const
 
 
 void
-Core::saveState(ckpt::SnapshotWriter &w) const
+Core::checkpoint(ckpt::Archive &ar)
 {
-    bpred_->saveState(w);
-    fetch_->saveState(w);
-    lsq_->saveState(w);
-    rename_->saveState(w);
-    window_.saveState(w);
-    for (const auto &rs : rs_) {
-        if (rs)
-            rs->saveState(w);
-    }
-    w.putU32(static_cast<std::uint32_t>(units_.size()));
-    for (const ExecUnit &u : units_)
-        u.saveState(w);
-    for (std::uint64_t p : lastProducer_)
-        w.putU64(p);
-    w.putU64Vec(pendingStores_);
-    w.putU32(rseToggle_);
-    w.putU32(rsfToggle_);
-    w.putU64(lastCommitCycle_);
-    w.putU64(rawIssued_);
-    w.putU64(rawCommitted_);
-    w.putU32(recentNext_);
-    for (const RecentCommit &rc : recent_) {
-        w.putU64(rc.seq);
-        w.putU64(rc.pc);
-        w.putU64(rc.cycle);
-    }
-}
-
-void
-Core::restoreState(ckpt::SnapshotReader &r)
-{
-    bpred_->restoreState(r);
-    fetch_->restoreState(r);
-    lsq_->restoreState(r);
-    rename_->restoreState(r);
-    window_.restoreState(r);
+    bpred_->checkpoint(ar);
+    fetch_->checkpoint(ar);
+    lsq_->checkpoint(ar);
+    rename_->checkpoint(ar);
+    window_.checkpoint(ar);
     for (auto &rs : rs_) {
         if (rs)
-            rs->restoreState(r);
+            rs->checkpoint(ar);
     }
     // The indices a window entry carries into other structures.
     for (std::uint64_t seq = window_.headSeq(); seq < window_.nextSeq();
          ++seq) {
         const WindowEntry &e = window_.entry(seq);
-        r.require(e.rsId < kNumRs && rs_[e.rsId],
-                  "window entry names a reservation station this "
-                  "machine does not have");
+        ar.require(e.rsId < kNumRs && rs_[e.rsId],
+                   "window entry names a reservation station this "
+                   "machine does not have");
         if (e.rec.isMem()) {
             const unsigned slots = e.rec.isLoad()
                 ? params_.loadQueueEntries : params_.storeQueueEntries;
-            r.require(e.lsqIndex >= 0 &&
-                          static_cast<unsigned>(e.lsqIndex) < slots,
-                      "window entry's load/store queue index out of "
-                      "range");
+            ar.require(e.lsqIndex >= 0 &&
+                           static_cast<unsigned>(e.lsqIndex) < slots,
+                       "window entry's load/store queue index out of "
+                       "range");
         }
     }
-    r.require(r.getU32() == units_.size(),
-              "execution-unit count differs");
+    ar.fixed32(static_cast<std::uint32_t>(units_.size()),
+               "execution-unit count differs");
     for (ExecUnit &u : units_)
-        u.restoreState(r);
+        u.checkpoint(ar);
     for (std::uint64_t &p : lastProducer_)
-        p = r.getU64();
-    pendingStores_ = r.getU64Vec();
-    rseToggle_ = r.getU32();
-    rsfToggle_ = r.getU32();
-    lastCommitCycle_ = r.getU64();
-    rawIssued_ = r.getU64();
-    rawCommitted_ = r.getU64();
-    recentNext_ = r.getU32();
-    r.require(recentNext_ < kRecentCommits,
-              "recent-commit cursor out of range");
+        ar.u64(p);
+    ar.u64Vec(pendingStores_);
+    ar.u32(rseToggle_);
+    ar.u32(rsfToggle_);
+    ar.u64(lastCommitCycle_);
+    ar.u64(rawIssued_);
+    ar.u64(rawCommitted_);
+    ar.u32(recentNext_);
+    ar.require(recentNext_ < kRecentCommits,
+               "recent-commit cursor out of range");
     for (RecentCommit &rc : recent_) {
-        rc.seq = r.getU64();
-        rc.pc = r.getU64();
-        rc.cycle = r.getU64();
+        ar.u64(rc.seq);
+        ar.u64(rc.pc);
+        ar.u64(rc.cycle);
     }
-    // Derived scheduling and accounting state starts afresh.
-    spansOpen_ = false;
-    wakeAll();
+    if (ar.loading()) {
+        // Derived scheduling and accounting state starts afresh.
+        spansOpen_ = false;
+        wakeAll();
+    }
 }
 
 } // namespace s64v

@@ -153,6 +153,7 @@ class Core : public Clocked
     BranchPredictor &bpred() { return *bpred_; }
     FetchUnit &fetchUnit() { return *fetch_; }
     LoadStoreQueue &lsq() { return *lsq_; }
+    RenameUnit &renameUnit() { return *rename_; }
     /** Commit-slot cycle accounting (see obs/cpi_stack.hh). */
     const obs::CpiStack &cpiStack() const
     {
@@ -228,17 +229,16 @@ class Core : public Clocked
     void injectCommitStall(Cycle cycle) { commitStallAt_ = cycle; }
 
     /**
-     * Serialize the complete microarchitectural state of this core:
-     * window, stations, execute pipelines, LSQ, fetch pipeline, BHT,
-     * rename pools, scoreboard and commit bookkeeping. Stats travel
-     * with the stats tree (settle() first); the injected-fault
+     * Write or read the complete microarchitectural state of this
+     * core: window, stations, execute pipelines, LSQ, fetch pipeline,
+     * BHT, rename pools, scoreboard and commit bookkeeping. Stats
+     * travel with the stats tree (settle() first); the injected-fault
      * configuration is re-armed by construction, not restored. Wake
      * cycles and the open spans are derived and never written: a
      * restore starts every stage awake and the spans at the next
      * tick.
      */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     /** Confirmed consumer-usable cycle (kCycleNever if unknown). */

@@ -1,35 +1,18 @@
 #include "cpu/exec.hh"
 
 #include "ckpt/snapshot.hh"
-// ExecUnit is header-only; this translation unit exists for symmetry
-// and future out-of-line growth.
 
 namespace s64v
 {
 
 void
-ExecUnit::saveState(ckpt::SnapshotWriter &w) const
+ExecUnit::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(busyUntil_);
-    w.putU64(pending_.size());
-    for (const PendingExec &p : pending_) {
-        w.putU64(p.seq);
-        w.putU64(p.execStart);
-    }
-}
-
-void
-ExecUnit::restoreState(ckpt::SnapshotReader &r)
-{
-    busyUntil_ = r.getU64();
-    pending_.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        PendingExec p;
-        p.seq = r.getU64();
-        p.execStart = r.getU64();
-        pending_.push_back(p);
-    }
+    ar.u64(busyUntil_);
+    ar.list(pending_, [&](PendingExec &p) {
+        ar.u64(p.seq);
+        ar.u64(p.execStart);
+    });
 }
 
 } // namespace s64v

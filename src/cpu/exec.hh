@@ -18,7 +18,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** A dispatched operation travelling toward its execute stage. */
 struct PendingExec
@@ -86,9 +86,8 @@ class ExecUnit
                                 : pending_.front().execStart;
     }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     std::string name_;

@@ -173,91 +173,46 @@ FetchUnit::tick(Cycle cycle)
 }
 
 
-namespace
-{
-
 void
-saveFetched(ckpt::SnapshotWriter &w, const FetchedInstr &f)
+FetchUnit::checkpoint(ckpt::Archive &ar)
 {
-    w.putBytes(&f.rec, sizeof(f.rec));
-    w.putBool(f.predictedTaken);
-    w.putBool(f.mispredicted);
-}
-
-FetchedInstr
-restoreFetched(ckpt::SnapshotReader &r)
-{
-    FetchedInstr f;
-    r.getBytes(&f.rec, sizeof(f.rec));
-    r.require(recordValid(f.rec),
-              "fetched record has an out-of-range class or register");
-    f.predictedTaken = r.getBool();
-    f.mispredicted = r.getBool();
-    return f;
-}
-
-} // namespace
-
-void
-FetchUnit::saveState(ckpt::SnapshotWriter &w) const
-{
-    w.putU64(inflight_.size());
-    for (const Group &g : inflight_) {
-        w.putU64(g.availableAt);
-        w.putU64(g.instrs.size());
-        for (const FetchedInstr &f : g.instrs)
-            saveFetched(w, f);
-    }
-    w.putU64(queue_.size());
-    for (const FetchedInstr &f : queue_)
-        saveFetched(w, f);
-    w.putU64(nextGroupStart_);
-    w.putBool(stalledOnBranch_);
-    w.putBool(branchRecovery_);
-    w.putU64(missBlockedUntil_);
-    w.putU8(static_cast<std::uint8_t>(missBlockReason_));
-}
-
-void
-FetchUnit::restoreState(ckpt::SnapshotReader &r)
-{
+    const auto fetched = [&](FetchedInstr &f) {
+        ar.bytes(&f.rec, sizeof(f.rec));
+        ar.require(recordValid(f.rec), "fetched record has an "
+                                       "out-of-range class or register");
+        ar.boolean(f.predictedTaken);
+        ar.boolean(f.mispredicted);
+    };
     // Every count is bounded by the structure's capacity before its
-    // entries are read: a group holds at most one fetch block, and
-    // queued plus in-flight instructions fit the fetch queue (a
-    // group starts only when it fits, and is never empty).
+    // entries are read, and the fetched instructions as they add up:
+    // a group holds at most one fetch block, and queued plus
+    // in-flight instructions fit the fetch queue (a group starts only
+    // when it fits, and is never empty).
     const std::uint64_t room = params_.fetchQueueEntries;
     std::uint64_t held = 0;
-    inflight_.clear();
-    const std::uint64_t groups = r.getU64();
-    r.require(groups <= room,
-              "in-flight fetch groups exceed the fetch queue");
-    for (std::uint64_t i = 0; i < groups; ++i) {
-        Group g;
-        g.availableAt = r.getU64();
-        const std::uint64_t n = r.getU64();
-        r.require(n <= params_.fetchBytes / 4,
-                  "fetch group larger than a fetch block");
-        held += n;
-        r.require(held <= room,
-                  "fetched instructions exceed the fetch queue");
-        for (std::uint64_t j = 0; j < n; ++j)
-            g.instrs.push_back(restoreFetched(r));
-        inflight_.push_back(std::move(g));
-    }
-    inflightInstrs_ = held;
-    queue_.clear();
-    const std::uint64_t qn = r.getU64();
-    r.require(qn <= room - held,
-              "fetched instructions exceed the fetch queue");
-    for (std::uint64_t i = 0; i < qn; ++i)
-        queue_.push_back(restoreFetched(r));
-    nextGroupStart_ = r.getU64();
-    stalledOnBranch_ = r.getBool();
-    branchRecovery_ = r.getBool();
-    missBlockedUntil_ = r.getU64();
-    const std::uint8_t reason = r.getU8();
-    r.require(reason < obs::kNumCommitSlots,
-              "fetch miss-block reason out of range");
+    ar.list(
+        inflight_,
+        [&](Group &g) {
+            ar.u64(g.availableAt);
+            ar.list(g.instrs, fetched, params_.fetchBytes / 4,
+                    "fetch group larger than a fetch block");
+            held += g.instrs.size();
+            ar.require(held <= room,
+                       "fetched instructions exceed the fetch queue");
+        },
+        room, "in-flight fetch groups exceed the fetch queue");
+    ar.list(queue_, fetched, room - held,
+            "fetched instructions exceed the fetch queue");
+    if (ar.loading())
+        inflightInstrs_ = held;
+    ar.u64(nextGroupStart_);
+    ar.boolean(stalledOnBranch_);
+    ar.boolean(branchRecovery_);
+    ar.u64(missBlockedUntil_);
+    auto reason = static_cast<std::uint8_t>(missBlockReason_);
+    ar.u8(reason);
+    ar.require(reason < obs::kNumCommitSlots,
+               "fetch miss-block reason out of range");
     missBlockReason_ = static_cast<obs::CommitSlot>(reason);
 }
 

@@ -24,7 +24,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** A fetched instruction waiting for decode. */
 struct FetchedInstr
@@ -63,7 +63,7 @@ class FetchUnit
      * @return true when the trace and all buffers are empty. Inline
      * and ordered cheapest-first: Core::done() polls this every
      * cycle, and mid-run the fetch queue is almost never empty, so
-     * the virtual trace peek rarely needs to run at all.
+     * the trace peek, which copies a record, rarely needs to run.
      */
     bool exhausted() const
     {
@@ -133,9 +133,8 @@ class FetchUnit
      */
     std::uint64_t activity() const { return activity_; }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Group

@@ -273,38 +273,25 @@ namespace
 {
 
 void
-saveLsqEntries(ckpt::SnapshotWriter &w,
-               const std::vector<LsqEntry> &v)
-{
-    w.putU64(v.size());
-    for (const LsqEntry &e : v) {
-        w.putU64(e.seq);
-        w.putU64(e.addr);
-        w.putU8(static_cast<std::uint8_t>(
-            (e.valid ? 1 : 0) | (e.isStore ? 2 : 0) |
-            (e.addrKnown ? 4 : 0) | (e.committed ? 8 : 0) |
-            (e.issued ? 16 : 0)));
-        w.putU64(e.addrReady);
-        w.putU64(e.completion);
-    }
-}
-
-void
-restoreLsqEntries(ckpt::SnapshotReader &r, std::vector<LsqEntry> &v,
+checkpointEntries(ckpt::Archive &ar, std::vector<LsqEntry> &v,
                   const char *what)
 {
-    r.require(r.getU64() == v.size(), what);
+    ar.fixed64(v.size(), what);
     for (LsqEntry &e : v) {
-        e.seq = r.getU64();
-        e.addr = r.getU64();
-        const std::uint8_t flags = r.getU8();
+        ar.u64(e.seq);
+        ar.u64(e.addr);
+        auto flags = static_cast<std::uint8_t>(
+            (e.valid ? 1 : 0) | (e.isStore ? 2 : 0) |
+            (e.addrKnown ? 4 : 0) | (e.committed ? 8 : 0) |
+            (e.issued ? 16 : 0));
+        ar.u8(flags);
         e.valid = (flags & 1) != 0;
         e.isStore = (flags & 2) != 0;
         e.addrKnown = (flags & 4) != 0;
         e.committed = (flags & 8) != 0;
         e.issued = (flags & 16) != 0;
-        e.addrReady = r.getU64();
-        e.completion = r.getU64();
+        ar.u64(e.addrReady);
+        ar.u64(e.completion);
     }
 }
 
@@ -346,23 +333,18 @@ LoadStoreQueue::rebuildMasks()
 }
 
 void
-LoadStoreQueue::saveState(ckpt::SnapshotWriter &w) const
+LoadStoreQueue::checkpoint(ckpt::Archive &ar)
 {
     // The completed-load list is not state: tick() fills it and the
     // core drains it within the same cycle, so it is empty here.
-    saveLsqEntries(w, loads_);
-    saveLsqEntries(w, stores_);
-}
-
-void
-LoadStoreQueue::restoreState(ckpt::SnapshotReader &r)
-{
-    restoreLsqEntries(r, loads_, "load-queue capacity differs");
-    restoreLsqEntries(r, stores_, "store-queue capacity differs");
-    rebuildMasks();
-    lqCount_ = lqValid_.count();
-    sqCount_ = sqValid_.count();
-    completedLoads_.clear();
+    checkpointEntries(ar, loads_, "load-queue capacity differs");
+    checkpointEntries(ar, stores_, "store-queue capacity differs");
+    if (ar.loading()) {
+        rebuildMasks();
+        lqCount_ = lqValid_.count();
+        sqCount_ = sqValid_.count();
+        completedLoads_.clear();
+    }
 }
 
 } // namespace s64v

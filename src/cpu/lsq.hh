@@ -22,7 +22,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** One load- or store-queue slot. */
 struct LsqEntry
@@ -138,9 +138,8 @@ class LoadStoreQueue
         return storeForwards_.value();
     }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     unsigned bankOf(Addr addr) const;

@@ -55,19 +55,12 @@ RenameUnit::release(bool had_int, bool had_fp)
 
 
 void
-RenameUnit::saveState(ckpt::SnapshotWriter &w) const
+RenameUnit::checkpoint(ckpt::Archive &ar)
 {
-    w.putU32(intUsed_);
-    w.putU32(fpUsed_);
-}
-
-void
-RenameUnit::restoreState(ckpt::SnapshotReader &r)
-{
-    intUsed_ = r.getU32();
-    fpUsed_ = r.getU32();
-    r.require(intUsed_ <= intRegs_ && fpUsed_ <= fpRegs_,
-              "rename pool occupancy exceeds configured size");
+    ar.u32(intUsed_);
+    ar.u32(fpUsed_);
+    ar.require(intUsed_ <= intRegs_ && fpUsed_ <= fpRegs_,
+               "rename pool occupancy exceeds configured size");
 }
 
 } // namespace s64v

@@ -13,7 +13,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Counting allocator for the integer and FP renaming-register pools. */
 class RenameUnit
@@ -38,9 +38,8 @@ class RenameUnit
     /** Count issue stalls caused by pool exhaustion. */
     void noteStall(std::uint64_t n = 1) { renameStalls_ += n; }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     unsigned intRegs_;

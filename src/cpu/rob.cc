@@ -57,53 +57,33 @@ namespace
 {
 
 void
-saveWindowEntry(ckpt::SnapshotWriter &w, const WindowEntry &e)
+checkpointEntry(ckpt::Archive &ar, WindowEntry &e)
 {
-    w.putBytes(&e.rec, sizeof(e.rec));
-    w.putU64(e.seq);
-    w.putU8(static_cast<std::uint8_t>(e.state));
-    w.putU64(e.issueCycle);
-    w.putU64(e.dispatchCycle);
-    w.putU64(e.execCycle);
-    w.putU64(e.doneCycle);
-    w.putU64(e.predReady);
-    w.putU64(e.actualReady);
-    w.putU64(e.missKnownAt);
-    w.putU64(e.notBefore);
-    w.putU64(e.src1Prod);
-    w.putU64(e.src2Prod);
-    w.putU8(static_cast<std::uint8_t>(
+    ar.bytes(&e.rec, sizeof(e.rec));
+    ar.require(recordValid(e.rec),
+               "window record has an out-of-range class or register");
+    ar.u64(e.seq);
+    auto state = static_cast<std::uint8_t>(e.state);
+    ar.u8(state);
+    ar.require(state <= static_cast<std::uint8_t>(InstrState::Done),
+               "window entry state out of range");
+    e.state = static_cast<InstrState>(state);
+    ar.u64(e.issueCycle);
+    ar.u64(e.dispatchCycle);
+    ar.u64(e.execCycle);
+    ar.u64(e.doneCycle);
+    ar.u64(e.predReady);
+    ar.u64(e.actualReady);
+    ar.u64(e.missKnownAt);
+    ar.u64(e.notBefore);
+    ar.u64(e.src1Prod);
+    ar.u64(e.src2Prod);
+    auto flags = static_cast<std::uint8_t>(
         (e.usesIntRename ? 1 : 0) | (e.usesFpRename ? 2 : 0) |
         (e.predictedTaken ? 4 : 0) | (e.mispredicted ? 8 : 0) |
         (e.missedL1 ? 16 : 0) | (e.missedL2 ? 32 : 0) |
-        (e.missedTlb ? 64 : 0)));
-    w.putI64(e.lsqIndex);
-    w.putU8(e.rsId);
-    w.putU8(e.replays);
-}
-
-void
-restoreWindowEntry(ckpt::SnapshotReader &r, WindowEntry &e)
-{
-    r.getBytes(&e.rec, sizeof(e.rec));
-    r.require(recordValid(e.rec),
-              "window record has an out-of-range class or register");
-    e.seq = r.getU64();
-    const std::uint8_t state = r.getU8();
-    r.require(state <= static_cast<std::uint8_t>(InstrState::Done),
-              "window entry state out of range");
-    e.state = static_cast<InstrState>(state);
-    e.issueCycle = r.getU64();
-    e.dispatchCycle = r.getU64();
-    e.execCycle = r.getU64();
-    e.doneCycle = r.getU64();
-    e.predReady = r.getU64();
-    e.actualReady = r.getU64();
-    e.missKnownAt = r.getU64();
-    e.notBefore = r.getU64();
-    e.src1Prod = r.getU64();
-    e.src2Prod = r.getU64();
-    const std::uint8_t flags = r.getU8();
+        (e.missedTlb ? 64 : 0));
+    ar.u8(flags);
     e.usesIntRename = (flags & 1) != 0;
     e.usesFpRename = (flags & 2) != 0;
     e.predictedTaken = (flags & 4) != 0;
@@ -111,37 +91,29 @@ restoreWindowEntry(ckpt::SnapshotReader &r, WindowEntry &e)
     e.missedL1 = (flags & 16) != 0;
     e.missedL2 = (flags & 32) != 0;
     e.missedTlb = (flags & 64) != 0;
-    e.lsqIndex = static_cast<std::int32_t>(r.getI64());
-    e.rsId = r.getU8();
-    e.replays = r.getU8();
+    // A signed index travels as a 64-bit two's complement value.
+    auto lsq = static_cast<std::uint64_t>(std::int64_t{e.lsqIndex});
+    ar.u64(lsq);
+    e.lsqIndex = static_cast<std::int32_t>(lsq);
+    ar.u8(e.rsId);
+    ar.u8(e.replays);
 }
 
 } // namespace
 
 void
-InstrWindow::saveState(ckpt::SnapshotWriter &w) const
+InstrWindow::checkpoint(ckpt::Archive &ar)
 {
-    w.putU32(capacity_);
-    w.putU64(head_);
-    w.putU64(tail_);
-    for (std::uint64_t seq = head_; seq < tail_; ++seq)
-        saveWindowEntry(w, entry(seq));
-}
-
-void
-InstrWindow::restoreState(ckpt::SnapshotReader &r)
-{
-    r.require(r.getU32() == capacity_,
-              "instruction-window capacity differs");
-    head_ = r.getU64();
-    tail_ = r.getU64();
-    r.require(tail_ >= head_ && tail_ - head_ <= capacity_,
-              "instruction-window occupancy out of range");
+    ar.fixed32(capacity_, "instruction-window capacity differs");
+    ar.u64(head_);
+    ar.u64(tail_);
+    ar.require(tail_ >= head_ && tail_ - head_ <= capacity_,
+               "instruction-window occupancy out of range");
     for (std::uint64_t seq = head_; seq < tail_; ++seq) {
         WindowEntry &e = entry(seq);
-        restoreWindowEntry(r, e);
-        r.require(e.seq == seq,
-                  "window entry sequence number out of place");
+        checkpointEntry(ar, e);
+        ar.require(e.seq == seq,
+                   "window entry sequence number out of place");
     }
 }
 

@@ -18,7 +18,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Lifecycle of a window entry. */
 enum class InstrState : std::uint8_t
@@ -134,9 +134,8 @@ class InstrWindow
     WindowEntry &head() { return entry(head_); }
     const WindowEntry &head() const { return entry(head_); }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     /** Out-of-line panic for entry(): keeps the hot path small. */

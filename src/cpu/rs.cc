@@ -51,17 +51,11 @@ ReservationStation::remove(std::uint64_t seq)
 
 
 void
-ReservationStation::saveState(ckpt::SnapshotWriter &w) const
+ReservationStation::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64Vec(seqs_);
-}
-
-void
-ReservationStation::restoreState(ckpt::SnapshotReader &r)
-{
-    seqs_ = r.getU64Vec();
-    r.require(seqs_.size() <= entries_,
-              "reservation-station occupancy exceeds capacity");
+    ar.u64Vec(seqs_);
+    ar.require(seqs_.size() <= entries_,
+               "reservation-station occupancy exceeds capacity");
 }
 
 } // namespace s64v

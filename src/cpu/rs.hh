@@ -19,7 +19,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /**
  * A single reservation station holding window sequence numbers.
@@ -93,9 +93,8 @@ class ReservationStation
         occupancy_.sample(static_cast<double>(v), n);
     }
 
-    /** Serialize mutable state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read mutable state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     unsigned entries_;

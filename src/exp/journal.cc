@@ -1,5 +1,6 @@
 #include "exp/journal.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <string_view>
 #include <utility>
@@ -18,6 +19,59 @@ journalKeyLess(const JournalEntry &a, const JournalEntry &b)
     return a.index != b.index ? a.index < b.index : a.label < b.label;
 }
 
+namespace
+{
+
+/**
+ * The journal's one walk, writing @p entries or reading them back.
+ * A read requires the entries in key order once they are all read.
+ */
+void
+walk(ckpt::Archive &ar, std::vector<JournalEntry> &entries)
+{
+    ar.section("journal");
+    ar.layout("journal", kJournalLayout);
+    ar.list(entries, [&](JournalEntry &e) {
+        ar.u64(e.index);
+        ar.str(e.label);
+        ar.u64(e.configHash);
+        ar.u64(e.workloadHash);
+        ar.u64(e.sim.cycles);
+        ar.u64(e.sim.instructions);
+        ar.u64(e.sim.measured);
+        ar.f64(e.sim.ipc);
+        ar.boolean(e.sim.hitCycleCap);
+        ar.boolean(e.sim.interrupted);
+        ar.boolean(e.sim.stoppedAtCheckpoint);
+        ar.u64(e.sim.warmupEndCycle);
+        ar.list<std::uint32_t>(e.sim.cores, [&](CoreResult &cr) {
+            ar.u64(cr.committed);
+            ar.u64(cr.measured);
+            ar.u64(cr.lastCommitCycle);
+            ar.f64(cr.ipc);
+        });
+        std::vector<std::pair<std::string, double>> metrics(
+            e.metrics.begin(), e.metrics.end());
+        ar.list<std::uint32_t>(metrics, [&](auto &m) {
+            ar.str(m.first);
+            ar.f64(m.second);
+        });
+        if (ar.loading()) {
+            for (auto &[name, value] : metrics)
+                e.metrics[std::move(name)] = value;
+        }
+    });
+    ar.require(std::adjacent_find(entries.begin(), entries.end(),
+                                  [](const JournalEntry &a,
+                                     const JournalEntry &b) {
+                                      return !journalKeyLess(a, b);
+                                  }) == entries.end(),
+               "entries out of key order");
+    ar.endSections();
+}
+
+} // namespace
+
 std::optional<std::vector<JournalEntry>>
 readJournal(const std::string &path)
 {
@@ -25,46 +79,12 @@ readJournal(const std::string &path)
     if (!std::filesystem::exists(path, ec) && !ec)
         return std::vector<JournalEntry>{}; // nothing completed yet.
 
-    // Counts are read one element at a time: a damaged one runs into
-    // the section end instead of sizing an allocation.
     std::vector<JournalEntry> entries;
     std::string version;
     try {
         ckpt::SnapshotReader r = ckpt::SnapshotReader::fromFile(path);
-        r.openSection("journal");
-        r.checkLayout("journal", kJournalLayout);
-        for (std::uint64_t n = r.getU64(); n != 0; --n) {
-            JournalEntry e;
-            e.index = r.getU64();
-            e.label = r.getString();
-            e.configHash = r.getU64();
-            e.workloadHash = r.getU64();
-            e.sim.cycles = r.getU64();
-            e.sim.instructions = r.getU64();
-            e.sim.measured = r.getU64();
-            e.sim.ipc = r.getDouble();
-            e.sim.hitCycleCap = r.getBool();
-            e.sim.interrupted = r.getBool();
-            e.sim.stoppedAtCheckpoint = r.getBool();
-            e.sim.warmupEndCycle = r.getU64();
-            for (std::uint32_t c = r.getU32(); c != 0; --c) {
-                CoreResult cr;
-                cr.committed = r.getU64();
-                cr.measured = r.getU64();
-                cr.lastCommitCycle = r.getU64();
-                cr.ipc = r.getDouble();
-                e.sim.cores.push_back(cr);
-            }
-            for (std::uint32_t m = r.getU32(); m != 0; --m) {
-                std::string name = r.getString();
-                e.metrics[std::move(name)] = r.getDouble();
-            }
-            r.require(entries.empty() ||
-                          journalKeyLess(entries.back(), e),
-                      "entries out of key order");
-            entries.push_back(std::move(e));
-        }
-        r.closeSection();
+        ckpt::Archive ar(r);
+        walk(ar, entries);
         version = r.modelVersion();
     } catch (const std::exception &e) {
         warn("journal '%s' is not a journal this build reads (%s); "
@@ -88,36 +108,11 @@ bool
 writeJournal(const std::string &path,
              const std::vector<JournalEntry> &entries, std::string *err)
 {
+    // The walk takes its entries by reference in both directions.
+    std::vector<JournalEntry> copy = entries;
     ckpt::SnapshotWriter w;
-    w.beginSection("journal");
-    w.putU32(kJournalLayout);
-    w.putU64(entries.size());
-    for (const JournalEntry &e : entries) {
-        w.putU64(e.index);
-        w.putString(e.label);
-        w.putU64(e.configHash);
-        w.putU64(e.workloadHash);
-        w.putU64(e.sim.cycles);
-        w.putU64(e.sim.instructions);
-        w.putU64(e.sim.measured);
-        w.putDouble(e.sim.ipc);
-        w.putBool(e.sim.hitCycleCap);
-        w.putBool(e.sim.interrupted);
-        w.putBool(e.sim.stoppedAtCheckpoint);
-        w.putU64(e.sim.warmupEndCycle);
-        w.putU32(static_cast<std::uint32_t>(e.sim.cores.size()));
-        for (const CoreResult &cr : e.sim.cores) {
-            w.putU64(cr.committed);
-            w.putU64(cr.measured);
-            w.putU64(cr.lastCommitCycle);
-            w.putDouble(cr.ipc);
-        }
-        w.putU32(static_cast<std::uint32_t>(e.metrics.size()));
-        for (const auto &[name, value] : e.metrics) {
-            w.putString(name);
-            w.putDouble(value);
-        }
-    }
+    ckpt::Archive ar(w);
+    walk(ar, copy);
     const std::vector<std::uint8_t> image =
         w.finish(modelVersionString());
     return atomicWriteFile(

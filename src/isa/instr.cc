@@ -1,7 +1,5 @@
 #include "isa/instr.hh"
 
-#include "common/logging.hh"
-
 namespace s64v
 {
 
@@ -26,17 +24,6 @@ className(InstrClass c)
       case InstrClass::Nop: return "nop";
       default: return "?";
     }
-}
-
-InstrClass
-classFromName(const std::string &name)
-{
-    for (int i = 0; i < static_cast<int>(InstrClass::NumClasses); ++i) {
-        auto c = static_cast<InstrClass>(i);
-        if (name == className(c))
-            return c;
-    }
-    panic("unknown instruction class name '%s'", name.c_str());
 }
 
 } // namespace s64v

@@ -11,7 +11,6 @@
 #define S64V_ISA_INSTR_HH
 
 #include <cstdint>
-#include <string>
 
 namespace s64v
 {
@@ -145,9 +144,6 @@ isUnpipelined(InstrClass c)
 
 /** Short mnemonic-like name for dumps ("int", "fma", "ld", ...). */
 const char *className(InstrClass c);
-
-/** Parse the result of className(); panics on unknown names. */
-InstrClass classFromName(const std::string &name);
 
 } // namespace s64v
 

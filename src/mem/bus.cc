@@ -81,17 +81,10 @@ Bus::command(Cycle cycle)
 
 
 void
-Bus::saveState(ckpt::SnapshotWriter &w) const
+Bus::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(addrBusyUntil_);
-    w.putU64(dataBusyUntil_);
-}
-
-void
-Bus::restoreState(ckpt::SnapshotReader &r)
-{
-    addrBusyUntil_ = r.getU64();
-    dataBusyUntil_ = r.getU64();
+    ar.u64(addrBusyUntil_);
+    ar.u64(dataBusyUntil_);
 }
 
 } // namespace s64v

@@ -17,7 +17,7 @@ namespace s64v
 {
 
 namespace obs { class ChromeTraceWriter; }
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Shared system bus with occupancy accounting. */
 class Bus
@@ -62,9 +62,8 @@ class Bus
      */
     void attachTrace(obs::ChromeTraceWriter *writer);
 
-    /** Serialize arbitration state (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read arbitration state (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     Cycle occupy(Cycle *busy_until, Cycle cycle, Cycle duration,

@@ -158,16 +158,6 @@ CacheArray::invalidate(Addr addr)
     return was_dirty;
 }
 
-void
-CacheArray::flush()
-{
-    for (Line &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-        line.prefetched = false;
-    }
-}
-
 std::size_t
 CacheArray::validLines() const
 {
@@ -398,64 +388,33 @@ TimedCache::demandMissRatio() const
 }
 
 void
-CacheArray::saveState(ckpt::SnapshotWriter &w) const
+CacheArray::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(lruTick_);
-    w.putU64(lines_.size());
-    for (const Line &l : lines_) {
-        w.putU64(l.tag);
-        w.putU8(static_cast<std::uint8_t>((l.valid ? 1 : 0) |
-                                          (l.dirty ? 2 : 0) |
-                                          (l.prefetched ? 4 : 0)));
-        w.putU64(l.lru);
-    }
-}
-
-void
-CacheArray::restoreState(ckpt::SnapshotReader &r)
-{
-    lruTick_ = r.getU64();
-    r.require(r.getU64() == lines_.size(),
-              "cache geometry differs (sets*ways)");
+    ar.u64(lruTick_);
+    ar.fixed64(lines_.size(), "cache geometry differs (sets*ways)");
     for (Line &l : lines_) {
-        l.tag = r.getU64();
-        const std::uint8_t flags = r.getU8();
+        ar.u64(l.tag);
+        auto flags = static_cast<std::uint8_t>((l.valid ? 1 : 0) |
+                                               (l.dirty ? 2 : 0) |
+                                               (l.prefetched ? 4 : 0));
+        ar.u8(flags);
         l.valid = (flags & 1) != 0;
         l.dirty = (flags & 2) != 0;
         l.prefetched = (flags & 4) != 0;
-        l.lru = r.getU64();
+        ar.u64(l.lru);
     }
 }
 
 void
-TimedCache::saveState(ckpt::SnapshotWriter &w) const
+TimedCache::checkpoint(ckpt::Archive &ar)
 {
-    array_.saveState(w);
-    w.putU64(mshrs_.size());
-    for (const Mshr &m : mshrs_) {
-        w.putU64(m.line);
-        w.putU64(m.missCycle);
-        w.putU64(m.ready);
-    }
-    w.putU64(errors_.ordinal());
-}
-
-void
-TimedCache::restoreState(ckpt::SnapshotReader &r)
-{
-    array_.restoreState(r);
-    // The count is untrusted: read entry by entry (a short section
-    // fails the read), never reserve from it.
-    mshrs_.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Mshr m;
-        m.line = r.getU64();
-        m.missCycle = r.getU64();
-        m.ready = r.getU64();
-        mshrs_.push_back(m);
-    }
-    errors_.setOrdinal(r.getU64());
+    array_.checkpoint(ar);
+    ar.list(mshrs_, [&](Mshr &m) {
+        ar.u64(m.line);
+        ar.u64(m.missCycle);
+        ar.u64(m.ready);
+    });
+    errors_.checkpoint(ar);
 }
 
 } // namespace s64v

@@ -20,7 +20,7 @@ namespace s64v
 {
 
 namespace obs { class ChromeTraceWriter; }
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Outcome of inserting a line: what (if anything) was evicted. */
 struct Eviction
@@ -64,9 +64,6 @@ class CacheArray
     /** Remove the line if present. @return true if it was dirty. */
     bool invalidate(Addr addr);
 
-    /** Drop every line. */
-    void flush();
-
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
     /** Ways usable after RAS degradation. */
@@ -83,9 +80,8 @@ class CacheArray
     void forEachValidLine(
         const std::function<void(Addr, bool)> &fn) const;
 
-    /** Serialize tags/LRU (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read tags/LRU (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Line
@@ -220,11 +216,11 @@ class TimedCache
     /** @} */
 
     /**
-     * Serialize tags + MSHRs + error-process position (stats travel
-     * separately with the whole tree; see stats::Group::saveState).
+     * Write or read tags + MSHRs + error-process position (stats
+     * travel separately with the whole tree; see
+     * stats::Group::checkpoint).
      */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     /**

@@ -270,35 +270,20 @@ MemSystem::l2MissRatio() const
 
 
 void
-MemSystem::saveState(ckpt::SnapshotWriter &w) const
+MemSystem::checkpoint(ckpt::Archive &ar)
 {
-    w.putU32(static_cast<std::uint32_t>(cpus_.size()));
-    for (const auto &cpu : cpus_) {
-        cpu->l1i->saveState(w);
-        cpu->l1d->saveState(w);
-        cpu->l2->saveState(w);
-        cpu->itlb->saveState(w);
-        cpu->dtlb->saveState(w);
-        cpu->prefetcher->saveState(w);
-    }
-    bus_->saveState(w);
-    memCtrl_->saveState(w);
-}
-
-void
-MemSystem::restoreState(ckpt::SnapshotReader &r)
-{
-    r.require(r.getU32() == cpus_.size(), "CPU count differs");
+    ar.fixed32(static_cast<std::uint32_t>(cpus_.size()),
+               "CPU count differs");
     for (auto &cpu : cpus_) {
-        cpu->l1i->restoreState(r);
-        cpu->l1d->restoreState(r);
-        cpu->l2->restoreState(r);
-        cpu->itlb->restoreState(r);
-        cpu->dtlb->restoreState(r);
-        cpu->prefetcher->restoreState(r);
+        cpu->l1i->checkpoint(ar);
+        cpu->l1d->checkpoint(ar);
+        cpu->l2->checkpoint(ar);
+        cpu->itlb->checkpoint(ar);
+        cpu->dtlb->checkpoint(ar);
+        cpu->prefetcher->checkpoint(ar);
     }
-    bus_->restoreState(r);
-    memCtrl_->restoreState(r);
+    bus_->checkpoint(ar);
+    memCtrl_->checkpoint(ar);
 }
 
 } // namespace s64v

@@ -111,13 +111,12 @@ class MemSystem
     static Addr physAddr(Addr va);
 
     /**
-     * Serialize every timed structure in the hierarchy (per-CPU
+     * Write or read every timed structure in the hierarchy (per-CPU
      * caches/TLBs/prefetcher, bus, memory controller). The snooping
      * coherence controller reads cache state; it holds none of its
      * own beyond stats, which travel with the stats tree.
      */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct PerCpu

@@ -48,20 +48,12 @@ MemCtrl::write(Cycle cycle)
 
 
 void
-MemCtrl::saveState(ckpt::SnapshotWriter &w) const
+MemCtrl::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(channelBusy_.size());
-    for (Cycle c : channelBusy_)
-        w.putU64(c);
-}
-
-void
-MemCtrl::restoreState(ckpt::SnapshotReader &r)
-{
-    r.require(r.getU64() == channelBusy_.size(),
-              "memory-controller channel count differs");
+    ar.fixed64(channelBusy_.size(),
+               "memory-controller channel count differs");
     for (Cycle &c : channelBusy_)
-        c = r.getU64();
+        ar.u64(c);
 }
 
 } // namespace s64v

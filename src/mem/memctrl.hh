@@ -17,7 +17,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Timed memory controller. */
 class MemCtrl
@@ -38,9 +38,8 @@ class MemCtrl
     std::uint64_t writes() const { return writes_.value(); }
     std::uint64_t queueCycles() const { return queueCycles_.value(); }
 
-    /** Serialize channel occupancy (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read channel occupancy (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     Cycle allocate(Cycle cycle);

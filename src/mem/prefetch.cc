@@ -96,46 +96,24 @@ StreamPrefetcher::observe(Addr addr, std::vector<Addr> &out)
 
 
 void
-StreamPrefetcher::saveTable(ckpt::SnapshotWriter &w,
-                            const std::vector<Stream> &t) const
+StreamPrefetcher::checkpointTable(ckpt::Archive &ar,
+                                  std::vector<Stream> &t)
 {
-    w.putU64(t.size());
-    for (const Stream &s : t) {
-        w.putU64(s.nextLine);
-        w.putU32(s.confidence);
-        w.putU64(s.lru);
-        w.putBool(s.valid);
-    }
-}
-
-void
-StreamPrefetcher::restoreTable(ckpt::SnapshotReader &r,
-                               std::vector<Stream> &t)
-{
-    r.require(r.getU64() == t.size(),
-              "prefetcher table size differs");
+    ar.fixed64(t.size(), "prefetcher table size differs");
     for (Stream &s : t) {
-        s.nextLine = r.getU64();
-        s.confidence = r.getU32();
-        s.lru = r.getU64();
-        s.valid = r.getBool();
+        ar.u64(s.nextLine);
+        ar.u32(s.confidence);
+        ar.u64(s.lru);
+        ar.boolean(s.valid);
     }
 }
 
 void
-StreamPrefetcher::saveState(ckpt::SnapshotWriter &w) const
+StreamPrefetcher::checkpoint(ckpt::Archive &ar)
 {
-    w.putU64(lruTick_);
-    saveTable(w, streams_);
-    saveTable(w, candidates_);
-}
-
-void
-StreamPrefetcher::restoreState(ckpt::SnapshotReader &r)
-{
-    lruTick_ = r.getU64();
-    restoreTable(r, streams_);
-    restoreTable(r, candidates_);
+    ar.u64(lruTick_);
+    checkpointTable(ar, streams_);
+    checkpointTable(ar, candidates_);
 }
 
 } // namespace s64v

@@ -17,7 +17,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Stream-prefetcher configuration. */
 struct PrefetchParams
@@ -50,9 +50,8 @@ class StreamPrefetcher
     bool enabled() const { return params_.enabled; }
     std::uint64_t trainings() const { return trainings_.value(); }
 
-    /** Serialize stream/candidate tables (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read stream/candidate tables (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Stream
@@ -63,10 +62,8 @@ class StreamPrefetcher
         bool valid = false;
     };
 
-    void saveTable(ckpt::SnapshotWriter &w,
-                   const std::vector<Stream> &t) const;
-    void restoreTable(ckpt::SnapshotReader &r,
-                      std::vector<Stream> &t);
+    static void checkpointTable(ckpt::Archive &ar,
+                                std::vector<Stream> &t);
 
     PrefetchParams params_;
     std::vector<Stream> streams_;

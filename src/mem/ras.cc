@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ckpt/snapshot.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 
@@ -38,6 +39,12 @@ ErrorProcess::onAccess()
         return params_.correctionLatency;
     }
     return 0;
+}
+
+void
+ErrorProcess::checkpoint(ckpt::Archive &ar)
+{
+    ar.u64(ordinal_);
 }
 
 } // namespace s64v

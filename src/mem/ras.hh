@@ -62,11 +62,11 @@ class ErrorProcess
     bool enabled() const { return threshold_ != 0; }
 
     /**
-     * The process is a pure hash over the access ordinal, so the
-     * ordinal is its entire replayable state.
+     * Write or read the access ordinal (checkpoint/restore): the
+     * process is a pure hash over it, so it is the entire replayable
+     * state.
      */
-    std::uint64_t ordinal() const { return ordinal_; }
-    void setOrdinal(std::uint64_t o) { ordinal_ = o; }
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     RasParams params_;

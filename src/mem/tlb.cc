@@ -66,35 +66,14 @@ Tlb::missRatio() const
 }
 
 void
-Tlb::flush()
+Tlb::checkpoint(ckpt::Archive &ar)
 {
-    for (Entry &e : entries_)
-        e.valid = false;
-}
-
-
-void
-Tlb::saveState(ckpt::SnapshotWriter &w) const
-{
-    w.putU64(lruTick_);
-    w.putU64(entries_.size());
-    for (const Entry &e : entries_) {
-        w.putU64(e.vpn);
-        w.putBool(e.valid);
-        w.putU64(e.lru);
-    }
-}
-
-void
-Tlb::restoreState(ckpt::SnapshotReader &r)
-{
-    lruTick_ = r.getU64();
-    r.require(r.getU64() == entries_.size(),
-              "TLB geometry differs (sets*ways)");
+    ar.u64(lruTick_);
+    ar.fixed64(entries_.size(), "TLB geometry differs (sets*ways)");
     for (Entry &e : entries_) {
-        e.vpn = r.getU64();
-        e.valid = r.getBool();
-        e.lru = r.getU64();
+        ar.u64(e.vpn);
+        ar.boolean(e.valid);
+        ar.u64(e.lru);
     }
 }
 

@@ -17,7 +17,7 @@
 namespace s64v
 {
 
-namespace ckpt { class SnapshotWriter; class SnapshotReader; }
+namespace ckpt { class Archive; }
 
 /** Timed TLB with true-LRU sets. */
 class Tlb
@@ -36,11 +36,8 @@ class Tlb
     std::uint64_t misses() const { return misses_.value(); }
     double missRatio() const;
 
-    void flush();
-
-    /** Serialize entries/LRU (checkpoint/restore). */
-    void saveState(ckpt::SnapshotWriter &w) const;
-    void restoreState(ckpt::SnapshotReader &r);
+    /** Write or read entries/LRU (checkpoint/restore). */
+    void checkpoint(ckpt::Archive &ar);
 
   private:
     struct Entry

@@ -266,7 +266,9 @@ System::run()
         }
     }
 
-    if (!warm_done) {
+    // A run stopped at a checkpoint has not ended: its restore may
+    // still reach the threshold.
+    if (!warm_done && !res.stoppedAtCheckpoint) {
         warn("warm-up threshold %llu never reached; measuring the "
              "whole run",
              static_cast<unsigned long long>(params_.warmupInstrs));

@@ -11,10 +11,13 @@ void
 writeTraceFile(const std::string &path, const InstrTrace &trace)
 {
     ckpt::SnapshotWriter w;
-    w.beginSection("trace");
-    w.putU32(kTraceFileLayout);
-    w.putString(trace.workloadName());
-    w.putU64(trace.size());
+    ckpt::Archive ar(w);
+    ar.section("trace");
+    ar.layout("trace", kTraceFileLayout);
+    std::string name = trace.workloadName();
+    std::uint64_t count = trace.size();
+    ar.str(name);
+    ar.u64(count);
     const std::vector<TraceRecord> &recs = trace.records();
     w.putBytes(recs.data(), recs.size() * sizeof(TraceRecord));
     w.writeFile(path, modelVersionString());
@@ -25,13 +28,17 @@ readTraceFile(const std::string &path)
 {
     try {
         ckpt::SnapshotReader r = ckpt::SnapshotReader::fromFile(path);
-        r.openSection("trace");
-        r.checkLayout("trace", kTraceFileLayout);
-        InstrTrace trace(r.getString());
-        const std::uint64_t count = r.getU64();
+        ckpt::Archive ar(r);
+        ar.section("trace");
+        ar.layout("trace", kTraceFileLayout);
+        std::string name;
+        std::uint64_t count = 0;
+        ar.str(name);
+        ar.u64(count);
+        InstrTrace trace(name);
         for (std::uint64_t i = 0; i < count; ++i) {
             TraceRecord rec;
-            r.getBytes(&rec, sizeof(rec));
+            ar.bytes(&rec, sizeof(rec));
             if (!recordValid(rec)) {
                 r.corrupt("record " + std::to_string(i) +
                           " is corrupt (out-of-range class or "
@@ -39,7 +46,7 @@ readTraceFile(const std::string &path)
             }
             trace.append(rec);
         }
-        r.closeSection();
+        ar.endSections();
         return trace;
     } catch (const ckpt::SnapshotError &e) {
         fatal("trace file '%s': %s", path.c_str(), e.what());

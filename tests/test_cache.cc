@@ -90,16 +90,6 @@ TEST(CacheArray, PrefetchedBitConsumedOnce)
     EXPECT_FALSE(a.consumePrefetched(0x100));
 }
 
-TEST(CacheArray, FlushDropsEverything)
-{
-    CacheArray a(smallParams());
-    a.insert(0x0);
-    a.insert(0x40);
-    EXPECT_EQ(a.validLines(), 2u);
-    a.flush();
-    EXPECT_EQ(a.validLines(), 0u);
-}
-
 TEST(CacheArray, NonPow2SetsRejected)
 {
     setThrowOnError(true);

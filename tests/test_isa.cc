@@ -1,8 +1,9 @@
 #include "isa/instr.hh"
 
-#include <gtest/gtest.h>
+#include <set>
+#include <string>
 
-#include "common/logging.hh"
+#include <gtest/gtest.h>
 
 namespace s64v
 {
@@ -61,18 +62,14 @@ TEST(Isa, UnpipelinedOnlyDivides)
 
 TEST(Isa, NameRoundTrip)
 {
+    // Every class has a name of its own, so a dump names it exactly.
+    std::set<std::string> names;
     for (int i = 0; i < static_cast<int>(InstrClass::NumClasses);
          ++i) {
-        const auto c = static_cast<InstrClass>(i);
-        EXPECT_EQ(classFromName(className(c)), c);
+        const std::string name = className(static_cast<InstrClass>(i));
+        EXPECT_NE(name, "?") << i;
+        EXPECT_TRUE(names.insert(name).second) << name;
     }
-}
-
-TEST(Isa, UnknownNamePanics)
-{
-    setThrowOnError(true);
-    EXPECT_THROW(classFromName("bogus"), std::runtime_error);
-    setThrowOnError(false);
 }
 
 } // namespace

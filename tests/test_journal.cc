@@ -250,9 +250,11 @@ TEST(Journal, HugeEntryCountIsRefusedWithoutReserving)
     // Valid checksums around a forged count of 2^60: the reader meets
     // the section end at the first entry instead of sizing anything.
     ckpt::SnapshotWriter w;
-    w.beginSection("journal");
-    w.putU32(exp::kJournalLayout);
-    w.putU64(1ull << 60);
+    ckpt::Archive ar(w);
+    ar.section("journal");
+    ar.layout("journal", exp::kJournalLayout);
+    std::uint64_t count = 1ull << 60;
+    ar.u64(count);
     const std::vector<std::uint8_t> image = w.finish(modelVersionString());
     const std::string path = tempPath("huge_count.journal");
     writeBytes(path, std::string(image.begin(), image.end()));

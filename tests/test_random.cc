@@ -102,18 +102,5 @@ TEST(Zipf, SkewFavorsLowRanks)
     EXPECT_GT(counts[0], counts[50] * 5);
 }
 
-TEST(Rng, ForkIndependent)
-{
-    Rng a(31);
-    Rng b = a.fork();
-    // The fork and the parent should not produce identical streams.
-    int same = 0;
-    for (int i = 0; i < 64; ++i) {
-        if (a.next() == b.next())
-            ++same;
-    }
-    EXPECT_LT(same, 2);
-}
-
 } // namespace
 } // namespace s64v

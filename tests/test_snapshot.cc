@@ -2,7 +2,8 @@
  * @file
  * Durability tests for the snapshot container (ckpt/snapshot.hh) and
  * the whole-system checkpoint orchestrator (ckpt/checkpoint.hh): the
- * typed put/get API must round-trip exactly, every corruption of a
+ * Archive must round-trip every value exactly and check what it reads,
+ * every corruption of a
  * snapshot image (bit flips, truncations, a damaged checkpoint file)
  * must be thrown by the reader as a SnapshotError, which the restore
  * turns into a clean fatal() naming the file rather than a crash, and
@@ -49,21 +50,52 @@ tempPath(const char *name)
 
 // --- Snapshot container -------------------------------------------
 
+/** One value of every kind the Archive codes, in two sections. */
+struct Sample
+{
+    std::uint8_t byte = 0;
+    std::uint32_t word = 0;
+    std::uint64_t dword = 0;
+    bool flag = false;
+    double third = 0.0;
+    std::string text;
+    std::vector<std::uint64_t> vec;
+    std::uint64_t negative = 0;
+
+    void alpha(ckpt::Archive &ar)
+    {
+        ar.u8(byte);
+        ar.u32(word);
+        ar.u64(dword);
+        ar.boolean(flag);
+        ar.f64(third);
+        ar.str(text);
+    }
+    void beta(ckpt::Archive &ar)
+    {
+        ar.u64Vec(vec);
+        ar.u64(negative);
+    }
+};
+
 std::vector<std::uint8_t>
 sampleImage()
 {
+    Sample s;
+    s.byte = 0xab;
+    s.word = 0xdeadbeefu;
+    s.dword = 0x0123456789abcdefull;
+    s.flag = true;
+    s.third = 1.0 / 3.0;
+    s.text = "hello snapshot";
+    s.vec = {1, 2, 3, 0xffffffffffffffffull};
+    s.negative = static_cast<std::uint64_t>(std::int64_t{-42});
     ckpt::SnapshotWriter w;
-    w.beginSection("alpha");
-    w.putU8(0xab);
-    w.putU16(0xbeef);
-    w.putU32(0xdeadbeefu);
-    w.putU64(0x0123456789abcdefull);
-    w.putBool(true);
-    w.putDouble(1.0 / 3.0);
-    w.putString("hello snapshot");
-    w.beginSection("beta");
-    w.putU64Vec({1, 2, 3, 0xffffffffffffffffull});
-    w.putI64(-42);
+    ckpt::Archive ar(w);
+    ar.section("alpha");
+    s.alpha(ar);
+    ar.section("beta");
+    s.beta(ar);
     return w.finish("s64v-test");
 }
 
@@ -76,52 +108,136 @@ TEST(Snapshot, TypedValuesRoundTripExactly)
     EXPECT_TRUE(r.hasSection("beta"));
     EXPECT_FALSE(r.hasSection("gamma"));
 
-    // Sections may be opened in any order, each consumed exactly.
-    r.openSection("beta");
-    EXPECT_EQ(r.getU64Vec(),
-              (std::vector<std::uint64_t>{
-                  1, 2, 3, 0xffffffffffffffffull}));
-    EXPECT_EQ(r.getI64(), -42);
-    r.closeSection();
+    // Sections may be read in any order, each consumed exactly.
+    Sample s;
+    ckpt::Archive ar(r);
+    ar.section("beta");
+    s.beta(ar);
+    ar.section("alpha");
+    s.alpha(ar);
+    ar.endSections();
+    EXPECT_EQ(s.vec, (std::vector<std::uint64_t>{
+                         1, 2, 3, 0xffffffffffffffffull}));
+    EXPECT_EQ(static_cast<std::int64_t>(s.negative), -42);
+    EXPECT_EQ(s.byte, 0xab);
+    EXPECT_EQ(s.word, 0xdeadbeefu);
+    EXPECT_EQ(s.dword, 0x0123456789abcdefull);
+    EXPECT_TRUE(s.flag);
+    EXPECT_EQ(s.third, 1.0 / 3.0); // bit-exact, not approx.
+    EXPECT_EQ(s.text, "hello snapshot");
+}
 
-    r.openSection("alpha");
-    EXPECT_EQ(r.getU8(), 0xab);
-    EXPECT_EQ(r.getU16(), 0xbeef);
-    EXPECT_EQ(r.getU32(), 0xdeadbeefu);
-    EXPECT_EQ(r.getU64(), 0x0123456789abcdefull);
-    EXPECT_TRUE(r.getBool());
-    EXPECT_EQ(r.getDouble(), 1.0 / 3.0); // bit-exact, not approx.
-    EXPECT_EQ(r.getString(), "hello snapshot");
-    r.closeSection();
+TEST(Snapshot, ArchiveChecksWhatItReads)
+{
+    // Each check writes the configured value and refuses another on a
+    // read, naming what differs; a write checks nothing.
+    const auto image = [](const std::function<void(ckpt::Archive &)> &f) {
+        ckpt::SnapshotWriter w;
+        ckpt::Archive ar(w);
+        ar.section("s");
+        f(ar);
+        return w.finish("");
+    };
+    const auto readError =
+        [](std::vector<std::uint8_t> bytes,
+           const std::function<void(ckpt::Archive &)> &f) -> std::string {
+        ckpt::SnapshotReader r =
+            ckpt::SnapshotReader::fromBytes(std::move(bytes));
+        ckpt::Archive ar(r);
+        try {
+            ar.section("s");
+            f(ar);
+            ar.endSections();
+        } catch (const ckpt::SnapshotError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    const auto written = image([](ckpt::Archive &ar) {
+        ar.layout("sample", 3);
+        ar.fixed32(4, "four");
+        ar.fixed64(8, "eight");
+        ar.tag("name", "the name");
+        ar.require(false, "a write checks nothing");
+        std::vector<std::uint64_t> v = {1, 2, 3};
+        ar.list(v, [&](std::uint64_t &x) { ar.u64(x); });
+    });
+    const auto walk = [](std::uint32_t layout, std::uint32_t four,
+                         std::uint64_t eight, const char *name,
+                         std::uint64_t max) {
+        return [=](ckpt::Archive &ar) {
+            ar.layout("sample", layout);
+            ar.fixed32(four, "four");
+            ar.fixed64(eight, "eight");
+            ar.tag(name, "the name");
+            std::vector<std::uint64_t> v = {9};
+            ar.list(v, [&](std::uint64_t &x) { ar.u64(x); }, max,
+                    "too many");
+            EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2, 3}));
+        };
+    };
+    EXPECT_EQ(readError(written, walk(3, 4, 8, "name", 3)), "");
+    EXPECT_NE(readError(written, walk(2, 4, 8, "name", 3))
+                  .find("unsupported sample layout 3 (this build reads "
+                        "layout 2) (section 's')"),
+              std::string::npos);
+    for (const auto &[w, what] :
+         {std::pair{walk(3, 5, 8, "name", 3), "four"},
+          std::pair{walk(3, 4, 9, "name", 3), "eight"},
+          std::pair{walk(3, 4, 8, "other", 3), "the name"},
+          std::pair{walk(3, 4, 8, "name", 2), "too many"}}) {
+        EXPECT_EQ(readError(written, w),
+                  std::string("incompatible state: ") + what +
+                      " (section 's')");
+    }
+
+    // A list reads its elements one at a time: a forged length of
+    // 2^60 runs into the section end instead of sizing anything.
+    const auto forged = image([](ckpt::Archive &ar) {
+        std::uint64_t n = std::uint64_t{1} << 60;
+        ar.u64(n);
+    });
+    testutil::ScopedAddressSpaceCap cap;
+    EXPECT_NE(readError(forged,
+                        [](ckpt::Archive &ar) {
+                            std::vector<std::uint64_t> v;
+                            ar.list(v, [&](std::uint64_t &x) { ar.u64(x); });
+                        })
+                  .find("read past end of section"),
+              std::string::npos);
 }
 
 TEST(Snapshot, UnderAndOverConsumptionAreRejected)
 {
+    std::vector<std::uint64_t> v;
     {
         ckpt::SnapshotReader r =
             ckpt::SnapshotReader::fromBytes(sampleImage());
-        r.openSection("beta");
+        ckpt::Archive ar(r);
+        ar.section("beta");
         EXPECT_THROW(
             {
-                // Only 5*8 + 8 bytes exist; a 6-element vector read
-                // runs past the section end.
-                r.getU64Vec();
-                r.getU64Vec();
+                // Only 5*8 + 8 bytes exist; the second read takes -42
+                // as a vector length, which runs past the section end.
+                ar.u64Vec(v);
+                ar.u64Vec(v);
             },
             std::runtime_error);
     }
     {
         ckpt::SnapshotReader r =
             ckpt::SnapshotReader::fromBytes(sampleImage());
-        r.openSection("beta");
-        r.getU64Vec();
+        ckpt::Archive ar(r);
+        ar.section("beta");
+        ar.u64Vec(v);
         // -42 left unread: the layout mismatch must be loud.
-        EXPECT_THROW(r.closeSection(), std::runtime_error);
+        EXPECT_THROW(ar.endSections(), std::runtime_error);
     }
     {
         ckpt::SnapshotReader r =
             ckpt::SnapshotReader::fromBytes(sampleImage());
-        EXPECT_THROW(r.openSection("gamma"), std::runtime_error);
+        ckpt::Archive ar(r);
+        EXPECT_THROW(ar.section("gamma"), std::runtime_error);
     }
 }
 
@@ -513,13 +629,14 @@ TEST(Checkpoint, DamagedFileIsCaughtOnRestore)
     std::remove(path.c_str());
 }
 
-/** The payload @p save writes into a one-section snapshot. */
+/** The payload @p walk writes into a one-section snapshot. */
 std::vector<std::uint8_t>
-payloadOf(const std::function<void(ckpt::SnapshotWriter &)> &save)
+payloadOf(const std::function<void(ckpt::Archive &)> &walk)
 {
     ckpt::SnapshotWriter w;
-    w.beginSection("s");
-    save(w);
+    ckpt::Archive ar(w);
+    ar.section("s");
+    walk(ar);
     const std::vector<std::uint8_t> image = w.finish("");
     // Magic, format/count/version-length words, header checksum; then
     // the section's name length, name and size; the checksum trails.
@@ -529,7 +646,7 @@ payloadOf(const std::function<void(ckpt::SnapshotWriter &)> &save)
 
 /**
  * Core 0's checkpoint section cut mid-run, with the offsets of the
- * parts a forgery patches (the order Core::saveState writes them).
+ * parts a forgery patches (the order Core::checkpoint writes them).
  */
 struct CoreSection
 {
@@ -555,19 +672,19 @@ cutCoreSection(const SystemParams &sp,
 
     Core &core = sys.core(0);
     CoreSection s;
-    s.bytes = payloadOf([&](ckpt::SnapshotWriter &w) { core.saveState(w); });
-    s.fetchAt = payloadOf([&](ckpt::SnapshotWriter &w) {
-                    core.bpred().saveState(w);
+    s.bytes = payloadOf([&](ckpt::Archive &ar) { core.checkpoint(ar); });
+    s.fetchAt = payloadOf([&](ckpt::Archive &ar) {
+                    core.bpred().checkpoint(ar);
                 }).size();
-    s.lsqAt = s.fetchAt + payloadOf([&](ckpt::SnapshotWriter &w) {
-                              core.fetchUnit().saveState(w);
+    s.lsqAt = s.fetchAt + payloadOf([&](ckpt::Archive &ar) {
+                              core.fetchUnit().checkpoint(ar);
                           }).size();
     const std::size_t rename_at =
-        s.lsqAt + payloadOf([&](ckpt::SnapshotWriter &w) {
-                      core.lsq().saveState(w);
+        s.lsqAt + payloadOf([&](ckpt::Archive &ar) {
+                      core.lsq().checkpoint(ar);
                   }).size();
-    s.windowAt = rename_at + payloadOf([&](ckpt::SnapshotWriter &w) {
-                                 core.renameUnit().saveState(w);
+    s.windowAt = rename_at + payloadOf([&](ckpt::Archive &ar) {
+                                 core.renameUnit().checkpoint(ar);
                              }).size();
     return s;
 }
@@ -585,10 +702,11 @@ restoreCoreError(const SystemParams &sp,
         ckpt::SnapshotReader::fromBytes(w.finish(modelVersionString()));
     System sys(sp);
     attachAll(sys, traces);
+    ckpt::Archive ar(r);
     try {
-        r.openSection("cpu0");
-        sys.core(0).restoreState(r);
-        r.closeSection();
+        ar.section("cpu0");
+        sys.core(0).checkpoint(ar);
+        ar.endSections();
     } catch (const std::runtime_error &e) {
         return e.what();
     }
@@ -629,7 +747,7 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
     const CoreSection good = cutCoreSection(sp, traces, 3000);
     const CoreSection good1rs = cutCoreSection(unified, traces, 3000);
 
-    // The layouts FetchUnit::saveState and InstrWindow::saveState
+    // The layouts FetchUnit::checkpoint and InstrWindow::checkpoint
     // write: a fetched instruction is its 24-byte record and two
     // flags; a window entry is 124 bytes after a 20-byte header.
     constexpr std::size_t kFetched = sizeof(TraceRecord) + 2;

@@ -263,11 +263,12 @@ struct StatSet
     }
 
     /** Snapshot image of the group's stats. */
-    std::vector<std::uint8_t> save() const
+    std::vector<std::uint8_t> save()
     {
         ckpt::SnapshotWriter w;
-        w.beginSection("stats");
-        g.saveState(w);
+        ckpt::Archive ar(w);
+        ar.section("stats");
+        g.checkpoint(ar);
         return w.finish("fold-test");
     }
 
@@ -275,9 +276,10 @@ struct StatSet
     {
         ckpt::SnapshotReader r =
             ckpt::SnapshotReader::fromBytes(std::move(image));
-        r.openSection("stats");
-        g.restoreState(r);
-        r.closeSection();
+        ckpt::Archive ar(r);
+        ar.section("stats");
+        g.checkpoint(ar);
+        ar.endSections();
     }
 
     stats::Group g{"occupancy"};
@@ -328,7 +330,7 @@ expectSameMoments(const stats::Distribution &a,
 }
 
 void
-expectSameStats(const StatSet &a, const StatSet &b)
+expectSameStats(StatSet &a, StatSet &b)
 {
     expectSameMoments(a.d, b.d);
     expectSameMoments(a.h.dist(), b.h.dist());

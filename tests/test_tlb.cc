@@ -62,15 +62,6 @@ TEST(Tlb, LruKeepsHotEntry)
     EXPECT_EQ(tlb.translate(1ull * sets * page, 13), 40u);
 }
 
-TEST(Tlb, FlushForcesWalks)
-{
-    stats::Group g("t");
-    Tlb tlb(smallTlb(), "dtlb", &g);
-    tlb.translate(0x4000, 0);
-    tlb.flush();
-    EXPECT_EQ(tlb.translate(0x4000, 1), 40u);
-}
-
 TEST(Tlb, MissRatio)
 {
     stats::Group g("t");

@@ -77,10 +77,12 @@ writeSealedTrace(const std::string &path,
                  std::uint32_t layout = kTraceFileLayout)
 {
     ckpt::SnapshotWriter w;
-    w.beginSection("trace");
-    w.putU32(layout);
-    w.putString("forged");
-    w.putU64(count);
+    ckpt::Archive ar(w);
+    ar.section("trace");
+    ar.u32(layout);
+    std::string name = "forged";
+    ar.str(name);
+    ar.u64(count);
     w.putBytes(recs.data(), recs.size() * sizeof(TraceRecord));
     w.writeFile(path, "forged");
 }
