@@ -1,5 +1,6 @@
 #include "check/watchdog.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -20,30 +21,24 @@ Watchdog::check(Cycle cycle, std::uint64_t committed, Cycle last_commit)
 {
     if (fired_)
         return false;
+    // A commit seen after a grace extension never pulls progress back
+    // before the event granted: the deadline only moves forward.
     if (committed != lastCommitted_) {
         lastCommitted_ = committed;
-        lastProgress_ = last_commit;
-        return false;
+        lastProgress_ = std::max(lastProgress_, last_commit);
     }
-    // While awaitingEvent(), the difference wraps: the check falls
-    // through and re-probes.
-    if (cycle - lastProgress_ < threshold_)
+    if (cycle < deadline())
         return false;
 
-    // No commit for a full period. A pending event due within one
+    // No progress for a full period. A pending event due within one
     // more period means the machine is legitimately waiting (e.g. a
     // long queue of memory fills); push the deadline to the event.
-    // Only a move counts as an extension: a re-probe that finds the
-    // awaited event again changes nothing, so the count does not
-    // depend on how many cycles the engine visits.
     if (probe_) {
         const Cycle ev = probe_(cycle);
         if (ev != kCycleNever && ev > cycle &&
             ev - cycle <= threshold_) {
-            if (ev != lastProgress_) {
-                lastProgress_ = ev;
-                ++graceExtensions_;
-            }
+            lastProgress_ = ev;
+            ++graceExtensions_;
             return false;
         }
     }

@@ -16,8 +16,9 @@
  *
  * The watchdog needs no per-cycle attention: its owner checks it at
  * deadline(), passing the commit total and the cycle of the latest
- * commit, and additionally on every visited cycle while
- * awaitingEvent() holds.
+ * commit. Progress is the later of that commit and the last event
+ * granted grace, so the deadline never moves back, and checking only
+ * there gives the result of checking every cycle.
  */
 
 #ifndef S64V_CHECK_WATCHDOG_HH
@@ -60,40 +61,29 @@ class Watchdog
     /**
      * Check for progress at @p cycle. @p committed is the total
      * number of instructions committed so far (all cores) and
-     * @p last_commit the cycle progress was last made at: the latest
-     * commit, or the run's first cycle when that is later (a restored
-     * run has no commit history of its own). A caller that checks
-     * every cycle may pass @p cycle. @return true exactly once, on
-     * the check that fires.
+     * @p last_commit the cycle of the latest commit, or the run's
+     * first cycle when that is later (a restored run has no commit
+     * history of its own). A caller that checks every cycle may pass
+     * @p cycle. @return true exactly once, on the check that fires.
      */
     bool check(Cycle cycle, std::uint64_t committed, Cycle last_commit);
 
     bool fired() const { return fired_; }
     Cycle firedCycle() const { return firedCycle_; }
     std::uint64_t threshold() const { return threshold_; }
-    /**
-     * Times a pending in-flight event moved the deadline: the same
-     * on every engine, since re-probing an event already awaited
-     * moves nothing.
-     */
+    /** Times a pending in-flight event moved the deadline. */
     std::uint64_t graceExtensions() const { return graceExtensions_; }
 
     /**
      * Cycle at which the watchdog would fire absent further progress
      * — check() must run there (a pending event can still defer it
-     * then).
+     * then). kCycleNever when that lies beyond the last cycle.
      */
-    Cycle deadline() const { return lastProgress_ + threshold_; }
-
-    /**
-     * True while a grace extension still waits for its event, i.e.
-     * the deadline was pushed to an event after @p cycle. Until the
-     * event lands every check re-probes, which can move the deadline
-     * again, so check() must also run on every visited cycle.
-     */
-    bool awaitingEvent(Cycle cycle) const
+    Cycle deadline() const
     {
-        return lastProgress_ > cycle;
+        return threshold_ > kCycleNever - lastProgress_
+            ? kCycleNever
+            : lastProgress_ + threshold_;
     }
 
     /** One-line human-readable account of the firing state. */

@@ -51,9 +51,6 @@ walk(System &system, Archive &ar, const std::string &path)
     ar.u64(cont.nextCycle);
     ar.boolean(cont.warmDone);
     ar.u64(cont.warmupEndCycle);
-    ar.u64Vec(cont.warmupCommitted);
-    ar.require(cont.warmupCommitted.size() == num_cpus,
-               "warm-up record count differs from CPU count");
 
     ar.section("trace");
     for (unsigned i = 0; i < num_cpus; ++i) {

@@ -8,7 +8,6 @@
 #ifndef S64V_COMMON_RANDOM_HH
 #define S64V_COMMON_RANDOM_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -58,23 +57,6 @@ class Rng
      * weights (last element is the total weight).
      */
     std::size_t pickCumulative(const std::vector<double> &cumulative);
-
-    /**
-     * Raw generator state, for checkpoint/restore. All model
-     * randomness is consumed before the timed run begins (trace
-     * synthesis), but serializable generators keep the door open for
-     * in-run stochastic components (sampling policies, error
-     * processes with live draws).
-     */
-    std::array<std::uint64_t, 4> state() const
-    {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-    void setState(const std::array<std::uint64_t, 4> &s)
-    {
-        for (std::size_t i = 0; i < 4; ++i)
-            s_[i] = s[i];
-    }
 
   private:
     std::uint64_t s_[4];

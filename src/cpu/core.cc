@@ -1133,6 +1133,32 @@ Core::checkpoint(ckpt::Archive &ar)
         ar.u64(rc.pc);
         ar.u64(rc.cycle);
     }
+    // The sequence numbers the stations, the execute pipelines and
+    // the pending stores hold name entries in the window.
+    for (unsigned i = 0; i < kNumRs; ++i) {
+        if (!rs_[i])
+            continue;
+        for (std::uint64_t seq : rs_[i]->seqs()) {
+            const WindowEntry *e =
+                window_.contains(seq) ? &window_.entry(seq) : nullptr;
+            ar.require(e && e->rsId == i &&
+                           (e->state == InstrState::Waiting ||
+                            e->state == InstrState::InFlight),
+                       "reservation-station entry names no waiting "
+                       "window entry of its station");
+        }
+    }
+    for (const ExecUnit &u : units_) {
+        for (const PendingExec &p : u.pending()) {
+            ar.require(window_.contains(p.seq),
+                       "execute pipeline entry outside the window");
+        }
+    }
+    for (std::uint64_t seq : pendingStores_) {
+        ar.require(window_.contains(seq) &&
+                       window_.entry(seq).rec.isStore(),
+                   "pending store names no store in the window");
+    }
     if (ar.loading()) {
         // Derived scheduling and accounting state starts afresh.
         spansOpen_ = false;

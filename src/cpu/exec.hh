@@ -74,6 +74,8 @@ class ExecUnit
 
     Cycle busyUntil() const { return busyUntil_; }
     bool idle() const { return pending_.empty(); }
+    /** Operations on their way to execute, oldest first. */
+    const std::deque<PendingExec> &pending() const { return pending_; }
 
     /**
      * Execute-stage cycle of the oldest in-flight operation, or

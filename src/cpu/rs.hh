@@ -41,6 +41,8 @@ class ReservationStation
     bool full() const { return seqs_.size() >= entries_; }
     bool empty() const { return seqs_.empty(); }
     std::size_t occupancy() const { return seqs_.size(); }
+    /** The entries' window sequence numbers, oldest first. */
+    const std::vector<std::uint64_t> &seqs() const { return seqs_; }
     unsigned capacity() const { return entries_; }
 
     /** Insert a newly issued instruction. */

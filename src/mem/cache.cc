@@ -158,14 +158,6 @@ CacheArray::invalidate(Addr addr)
     return was_dirty;
 }
 
-std::size_t
-CacheArray::validLines() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(lines_.begin(), lines_.end(),
-                      [](const Line &l) { return l.valid; }));
-}
-
 void
 CacheArray::forEachValidLine(
     const std::function<void(Addr, bool)> &fn) const

@@ -69,9 +69,6 @@ class CacheArray
     /** Ways usable after RAS degradation. */
     unsigned usableWays() const { return usableWays_; }
 
-    /** Count of valid lines (for tests). */
-    std::size_t validLines() const;
-
     /**
      * Invoke @p fn(lineAddr, dirty) for every valid line. Used by the
      * invariant auditor to cross-check coherence state; the traversal
@@ -170,8 +167,8 @@ class TimedCache
 
     /**
      * Earliest fill landing after @p now, or kCycleNever when none:
-     * the skip-ahead kernel's memory bound and the watchdog's event
-     * probe (a long-latency stall versus a true deadlock).
+     * the watchdog's event probe (a long-latency stall versus a true
+     * deadlock), through MemSystem::nextPendingFill.
      */
     Cycle nextPendingFill(Cycle now) const;
 

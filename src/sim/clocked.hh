@@ -2,7 +2,7 @@
  * @file
  * The cycle kernel: the one loop that advances a machine. Components
  * that do work every cycle implement Clocked; observers and checkers
- * that act periodically register probes with a period. The kernel
+ * register probes, each naming the next cycle it runs at. The kernel
  * owns cycle bookkeeping, the stop conditions (drain, cycle cap,
  * stop request), and the dispatch order, so System::run() and any
  * future assembly share a single, well-tested loop instead of each
@@ -47,11 +47,11 @@ class Clocked
      * change machine state or produce a stat mutation that differs
      * from an idle repeat of cycle @p now. The skip-ahead kernel
      * advances directly to the minimum over all components (bounded
-     * by probes) and does not tick the component in between; the
-     * next settle() accounts those idle cycles. kCycleNever means
-     * fully quiescent until an external event. The default — always
-     * busy — keeps a component that does not override it bit-exact
-     * under skip-ahead.
+     * by the probes' named cycles) and does not tick the component
+     * in between; the next settle() accounts those idle cycles.
+     * kCycleNever means fully quiescent until an external event. The
+     * default — always busy — keeps a component that does not
+     * override it bit-exact under skip-ahead.
      *
      * The contract the fast engine rests on: nothing outside this
      * component's own tick() may move this answer or done()'s, so
@@ -88,7 +88,10 @@ class TickProfiler
   public:
     virtual ~TickProfiler() = default;
 
-    /** @return true when @p cycle's work should be timed. */
+    /**
+     * Called once per visited cycle, before its ticks. @return true
+     * when @p cycle's work should be timed.
+     */
     virtual bool sampleCycle(Cycle cycle) = 0;
 
     /** One component's tick on a sampled cycle took @p ns. */
@@ -103,36 +106,17 @@ class TickProfiler
 };
 
 /**
- * Periodic probe callback. Invoked at its registered cycles, after
- * every Clocked component has ticked; return false to detach (the
- * probe is never called again).
+ * Probe callback: runs after every component has ticked and settled
+ * at the cycle it last named and returns the next cycle it must run
+ * at, strictly later; kCycleNever detaches it.
  */
-using ProbeFn = std::function<bool(Cycle)>;
-
-/** When a scheduled probe runs next (see attachScheduledProbe). */
-struct ProbeNext
-{
-    /**
-     * Cycle the probe must run at; the skip never crosses it.
-     * kCycleNever when there is none.
-     */
-    Cycle at = kCycleNever;
-    /** Also run at every cycle the kernel visits before @ref at. */
-    bool everyVisit = false;
-};
+using ProbeFn = std::function<Cycle(Cycle)>;
 
 /**
- * Scheduled probe callback: runs at the cycle its previous answer
- * named and returns the next one. A default ProbeNext (no cycle, no
- * polling) detaches the probe.
- */
-using ScheduledProbeFn = std::function<ProbeNext(Cycle)>;
-
-/**
- * The cycle loop. Attach components and probes, then run(). Probes
- * fire in registration order, which the kernel guarantees, so
- * ordering-sensitive observers (a warm-up stats reset before a
- * sampler reads deltas) stay deterministic.
+ * The cycle loop. Attach components and probes, then run(). The
+ * probes due at a cycle run in registration order, which the kernel
+ * guarantees, so ordering-sensitive observers (a warm-up stats reset
+ * before a sampler reads deltas) stay deterministic.
  */
 class CycleKernel
 {
@@ -152,37 +136,17 @@ class CycleKernel
     }
 
     /**
-     * Register a probe firing at cycle @p first and every @p period
-     * cycles after that. A disabled observer is simply never
-     * registered — the loop pays nothing for it. Periodic probes
-     * bound the skip: the kernel never skips across a registered
-     * firing cycle.
+     * Register a probe first run at cycle @p first, then at whatever
+     * cycle its last run named. Both engines visit every named cycle,
+     * so the probe bounds the skip. A disabled observer is simply
+     * never registered; the loop pays nothing for it. A probe that
+     * names a cycle at or before the one it ran at is a panic.
      */
-    void attachProbe(Cycle first, std::uint64_t period, ProbeFn fn);
-
-    /**
-     * Register a probe that names its own next cycle: first invoked
-     * at @p first, then wherever its last ProbeNext points. The named
-     * cycle bounds the skip exactly as a periodic firing does.
-     * everyVisit adds invocations at every *visited* cycle until then
-     * (after the components tick, interleaved with the other probes
-     * in registration order); these force no visit and never bound
-     * the skip, so answering {kCycleNever, true} polls a decision
-     * that can change at visited cycles alone (e.g. warm-up: commits
-     * only happen at visited cycles). The watchdog sleeps until its
-     * deadline instead.
-     *
-     * Unlike periodic probes, scheduled probes run with stats not
-     * yet settled (the kernel settles before any periodic probe
-     * fires, but not for these): a scheduled probe must depend only
-     * on tick-mutated state such as commit counters, or call
-     * settle() before touching anything else.
-     */
-    void attachScheduledProbe(Cycle first, ScheduledProbeFn fn);
+    void attachProbe(Cycle first, ProbeFn fn);
 
     /**
      * Enable skip-ahead scheduling, the fast engine: advance directly
-     * to min(component next work, next probe firing, cycle cap); the
+     * to min(component next work, next probe cycle, cycle cap); the
      * cycles skipped are accounted by each component's next settle().
      * Nothing else bounds the skip: the memory system is lazily
      * timed, so its state changes only inside a core's tick, and a
@@ -220,12 +184,10 @@ class CycleKernel
      * once the pass is over, so probes and loop exits see the whole
      * visit), the visited cycle itself for the rest (a panic inside
      * a tick leaves the pass half done), and the cap at a cycle-cap
-     * exit. The kernel settles, on both engines, before any periodic
-     * probe fires and on every loop exit; call this from a
-     * *scheduled* probe before reading or mutating stats (the warm-up
-     * reset is the one that does), and before reading a live
-     * machine's stats from outside the loop (the crash hook's
-     * salvage).
+     * exit. The kernel settles, on both engines, once before the
+     * probes due at a cycle run and on every loop exit; call this
+     * before reading a live machine's stats from outside the loop
+     * (the crash hook's salvage).
      */
     void settle()
     {
@@ -268,24 +230,20 @@ class CycleKernel
     Cycle currentCycle() const { return currentCycle_; }
 
   private:
-    /**
-     * Both probe kinds in one form: periodic probes name their next
-     * firing, scheduled probes may also set everyVisit. Only periodic
-     * firings settle the components first.
-     */
+    /** A probe and the cycle it runs at next. */
     struct ProbeEntry
     {
-        ProbeNext next;
-        bool settles;
-        ScheduledProbeFn fn;
+        Cycle next;
+        ProbeFn fn;
     };
 
     /**
      * Earliest cycle in [@p next, @p max_cycles] the kernel must
-     * visit: min over component work and probe firings. Non-const:
-     * refreshes the memo entry (done, answer) of every component
-     * ticked since the last pass; an untouched one keeps its entry
-     * unasked, since only its own tick() changes those answers.
+     * visit: min over component work and the probes' named cycles.
+     * Non-const: refreshes the memo entry (done, answer) of every
+     * component ticked since the last pass; an untouched one keeps
+     * its entry unasked, since only its own tick() changes those
+     * answers.
      */
     Cycle skipTarget(Cycle next, std::uint64_t max_cycles);
 

@@ -1,5 +1,6 @@
 #include "sim/clocked.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "check/signals.hh"
@@ -31,26 +32,11 @@ CycleKernel::attach(Clocked *component)
 }
 
 void
-CycleKernel::attachProbe(Cycle first, std::uint64_t period, ProbeFn fn)
+CycleKernel::attachProbe(Cycle first, ProbeFn fn)
 {
-    if (period == 0)
-        panic("CycleKernel probe needs a nonzero period");
     if (!fn)
         panic("CycleKernel probe needs a callback");
-    probes_.push_back(ProbeEntry{
-        {first, false}, true,
-        [fn = std::move(fn), period](Cycle cycle) {
-            return fn(cycle) ? ProbeNext{cycle + period, false}
-                             : ProbeNext{};
-        }});
-}
-
-void
-CycleKernel::attachScheduledProbe(Cycle first, ScheduledProbeFn fn)
-{
-    if (!fn)
-        panic("CycleKernel scheduled probe needs a callback");
-    probes_.push_back(ProbeEntry{{first, false}, false, std::move(fn)});
+    probes_.push_back(ProbeEntry{first, std::move(fn)});
 }
 
 Cycle
@@ -88,7 +74,7 @@ CycleKernel::skipTarget(Cycle next, std::uint64_t max_cycles)
     for (const ProbeEntry &p : probes_) {
         if (target <= next)
             return next;
-        Cycle h = p.next.at;
+        Cycle h = p.next;
         if (h < next)
             h = next;
         if (h < target)
@@ -103,19 +89,6 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
     stopRequested_ = false;
     elidedCycles_ = 0;
     memo_.assign(clocked_.size(), MemoEntry{});
-    // Periodic probes read (sampler), audit or serialize
-    // (checkpoint) stats, so every component settles before one
-    // fires: open stat spans close, on both engines. Scheduled
-    // probes run unsettled per their documented contract (the
-    // warm-up reset settles itself).
-    const auto settleForProbes = [this](Cycle c) {
-        for (const ProbeEntry &p : probes_) {
-            if (p.settles && p.next.at == c) {
-                settle();
-                return;
-            }
-        }
-    };
     // Set once skipTarget() has refreshed every memo entry; cleared
     // by the next tick pass. Never set on the plain loop.
     bool memo_fresh = false;
@@ -142,11 +115,26 @@ CycleKernel::run(std::uint64_t max_cycles, Cycle start_cycle)
             }
         }
         memo_fresh = false;
-        settleForProbes(cycle);
+        // Probes read (sampler), reset (warm-up), audit or serialize
+        // (checkpoint) stats, so every component settles once before
+        // the first one due runs: open stat spans close, on both
+        // engines.
+        const auto due = [cycle](const ProbeEntry &p) {
+            return p.next == cycle;
+        };
+        if (std::any_of(probes_.begin(), probes_.end(), due))
+            settle();
         const std::uint64_t p0 = timed ? nowNs() : 0;
         for (ProbeEntry &p : probes_) {
-            if (p.next.everyVisit || p.next.at == cycle)
-                p.next = p.fn(cycle);
+            if (!due(p))
+                continue;
+            p.next = p.fn(cycle);
+            if (p.next <= cycle) {
+                panic("probe run at cycle %llu named cycle %llu; the "
+                      "next must be later",
+                      static_cast<unsigned long long>(cycle),
+                      static_cast<unsigned long long>(p.next));
+            }
         }
         if (timed)
             profiler_->recordProbes(nowNs() - p0);

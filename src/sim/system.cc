@@ -91,8 +91,6 @@ System::run()
 
     SimResult res;
     const Cycle start = cont_.nextCycle;
-    if (cont_.warmupCommitted.size() != cores_.size())
-        cont_.warmupCommitted.assign(cores_.size(), 0);
     bool warm_done = cont_.warmDone || params_.warmupInstrs == 0;
     res.warmupEndCycle = cont_.warmupEndCycle;
 
@@ -111,9 +109,10 @@ System::run()
     }
 
     // Assemble the cycle kernel: cores tick every cycle; everything
-    // else is a probe with a period, registered in the order the
-    // checks must run (watchdog and auditor see the machine before
-    // the warm-up reset; the sampler reads deltas after it).
+    // else is a probe naming the next cycle it runs at, registered
+    // in the order the checks must run (watchdog and auditor see the
+    // machine before the warm-up reset; the sampler reads deltas
+    // after it).
     kernel_ = std::make_unique<CycleKernel>();
     hitCycleCap_ = false;
     kernel_->setSkipAhead(params_.skipAhead);
@@ -126,15 +125,13 @@ System::run()
         kernel_->attach(core.get());
     }
     if (watchdog) {
-        // Scheduled at its deadline, not polled on every visit:
-        // commits happen only on ticks, so the cores' raw commit
-        // counts and last commit cycles tell the watchdog everything
-        // a per-visit poll would see, and it fires on exactly the
-        // cycle the per-cycle loop would fire on. The first check
-        // runs at the start cycle, where a restored run's progress is
-        // dated. While a grace extension awaits its event, every
-        // visit re-probes (see Watchdog::awaitingEvent).
-        kernel_->attachScheduledProbe(start, [&](Cycle cycle) {
+        // Checked only at its deadline: commits happen only on ticks,
+        // so the cores' raw commit counts and last commit cycles tell
+        // the watchdog everything a check on every cycle would see,
+        // and it fires on exactly the cycle that one would (see
+        // check::Watchdog). The first check runs at the start cycle,
+        // where a restored run's progress is dated.
+        kernel_->attachProbe(start, [&](Cycle cycle) {
             Cycle last_commit = start;
             for (const auto &core : cores_) {
                 last_commit =
@@ -143,37 +140,41 @@ System::run()
             if (watchdog->check(cycle, totalRawCommitted(),
                                 last_commit))
                 panic("%s", watchdog->diagnosis().c_str());
-            return ProbeNext{watchdog->deadline(),
-                             watchdog->awaitingEvent(cycle)};
+            return watchdog->deadline();
         });
     }
     if (params_.checkLevel == check::CheckLevel::PerCycle) {
-        kernel_->attachProbe(start, 1, [&](Cycle cycle) {
+        kernel_->attachProbe(start, [&](Cycle cycle) {
             auditor.checkCycle(cycle);
-            return true;
+            return cycle + 1;
         });
     }
     if (!warm_done) {
-        // Polled on every visit from the start: the warm-up decision
-        // depends only on committed counts, which change exclusively
-        // at visited cycles, so the probe need not bound the skip.
-        kernel_->attachScheduledProbe(start, [&](Cycle cycle) {
-            for (auto &core : cores_) {
-                if (core->committed() < params_.warmupInstrs)
-                    return ProbeNext{kCycleNever, true}; // not warm.
+        // A core retires at most commitWidth instructions a cycle, so
+        // none can reach the threshold before the cycle this probe
+        // names next: the reset fires on exactly the cycle the last
+        // core crosses it. A zero width commits nothing, so any bound
+        // holds.
+        const std::uint64_t width =
+            std::max(1u, params_.core.commitWidth);
+        kernel_->attachProbe(start, [&, width](Cycle cycle) {
+            std::uint64_t short_by = 0;
+            for (const auto &core : cores_) {
+                const std::uint64_t n = core->committed();
+                if (n >= params_.warmupInstrs)
+                    continue;
+                if (core->done())
+                    return kCycleNever; // never reached; detach.
+                short_by = std::max(short_by, params_.warmupInstrs - n);
             }
-            for (std::size_t i = 0; i < cores_.size(); ++i)
-                cont_.warmupCommitted[i] = cores_[i]->committed();
-            // Scheduled probes run with stats unsettled; settle them
-            // on the side of the boundary they belong to before the
-            // measurement window opens.
-            kernel_->settle();
+            if (short_by)
+                return cycle + (short_by + width - 1) / width;
             root_.resetAll();
             res.warmupEndCycle = cycle;
             cont_.warmDone = true;
             cont_.warmupEndCycle = cycle;
             warm_done = true;
-            return ProbeNext{}; // measurement window open; detach.
+            return kCycleNever; // measurement window open; detach.
         });
     }
     // The observers measure from where this run starts: a restored
@@ -182,19 +183,17 @@ System::run()
     if (sampler_) {
         sampler_->setBaseline(start ? start - 1 : 0, totalRawCommitted());
         kernel_->attachProbe(
-            phaseStart(sampler_->period(), start), sampler_->period(),
-            [this](Cycle cycle) {
+            phaseStart(sampler_->period(), start), [this](Cycle cycle) {
                 sampler_->tick(cycle, totalRawCommitted());
-                return true;
+                return cycle + sampler_->period();
             });
     }
     if (heartbeat_) {
         heartbeat_->setBaseline(totalRawCommitted());
         kernel_->attachProbe(
-            phaseStart(heartbeat_->period(), start),
-            heartbeat_->period(), [this](Cycle cycle) {
+            phaseStart(heartbeat_->period(), start), [this](Cycle cycle) {
                 heartbeat_->beat(cycle, totalRawCommitted());
-                return true;
+                return cycle + heartbeat_->period();
             });
     }
     // Injected process death (--inject-fault=kill-point:<cycle>):
@@ -204,7 +203,7 @@ System::run()
     const check::FaultPlan &fault = check::activeFaultPlan();
     if (fault.active(check::FaultKind::KillPoint) &&
         fault.at >= start) {
-        kernel_->attachProbe(fault.at, 1, [](Cycle) -> bool {
+        kernel_->attachProbe(fault.at, [](Cycle) -> Cycle {
             std::_Exit(check::kInjectedFaultExitCode);
         });
     }
@@ -214,7 +213,7 @@ System::run()
     if (!params_.checkpoint.path.empty() &&
         params_.checkpoint.atCycle >= start) {
         kernel_->attachProbe(
-            params_.checkpoint.atCycle, 1, [&](Cycle cycle) {
+            params_.checkpoint.atCycle, [&](Cycle cycle) {
                 cont_.nextCycle = cycle + 1;
                 ckpt::writeSystemCheckpoint(*this,
                                             params_.checkpoint.path);
@@ -223,7 +222,7 @@ System::run()
                        static_cast<unsigned long long>(cycle));
                 if (params_.checkpoint.stopAfter)
                     kernel_->requestStop();
-                return false;
+                return kCycleNever;
             });
     }
 
@@ -277,12 +276,11 @@ System::run()
     if (sampler_)
         sampler_->finish(cycle, totalRawCommitted());
 
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        Core &core = *cores_[i];
+    for (const auto &core : cores_) {
         CoreResult cr;
-        cr.measured = core.committed(); // stat: reset at warm-up end.
-        cr.committed = cont_.warmupCommitted[i] + cr.measured;
-        cr.lastCommitCycle = core.lastCommitCycle();
+        cr.measured = core->committed(); // stat: reset at warm-up end.
+        cr.committed = core->rawCommitted();
+        cr.lastCommitCycle = core->lastCommitCycle();
         const Cycle window = cr.lastCommitCycle > res.warmupEndCycle
             ? cr.lastCommitCycle - res.warmupEndCycle
             : 0;
@@ -292,11 +290,7 @@ System::run()
             : 0.0;
         res.instructions += cr.committed;
         res.measured += cr.measured;
-        res.cycles = std::max(res.cycles,
-                              cr.lastCommitCycle > res.warmupEndCycle
-                                  ? cr.lastCommitCycle -
-                                        res.warmupEndCycle
-                                  : 0);
+        res.cycles = std::max(res.cycles, window);
         res.cores.push_back(cr);
     }
     res.ipc = res.cycles

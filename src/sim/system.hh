@@ -156,8 +156,6 @@ struct RunContinuation
     Cycle nextCycle = 0;     ///< first cycle the next run() simulates.
     bool warmDone = false;   ///< warm-up stats reset already happened.
     Cycle warmupEndCycle = 0;
-    /** Per-core commits absorbed by the warm-up reset. */
-    std::vector<std::uint64_t> warmupCommitted;
 };
 
 /** A runnable machine instance. */

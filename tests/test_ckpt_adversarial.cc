@@ -26,77 +26,14 @@
 #include "workload/generator.hh"
 #include "workload/workloads.hh"
 
+#include "run_util.hh"
+
 namespace s64v
 {
 namespace
 {
 
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
-
-std::vector<InstrTrace>
-makeTraces(const WorkloadProfile &profile, unsigned num_cpus,
-           std::size_t instrs)
-{
-    TraceGenerator gen(profile, num_cpus);
-    std::vector<InstrTrace> traces;
-    for (unsigned cpu = 0; cpu < num_cpus; ++cpu)
-        traces.push_back(gen.generate(instrs, cpu));
-    return traces;
-}
-
-void
-attachAll(System &sys, const std::vector<InstrTrace> &traces)
-{
-    for (CpuId cpu = 0; cpu < traces.size(); ++cpu)
-        sys.attachTrace(cpu, traces[cpu]);
-}
-
-struct RunOutcome
-{
-    SimResult res;
-    std::string stats; ///< the stats JSON document.
-};
-
-RunOutcome
-runFull(const SystemParams &sp, const std::vector<InstrTrace> &traces)
-{
-    System sys(sp);
-    attachAll(sys, traces);
-    RunOutcome out;
-    out.res = sys.run();
-    out.stats = obs::exportStatsJson(sys.root());
-    return out;
-}
-
-RunOutcome
-runThroughCheckpoint(const SystemParams &sp,
-                     const std::vector<InstrTrace> &traces, Cycle at,
-                     const std::string &path)
-{
-    {
-        SystemParams cp = sp;
-        cp.checkpoint.atCycle = at;
-        cp.checkpoint.path = path;
-        cp.checkpoint.stopAfter = true;
-        System sys(cp);
-        attachAll(sys, traces);
-        const SimResult first = sys.run();
-        EXPECT_TRUE(first.stoppedAtCheckpoint)
-            << "checkpoint at cycle " << at << " never fired";
-        EXPECT_FALSE(first.hitCycleCap);
-    }
-    System sys(sp);
-    attachAll(sys, traces);
-    ckpt::restoreSystemCheckpoint(sys, path);
-    RunOutcome out;
-    out.res = sys.run();
-    out.stats = obs::exportStatsJson(sys.root());
-    return out;
-}
+using namespace testutil;
 
 /** The cycle of the run's very last commit, over every core. */
 Cycle
@@ -245,9 +182,8 @@ TEST(CkptAdversarial, CheckpointInsideAnArmedFaultWindow)
         System clean(sp);
         attachAll(clean, traces);
         ckpt::restoreSystemCheckpoint(clean, path);
-        RunOutcome out;
-        out.res = clean.run();
-        out.stats = obs::exportStatsJson(clean.root());
+        const SimResult res = clean.run();
+        const RunOutcome out = outcomeOf(clean, res);
         EXPECT_EQ(diffSim(base.res, out.res), "");
         EXPECT_EQ(base.stats, out.stats);
     }

@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the cycle kernel (sim/clocked.hh): component drain,
- * attachment-order ticking, probe scheduling, registration-order
- * dispatch, self-detach, cycle cap and stop-request outcomes.
+ * attachment-order ticking, probes run at the cycles they name,
+ * registration-order dispatch, one settle before the probes due,
+ * self-detach, cycle cap and stop-request outcomes.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "check/signals.hh"
+#include "common/logging.hh"
 #include "sim/clocked.hh"
 
 using namespace s64v;
@@ -112,9 +116,9 @@ TEST(CycleKernel, ProbeFiresAtFirstAndEveryPeriod)
     kernel.attach(&comp);
 
     std::vector<Cycle> fired;
-    kernel.attachProbe(5, 5, [&](Cycle c) {
+    kernel.attachProbe(5, [&](Cycle c) {
         fired.push_back(c);
-        return true;
+        return c + 5;
     });
 
     kernel.run(1000);
@@ -122,17 +126,71 @@ TEST(CycleKernel, ProbeFiresAtFirstAndEveryPeriod)
     EXPECT_EQ(fired, (std::vector<Cycle>{5, 10, 15, 20}));
 }
 
-TEST(CycleKernel, ProbeReturningFalseDetaches)
+TEST(CycleKernel, ProbeNamingNoCycleDetaches)
 {
     CycleKernel kernel;
     CountedComponent comp(50);
     kernel.attach(&comp);
 
     int calls = 0;
-    kernel.attachProbe(0, 1, [&](Cycle) { return ++calls < 3; });
+    kernel.attachProbe(0, [&](Cycle c) {
+        return ++calls < 3 ? c + 1 : kCycleNever;
+    });
 
     kernel.run(1000);
     EXPECT_EQ(calls, 3);
+}
+
+TEST(CycleKernel, ProbeNamingNoLaterCycleIsAPanic)
+{
+    for (const Cycle back : {Cycle{0}, Cycle{1}}) {
+        SCOPED_TRACE(back ? "an earlier cycle" : "the same cycle");
+        CycleKernel kernel;
+        CountedComponent comp(50);
+        kernel.attach(&comp);
+        kernel.attachProbe(10, [&](Cycle c) { return c - back; });
+        ScopedThrowOnError isolate;
+        try {
+            kernel.run(1000);
+            ADD_FAILURE() << "no panic";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "probe run at cycle 10 named cycle " +
+                          std::to_string(10 - back)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** Counts the settles the kernel makes and the cycle of each. */
+class SettleWitness final : public Clocked
+{
+  public:
+    void tick(Cycle) override {}
+    void settle(Cycle through) override { settled.push_back(through); }
+
+    std::vector<Cycle> settled;
+};
+
+TEST(CycleKernel, ProbesDueAtACycleShareOneSettle)
+{
+    // Two probes due at 4, one at 6: the components settle once per
+    // cycle with a probe due, before the first probe there runs, and
+    // once more at the cycle-cap exit.
+    CycleKernel kernel;
+    SettleWitness comp;
+    kernel.attach(&comp);
+    std::vector<std::size_t> seen;
+    for (const Cycle first : {Cycle{4}, Cycle{4}, Cycle{6}}) {
+        kernel.attachProbe(first, [&](Cycle) {
+            seen.push_back(comp.settled.size());
+            return kCycleNever;
+        });
+    }
+    kernel.run(9);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{1, 1, 2}));
+    EXPECT_EQ(comp.settled, (std::vector<Cycle>{5, 7, 9}));
 }
 
 TEST(CycleKernel, ProbesFireInRegistrationOrder)
@@ -142,13 +200,13 @@ TEST(CycleKernel, ProbesFireInRegistrationOrder)
     kernel.attach(&comp);
 
     std::vector<int> order;
-    kernel.attachProbe(2, 100, [&](Cycle) {
+    kernel.attachProbe(2, [&](Cycle c) {
         order.push_back(1);
-        return true;
+        return c + 100;
     });
-    kernel.attachProbe(2, 100, [&](Cycle) {
+    kernel.attachProbe(2, [&](Cycle c) {
         order.push_back(2);
-        return true;
+        return c + 100;
     });
 
     kernel.run(1000);
@@ -164,9 +222,9 @@ TEST(CycleKernel, ProbesSeeTheFinalCycle)
     kernel.attach(&comp);
 
     std::vector<Cycle> fired;
-    kernel.attachProbe(9, 100, [&](Cycle c) {
+    kernel.attachProbe(9, [&](Cycle c) {
         fired.push_back(c);
-        return true;
+        return c + 100;
     });
 
     kernel.run(1000);
@@ -179,9 +237,9 @@ TEST(CycleKernel, StopRequestInterrupts)
     CycleKernel kernel;
     CountedComponent never(~Cycle{0});
     kernel.attach(&never);
-    kernel.attachProbe(10, 10, [&](Cycle) {
+    kernel.attachProbe(10, [&](Cycle c) {
         check::requestStop();
-        return true;
+        return c + 10;
     });
 
     const CycleKernel::Outcome out = kernel.run(100000);
@@ -197,9 +255,9 @@ TEST(CycleKernel, CurrentCycleTracksTheLoop)
     kernel.attach(&comp);
 
     Cycle seen = ~Cycle{0};
-    kernel.attachProbe(4, 100, [&](Cycle) {
+    kernel.attachProbe(4, [&](Cycle c) {
         seen = kernel.currentCycle();
-        return true;
+        return c + 100;
     });
 
     kernel.run(1000);

@@ -96,13 +96,13 @@ TEST(FlushOnce, EarlyStopEmitsFinalSampleExactlyOnce)
 
     CycleKernel kernel;
     kernel.attach(&spinner);
-    kernel.attachProbe(10, 10, [&](Cycle cycle) {
+    kernel.attachProbe(10, [&](Cycle cycle) {
         sampler.tick(cycle, work.value());
-        return true;
+        return cycle + 10;
     });
-    kernel.attachProbe(25, 1, [](Cycle) {
+    kernel.attachProbe(25, [](Cycle) {
         check::requestStop();
-        return false;
+        return kCycleNever;
     });
     const CycleKernel::Outcome out_c = kernel.run(1000);
     EXPECT_EQ(out_c.stop, CycleKernel::Stop::Interrupted);

@@ -25,6 +25,7 @@
 #include "exp/journal.hh"
 #include "hand_trace.hh"
 #include "model/params.hh"
+#include "run_util.hh"
 #include "sim/system.hh"
 #include "trace/trace_io.hh"
 
@@ -34,12 +35,6 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 20031;
-
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
 
 /** FNV-1a of the file at @p path, in hex; the file is removed. */
 std::string
@@ -64,7 +59,7 @@ fileDigest(const std::string &path)
 std::string
 checkpointDigest(const SystemParams &base, std::size_t instrs, Cycle at)
 {
-    const std::string path = tempPath("pinned.ckpt");
+    const std::string path = testutil::tempPath("pinned.ckpt");
     SystemParams sp = base;
     sp.warmupInstrs = instrs / 5;
     sp.checkpoint.atCycle = at;
@@ -83,13 +78,13 @@ checkpointDigest(const SystemParams &base, std::size_t instrs, Cycle at)
 TEST(ImageBytes, UpCheckpoint)
 {
     EXPECT_EQ(checkpointDigest(sparc64vBase(1).sys, 20000, 100000),
-              "0x440103cce36e37bf");
+              "0xfcb47fbb70937e23");
 }
 
 TEST(ImageBytes, Smp4Checkpoint)
 {
     EXPECT_EQ(checkpointDigest(sparc64vBase(4).sys, 5000, 50000),
-              "0xde52e804b3c04b91");
+              "0xb1e0c7a082c59efb");
 }
 
 TEST(ImageBytes, TwoEntryJournal)
@@ -116,14 +111,14 @@ TEST(ImageBytes, TwoEntryJournal)
         e.metrics["bus_util"] = 0.75;
         e.metrics["mispredict"] = 5e-324;
     }
-    const std::string path = tempPath("pinned.journal");
+    const std::string path = testutil::tempPath("pinned.journal");
     ASSERT_TRUE(exp::writeJournal(path, entries));
     EXPECT_EQ(fileDigest(path), "0x23352ba559d17671");
 }
 
 TEST(ImageBytes, HandTraceFile)
 {
-    const std::string path = tempPath("pinned.s64vtrc");
+    const std::string path = testutil::tempPath("pinned.s64vtrc");
     writeTraceFile(path, testutil::handTrace(kSeed, 2000, 0));
     EXPECT_EQ(fileDigest(path), "0x15bca17a98f58cb4");
 }

@@ -22,6 +22,7 @@
 #include "hand_trace.hh"
 #include "model/params.hh"
 #include "obs/stats_export.hh"
+#include "run_util.hh"
 #include "sim/system.hh"
 
 namespace s64v
@@ -40,25 +41,6 @@ hex(std::uint64_t v)
     return buf;
 }
 
-/** Times every visited cycle and counts the kernel's calls. */
-class VisitCounter final : public TickProfiler
-{
-  public:
-    bool sampleCycle(Cycle) override
-    {
-        ++visits;
-        return true;
-    }
-    void recordTick(const Clocked &, std::uint64_t) override { ++ticks; }
-    void recordProbes(std::uint64_t) override { ++probePasses; }
-    void recordElided(std::uint64_t cycles) override { elided += cycles; }
-
-    std::uint64_t visits = 0;
-    std::uint64_t ticks = 0;
-    std::uint64_t probePasses = 0;
-    std::uint64_t elided = 0;
-};
-
 /**
  * Digest of the stats JSON of one hand-traced run of @p base,
  * optionally timed by @p profiler; @p inspect, if given, walks the
@@ -66,7 +48,8 @@ class VisitCounter final : public TickProfiler
  */
 std::string
 statsDigest(const SystemParams &base, std::size_t instrs,
-            bool skip_ahead, VisitCounter *profiler = nullptr,
+            bool skip_ahead,
+            testutil::VisitRecorder *profiler = nullptr,
             stats::Visitor *inspect = nullptr)
 {
     SystemParams sp = base;
@@ -84,10 +67,10 @@ statsDigest(const SystemParams &base, std::size_t instrs,
     if (profiler) {
         // The run covers cycles 0..currentCycle(), each one visited or
         // elided, and every visit ends with one probe pass.
-        EXPECT_EQ(profiler->visits + profiler->elided,
+        EXPECT_EQ(profiler->visits.size() + profiler->elided,
                   sys.currentCycle() + 1);
         EXPECT_EQ(profiler->elided, res.elidedCycles);
-        EXPECT_EQ(profiler->probePasses, profiler->visits);
+        EXPECT_EQ(profiler->probePasses, profiler->visits.size());
         EXPECT_GT(profiler->ticks, 0u);
     }
     if (inspect)
@@ -198,14 +181,14 @@ TEST(SameBytes, FewMshrsFastEngine)
 
 TEST(SameBytes, UpFastEngineProfiled)
 {
-    VisitCounter profiler;
+    testutil::VisitRecorder profiler;
     EXPECT_EQ(statsDigest(sparc64vBase(1).sys, kUpInstrs, true, &profiler),
               kUpDigest);
 }
 
 TEST(SameBytes, Smp4FastEngineProfiled)
 {
-    VisitCounter profiler;
+    testutil::VisitRecorder profiler;
     EXPECT_EQ(statsDigest(sparc64vBase(4).sys, kSmpInstrs, true, &profiler),
               kSmp4Digest);
 }

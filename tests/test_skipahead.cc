@@ -3,9 +3,9 @@
  * Skip-ahead kernel tests (sim/clocked.hh, SystemParams::skipAhead):
  * the fast engine — skip-ahead with quiescence memoization, idle
  * components left unticked and stage gating — must be an invisible
- * optimization. At the kernel level: probes fire at exactly their
- * registered cycles, a probe registered at the cycle cap fires in
- * neither mode, a scheduled probe's named cycle bounds the jump, a
+ * optimization. At the kernel level: probes fire at exactly the
+ * cycles they name, a probe named at the cycle cap fires in neither
+ * mode, the fast engine visits the named cycles and no others, a
  * machine that drains inside a skipped window still exits Drained at
  * the reference cycle, the memo asks a component only after it
  * ticked, and every settle names the same cycle for each component
@@ -37,17 +37,14 @@
 #include "workload/workloads.hh"
 
 #include "hand_trace.hh"
+#include "run_util.hh"
 
 namespace s64v
 {
 namespace
 {
 
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using namespace testutil;
 
 // --- Kernel-level: probe alignment under skip-ahead ---------------
 
@@ -114,9 +111,9 @@ TEST(SkipAheadKernel, ProbesFireAtExactRegisteredCycles)
         StridedComponent comp(97, 1000);
         kernel.attach(&comp);
         std::vector<Cycle> &fired = skip ? skip_fired : plain_fired;
-        kernel.attachProbe(13, 50, [&](Cycle c) {
+        kernel.attachProbe(13, [&](Cycle c) {
             fired.push_back(c);
-            return true;
+            return c + 50;
         });
         const CycleKernel::Outcome out = kernel.run(100000);
         EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
@@ -138,13 +135,13 @@ TEST(SkipAheadKernel, ProbeAtTheCycleCapFiresInNeitherMode)
         StridedComponent comp(97, kCycleNever);
         kernel.attach(&comp);
         std::vector<Cycle> at_cap, before_cap;
-        kernel.attachProbe(kCap, 1000, [&](Cycle c) {
+        kernel.attachProbe(kCap, [&](Cycle c) {
             at_cap.push_back(c);
-            return true;
+            return c + 1000;
         });
-        kernel.attachProbe(kCap - 1, 1000, [&](Cycle c) {
+        kernel.attachProbe(kCap - 1, [&](Cycle c) {
             before_cap.push_back(c);
-            return true;
+            return c + 1000;
         });
         const CycleKernel::Outcome out = kernel.run(kCap);
         EXPECT_EQ(out.stop, CycleKernel::Stop::CycleCap);
@@ -156,32 +153,33 @@ TEST(SkipAheadKernel, ProbeAtTheCycleCapFiresInNeitherMode)
     }
 }
 
-TEST(SkipAheadKernel, ScheduledProbeBoundsTheJump)
+TEST(SkipAheadKernel, ProbeBoundsTheJump)
 {
-    // A watchdog-shaped scheduled probe: it names the cycle 100 past
-    // each run, except that at 200 it names 330 and polls until a
-    // run at or after 260. With a fully quiescent machine the kernel
-    // visits exactly the named cycles plus a periodic probe's 250,
-    // 260 and 270: it never jumps past a named cycle, the polled runs
-    // see the visits at 250 and 260, and polling ends before 270.
+    // A watchdog-shaped probe names the cycle 100 past each run,
+    // except that at 200 it names 330; a second one runs at 250, 260
+    // and 270, then detaches. With a fully quiescent machine the
+    // kernel visits exactly the named cycles: it never jumps past
+    // one, and a probe runs only at the cycles it named.
     CycleKernel kernel;
     kernel.setSkipAhead(true);
     QuiescentComponent comp;
     kernel.attach(&comp);
+    VisitRecorder recorder;
+    kernel.attachProfiler(&recorder);
     std::vector<Cycle> seen;
-    kernel.attachScheduledProbe(0, [&](Cycle c) {
+    kernel.attachProbe(0, [&](Cycle c) {
         seen.push_back(c);
-        if (c >= 200 && c < 330)
-            return ProbeNext{330, c < 260};
-        return ProbeNext{c + 100, false};
+        return c == 200 ? Cycle{330} : c + 100;
     });
-    kernel.attachProbe(250, 10, [](Cycle c) { return c < 270; });
+    kernel.attachProbe(250, [](Cycle c) {
+        return c < 270 ? c + 10 : kCycleNever;
+    });
     const CycleKernel::Outcome out = kernel.run(450);
     EXPECT_EQ(out.stop, CycleKernel::Stop::CycleCap);
-    EXPECT_EQ(seen, (std::vector<Cycle>{0, 100, 200, 250, 260, 330,
-                                        430}));
-    // Every visit but 270 ran the scheduled probe.
-    EXPECT_EQ(kernel.elidedCycles(), 450u - seen.size() - 1);
+    EXPECT_EQ(seen, (std::vector<Cycle>{0, 100, 200, 330, 430}));
+    EXPECT_EQ(recorder.visits,
+              (std::vector<Cycle>{0, 100, 200, 250, 260, 270, 330, 430}));
+    EXPECT_EQ(kernel.elidedCycles(), 450u - recorder.visits.size());
 }
 
 TEST(SkipAheadKernel, DrainInsideASkippedWindowExitsAtTheSameCycle)
@@ -212,14 +210,11 @@ runCountingVisits(StridedComponent &busy, StridedComponent &idle)
     kernel.setSkipAhead(true);
     kernel.attach(&busy);
     kernel.attach(&idle);
-    std::uint64_t visits = 0;
-    kernel.attachScheduledProbe(0, [&](Cycle) {
-        ++visits;
-        return ProbeNext{kCycleNever, true};
-    });
+    VisitRecorder recorder;
+    kernel.attachProfiler(&recorder);
     const CycleKernel::Outcome out = kernel.run(100000);
     EXPECT_EQ(out.stop, CycleKernel::Stop::Drained);
-    return visits;
+    return recorder.visits.size();
 }
 
 TEST(CycleKernelMemo, MemoizedRunIsIdenticalAndSkipsIdleScans)
@@ -294,22 +289,19 @@ TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
     for (bool skip : {false, true}) {
         SCOPED_TRACE(skip ? "fast engine" : "plain loop");
 
-        // (a) A periodic probe at 50, 150, 250 and 350 settles both
-        // components through the next cycle, the idle one too, which
-        // the fast engine ticks only at cycle 0. (b) The
-        // busy one last works at 388 before the cap: the fast engine
-        // skips from 389 to the cap and settles both through it.
+        // (a) A probe at 50, 150, 250 and 350 settles both components
+        // through the next cycle, the idle one too, which the fast
+        // engine ticks only at cycle 0. (b) The busy one last works
+        // at 388 before the cap: the fast engine skips from 389 to
+        // the cap and settles both through it.
         CycleKernel kernel;
         kernel.setSkipAhead(skip);
         StridedComponent busy(97, kCycleNever), idle(1000, kCycleNever);
         kernel.attach(&busy);
         kernel.attach(&idle);
-        kernel.attachProbe(50, 100, [](Cycle) { return true; });
-        std::vector<Cycle> visits;
-        kernel.attachScheduledProbe(0, [&](Cycle c) {
-            visits.push_back(c);
-            return ProbeNext{kCycleNever, true};
-        });
+        kernel.attachProbe(50, [](Cycle c) { return c + 100; });
+        VisitRecorder recorder;
+        kernel.attachProfiler(&recorder);
         const CycleKernel::Outcome out = kernel.run(430);
         EXPECT_EQ(out.stop, CycleKernel::Stop::CycleCap);
         EXPECT_EQ(out.cycle, 430u);
@@ -317,8 +309,8 @@ TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
         EXPECT_EQ(busy.settled, through);
         EXPECT_EQ(idle.settled, through);
         EXPECT_EQ(idle.ticks, skip ? 1u : 430u);
-        ASSERT_FALSE(visits.empty());
-        EXPECT_EQ(visits.back(), skip ? 388u : 429u);
+        ASSERT_FALSE(recorder.visits.empty());
+        EXPECT_EQ(recorder.visits.back(), skip ? 388u : 429u);
 
         // (c) The second of three components panics in its tick at
         // 60. A settle from the catch, as the crash hook's salvage
@@ -351,41 +343,12 @@ TEST(CycleKernel, SettleNamesTheCycleEachComponentIsAccountedThrough)
 
 // --- System-level: bit-identity of the full model -----------------
 
-std::vector<InstrTrace>
-makeTraces(const WorkloadProfile &profile, unsigned num_cpus,
-           std::size_t instrs)
-{
-    TraceGenerator gen(profile, num_cpus);
-    std::vector<InstrTrace> traces;
-    for (unsigned cpu = 0; cpu < num_cpus; ++cpu)
-        traces.push_back(gen.generate(instrs, cpu));
-    return traces;
-}
-
-void
-attachAll(System &sys, const std::vector<InstrTrace> &traces)
-{
-    for (CpuId cpu = 0; cpu < traces.size(); ++cpu)
-        sys.attachTrace(cpu, traces[cpu]);
-}
-
-struct RunOutcome
-{
-    SimResult res;
-    std::string json; ///< the stats JSON document, run block included.
-};
-
 RunOutcome
 runMode(SystemParams sp, const std::vector<InstrTrace> &traces,
         bool skip)
 {
     sp.skipAhead = skip;
-    System sys(sp);
-    attachAll(sys, traces);
-    RunOutcome out;
-    out.res = sys.run();
-    out.json = obs::exportStatsJson(sys.root(), &out.res);
-    return out;
+    return runFull(sp, traces);
 }
 
 void
@@ -707,39 +670,6 @@ TEST(StageWake, ForwardedLoadWakesDispatch)
 }
 
 // --- Checkpoint cut inside an elided stall window -----------------
-
-/**
- * Checkpoint-stop a skip-ahead run at @p at, restore a fresh system
- * and finish it, returning the resumed outcome plus the total cycles
- * the two legs elided.
- */
-RunOutcome
-runThroughCheckpoint(const SystemParams &sp,
-                     const std::vector<InstrTrace> &traces, Cycle at,
-                     const std::string &path,
-                     std::uint64_t *legs_elided)
-{
-    *legs_elided = 0;
-    {
-        SystemParams cp = sp;
-        cp.checkpoint.atCycle = at;
-        cp.checkpoint.path = path;
-        cp.checkpoint.stopAfter = true;
-        System sys(cp);
-        attachAll(sys, traces);
-        const SimResult first = sys.run();
-        EXPECT_TRUE(first.stoppedAtCheckpoint);
-        *legs_elided += first.elidedCycles;
-    }
-    System sys(sp);
-    attachAll(sys, traces);
-    ckpt::restoreSystemCheckpoint(sys, path);
-    RunOutcome out;
-    out.res = sys.run();
-    out.json = obs::exportStatsJson(sys.root(), &out.res);
-    *legs_elided += out.res.elidedCycles;
-    return out;
-}
 
 void
 expectElidedWindowCutRestores(const WorkloadProfile &profile,

@@ -36,17 +36,14 @@
 #include "workload/workloads.hh"
 
 #include "address_space_cap.hh"
+#include "run_util.hh"
 
 namespace s64v
 {
 namespace
 {
 
-std::string
-tempPath(const char *name)
-{
-    return std::string(::testing::TempDir()) + name;
-}
+using namespace testutil;
 
 // --- Snapshot container -------------------------------------------
 
@@ -402,71 +399,6 @@ TEST(Snapshot, EveryTruncationIsRejectedCleanly)
 
 // --- Whole-system checkpoint/restore ------------------------------
 
-std::vector<InstrTrace>
-makeTraces(const WorkloadProfile &profile, unsigned num_cpus,
-           std::size_t instrs)
-{
-    TraceGenerator gen(profile, num_cpus);
-    std::vector<InstrTrace> traces;
-    for (unsigned cpu = 0; cpu < num_cpus; ++cpu)
-        traces.push_back(gen.generate(instrs, cpu));
-    return traces;
-}
-
-void
-attachAll(System &sys, const std::vector<InstrTrace> &traces)
-{
-    for (CpuId cpu = 0; cpu < traces.size(); ++cpu)
-        sys.attachTrace(cpu, traces[cpu]);
-}
-
-struct RunOutcome
-{
-    SimResult res;
-    std::string stats; ///< the stats JSON document.
-};
-
-RunOutcome
-runFull(const SystemParams &sp, const std::vector<InstrTrace> &traces)
-{
-    System sys(sp);
-    attachAll(sys, traces);
-    RunOutcome out;
-    out.res = sys.run();
-    out.stats = obs::exportStatsJson(sys.root());
-    return out;
-}
-
-/**
- * Run with a stop-at-checkpoint at @p at, then restore a fresh System
- * from the file and run it to completion — the interrupted path whose
- * outcome must be indistinguishable from runFull()'s.
- */
-RunOutcome
-runThroughCheckpoint(const SystemParams &sp,
-                     const std::vector<InstrTrace> &traces, Cycle at,
-                     const std::string &path)
-{
-    {
-        SystemParams cp = sp;
-        cp.checkpoint.atCycle = at;
-        cp.checkpoint.path = path;
-        cp.checkpoint.stopAfter = true;
-        System sys(cp);
-        attachAll(sys, traces);
-        const SimResult first = sys.run();
-        EXPECT_TRUE(first.stoppedAtCheckpoint);
-        EXPECT_FALSE(first.hitCycleCap);
-    }
-    System sys(sp);
-    attachAll(sys, traces);
-    ckpt::restoreSystemCheckpoint(sys, path);
-    RunOutcome out;
-    out.res = sys.run();
-    out.stats = obs::exportStatsJson(sys.root());
-    return out;
-}
-
 TEST(Checkpoint, UpSpecRestoreIsBitIdentical)
 {
     constexpr std::size_t kInstrs = 20000;
@@ -786,6 +718,43 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
     const std::size_t first_entry = good.windowAt + kEntriesAt;
     const std::size_t first_entry1rs = good1rs.windowAt + kEntriesAt;
 
+    // Past the window, Core::checkpoint writes each of the six
+    // stations' seqs (a count, then the seqs), the seven execute
+    // pipelines (their count; each its busy cycle and a count of seq
+    // and start pairs), the scoreboard's 128 producers and the
+    // pending stores' seqs (a count, then the seqs).
+    constexpr std::uint64_t kForeignSeq = 999999;
+    constexpr std::size_t kSeqAt = 24;
+    const std::uint64_t load_seq =
+        peek<std::uint64_t>(good.bytes, first_load + kSeqAt);
+    std::size_t at_rs = first_entry + entries(good) * kEntry;
+    std::size_t first_station_seq = 0;
+    for (unsigned i = 0; i < kNumRs; ++i) {
+        const std::uint64_t n = peek<std::uint64_t>(good.bytes, at_rs);
+        if (n != 0 && first_station_seq == 0)
+            first_station_seq = at_rs + 8;
+        at_rs += 8 + n * 8;
+    }
+    ASSERT_NE(first_station_seq, 0u) << "every station empty at the cut";
+    const std::size_t units_at = at_rs;
+    ASSERT_EQ(peek<std::uint32_t>(good.bytes, units_at), 7u);
+    std::size_t at_units = units_at + 4;
+    for (unsigned u = 0; u < 7; ++u)
+        at_units += 16 + peek<std::uint64_t>(good.bytes, at_units + 8) * 16;
+    const std::size_t stores_at = at_units + 128 * 8;
+    // Prepend an element of u64 @p fields to the list whose count
+    // sits at @p count_at.
+    const auto prepend = [](std::vector<std::uint8_t> &b,
+                            std::size_t count_at,
+                            const std::vector<std::uint64_t> &fields) {
+        poke<std::uint64_t>(b, count_at,
+                            peek<std::uint64_t>(b, count_at) + 1);
+        std::vector<std::uint8_t> item(8 * fields.size());
+        for (std::size_t i = 0; i < fields.size(); ++i)
+            poke<std::uint64_t>(item, 8 * i, fields[i]);
+        b.insert(b.begin() + count_at + 8, item.begin(), item.end());
+    };
+
     struct Forgery
     {
         const char *what;
@@ -829,6 +798,26 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
              poke<std::int64_t>(b, first_load + kLsqIndexAt, 10000);
          },
          "load/store queue index"},
+        {"station seq 999999", good,
+         [&](std::vector<std::uint8_t> &b) {
+             poke<std::uint64_t>(b, first_station_seq, kForeignSeq);
+         },
+         "reservation-station entry"},
+        {"execute pipeline seq 999999", good,
+         [&](std::vector<std::uint8_t> &b) {
+             prepend(b, units_at + 4 + 8, {kForeignSeq, 0});
+         },
+         "execute pipeline entry"},
+        {"pending store seq 999999", good,
+         [&](std::vector<std::uint8_t> &b) {
+             prepend(b, stores_at, {kForeignSeq});
+         },
+         "pending store"},
+        {"pending store naming a load", good,
+         [&](std::vector<std::uint8_t> &b) {
+             prepend(b, stores_at, {load_seq});
+         },
+         "pending store"},
     };
 
     ScopedThrowOnError guard;
