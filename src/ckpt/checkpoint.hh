@@ -32,7 +32,7 @@ namespace ckpt
  * Layout of a checkpoint's sections, the first value of its "config"
  * section; bumped on any change to the state a checkpoint carries.
  */
-constexpr std::uint32_t kCheckpointLayout = 2;
+constexpr std::uint32_t kCheckpointLayout = 3;
 
 /**
  * Write @p system's full state to @p path (atomic temp-file +

@@ -8,9 +8,7 @@
 #define S64V_COMMON_BITUTIL_HH
 
 #include <bit>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -61,92 +59,6 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
 }
-
-/**
- * A dense fixed-size bit set over 64-bit words, built for the
- * struct-of-arrays hot loops: per-cycle scans over LSQ slots
- * iterate only the set bits via countr_zero instead of branching on
- * every entry. Derived state only — never serialized; owners rebuild
- * their masks from the authoritative per-entry fields on checkpoint
- * restore.
- */
-class DenseBits
-{
-  public:
-    DenseBits() = default;
-    explicit DenseBits(std::size_t n) { resize(n); }
-
-    /** Resize to @p n bits, clearing every bit. */
-    void resize(std::size_t n)
-    {
-        size_ = n;
-        words_.assign((n + 63) / 64, 0);
-    }
-
-    std::size_t size() const { return size_; }
-
-    void set(std::size_t i) { words_[i >> 6] |= bit(i); }
-    void clear(std::size_t i) { words_[i >> 6] &= ~bit(i); }
-    bool test(std::size_t i) const
-    {
-        return (words_[i >> 6] & bit(i)) != 0;
-    }
-
-    /** Clear every bit. */
-    void reset()
-    {
-        for (std::uint64_t &w : words_)
-            w = 0;
-    }
-
-    std::size_t count() const
-    {
-        std::size_t n = 0;
-        for (std::uint64_t w : words_)
-            n += static_cast<std::size_t>(std::popcount(w));
-        return n;
-    }
-
-    /** Index of the lowest clear bit below size(), or -1 when full. */
-    std::int64_t findFirstZero() const
-    {
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-            const std::uint64_t inv = ~words_[wi];
-            if (inv) {
-                const std::size_t i =
-                    wi * 64 +
-                    static_cast<unsigned>(std::countr_zero(inv));
-                return i < size_ ? static_cast<std::int64_t>(i) : -1;
-            }
-        }
-        return -1;
-    }
-
-    /** Invoke @p fn(index) for every set bit, ascending. */
-    template <typename Fn>
-    void forEach(Fn &&fn) const
-    {
-        for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-            std::uint64_t bits = words_[wi];
-            while (bits) {
-                const std::size_t i =
-                    wi * 64 +
-                    static_cast<unsigned>(std::countr_zero(bits));
-                bits &= bits - 1;
-                fn(i);
-            }
-        }
-    }
-
-  private:
-    static constexpr std::uint64_t bit(std::size_t i)
-    {
-        return std::uint64_t{1} << (i & 63);
-    }
-
-    std::size_t size_ = 0;
-    std::vector<std::uint64_t> words_;
-};
 
 } // namespace s64v
 

@@ -186,21 +186,16 @@ Core::replay(WindowEntry &e, Cycle now)
     ++activity_;
 }
 
-RsId
-Core::stationFor(const TraceRecord &rec)
+std::pair<RsId, RsId>
+Core::stationsFor(const TraceRecord &rec) const
 {
     if (rec.isMem())
-        return kRsA;
+        return {kRsA, kRsA};
     if (rec.isBranch())
-        return kRsBr;
-    if (isFpClass(rec.cls)) {
-        if (params_.unifiedRs)
-            return kRsF0;
-        return (rsfToggle_++ & 1) ? kRsF1 : kRsF0;
-    }
-    if (params_.unifiedRs)
-        return kRsE0;
-    return (rseToggle_++ & 1) ? kRsE1 : kRsE0;
+        return {kRsBr, kRsBr};
+    const RsId first = isFpClass(rec.cls) ? kRsF0 : kRsE0;
+    return {first,
+            params_.unifiedRs ? first : static_cast<RsId>(first + 1)};
 }
 
 obs::CommitSlot
@@ -706,11 +701,14 @@ Core::issueStage(Cycle cycle)
         ReservationStation *station = nullptr;
         RsId rsid = kRsA;
         if (rec.cls != InstrClass::Nop) {
-            rsid = stationFor(rec);
-            // issueBlock() found room in the station or, for a dealt
-            // pair, in its sibling (E0/E1 and F0/F1 differ in bit 0).
+            // A dealt pair takes turns; issueBlock() found room in the
+            // station dealt or in its sibling.
+            const auto [first, second] = stationsFor(rec);
+            rsid = first;
+            if (first != second && (dealToggle(first)++ & 1))
+                rsid = second;
             if (rs_[rsid]->full())
-                rsid = static_cast<RsId>(rsid ^ 1);
+                rsid = rsid == first ? second : first;
             station = rs_[rsid].get();
         }
 
@@ -958,31 +956,9 @@ Core::issueBlock() const
         return IssueBlock::SqFull;
     if (rec.cls == InstrClass::Nop)
         return IssueBlock::None;
-    // Station check mirrors stationFor() + the sibling fallback
-    // without advancing the deal toggles: a dealt pair only blocks
-    // when both stations are full.
-    if (rec.isMem()) {
-        return rs_[kRsA]->full() ? IssueBlock::StationFull
-                                 : IssueBlock::None;
-    }
-    if (rec.isBranch()) {
-        return rs_[kRsBr]->full() ? IssueBlock::StationFull
-                                  : IssueBlock::None;
-    }
-    if (isFpClass(rec.cls)) {
-        if (params_.unifiedRs) {
-            return rs_[kRsF0]->full() ? IssueBlock::StationFull
-                                      : IssueBlock::None;
-        }
-        return (rs_[kRsF0]->full() && rs_[kRsF1]->full())
-            ? IssueBlock::StationFull
-            : IssueBlock::None;
-    }
-    if (params_.unifiedRs) {
-        return rs_[kRsE0]->full() ? IssueBlock::StationFull
-                                  : IssueBlock::None;
-    }
-    return (rs_[kRsE0]->full() && rs_[kRsE1]->full())
+    // A dealt pair blocks only when both stations are full.
+    const auto [first, second] = stationsFor(rec);
+    return rs_[first]->full() && rs_[second]->full()
         ? IssueBlock::StationFull
         : IssueBlock::None;
 }
@@ -990,20 +966,6 @@ Core::issueBlock() const
 void
 Core::chargeIssueStalls(IssueBlock block, std::uint64_t cycles)
 {
-    // Split a full-stall run over a dealt station pair exactly as n
-    // consecutive stationFor() calls would: the toggle picks the
-    // noteFullStall target and advances every blocked cycle.
-    auto dealt_stalls = [&](RsId even_rs, RsId odd_rs,
-                            unsigned &toggle) {
-        const std::uint64_t odd =
-            cycles / 2 + ((cycles & 1) && (toggle & 1) ? 1 : 0);
-        if (odd)
-            rs_[odd_rs]->noteFullStall(odd);
-        if (cycles - odd)
-            rs_[even_rs]->noteFullStall(cycles - odd);
-        toggle = static_cast<unsigned>(toggle + cycles);
-    };
-
     switch (block) {
       case IssueBlock::None:
         break; // unreachable under nextWorkCycle(); nothing to do.
@@ -1026,22 +988,22 @@ Core::chargeIssueStalls(IssueBlock block, std::uint64_t cycles)
         lsq_->noteSqFullStall(cycles);
         break;
       case IssueBlock::StationFull: {
-        const TraceRecord &rec = fetch_->front().rec;
-        if (rec.isMem()) {
-            rs_[kRsA]->noteFullStall(cycles);
-        } else if (rec.isBranch()) {
-            rs_[kRsBr]->noteFullStall(cycles);
-        } else if (isFpClass(rec.cls)) {
-            if (params_.unifiedRs)
-                rs_[kRsF0]->noteFullStall(cycles);
-            else
-                dealt_stalls(kRsF0, kRsF1, rsfToggle_);
-        } else {
-            if (params_.unifiedRs)
-                rs_[kRsE0]->noteFullStall(cycles);
-            else
-                dealt_stalls(kRsE0, kRsE1, rseToggle_);
+        const auto [first, second] = stationsFor(fetch_->front().rec);
+        if (first == second) {
+            rs_[first]->noteFullStall(cycles);
+            break;
         }
+        // Split the run over a dealt pair exactly as that many deals
+        // would: the toggle picks the station charged and advances
+        // every blocked cycle.
+        unsigned &toggle = dealToggle(first);
+        const std::uint64_t odd =
+            cycles / 2 + ((cycles & 1) && (toggle & 1) ? 1 : 0);
+        if (odd)
+            rs_[second]->noteFullStall(odd);
+        if (cycles - odd)
+            rs_[first]->noteFullStall(cycles - odd);
+        toggle = static_cast<unsigned>(toggle + cycles);
         break;
       }
     }
@@ -1097,22 +1059,49 @@ Core::checkpoint(ckpt::Archive &ar)
         if (rs)
             rs->checkpoint(ar);
     }
-    // The indices a window entry carries into other structures.
+    // Each window entry's station exists on this machine. The
+    // window's loads are the load queue's entries, and its stores the
+    // store queue's after the committed ones, each in order: an
+    // entry's queue index is its place in its queue.
+    const LsqRing &lq = lsq_->loadQueue();
+    const LsqRing &sq = lsq_->storeQueue();
+    unsigned loads = 0;
+    unsigned stores = 0;
+    for (; stores < sq.count && sq.at(stores).committed; ++stores) {
+        ar.require(sq.at(stores).seq < window_.headSeq() &&
+                       (stores == 0 ||
+                        sq.at(stores - 1).seq < sq.at(stores).seq),
+                   "store queue's committed stores are not older than "
+                   "the window, in order");
+    }
     for (std::uint64_t seq = window_.headSeq(); seq < window_.nextSeq();
          ++seq) {
-        const WindowEntry &e = window_.entry(seq);
+        WindowEntry &e = window_.entry(seq);
         ar.require(e.rsId < kNumRs && rs_[e.rsId],
                    "window entry names a reservation station this "
                    "machine does not have");
-        if (e.rec.isMem()) {
-            const unsigned slots = e.rec.isLoad()
-                ? params_.loadQueueEntries : params_.storeQueueEntries;
-            ar.require(e.lsqIndex >= 0 &&
-                           static_cast<unsigned>(e.lsqIndex) < slots,
-                       "window entry's load/store queue index out of "
-                       "range");
+        std::int32_t index = -1;
+        if (e.rec.isLoad()) {
+            ar.require(loads < lq.count && lq.at(loads).seq == seq,
+                       "load queue does not hold exactly the window's "
+                       "loads");
+            index = static_cast<std::int32_t>(lq.slotOf(loads++));
+        } else if (e.rec.isStore()) {
+            ar.require(stores < sq.count && sq.at(stores).seq == seq,
+                       "store queue does not hold exactly the window's "
+                       "stores");
+            ar.require(!sq.at(stores).committed,
+                       "store queue holds a committed store behind an "
+                       "uncommitted one");
+            index = static_cast<std::int32_t>(sq.slotOf(stores++));
         }
+        if (ar.loading())
+            e.lsqIndex = index;
     }
+    ar.require(loads == lq.count,
+               "load queue does not hold exactly the window's loads");
+    ar.require(stores == sq.count,
+               "store queue does not hold exactly the window's stores");
     ar.fixed32(static_cast<std::uint32_t>(units_.size()),
                "execution-unit count differs");
     for (ExecUnit &u : units_)

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -342,7 +343,16 @@ class Core : public Clocked
                      Cycle cycle);
     void replay(WindowEntry &e, Cycle now);
 
-    RsId stationFor(const TraceRecord &rec);
+    /**
+     * The stations @p rec may enter: one station twice (RSA, RSBR, a
+     * unified RSE or RSF), or a dealt pair (E0/E1, F0/F1), which the
+     * pair's deal toggle, dealToggle(first), takes in turn.
+     */
+    std::pair<RsId, RsId> stationsFor(const TraceRecord &rec) const;
+    unsigned &dealToggle(RsId first)
+    {
+        return first == kRsF0 ? rsfToggle_ : rseToggle_;
+    }
     unsigned forwardDelay() const
     {
         return params_.dataForwarding ? 1 : 3;

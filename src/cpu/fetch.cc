@@ -13,6 +13,7 @@ FetchUnit::FetchUnit(const CoreParams &params, CpuId cpu,
                      BranchPredictor &bpred, MemSystem &mem,
                      stats::Group *parent)
     : params_(params), cpu_(cpu), bpred_(bpred), mem_(mem),
+      ring_(params.fetchQueueEntries),
       statGroup_("fetch", parent),
       groups_(statGroup_.scalar("groups", "fetch groups formed")),
       instrsFetched_(statGroup_.scalar("instrs",
@@ -28,6 +29,9 @@ FetchUnit::FetchUnit(const CoreParams &params, CpuId cpu,
                                           "fetch stalls entered for "
                                           "mispredicted branches"))
 {
+    if (ring_.empty())
+        fatal("fetchQueueEntries is 0: the fetch queue needs at least "
+              "one entry");
 }
 
 void
@@ -61,19 +65,18 @@ FetchUnit::fetchBlockReason(Cycle cycle) const
 void
 FetchUnit::formGroup(Cycle cycle)
 {
-    Group group;
     TraceRecord rec;
     if (!source_->peek(rec))
         return;
 
     const Addr line_base = alignDown(rec.pc, params_.fetchBytes);
-    const unsigned max_instrs = params_.fetchBytes / 4;
-    group.instrs.reserve(max_instrs);
+    const std::size_t first = held_;
+    const std::size_t last = first + params_.fetchBytes / 4;
     Addr prev_pc = rec.pc - 4;
     bool ends_taken = false;
 
-    while (group.instrs.size() < max_instrs && source_->peek(rec)) {
-        if (!group.instrs.empty()) {
+    while (held_ < last && source_->peek(rec)) {
+        if (held_ != first) {
             if (alignDown(rec.pc, params_.fetchBytes) != line_base)
                 break; // crossed the fetch-block boundary.
             if (rec.pc != prev_pc + 4)
@@ -81,7 +84,8 @@ FetchUnit::formGroup(Cycle cycle)
         }
         source_->pop();
 
-        FetchedInstr fi;
+        FetchedInstr &fi = ring_[slotOf(held_++)];
+        fi = FetchedInstr{};
         fi.rec = rec;
         if (rec.isCondBranch()) {
             fi.predictedTaken = bpred_.predict(rec.pc, rec.taken());
@@ -93,7 +97,6 @@ FetchUnit::formGroup(Cycle cycle)
             fi.mispredicted = false;
         }
         prev_pc = rec.pc;
-        group.instrs.push_back(fi);
         ++instrsFetched_;
 
         if (fi.rec.isBranch()) {
@@ -107,22 +110,22 @@ FetchUnit::formGroup(Cycle cycle)
         }
     }
 
-    if (group.instrs.empty())
+    if (held_ == first)
         return;
     ++groups_;
     ++activity_;
-    inflightInstrs_ += group.instrs.size();
 
     // L1I access for the block; the two non-access pipe stages
     // (priority + validate) are added on top of the cache time.
     const AccessResult res = mem_.fetch(cpu_, line_base, cycle);
-    group.availableAt = res.ready + 2;
+    const Cycle lands = res.ready + 2;
+    for (std::size_t i = first; i < held_; ++i)
+        ring_[slotOf(i)].availableAt = lands;
     if (!res.l1Hit || res.tlbMiss) {
         // The stall-attribution window lasts until the group lands.
         // Priority follows the §4.2 differential ladder: an L2 miss
         // dominates the TLB walk dominates the L1I refill.
-        missBlockedUntil_ = std::max(missBlockedUntil_,
-                                     group.availableAt);
+        missBlockedUntil_ = std::max(missBlockedUntil_, lands);
         missBlockReason_ = (!res.l1Hit && !res.l2Hit)
             ? obs::CommitSlot::L2Miss
             : (res.tlbMiss ? obs::CommitSlot::TlbMiss
@@ -140,8 +143,6 @@ FetchUnit::formGroup(Cycle cycle)
         takenBubbleCycles_ += params_.bpred.takenBubbles;
     }
     nextGroupStart_ = std::max(nextGroupStart_, next);
-
-    inflight_.push_back(std::move(group));
 }
 
 void
@@ -150,61 +151,54 @@ FetchUnit::tick(Cycle cycle)
     if (!source_)
         panic("fetch unit has no trace source");
 
-    // Land groups whose fetch pipeline completed.
-    while (!inflight_.empty() &&
-           inflight_.front().availableAt <= cycle) {
-        for (FetchedInstr &fi : inflight_.front().instrs)
-            queue_.push_back(fi);
-        inflightInstrs_ -= inflight_.front().instrs.size();
-        inflight_.pop_front();
+    // Land the in-flight instructions whose group's fetch pipeline
+    // completed, from the front only: a group never passes the one
+    // ahead of it.
+    while (queued_ < held_ &&
+           ring_[slotOf(queued_)].availableAt <= cycle) {
+        ++queued_;
         ++activity_;
     }
     // Once redirected fetch delivers, the squash is recovered from.
-    if (branchRecovery_ && !queue_.empty())
+    if (branchRecovery_ && queued_ != 0)
         branchRecovery_ = false;
 
     // Start at most one new group per cycle.
     if (stalledOnBranch_ || cycle < nextGroupStart_)
         return;
-    if (queue_.size() + inflightInstrs_ + params_.fetchBytes / 4 >
-        params_.fetchQueueEntries)
+    if (held_ + params_.fetchBytes / 4 > ring_.size())
         return;
     formGroup(cycle);
 }
 
-
 void
 FetchUnit::checkpoint(ckpt::Archive &ar)
 {
-    const auto fetched = [&](FetchedInstr &f) {
+    // The held instructions, oldest first: the landed ones, then the
+    // groups in flight. Both counts are bounded by the fetch queue
+    // before an entry is read; a read places the entries from slot 0.
+    std::uint64_t held = held_;
+    std::uint64_t queued = queued_;
+    ar.u64(held);
+    ar.require(held <= ring_.size(),
+               "fetched instructions exceed the fetch queue");
+    ar.u64(queued);
+    ar.require(queued <= held,
+               "landed instructions exceed the fetched ones");
+    if (ar.loading()) {
+        head_ = 0;
+        held_ = held;
+        queued_ = queued;
+    }
+    for (std::size_t i = 0; i < held_; ++i) {
+        FetchedInstr &f = ring_[slotOf(i)];
         ar.bytes(&f.rec, sizeof(f.rec));
         ar.require(recordValid(f.rec), "fetched record has an "
                                        "out-of-range class or register");
+        ar.u64(f.availableAt);
         ar.boolean(f.predictedTaken);
         ar.boolean(f.mispredicted);
-    };
-    // Every count is bounded by the structure's capacity before its
-    // entries are read, and the fetched instructions as they add up:
-    // a group holds at most one fetch block, and queued plus
-    // in-flight instructions fit the fetch queue (a group starts only
-    // when it fits, and is never empty).
-    const std::uint64_t room = params_.fetchQueueEntries;
-    std::uint64_t held = 0;
-    ar.list(
-        inflight_,
-        [&](Group &g) {
-            ar.u64(g.availableAt);
-            ar.list(g.instrs, fetched, params_.fetchBytes / 4,
-                    "fetch group larger than a fetch block");
-            held += g.instrs.size();
-            ar.require(held <= room,
-                       "fetched instructions exceed the fetch queue");
-        },
-        room, "in-flight fetch groups exceed the fetch queue");
-    ar.list(queue_, fetched, room - held,
-            "fetched instructions exceed the fetch queue");
-    if (ar.loading())
-        inflightInstrs_ = held;
+    }
     ar.u64(nextGroupStart_);
     ar.boolean(stalledOnBranch_);
     ar.boolean(branchRecovery_);

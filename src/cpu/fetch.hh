@@ -10,7 +10,6 @@
 #ifndef S64V_CPU_FETCH_HH
 #define S64V_CPU_FETCH_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -30,6 +29,7 @@ namespace ckpt { class Archive; }
 struct FetchedInstr
 {
     TraceRecord rec;
+    Cycle availableAt = 0; ///< the cycle its fetch group lands.
     bool predictedTaken = false;
     bool mispredicted = false;
 };
@@ -45,13 +45,20 @@ class FetchUnit
     /** Attach the instruction trace to replay. */
     void setSource(VectorTraceSource *source);
 
-    /** Advance one cycle: form a group, land arrived groups. */
+    /** Advance one cycle: land arrived groups, form a group. */
     void tick(Cycle cycle);
 
-    bool queueEmpty() const { return queue_.empty(); }
-    std::size_t queueSize() const { return queue_.size(); }
-    const FetchedInstr &front() const { return queue_.front(); }
-    void popFront() { queue_.pop_front(); }
+    /** The landed instructions, oldest first. @{ */
+    bool queueEmpty() const { return queued_ == 0; }
+    std::size_t queueSize() const { return queued_; }
+    const FetchedInstr &front() const { return ring_[head_]; }
+    void popFront()
+    {
+        head_ = slotOf(1);
+        --queued_;
+        --held_;
+    }
+    /** @} */
 
     /**
      * A mispredicted branch resolved at @p resolve_cycle; fetch
@@ -67,7 +74,7 @@ class FetchUnit
      */
     bool exhausted() const
     {
-        if (!queue_.empty() || !inflight_.empty())
+        if (held_ != 0)
             return false;
         TraceRecord dummy;
         return source_ && !source_->peek(dummy);
@@ -93,16 +100,16 @@ class FetchUnit
     Cycle nextWorkCycle(Cycle now) const
     {
         Cycle cand = kCycleNever;
-        // Landing the front group (groups land in order).
-        if (!inflight_.empty()) {
-            const Cycle c = inflight_.front().availableAt;
+        // Landing the oldest in-flight instruction (they land in
+        // order).
+        if (queued_ < held_) {
+            const Cycle c = ring_[slotOf(queued_)].availableAt;
             cand = c < now ? now : c;
         }
         // Starting a new group. Queue room only changes when the core
         // pops, and a branch stall only lifts via redirect().
         if (!stalledOnBranch_ && source_ &&
-            queue_.size() + inflightInstrs_ + params_.fetchBytes / 4 <=
-                params_.fetchQueueEntries &&
+            held_ + params_.fetchBytes / 4 <= ring_.size() &&
             source_->consumed() < source_->size()) {
             const Cycle c = nextGroupStart_ < now ? now : nextGroupStart_;
             if (c < cand)
@@ -137,14 +144,17 @@ class FetchUnit
     void checkpoint(ckpt::Archive &ar);
 
   private:
-    struct Group
-    {
-        Cycle availableAt = 0;
-        std::vector<FetchedInstr> instrs;
-    };
-
-    /** Form one fetch group from the trace; updates stall state. */
+    /** Form one fetch group at the ring's tail; updates stall
+     *  state. */
     void formGroup(Cycle cycle);
+
+    /** Slot of the @p i-th oldest instruction (@p i < the ring's
+     *  size). */
+    std::size_t slotOf(std::size_t i) const
+    {
+        i += head_;
+        return i < ring_.size() ? i : i - ring_.size();
+    }
 
     const CoreParams params_;
     CpuId cpu_;
@@ -152,10 +162,15 @@ class FetchUnit
     MemSystem &mem_;
     VectorTraceSource *source_ = nullptr;
 
-    std::deque<Group> inflight_;
-    /** Instructions in inflight_'s groups (derived, not saved). */
-    std::size_t inflightInstrs_ = 0;
-    std::deque<FetchedInstr> queue_;
+    /**
+     * The fetch queue, a ring of fetchQueueEntries slots. From head_
+     * it holds held_ instructions, oldest first: the queued_ landed
+     * ones, then the groups in flight, which land from the front.
+     */
+    std::vector<FetchedInstr> ring_;
+    std::size_t head_ = 0;
+    std::size_t queued_ = 0;
+    std::size_t held_ = 0;
     Cycle nextGroupStart_ = 0;
     bool stalledOnBranch_ = false;
     /** Squash refill: redirect happened, no group landed since. */

@@ -1,24 +1,71 @@
 #include "cpu/lsq.hh"
 
-#include "ckpt/snapshot.hh"
 #include <algorithm>
+#include <bit>
 
+#include "ckpt/snapshot.hh"
 #include "common/logging.hh"
 
 namespace s64v
 {
 
+namespace
+{
+
+constexpr std::uint64_t
+bit(unsigned slot)
+{
+    return std::uint64_t{1} << slot;
+}
+
+/**
+ * Call @p fn(slot) for each set bit of @p mask in ring order from
+ * @p head, oldest first, while it returns true. @return true if the
+ * walk reached the end.
+ */
+template <typename Fn>
+bool
+walk(std::uint64_t mask, unsigned head, Fn &&fn)
+{
+    const std::uint64_t from_head = ~std::uint64_t{0} << head;
+    for (std::uint64_t m : {mask & from_head, mask & ~from_head}) {
+        for (; m; m &= m - 1) {
+            if (!fn(static_cast<unsigned>(std::countr_zero(m))))
+                return false;
+        }
+    }
+    return true;
+}
+
+/** The slots of a queue of @p n entries; @p param names the size. */
+LsqRing
+ringOf(unsigned n, const char *param)
+{
+    if (n == 0 || n > 64)
+        fatal("%s is %u: a load or store queue holds 1 to 64 entries",
+              param, n);
+    return LsqRing{std::vector<LsqEntry>(n)};
+}
+
+/** Allocate @p q's tail slot to @p seq. @return it, or -1 if full. */
+std::int32_t
+push(LsqRing &q, std::uint64_t seq)
+{
+    if (q.count == q.capacity())
+        return -1;
+    const unsigned slot = q.slotOf(q.count++);
+    q.slots[slot] = LsqEntry{};
+    q.slots[slot].seq = seq;
+    return static_cast<std::int32_t>(slot);
+}
+
+} // namespace
+
 LoadStoreQueue::LoadStoreQueue(const CoreParams &params, CpuId cpu,
                                MemSystem &mem, stats::Group *parent)
     : params_(params), cpu_(cpu), mem_(mem),
-      loads_(params.loadQueueEntries),
-      stores_(params.storeQueueEntries),
-      lqValid_(params.loadQueueEntries),
-      lqReady_(params.loadQueueEntries),
-      sqValid_(params.storeQueueEntries),
-      sqKnown_(params.storeQueueEntries),
-      sqPending_(params.storeQueueEntries),
-      sqOrder_(params.storeQueueEntries),
+      lq_(ringOf(params.loadQueueEntries, "loadQueueEntries")),
+      sq_(ringOf(params.storeQueueEntries, "storeQueueEntries")),
       statGroup_("lsq", parent),
       lqOccupancy_(statGroup_.distribution("lq_occupancy",
                                            "load-queue entries held, "
@@ -61,235 +108,204 @@ LoadStoreQueue::bankOf(Addr addr) const
 std::int32_t
 LoadStoreQueue::allocateLoad(std::uint64_t seq)
 {
-    const std::int64_t i = lqValid_.findFirstZero();
-    if (i < 0)
-        return -1;
-    loads_[i] = LsqEntry{};
-    loads_[i].valid = true;
-    loads_[i].seq = seq;
-    lqValid_.set(static_cast<std::size_t>(i));
-    ++lqCount_;
-    return static_cast<std::int32_t>(i);
+    return push(lq_, seq);
 }
 
 std::int32_t
 LoadStoreQueue::allocateStore(std::uint64_t seq)
 {
-    const std::int64_t i = sqValid_.findFirstZero();
-    if (i < 0)
-        return -1;
-    stores_[i] = LsqEntry{};
-    stores_[i].valid = true;
-    stores_[i].isStore = true;
-    stores_[i].seq = seq;
-    sqValid_.set(static_cast<std::size_t>(i));
-    std::size_t tail = sqHead_ + sqCount_;
-    if (tail >= sqOrder_.size())
-        tail -= sqOrder_.size();
-    sqOrder_[tail] = static_cast<std::int32_t>(i);
-    ++sqCount_;
-    return static_cast<std::int32_t>(i);
+    return push(sq_, seq);
 }
 
 void
 LoadStoreQueue::setAddress(std::int32_t slot, bool is_store, Addr addr,
                            Cycle addr_ready)
 {
-    LsqEntry &e = is_store ? stores_[slot] : loads_[slot];
-    if (!e.valid)
-        panic("setAddress on invalid LSQ slot");
+    LsqRing &q = is_store ? sq_ : lq_;
+    if (!q.holds(slot))
+        panic("setAddress on a free LSQ slot");
+    LsqEntry &e = q.slots[static_cast<unsigned>(slot)];
     e.addr = addr;
     e.addrKnown = true;
     e.addrReady = addr_ready;
     if (is_store)
-        sqKnown_.set(static_cast<std::size_t>(slot));
+        sqKnown_ |= bit(static_cast<unsigned>(slot));
     else if (!e.issued)
-        lqReady_.set(static_cast<std::size_t>(slot));
+        lqReady_ |= bit(static_cast<unsigned>(slot));
 }
 
 void
 LoadStoreQueue::commitStore(std::int32_t slot)
 {
-    LsqEntry &e = stores_[slot];
-    if (!e.valid || !e.addrKnown)
-        panic("committing an invalid or address-less store");
+    // Committed stores lead the ring: the oldest uncommitted store is
+    // the head or follows a committed one.
+    const auto s = static_cast<unsigned>(slot);
+    const unsigned prev = (s == 0 ? sq_.capacity() : s) - 1;
+    if (!sq_.holds(slot) || sq_.slots[s].committed ||
+        (s != sq_.head && !sq_.slots[prev].committed))
+        panic("committing a store that is not the oldest uncommitted "
+              "one");
+    LsqEntry &e = sq_.slots[s];
+    if (!e.addrKnown)
+        panic("committing an address-less store");
     e.committed = true;
     if (!e.issued)
-        sqPending_.set(static_cast<std::size_t>(slot));
+        sqPending_ |= bit(s);
 }
 
 void
 LoadStoreQueue::freeLoad(std::int32_t slot)
 {
-    if (loads_[slot].valid)
-        --lqCount_;
-    loads_[slot].valid = false;
-    lqValid_.clear(static_cast<std::size_t>(slot));
-    lqReady_.clear(static_cast<std::size_t>(slot));
+    if (lq_.count == 0 || static_cast<unsigned>(slot) != lq_.head)
+        panic("freeing a load that is not the oldest");
+    lqReady_ &= ~bit(lq_.head);
+    lq_.head = lq_.slotOf(1);
+    --lq_.count;
 }
 
 Cycle
 LoadStoreQueue::tick(Cycle cycle)
 {
-    // Release completed stores in order (FIFO retirement of the SQ).
-    for (;;) {
-        const std::int32_t head = oldestStore();
-        if (head < 0)
+    // Release completed stores from the head (FIFO retirement).
+    while (sq_.count) {
+        const LsqEntry &e = sq_.slots[sq_.head];
+        if (!e.issued || e.completion > cycle)
             break;
-        LsqEntry &e = stores_[head];
-        if (e.issued && e.completion <= cycle) {
-            e.valid = false;
-            const std::size_t slot = static_cast<std::size_t>(head);
-            sqValid_.clear(slot);
-            sqKnown_.clear(slot);
-            sqPending_.clear(slot);
-            if (++sqHead_ == sqOrder_.size())
-                sqHead_ = 0;
-            --sqCount_;
-            ++activity_;
-        } else {
-            break;
-        }
+        sqKnown_ &= ~bit(sq_.head);
+        sq_.head = sq_.slotOf(1);
+        --sq_.count;
+        ++activity_;
     }
 
-    // Collect issue candidates: committed store writes and loads with
-    // generated addresses, oldest first. The struct-of-arrays masks
-    // pre-filter the flag tests; only the time gate remains per load.
-    std::vector<Candidate> &cands = candScratch_;
-    cands.clear();
-    sqPending_.forEach([&](std::size_t i) {
-        cands.push_back(
-            {&stores_[i], static_cast<std::int32_t>(i), true});
-    });
-    Cycle wake = kCycleNever; // the next load address to arrive.
-    lqReady_.forEach([&](std::size_t i) {
-        const Cycle at = loads_[i].addrReady;
-        if (at <= cycle) {
-            cands.push_back(
-                {&loads_[i], static_cast<std::int32_t>(i), false});
-        } else if (at < wake) {
+    // Loads whose address has arrived, and the next one to arrive.
+    std::uint64_t due = 0;
+    Cycle wake = kCycleNever;
+    for (std::uint64_t m = lqReady_; m; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
+        const Cycle at = lq_.slots[i].addrReady;
+        if (at <= cycle)
+            due |= bit(i);
+        else if (at < wake)
             wake = at;
-        }
-    });
-    std::sort(cands.begin(), cands.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  return a.entry->seq < b.entry->seq;
-              });
+    }
 
+    // Issue candidates oldest first while ports last: committed store
+    // writes, then due loads. A load leaves its queue at commit, so
+    // every committed store is older than every queued load.
     unsigned ports_used = 0;
     unsigned banks_used = 0; // bitmask over <= 32 banks.
-    std::size_t served = 0;  // candidates issued or forwarded.
-    for (const Candidate &c : cands) {
-        if (ports_used >= params_.l1dPorts)
-            break;
-        LsqEntry &e = *c.entry;
+    bool waiting = false;    // a candidate retries next cycle.
+    const auto serve = [&](unsigned slot, bool is_store) {
+        if (ports_used >= params_.l1dPorts) {
+            waiting = true;
+            return false;
+        }
+        LsqEntry &e = is_store ? sq_.slots[slot] : lq_.slots[slot];
         const unsigned bank = bankOf(e.addr);
         if (banks_used & (1u << bank)) {
             // Lower-priority request aborted; retried next cycle.
             ++bankConflicts_;
             ++activity_;
-            continue;
+            waiting = true;
+            return true;
         }
 
-        if (!c.isStore) {
-            // Store-to-load forwarding: youngest older store to the
-            // same doubleword.
-            LsqEntry *fwd = nullptr;
-            sqKnown_.forEach([&](std::size_t si) {
-                LsqEntry &s = stores_[si];
-                if (s.seq >= e.seq)
-                    return;
-                if ((s.addr >> 3) != (e.addr >> 3))
-                    return;
-                if (!fwd || s.seq > fwd->seq)
-                    fwd = &s;
-            });
-            if (fwd) {
-                // Data is produced by the store's source register;
-                // the store entry exists until its write completes,
-                // so data is forwardable once the store could commit.
-                if (fwd->addrReady <= cycle) {
-                    e.issued = true;
-                    lqReady_.clear(static_cast<std::size_t>(c.slot));
-                    e.completion = cycle + 1;
-                    ++storeForwards_;
-                    ++activity_;
-                    completedLoads_.push_back(
-                        {e.seq, c.slot, e.completion, true,
-                         kCycleNever});
-                    banks_used |= 1u << bank;
-                    ++ports_used;
-                    ++served;
-                } else {
-                    ++forwardWaits_;
-                    ++activity_;
-                }
-                continue;
-            }
-            const AccessResult res = mem_.data(cpu_, e.addr, false,
-                                               cycle);
-            e.issued = true;
-            lqReady_.clear(static_cast<std::size_t>(c.slot));
-            e.completion = res.ready;
-            ++loadIssues_;
-            ++activity_;
-            // On a miss, the cancel broadcast reaches the stations
-            // when the (absent) data would have been delivered.
-            const Cycle miss_known = res.l1Hit
-                ? kCycleNever
-                : cycle + mem_.params().l1d.latency + 1;
-            completedLoads_.push_back(
-                {e.seq, c.slot, e.completion, res.l1Hit, miss_known,
-                 res.l2Hit, res.tlbMiss});
-            banks_used |= 1u << bank;
-            ++ports_used;
-            ++served;
-        } else {
+        if (is_store) {
             const AccessResult res = mem_.data(cpu_, e.addr, true,
                                                cycle);
             e.issued = true;
-            sqPending_.clear(static_cast<std::size_t>(c.slot));
+            sqPending_ &= ~bit(slot);
             e.completion = res.ready;
             ++storeIssues_;
-            ++activity_;
-            banks_used |= 1u << bank;
-            ++ports_used;
-            ++served;
+        } else {
+            // Store-to-load forwarding: youngest older store to the
+            // same doubleword.
+            const LsqEntry *fwd = nullptr;
+            walk(sqKnown_, sq_.head, [&](unsigned si) {
+                const LsqEntry &s = sq_.slots[si];
+                if (s.seq >= e.seq)
+                    return false;
+                if ((s.addr >> 3) == (e.addr >> 3))
+                    fwd = &s;
+                return true;
+            });
+            if (fwd && fwd->addrReady > cycle) {
+                // Data is produced by the store's source register;
+                // the store entry exists until its write completes,
+                // so data is forwardable once the store could commit.
+                ++forwardWaits_;
+                ++activity_;
+                waiting = true;
+                return true;
+            }
+            e.issued = true;
+            lqReady_ &= ~bit(slot);
+            if (fwd) {
+                e.completion = cycle + 1;
+                ++storeForwards_;
+                completedLoads_.push_back(
+                    {e.seq, e.completion, true, kCycleNever});
+            } else {
+                const AccessResult res = mem_.data(cpu_, e.addr, false,
+                                                   cycle);
+                e.completion = res.ready;
+                ++loadIssues_;
+                // On a miss, the cancel broadcast reaches the stations
+                // when the (absent) data would have been delivered.
+                const Cycle miss_known = res.l1Hit
+                    ? kCycleNever
+                    : cycle + mem_.params().l1d.latency + 1;
+                completedLoads_.push_back(
+                    {e.seq, e.completion, res.l1Hit, miss_known,
+                     res.l2Hit, res.tlbMiss});
+            }
         }
-    }
+        ++activity_;
+        banks_used |= 1u << bank;
+        ++ports_used;
+        return true;
+    };
+    if (walk(sqPending_, sq_.head,
+             [&](unsigned i) { return serve(i, true); }))
+        walk(due, lq_.head, [&](unsigned i) { return serve(i, false); });
 
     // Candidates left waiting retry next cycle; otherwise the next
     // address to arrive or the head store's write completing.
-    if (served < cands.size())
+    if (waiting)
         return cycle + 1;
-    const std::int32_t head = oldestStore();
-    if (head >= 0 && stores_[head].issued &&
-        stores_[head].completion < wake)
-        wake = std::max(stores_[head].completion, cycle + 1);
+    if (sq_.count) {
+        const LsqEntry &h = sq_.slots[sq_.head];
+        if (h.issued && h.completion < wake)
+            wake = std::max(h.completion, cycle + 1);
+    }
     return wake;
 }
 
 namespace
 {
 
+/** @p q's entries, oldest first; a read places them from slot 0. */
 void
-checkpointEntries(ckpt::Archive &ar, std::vector<LsqEntry> &v,
-                  const char *what)
+checkpointQueue(ckpt::Archive &ar, LsqRing &q, const char *what)
 {
-    ar.fixed64(v.size(), what);
-    for (LsqEntry &e : v) {
+    std::uint64_t n = q.count;
+    ar.u64(n);
+    ar.require(n <= q.capacity(), what);
+    if (ar.loading()) {
+        q.head = 0;
+        q.count = static_cast<unsigned>(n);
+    }
+    for (unsigned i = 0; i < q.count; ++i) {
+        LsqEntry &e = q.slots[q.slotOf(i)];
         ar.u64(e.seq);
         ar.u64(e.addr);
         auto flags = static_cast<std::uint8_t>(
-            (e.valid ? 1 : 0) | (e.isStore ? 2 : 0) |
-            (e.addrKnown ? 4 : 0) | (e.committed ? 8 : 0) |
-            (e.issued ? 16 : 0));
+            (e.addrKnown ? 1 : 0) | (e.committed ? 2 : 0) |
+            (e.issued ? 4 : 0));
         ar.u8(flags);
-        e.valid = (flags & 1) != 0;
-        e.isStore = (flags & 2) != 0;
-        e.addrKnown = (flags & 4) != 0;
-        e.committed = (flags & 8) != 0;
-        e.issued = (flags & 16) != 0;
+        e.addrKnown = (flags & 1) != 0;
+        e.committed = (flags & 2) != 0;
+        e.issued = (flags & 4) != 0;
         ar.u64(e.addrReady);
         ar.u64(e.completion);
     }
@@ -298,52 +314,29 @@ checkpointEntries(ckpt::Archive &ar, std::vector<LsqEntry> &v,
 } // namespace
 
 void
-LoadStoreQueue::rebuildMasks()
-{
-    lqValid_.reset();
-    lqReady_.reset();
-    sqValid_.reset();
-    sqKnown_.reset();
-    sqPending_.reset();
-    for (std::size_t i = 0; i < loads_.size(); ++i) {
-        const LsqEntry &e = loads_[i];
-        if (!e.valid)
-            continue;
-        lqValid_.set(i);
-        if (e.addrKnown && !e.issued)
-            lqReady_.set(i);
-    }
-    std::size_t stores = 0;
-    for (std::size_t i = 0; i < stores_.size(); ++i) {
-        const LsqEntry &e = stores_[i];
-        if (!e.valid)
-            continue;
-        sqValid_.set(i);
-        if (e.addrKnown)
-            sqKnown_.set(i);
-        if (e.committed && !e.issued)
-            sqPending_.set(i);
-        sqOrder_[stores++] = static_cast<std::int32_t>(i);
-    }
-    std::sort(sqOrder_.begin(), sqOrder_.begin() + stores,
-              [&](std::int32_t a, std::int32_t b) {
-                  return stores_[a].seq < stores_[b].seq;
-              });
-    sqHead_ = 0;
-}
-
-void
 LoadStoreQueue::checkpoint(ckpt::Archive &ar)
 {
     // The completed-load list is not state: tick() fills it and the
     // core drains it within the same cycle, so it is empty here.
-    checkpointEntries(ar, loads_, "load-queue capacity differs");
-    checkpointEntries(ar, stores_, "store-queue capacity differs");
-    if (ar.loading()) {
-        rebuildMasks();
-        lqCount_ = lqValid_.count();
-        sqCount_ = sqValid_.count();
-        completedLoads_.clear();
+    checkpointQueue(ar, lq_, "load queue holds more entries than its "
+                             "capacity");
+    checkpointQueue(ar, sq_, "store queue holds more entries than its "
+                             "capacity");
+    if (!ar.loading())
+        return;
+    completedLoads_.clear();
+    lqReady_ = sqKnown_ = sqPending_ = 0;
+    for (unsigned i = 0; i < lq_.count; ++i) {
+        const LsqEntry &e = lq_.slots[i];
+        if (e.addrKnown && !e.issued)
+            lqReady_ |= bit(i);
+    }
+    for (unsigned i = 0; i < sq_.count; ++i) {
+        const LsqEntry &e = sq_.slots[i];
+        if (e.addrKnown)
+            sqKnown_ |= bit(i);
+        if (e.committed && !e.issued)
+            sqPending_ |= bit(i);
     }
 }
 

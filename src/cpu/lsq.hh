@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bitutil.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/core_params.hh"
@@ -24,13 +23,11 @@ namespace s64v
 
 namespace ckpt { class Archive; }
 
-/** One load- or store-queue slot. */
+/** One load- or store-queue entry. */
 struct LsqEntry
 {
     std::uint64_t seq = 0;
     Addr addr = 0;
-    bool valid = false;
-    bool isStore = false;
     bool addrKnown = false;
     bool committed = false; ///< stores: retired, write may issue.
     bool issued = false;    ///< cache access sent (or forwarded).
@@ -38,11 +35,43 @@ struct LsqEntry
     Cycle completion = kCycleNever;
 };
 
+/**
+ * One queue in program order: slots [head, head + count), wrapping,
+ * hold its entries, oldest first. An entry joins at the tail and
+ * leaves from the head.
+ */
+struct LsqRing
+{
+    std::vector<LsqEntry> slots;
+    unsigned head = 0;
+    unsigned count = 0;
+
+    unsigned capacity() const
+    {
+        return static_cast<unsigned>(slots.size());
+    }
+    /** Slot of the @p i-th oldest entry (@p i < capacity()). */
+    unsigned slotOf(unsigned i) const
+    {
+        i += head;
+        return i < capacity() ? i : i - capacity();
+    }
+    /** The @p i-th oldest entry. */
+    const LsqEntry &at(unsigned i) const { return slots[slotOf(i)]; }
+    /** @return true iff @p slot holds an entry. */
+    bool holds(std::int32_t slot) const
+    {
+        if (slot < 0 || static_cast<unsigned>(slot) >= capacity())
+            return false;
+        const unsigned s = static_cast<unsigned>(slot);
+        return (s >= head ? s - head : s + capacity() - head) < count;
+    }
+};
+
 /** A load whose data-return time became known this cycle. */
 struct LoadCompletion
 {
     std::uint64_t seq = 0;
-    std::int32_t slot = 0;
     Cycle completion = 0;
     bool l1Hit = true;
     /** Miss-discovery broadcast time (see WindowEntry::missKnownAt). */
@@ -51,14 +80,20 @@ struct LoadCompletion
     bool tlbMiss = false; ///< translation paid a page walk.
 };
 
-/** The combined load/store queue machinery. */
+/**
+ * The combined load/store queue machinery. Each queue is a ring in
+ * program order: a load leaves at commit, a store when its write
+ * completes. Queue sizes run from 1 to 64 entries, so each scan the
+ * tick runs is one 64-bit mask walked from its ring's head.
+ */
 class LoadStoreQueue
 {
   public:
     LoadStoreQueue(const CoreParams &params, CpuId cpu,
                    MemSystem &mem, stats::Group *parent);
 
-    /** Allocate a slot at issue. @return slot index or -1 if full. */
+    /** Allocate the tail slot at issue. @return the slot or -1 if
+     *  full. */
     std::int32_t allocateLoad(std::uint64_t seq);
     std::int32_t allocateStore(std::uint64_t seq);
 
@@ -66,10 +101,11 @@ class LoadStoreQueue
     void setAddress(std::int32_t slot, bool is_store, Addr addr,
                     Cycle addr_ready);
 
-    /** Mark a store retired; its write may now issue. */
+    /** Mark the oldest uncommitted store retired; its write may now
+     *  issue. */
     void commitStore(std::int32_t slot);
 
-    /** Release a load slot at commit. */
+    /** Release the oldest load at its commit. */
     void freeLoad(std::int32_t slot);
 
     /**
@@ -91,16 +127,21 @@ class LoadStoreQueue
         return completedLoads_;
     }
 
-    bool lqFull() const { return lqCount_ >= loads_.size(); }
-    bool sqFull() const { return sqCount_ >= stores_.size(); }
-    bool sqEmpty() const { return sqCount_ == 0; }
-    bool drained() const { return lqCount_ == 0 && sqCount_ == 0; }
+    bool lqFull() const { return lq_.count == lq_.capacity(); }
+    bool sqFull() const { return sq_.count == sq_.capacity(); }
+    bool sqEmpty() const { return sq_.count == 0; }
+    bool drained() const { return lq_.count == 0 && sq_.count == 0; }
 
     /** Occupancy snapshot (invariant auditor / crash report). @{ */
-    std::size_t lqSize() const { return lqCount_; }
-    std::size_t sqSize() const { return sqCount_; }
-    std::size_t lqCapacity() const { return loads_.size(); }
-    std::size_t sqCapacity() const { return stores_.size(); }
+    std::size_t lqSize() const { return lq_.count; }
+    std::size_t sqSize() const { return sq_.count; }
+    std::size_t lqCapacity() const { return lq_.capacity(); }
+    std::size_t sqCapacity() const { return sq_.capacity(); }
+    /** @} */
+
+    /** The queues, for the restore's checks against the window. @{ */
+    const LsqRing &loadQueue() const { return lq_; }
+    const LsqRing &storeQueue() const { return sq_; }
     /** @} */
 
     /** Issue-stall accounting hooks. @{ */
@@ -138,74 +179,35 @@ class LoadStoreQueue
         return storeForwards_.value();
     }
 
-    /** Write or read mutable state (checkpoint/restore). */
+    /**
+     * Write or read mutable state (checkpoint/restore): each queue's
+     * entries, oldest first. A read places them from slot 0.
+     */
     void checkpoint(ckpt::Archive &ar);
 
   private:
     unsigned bankOf(Addr addr) const;
 
-    /** Oldest valid store, or -1: the head of the store ring. */
-    std::int32_t oldestStore() const
-    {
-        return sqCount_ ? sqOrder_[sqHead_] : -1;
-    }
-
-    /** An issue candidate collected by tick()'s arbitration pass. */
-    struct Candidate
-    {
-        LsqEntry *entry;
-        std::int32_t slot;
-        bool isStore;
-    };
-
     const CoreParams params_;
     CpuId cpu_;
     MemSystem &mem_;
 
-    /**
-     * tick()'s candidate scratch, hoisted out of the per-cycle path:
-     * a local vector re-allocates on every cycle that has at least
-     * one issue candidate, which is most busy cycles.
-     */
-    std::vector<Candidate> candScratch_;
-
     std::uint64_t activity_ = 0; ///< see activity().
 
-    std::vector<LsqEntry> loads_;
-    std::vector<LsqEntry> stores_;
+    LsqRing lq_;
+    LsqRing sq_;
     std::vector<LoadCompletion> completedLoads_;
-    /** Valid-entry counts, maintained flat so the hot-loop occupancy
-     *  checks stop rescanning the queues. */
-    std::size_t lqCount_ = 0;
-    std::size_t sqCount_ = 0;
 
     /**
-     * Struct-of-arrays indices over the queue slots, maintained at
-     * every flag transition so the per-cycle scans (candidate
-     * collection, FIFO release, forwarding, nextWorkCycle) iterate
-     * set bits instead of branching per entry. Derived state —
-     * rebuilt from the entry flags on restore, never serialized. @{
+     * One bit per slot for each scan tick() runs, kept at every flag
+     * transition so a scan walks set bits instead of testing every
+     * entry. Derived state: rebuilt from the entries on restore,
+     * never serialized. @{
      */
-    DenseBits lqValid_;   ///< valid load slots.
-    DenseBits lqReady_;   ///< valid && addrKnown && !issued loads.
-    DenseBits sqValid_;   ///< valid store slots.
-    DenseBits sqKnown_;   ///< valid && addrKnown stores (forwarding).
-    DenseBits sqPending_; ///< valid && committed && !issued stores.
+    std::uint64_t lqReady_ = 0;   ///< addrKnown && !issued loads.
+    std::uint64_t sqKnown_ = 0;   ///< addrKnown stores (forwarding).
+    std::uint64_t sqPending_ = 0; ///< committed && !issued stores.
     /** @} */
-
-    /**
-     * Ring of the sqCount_ valid store slots in program order, oldest
-     * at sqHead_. Stores are allocated at issue, in order, and
-     * released FIFO, so the ring only ever pushes at the tail and
-     * pops at the head. Derived state like the masks: rebuilt on
-     * restore, never serialized.
-     */
-    std::vector<std::int32_t> sqOrder_;
-    std::size_t sqHead_ = 0;
-
-    /** Rebuild every mask and the store ring from the entries
-     *  (restore path). */
-    void rebuildMasks();
 
     stats::Group statGroup_;
     stats::Distribution &lqOccupancy_;

@@ -91,10 +91,8 @@ checkpointEntry(ckpt::Archive &ar, WindowEntry &e)
     e.missedL1 = (flags & 16) != 0;
     e.missedL2 = (flags & 32) != 0;
     e.missedTlb = (flags & 64) != 0;
-    // A signed index travels as a 64-bit two's complement value.
-    auto lsq = static_cast<std::uint64_t>(std::int64_t{e.lsqIndex});
-    ar.u64(lsq);
-    e.lsqIndex = static_cast<std::int32_t>(lsq);
+    // The load/store queue index is not carried: Core::checkpoint
+    // derives it from the entry's place in its queue.
     ar.u8(e.rsId);
     ar.u8(e.replays);
 }

@@ -66,7 +66,7 @@ struct WindowEntry
 
     bool usesIntRename = false;
     bool usesFpRename = false;
-    std::int32_t lsqIndex = -1; ///< LQ/SQ slot, or -1.
+    std::int32_t lsqIndex = -1; ///< LQ/SQ slot, or -1 (not saved).
     std::uint8_t rsId = 0;      ///< owning reservation station.
     std::uint8_t replays = 0;
 

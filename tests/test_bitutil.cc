@@ -1,7 +1,5 @@
 #include "common/bitutil.hh"
 
-#include <vector>
-
 #include <gtest/gtest.h>
 
 namespace s64v
@@ -52,57 +50,6 @@ TEST(BitUtil, Mix64IsDeterministicAndSpreads)
     EXPECT_NE(mix64(42), mix64(43));
     // Low bits should differ even for adjacent inputs.
     EXPECT_NE(mix64(100) & 0xffff, mix64(101) & 0xffff);
-}
-
-// --- DenseBits: the SoA scan mask ---------------------------------
-
-TEST(DenseBitsSoA, SetClearCountAcrossWordBoundaries)
-{
-    DenseBits bits;
-    bits.resize(130); // three words, last one partial.
-    EXPECT_EQ(bits.count(), 0u);
-    for (std::size_t i : {0u, 63u, 64u, 127u, 128u, 129u})
-        bits.set(i);
-    EXPECT_EQ(bits.count(), 6u);
-    EXPECT_TRUE(bits.test(63));
-    EXPECT_FALSE(bits.test(62));
-    bits.clear(63);
-    EXPECT_FALSE(bits.test(63));
-    EXPECT_EQ(bits.count(), 5u);
-    bits.set(63);
-    bits.clear(0);
-    EXPECT_TRUE(bits.test(63));
-    EXPECT_FALSE(bits.test(0));
-    bits.reset();
-    EXPECT_EQ(bits.count(), 0u);
-}
-
-TEST(DenseBitsSoA, FindFirstSkipsWholeEmptyAndFullWords)
-{
-    DenseBits bits;
-    bits.resize(200);
-    EXPECT_EQ(bits.findFirstZero(), 0);
-    bits.set(131);
-    EXPECT_EQ(bits.findFirstZero(), 0);
-    for (std::size_t i = 0; i < 130; ++i)
-        bits.set(i);
-    EXPECT_EQ(bits.findFirstZero(), 130);
-    for (std::size_t i = 0; i < 200; ++i)
-        bits.set(i);
-    EXPECT_EQ(bits.findFirstZero(), -1);
-}
-
-TEST(DenseBitsSoA, ForEachVisitsInOrder)
-{
-    DenseBits bits;
-    bits.resize(150);
-    const std::vector<std::size_t> want{3, 64, 65, 149};
-    for (std::size_t i : want)
-        bits.set(i);
-
-    std::vector<std::size_t> seen;
-    bits.forEach([&](std::size_t i) { seen.push_back(i); });
-    EXPECT_EQ(seen, want);
 }
 
 } // namespace

@@ -1,6 +1,12 @@
 #include "cpu/fetch.hh"
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/logging.hh"
 
 namespace s64v
 {
@@ -18,7 +24,7 @@ struct Rig
     InstrTrace trace;
     std::unique_ptr<VectorTraceSource> src;
 
-    Rig()
+    explicit Rig(const MemParams &mem_params = {}) : mp(mem_params)
     {
         mem = std::make_unique<MemSystem>(mp, 1, &root);
         bpred = std::make_unique<BranchPredictor>(cp.bpred, &root);
@@ -199,6 +205,92 @@ TEST(Fetch, DiscontinuityBreaksGroup)
         rig.fetch->tick(c);
     ASSERT_EQ(rig.fetch->queueSize(), 2u);
     EXPECT_EQ(rig.fetch->front().rec.pc, 0x1000u);
+}
+
+TEST(Fetch, DeliversTheTraceInOrderThroughTheRing)
+{
+    // Ten times the 24-entry queue: straight runs, block crossings,
+    // calls and trap-entry jumps, drained one instruction every other
+    // cycle so the ring fills and wraps.
+    Rig rig;
+    Addr pc = 0x1000;
+    for (unsigned i = 0; i < 240; ++i) {
+        TraceRecord r;
+        r.pc = pc;
+        r.cls = InstrClass::IntAlu;
+        pc += 4;
+        if (i % 37 == 36) {
+            r.cls = InstrClass::Call;
+            r.ea = pc + 0x400;
+            r.flags = kFlagTaken;
+            pc = r.ea;
+        } else if (i % 53 == 52) {
+            pc += 0x2000; // trap entry.
+        }
+        rig.trace.append(r);
+    }
+    rig.attach();
+
+    std::vector<Addr> delivered;
+    for (Cycle c = 0; c < 20000 && !rig.fetch->exhausted(); ++c) {
+        rig.fetch->tick(c);
+        EXPECT_LE(rig.fetch->queueSize(), rig.cp.fetchQueueEntries);
+        if (c % 2 == 0 && !rig.fetch->queueEmpty()) {
+            delivered.push_back(rig.fetch->front().rec.pc);
+            rig.fetch->popFront();
+        }
+    }
+    ASSERT_EQ(delivered.size(), rig.trace.size());
+    for (std::size_t i = 0; i < delivered.size(); ++i)
+        EXPECT_EQ(delivered[i], rig.trace[i].pc) << i;
+}
+
+TEST(Fetch, AGroupNeverLandsBeforeTheOneAheadOfIt)
+{
+    // A one-entry ITLB: the first group pays a page walk on a line
+    // already in the L1I, and the next group, on the same page and
+    // line, would land sooner. It lands with the first.
+    MemParams mp;
+    mp.itlb.entries = 1;
+    mp.itlb.assoc = 1;
+    Rig rig(mp);
+    const Addr page = 0x10000;
+    rig.mem->fetch(0, page, 0);            // the line, and its page.
+    rig.mem->fetch(0, page + 0x40000, 0);  // evicts the page.
+    rig.addSeq(page, 16);                  // two fetch blocks.
+    rig.attach();
+
+    const Cycle start = 1000; // both lines are in by now.
+    const Cycle first_lands =
+        start + mp.itlb.walkLatency + mp.l1i.latency + 2;
+    const Cycle second_would = start + 1 + mp.l1i.latency + 2;
+    ASSERT_LT(second_would, first_lands);
+    for (Cycle c = start; c < first_lands; ++c) {
+        rig.fetch->tick(c);
+        ASSERT_TRUE(rig.fetch->queueEmpty()) << c;
+    }
+    rig.fetch->tick(first_lands);
+    ASSERT_EQ(rig.fetch->queueSize(), 16u);
+    for (unsigned i = 0; i < 16; ++i) {
+        EXPECT_EQ(rig.fetch->front().rec.pc, page + 4 * i);
+        rig.fetch->popFront();
+    }
+}
+
+TEST(Fetch, EmptyQueueIsRefusedByName)
+{
+    ScopedThrowOnError guard;
+    Rig rig;
+    CoreParams cp;
+    cp.fetchQueueEntries = 0;
+    std::string err;
+    try {
+        FetchUnit fetch(cp, 0, *rig.bpred, *rig.mem, &rig.root);
+    } catch (const std::runtime_error &e) {
+        err = e.what();
+    }
+    EXPECT_NE(err.find("fetchQueueEntries is 0"), std::string::npos)
+        << err;
 }
 
 } // namespace

@@ -54,7 +54,9 @@ fileDigest(const std::string &path)
 
 /**
  * Digest of the checkpoint that a hand-traced run of @p base cuts at
- * cycle @p at, past the end of its warm-up.
+ * cycle @p at, past the end of its warm-up, with loads, stores and
+ * fetched instructions queued, so that the pin covers each queue's
+ * walk.
  */
 std::string
 checkpointDigest(const SystemParams &base, std::size_t instrs, Cycle at)
@@ -72,19 +74,28 @@ checkpointDigest(const SystemParams &base, std::size_t instrs, Cycle at)
     EXPECT_TRUE(res.stoppedAtCheckpoint);
     EXPECT_GT(res.warmupEndCycle, 0u) << "cut before the warm-up ended";
     EXPECT_LT(res.instructions, instrs * sp.numCpus) << "cut after the end";
+    std::size_t loads = 0, stores = 0, fetched = 0;
+    for (CpuId cpu = 0; cpu < sp.numCpus; ++cpu) {
+        loads += sys.core(cpu).lsq().lqSize();
+        stores += sys.core(cpu).lsq().sqSize();
+        fetched += sys.core(cpu).fetchUnit().queueSize();
+    }
+    EXPECT_GT(loads, 0u) << "no load queued at the cut";
+    EXPECT_GT(stores, 0u) << "no store queued at the cut";
+    EXPECT_GT(fetched, 0u) << "no fetched instruction at the cut";
     return fileDigest(path);
 }
 
 TEST(ImageBytes, UpCheckpoint)
 {
-    EXPECT_EQ(checkpointDigest(sparc64vBase(1).sys, 20000, 100000),
-              "0xfcb47fbb70937e23");
+    EXPECT_EQ(checkpointDigest(sparc64vBase(1).sys, 20000, 105000),
+              "0xb6782d700d1a38d9");
 }
 
 TEST(ImageBytes, Smp4Checkpoint)
 {
     EXPECT_EQ(checkpointDigest(sparc64vBase(4).sys, 5000, 50000),
-              "0xb1e0c7a082c59efb");
+              "0xc96cef942d79e118");
 }
 
 TEST(ImageBytes, TwoEntryJournal)

@@ -679,29 +679,40 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
     const CoreSection good = cutCoreSection(sp, traces, 3000);
     const CoreSection good1rs = cutCoreSection(unified, traces, 3000);
 
-    // The layouts FetchUnit::checkpoint and InstrWindow::checkpoint
-    // write: a fetched instruction is its 24-byte record and two
-    // flags; a window entry is 124 bytes after a 20-byte header.
-    constexpr std::size_t kFetched = sizeof(TraceRecord) + 2;
-    constexpr std::size_t kEntry = 124, kEntriesAt = 20;
-    constexpr std::size_t kDstAt = 17, kStateAt = 32;
-    constexpr std::size_t kLsqIndexAt = 114, kRsIdAt = 122;
+    // The layouts FetchUnit::checkpoint, LoadStoreQueue::checkpoint
+    // and InstrWindow::checkpoint write: the fetch queue's held and
+    // landed counts, then each held instruction, its 24-byte record,
+    // landing cycle and two flags; each queue's count, then its
+    // 33-byte entries (seq, address, flags, two cycles); a window
+    // entry is 116 bytes after a 20-byte header.
+    constexpr std::size_t kFetchedAt = 16;
+    constexpr std::size_t kLsqEntry = 33, kLsqFlagsAt = 16;
+    constexpr std::uint8_t kLsqCommitted = 2;
+    constexpr std::size_t kEntry = 116, kEntriesAt = 20;
+    constexpr std::size_t kDstAt = 17, kStateAt = 32, kRsIdAt = 114;
 
-    // Where core 0's first fetched record and first window load sit.
-    std::size_t first_fetched = 0;
-    std::size_t at = good.fetchAt;
-    const std::uint64_t groups = peek<std::uint64_t>(good.bytes, at);
-    at += 8;
-    for (std::uint64_t g = 0; g < groups; ++g) {
-        const std::uint64_t n = peek<std::uint64_t>(good.bytes, at + 8);
-        at += 16;
-        if (n != 0 && first_fetched == 0)
-            first_fetched = at;
-        at += n * kFetched;
+    ASSERT_NE(peek<std::uint64_t>(good.bytes, good.fetchAt), 0u)
+        << "no fetched instruction at the cut";
+    const std::size_t first_fetched = good.fetchAt + kFetchedAt;
+
+    // The youngest queued load and store, and the store queue's
+    // uncommitted stores.
+    const std::uint64_t queued_loads =
+        peek<std::uint64_t>(good.bytes, good.lsqAt);
+    ASSERT_NE(queued_loads, 0u) << "no queued load at the cut";
+    const std::size_t youngest_load =
+        good.lsqAt + 8 + (queued_loads - 1) * kLsqEntry;
+    const std::size_t sq_at = good.lsqAt + 8 + queued_loads * kLsqEntry;
+    const std::uint64_t queued_stores =
+        peek<std::uint64_t>(good.bytes, sq_at);
+    unsigned uncommitted = 0;
+    for (std::uint64_t i = 0; i < queued_stores; ++i) {
+        const std::size_t flags = sq_at + 8 + i * kLsqEntry + kLsqFlagsAt;
+        uncommitted += (good.bytes[flags] & kLsqCommitted) == 0;
     }
-    if (first_fetched == 0 && peek<std::uint64_t>(good.bytes, at) != 0)
-        first_fetched = at + 8;
-    ASSERT_NE(first_fetched, 0u) << "no fetched instruction at the cut";
+    ASSERT_GE(uncommitted, 2u) << "fewer than two uncommitted stores";
+    const std::size_t youngest_store =
+        sq_at + 8 + (queued_stores - 1) * kLsqEntry;
 
     const auto entries = [](const CoreSection &s) {
         return peek<std::uint64_t>(s.bytes, s.windowAt + 12) -
@@ -763,13 +774,11 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
         const char *field;
     };
     const Forgery forgeries[] = {
-        {"a group of 2^40 records", good,
+        {"2^40 fetched records", good,
          [&](std::vector<std::uint8_t> &b) {
-             poke<std::uint64_t>(b, good.fetchAt, 1);
-             poke<std::uint64_t>(b, good.fetchAt + 16,
-                                 std::uint64_t{1} << 40);
+             poke<std::uint64_t>(b, good.fetchAt, std::uint64_t{1} << 40);
          },
-         "fetch group"},
+         "exceed the fetch queue"},
         {"dst 200", good,
          [&](std::vector<std::uint8_t> &b) {
              b[first_fetched + kDstAt] = 200;
@@ -793,11 +802,21 @@ TEST(Checkpoint, ForgedCoreStateIsRefused)
              b[first_entry1rs + kRsIdAt] = kRsE1;
          },
          "reservation station"},
-        {"load lsqIndex 10000", good,
+        {"a queued load the window does not hold", good,
          [&](std::vector<std::uint8_t> &b) {
-             poke<std::int64_t>(b, first_load + kLsqIndexAt, 10000);
+             poke<std::uint64_t>(b, youngest_load, kForeignSeq);
          },
-         "load/store queue index"},
+         "load queue does not hold exactly the window's loads"},
+        {"a committed store behind an uncommitted one", good,
+         [&](std::vector<std::uint8_t> &b) {
+             b[youngest_store + kLsqFlagsAt] |= kLsqCommitted;
+         },
+         "committed store behind an uncommitted one"},
+        {"a store the window does not hold", good,
+         [&](std::vector<std::uint8_t> &b) {
+             poke<std::uint64_t>(b, youngest_store, kForeignSeq);
+         },
+         "store queue does not hold exactly the window's stores"},
         {"station seq 999999", good,
          [&](std::vector<std::uint8_t> &b) {
              poke<std::uint64_t>(b, first_station_seq, kForeignSeq);
